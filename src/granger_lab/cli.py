@@ -25,8 +25,8 @@ from .criteria import Criterion, PRESET_CRITERIA
 from .datagen import (GeneratorConfig, NoiseKind, TrivariateSample, generate)
 from .experiments import (OffGrid, extract_plane, phase_space, snr_grid,
                           sweep_sample_size, sweep_significance)
-from .granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ, GrangerConfig,
-                      infer_topology, link_outcomes, reverse_link_decisions)
+from .granger import (FORWARD_KEYS, GrangerConfig, link_outcomes,
+                      reverse_link_decisions, topology_from_outcomes)
 from .ppm import render_plane, write_ppm
 from .regress import RankDeficient
 
@@ -229,30 +229,47 @@ def _phase_row(meta: dict, cell: dict) -> str:
 
 def load_phase_csv(path: str) -> tuple[dict, list[dict]]:
     """Parse a phase-space CSV into (metadata, cell rows)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != PHASE_HEADER:
-            raise ValueError(f"unexpected header in {path}")
-        meta: dict = {}
-        cells = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            row_meta = {"topology": parts[3], "noise_kind": parts[4],
-                        "n": int(parts[5]), "alpha": float(parts[6]),
-                        "criterion": parts[7], "iterations": int(parts[8])}
-            if not meta:
-                meta = row_meta
-            elif meta != row_meta:
-                raise ValueError("inconsistent metadata across rows")
-            cells.append({"snr_x_db": float(parts[0]), "snr_y_db": float(parts[1]),
-                          "snr_z_db": float(parts[2]),
-                          "spurious_rate": float(parts[9]),
-                          "unidentified_rate": float(parts[10]),
-                          "rate_xz": float(parts[11]), "rate_yz": float(parts[12])})
+    meta, cells, _ = _read_phase_csv(path)
     return meta, cells
+
+
+def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
+    """(metadata, cell rows, intact length in bytes) of a phase-space CSV.
+
+    Only newline-terminated lines count. An unterminated final line was torn
+    by an interrupted write: it is ignored, and the intact length ends
+    before it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    intact = data.rfind(b"\n") + 1
+    if intact == 0 and PHASE_HEADER.encode("utf-8").startswith(data):
+        return {}, [], 0  # not even the header was completed
+    lines = data[:intact].decode("utf-8").split("\n")
+    if lines[0].strip() != PHASE_HEADER:
+        raise ValueError(f"unexpected header in {path}")
+    meta: dict = {}
+    cells = []
+    for line in lines[1:]:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 13:
+            raise ValueError(f"{path}: malformed row {line!r}")
+        row_meta = {"topology": parts[3], "noise_kind": parts[4],
+                    "n": int(parts[5]), "alpha": float(parts[6]),
+                    "criterion": parts[7], "iterations": int(parts[8])}
+        if not meta:
+            meta = row_meta
+        elif meta != row_meta:
+            raise ValueError("inconsistent metadata across rows")
+        cells.append({"snr_x_db": float(parts[0]), "snr_y_db": float(parts[1]),
+                      "snr_z_db": float(parts[2]),
+                      "spurious_rate": float(parts[9]),
+                      "unidentified_rate": float(parts[10]),
+                      "rate_xz": float(parts[11]), "rate_yz": float(parts[12])})
+    return meta, cells, intact
 
 
 def cmd_phase_space(args, argv: list[str]) -> int:
@@ -270,9 +287,10 @@ def cmd_phase_space(args, argv: list[str]) -> int:
             "iterations": args.iterations}
 
     done_cells: dict[tuple[float, float, float], dict] = {}
+    intact = 0
     if args.resume and os.path.exists(csv_path):
         try:
-            old_meta, rows = load_phase_csv(csv_path)
+            old_meta, rows, intact = _read_phase_csv(csv_path)
         except ValueError as exc:
             print(f"resume conflict: {exc}", file=sys.stderr)
             return 4
@@ -289,9 +307,10 @@ def cmd_phase_space(args, argv: list[str]) -> int:
             return 4
         done_cells = {(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]): r for r in rows}
 
-    mode = "a" if done_cells else "w"
-    with open(csv_path, mode, encoding="utf-8", newline="\n") as fh:
-        if mode == "w":
+    if intact:
+        os.truncate(csv_path, intact)  # drop a torn final line before appending
+    with open(csv_path, "a" if intact else "w", encoding="utf-8", newline="\n") as fh:
+        if not intact:
             fh.write(PHASE_HEADER + "\n")
 
         def on_cell(cell: dict) -> None:
@@ -381,14 +400,13 @@ def cmd_analyze(args) -> int:
                            significance=args.alpha)
     try:
         outcomes = link_outcomes(sample, config)
-        label = infer_topology(sample, config)
+        label = topology_from_outcomes(outcomes, config)
         reverse = reverse_link_decisions(sample, config)
     except RankDeficient:
         print("rank-deficient design: a series is constant or duplicated; "
               "check the input columns", file=sys.stderr)
         return 3
-    forward_p = {key: outcomes[key].p_value
-                 for key in (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ)}
+    forward_p = {key: outcomes[key].p_value for key in FORWARD_KEYS}
     reverse_p = {k: d.outcome.p_value for k, d in reverse.items()}
     report = {
         "topology": label.kind.value,

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -49,6 +51,10 @@ CALIBRATION_SEED = 744_003_917
 
 MAGNITUDE_BOUND = 1e12
 DEFAULT_BURN_IN = 100
+
+#: Values per generated array in one chunk of ``generate_chunks``: 256 KiB
+#: of float64, 81 samples at n=300 and 218 at n=50.
+CHUNK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -112,29 +118,32 @@ def snr_to_sigma(snr_db: float, signal_variance: float) -> float:
 
 
 def _shift(values: np.ndarray, k: int) -> np.ndarray:
-    """values_{t-k} with zeros for t < k."""
+    """values_{t-k} along the last axis, with zeros for t < k."""
     out = np.zeros_like(values)
-    out[k:] = values[:-k]
+    out[..., k:] = values[..., :-k]
     return out
 
 
 def _ar_filter(driving: np.ndarray, coeff: float) -> np.ndarray:
-    """s_t = coeff * s_{t-1} + driving_t, started from zero."""
-    return lfilter([1.0], [1.0, -coeff], driving)
+    """s_t = coeff * s_{t-1} + driving_t along the last axis, started from zero."""
+    return lfilter([1.0], [1.0, -coeff], driving, axis=-1)
 
 
-def _raw_draws(config: GeneratorConfig):
-    total = config.burn_in + config.length
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    u = rng.uniform(-2.0, 2.0, total)
-    nx = rng.standard_normal(total)
-    ny = rng.standard_normal(total)
-    nz = rng.standard_normal(total)
-    return u, nx, ny, nz
+def _raw_draws(seeds: Sequence[int], total: int) -> np.ndarray:
+    """(4, len(seeds), total) draws: uniforms, then the X, Y and Z normals.
+
+    Row r consumes one generator seeded with ``seeds[r]``, in that order.
+    """
+    draws = np.empty((4, len(seeds), total))
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        draws[0, r] = rng.uniform(-2.0, 2.0, total)
+        for block in draws[1:, r]:
+            rng.standard_normal(out=block)
+    return draws
 
 
-def _backbone(u: np.ndarray, ex: np.ndarray, ey: np.ndarray, ez: np.ndarray,
-              coeff: float, topology: TopologyKind):
+def _backbone(u: np.ndarray, ex, ey, ez, coeff: float, topology: TopologyKind):
     """Run the recurrences with the given additive innovation terms."""
     x = u + ex
     y = _ar_filter(_shift(x, 1) + ey, coeff)
@@ -145,16 +154,25 @@ def _backbone(u: np.ndarray, ex: np.ndarray, ey: np.ndarray, ez: np.ndarray,
     return x, y, z
 
 
-def _finalize(config: GeneratorConfig, x: np.ndarray, y: np.ndarray,
-              z: np.ndarray) -> TrivariateSample:
+def _generate_rows(config: GeneratorConfig, noise: NoiseConfig,
+                   seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    total = config.burn_in + config.length
+    u, nx, ny, nz = _raw_draws(seeds, total)
+    if config.noise_kind is NoiseKind.EXTRINSIC_SNR:
+        x, y, z = _backbone(u, 0.0, 0.0, 0.0, config.ar_coefficient, config.topology)
+        x = x + noise.alpha * nx
+        y = y + noise.beta * ny
+        z = z + noise.gamma * nz
+    else:
+        x, y, z = _backbone(u, noise.alpha * nx, noise.beta * ny, noise.gamma * nz,
+                            config.ar_coefficient, config.topology)
     b = config.burn_in
-    x, y, z = x[b:], y[b:], z[b:]
+    x, y, z = x[:, b:], y[:, b:], z[:, b:]
     for arr in (x, y, z):
-        if not np.all(np.isfinite(arr)) or np.max(np.abs(arr)) > MAGNITUDE_BOUND:
+        # Also false for NaN and infinities.
+        if not (np.abs(arr) <= MAGNITUDE_BOUND).all():
             raise GenerationError("generated values exceeded the magnitude bound")
-    truth = (TopologyLabel.driver() if config.topology is TopologyKind.DRIVER
-             else TopologyLabel.indirect())
-    return TrivariateSample(x=TimeSeries(x), y=TimeSeries(y), z=TimeSeries(z), truth=truth)
+    return x, y, z
 
 
 @lru_cache(maxsize=32)
@@ -164,11 +182,8 @@ def _calibration_variances(topology: TopologyKind, ar_coefficient: float,
     cfg = GeneratorConfig(topology=topology, length=CALIBRATION_LENGTH,
                           ar_coefficient=ar_coefficient, burn_in=burn_in,
                           seed=CALIBRATION_SEED)
-    u, nx, ny, nz = _raw_draws(cfg)
-    zero = np.zeros_like(u)
-    x, y, z = _backbone(u, zero, zero, zero, cfg.ar_coefficient, topology)
-    b = cfg.burn_in
-    return (float(np.var(x[b:])), float(np.var(y[b:])), float(np.var(z[b:])))
+    x, y, z = _generate_rows(cfg, NoiseConfig(0.0, 0.0, 0.0), (cfg.seed,))
+    return (float(np.var(x[0])), float(np.var(y[0])), float(np.var(z[0])))
 
 
 def estimate_signal_variance(config: GeneratorConfig, series_id: str) -> float:
@@ -189,18 +204,31 @@ def resolve_sigmas(config: GeneratorConfig) -> NoiseConfig:
 
 def generate(config: GeneratorConfig) -> TrivariateSample:
     """Generate one trivariate sample according to the config's noise mode."""
+    x, y, z = next(generate_chunks(config, (config.seed,)))
+    truth = (TopologyLabel.driver() if config.topology is TopologyKind.DRIVER
+             else TopologyLabel.indirect())
+    return TrivariateSample(x=TimeSeries(x[0]), y=TimeSeries(y[0]), z=TimeSeries(z[0]),
+                            truth=truth)
+
+
+def chunk_rows(config: GeneratorConfig) -> int:
+    """Samples per chunk of ``generate_chunks`` for this config's length."""
+    return max(1, CHUNK_VALUES // (config.burn_in + config.length))
+
+
+def generate_chunks(config: GeneratorConfig, seeds: Iterable[int]
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Samples for a stream of seeds, as (rows, length) x, y, z arrays.
+
+    Row r of the stream equals ``generate(replace(config, seed=seed_r))``
+    bit for bit. Seeds are consumed ``chunk_rows(config)`` at a time, so
+    memory is bounded whatever the stream's length.
+    """
     noise = resolve_sigmas(config)
-    u, nx, ny, nz = _raw_draws(config)
-    if config.noise_kind is NoiseKind.EXTRINSIC_SNR:
-        zero = np.zeros_like(u)
-        x, y, z = _backbone(u, zero, zero, zero, config.ar_coefficient, config.topology)
-        x = x + noise.alpha * nx
-        y = y + noise.beta * ny
-        z = z + noise.gamma * nz
-    else:
-        x, y, z = _backbone(u, noise.alpha * nx, noise.beta * ny, noise.gamma * nz,
-                            config.ar_coefficient, config.topology)
-    return _finalize(config, x, y, z)
+    seeds = iter(seeds)
+    rows = chunk_rows(config)
+    while chunk := tuple(islice(seeds, rows)):
+        yield _generate_rows(config, noise, chunk)
 
 
 def generate_fixed(config: GeneratorConfig) -> TrivariateSample:

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import Link, TopologyKind, TopologyLabel
+from .core import FORWARD_LINKS, TopologyKind, TopologyLabel
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria, statistic_from_rss
-from .datagen import GeneratorConfig, NoiseKind, generate
-from .granger import GrangerConfig, comparison_rss, decide_edges
+from .datagen import GeneratorConfig, NoiseKind, generate_chunks
+from .granger import FORWARD_KEYS, GrangerConfig, comparison_rss, decide_edge_array
 from .regress import RankDeficient
 
 _FLAG_NAMES = ("spurious", "unidentified", "xy", "xz", "yz",
@@ -96,50 +96,71 @@ def snr_grid(lo: float = -40.0, hi: float = 40.0, points: int = 17) -> tuple[flo
     return tuple(float(v) for v in np.linspace(lo, hi, points))
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("GRANGER_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _worker_count(workers: Optional[int], jobs: int) -> int:
+    """Worker processes for ``jobs`` independent tasks.
+
+    The request (else ``GRANGER_LAB_THREADS``, else the CPU count) is
+    clamped to the CPU count and to ``jobs``, so no flag can start more
+    processes than there are cores or tasks.
+    """
+    if workers is None:
+        env = os.environ.get("GRANGER_LAB_THREADS")
+        if env:
+            try:
+                workers = int(env)
+            except ValueError:
+                workers = 0
+            if workers < 1:
+                raise ValueError(
+                    f"GRANGER_LAB_THREADS must be a positive integer, got {env!r}")
+        else:
+            workers = os.cpu_count() or 1
+    workers = min(workers, jobs)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
+    return max(1, workers)
 
 
 def _count_block(gen_template: GeneratorConfig, lags: int,
                  criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
                  always_trivariate: bool, master_seed: int, key: tuple[int, ...],
                  start: int, stop: int) -> tuple[np.ndarray, int]:
-    """Flag counts over one contiguous iteration range (worker unit)."""
+    """Flag counts over one contiguous iteration range (worker unit).
+
+    Samples come in chunks; each chunk's p-values are collected into a
+    (sample, criterion, comparison) array and decided for every
+    significance level at once.
+    """
     counts = np.zeros((len(criteria), len(alphas), len(_FLAG_NAMES)), dtype=np.int64)
     rank_deficient = 0
-    truth = gen_template.topology
-    truth_edges = (TopologyLabel.driver() if truth is TopologyKind.DRIVER
-                   else TopologyLabel.indirect()).edges
-    spur_link, unid_link = ((Link.YZ, Link.XZ) if truth is TopologyKind.DRIVER
-                            else (Link.XZ, Link.YZ))
-    for i in range(start, stop):
-        cfg = replace(gen_template, seed=derive_seed(master_seed, *key, i))
-        sample = generate(cfg)
-        try:
-            comps = comparison_rss(sample.x.values, sample.y.values,
-                                   sample.z.values, lags)
-        except RankDeficient:
-            rank_deficient += 1
-            continue
-        for ci, crit in enumerate(criteria):
-            pvalues = {k: statistic_from_rss(crit, c.rss_restricted, c.rss_unrestricted,
-                                             c.n_obs, c.q, c.k).p_value
-                       for k, c in comps.items()}
-            for ai, alpha in enumerate(alphas):
-                edges = decide_edges(pvalues, alpha, always_trivariate)
-                row = counts[ci, ai]
-                row[0] += spur_link in edges
-                row[1] += unid_link not in edges
-                row[2] += Link.XY in edges
-                row[3] += Link.XZ in edges
-                row[4] += Link.YZ in edges
-                row[5] += bool(edges - truth_edges)
-                row[6] += bool(truth_edges - edges)
+    driver = gen_template.topology is TopologyKind.DRIVER
+    truth = TopologyLabel.driver() if driver else TopologyLabel.indirect()
+    truth_mask = np.array([link in truth.edges for link in FORWARD_LINKS])
+    # Edge columns follow FORWARD_LINKS: x->y, x->z, y->z.
+    spur, unid = (2, 1) if driver else (1, 2)
+    alpha_levels = np.array(alphas)
+    seeds = (derive_seed(master_seed, *key, i) for i in range(start, stop))
+    for xs, ys, zs in generate_chunks(gen_template, seeds):
+        pvalues = np.empty((len(xs), len(criteria), len(FORWARD_KEYS)))
+        kept = 0
+        for x, y, z in zip(xs, ys, zs):
+            try:
+                comps = comparison_rss(x, y, z, lags)
+            except RankDeficient:
+                rank_deficient += 1
+                continue
+            for ci, crit in enumerate(criteria):
+                for j, name in enumerate(FORWARD_KEYS):
+                    c = comps[name]
+                    pvalues[kept, ci, j] = statistic_from_rss(
+                        crit, c.rss_restricted, c.rss_unrestricted, c.n_obs, c.q, c.k).p_value
+            kept += 1
+        edges = decide_edge_array(pvalues[:kept], alpha_levels, always_trivariate)
+        flags = np.stack([edges[..., spur], ~edges[..., unid],
+                          edges[..., 0], edges[..., 1], edges[..., 2],
+                          (edges & ~truth_mask).any(axis=-1),
+                          (truth_mask & ~edges).any(axis=-1)], axis=-1)
+        counts += flags.sum(axis=0)
     return counts, rank_deficient
 
 
@@ -148,8 +169,9 @@ def _accumulate(gen_template: GeneratorConfig, lags: int,
                 always_trivariate: bool, iterations: int, master_seed: int,
                 key: tuple[int, ...], workers: Optional[int] = None
                 ) -> tuple[np.ndarray, int]:
-    n_workers = _worker_count(workers)
-    if n_workers <= 1 or iterations < 2 * n_workers:
+    # Each worker gets at least two iterations.
+    n_workers = _worker_count(workers, iterations // 2)
+    if n_workers <= 1:
         return _count_block(gen_template, lags, criteria, alphas, always_trivariate,
                             master_seed, key, 0, iterations)
     bounds = np.linspace(0, iterations, n_workers + 1, dtype=int)
@@ -284,7 +306,8 @@ def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: fl
     done = dict(done_cells or {})
 
     coords = list(product(*[enumerate(a) for a in axes]))
-    n_workers = _worker_count(workers)
+    todo = sum(1 for (_, sx), (_, sy), (_, sz) in coords if (sx, sy, sz) not in done)
+    n_workers = _worker_count(workers, todo)
     pending: dict[int, object] = {}
     pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
     try:

@@ -21,6 +21,7 @@ from .regress import ModelSpec, build_design, nested_rss, ols_fit
 #: Keys for the five forward-model comparisons the two-step procedure uses.
 BIV_XY, BIV_XZ, BIV_YZ = "x->y", "x->z", "y->z"
 TRI_XZ, TRI_YZ = "tri:x->z", "tri:y->z"
+FORWARD_KEYS = (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ)
 
 _REVERSE_PAIRS = (("x", "y"), ("x", "z"), ("y", "z"))
 
@@ -62,18 +63,19 @@ def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     """
     p = lags
     start = p  # common window: max lag of the widest (unrestricted) model
-    zl = _lag_block(z, p, start)
-    yl = _lag_block(y, p, start)
-    xl = _lag_block(x, p, start)
-    bz = z[start:]
-    by = y[start:]
-    n_obs = bz.shape[0]
+    n_obs = z.shape[0] - start
     if n_obs < 3 * p + 1:
         raise ValueError(f"series too short for lag depth {p}")
+    # Row i*p + k-1 holds lag k of (z, y, x)[i]; the transposes are the designs.
+    lagged = np.empty((3 * p, n_obs))
+    for i, values in enumerate((z, y, x)):
+        for k in range(1, p + 1):
+            lagged[i * p + k - 1] = values[start - k:start - k + n_obs]
+    bz = z[start:]
 
-    rss_z, rss_zy, rss_zyx = nested_rss(np.hstack([zl, yl, xl]), bz, (p, 2 * p, 3 * p))
-    (rss_zx,) = nested_rss(np.hstack([zl, xl]), bz, (2 * p,))
-    rss_y, rss_yx = nested_rss(np.hstack([_lag_block(y, p, start, own=True), xl]), by, (p, 2 * p))
+    rss_z, rss_zy, rss_zyx = nested_rss(lagged.T, bz, (p, 2 * p, 3 * p))
+    (rss_zx,) = nested_rss(np.concatenate((lagged[:p], lagged[2 * p:])).T, bz, (2 * p,))
+    rss_y, rss_yx = nested_rss(lagged[p:].T, y[start:], (p, 2 * p))
 
     return {
         BIV_XY: RssComparison(rss_y, rss_yx, n_obs, p, 2 * p),
@@ -82,11 +84,6 @@ def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
         TRI_XZ: RssComparison(rss_zy, rss_zyx, n_obs, p, 3 * p),
         TRI_YZ: RssComparison(rss_zx, rss_zyx, n_obs, p, 3 * p),
     }
-
-
-def _lag_block(values: np.ndarray, p: int, start: int, own: bool = False) -> np.ndarray:
-    n = values.shape[0]
-    return np.column_stack([values[start - k:n - k] for k in range(1, p + 1)])
 
 
 def outcomes_from_rss(comps: Mapping[str, RssComparison],
@@ -109,6 +106,19 @@ def decide_edges(pvalues: Mapping[str, float], significance: float,
             edges.add(Link.YZ)
         return frozenset(edges)
     return frozenset(biv)
+
+
+def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray,
+                      always_trivariate: bool = False) -> np.ndarray:
+    """``decide_edges`` over arrays: p-values (..., 5) in the order of
+    ``FORWARD_KEYS``, significance levels (A,) -> accepted edges
+    (..., A, 3) in the order of ``FORWARD_LINKS``."""
+    accepted = pvalues[..., None, :] < alphas[:, None]
+    biv = accepted[..., :3]
+    trivariate = biv.all(axis=-1, keepdims=True) | always_trivariate
+    edges = biv.copy()
+    edges[..., 1:] = np.where(trivariate, accepted[..., 3:], biv[..., 1:])
+    return edges
 
 
 def bivariate_test(cause: TimeSeries, effect: TimeSeries,
@@ -163,8 +173,12 @@ def reverse_link_decisions(sample: TrivariateSample,
 
 def infer_topology(sample: TrivariateSample, config: GrangerConfig) -> TopologyLabel:
     """The full two-step trivariate procedure, returning a topology label."""
-    comps = comparison_rss(sample.x.values, sample.y.values, sample.z.values, config.lags)
-    outcomes = outcomes_from_rss(comps, config.criterion)
+    return topology_from_outcomes(link_outcomes(sample, config), config)
+
+
+def topology_from_outcomes(outcomes: Mapping[str, TestOutcome],
+                           config: GrangerConfig) -> TopologyLabel:
+    """The two-step decision on already computed forward outcomes."""
     pvalues = {key: o.p_value for key, o in outcomes.items()}
     edges = decide_edges(pvalues, config.significance, config.always_trivariate)
     return TopologyLabel.from_edges(edges)

@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf
 
 from .core import LagSpec
 
@@ -110,16 +111,27 @@ def nested_rss(matrix: np.ndarray, response: np.ndarray,
     """RSS of each column-prefix model in one QR pass.
 
     ``boundaries`` are prefix lengths (e.g. (2, 4, 6) for own-lags, +first
-    predictor, +second predictor). The full-width QR is computed once; the
-    RSS of the model using the first ``k`` columns is
-    ``||b||^2 - sum_{i<k} (Q^T b)_i^2``. Raises RankDeficient when any pivot
-    of R falls below tolerance.
+    predictor, +second predictor). One R-only QR of the augmented matrix
+    [X | b] gives every prefix RSS without forming Q: with p columns in X,
+    the RSS of the model using the first ``k`` columns is
+    ``sum_{i=k}^{p} R[i, p]^2`` (Golub & Van Loan, Matrix Computations,
+    section 5.3). Unlike ``||b||^2 - ||Q^T b||^2`` this sum does not cancel
+    when the fit is nearly exact. Raises RankDeficient when a pivot of R
+    falls below tolerance relative to the largest column norm of X.
     """
-    q, r = np.linalg.qr(matrix)
-    col_norms = np.linalg.norm(matrix, axis=0)
-    if np.any(np.abs(np.diag(r)) <= RANK_TOL * max(col_norms.max(), 1e-300)):
+    n_obs, n_params = matrix.shape
+    if n_obs < n_params + 1:
+        raise InsufficientData(f"{n_obs} rows for {n_params} columns")
+    augmented = np.empty((n_obs, n_params + 1), order="F")
+    augmented[:, :n_params] = matrix
+    augmented[:, n_params] = response
+    # R is the upper triangle of the result; Householder vectors lie below it.
+    r, _, _, info = dgeqrf(augmented, overwrite_a=True)
+    if info != 0:
+        raise RegressionError(f"QR factorization failed (LAPACK info={info})")
+    col_norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
+    if np.abs(r.diagonal()[:n_params]).min() <= RANK_TOL * max(col_norms.max(), 1e-300):
         raise RankDeficient("design matrix is rank deficient")
-    qtb = q.T @ response
-    total = float(response @ response)
-    explained = np.cumsum(qtb * qtb)
-    return [max(total - float(explained[k - 1]), 0.0) for k in boundaries]
+    tail = r[:n_params + 1, n_params]
+    rss = (tail * tail)[::-1].cumsum()[::-1]
+    return [float(rss[k]) for k in boundaries]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from granger_lab import granger
 from granger_lab.cli import (PHASE_HEADER, fmt, load_phase_csv, main,
                              parse_criteria, parse_grid, read_manifest)
 from granger_lab.criteria import Criterion
@@ -84,6 +85,17 @@ class TestGenerateAnalyze:
         assert main(["generate", "--topology", "driver", "--params", "1,2",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_analyze_fits_the_comparisons_once(self, tmp_path, monkeypatch):
+        csv = tmp_path / "sample.csv"
+        main(["generate", "--topology", "driver", "--n", "200", "--seed", "2",
+              "--out", str(csv)])
+        calls = []
+        original = granger.comparison_rss
+        monkeypatch.setattr(granger, "comparison_rss",
+                            lambda *args: calls.append(1) or original(*args))
+        assert main(["analyze", "--input", str(csv), "--json"]) == 0
+        assert len(calls) == 1
+
 
 class TestSweepCommands:
     def _run_alpha(self, out):
@@ -152,6 +164,39 @@ class TestPhaseSpaceCommand:
         assert main(self.ARGS + ["--resume", "--out", str(out)]) == 0
         assert csv.read_bytes() == full
 
+    @pytest.mark.parametrize("cut", ["mid_line", "final_newline"])
+    def test_resume_after_torn_write_is_byte_identical(self, tmp_path, cut):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        full = csv.read_bytes()
+        row_end = [i for i, byte in enumerate(full) if byte == ord("\n")][3]
+        # A torn fourth row: cut inside its fields, or just before its
+        # newline (where its last rate still parses, as a shorter number).
+        keep = row_end - 12 if cut == "mid_line" else row_end
+        csv.write_bytes(full[:keep])
+        assert main(self.ARGS + ["--resume", "--out", str(out)]) == 0
+        assert csv.read_bytes() == full
+
+    def test_resume_after_torn_header_rewrites(self, tmp_path):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        full = csv.read_bytes()
+        csv.write_bytes(full[:10])
+        assert main(self.ARGS + ["--resume", "--out", str(out)]) == 0
+        assert csv.read_bytes() == full
+
+    def test_resume_rejects_malformed_complete_row(self, tmp_path):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        lines = csv.read_text().splitlines()
+        csv.write_text("\n".join(lines[:2] + [lines[2][:20]]) + "\n")
+        assert main(self.ARGS + ["--resume", "--out", str(out)]) == 4
+        csv.write_text("not a checkpoint")
+        assert main(self.ARGS + ["--resume", "--out", str(out)]) == 4
+
     def test_resume_conflict_exits_4(self, tmp_path):
         out = tmp_path / "ps"
         assert main(self.ARGS + ["--out", str(out)]) == 0
@@ -193,6 +238,15 @@ class TestRender:
               "--scale", "1", "--out", str(ppm)])
         assert np.all(read_ppm(str(ppm)) == np.array([255, 0, 0], dtype=np.uint8))
 
+    def test_torn_final_row_is_not_rendered(self, tmp_path, capsys):
+        # "...,0.25\n" cut to "...,0.2" would parse as a wrong rate.
+        csv = tmp_path / "g.csv"
+        self._phase_csv(csv, 0.25)
+        csv.write_bytes(csv.read_bytes()[:-2])
+        assert main(["render", "--input", str(csv), "--axis", "z",
+                     "--value", "0", "--out", str(tmp_path / "g.ppm")]) == 2
+        assert "missing cells" in capsys.readouterr().err
+
     def test_off_grid_value_exits_2(self, tmp_path):
         csv = tmp_path / "g.csv"
         self._phase_csv(csv, 0.5)
@@ -218,6 +272,17 @@ class TestRender:
         write_ppm(str(path), image)
         assert path.read_bytes().startswith(b"P6\n7 5\n255\n")
         np.testing.assert_array_equal(read_ppm(str(path)), image)
+
+
+class TestWorkerSetting:
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+    def test_invalid_thread_variable_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("GRANGER_LAB_THREADS", value)
+        rc = main(["sweep-alpha", "--topology", "driver", "--n", "50",
+                   "--alpha-grid", "0.1", "--criteria", "wald", "--iterations", "4",
+                   "--out", str(tmp_path / "a")])
+        assert rc == 2
+        assert "GRANGER_LAB_THREADS" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from granger_lab.core import TopologyKind
+from scipy.signal import lfilter
+
 from granger_lab.datagen import (BASELINE_SIGMAS, GenerationError,
-                                 GeneratorConfig, NoiseKind, estimate_signal_variance,
-                                 extrinsic_backbone, generate, generate_extrinsic,
+                                 GeneratorConfig, NoiseKind, chunk_rows,
+                                 estimate_signal_variance, extrinsic_backbone,
+                                 generate, generate_chunks, generate_extrinsic,
                                  generate_fixed, generate_intrinsic,
                                  resolve_sigmas, snr_to_sigma)
 
@@ -234,3 +237,62 @@ class TestGenerateDispatch:
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
         assert cfg.sigmas_or_snrs == BASELINE_SIGMAS
         assert generate(cfg).truth.kind is TopologyKind.DRIVER
+
+
+def _reference_generate(config):
+    """One sample the direct way: one generator, one 1-D pass per series."""
+    noise = resolve_sigmas(config)
+    total = config.burn_in + config.length
+    rng = np.random.default_rng(config.seed)
+    u = rng.uniform(-2.0, 2.0, total)
+    nx = rng.standard_normal(total)
+    ny = rng.standard_normal(total)
+    nz = rng.standard_normal(total)
+
+    def ar(driving):
+        return lfilter([1.0], [1.0, -config.ar_coefficient], driving)
+
+    def shift(values, k):
+        out = np.zeros_like(values)
+        out[k:] = values[:-k]
+        return out
+
+    extrinsic = config.noise_kind is NoiseKind.EXTRINSIC_SNR
+    ex, ey, ez = ((0.0, 0.0, 0.0) if extrinsic
+                  else (noise.alpha * nx, noise.beta * ny, noise.gamma * nz))
+    x = u + ex
+    y = ar(shift(x, 1) + ey)
+    z = ar(shift(x, 2) + ez) if config.topology is TopologyKind.DRIVER else ar(shift(y, 1) + ez)
+    if extrinsic:
+        x, y, z = x + noise.alpha * nx, y + noise.beta * ny, z + noise.gamma * nz
+    b = config.burn_in
+    return x[b:], y[b:], z[b:]
+
+
+class TestGenerateChunks:
+    CASES = [(topology, kind, params)
+             for topology in (TopologyKind.DRIVER, TopologyKind.INDIRECT)
+             for kind, params in ((NoiseKind.FIXED_SIGMA, (0.0, 0.1, 0.5)),
+                                  (NoiseKind.INTRINSIC_SNR, (-40.0, 10.0, 40.0)),
+                                  (NoiseKind.EXTRINSIC_SNR, (20.0, -5.0, 0.0)))]
+
+    @pytest.mark.parametrize("topology,kind,params", CASES)
+    def test_rows_are_bitwise_per_sample_generate(self, topology, kind, params):
+        from dataclasses import replace
+        cfg = GeneratorConfig(topology=topology, length=300, noise_kind=kind,
+                              sigmas_or_snrs=params)
+        seeds = [1_000_003 * i + 17 for i in range(chunk_rows(cfg) + 3)]
+        chunks = list(generate_chunks(cfg, iter(seeds)))
+        assert [len(c[0]) for c in chunks] == [chunk_rows(cfg), 3]
+        rows = [row for xs, ys, zs in chunks for row in zip(xs, ys, zs)]
+        for seed, (x, y, z) in zip(seeds, rows):
+            one = replace(cfg, seed=seed)
+            sample = generate(one)
+            for got, single, ref in zip((x, y, z), (sample.x, sample.y, sample.z),
+                                        _reference_generate(one)):
+                assert got.tobytes() == single.values.tobytes() == ref.tobytes()
+
+    def test_chunk_memory_is_bounded(self):
+        short = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
+        long = GeneratorConfig(topology=TopologyKind.DRIVER, length=1_000_000)
+        assert chunk_rows(short) > chunk_rows(long) == 1

@@ -1,14 +1,18 @@
+from concurrent.futures import Future
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from granger_lab.core import TopologyKind
+from granger_lab import datagen, experiments
+from granger_lab.core import Link, TopologyKind, TopologyLabel
 from granger_lab.criteria import Criterion
-from granger_lab.datagen import GeneratorConfig, NoiseKind
+from granger_lab.datagen import GeneratorConfig, NoiseKind, generate
 from granger_lab.experiments import (DegenerateConfiguration, OffGrid,
                                      derive_seed, estimate_rates, extract_plane,
                                      phase_space, snr_grid, sweep_sample_size,
                                      sweep_significance)
-from granger_lab.granger import GrangerConfig
+from granger_lab.granger import GrangerConfig, comparison_rss, decide_edges, outcomes_from_rss
 
 
 def _gen(topology=TopologyKind.DRIVER, length=100, **kwargs):
@@ -82,6 +86,92 @@ class TestEstimateRates:
     def test_rejects_nonpositive_iterations(self):
         with pytest.raises(ValueError):
             estimate_rates(_gen(), GrangerConfig(), iterations=0, master_seed=0)
+
+
+def _loop_counts(gen, criteria, alphas, master_seed, iterations):
+    """Flag counts one sample and one decide_edges call at a time."""
+    truth = TopologyLabel.driver().edges
+    counts = np.zeros((len(criteria), len(alphas), 7), dtype=np.int64)
+    for i in range(iterations):
+        s = generate(replace(gen, seed=derive_seed(master_seed, i)))
+        comps = comparison_rss(s.x.values, s.y.values, s.z.values, 2)
+        for ci, crit in enumerate(criteria):
+            pvalues = {k: o.p_value for k, o in outcomes_from_rss(comps, crit).items()}
+            for ai, alpha in enumerate(alphas):
+                edges = decide_edges(pvalues, alpha)
+                counts[ci, ai] += [Link.YZ in edges, Link.XZ not in edges,
+                                   Link.XY in edges, Link.XZ in edges, Link.YZ in edges,
+                                   bool(edges - truth), bool(truth - edges)]
+    return counts
+
+
+class TestCountBlock:
+    def test_chunked_block_matches_per_sample_loop(self, monkeypatch):
+        gen = _gen(length=60)
+        criteria, alphas = (Criterion.LR, Criterion.RAO), (0.05, 0.2, 0.5)
+        monkeypatch.setattr(datagen, "CHUNK_VALUES", 7 * (60 + gen.burn_in))
+        counts, rank_deficient = experiments._count_block(
+            gen, 2, criteria, alphas, False, 4, (), 0, 30)
+        assert rank_deficient == 0
+        np.testing.assert_array_equal(counts, _loop_counts(gen, criteria, alphas, 4, 30))
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+
+class TestWorkerCount:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.delenv("GRANGER_LAB_THREADS", raising=False)
+        return _InlinePool
+
+    def test_clamped_to_cpu_count(self, pool, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        est = estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3,
+                             workers=64)
+        assert pool.sizes == [2]
+        assert est == estimate_rates(_gen(), GrangerConfig(), iterations=30,
+                                     master_seed=3, workers=1)
+
+    def test_clamped_to_jobs(self, pool, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 16)
+        estimate_rates(_gen(), GrangerConfig(), iterations=6, master_seed=3, workers=8)
+        grids = ((0.0,), (0.0,), (-20.0, 20.0))
+        phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
+                    iterations=2, grids=grids, seed=1, workers=8)
+        assert pool.sizes == [3, 2]
+
+    def test_environment_variable(self, pool, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 16)
+        monkeypatch.setenv("GRANGER_LAB_THREADS", "4")
+        estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3)
+        assert pool.sizes == [4]
+        for bad in ("four", "0", "-1"):
+            monkeypatch.setenv("GRANGER_LAB_THREADS", bad)
+            with pytest.raises(ValueError, match="GRANGER_LAB_THREADS"):
+                estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3)
 
 
 class TestSweeps:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from granger_lab.core import Link, TimeSeries, TopologyKind, TopologyLabel
+from granger_lab.core import FORWARD_LINKS, Link, TimeSeries, TopologyKind, TopologyLabel
 from granger_lab.criteria import Criterion
 from granger_lab.datagen import GeneratorConfig, generate_fixed
 from granger_lab.granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ,
                                  GrangerConfig, bivariate_scan, bivariate_test,
-                                 comparison_rss, decide_edges, infer_topology,
+                                 FORWARD_KEYS, comparison_rss, decide_edge_array,
+                                 decide_edges, infer_topology,
                                  link_outcomes, reverse_link_decisions,
                                  trivariate_test)
 from granger_lab.regress import RankDeficient
@@ -108,6 +109,29 @@ class TestDecideEdges:
             assert biv_lo <= biv_hi
             assert lo == decide_edges(p, 0.01)  # deterministic
             assert isinstance(hi, frozenset)
+
+
+class TestDecideEdgeArray:
+    ALPHAS = np.array([0.01, 0.05, 0.2, 0.5])
+
+    @pytest.mark.parametrize("always_trivariate", [False, True])
+    def test_matches_decide_edges_on_every_pattern(self, always_trivariate):
+        # Every accept/reject pattern of the five tests, with the accepted
+        # p-values either below every level or equal to 0.05 (a tie rejects).
+        patterns = [tuple(low if bits >> j & 1 else 0.7 for j in range(5))
+                    for low in (0.001, 0.05) for bits in range(32)]
+        pvalues = np.array(patterns)
+        edges = decide_edge_array(pvalues, self.ALPHAS, always_trivariate)
+        assert edges.shape == (len(patterns), len(self.ALPHAS), 3)
+        for row, pattern in zip(edges, patterns):
+            named = dict(zip(FORWARD_KEYS, pattern))
+            for flags, alpha in zip(row, self.ALPHAS):
+                expected = decide_edges(named, float(alpha), always_trivariate)
+                assert {link for link, on in zip(FORWARD_LINKS, flags) if on} == expected
+
+    def test_leading_axes_are_kept(self):
+        pvalues = np.random.default_rng(1).uniform(size=(4, 3, 5))
+        assert decide_edge_array(pvalues, self.ALPHAS).shape == (4, 3, 4, 3)
 
 
 class TestFullProcedure:

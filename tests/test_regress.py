@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from granger_lab.core import LagSpec, TopologyKind
-from granger_lab.datagen import GeneratorConfig, generate_fixed
+from granger_lab.datagen import GeneratorConfig, NoiseKind, generate, generate_fixed
 from granger_lab.regress import (InsufficientData, ModelSpec, RankDeficient,
                                  build_design, lag_columns, nested_rss, ols_fit)
 
@@ -121,6 +121,26 @@ class TestNestedRss:
             rss = nested_rss(matrix, response, (1, 2, 3, 4, 5, 6))
             assert all(a >= b - 1e-12 for a, b in zip(rss, rss[1:]))
             assert all(v >= 0.0 for v in rss)
+
+    @pytest.mark.parametrize("snr_db", [40.0, 80.0, 120.0])
+    def test_matches_lstsq_at_high_snr(self, snr_db):
+        # Near-exact fits: ||b||^2 - ||Q^T b||^2 lost up to 6e-4 here at 120 dB.
+        for seed in range(3):
+            s = generate(GeneratorConfig(topology=TopologyKind.DRIVER, length=300,
+                                         noise_kind=NoiseKind.INTRINSIC_SNR,
+                                         sigmas_or_snrs=(snr_db,) * 3, seed=seed))
+            z, y, x = s.z.values, s.y.values, s.x.values
+            matrix = np.column_stack([v[2 - k:300 - k] for v in (z, y, x) for k in (1, 2)])
+            response = z[2:]
+            rss = nested_rss(matrix, response, (2, 4, 6))
+            for k, value in zip((2, 4, 6), rss):
+                coef = np.linalg.lstsq(matrix[:, :k], response, rcond=None)[0]
+                resid = response - matrix[:, :k] @ coef
+                assert value == pytest.approx(float(resid @ resid), rel=1e-9)
+
+    def test_too_few_rows_raises(self):
+        with pytest.raises(InsufficientData):
+            nested_rss(np.ones((3, 3)), np.ones(3), (1, 3))
 
     def test_rank_deficient_raises(self):
         col = np.linspace(0, 1, 30)
