@@ -14,22 +14,29 @@ classification flags are carried alongside for diagnostics.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Callable, Mapping, Optional, Sequence
+from itertools import combinations, islice, product
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import FORWARD_LINKS, TopologyKind, TopologyLabel
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria, statistic_from_rss
-from .datagen import GeneratorConfig, NoiseKind, generate_chunks
+from .datagen import GeneratorConfig, NoiseKind, generate_chunks, resolve_sigmas
 from .granger import FORWARD_KEYS, GrangerConfig, comparison_rss, decide_edge_array
 from .regress import RankDeficient
 
 _FLAG_NAMES = ("spurious", "unidentified", "xy", "xz", "yz",
                "topo_spurious", "topo_unidentified")
+
+_PHASE_FIELDS = ("spurious_rate", "unidentified_rate", "rate_xz", "rate_yz")
+
+#: Iterations one pool task covers, at most (a task of more is sent alone).
+RUN_ITERATIONS = 1000
 
 
 class DegenerateConfiguration(RuntimeError):
@@ -164,28 +171,57 @@ def _count_block(gen_template: GeneratorConfig, lags: int,
     return counts, rank_deficient
 
 
-def _accumulate(gen_template: GeneratorConfig, lags: int,
+def _count_run(tasks: Sequence[tuple]) -> list[tuple[np.ndarray, int]]:
+    """Pool task: ``_count_block`` over a contiguous run of argument tuples."""
+    return [_count_block(*args) for args in tasks]
+
+
+def _schedule(tasks: Sequence[tuple], workers: Optional[int]
+              ) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield ``_count_block(*args)`` for every task, in task order.
+
+    At most one process pool is started. It is fed contiguous runs of
+    about a quarter of a worker's share of the tasks, capped at
+    ``RUN_ITERATIONS`` iterations, one submit per run. On any failure the
+    queued runs are cancelled. With one worker the tasks run inline.
+    """
+    n_workers = _worker_count(workers, len(tasks))
+    if n_workers <= 1:
+        for args in tasks:
+            yield _count_block(*args)
+        return
+    # Every task of a command shares one backbone: calibrate it here, so
+    # that forked workers inherit the cached variances.
+    resolve_sigmas(tasks[0][0])
+    per_task = max(1, max(stop - start for *_, start, stop in tasks))
+    size = max(1, min(math.ceil(len(tasks) / (4 * n_workers)), RUN_ITERATIONS // per_task))
+    pool = ProcessPoolExecutor(max_workers=n_workers)
+    try:
+        runs = [pool.submit(_count_run, tasks[i:i + size])
+                for i in range(0, len(tasks), size)]
+        for run in runs:
+            yield from run.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _accumulate(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags: int,
                 criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
                 always_trivariate: bool, iterations: int, master_seed: int,
-                key: tuple[int, ...], workers: Optional[int] = None
-                ) -> tuple[np.ndarray, int]:
-    # Each worker gets at least two iterations.
-    n_workers = _worker_count(workers, iterations // 2)
-    if n_workers <= 1:
-        return _count_block(gen_template, lags, criteria, alphas, always_trivariate,
-                            master_seed, key, 0, iterations)
-    bounds = np.linspace(0, iterations, n_workers + 1, dtype=int)
-    counts = np.zeros((len(criteria), len(alphas), len(_FLAG_NAMES)), dtype=np.int64)
-    rank_deficient = 0
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(_count_block, gen_template, lags, criteria, alphas,
-                               always_trivariate, master_seed, key, int(a), int(b))
-                   for a, b in zip(bounds[:-1], bounds[1:])]
-        for fut in futures:
-            block, rd = fut.result()
-            counts += block
-            rank_deficient += rd
-    return counts, rank_deficient
+                workers: Optional[int] = None) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield (counts, rank_deficient) per (generator config, stream key) cell.
+
+    Each cell's iterations are split into contiguous blocks, one per worker
+    (a block has at least two iterations); all blocks go through one schedule.
+    """
+    bounds = np.linspace(0, iterations, _worker_count(workers, iterations // 2) + 1,
+                         dtype=int).tolist()
+    tasks = [(gen, lags, criteria, alphas, always_trivariate, master_seed, key, a, b)
+             for gen, key in cells for a, b in zip(bounds[:-1], bounds[1:])]
+    with closing(_schedule(tasks, workers)) as results:
+        for _ in cells:
+            counts, rank_deficient = zip(*islice(results, len(bounds) - 1))
+            yield sum(counts), sum(rank_deficient)
 
 
 def _estimate_from_counts(row: np.ndarray, iterations: int,
@@ -210,11 +246,11 @@ def estimate_rates(gen_config: GeneratorConfig, granger_config: GrangerConfig,
     """Monte Carlo spurious/unidentified rates for one configuration."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    counts, rd = _accumulate(gen_config, granger_config.lags,
-                             (granger_config.criterion,),
-                             (granger_config.significance,),
-                             granger_config.always_trivariate,
-                             iterations, master_seed, stream_key, workers)
+    [(counts, rd)] = _accumulate([(gen_config, stream_key)], granger_config.lags,
+                                 (granger_config.criterion,),
+                                 (granger_config.significance,),
+                                 granger_config.always_trivariate,
+                                 iterations, master_seed, workers)
     return _estimate_from_counts(counts[0, 0], iterations, rd)
 
 
@@ -234,8 +270,8 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     if not alphas or not all(0.0 < a < 1.0 for a in alphas):
         raise ValueError("significance grid must be non-empty and within (0, 1)")
     gen = gen_config or GeneratorConfig(topology=topology, length=n_points)
-    counts, rd = _accumulate(gen, lags, tuple(criteria), alphas, False,
-                             iterations, seed, (), workers)
+    [(counts, rd)] = _accumulate([(gen, ())], lags, tuple(criteria), alphas, False,
+                                 iterations, seed, workers)
     rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], iterations, rd)
                          for ai in range(len(alphas)))
              for ci, crit in enumerate(criteria)}
@@ -253,31 +289,17 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
     criteria = tuple(criteria)
-    per_size: list[dict[Criterion, RateEstimate]] = []
-    for n in sizes:
-        gen = GeneratorConfig(topology=topology, length=n)
-        counts, rd = _accumulate(gen, lags, criteria, (alpha,), False,
-                                 cases, seed, (n,), workers)
-        per_size.append({crit: _estimate_from_counts(counts[ci, 0], cases, rd)
-                         for ci, crit in enumerate(criteria)})
+    cells = [(GeneratorConfig(topology=topology, length=n), (n,)) for n in sizes]
+    with closing(_accumulate(cells, lags, criteria, (alpha,), False, cases,
+                             seed, workers)) as results:
+        per_size = [{crit: _estimate_from_counts(counts[ci, 0], cases, rd)
+                     for ci, crit in enumerate(criteria)} for counts, rd in results]
     rates = {crit: tuple(row[crit] for row in per_size) for crit in criteria}
-    comparisons = {}
-    for a_idx in range(len(criteria)):
-        for b_idx in range(a_idx + 1, len(criteria)):
-            ca, cb = criteria[a_idx], criteria[b_idx]
-            comparisons[(ca, cb)] = tuple(
-                compare_criteria(row[ca], row[cb], level=comparison_level)
-                for row in per_size)
+    comparisons = {(ca, cb): tuple(compare_criteria(row[ca], row[cb], level=comparison_level)
+                                   for row in per_size)
+                   for ca, cb in combinations(criteria, 2)}
     return SweepResult(axis=tuple(float(n) for n in sizes), rates=rates,
                        comparisons=comparisons)
-
-
-def _phase_cell(gen: GeneratorConfig, lags: int, criterion: Criterion,
-                alpha: float, always_trivariate: bool, iterations: int,
-                master_seed: int, cell_index: int) -> RateEstimate:
-    counts, rd = _accumulate(gen, lags, (criterion,), (alpha,), always_trivariate,
-                             iterations, master_seed, (cell_index,), workers=1)
-    return _estimate_from_counts(counts[0, 0], iterations, rd)
 
 
 def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: float,
@@ -298,57 +320,34 @@ def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: fl
     if grids is None:
         grids = (snr_grid(), snr_grid(), snr_grid())
     axes = tuple(tuple(float(v) for v in g) for g in grids)
-    shape = tuple(len(a) for a in axes)
-    spurious = np.zeros(shape)
-    unidentified = np.zeros(shape)
-    rate_xz = np.zeros(shape)
-    rate_yz = np.zeros(shape)
+    fields = {name: np.zeros(tuple(len(a) for a in axes)) for name in _PHASE_FIELDS}
     done = dict(done_cells or {})
-
-    coords = list(product(*[enumerate(a) for a in axes]))
-    todo = sum(1 for (_, sx), (_, sy), (_, sz) in coords if (sx, sy, sz) not in done)
-    n_workers = _worker_count(workers, todo)
-    pending: dict[int, object] = {}
-    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
-    try:
-        for cell_index, ((i, sx), (j, sy), (k, sz)) in enumerate(coords):
-            if (sx, sy, sz) in done:
-                continue
-            gen = GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind,
-                                  sigmas_or_snrs=(sx, sy, sz))
-            args = (gen, lags, criterion, alpha, False, iterations, seed, cell_index)
-            if pool is not None:
-                pending[cell_index] = pool.submit(_phase_cell, *args)
-        for cell_index, ((i, sx), (j, sy), (k, sz)) in enumerate(coords):
-            key = (sx, sy, sz)
-            if key in done:
-                cell = done[key]
-            else:
-                if pool is not None:
-                    est = pending[cell_index].result()
-                else:
-                    gen = GeneratorConfig(topology=topology, length=n,
-                                          noise_kind=noise_kind, sigmas_or_snrs=key)
-                    est = _phase_cell(gen, lags, criterion, alpha, False,
-                                      iterations, seed, cell_index)
+    # (grid index, SNR triple) of every cell, in grid order.
+    coords = [tuple(zip(*c)) for c in product(*map(enumerate, axes))]
+    tasks = [(GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind,
+                              sigmas_or_snrs=snrs),
+              lags, (criterion,), (alpha,), False, seed, (cell_index,), 0, iterations)
+             for cell_index, (_, snrs) in enumerate(coords) if snrs not in done]
+    with closing(_schedule(tasks, workers)) as results:
+        for idx, snrs in coords:
+            cell = done.get(snrs)
+            if cell is None:
+                counts, rd = next(results)
+                est = _estimate_from_counts(counts[0, 0], iterations, rd)
                 cell = {"spurious_rate": est.spurious_rate,
                         "unidentified_rate": est.unidentified_rate,
                         "rate_xz": est.per_link_rates["x->z"],
                         "rate_yz": est.per_link_rates["y->z"]}
                 if on_cell is not None:
-                    on_cell({"snr_x_db": sx, "snr_y_db": sy, "snr_z_db": sz, **cell})
-            spurious[i, j, k] = cell["spurious_rate"]
-            unidentified[i, j, k] = cell["unidentified_rate"]
-            rate_xz[i, j, k] = cell["rate_xz"]
-            rate_yz[i, j, k] = cell["rate_yz"]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    on_cell(dict(zip(("snr_x_db", "snr_y_db", "snr_z_db"), snrs), **cell))
+            for name, values in fields.items():
+                values[idx] = cell[name]
     metadata = {"topology": topology.value, "noise_kind": noise_kind.value,
                 "n": n, "alpha": alpha, "criterion": criterion.value,
                 "iterations": iterations, "seed": seed, "lags": lags}
-    return PhaseGrid(axes=axes, spurious=spurious, unidentified=unidentified,
-                     rate_xz=rate_xz, rate_yz=rate_yz, metadata=metadata)
+    return PhaseGrid(axes=axes, spurious=fields["spurious_rate"],
+                     unidentified=fields["unidentified_rate"], rate_xz=fields["rate_xz"],
+                     rate_yz=fields["rate_yz"], metadata=metadata)
 
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}

@@ -284,6 +284,21 @@ class TestWorkerSetting:
         assert rc == 2
         assert "GRANGER_LAB_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, outputs", [
+        (["sweep-n", "--topology", "indirect", "--alpha", "0.05", "--sizes", "30,40,50",
+          "--criteria", "lr,wald,rao", "--cases", "40", "--seed", "4"],
+         ["sweep_n.csv", "sweep_n_compare.csv"]),
+        (["phase-space", "--topology", "driver", "--noise", "extrinsic", "--n", "60",
+          "--alpha", "0.05", "--iterations", "6", "--grid=-20,0,20", "--seed", "5"],
+         ["phase_space.csv"]),
+    ], ids=["sweep-n", "phase-space"])
+    def test_real_workers_do_not_change_bytes(self, tmp_path, argv, outputs):
+        for workers in ("1", "2"):
+            assert main(argv + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        for name in outputs:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
+
 
 class TestTopLevel:
     def test_no_command_exits_2(self):

@@ -1,5 +1,6 @@
 from concurrent.futures import Future
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from granger_lab import datagen, experiments
 from granger_lab.core import Link, TopologyKind, TopologyLabel
 from granger_lab.criteria import Criterion
-from granger_lab.datagen import GeneratorConfig, NoiseKind, generate
+from granger_lab.datagen import GenerationError, GeneratorConfig, NoiseKind, generate
 from granger_lab.experiments import (DegenerateConfiguration, OffGrid,
                                      derive_seed, estimate_rates, extract_plane,
                                      phase_space, snr_grid, sweep_sample_size,
@@ -117,36 +118,39 @@ class TestCountBlock:
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+    """Stands in for ProcessPoolExecutor: records its size, its submit calls
+    and its shutdown arguments, and runs tasks inline (no process starts)."""
 
     sizes: list[int] = []
+    submits: list[tuple] = []
+    shutdowns: list[dict] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
     def submit(self, fn, *args):
+        self.submits.append(args)
         future = Future()
-        future.set_result(fn(*args))
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
         return future
 
-    def shutdown(self):
-        pass
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        self.shutdown()
+@pytest.fixture
+def pool(monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    for name in ("sizes", "submits", "shutdowns"):
+        monkeypatch.setattr(_InlinePool, name, [])
+    monkeypatch.delenv("GRANGER_LAB_THREADS", raising=False)
+    return _InlinePool
 
 
 class TestWorkerCount:
-    @pytest.fixture
-    def pool(self, monkeypatch):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
-        monkeypatch.setattr(_InlinePool, "sizes", [])
-        monkeypatch.delenv("GRANGER_LAB_THREADS", raising=False)
-        return _InlinePool
-
     def test_clamped_to_cpu_count(self, pool, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         est = estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3,
@@ -172,6 +176,88 @@ class TestWorkerCount:
             monkeypatch.setenv("GRANGER_LAB_THREADS", bad)
             with pytest.raises(ValueError, match="GRANGER_LAB_THREADS"):
                 estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3)
+
+
+GRID3 = ((-20.0, 0.0, 20.0),) * 3
+
+
+def _phase(workers, **kwargs):
+    return phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
+                       iterations=2, grids=GRID3, seed=6, workers=workers, **kwargs)
+
+
+def _phase_rows(workers, done_cells=None):
+    rows = []
+    grid = _phase(workers, on_cell=rows.append, done_cells=done_cells)
+    return rows, grid
+
+
+class TestSchedule:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+
+    def test_sweep_sample_size_starts_one_pool(self, pool):
+        kwargs = dict(alpha=0.05, sizes=(40, 60, 80), cases=12, seed=3)
+        parallel = sweep_sample_size(TopologyKind.INDIRECT, workers=2, **kwargs)
+        assert pool.sizes == [2]
+        assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
+        assert parallel == sweep_sample_size(TopologyKind.INDIRECT, workers=1, **kwargs)
+
+    def test_phase_space_submits_runs_of_cells(self, pool):
+        rows, grid = _phase_rows(workers=2)
+        assert pool.sizes == [2]
+        assert 1 < len(pool.submits) < 27
+        # Every cell is computed once, in grid order, across the runs.
+        cells = [args[6] for run in pool.submits for args in run[0]]
+        assert cells == [(c,) for c in range(27)]
+        inline_rows, inline_grid = _phase_rows(workers=1)
+        assert rows == inline_rows
+        assert [(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]) for r in rows] == list(
+            product(*GRID3))
+        np.testing.assert_array_equal(grid.unidentified, inline_grid.unidentified)
+
+    def test_phase_space_resume_keeps_grid_order(self, pool):
+        full_rows, full = _phase_rows(workers=1)
+        done = {(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]): r for r in full_rows[:10]}
+        rows, resumed = _phase_rows(workers=2, done_cells=done)
+        assert rows == full_rows[10:]
+        cells = [args[6] for run in pool.submits for args in run[0]]
+        assert cells == [(c,) for c in range(10, 27)]
+        np.testing.assert_array_equal(resumed.spurious, full.spurious)
+        np.testing.assert_array_equal(resumed.rate_yz, full.rate_yz)
+
+    def test_failure_cancels_queued_runs(self, pool, monkeypatch):
+        count_block = experiments._count_block
+
+        def failing(*args):
+            if args[6] == (5,):
+                raise GenerationError("generated values exceeded the magnitude bound")
+            return count_block(*args)
+
+        monkeypatch.setattr(experiments, "_count_block", failing)
+        rows = []
+        with pytest.raises(GenerationError):
+            _phase(workers=2, on_cell=rows.append)
+        assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
+        # Rows of the runs before the failing one were still delivered.
+        first_run = len(pool.submits[0][0])
+        assert 0 < len(rows) <= 5 and len(rows) % first_run == 0
+
+    def test_failure_in_caller_cancels_queued_runs(self, pool):
+        def on_cell(row):
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            _phase(workers=2, on_cell=on_cell)
+        assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
+
+    def test_calibrates_before_the_pool_starts(self, pool, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "resolve_sigmas",
+                            lambda gen: calls.append(len(pool.sizes)))
+        _phase(workers=2)
+        assert calls == [0]
 
 
 class TestSweeps:
