@@ -20,11 +20,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import TimeSeries, TopologyKind
-from .criteria import Criterion, PRESET_CRITERIA
+from .core import TimeSeries, TopologyKind, TopologyLabel
+from .criteria import Criterion
 from .datagen import (GeneratorConfig, NoiseKind, TrivariateSample, generate)
-from .experiments import (OffGrid, extract_plane, phase_space, snr_grid,
-                          sweep_sample_size, sweep_significance)
+from .experiments import (PhaseGrid, extract_plane, phase_space, sweep_sample_size,
+                          sweep_significance)
 from .granger import (FORWARD_KEYS, GrangerConfig, link_outcomes,
                       reverse_link_decisions, topology_from_outcomes)
 from .ppm import render_plane, write_ppm
@@ -83,6 +83,25 @@ def read_manifest(path: str) -> dict[str, list[str]]:
             key, _, value = line.partition("=")
             out.setdefault(key, []).append(value)
     return out
+
+
+def _manifest_argv(path: str) -> list[str]:
+    """The argv a manifest recorded, split back into arguments."""
+    manifest = _read_input(read_manifest, path)
+    if not manifest.get("argv"):
+        raise _MalformedInput(f"{path}: manifest has no argv entry")
+    try:
+        return shlex.split(manifest["argv"][0])
+    except ValueError as exc:
+        raise _MalformedInput(f"{path}: unreadable argv entry ({exc})") from None
+
+
+def _read_input(read, path: str):
+    """``read(path)``, with an input file that cannot be read reported as malformed."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise _MalformedInput(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -327,9 +346,8 @@ def cmd_phase_space(args, argv: list[str]) -> int:
     return 0
 
 
-def _grid_from_cells(cells: list[dict]) -> "object":
+def _grid_from_cells(cells: list[dict]) -> PhaseGrid:
     """Rebuild a PhaseGrid from CSV rows (for rendering)."""
-    from .experiments import PhaseGrid
     axes = tuple(tuple(sorted({c[k] for c in cells}))
                  for k in ("snr_x_db", "snr_y_db", "snr_z_db"))
     shape = tuple(len(a) for a in axes)
@@ -348,7 +366,7 @@ def _grid_from_cells(cells: list[dict]) -> "object":
 
 
 def cmd_render(args) -> int:
-    meta, cells = load_phase_csv(args.input)
+    meta, cells = _read_input(load_phase_csv, args.input)
     grid = _grid_from_cells(cells)
     field = {"spurious_rate": "spurious", "unidentified_rate": "unidentified",
              "rate_xz": "rate_xz", "rate_yz": "rate_yz"}[args.field]
@@ -383,7 +401,6 @@ def _read_series_csv(path: str) -> TrivariateSample:
                 c.append(v)
     if len(cols[0]) < 3:
         raise _MalformedInput(f"{path}: too few rows")
-    from .core import TopologyLabel
     return TrivariateSample(x=TimeSeries(np.array(cols[0])),
                             y=TimeSeries(np.array(cols[1])),
                             z=TimeSeries(np.array(cols[2])),
@@ -395,7 +412,7 @@ class _MalformedInput(ValueError):
 
 
 def cmd_analyze(args) -> int:
-    sample = _read_series_csv(args.input)
+    sample = _read_input(_read_series_csv, args.input)
     config = GrangerConfig(lags=args.lags, criterion=Criterion(args.criterion),
                            significance=args.alpha)
     try:
@@ -451,17 +468,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.from_manifest:
-        manifest = read_manifest(args.from_manifest)
-        stored = manifest.get("argv")
-        if not stored:
-            print("manifest has no argv entry", file=sys.stderr)
-            return 2
-        return main(shlex.split(stored[0]))
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        if args.from_manifest:
+            manifest = args.from_manifest
+            argv = _manifest_argv(manifest)
+            args = parser.parse_args(argv)
+            if args.from_manifest:
+                raise _MalformedInput(f"{manifest}: its argv replays a manifest itself")
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return 2
         if args.command == "sweep-alpha":
             return cmd_sweep_alpha(args, argv)
         if args.command == "sweep-n":
@@ -476,10 +492,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_generate(args)
         parser.print_usage(sys.stderr)
         return 2
-    except (_MalformedInput, OffGrid) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # malformed input, an off-grid plane, bad flags
         print(str(exc), file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

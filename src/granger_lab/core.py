@@ -1,4 +1,4 @@
-"""Shared domain types: time series, lag specs, and the causal-graph vocabulary.
+"""Shared domain types: time series, link decisions and the causal-graph vocabulary.
 
 Every other module imports from here. All types are immutable after
 construction and safe to share across worker processes.
@@ -94,29 +94,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return self.length
-
-
-@dataclass(frozen=True)
-class LagSpec:
-    """Look-back depths: the target's own lags plus one lag count per predictor."""
-
-    target_lags: int
-    predictor_lags: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.target_lags < 1:
-            raise ValueError("target_lags must be >= 1")
-        if any(p < 1 for p in self.predictor_lags):
-            raise ValueError("every predictor lag count must be >= 1")
-        object.__setattr__(self, "predictor_lags", tuple(self.predictor_lags))
-
-    @property
-    def max_lag(self) -> int:
-        return max(self.target_lags, *self.predictor_lags) if self.predictor_lags else self.target_lags
-
-    @property
-    def n_params(self) -> int:
-        return self.target_lags + sum(self.predictor_lags)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from typing import Optional
 
 from scipy.special import chdtrc, fdtrc, ndtr
 
-from .regress import FitResult
-
 
 class Criterion(str, Enum):
     LR = "lr"
@@ -35,10 +33,6 @@ class Criterion(str, Enum):
 #: Criteria used in experiment presets. LM is dominated by the Rao score
 #: test (equal power, more work) and is kept only for the ordering property.
 PRESET_CRITERIA = (Criterion.LR, Criterion.WALD, Criterion.RAO)
-
-
-class InvalidPair(ValueError):
-    """The two fits are not a nested restricted/unrestricted pair."""
 
 
 @dataclass(frozen=True)
@@ -95,19 +89,6 @@ def statistic_from_rss(criterion: Criterion, rss_r: float, rss_u: float,
         stat = (delta / q) / (rss_u / (n - k))
         return TestOutcome(stat, f_sf(stat, q, n - k), q, n - k, criterion)
     raise ValueError(f"unknown criterion {criterion!r}")
-
-
-def statistic(criterion: Criterion, fit_restricted: FitResult,
-              fit_unrestricted: FitResult) -> TestOutcome:
-    """Test the restriction implied by a nested restricted/unrestricted pair."""
-    if fit_restricted.n_obs != fit_unrestricted.n_obs:
-        raise InvalidPair("fits must share a common observation window")
-    if fit_restricted.n_params >= fit_unrestricted.n_params:
-        raise InvalidPair("restricted model must have fewer parameters")
-    n = fit_unrestricted.n_obs
-    q = fit_unrestricted.n_params - fit_restricted.n_params
-    k = fit_unrestricted.n_params
-    return statistic_from_rss(criterion, fit_restricted.rss, fit_unrestricted.rss, n, q, k)
 
 
 def two_proportion_z(rate_a: float, n_a: int, rate_b: float, n_b: int) -> tuple[float, float]:

@@ -104,9 +104,6 @@ class TrivariateSample:
         if not (len(self.x) == len(self.y) == len(self.z)):
             raise ValueError("all three series must have equal length")
 
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"x": self.x.values, "y": self.y.values, "z": self.z.values}
-
 
 def snr_to_sigma(snr_db: float, signal_variance: float) -> float:
     """Noise std giving the requested SNR (dB) against ``signal_variance``."""
@@ -229,24 +226,6 @@ def generate_chunks(config: GeneratorConfig, seeds: Iterable[int]
     rows = chunk_rows(config)
     while chunk := tuple(islice(seeds, rows)):
         yield _generate_rows(config, noise, chunk)
-
-
-def generate_fixed(config: GeneratorConfig) -> TrivariateSample:
-    if config.noise_kind is not NoiseKind.FIXED_SIGMA:
-        raise ValueError("generate_fixed requires noise_kind=FIXED_SIGMA")
-    return generate(config)
-
-
-def generate_intrinsic(config: GeneratorConfig) -> TrivariateSample:
-    if config.noise_kind is not NoiseKind.INTRINSIC_SNR:
-        raise ValueError("generate_intrinsic requires noise_kind=INTRINSIC_SNR")
-    return generate(config)
-
-
-def generate_extrinsic(config: GeneratorConfig) -> TrivariateSample:
-    if config.noise_kind is not NoiseKind.EXTRINSIC_SNR:
-        raise ValueError("generate_extrinsic requires noise_kind=EXTRINSIC_SNR")
-    return generate(config)
 
 
 def extrinsic_backbone(config: GeneratorConfig) -> TrivariateSample:

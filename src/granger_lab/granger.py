@@ -4,6 +4,10 @@ Step one tests the three forward links pairwise. Only when the pairwise
 scan returns the complete topology does step two run the two conditional
 tests on Z (does X help beyond Y, does Y help beyond X) and replace the
 X->Z and Y->Z edges with those verdicts.
+
+Every test, forward or reverse, takes the RSS of its nested model pair from
+one ``regress.nested_rss`` pass over ``_lag_rows`` columns and scores the
+pair with ``criteria.statistic_from_rss``.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import LagSpec, Link, LinkDecision, TimeSeries, TopologyLabel
-from .criteria import Criterion, TestOutcome, statistic, statistic_from_rss
+from .core import Link, LinkDecision, TimeSeries, TopologyLabel
+from .criteria import Criterion, TestOutcome, statistic_from_rss
 from .datagen import TrivariateSample
-from .regress import ModelSpec, build_design, nested_rss, ols_fit
+from .regress import InsufficientData, nested_rss
 
 #: Keys for the five forward-model comparisons the two-step procedure uses.
 BIV_XY, BIV_XZ, BIV_YZ = "x->y", "x->z", "y->z"
@@ -53,6 +57,20 @@ class RssComparison:
     k: int
 
 
+def _lag_rows(series: tuple[np.ndarray, ...], p: int) -> np.ndarray:
+    """Lags 1..p of each series on the window t = p .. n-1.
+
+    Row i*p + k-1 holds lag k of series[i]; the transpose of a run of rows
+    is the design matrix of those series' lags.
+    """
+    n_obs = series[0].shape[0] - p
+    lagged = np.empty((len(series) * p, n_obs))
+    for i, values in enumerate(series):
+        for k in range(1, p + 1):
+            lagged[i * p + k - 1] = values[p - k:p - k + n_obs]
+    return lagged
+
+
 def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
                    lags: int) -> dict[str, RssComparison]:
     """RSS of every model pair in the two-step procedure, via three QR passes.
@@ -62,20 +80,15 @@ def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     yields [z, x]; the y-model pass yields [y] and [y, x].
     """
     p = lags
-    start = p  # common window: max lag of the widest (unrestricted) model
-    n_obs = z.shape[0] - start
+    n_obs = z.shape[0] - p  # common window: max lag of the widest model
     if n_obs < 3 * p + 1:
         raise ValueError(f"series too short for lag depth {p}")
-    # Row i*p + k-1 holds lag k of (z, y, x)[i]; the transposes are the designs.
-    lagged = np.empty((3 * p, n_obs))
-    for i, values in enumerate((z, y, x)):
-        for k in range(1, p + 1):
-            lagged[i * p + k - 1] = values[start - k:start - k + n_obs]
-    bz = z[start:]
+    lagged = _lag_rows((z, y, x), p)
+    bz = z[p:]
 
     rss_z, rss_zy, rss_zyx = nested_rss(lagged.T, bz, (p, 2 * p, 3 * p))
     (rss_zx,) = nested_rss(np.concatenate((lagged[:p], lagged[2 * p:])).T, bz, (2 * p,))
-    rss_y, rss_yx = nested_rss(lagged[p:].T, y[start:], (p, 2 * p))
+    rss_y, rss_yx = nested_rss(lagged[p:].T, y[p:], (p, 2 * p))
 
     return {
         BIV_XY: RssComparison(rss_y, rss_yx, n_obs, p, 2 * p),
@@ -121,18 +134,26 @@ def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray,
     return edges
 
 
+def _pair_test(cause: np.ndarray, effect: np.ndarray, link: str,
+               config: GrangerConfig) -> LinkDecision:
+    """Do the cause's lags improve the effect's own-lag model? One QR pass
+    on [effect lags | cause lags] gives both RSS values."""
+    p = config.lags
+    if cause.shape != effect.shape:
+        raise ValueError(f"series lengths differ: {cause.size} vs {effect.size}")
+    n_obs = effect.size - p
+    if n_obs < 2 * p + 1:
+        raise InsufficientData(f"{n_obs} observations for {2 * p} coefficients")
+    rss_r, rss_u = nested_rss(_lag_rows((effect, cause), p).T, effect[p:], (p, 2 * p))
+    outcome = statistic_from_rss(config.criterion, rss_r, rss_u, n_obs, p, 2 * p)
+    return LinkDecision(link=link, outcome=outcome,
+                        decided_causal=outcome.p_value < config.significance)
+
+
 def bivariate_test(cause: TimeSeries, effect: TimeSeries,
                    config: GrangerConfig) -> LinkDecision:
     """Pairwise Granger test: do the cause's lags improve the effect's model?"""
-    p = config.lags
-    series = {"cause": cause.values, "effect": effect.values}
-    unrestricted = ModelSpec("effect", ("cause",), LagSpec(p, (p,)))
-    restricted = ModelSpec("effect", (), LagSpec(p, ()))
-    fit_u = ols_fit(*build_design(series, unrestricted))
-    fit_r = ols_fit(*build_design(series, restricted, window_lag=p))
-    outcome = statistic(config.criterion, fit_r, fit_u)
-    return LinkDecision(link="cause->effect", outcome=outcome,
-                        decided_causal=outcome.p_value < config.significance)
+    return _pair_test(cause.values, effect.values, "cause->effect", config)
 
 
 def trivariate_test(sample: TrivariateSample, tested_cause: str,
@@ -161,14 +182,10 @@ def bivariate_scan(sample: TrivariateSample, config: GrangerConfig) -> frozenset
 def reverse_link_decisions(sample: TrivariateSample,
                            config: GrangerConfig) -> dict[str, LinkDecision]:
     """Pairwise tests of the reverse links; diagnostic only, never classified."""
-    series = sample.as_dict()
-    out: dict[str, LinkDecision] = {}
-    for effect, cause in _REVERSE_PAIRS:
-        decision = bivariate_test(TimeSeries(series[cause]), TimeSeries(series[effect]), config)
-        out[f"{cause}->{effect}"] = LinkDecision(
-            link=f"{cause}->{effect}", outcome=decision.outcome,
-            decided_causal=decision.decided_causal)
-    return out
+    return {f"{cause}->{effect}": _pair_test(getattr(sample, cause).values,
+                                             getattr(sample, effect).values,
+                                             f"{cause}->{effect}", config)
+            for effect, cause in _REVERSE_PAIRS}
 
 
 def infer_topology(sample: TrivariateSample, config: GrangerConfig) -> TopologyLabel:

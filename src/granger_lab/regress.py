@@ -1,20 +1,19 @@
-"""Lagged design matrices and ordinary-least-squares fits for VAR models.
+"""Least-squares kernels for nested VAR model pairs.
 
-Restricted and unrestricted models are always fitted on the window defined
-by the unrestricted model's maximum lag so that their residual sums of
-squares are directly comparable.
+``nested_rss`` gives the residual sum of squares of every column-prefix
+model of one design in a single R-only QR pass; every Granger test goes
+through it. ``ols_fit`` is the plain QR fit with coefficients, kept as the
+reference the kernel is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgeqrf
-
-from .core import LagSpec
 
 
 class RegressionError(Exception):
@@ -34,24 +33,6 @@ RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """One VAR regression: a target series plus an ordered predictor list."""
-
-    target: str
-    predictors: tuple[str, ...]
-    lags: LagSpec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "predictors", tuple(self.predictors))
-        if len(set(self.predictors)) != len(self.predictors):
-            raise ValueError("duplicate predictor")
-        if self.target in self.predictors:
-            raise ValueError("target cannot also be a predictor")
-        if len(self.predictors) != len(self.lags.predictor_lags):
-            raise ValueError("one lag count per predictor is required")
-
-
-@dataclass(frozen=True)
 class FitResult:
     """OLS output for one model: coefficients, RSS and size bookkeeping."""
 
@@ -59,34 +40,6 @@ class FitResult:
     rss: float
     n_obs: int
     n_params: int
-
-
-def lag_columns(values: np.ndarray, n_lags: int, start: int) -> np.ndarray:
-    """Columns [v_{t-1}, ..., v_{t-n_lags}] for t = start .. len(v)-1."""
-    n = values.shape[0]
-    return np.column_stack([values[start - k:n - k] for k in range(1, n_lags + 1)])
-
-
-def build_design(series: Mapping[str, np.ndarray], spec: ModelSpec,
-                 window_lag: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the lagged design matrix and response vector for ``spec``.
-
-    ``window_lag`` overrides the first usable time index (rows start at
-    ``max(window_lag, spec.lags.max_lag)``); pass the unrestricted model's
-    max lag when fitting a restricted model on the common window.
-    """
-    target = np.asarray(series[spec.target], dtype=np.float64)
-    n = target.shape[0]
-    start = spec.lags.max_lag if window_lag is None else max(window_lag, spec.lags.max_lag)
-    n_params = spec.lags.n_params
-    n_obs = n - start
-    if n_obs < n_params + 1:
-        raise InsufficientData(
-            f"{n_obs} observations for {n_params} coefficients (need >= {n_params + 1})")
-    blocks = [lag_columns(target, spec.lags.target_lags, start)]
-    for name, p_lags in zip(spec.predictors, spec.lags.predictor_lags):
-        blocks.append(lag_columns(np.asarray(series[name], dtype=np.float64), p_lags, start))
-    return np.hstack(blocks), target[start:]
 
 
 def ols_fit(matrix: np.ndarray, response: np.ndarray) -> FitResult:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from granger_lab import granger
+from granger_lab import cli, granger, regress
 from granger_lab.cli import (PHASE_HEADER, fmt, load_phase_csv, main,
                              parse_criteria, parse_grid, read_manifest)
 from granger_lab.criteria import Criterion
@@ -57,6 +57,8 @@ class TestGenerateAnalyze:
         assert set(report["forward_p_values"]) == {
             "x->y", "x->z", "y->z", "tri:x->z", "tri:y->z"}
         assert all(0.0 <= p <= 1.0 for p in report["forward_p_values"].values())
+        assert set(report["reverse_p_values"]) == {"y->x", "z->x", "z->y"}
+        assert all(0.0 <= p <= 1.0 for p in report["reverse_p_values"].values())
         assert report["criterion"] == "wald" and report["alpha"] == 0.05
 
     def test_malformed_row_exits_2_and_names_row(self, tmp_path, capsys):
@@ -95,6 +97,30 @@ class TestGenerateAnalyze:
                             lambda *args: calls.append(1) or original(*args))
         assert main(["analyze", "--input", str(csv), "--json"]) == 0
         assert len(calls) == 1
+
+    def test_analyze_fits_only_through_nested_rss(self, tmp_path, monkeypatch):
+        # 3 passes for the forward comparisons, 1 per reverse link
+        csv = tmp_path / "sample.csv"
+        main(["generate", "--topology", "driver", "--n", "200", "--seed", "2",
+              "--out", str(csv)])
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        monkeypatch.setattr(granger, "nested_rss", counted("nested_rss", regress.nested_rss))
+        for module in (cli, granger, regress):
+            monkeypatch.setattr(module, "ols_fit", counted("ols_fit", regress.ols_fit),
+                                raising=False)
+        assert main(["analyze", "--input", str(csv), "--json"]) == 0
+        assert calls == ["nested_rss"] * 6
+
+    @pytest.mark.parametrize("target", ["missing.csv", "."])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, target):
+        path = str(tmp_path / target)
+        assert main(["analyze", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
 
 
 class TestSweepCommands:
@@ -247,6 +273,19 @@ class TestRender:
                      "--value", "0", "--out", str(tmp_path / "g.ppm")]) == 2
         assert "missing cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing.csv", "."])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, target):
+        path = str(tmp_path / target)
+        assert main(["render", "--input", path, "--axis", "z", "--value", "0",
+                     "--out", str(tmp_path / "g.ppm")]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_unwritable_output_exits_3(self, tmp_path):
+        csv = tmp_path / "g.csv"
+        self._phase_csv(csv, 0.5)
+        assert main(["render", "--input", str(csv), "--axis", "z", "--value", "0",
+                     "--out", str(tmp_path / "no" / "g.ppm")]) == 3
+
     def test_off_grid_value_exits_2(self, tmp_path):
         csv = tmp_path / "g.csv"
         self._phase_csv(csv, 0.5)
@@ -308,3 +347,24 @@ class TestTopLevel:
         manifest = tmp_path / "m.txt"
         manifest.write_text("seed=1\n")
         assert main(["--from-manifest", str(manifest)]) == 2
+
+    def test_missing_manifest_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "none.txt")
+        assert main(["--from-manifest", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and len(err.splitlines()) == 1
+
+    def test_manifest_with_unbalanced_quote_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("argv=sweep-alpha --out 'unclosed\n")
+        assert main(["--from-manifest", str(manifest)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("stored", [
+        "--from-manifest {path}", "--from-manifest={path}",
+        "--from-man {path} generate --topology driver --out x.csv"])
+    def test_manifest_replaying_a_manifest_exits_2(self, tmp_path, capsys, stored):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"argv={stored.format(path=manifest)}\n")
+        assert main(["--from-manifest", str(manifest)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1

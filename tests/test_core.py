@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from granger_lab.core import (Link, TimeSeries, LagSpec, TopologyKind,
+from granger_lab.core import (Link, TimeSeries, TopologyKind,
                               TopologyLabel, classify)
 
 ALL_LINKS = (Link.XY, Link.XZ, Link.YZ)
@@ -78,16 +78,3 @@ class TestTimeSeries:
 
     def test_length(self):
         assert TimeSeries(np.arange(5.0)).length == 5
-
-
-class TestLagSpec:
-    def test_rejects_zero_lag(self):
-        with pytest.raises(ValueError):
-            LagSpec(0, (1,))
-        with pytest.raises(ValueError):
-            LagSpec(1, (0,))
-
-    def test_max_lag_and_params(self):
-        spec = LagSpec(2, (3, 1))
-        assert spec.max_lag == 3
-        assert spec.n_params == 6

@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from granger_lab.criteria import (Criterion, InvalidPair, PRESET_CRITERIA,
-                                  chi2_sf, compare_criteria, f_sf, statistic,
-                                  statistic_from_rss, two_proportion_z)
-from granger_lab.regress import FitResult
-
-
-def _fit(rss, n_obs, n_params):
-    return FitResult(coefficients=np.zeros(n_params), rss=rss,
-                     n_obs=n_obs, n_params=n_params)
+from granger_lab.criteria import (Criterion, PRESET_CRITERIA, chi2_sf,
+                                  compare_criteria, f_sf, statistic_from_rss,
+                                  two_proportion_z)
 
 
 def _f_sf_oracle(x, d1, d2):
@@ -132,21 +126,6 @@ class TestStatisticClosedForms:
                 assert spread < 0.005
         assert Criterion.LM not in PRESET_CRITERIA
         assert len(PRESET_CRITERIA) == 3
-
-
-class TestStatisticFromFits:
-    def test_dispatch_matches_rss_form(self):
-        res = statistic(Criterion.LR, _fit(1.2, 50, 4), _fit(1.0, 50, 6))
-        direct = statistic_from_rss(Criterion.LR, 1.2, 1.0, 50, 2, 6)
-        assert res == direct
-
-    def test_window_mismatch_rejected(self):
-        with pytest.raises(InvalidPair):
-            statistic(Criterion.LR, _fit(1.2, 49, 4), _fit(1.0, 50, 6))
-
-    def test_non_nested_rejected(self):
-        with pytest.raises(InvalidPair):
-            statistic(Criterion.LR, _fit(1.2, 50, 6), _fit(1.0, 50, 6))
 
 
 class TestRateComparison:

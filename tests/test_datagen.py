@@ -9,9 +9,8 @@ from scipy.signal import lfilter
 from granger_lab.datagen import (BASELINE_SIGMAS, GenerationError,
                                  GeneratorConfig, NoiseKind, chunk_rows,
                                  estimate_signal_variance, extrinsic_backbone,
-                                 generate, generate_chunks, generate_extrinsic,
-                                 generate_fixed, generate_intrinsic,
-                                 resolve_sigmas, snr_to_sigma)
+                                 generate, generate_chunks, resolve_sigmas,
+                                 snr_to_sigma)
 
 UNIFORM_VAR = 4.0 / 3.0  # variance of U(-2, 2) = (b - a)^2 / 12
 
@@ -63,7 +62,7 @@ class TestGenerateFixed:
     def test_noise_free_no_ar_driver(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=200,
                               ar_coefficient=0.0, sigmas_or_snrs=(0, 0, 0), seed=1)
-        s = generate_fixed(cfg)
+        s = generate(cfg)
         # z_t = x_{t-2} exactly (t >= 2 such that both lie after burn-in)
         np.testing.assert_allclose(s.z.values[2:], s.x.values[:-2], atol=0)
 
@@ -72,7 +71,7 @@ class TestGenerateFixed:
         for topology in (TopologyKind.DRIVER, TopologyKind.INDIRECT):
             cfg = GeneratorConfig(topology=topology, length=150, burn_in=0,
                                   sigmas_or_snrs=(0, 0, 0), seed=9)
-            s = generate_fixed(cfg)
+            s = generate(cfg)
             y, z = _oracle_series(s.x.values, 0.3, topology)
             np.testing.assert_allclose(s.y.values, y, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(s.z.values, z, rtol=1e-12, atol=1e-12)
@@ -83,28 +82,28 @@ class TestGenerateFixed:
         # AR stage of y and then the AR stage of z.
         cfg = GeneratorConfig(topology=TopologyKind.INDIRECT, length=100,
                               burn_in=0, sigmas_or_snrs=(0, 0, 0), seed=4)
-        s = generate_fixed(cfg)
+        s = generate(cfg)
         x = s.x.values
         t = 60
         expected = sum((m + 1) * 0.3**m * x[t - 2 - m] for m in range(t - 1))
         assert s.z.values[t] == pytest.approx(expected, rel=1e-12)
 
     def test_truth_label(self):
-        s = generate_fixed(GeneratorConfig(topology=TopologyKind.INDIRECT, length=50))
+        s = generate(GeneratorConfig(topology=TopologyKind.INDIRECT, length=50))
         assert s.truth.kind is TopologyKind.INDIRECT
 
     def test_determinism(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100, seed=77)
-        a, b = generate_fixed(cfg), generate_fixed(cfg)
+        a, b = generate(cfg), generate(cfg)
         np.testing.assert_array_equal(a.x.values, b.x.values)
         np.testing.assert_array_equal(a.z.values, b.z.values)
-        c = generate_fixed(GeneratorConfig(topology=TopologyKind.DRIVER,
-                                           length=100, seed=78))
+        c = generate(GeneratorConfig(topology=TopologyKind.DRIVER,
+                                     length=100, seed=78))
         assert not np.array_equal(a.x.values, c.x.values)
 
     def test_length_and_burn_in(self):
-        s = generate_fixed(GeneratorConfig(topology=TopologyKind.DRIVER,
-                                           length=123, burn_in=50))
+        s = generate(GeneratorConfig(topology=TopologyKind.DRIVER,
+                                     length=123, burn_in=50))
         assert len(s.x) == len(s.y) == len(s.z) == 123
 
     def test_rejects_too_short(self):
@@ -120,16 +119,7 @@ class TestGenerateFixed:
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=50,
                               sigmas_or_snrs=(1e15, 0, 0))
         with pytest.raises(GenerationError):
-            generate_fixed(cfg)
-
-    def test_wrong_kind_rejected(self):
-        cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=50,
-                              noise_kind=NoiseKind.INTRINSIC_SNR,
-                              sigmas_or_snrs=(40, 40, 40))
-        with pytest.raises(ValueError):
-            generate_fixed(cfg)
-        with pytest.raises(ValueError):
-            generate_extrinsic(cfg)
+            generate(cfg)
 
 
 class TestSignalVariance:
@@ -168,7 +158,7 @@ class TestIntrinsic:
         fixed = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                 sigmas_or_snrs=(noise.alpha, noise.beta, noise.gamma),
                                 seed=5)
-        a, b = generate_intrinsic(cfg), generate_fixed(fixed)
+        a, b = generate(cfg), generate(fixed)
         np.testing.assert_array_equal(a.y.values, b.y.values)
         np.testing.assert_array_equal(a.z.values, b.z.values)
 
@@ -180,16 +170,16 @@ class TestIntrinsic:
         quiet = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                 noise_kind=NoiseKind.INTRINSIC_SNR,
                                 sigmas_or_snrs=(40.0, 40.0, 40.0), seed=6)
-        assert not np.array_equal(generate_intrinsic(base).y.values,
-                                  generate_intrinsic(quiet).y.values)
+        assert not np.array_equal(generate(base).y.values,
+                                  generate(quiet).y.values)
         ext0 = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                noise_kind=NoiseKind.EXTRINSIC_SNR,
                                sigmas_or_snrs=(0.0, 40.0, 40.0), seed=6)
         ext1 = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                noise_kind=NoiseKind.EXTRINSIC_SNR,
                                sigmas_or_snrs=(40.0, 40.0, 40.0), seed=6)
-        np.testing.assert_array_equal(generate_extrinsic(ext0).y.values,
-                                      generate_extrinsic(ext1).y.values)
+        np.testing.assert_array_equal(generate(ext0).y.values,
+                                      generate(ext1).y.values)
 
 
 class TestExtrinsic:
@@ -201,7 +191,7 @@ class TestExtrinsic:
                                    noise_kind=NoiseKind.EXTRINSIC_SNR,
                                    sigmas_or_snrs=snrs, seed=12)
         clean = extrinsic_backbone(cfg((0, 0, 0)))
-        s1, s2 = generate_extrinsic(cfg((10, 5, -5))), generate_extrinsic(cfg((0, 0, 0)))
+        s1, s2 = generate(cfg((10, 5, -5))), generate(cfg((0, 0, 0)))
         n1, n2 = resolve_sigmas(cfg((10, 5, -5))), resolve_sigmas(cfg((0, 0, 0)))
         # standardized residuals match between the two noise levels
         np.testing.assert_allclose(
@@ -217,7 +207,7 @@ class TestExtrinsic:
                               sigmas_or_snrs=(200.0, 200.0, 200.0), seed=3)
         zeros = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                 sigmas_or_snrs=(0, 0, 0), seed=3)
-        a, b = generate_extrinsic(cfg), generate_fixed(zeros)
+        a, b = generate(cfg), generate(zeros)
         np.testing.assert_allclose(a.x.values, b.x.values, atol=1e-7)
         np.testing.assert_allclose(a.z.values, b.z.values, atol=1e-7)
 
@@ -228,7 +218,7 @@ class TestExtrinsic:
                               sigmas_or_snrs=(-10.0, -10.0, -10.0), seed=8)
         clean = extrinsic_backbone(cfg)
         np.testing.assert_allclose(clean.z.values[2:], clean.x.values[:-2])
-        noisy = generate_extrinsic(cfg)
+        noisy = generate(cfg)
         assert not np.allclose(noisy.z.values[2:], noisy.x.values[:-2])
 
 

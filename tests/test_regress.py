@@ -1,47 +1,9 @@
 import numpy as np
 import pytest
 
-from granger_lab.core import LagSpec, TopologyKind
-from granger_lab.datagen import GeneratorConfig, NoiseKind, generate, generate_fixed
-from granger_lab.regress import (InsufficientData, ModelSpec, RankDeficient,
-                                 build_design, lag_columns, nested_rss, ols_fit)
-
-
-def _spec(target, predictors, target_lags, predictor_lags):
-    return ModelSpec(target=target, predictors=tuple(predictors),
-                     lags=LagSpec(target_lags=target_lags,
-                                  predictor_lags=tuple(predictor_lags)))
-
-
-class TestBuildDesign:
-    def test_shapes_and_alignment(self):
-        v = np.arange(10.0)
-        series = {"y": v, "x": v * 10}
-        spec = _spec("y", ["x"], 2, [2])
-        matrix, response = build_design(series, spec)
-        assert matrix.shape == (8, 4)
-        np.testing.assert_array_equal(response, v[2:])
-        # row t holds [y_{t-1}, y_{t-2}, x_{t-1}, x_{t-2}]
-        np.testing.assert_array_equal(matrix[0], [1.0, 0.0, 10.0, 0.0])
-        np.testing.assert_array_equal(matrix[-1], [8.0, 7.0, 80.0, 70.0])
-
-    def test_common_window_override(self):
-        v = np.arange(20.0)
-        spec = _spec("y", [], 2, [])
-        matrix, response = build_design({"y": v}, spec, window_lag=5)
-        assert matrix.shape == (15, 2)
-        np.testing.assert_array_equal(response, v[5:])
-
-    def test_insufficient_data(self):
-        v = np.arange(6.0)
-        spec = _spec("y", ["x"], 2, [2])
-        with pytest.raises(InsufficientData):
-            build_design({"y": v, "x": v}, spec)
-
-    def test_lag_columns(self):
-        v = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        cols = lag_columns(v, 2, 2)
-        np.testing.assert_array_equal(cols, [[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]])
+from granger_lab.core import TopologyKind
+from granger_lab.datagen import GeneratorConfig, NoiseKind, generate
+from granger_lab.regress import InsufficientData, RankDeficient, nested_rss, ols_fit
 
 
 class TestOlsFit:
@@ -96,10 +58,11 @@ class TestOlsFit:
         # driver topology: z_t = 0.3 z_{t-1} + x_{t-2} with tiny gamma noise
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=5000,
                               sigmas_or_snrs=(0.0, 0.1, 0.01), seed=11)
-        s = generate_fixed(cfg)
-        series = {"z": s.z.values, "x": s.x.values}
-        spec = _spec("z", ["x"], 2, [2])
-        fit = ols_fit(*build_design(series, spec))
+        s = generate(cfg)
+        z, x = s.z.values, s.x.values
+        # row t = [z_{t-1}, z_{t-2}, x_{t-1}, x_{t-2}], response z_t, t >= 2
+        matrix = np.column_stack([v[2 - k:5000 - k] for v in (z, x) for k in (1, 2)])
+        fit = ols_fit(matrix, z[2:])
         np.testing.assert_allclose(fit.coefficients, [0.3, 0.0, 0.0, 1.0], atol=0.01)
 
 
@@ -147,17 +110,3 @@ class TestNestedRss:
         matrix = np.column_stack([col, col])
         with pytest.raises(RankDeficient):
             nested_rss(matrix, col, (1, 2))
-
-
-class TestModelSpec:
-    def test_duplicate_predictor_rejected(self):
-        with pytest.raises(ValueError):
-            _spec("y", ["x", "x"], 2, [2, 2])
-
-    def test_target_as_predictor_rejected(self):
-        with pytest.raises(ValueError):
-            _spec("y", ["y"], 2, [2])
-
-    def test_lag_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            _spec("y", ["x"], 2, [2, 2])
