@@ -5,7 +5,7 @@ from granger_lab.core import FORWARD_LINKS, Link, TimeSeries, TopologyKind, Topo
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GeneratorConfig, NoiseKind, TrivariateSample, generate
 from granger_lab.granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ,
-                                 GrangerConfig, _lag_rows, bivariate_scan,
+                                 GrangerConfig, bivariate_scan,
                                  bivariate_test, FORWARD_KEYS, comparison_rss,
                                  decide_edge_array, decide_edges, infer_topology,
                                  link_outcomes, reverse_link_decisions,
@@ -85,18 +85,6 @@ class TestBivariateTest:
         with pytest.raises(InsufficientData):
             bivariate_test(TimeSeries(rng.normal(size=length)),
                            TimeSeries(rng.normal(size=length)), GrangerConfig())
-
-
-class TestLagRows:
-    def test_rows_align_on_the_common_window(self):
-        v = np.arange(10.0)
-        design = _lag_rows((v, v * 10), 2).T
-        assert design.shape == (8, 4)
-        # row t holds [y_{t-1}, y_{t-2}, x_{t-1}, x_{t-2}] for t = 2 .. 9
-        np.testing.assert_array_equal(design[0], [1.0, 0.0, 10.0, 0.0])
-        np.testing.assert_array_equal(design[-1], [8.0, 7.0, 80.0, 70.0])
-        np.testing.assert_array_equal(_lag_rows((v[:5],), 2).T,
-                                      [[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]])
 
 
 class TestReverseLinkDecisions:

@@ -3,7 +3,23 @@ import pytest
 
 from granger_lab.core import TopologyKind
 from granger_lab.datagen import GeneratorConfig, NoiseKind, generate
+from granger_lab.granger import _lag_rows
 from granger_lab.regress import InsufficientData, RankDeficient, nested_rss, ols_fit
+
+
+class TestBuildDesign:
+    def test_shapes_and_alignment(self):
+        v = np.arange(10.0)
+        design = _lag_rows((v, v * 10), 2).T
+        assert design.shape == (8, 4)
+        # row t holds [y_{t-1}, y_{t-2}, x_{t-1}, x_{t-2}] for t = 2 .. 9
+        np.testing.assert_array_equal(design[0], [1.0, 0.0, 10.0, 0.0])
+        np.testing.assert_array_equal(design[-1], [8.0, 7.0, 80.0, 70.0])
+
+    def test_lag_columns(self):
+        v = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        cols = _lag_rows((v,), 2).T
+        np.testing.assert_array_equal(cols, [[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]])
 
 
 class TestOlsFit:
