@@ -2,15 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .core import (ClassifiedResult, Link, LinkDecision, TimeSeries,
-                   TopologyKind, TopologyLabel, classify)
+from .core import Link, LinkDecision, TimeSeries, TopologyKind, TopologyLabel
 from .criteria import (Criterion, PRESET_CRITERIA, TestOutcome, chi2_sf,
                        compare_criteria, f_sf)
 from .datagen import (GeneratorConfig, NoiseConfig, NoiseKind, TrivariateSample,
-                      estimate_signal_variance, generate, snr_to_sigma)
+                      generate, snr_to_sigma)
 from .experiments import (PhaseGrid, RateEstimate, SweepResult, estimate_rates,
                           extract_plane, phase_space, snr_grid,
                           sweep_sample_size, sweep_significance)
-from .granger import (GrangerConfig, bivariate_scan, bivariate_test,
-                      infer_topology, trivariate_test)
+from .granger import GrangerConfig, bivariate_test
 from .regress import FitResult, InsufficientData, RankDeficient, ols_fit

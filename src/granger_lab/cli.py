@@ -16,17 +16,18 @@ import os
 import shlex
 import sys
 import time
+from itertools import product
 
 import numpy as np
 
 from . import __version__
-from .core import TimeSeries, TopologyKind, TopologyLabel
+from .core import FORWARD_LINKS, TimeSeries, TopologyKind, TopologyLabel
 from .criteria import Criterion
 from .datagen import (GeneratorConfig, NoiseKind, TrivariateSample, generate)
-from .experiments import (PhaseGrid, extract_plane, phase_space, sweep_sample_size,
-                          sweep_significance)
-from .granger import (FORWARD_KEYS, GrangerConfig, link_outcomes,
-                      reverse_link_decisions, topology_from_outcomes)
+from .experiments import (PhaseGrid, extract_plane, phase_space, require_positive,
+                          sweep_sample_size, sweep_significance)
+from .granger import (FORWARD_KEYS, GrangerConfig, decide_edge_array, forward_pvalues,
+                      reverse_link_decisions)
 from .ppm import render_plane, write_ppm
 from .regress import RankDeficient
 
@@ -293,6 +294,9 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
 
 def cmd_phase_space(args, argv: list[str]) -> int:
     started = time.time()
+    # Checked here as well as in phase_space, so that a bad count exits 2
+    # before the checkpoint is read, compared or touched.
+    require_positive("iterations", args.iterations)
     topology = TopologyKind(args.topology)
     noise = NoiseKind(args.noise)
     criterion = Criterion(args.criterion)
@@ -317,8 +321,7 @@ def cmd_phase_space(args, argv: list[str]) -> int:
             print("resume conflict: checkpoint metadata differs from flags",
                   file=sys.stderr)
             return 4
-        from itertools import product
-        expected = [(sx, sy, sz) for sx, sy, sz in product(*grids)]
+        expected = list(product(*grids))
         got = [(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]) for r in rows]
         if got != expected[:len(got)]:
             print("resume conflict: checkpoint cells do not match the grid",
@@ -416,14 +419,17 @@ def cmd_analyze(args) -> int:
     config = GrangerConfig(lags=args.lags, criterion=Criterion(args.criterion),
                            significance=args.alpha)
     try:
-        outcomes = link_outcomes(sample, config)
-        label = topology_from_outcomes(outcomes, config)
+        [pvalues] = forward_pvalues(sample.x.values, sample.y.values, sample.z.values,
+                                    config.lags, (config.criterion,))
         reverse = reverse_link_decisions(sample, config)
     except RankDeficient:
         print("rank-deficient design: a series is constant or duplicated; "
               "check the input columns", file=sys.stderr)
         return 3
-    forward_p = {key: outcomes[key].p_value for key in FORWARD_KEYS}
+    [accepted] = decide_edge_array(pvalues, np.array([config.significance]))
+    label = TopologyLabel.from_edges(
+        link for link, on in zip(FORWARD_LINKS, accepted) if on)
+    forward_p = {key: float(p) for key, p in zip(FORWARD_KEYS, pvalues)}
     reverse_p = {k: d.outcome.p_value for k, d in reverse.items()}
     report = {
         "topology": label.kind.value,

@@ -65,10 +65,6 @@ class TopologyLabel:
         return cls.from_edges({Link.XY, Link.YZ})
 
     @classmethod
-    def complete(cls) -> "TopologyLabel":
-        return cls.from_edges({Link.XY, Link.XZ, Link.YZ})
-
-    @classmethod
     def null(cls) -> "TopologyLabel":
         return cls.from_edges(())
 
@@ -103,26 +99,3 @@ class LinkDecision:
     link: str
     outcome: "TestOutcome"
     decided_causal: bool
-
-
-@dataclass(frozen=True)
-class ClassifiedResult:
-    """Comparison of an inferred topology against ground truth.
-
-    ``spurious`` means the inference contains a link absent from the truth;
-    ``unidentified`` means a true link is missing from the inference. Both
-    can hold at once.
-    """
-
-    inferred: TopologyLabel
-    truth: TopologyLabel
-    spurious: bool
-    unidentified: bool
-
-
-def classify(inferred: TopologyLabel, truth: TopologyLabel) -> ClassifiedResult:
-    """Flag edge-set differences between an inferred and a true topology."""
-    spurious = bool(inferred.edges - truth.edges)
-    unidentified = bool(truth.edges - inferred.edges)
-    return ClassifiedResult(inferred=inferred, truth=truth,
-                            spurious=spurious, unidentified=unidentified)

@@ -19,7 +19,7 @@ but the same seed share the same underlying realization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import islice
@@ -183,12 +183,6 @@ def _calibration_variances(topology: TopologyKind, ar_coefficient: float,
     return (float(np.var(x[0])), float(np.var(y[0])), float(np.var(z[0])))
 
 
-def estimate_signal_variance(config: GeneratorConfig, series_id: str) -> float:
-    """Noise-free variance of one series, from a fixed-seed calibration run."""
-    idx = {"x": 0, "y": 1, "z": 2}[series_id]
-    return _calibration_variances(config.topology, config.ar_coefficient)[idx]
-
-
 def resolve_sigmas(config: GeneratorConfig) -> NoiseConfig:
     """Turn the config's sigma-or-SNR triple into noise standard deviations."""
     if config.noise_kind is NoiseKind.FIXED_SIGMA:
@@ -227,9 +221,3 @@ def generate_chunks(config: GeneratorConfig, seeds: Iterable[int]
     while chunk := tuple(islice(seeds, rows)):
         yield _generate_rows(config, noise, chunk)
 
-
-def extrinsic_backbone(config: GeneratorConfig) -> TrivariateSample:
-    """The noise-free series underlying an extrinsic-noise sample."""
-    clean = replace(config, noise_kind=NoiseKind.FIXED_SIGMA,
-                    sigmas_or_snrs=(0.0, 0.0, 0.0))
-    return generate(clean)

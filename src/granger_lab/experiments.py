@@ -8,8 +8,12 @@ Rates are exact count/iterations fractions.
 
 Rate counting follows the key links: with driver truth, spurious means the
 Y->Z link was accepted and unidentified means X->Z was rejected; with
-indirect truth the roles of the two links swap. Whole-topology
-classification flags are carried alongside for diagnostics.
+indirect truth the roles of the two links swap. Each sample's edges come
+from ``granger.forward_pvalues`` and ``granger.decide_edge_array``, the
+same path ``analyze`` takes.
+
+Iteration, case and worker counts must be positive integers, and
+``require_positive`` checks each of them before any sample is drawn.
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import FORWARD_LINKS, TopologyKind, TopologyLabel
-from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria, statistic_from_rss
+from .core import TopologyKind
+from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
 from .datagen import GeneratorConfig, NoiseKind, generate_chunks, resolve_sigmas
-from .granger import FORWARD_KEYS, GrangerConfig, comparison_rss, decide_edge_array
+from .granger import FORWARD_KEYS, GrangerConfig, decide_edge_array, forward_pvalues
 from .regress import RankDeficient
 
-_FLAG_NAMES = ("spurious", "unidentified", "xy", "xz", "yz",
-               "topo_spurious", "topo_unidentified")
+_FLAG_NAMES = ("spurious", "unidentified", "xy", "xz", "yz")
 
 _PHASE_FIELDS = ("spurious_rate", "unidentified_rate", "rate_xz", "rate_yz")
 
@@ -62,8 +65,6 @@ class RateEstimate:
     unidentified_rate: float
     iterations: int
     per_link_rates: dict[str, float]
-    topology_spurious_rate: float
-    topology_unidentified_rate: float
     rank_deficient: int = 0
 
     def standard_error(self, rate: float) -> float:
@@ -103,25 +104,31 @@ def snr_grid(lo: float = -40.0, hi: float = 40.0, points: int = 17) -> tuple[flo
     return tuple(float(v) for v in np.linspace(lo, hi, points))
 
 
+def require_positive(name: str, given: object) -> int:
+    """``given`` as a positive integer, else a ValueError that names ``name``."""
+    try:
+        value = int(given)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {given!r}")
+    return value
+
+
 def _worker_count(workers: Optional[int], jobs: int) -> int:
     """Worker processes for ``jobs`` independent tasks.
 
-    The request (else ``GRANGER_LAB_THREADS``, else the CPU count) is
-    clamped to the CPU count and to ``jobs``, so no flag can start more
-    processes than there are cores or tasks.
+    The request (else ``GRANGER_LAB_THREADS``, else the CPU count) must be
+    a positive integer. It is clamped to the CPU count and to ``jobs``, so
+    no flag can start more processes than there are cores or tasks.
     """
-    if workers is None:
-        env = os.environ.get("GRANGER_LAB_THREADS")
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                workers = 0
-            if workers < 1:
-                raise ValueError(
-                    f"GRANGER_LAB_THREADS must be a positive integer, got {env!r}")
-        else:
-            workers = os.cpu_count() or 1
+    env = os.environ.get("GRANGER_LAB_THREADS")
+    if workers is not None:
+        workers = require_positive("workers", workers)
+    elif env:
+        workers = require_positive("GRANGER_LAB_THREADS", env)
+    else:
+        workers = os.cpu_count() or 1
     workers = min(workers, jobs)
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
@@ -140,11 +147,8 @@ def _count_block(gen_template: GeneratorConfig, lags: int,
     """
     counts = np.zeros((len(criteria), len(alphas), len(_FLAG_NAMES)), dtype=np.int64)
     rank_deficient = 0
-    driver = gen_template.topology is TopologyKind.DRIVER
-    truth = TopologyLabel.driver() if driver else TopologyLabel.indirect()
-    truth_mask = np.array([link in truth.edges for link in FORWARD_LINKS])
     # Edge columns follow FORWARD_LINKS: x->y, x->z, y->z.
-    spur, unid = (2, 1) if driver else (1, 2)
+    spur, unid = (2, 1) if gen_template.topology is TopologyKind.DRIVER else (1, 2)
     alpha_levels = np.array(alphas)
     seeds = (derive_seed(master_seed, *key, i) for i in range(start, stop))
     for xs, ys, zs in generate_chunks(gen_template, seeds):
@@ -152,21 +156,14 @@ def _count_block(gen_template: GeneratorConfig, lags: int,
         kept = 0
         for x, y, z in zip(xs, ys, zs):
             try:
-                comps = comparison_rss(x, y, z, lags)
+                pvalues[kept] = forward_pvalues(x, y, z, lags, criteria)
             except RankDeficient:
                 rank_deficient += 1
                 continue
-            for ci, crit in enumerate(criteria):
-                for j, name in enumerate(FORWARD_KEYS):
-                    c = comps[name]
-                    pvalues[kept, ci, j] = statistic_from_rss(
-                        crit, c.rss_restricted, c.rss_unrestricted, c.n_obs, c.q, c.k).p_value
             kept += 1
         edges = decide_edge_array(pvalues[:kept], alpha_levels, always_trivariate)
         flags = np.stack([edges[..., spur], ~edges[..., unid],
-                          edges[..., 0], edges[..., 1], edges[..., 2],
-                          (edges & ~truth_mask).any(axis=-1),
-                          (truth_mask & ~edges).any(axis=-1)], axis=-1)
+                          edges[..., 0], edges[..., 1], edges[..., 2]], axis=-1)
         counts += flags.sum(axis=0)
     return counts, rank_deficient
 
@@ -235,7 +232,6 @@ def _estimate_from_counts(row: np.ndarray, iterations: int,
         spurious_rate=float(r[0]), unidentified_rate=float(r[1]),
         iterations=effective,
         per_link_rates={"x->y": float(r[2]), "x->z": float(r[3]), "y->z": float(r[4])},
-        topology_spurious_rate=float(r[5]), topology_unidentified_rate=float(r[6]),
         rank_deficient=rank_deficient)
 
 
@@ -244,8 +240,7 @@ def estimate_rates(gen_config: GeneratorConfig, granger_config: GrangerConfig,
                    stream_key: tuple[int, ...] = (),
                    workers: Optional[int] = None) -> RateEstimate:
     """Monte Carlo spurious/unidentified rates for one configuration."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    require_positive("iterations", iterations)
     [(counts, rd)] = _accumulate([(gen_config, stream_key)], granger_config.lags,
                                  (granger_config.criterion,),
                                  (granger_config.significance,),
@@ -266,6 +261,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     iteration only), which is exactly equivalent to repeated estimate_rates
     calls with the same master seed.
     """
+    require_positive("iterations", iterations)
     alphas = tuple(float(a) for a in alphas)
     if not alphas or not all(0.0 < a < 1.0 for a in alphas):
         raise ValueError("significance grid must be non-empty and within (0, 1)")
@@ -285,6 +281,7 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
                       comparison_level: float = 0.1) -> SweepResult:
     """Rates against the sample size at a fixed significance level, plus
     pairwise criterion-difference tests at each size."""
+    require_positive("cases", cases)
     sizes = tuple(int(n) for n in sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
@@ -315,6 +312,8 @@ def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: fl
     completes (used for checkpointing). ``done_cells`` maps already-computed
     SNR triples to their rate dicts; those cells are not recomputed.
     """
+    require_positive("iterations", iterations)
+    _worker_count(workers, 1)  # checked even when every cell is already done
     if noise_kind is NoiseKind.FIXED_SIGMA:
         raise ValueError("phase spaces require an SNR noise kind")
     if grids is None:

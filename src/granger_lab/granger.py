@@ -5,20 +5,24 @@ scan returns the complete topology does step two run the two conditional
 tests on Z (does X help beyond Y, does Y help beyond X) and replace the
 X->Z and Y->Z edges with those verdicts.
 
-Every test, forward or reverse, takes the RSS of its nested model pair from
-one ``regress.nested_rss`` pass over ``_lag_rows`` columns and scores the
-pair with ``criteria.statistic_from_rss``.
+Every sample reaches its edges along one path: ``forward_pvalues`` scores
+the five forward comparisons of one ``comparison_rss`` pass, and
+``decide_edge_array`` applies the two-step rule to any stack of them. The
+Monte Carlo loop and ``analyze`` both take it. Every test, forward or
+reverse, takes the RSS of its nested model pair from one
+``regress.nested_rss`` pass over ``_lag_rows`` columns and scores the pair
+with ``criteria.statistic_from_rss``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
-from .core import Link, LinkDecision, TimeSeries, TopologyLabel
-from .criteria import Criterion, TestOutcome, statistic_from_rss
+from .core import LinkDecision, TimeSeries
+from .criteria import Criterion, statistic_from_rss
 from .datagen import TrivariateSample
 from .regress import InsufficientData, nested_rss
 
@@ -99,33 +103,27 @@ def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     }
 
 
-def outcomes_from_rss(comps: Mapping[str, RssComparison],
-                      criterion: Criterion) -> dict[str, TestOutcome]:
-    return {key: statistic_from_rss(criterion, c.rss_restricted, c.rss_unrestricted,
-                                    c.n_obs, c.q, c.k)
-            for key, c in comps.items()}
-
-
-def decide_edges(pvalues: Mapping[str, float], significance: float,
-                 always_trivariate: bool = False) -> frozenset[Link]:
-    """Apply the two-step decision rule to the five forward p-values."""
-    biv = {link for link, key in ((Link.XY, BIV_XY), (Link.XZ, BIV_XZ), (Link.YZ, BIV_YZ))
-           if pvalues[key] < significance}
-    if len(biv) == 3 or always_trivariate:
-        edges = set(biv) - {Link.XZ, Link.YZ}
-        if pvalues[TRI_XZ] < significance:
-            edges.add(Link.XZ)
-        if pvalues[TRI_YZ] < significance:
-            edges.add(Link.YZ)
-        return frozenset(edges)
-    return frozenset(biv)
+def forward_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
+                    criteria: Sequence[Criterion]) -> np.ndarray:
+    """P-values (criterion, comparison) of the five forward comparisons, in
+    the order of ``FORWARD_KEYS``, from one ``comparison_rss`` pass."""
+    comps = comparison_rss(x, y, z, lags)
+    ordered = [comps[key] for key in FORWARD_KEYS]
+    return np.array([[statistic_from_rss(crit, c.rss_restricted, c.rss_unrestricted,
+                                         c.n_obs, c.q, c.k).p_value for c in ordered]
+                     for crit in criteria])
 
 
 def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray,
                       always_trivariate: bool = False) -> np.ndarray:
-    """``decide_edges`` over arrays: p-values (..., 5) in the order of
-    ``FORWARD_KEYS``, significance levels (A,) -> accepted edges
-    (..., A, 3) in the order of ``FORWARD_LINKS``."""
+    """The two-step decision rule over arrays: p-values (..., 5) in the order
+    of ``FORWARD_KEYS``, significance levels (A,) -> accepted edges
+    (..., A, 3) in the order of ``FORWARD_LINKS``.
+
+    The three pairwise edges are accepted below the level; when all three
+    are (or ``always_trivariate`` is set), the x->z and y->z edges are
+    replaced by the verdicts of the two conditional tests.
+    """
     accepted = pvalues[..., None, :] < alphas[:, None]
     biv = accepted[..., :3]
     trivariate = biv.all(axis=-1, keepdims=True) | always_trivariate
@@ -156,29 +154,6 @@ def bivariate_test(cause: TimeSeries, effect: TimeSeries,
     return _pair_test(cause.values, effect.values, "cause->effect", config)
 
 
-def trivariate_test(sample: TrivariateSample, tested_cause: str,
-                    config: GrangerConfig) -> LinkDecision:
-    """Conditional test on Z: does the tested cause help beyond the other one?"""
-    if tested_cause not in ("x", "y"):
-        raise ValueError("tested_cause must be 'x' or 'y'")
-    comps = comparison_rss(sample.x.values, sample.y.values, sample.z.values, config.lags)
-    key = TRI_XZ if tested_cause == "x" else TRI_YZ
-    c = comps[key]
-    outcome = statistic_from_rss(config.criterion, c.rss_restricted,
-                                 c.rss_unrestricted, c.n_obs, c.q, c.k)
-    return LinkDecision(link=f"{tested_cause}->z", outcome=outcome,
-                        decided_causal=outcome.p_value < config.significance)
-
-
-def bivariate_scan(sample: TrivariateSample, config: GrangerConfig) -> frozenset[Link]:
-    """Step one: the set of forward links accepted by pairwise tests."""
-    comps = comparison_rss(sample.x.values, sample.y.values, sample.z.values, config.lags)
-    outcomes = outcomes_from_rss(comps, config.criterion)
-    return frozenset(link for link, key in
-                     ((Link.XY, BIV_XY), (Link.XZ, BIV_XZ), (Link.YZ, BIV_YZ))
-                     if outcomes[key].p_value < config.significance)
-
-
 def reverse_link_decisions(sample: TrivariateSample,
                            config: GrangerConfig) -> dict[str, LinkDecision]:
     """Pairwise tests of the reverse links; diagnostic only, never classified."""
@@ -186,23 +161,3 @@ def reverse_link_decisions(sample: TrivariateSample,
                                              getattr(sample, effect).values,
                                              f"{cause}->{effect}", config)
             for effect, cause in _REVERSE_PAIRS}
-
-
-def infer_topology(sample: TrivariateSample, config: GrangerConfig) -> TopologyLabel:
-    """The full two-step trivariate procedure, returning a topology label."""
-    return topology_from_outcomes(link_outcomes(sample, config), config)
-
-
-def topology_from_outcomes(outcomes: Mapping[str, TestOutcome],
-                           config: GrangerConfig) -> TopologyLabel:
-    """The two-step decision on already computed forward outcomes."""
-    pvalues = {key: o.p_value for key, o in outcomes.items()}
-    edges = decide_edges(pvalues, config.significance, config.always_trivariate)
-    return TopologyLabel.from_edges(edges)
-
-
-def link_outcomes(sample: TrivariateSample,
-                  config: GrangerConfig) -> dict[str, TestOutcome]:
-    """All five forward-model test outcomes for one sample."""
-    comps = comparison_rss(sample.x.values, sample.y.values, sample.z.values, config.lags)
-    return outcomes_from_rss(comps, config.criterion)

@@ -6,7 +6,10 @@ import pytest
 from granger_lab import cli, granger, regress
 from granger_lab.cli import (PHASE_HEADER, fmt, load_phase_csv, main,
                              parse_criteria, parse_grid, read_manifest)
+from granger_lab.core import FORWARD_LINKS, TopologyKind
 from granger_lab.criteria import Criterion
+from granger_lab.datagen import GeneratorConfig
+from granger_lab.experiments import _count_block, derive_seed
 from granger_lab.ppm import rate_to_rgb, read_ppm, render_plane, rgb_to_rate, write_ppm
 
 
@@ -122,6 +125,40 @@ class TestGenerateAnalyze:
         err = capsys.readouterr().err
         assert path in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("criterion", ["lr", "wald", "rao"])
+    @pytest.mark.parametrize("topology", ["driver", "indirect"])
+    def test_analyze_decides_like_the_monte_carlo_loop(self, tmp_path, capsys,
+                                                       topology, criterion):
+        # Iteration i of a Monte Carlo run is the sample `generate --seed
+        # derive_seed(master, i)` writes; analyze must accept the same edges
+        # as _count_block's per-link flags for it. Heavy noise on y and z
+        # makes the samples reach different decisions, including ones where
+        # the pairwise scan is incomplete and a conditional test disagrees
+        # with its pairwise test, so that skipping or forcing step two shows.
+        master, n, params, seen, gated = 13, 40, (0.0, 3.0, 3.0), set(), False
+        gen = GeneratorConfig(topology=TopologyKind(topology), length=n,
+                              sigmas_or_snrs=params)
+        for i in range(4):
+            csv = tmp_path / f"{i}.csv"
+            assert main(["generate", "--topology", topology, "--n", str(n),
+                         "--params", ",".join(map(str, params)),
+                         f"--seed={derive_seed(master, i)}", "--out", str(csv)]) == 0
+            capsys.readouterr()
+            assert main(["analyze", "--input", str(csv), "--criterion", criterion,
+                         "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            counts, rank_deficient = _count_block(gen, 2, (Criterion(criterion),), (0.05,),
+                                                  False, master, (), i, i + 1)
+            assert rank_deficient == 0
+            flags = counts[0, 0, 2:]  # x->y, x->z, y->z, as FORWARD_LINKS
+            assert sorted(report["edges"]) == sorted(
+                link.value for link, on in zip(FORWARD_LINKS, flags) if on)
+            seen.add(tuple(report["edges"]))
+            accepted = {k: p < 0.05 for k, p in report["forward_p_values"].items()}
+            gated |= (not all(accepted[k] for k in ("x->y", "x->z", "y->z"))
+                      and any(accepted[k] != accepted["tri:" + k] for k in ("x->z", "y->z")))
+        assert len(seen) > 1 and gated
+
 
 class TestSweepCommands:
     def _run_alpha(self, out):
@@ -139,6 +176,44 @@ class TestSweepCommands:
         lines = body1.decode().splitlines()
         assert lines[0].startswith("alpha,criterion,")
         assert len(lines) == 3  # header + 2 alphas x 1 criterion
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep-alpha", "--topology", "driver", "--n", "50", "--alpha-grid", "0.1"],
+         "iterations"),
+        (["sweep-n", "--topology", "driver", "--alpha", "0.1", "--sizes", "50"], "cases"),
+        (["phase-space", "--topology", "driver", "--noise", "intrinsic", "--n", "60",
+          "--grid", "0"], "iterations"),
+    ], ids=["sweep-alpha", "sweep-n", "phase-space"])
+    def test_nonpositive_count_exits_2_and_names_the_flag(self, tmp_path, capsys,
+                                                          argv, flag, count):
+        out = tmp_path / "o"
+        assert main(argv + [f"--{flag}={count}", "--workers", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"{flag} must be a positive integer, got {count}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exits_2(self, tmp_path, capsys, workers):
+        assert main(["sweep-alpha", "--topology", "driver", "--n", "50",
+                     "--alpha-grid", "0.1", "--iterations", "4", f"--workers={workers}",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"workers must be a positive integer, got {workers}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-alpha", "--topology", "driver", "--n", "50", "--alpha-grid", "0.1",
+         "--iterations", "4", "--seed=-1", "--out", "{out}"],
+        ["phase-space", "--topology", "driver", "--noise", "intrinsic", "--n", "60",
+         "--iterations", "2", "--grid", "0", "--seed=-1", "--workers", "1",
+         "--out", "{out}"],
+        ["generate", "--topology", "driver", "--seed=-1", "--out", "{out}.csv"],
+    ], ids=["sweep-alpha", "phase-space", "generate"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "o")
+        assert main([a.format(out=out) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_sweep_alpha_empty_grid_exits_2(self, tmp_path):
         rc = main(["sweep-alpha", "--topology", "driver", "--alpha-grid", "",
@@ -222,6 +297,18 @@ class TestPhaseSpaceCommand:
         assert main(self.ARGS + ["--resume", "--out", str(out)]) == 4
         csv.write_text("not a checkpoint")
         assert main(self.ARGS + ["--resume", "--out", str(out)]) == 4
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_nonpositive_iterations_leave_the_checkpoint_alone(self, tmp_path, count):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        torn = csv.read_bytes()[:-5]  # a resume would cut this tail off
+        csv.write_bytes(torn)
+        args = [a for a in self.ARGS]
+        args[args.index("--iterations") + 1] = count
+        assert main(args + ["--resume", "--out", str(out)]) == 2
+        assert csv.read_bytes() == torn
 
     def test_resume_conflict_exits_4(self, tmp_path):
         out = tmp_path / "ps"

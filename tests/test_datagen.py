@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,9 @@ from granger_lab.core import TopologyKind
 from scipy.signal import lfilter
 
 from granger_lab.datagen import (BASELINE_SIGMAS, GenerationError,
-                                 GeneratorConfig, NoiseKind, chunk_rows,
-                                 estimate_signal_variance, extrinsic_backbone,
-                                 generate, generate_chunks, resolve_sigmas,
-                                 snr_to_sigma)
+                                 GeneratorConfig, NoiseKind, _calibration_variances,
+                                 chunk_rows, generate, generate_chunks,
+                                 resolve_sigmas, snr_to_sigma)
 
 UNIFORM_VAR = 4.0 / 3.0  # variance of U(-2, 2) = (b - a)^2 / 12
 
@@ -123,23 +123,22 @@ class TestGenerateFixed:
 
 
 class TestSignalVariance:
+    # The noise-free calibration variances of (x, y, z) that SNRs refer to.
     def test_x_is_uniform_variance(self):
-        cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
-        assert estimate_signal_variance(cfg, "x") == pytest.approx(UNIFORM_VAR, rel=0.02)
+        var_x, _, _ = _calibration_variances(TopologyKind.DRIVER, 0.3)
+        assert var_x == pytest.approx(UNIFORM_VAR, rel=0.02)
 
     def test_y_matches_ar1_stationary_variance(self):
         # y is an AR(1) driven by white x: Var = Var(x) / (1 - c^2)
-        cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
+        _, var_y, var_z = _calibration_variances(TopologyKind.DRIVER, 0.3)
         expected = UNIFORM_VAR / (1 - 0.3**2)
-        assert estimate_signal_variance(cfg, "y") == pytest.approx(expected, rel=0.02)
-        assert estimate_signal_variance(cfg, "z") == pytest.approx(expected, rel=0.02)
+        assert var_y == pytest.approx(expected, rel=0.02)
+        assert var_z == pytest.approx(expected, rel=0.02)
 
     def test_indirect_z_larger_than_driver_z(self):
         # the indirect z accumulates two AR stages, hence more variance
-        drv = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
-        ind = GeneratorConfig(topology=TopologyKind.INDIRECT, length=50)
-        assert (estimate_signal_variance(ind, "z")
-                > estimate_signal_variance(drv, "z"))
+        assert (_calibration_variances(TopologyKind.INDIRECT, 0.3)[2]
+                > _calibration_variances(TopologyKind.DRIVER, 0.3)[2])
 
 
 class TestIntrinsic:
@@ -182,6 +181,12 @@ class TestIntrinsic:
                                       generate(ext1).y.values)
 
 
+def _noise_free(config):
+    """The noise-free series underlying an extrinsic-noise sample."""
+    return generate(replace(config, noise_kind=NoiseKind.FIXED_SIGMA,
+                            sigmas_or_snrs=(0.0, 0.0, 0.0)))
+
+
 class TestExtrinsic:
     def test_backbone_invariant_under_noise_levels(self):
         # changing the SNR triple only rescales the additive observer
@@ -190,7 +195,7 @@ class TestExtrinsic:
             return GeneratorConfig(topology=TopologyKind.INDIRECT, length=200,
                                    noise_kind=NoiseKind.EXTRINSIC_SNR,
                                    sigmas_or_snrs=snrs, seed=12)
-        clean = extrinsic_backbone(cfg((0, 0, 0)))
+        clean = _noise_free(cfg((0, 0, 0)))
         s1, s2 = generate(cfg((10, 5, -5))), generate(cfg((0, 0, 0)))
         n1, n2 = resolve_sigmas(cfg((10, 5, -5))), resolve_sigmas(cfg((0, 0, 0)))
         # standardized residuals match between the two noise levels
@@ -216,7 +221,7 @@ class TestExtrinsic:
                               ar_coefficient=0.0,
                               noise_kind=NoiseKind.EXTRINSIC_SNR,
                               sigmas_or_snrs=(-10.0, -10.0, -10.0), seed=8)
-        clean = extrinsic_backbone(cfg)
+        clean = _noise_free(cfg)
         np.testing.assert_allclose(clean.z.values[2:], clean.x.values[:-2])
         noisy = generate(cfg)
         assert not np.allclose(noisy.z.values[2:], noisy.x.values[:-2])
@@ -268,7 +273,6 @@ class TestGenerateChunks:
 
     @pytest.mark.parametrize("topology,kind,params", CASES)
     def test_rows_are_bitwise_per_sample_generate(self, topology, kind, params):
-        from dataclasses import replace
         cfg = GeneratorConfig(topology=topology, length=300, noise_kind=kind,
                               sigmas_or_snrs=params)
         seeds = [1_000_003 * i + 17 for i in range(chunk_rows(cfg) + 3)]

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from granger_lab import datagen, experiments
-from granger_lab.core import Link, TopologyKind, TopologyLabel
-from granger_lab.criteria import Criterion
+from granger_lab.core import Link, TopologyKind
+from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GenerationError, GeneratorConfig, NoiseKind, generate
 from granger_lab.experiments import (DegenerateConfiguration, OffGrid,
                                      derive_seed, estimate_rates, extract_plane,
                                      phase_space, snr_grid, sweep_sample_size,
                                      sweep_significance)
-from granger_lab.granger import GrangerConfig, comparison_rss, decide_edges, outcomes_from_rss
+from granger_lab.granger import GrangerConfig, comparison_rss
+
+from decision_reference import decide_edges
 
 
 def _gen(topology=TopologyKind.DRIVER, length=100, **kwargs):
@@ -50,18 +52,13 @@ class TestEstimateRates:
         assert a == b
 
     def test_matches_manual_per_iteration_count(self):
-        from granger_lab.datagen import generate
-        from granger_lab.granger import infer_topology
-        from dataclasses import replace
-        from granger_lab.core import Link
-
         gen, cfg = _gen(length=80), GrangerConfig()
         iters, seed = 25, 13
         spurious = 0
         for i in range(iters):
             sample = generate(replace(gen, seed=derive_seed(seed, i)))
-            label = infer_topology(sample, cfg)
-            spurious += Link.YZ in label.edges  # driver truth: y->z is spurious
+            edges = decide_edges(_scalar_pvalues(sample, cfg.criterion), cfg.significance)
+            spurious += Link.YZ in edges  # driver truth: y->z is spurious
         est = estimate_rates(gen, cfg, iterations=iters, master_seed=seed)
         assert est.spurious_rate == pytest.approx(spurious / iters)
 
@@ -89,20 +86,54 @@ class TestEstimateRates:
             estimate_rates(_gen(), GrangerConfig(), iterations=0, master_seed=0)
 
 
+class TestCountChecks:
+    """Every entry point rejects a non-positive count before it draws a sample."""
+
+    @pytest.fixture(autouse=True)
+    def no_samples(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a sample was generated")
+        monkeypatch.setattr(experiments, "generate_chunks", fail)
+
+    @pytest.mark.parametrize("count", [0, -4])
+    def test_every_entry_point_names_its_count(self, count):
+        calls = {
+            "iterations": [
+                lambda: estimate_rates(_gen(), GrangerConfig(), iterations=count,
+                                       master_seed=0),
+                lambda: sweep_significance(TopologyKind.DRIVER, (0.05,),
+                                           iterations=count),
+                lambda: phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
+                                    n=60, alpha=0.05, iterations=count)],
+            "cases": [
+                lambda: sweep_sample_size(TopologyKind.DRIVER, 0.05, (50,), cases=count)],
+        }
+        for name, entry_points in calls.items():
+            for call in entry_points:
+                with pytest.raises(ValueError,
+                                   match=f"^{name} must be a positive integer, got {count}$"):
+                    call()
+
+
+def _scalar_pvalues(sample, criterion):
+    """The five forward p-values, one ``statistic_from_rss`` call each."""
+    comps = comparison_rss(sample.x.values, sample.y.values, sample.z.values, 2)
+    return {k: statistic_from_rss(criterion, c.rss_restricted, c.rss_unrestricted,
+                                  c.n_obs, c.q, c.k).p_value
+            for k, c in comps.items()}
+
+
 def _loop_counts(gen, criteria, alphas, master_seed, iterations):
-    """Flag counts one sample and one decide_edges call at a time."""
-    truth = TopologyLabel.driver().edges
-    counts = np.zeros((len(criteria), len(alphas), 7), dtype=np.int64)
+    """Driver-truth flag counts, one sample and one scalar decision at a time."""
+    counts = np.zeros((len(criteria), len(alphas), 5), dtype=np.int64)
     for i in range(iterations):
         s = generate(replace(gen, seed=derive_seed(master_seed, i)))
-        comps = comparison_rss(s.x.values, s.y.values, s.z.values, 2)
         for ci, crit in enumerate(criteria):
-            pvalues = {k: o.p_value for k, o in outcomes_from_rss(comps, crit).items()}
+            pvalues = _scalar_pvalues(s, crit)
             for ai, alpha in enumerate(alphas):
                 edges = decide_edges(pvalues, alpha)
                 counts[ci, ai] += [Link.YZ in edges, Link.XZ not in edges,
-                                   Link.XY in edges, Link.XZ in edges, Link.YZ in edges,
-                                   bool(edges - truth), bool(truth - edges)]
+                                   Link.XY in edges, Link.XZ in edges, Link.YZ in edges]
     return counts
 
 
@@ -176,6 +207,24 @@ class TestWorkerCount:
             monkeypatch.setenv("GRANGER_LAB_THREADS", bad)
             with pytest.raises(ValueError, match="GRANGER_LAB_THREADS"):
                 estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_flag_rejected_like_the_variable(self, pool, monkeypatch, workers):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 16)
+        for env in (None, "4"):
+            if env:
+                monkeypatch.setenv("GRANGER_LAB_THREADS", env)  # the flag still wins
+            with pytest.raises(ValueError,
+                               match=f"^workers must be a positive integer, got {workers}$"):
+                estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3,
+                               workers=workers)
+            with pytest.raises(ValueError, match="^workers must be"):
+                _phase(workers=workers)
+        assert pool.sizes == [] and pool.submits == []
+        rows, _ = _phase_rows(workers=1)
+        done = {(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]): r for r in rows}
+        with pytest.raises(ValueError, match="^workers must be"):
+            _phase(workers=workers, done_cells=done)  # nothing left to schedule
 
 
 GRID3 = ((-20.0, 0.0, 20.0),) * 3

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from granger_lab.core import FORWARD_LINKS, Link, TimeSeries, TopologyKind, TopologyLabel
+from granger_lab.core import Link, TimeSeries, TopologyKind, TopologyLabel
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GeneratorConfig, NoiseKind, TrivariateSample, generate
 from granger_lab.granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ,
-                                 GrangerConfig, bivariate_scan,
-                                 bivariate_test, FORWARD_KEYS, comparison_rss,
-                                 decide_edge_array, decide_edges, infer_topology,
-                                 link_outcomes, reverse_link_decisions,
-                                 trivariate_test)
+                                 GrangerConfig, bivariate_test, FORWARD_KEYS,
+                                 comparison_rss, decide_edge_array, forward_pvalues,
+                                 reverse_link_decisions)
 from granger_lab.regress import InsufficientData, RankDeficient, ols_fit
+
+from decision_reference import decide_edges, edge_set
 
 BASELINE = (0.0, 0.1, 0.5)
 
@@ -18,6 +18,17 @@ BASELINE = (0.0, 0.1, 0.5)
 def _sample(topology, seed, length=500, sigmas=BASELINE):
     return generate(GeneratorConfig(topology=topology, length=length,
                                     sigmas_or_snrs=sigmas, seed=seed))
+
+
+def _pvalues(sample, criterion=Criterion.WALD):
+    """The five forward p-values of one sample under one criterion."""
+    return forward_pvalues(sample.x.values, sample.y.values, sample.z.values, 2,
+                           (criterion,))[0]
+
+
+def _edges(sample, significance=0.05):
+    """The edges the two-step procedure accepts on one sample."""
+    return edge_set(decide_edge_array(_pvalues(sample), np.array([significance]))[0])
 
 
 class TestBivariateTest:
@@ -49,13 +60,13 @@ class TestBivariateTest:
     def test_p_value_matches_kernel(self):
         s = _sample(TopologyKind.INDIRECT, seed=2)
         cfg = GrangerConfig(criterion=Criterion.LR)
-        outcomes = link_outcomes(s, cfg)
+        pvalues = _pvalues(s, Criterion.LR)
         via_public = bivariate_test(s.x, s.y, cfg)
-        assert via_public.outcome.p_value == pytest.approx(
-            outcomes[BIV_XY].p_value, rel=1e-9)
-        via_tri = trivariate_test(s, "y", cfg)
-        assert via_tri.outcome.p_value == pytest.approx(
-            outcomes[TRI_YZ].p_value, rel=1e-12)
+        assert via_public.outcome.p_value == pytest.approx(pvalues[0], rel=1e-9)
+        c = comparison_rss(s.x.values, s.y.values, s.z.values, 2)[TRI_YZ]
+        via_tri = statistic_from_rss(Criterion.LR, c.rss_restricted, c.rss_unrestricted,
+                                     c.n_obs, c.q, c.k)
+        assert via_tri.p_value == pvalues[FORWARD_KEYS.index(TRI_YZ)]
 
     @pytest.mark.parametrize("criterion", list(Criterion))
     def test_same_kernel_as_forward_comparisons(self, criterion):
@@ -70,7 +81,7 @@ class TestBivariateTest:
             s = TrivariateSample(x=x, y=y, z=z, truth=TopologyLabel.null())
             p_value = bivariate_test(s.x, s.y, cfg).outcome.p_value
             assert 0.0 < p_value < 1.0
-            assert p_value == link_outcomes(s, cfg)[BIV_XY].p_value
+            assert p_value == _pvalues(s, criterion)[FORWARD_KEYS.index(BIV_XY)]
 
     def test_unequal_lengths_raise(self):
         rng = np.random.default_rng(7)
@@ -128,42 +139,67 @@ class TestComparisonRss:
         assert comps[BIV_XY].n_obs == len(s.x) - 2
 
 
+def _decided(pvalues, significance, always_trivariate=False):
+    """``decide_edge_array`` on one sample's named p-values at one level."""
+    row = np.array([pvalues[key] for key in FORWARD_KEYS])
+    [flags] = decide_edge_array(row, np.array([significance]), always_trivariate)
+    return edge_set(flags)
+
+
+class TestForwardPvalues:
+    @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
+    def test_rows_follow_criteria_and_columns_follow_forward_keys(self, topology):
+        s = _sample(topology, seed=7, length=60)
+        criteria = tuple(Criterion)
+        pvalues = forward_pvalues(s.x.values, s.y.values, s.z.values, 2, criteria)
+        assert pvalues.shape == (len(criteria), len(FORWARD_KEYS))
+        comps = comparison_rss(s.x.values, s.y.values, s.z.values, 2)
+        for row, criterion in zip(pvalues, criteria):
+            for p_value, key in zip(row, FORWARD_KEYS):
+                c = comps[key]
+                assert p_value == statistic_from_rss(
+                    criterion, c.rss_restricted, c.rss_unrestricted,
+                    c.n_obs, c.q, c.k).p_value
+
+    def test_rank_deficient_sample_raises(self):
+        x = np.random.default_rng(3).normal(size=100)
+        with pytest.raises(RankDeficient):
+            forward_pvalues(x, x, np.roll(x, 1), 2, (Criterion.WALD,))
+
+
 class TestDecideEdges:
     ALL_LOW = {BIV_XY: 0.0, BIV_XZ: 0.0, BIV_YZ: 0.0, TRI_XZ: 0.0, TRI_YZ: 0.0}
 
     def test_incomplete_scan_skips_trivariate(self):
         p = dict(self.ALL_LOW, **{BIV_YZ: 0.9, TRI_XZ: 0.9})
         # scan found only {XY, XZ}; trivariate p-values must be ignored
-        assert decide_edges(p, 0.05) == frozenset({Link.XY, Link.XZ})
+        assert _decided(p, 0.05) == frozenset({Link.XY, Link.XZ})
 
     def test_complete_scan_replaces_z_edges(self):
         p = dict(self.ALL_LOW, **{TRI_YZ: 0.9})
-        assert decide_edges(p, 0.05) == frozenset({Link.XY, Link.XZ})
+        assert _decided(p, 0.05) == frozenset({Link.XY, Link.XZ})
         p = dict(self.ALL_LOW, **{TRI_XZ: 0.9})
-        assert decide_edges(p, 0.05) == frozenset({Link.XY, Link.YZ})
-        assert decide_edges(self.ALL_LOW, 0.05) == frozenset(
+        assert _decided(p, 0.05) == frozenset({Link.XY, Link.YZ})
+        assert _decided(self.ALL_LOW, 0.05) == frozenset(
             {Link.XY, Link.XZ, Link.YZ})
 
     def test_always_trivariate_override(self):
         p = dict(self.ALL_LOW, **{BIV_YZ: 0.9})
-        assert decide_edges(p, 0.05) == frozenset({Link.XY, Link.XZ})
-        assert decide_edges(p, 0.05, always_trivariate=True) == frozenset(
+        assert _decided(p, 0.05) == frozenset({Link.XY, Link.XZ})
+        assert _decided(p, 0.05, always_trivariate=True) == frozenset(
             {Link.XY, Link.XZ, Link.YZ})
 
     def test_significance_monotone(self):
         # the bivariate edge set can only grow as significance grows
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            p = {k: float(rng.uniform()) for k in self.ALL_LOW}
-            lo = decide_edges(p, 0.01)
-            hi = decide_edges(p, 0.5)
-            biv_lo = {link for link, key in ((Link.XY, BIV_XY), (Link.XZ, BIV_XZ),
-                                             (Link.YZ, BIV_YZ)) if p[key] < 0.01}
-            biv_hi = {link for link, key in ((Link.XY, BIV_XY), (Link.XZ, BIV_XZ),
-                                             (Link.YZ, BIV_YZ)) if p[key] < 0.5}
-            assert biv_lo <= biv_hi
-            assert lo == decide_edges(p, 0.01)  # deterministic
-            assert isinstance(hi, frozenset)
+        pvalues = rng.uniform(size=(200, 5))
+        edges = decide_edge_array(pvalues, np.array([0.01, 0.5]))
+        for p, (lo, hi) in zip(pvalues, edges):
+            biv_lo, biv_hi = p[:3] < 0.01, p[:3] < 0.5
+            assert (biv_lo <= biv_hi).all()
+            named = dict(zip(FORWARD_KEYS, p))
+            assert edge_set(lo) == _decided(named, 0.01)  # row-independent
+            assert edge_set(hi) == _decided(named, 0.5)
 
 
 class TestDecideEdgeArray:
@@ -182,7 +218,7 @@ class TestDecideEdgeArray:
             named = dict(zip(FORWARD_KEYS, pattern))
             for flags, alpha in zip(row, self.ALPHAS):
                 expected = decide_edges(named, float(alpha), always_trivariate)
-                assert {link for link, on in zip(FORWARD_LINKS, flags) if on} == expected
+                assert edge_set(flags) == expected
 
     def test_leading_axes_are_kept(self):
         pvalues = np.random.default_rng(1).uniform(size=(4, 3, 5))
@@ -190,14 +226,16 @@ class TestDecideEdgeArray:
 
 
 class TestFullProcedure:
+    """The two-step procedure as ``analyze`` and the Monte Carlo loop run it:
+    ``forward_pvalues`` followed by ``decide_edge_array``."""
+
     def test_driver_scan_is_complete(self):
         # with baseline noise the pairwise scan accepts all three forward
         # links for both causal topologies (the indirect chain transmits
         # x into z, and the driver makes y a proxy for x)
         for topology in (TopologyKind.DRIVER, TopologyKind.INDIRECT):
             s = _sample(topology, seed=6)
-            scan = bivariate_scan(s, GrangerConfig())
-            assert scan == frozenset({Link.XY, Link.XZ, Link.YZ})
+            assert (_pvalues(s)[:3] < 0.05).all()
 
     def test_trivariate_removes_spurious_driver_link(self):
         # driver truth: conditioning on x should reject y->z most of the time
@@ -205,8 +243,7 @@ class TestFullProcedure:
         n_cases = 60
         for i in range(n_cases):
             s = _sample(TopologyKind.DRIVER, seed=1000 + i)
-            d = trivariate_test(s, "y", GrangerConfig())
-            if not d.decided_causal:
+            if _pvalues(s)[FORWARD_KEYS.index(TRI_YZ)] >= 0.05:
                 removed += 1
         assert removed / n_cases >= 0.9
 
@@ -216,8 +253,7 @@ class TestFullProcedure:
         for topology in hits:
             for i in range(n_cases):
                 s = _sample(topology, seed=2000 + i)
-                label = infer_topology(s, GrangerConfig())
-                if label.kind is topology:
+                if TopologyLabel.from_edges(_edges(s)).kind is topology:
                     hits[topology] += 1
         assert hits[TopologyKind.DRIVER] / n_cases >= 0.85
         assert hits[TopologyKind.INDIRECT] / n_cases >= 0.85
@@ -231,26 +267,27 @@ class TestFullProcedure:
                                  y=TimeSeries(rng.normal(size=300)),
                                  z=TimeSeries(rng.normal(size=300)),
                                  truth=TopologyLabel.null())
-            if infer_topology(s, GrangerConfig()).kind is TopologyKind.NULL:
+            if TopologyLabel.from_edges(_edges(s)).kind is TopologyKind.NULL:
                 hits += 1
         assert hits / n_cases >= 0.7  # 1 - alpha per link, three links
 
     def test_two_step_consistency(self):
-        # infer_topology agrees with manually composing scan + conditional tests
+        # the procedure agrees with composing the pairwise scan and the
+        # conditional tests by hand
         for seed in range(20):
             s = _sample(TopologyKind.INDIRECT, seed=3000 + seed)
-            cfg = GrangerConfig()
-            scan = bivariate_scan(s, cfg)
-            label = infer_topology(s, cfg)
-            if scan != frozenset({Link.XY, Link.XZ, Link.YZ}):
-                assert label == TopologyLabel.from_edges(scan)
+            p = dict(zip(FORWARD_KEYS, _pvalues(s)))
+            scan = {link for link, key in ((Link.XY, BIV_XY), (Link.XZ, BIV_XZ),
+                                           (Link.YZ, BIV_YZ)) if p[key] < 0.05}
+            if len(scan) < 3:
+                assert _edges(s) == scan
             else:
-                edges = {Link.XY} if Link.XY in scan else set()
-                if trivariate_test(s, "x", cfg).decided_causal:
+                edges = {Link.XY}
+                if p[TRI_XZ] < 0.05:
                     edges.add(Link.XZ)
-                if trivariate_test(s, "y", cfg).decided_causal:
+                if p[TRI_YZ] < 0.05:
                     edges.add(Link.YZ)
-                assert label == TopologyLabel.from_edges(edges)
+                assert _edges(s) == edges
 
     def test_reverse_links_rarely_accepted(self):
         accepted = 0

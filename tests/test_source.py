@@ -8,6 +8,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "granger_lab"
 # __init__.py imports names to re-export them, not to use them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +34,49 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_names(source: str) -> set[str]:
+    """Names that a module's ``from ... import`` statements bind."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unread_definitions(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """Top-level functions and classes, not in ``exempt``, that no module
+    reads (as a name or an attribute) outside their own definition."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[own] = f"{module}.{own}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return sorted(qualified for name, qualified in defined.items()
+                  if name not in read | exempt)
+
+
+def test_guard_flags_an_unread_definition():
+    sources = {"a": "def used():\n    return helper()\n\n"
+                    "def helper():\n    return helper\n\n"
+                    "def recursive():\n    return recursive()\n\n"
+                    "class Exported:\n    pass\n",
+               "b": "from .a import used\nused()\n"}
+    assert unread_definitions(sources, exempt={"Exported"}) == ["a.recursive"]
+
+
+def test_no_unread_definitions():
+    # Public names stay if the package exports them or the acceptance suite
+    # imports them; anything else that nothing in src/ reads is dead code.
+    exempt = (imported_names((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+              | imported_names(ACCEPTANCE.read_text(encoding="utf-8")))
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_definitions(sources, exempt) == []
