@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .core import Link, LinkDecision, TimeSeries, TopologyKind, TopologyLabel
+from .core import Link, TopologyKind, TopologyLabel
 from .criteria import (Criterion, PRESET_CRITERIA, TestOutcome, chi2_sf,
                        compare_criteria, f_sf)
 from .datagen import (GeneratorConfig, NoiseConfig, NoiseKind, TrivariateSample,
@@ -10,5 +10,5 @@ from .datagen import (GeneratorConfig, NoiseConfig, NoiseKind, TrivariateSample,
 from .experiments import (PhaseGrid, RateEstimate, SweepResult, estimate_rates,
                           extract_plane, phase_space, snr_grid,
                           sweep_sample_size, sweep_significance)
-from .granger import GrangerConfig, bivariate_test
+from .granger import GrangerConfig, forward_pvalues, reverse_pvalues
 from .regress import FitResult, InsufficientData, RankDeficient, ols_fit

@@ -21,13 +21,13 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .core import FORWARD_LINKS, TimeSeries, TopologyKind, TopologyLabel
+from .core import FORWARD_LINKS, TopologyKind, TopologyLabel
 from .criteria import Criterion
-from .datagen import (GeneratorConfig, NoiseKind, TrivariateSample, generate)
+from .datagen import GeneratorConfig, NoiseKind, TrivariateSample, generate
 from .experiments import (PhaseGrid, extract_plane, phase_space, require_positive,
                           sweep_sample_size, sweep_significance)
-from .granger import (FORWARD_KEYS, GrangerConfig, decide_edge_array, forward_pvalues,
-                      reverse_link_decisions)
+from .granger import (FORWARD_KEYS, REVERSE_KEYS, GrangerConfig, decide_edge_array,
+                      forward_pvalues, require_significance, reverse_pvalues)
 from .ppm import render_plane, write_ppm
 from .regress import RankDeficient
 
@@ -41,12 +41,13 @@ def fmt(value: float) -> str:
 
 
 def parse_grid(spec: str) -> tuple[float, ...]:
-    """Parse 'lo:hi:step' (inclusive) or a comma-separated value list."""
+    """Parse a comma-separated value list, or 'lo:hi:step': lo, lo + step, ...
+    up to the last value <= hi, 1e-9 of a step allowing for round-off."""
     if ":" in spec:
         lo, hi, step = (float(v) for v in spec.split(":"))
         if step <= 0 or hi < lo:
             raise ValueError(f"bad grid spec {spec!r}")
-        count = int(round((hi - lo) / step)) + 1
+        count = int((hi - lo) / step + 1e-9) + 1
         return tuple(round(lo + i * step, 12) for i in range(count))
     values = tuple(float(v) for v in spec.split(",") if v.strip())
     if not values:
@@ -294,9 +295,10 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
 
 def cmd_phase_space(args, argv: list[str]) -> int:
     started = time.time()
-    # Checked here as well as in phase_space, so that a bad count exits 2
-    # before the checkpoint is read, compared or touched.
+    # Checked here as well as in phase_space, so that a bad count or level
+    # exits 2 before the checkpoint is read, compared or touched.
     require_positive("iterations", args.iterations)
+    require_significance(args.alpha)
     topology = TopologyKind(args.topology)
     noise = NoiseKind(args.noise)
     criterion = Criterion(args.criterion)
@@ -331,17 +333,25 @@ def cmd_phase_space(args, argv: list[str]) -> int:
 
     if intact:
         os.truncate(csv_path, intact)  # drop a torn final line before appending
-    with open(csv_path, "a" if intact else "w", encoding="utf-8", newline="\n") as fh:
-        if not intact:
-            fh.write(PHASE_HEADER + "\n")
+    fh = None
 
-        def on_cell(cell: dict) -> None:
-            fh.write(_phase_row(meta, cell) + "\n")
-            fh.flush()
+    def on_cell(cell: dict) -> None:
+        # Opened when the first row is ready, so an early failure keeps --out.
+        nonlocal fh
+        if fh is None:
+            fh = open(csv_path, "a" if intact else "w", encoding="utf-8", newline="\n")
+            if not intact:
+                fh.write(PHASE_HEADER + "\n")
+        fh.write(_phase_row(meta, cell) + "\n")
+        fh.flush()
 
+    try:
         phase_space(noise, topology, args.n, args.alpha, criterion=criterion,
                     iterations=args.iterations, grids=grids, seed=args.seed,
                     workers=args.workers, on_cell=on_cell, done_cells=done_cells)
+    finally:
+        if fh is not None:
+            fh.close()
     manifest = os.path.join(args.out, "manifest.txt")
     write_manifest(manifest, "phase-space", argv, args.seed, [csv_path],
                    started, time.time())
@@ -382,32 +392,35 @@ def cmd_render(args) -> int:
 
 
 def _read_series_csv(path: str) -> TrivariateSample:
+    """The columns of a 't,x,y,z' CSV, in one pass of ``float`` per field.
+    A malformed file raises ``_MalformedInput`` naming its first faulty row."""
+    values: list[float] = []
+    linenos: list[int] = []  # the file line of each row, for fault messages
+    fault = None
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "t,x,y,z":
             raise _MalformedInput(f"{path}: expected header 't,x,y,z', got {header!r}")
-        cols: list[list[float]] = [[], [], []]
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise _MalformedInput(f"{path}: row {lineno}: expected 4 fields")
             try:
-                values = [float(v) for v in parts[1:]]
+                _, x, y, z = line.strip().split(",")
+                values += (float(x), float(y), float(z))
             except ValueError:
-                raise _MalformedInput(f"{path}: row {lineno}: non-numeric value")
-            if not all(np.isfinite(v) for v in values):
-                raise _MalformedInput(f"{path}: row {lineno}: non-finite value")
-            for c, v in zip(cols, values):
-                c.append(v)
-    if len(cols[0]) < 3:
+                if not line.strip():
+                    continue
+                problem = "non-numeric value" if line.count(",") == 3 else "expected 4 fields"
+                fault = f"row {lineno}: {problem}"
+                break
+            linenos.append(lineno)
+    data = np.array(values).reshape(-1, 3)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():  # every row read comes before the fault that ended the scan
+        fault = f"row {linenos[finite.argmin()]}: non-finite value"
+    if fault:
+        raise _MalformedInput(f"{path}: {fault}")
+    if len(data) < 3:
         raise _MalformedInput(f"{path}: too few rows")
-    return TrivariateSample(x=TimeSeries(np.array(cols[0])),
-                            y=TimeSeries(np.array(cols[1])),
-                            z=TimeSeries(np.array(cols[2])),
-                            truth=TopologyLabel.null())
+    return TrivariateSample(*data.T)
 
 
 class _MalformedInput(ValueError):
@@ -419,9 +432,8 @@ def cmd_analyze(args) -> int:
     config = GrangerConfig(lags=args.lags, criterion=Criterion(args.criterion),
                            significance=args.alpha)
     try:
-        [pvalues] = forward_pvalues(sample.x.values, sample.y.values, sample.z.values,
-                                    config.lags, (config.criterion,))
-        reverse = reverse_link_decisions(sample, config)
+        [pvalues] = forward_pvalues(*sample, config.lags, (config.criterion,))
+        [reverse] = reverse_pvalues(*sample, config.lags, (config.criterion,))
     except RankDeficient:
         print("rank-deficient design: a series is constant or duplicated; "
               "check the input columns", file=sys.stderr)
@@ -430,7 +442,7 @@ def cmd_analyze(args) -> int:
     label = TopologyLabel.from_edges(
         link for link, on in zip(FORWARD_LINKS, accepted) if on)
     forward_p = {key: float(p) for key, p in zip(FORWARD_KEYS, pvalues)}
-    reverse_p = {k: d.outcome.p_value for k, d in reverse.items()}
+    reverse_p = {key: float(p) for key, p in zip(REVERSE_KEYS, reverse)}
     report = {
         "topology": label.kind.value,
         "edges": sorted(e.value for e in label.edges),
@@ -462,9 +474,8 @@ def cmd_generate(args) -> int:
                              seed=args.seed)
     sample = generate(config)
     lines = ["t,x,y,z"]
-    for t in range(len(sample.x)):
-        lines.append(",".join([str(t), fmt(sample.x.values[t]),
-                               fmt(sample.y.values[t]), fmt(sample.z.values[t])]))
+    for t, (x, y, z) in enumerate(zip(*sample)):
+        lines.append(",".join([str(t), fmt(x), fmt(y), fmt(z)]))
     _write_lines(args.out, lines)
     print(f"wrote {args.out}")
     return 0

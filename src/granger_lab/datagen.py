@@ -13,7 +13,8 @@ not to the system's own dynamics.
 
 All three modes consume random draws in the same order (uniforms, then one
 standard-normal block per series), so samples with different noise settings
-but the same seed share the same underlying realization.
+but the same seed share the same underlying realization. A sample is three
+equal-length 1-D float64 arrays with every value finite.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .core import TimeSeries, TopologyLabel, TopologyKind
+from .core import TopologyKind
 
 
 class NoiseKind(str, Enum):
@@ -93,16 +94,12 @@ class GeneratorConfig:
         object.__setattr__(self, "sigmas_or_snrs", tuple(float(v) for v in self.sigmas_or_snrs))
 
 
-@dataclass(frozen=True)
-class TrivariateSample:
-    x: TimeSeries
-    y: TimeSeries
-    z: TimeSeries
-    truth: TopologyLabel
+class TrivariateSample(NamedTuple):
+    """One sample: the X, Y and Z series as equal-length 1-D float64 arrays."""
 
-    def __post_init__(self) -> None:
-        if not (len(self.x) == len(self.y) == len(self.z)):
-            raise ValueError("all three series must have equal length")
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
 
 
 def snr_to_sigma(snr_db: float, signal_variance: float) -> float:
@@ -196,10 +193,7 @@ def resolve_sigmas(config: GeneratorConfig) -> NoiseConfig:
 def generate(config: GeneratorConfig) -> TrivariateSample:
     """Generate one trivariate sample according to the config's noise mode."""
     x, y, z = next(generate_chunks(config, (config.seed,)))
-    truth = (TopologyLabel.driver() if config.topology is TopologyKind.DRIVER
-             else TopologyLabel.indirect())
-    return TrivariateSample(x=TimeSeries(x[0]), y=TimeSeries(y[0]), z=TimeSeries(z[0]),
-                            truth=truth)
+    return TrivariateSample(x[0], y[0], z[0])
 
 
 def chunk_rows(config: GeneratorConfig) -> int:

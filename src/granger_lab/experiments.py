@@ -31,7 +31,8 @@ import numpy as np
 from .core import TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
 from .datagen import GeneratorConfig, NoiseKind, generate_chunks, resolve_sigmas
-from .granger import FORWARD_KEYS, GrangerConfig, decide_edge_array, forward_pvalues
+from .granger import (FORWARD_KEYS, GrangerConfig, decide_edge_array, forward_pvalues,
+                      require_significance)
 from .regress import RankDeficient
 
 _FLAG_NAMES = ("spurious", "unidentified", "xy", "xz", "yz")
@@ -262,9 +263,9 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     calls with the same master seed.
     """
     require_positive("iterations", iterations)
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas or not all(0.0 < a < 1.0 for a in alphas):
-        raise ValueError("significance grid must be non-empty and within (0, 1)")
+    alphas = tuple(require_significance(a) for a in alphas)
+    if not alphas:
+        raise ValueError("significance grid must be non-empty")
     gen = gen_config or GeneratorConfig(topology=topology, length=n_points)
     [(counts, rd)] = _accumulate([(gen, ())], lags, tuple(criteria), alphas, False,
                                  iterations, seed, workers)
@@ -282,6 +283,7 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
     """Rates against the sample size at a fixed significance level, plus
     pairwise criterion-difference tests at each size."""
     require_positive("cases", cases)
+    alpha = require_significance(alpha)
     sizes = tuple(int(n) for n in sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
@@ -313,6 +315,7 @@ def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: fl
     SNR triples to their rate dicts; those cells are not recomputed.
     """
     require_positive("iterations", iterations)
+    require_significance(alpha)
     _worker_count(workers, 1)  # checked even when every cell is already done
     if noise_kind is NoiseKind.FIXED_SIGMA:
         raise ValueError("phase spaces require an SNR noise kind")

@@ -8,10 +8,10 @@ X->Z and Y->Z edges with those verdicts.
 Every sample reaches its edges along one path: ``forward_pvalues`` scores
 the five forward comparisons of one ``comparison_rss`` pass, and
 ``decide_edge_array`` applies the two-step rule to any stack of them. The
-Monte Carlo loop and ``analyze`` both take it. Every test, forward or
-reverse, takes the RSS of its nested model pair from one
-``regress.nested_rss`` pass over ``_lag_rows`` columns and scores the pair
-with ``criteria.statistic_from_rss``.
+Monte Carlo loop and ``analyze`` both take it; ``reverse_pvalues`` scores
+the reverse links, which ``analyze`` reports but never classifies. Every
+test takes the RSS of its nested model pair from one ``regress.nested_rss``
+pass over ``_lag_rows`` columns and scores it with ``statistic_from_rss``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LinkDecision, TimeSeries
 from .criteria import Criterion, statistic_from_rss
-from .datagen import TrivariateSample
 from .regress import InsufficientData, nested_rss
 
 #: Keys for the five forward-model comparisons the two-step procedure uses.
@@ -31,7 +29,15 @@ BIV_XY, BIV_XZ, BIV_YZ = "x->y", "x->z", "y->z"
 TRI_XZ, TRI_YZ = "tri:x->z", "tri:y->z"
 FORWARD_KEYS = (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ)
 
-_REVERSE_PAIRS = (("x", "y"), ("x", "z"), ("y", "z"))
+#: Keys for the three reverse links, each a pairwise test on its own.
+REVERSE_KEYS = ("y->x", "z->x", "z->y")
+
+
+def require_significance(alpha: float) -> float:
+    """``alpha`` as a float strictly between 0 and 1, else a ValueError."""
+    if not 0.0 < float(alpha) < 1.0:
+        raise ValueError(f"significance level must lie strictly in (0, 1), got {alpha!r}")
+    return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,7 @@ class GrangerConfig:
     always_trivariate: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.significance < 1.0:
-            raise ValueError("significance must lie strictly between 0 and 1")
+        require_significance(self.significance)
         if self.lags < 1:
             raise ValueError("lags must be >= 1")
 
@@ -132,32 +137,18 @@ def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray,
     return edges
 
 
-def _pair_test(cause: np.ndarray, effect: np.ndarray, link: str,
-               config: GrangerConfig) -> LinkDecision:
-    """Do the cause's lags improve the effect's own-lag model? One QR pass
-    on [effect lags | cause lags] gives both RSS values."""
-    p = config.lags
-    if cause.shape != effect.shape:
-        raise ValueError(f"series lengths differ: {cause.size} vs {effect.size}")
-    n_obs = effect.size - p
+def reverse_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
+                    criteria: Sequence[Criterion]) -> np.ndarray:
+    """P-values (criterion, link) of the reverse links, in the order of
+    ``REVERSE_KEYS``: do the cause's lags improve the effect's own-lag
+    model? One ``nested_rss`` pass on [effect lags | cause lags] per link."""
+    if not x.shape == y.shape == z.shape:
+        raise ValueError(f"series lengths differ: {x.size}, {y.size}, {z.size}")
+    p = lags
+    n_obs = x.size - p
     if n_obs < 2 * p + 1:
         raise InsufficientData(f"{n_obs} observations for {2 * p} coefficients")
-    rss_r, rss_u = nested_rss(_lag_rows((effect, cause), p).T, effect[p:], (p, 2 * p))
-    outcome = statistic_from_rss(config.criterion, rss_r, rss_u, n_obs, p, 2 * p)
-    return LinkDecision(link=link, outcome=outcome,
-                        decided_causal=outcome.p_value < config.significance)
-
-
-def bivariate_test(cause: TimeSeries, effect: TimeSeries,
-                   config: GrangerConfig) -> LinkDecision:
-    """Pairwise Granger test: do the cause's lags improve the effect's model?"""
-    return _pair_test(cause.values, effect.values, "cause->effect", config)
-
-
-def reverse_link_decisions(sample: TrivariateSample,
-                           config: GrangerConfig) -> dict[str, LinkDecision]:
-    """Pairwise tests of the reverse links; diagnostic only, never classified."""
-    return {f"{cause}->{effect}": _pair_test(getattr(sample, cause).values,
-                                             getattr(sample, effect).values,
-                                             f"{cause}->{effect}", config)
-            for effect, cause in _REVERSE_PAIRS}
+    rss = [nested_rss(_lag_rows((effect, cause), p).T, effect[p:], (p, 2 * p))
+           for effect, cause in ((x, y), (x, z), (y, z))]
+    return np.array([[statistic_from_rss(crit, rss_r, rss_u, n_obs, p, 2 * p).p_value
+                      for rss_r, rss_u in rss] for crit in criteria])

@@ -1,7 +1,9 @@
 import json
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from granger_lab import cli, granger, regress
 from granger_lab.cli import (PHASE_HEADER, fmt, load_phase_csv, main,
@@ -17,6 +19,29 @@ class TestParsing:
     def test_parse_grid_range_is_inclusive(self):
         assert parse_grid("0.05:0.2:0.05") == (0.05, 0.1, 0.15, 0.2)
         assert parse_grid("-40:40:40") == (-40.0, 0.0, 40.0)
+
+    def test_parse_grid_stops_at_the_last_value_within_hi(self):
+        assert parse_grid("-40:40:30") == (-40.0, -10.0, 20.0)
+        assert parse_grid("25:300:100") == (25.0, 125.0, 225.0)
+        assert parse_grid("0:0.3:0.1") == (0.0, 0.1, 0.2, 0.3)
+
+    def test_documented_grids_are_unchanged(self):
+        assert parse_grid("0.05:0.5:0.05") == tuple(i / 20 for i in range(1, 11))
+        assert parse_grid("-40:40:5") == tuple(float(v) for v in range(-40, 41, 5))
+        assert parse_grid("-40:40:10") == tuple(float(v) for v in range(-40, 41, 10))
+        assert parse_grid("25:300:25") == tuple(float(v) for v in range(25, 301, 25))
+
+    @given(lo=st.integers(-10**6, 10**6), span=st.integers(0, 10**5), data=st.data())
+    def test_parse_grid_range_properties(self, lo, span, data):
+        # Bounds and step in thousandths, written as decimals the way they
+        # arrive on the command line; at most 501 values.
+        step = data.draw(st.integers(max(1, span // 500), 10**5), label="step")
+        lo_f, hi_f, step_f = lo / 1000, (lo + span) / 1000, step / 1000
+        values = parse_grid(f"{lo_f}:{hi_f}:{step_f}")
+        assert values[0] == lo_f
+        assert max(values) <= hi_f
+        assert len(values) == span // step + 1  # the next value would pass hi
+        assert np.allclose(np.diff(values), step_f, rtol=0.0, atol=1e-9)
 
     def test_parse_grid_comma_list(self):
         assert parse_grid("0.1,0.3,0.2") == (0.1, 0.3, 0.2)
@@ -215,6 +240,24 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("alpha", ["0", "1.5", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep-alpha", "--topology", "driver", "--n", "50", "--iterations", "4",
+         "--alpha-grid={alpha}"],
+        ["sweep-n", "--topology", "driver", "--sizes", "50", "--cases", "4",
+         "--alpha={alpha}"],
+        ["phase-space", "--topology", "driver", "--noise", "intrinsic", "--n", "60",
+         "--iterations", "2", "--grid", "0", "--alpha={alpha}"],
+    ], ids=["sweep-alpha", "sweep-n", "phase-space"])
+    def test_significance_outside_unit_interval_exits_2(self, tmp_path, capsys, argv,
+                                                        alpha):
+        out = tmp_path / "o"
+        argv = [a.format(alpha=alpha) for a in argv]
+        assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"significance level must lie strictly in (0, 1), got {float(alpha)!r}\n")
+        assert not out.exists()
+
     def test_sweep_alpha_empty_grid_exits_2(self, tmp_path):
         rc = main(["sweep-alpha", "--topology", "driver", "--alpha-grid", "",
                    "--out", str(tmp_path / "o")])
@@ -310,6 +353,27 @@ class TestPhaseSpaceCommand:
         assert main(args + ["--resume", "--out", str(out)]) == 2
         assert csv.read_bytes() == torn
 
+    def test_failed_run_keeps_the_previous_csv(self, tmp_path):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        full = csv.read_bytes()
+        assert main(self.ARGS + ["--seed=-1", "--out", str(out)]) == 2
+        assert csv.read_bytes() == full
+
+    @pytest.mark.parametrize("alpha", ["0", "1.5"])
+    def test_bad_alpha_leaves_the_checkpoint_alone(self, tmp_path, capsys, alpha):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        torn = csv.read_bytes()[:-5]  # a resume would cut this tail off
+        csv.write_bytes(torn)
+        capsys.readouterr()
+        assert main(self.ARGS + [f"--alpha={alpha}", "--resume", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"significance level must lie strictly in (0, 1), got {float(alpha)!r}\n")
+        assert csv.read_bytes() == torn
+
     def test_resume_conflict_exits_4(self, tmp_path):
         out = tmp_path / "ps"
         assert main(self.ARGS + ["--out", str(out)]) == 0
@@ -324,6 +388,71 @@ class TestPhaseSpaceCommand:
         assert main(args2 + ["--out", str(out2)]) == 0
         assert ((out1 / "phase_space.csv").read_bytes()
                 == (out2 / "phase_space.csv").read_bytes())
+
+
+class TestSeriesReader:
+    """The ``analyze`` input parser: every exit-2 message names the first
+    faulty row of the file, counting the header and blank lines."""
+
+    FAULTS = {"fields": ("2,1.0,2.0", "expected 4 fields"),
+              "non-numeric": ("2,1.0,x,3.0", "non-numeric value"),
+              "nan": ("2,nan,2.0,3.0", "non-finite value"),
+              "inf": ("2,1.0,2.0,-inf", "non-finite value")}
+
+    def _analyze_err(self, tmp_path, capsys, text):
+        csv = tmp_path / "in.csv"
+        csv.write_text(text)
+        assert main(["analyze", "--input", str(csv)]) == 2
+        return capsys.readouterr().err.replace(str(csv), "FILE")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                    min_size=3, max_size=40))
+    def test_fmt_round_trip_is_bitwise(self, tmp_path_factory, rows):
+        csv = tmp_path_factory.mktemp("series") / "in.csv"
+        csv.write_text("t,x,y,z\n" + "".join(f"{t},{fmt(x)},{fmt(y)},{fmt(z)}\n"
+                                             for t, (x, y, z) in enumerate(rows)))
+        sample = cli._read_series_csv(str(csv))
+        for got, column in zip(sample, zip(*rows)):
+            assert got.tobytes() == np.array(column, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_fault_after_a_blank_line_names_its_line(self, tmp_path, capsys, fault):
+        line, message = self.FAULTS[fault]
+        text = f"t,x,y,z\n0,1,2,3\n\n1,1,2,3\n{line}\n3,1,2,3\n4,1,2,3\n"
+        assert self._analyze_err(tmp_path, capsys, text) == f"FILE: row 5: {message}\n"
+
+    @pytest.mark.parametrize("first, second", permutations(FAULTS, 2))
+    def test_two_faults_name_the_first(self, tmp_path, capsys, first, second):
+        text = (f"t,x,y,z\n0,1,2,3\n{self.FAULTS[first][0]}\n  \n1,1,2,3\n"
+                f"{self.FAULTS[second][0]}\n3,1,2,3\n4,1,2,3\n")
+        assert self._analyze_err(tmp_path, capsys, text) == (
+            f"FILE: row 3: {self.FAULTS[first][1]}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,x,y,z\n0,1,2,3\n\n1,4,5,6\n", "too few rows"),
+        ("t,x,y\n0,1,2\n1,2,3\n2,3,4\n", "expected header 't,x,y,z', got 't,x,y'"),
+    ], ids=["too-few-rows", "wrong-header"])
+    def test_unusable_file_exits_2(self, tmp_path, capsys, text, message):
+        assert self._analyze_err(tmp_path, capsys, text) == f"FILE: {message}\n"
+
+
+class TestBenchmarkHooks:
+    """benchmarks/tracing.py times these names by replacing them in their
+    modules, and counts ``len(result.x)`` rows per ``_read_series_csv`` call.
+    A rename there would otherwise fail only on traced benchmark runs."""
+
+    @pytest.mark.parametrize("module, name", [
+        (granger, "nested_rss"), (granger, "statistic_from_rss"), (cli, "generate"),
+        (cli, "_write_lines"), (cli, "_read_series_csv")])
+    def test_traced_name_resolves(self, module, name):
+        assert callable(getattr(module, name))
+
+    def test_reader_result_counts_the_rows(self, tmp_path):
+        csv = tmp_path / "sample.csv"
+        assert main(["generate", "--topology", "driver", "--n", "37",
+                     "--out", str(csv)]) == 0
+        assert len(cli._read_series_csv(str(csv)).x) == 37
 
 
 class TestRender:

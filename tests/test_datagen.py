@@ -8,9 +8,9 @@ from granger_lab.core import TopologyKind
 from scipy.signal import lfilter
 
 from granger_lab.datagen import (BASELINE_SIGMAS, GenerationError,
-                                 GeneratorConfig, NoiseKind, _calibration_variances,
-                                 chunk_rows, generate, generate_chunks,
-                                 resolve_sigmas, snr_to_sigma)
+                                 GeneratorConfig, NoiseKind, TrivariateSample,
+                                 _calibration_variances, chunk_rows, generate,
+                                 generate_chunks, resolve_sigmas, snr_to_sigma)
 
 UNIFORM_VAR = 4.0 / 3.0  # variance of U(-2, 2) = (b - a)^2 / 12
 
@@ -64,7 +64,7 @@ class TestGenerateFixed:
                               ar_coefficient=0.0, sigmas_or_snrs=(0, 0, 0), seed=1)
         s = generate(cfg)
         # z_t = x_{t-2} exactly (t >= 2 such that both lie after burn-in)
-        np.testing.assert_allclose(s.z.values[2:], s.x.values[:-2], atol=0)
+        np.testing.assert_allclose(s.z[2:], s.x[:-2], atol=0)
 
     def test_noise_free_recurrence_oracle(self):
         # burn_in=0 so the oracle sees the same zero-start transient
@@ -72,9 +72,9 @@ class TestGenerateFixed:
             cfg = GeneratorConfig(topology=topology, length=150, burn_in=0,
                                   sigmas_or_snrs=(0, 0, 0), seed=9)
             s = generate(cfg)
-            y, z = _oracle_series(s.x.values, 0.3, topology)
-            np.testing.assert_allclose(s.y.values, y, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(s.z.values, z, rtol=1e-12, atol=1e-12)
+            y, z = _oracle_series(s.x, 0.3, topology)
+            np.testing.assert_allclose(s.y, y, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(s.z, z, rtol=1e-12, atol=1e-12)
 
     def test_indirect_transmits_through_two_ar_stages(self):
         # With zero noise the indirect z at time t is
@@ -83,23 +83,19 @@ class TestGenerateFixed:
         cfg = GeneratorConfig(topology=TopologyKind.INDIRECT, length=100,
                               burn_in=0, sigmas_or_snrs=(0, 0, 0), seed=4)
         s = generate(cfg)
-        x = s.x.values
+        x = s.x
         t = 60
         expected = sum((m + 1) * 0.3**m * x[t - 2 - m] for m in range(t - 1))
-        assert s.z.values[t] == pytest.approx(expected, rel=1e-12)
-
-    def test_truth_label(self):
-        s = generate(GeneratorConfig(topology=TopologyKind.INDIRECT, length=50))
-        assert s.truth.kind is TopologyKind.INDIRECT
+        assert s.z[t] == pytest.approx(expected, rel=1e-12)
 
     def test_determinism(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100, seed=77)
         a, b = generate(cfg), generate(cfg)
-        np.testing.assert_array_equal(a.x.values, b.x.values)
-        np.testing.assert_array_equal(a.z.values, b.z.values)
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.z, b.z)
         c = generate(GeneratorConfig(topology=TopologyKind.DRIVER,
                                      length=100, seed=78))
-        assert not np.array_equal(a.x.values, c.x.values)
+        assert not np.array_equal(a.x, c.x)
 
     def test_length_and_burn_in(self):
         s = generate(GeneratorConfig(topology=TopologyKind.DRIVER,
@@ -158,8 +154,8 @@ class TestIntrinsic:
                                 sigmas_or_snrs=(noise.alpha, noise.beta, noise.gamma),
                                 seed=5)
         a, b = generate(cfg), generate(fixed)
-        np.testing.assert_array_equal(a.y.values, b.y.values)
-        np.testing.assert_array_equal(a.z.values, b.z.values)
+        np.testing.assert_array_equal(a.y, b.y)
+        np.testing.assert_array_equal(a.z, b.z)
 
     def test_noise_propagates_downstream(self):
         # intrinsic noise on X must change Y; extrinsic noise on X must not
@@ -169,16 +165,14 @@ class TestIntrinsic:
         quiet = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                 noise_kind=NoiseKind.INTRINSIC_SNR,
                                 sigmas_or_snrs=(40.0, 40.0, 40.0), seed=6)
-        assert not np.array_equal(generate(base).y.values,
-                                  generate(quiet).y.values)
+        assert not np.array_equal(generate(base).y, generate(quiet).y)
         ext0 = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                noise_kind=NoiseKind.EXTRINSIC_SNR,
                                sigmas_or_snrs=(0.0, 40.0, 40.0), seed=6)
         ext1 = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                noise_kind=NoiseKind.EXTRINSIC_SNR,
                                sigmas_or_snrs=(40.0, 40.0, 40.0), seed=6)
-        np.testing.assert_array_equal(generate(ext0).y.values,
-                                      generate(ext1).y.values)
+        np.testing.assert_array_equal(generate(ext0).y, generate(ext1).y)
 
 
 def _noise_free(config):
@@ -200,11 +194,11 @@ class TestExtrinsic:
         n1, n2 = resolve_sigmas(cfg((10, 5, -5))), resolve_sigmas(cfg((0, 0, 0)))
         # standardized residuals match between the two noise levels
         np.testing.assert_allclose(
-            (s1.x.values - clean.x.values) / n1.alpha,
-            (s2.x.values - clean.x.values) / n2.alpha, rtol=1e-10)
+            (s1.x - clean.x) / n1.alpha,
+            (s2.x - clean.x) / n2.alpha, rtol=1e-10)
         np.testing.assert_allclose(
-            (s1.z.values - clean.z.values) / n1.gamma,
-            (s2.z.values - clean.z.values) / n2.gamma, rtol=1e-10)
+            (s1.z - clean.z) / n1.gamma,
+            (s2.z - clean.z) / n2.gamma, rtol=1e-10)
 
     def test_high_snr_approaches_noise_free(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
@@ -213,8 +207,8 @@ class TestExtrinsic:
         zeros = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                 sigmas_or_snrs=(0, 0, 0), seed=3)
         a, b = generate(cfg), generate(zeros)
-        np.testing.assert_allclose(a.x.values, b.x.values, atol=1e-7)
-        np.testing.assert_allclose(a.z.values, b.z.values, atol=1e-7)
+        np.testing.assert_allclose(a.x, b.x, atol=1e-7)
+        np.testing.assert_allclose(a.z, b.z, atol=1e-7)
 
     def test_lag_relation_holds_on_backbone_only(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
@@ -222,16 +216,18 @@ class TestExtrinsic:
                               noise_kind=NoiseKind.EXTRINSIC_SNR,
                               sigmas_or_snrs=(-10.0, -10.0, -10.0), seed=8)
         clean = _noise_free(cfg)
-        np.testing.assert_allclose(clean.z.values[2:], clean.x.values[:-2])
+        np.testing.assert_allclose(clean.z[2:], clean.x[:-2])
         noisy = generate(cfg)
-        assert not np.allclose(noisy.z.values[2:], noisy.x.values[:-2])
+        assert not np.allclose(noisy.z[2:], noisy.x[:-2])
 
 
 class TestGenerateDispatch:
     def test_baseline_sigmas_are_default(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
         assert cfg.sigmas_or_snrs == BASELINE_SIGMAS
-        assert generate(cfg).truth.kind is TopologyKind.DRIVER
+        sample = generate(cfg)
+        assert isinstance(sample, TrivariateSample)
+        assert all(s.dtype == np.float64 and s.shape == (50,) for s in sample)
 
 
 def _reference_generate(config):
@@ -284,7 +280,7 @@ class TestGenerateChunks:
             sample = generate(one)
             for got, single, ref in zip((x, y, z), (sample.x, sample.y, sample.z),
                                         _reference_generate(one)):
-                assert got.tobytes() == single.values.tobytes() == ref.tobytes()
+                assert got.tobytes() == single.tobytes() == ref.tobytes()
 
     def test_chunk_memory_is_bounded(self):
         short = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)

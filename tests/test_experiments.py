@@ -87,7 +87,8 @@ class TestEstimateRates:
 
 
 class TestCountChecks:
-    """Every entry point rejects a non-positive count before it draws a sample."""
+    """Every entry point rejects a non-positive count, or a significance level
+    outside (0, 1), before it draws a sample."""
 
     @pytest.fixture(autouse=True)
     def no_samples(self, monkeypatch):
@@ -114,10 +115,23 @@ class TestCountChecks:
                                    match=f"^{name} must be a positive integer, got {count}$"):
                     call()
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
+    def test_every_entry_point_rejects_the_significance_level(self, alpha):
+        calls = [
+            lambda: GrangerConfig(significance=alpha),
+            lambda: sweep_significance(TopologyKind.DRIVER, (0.05, alpha), iterations=4),
+            lambda: sweep_sample_size(TopologyKind.DRIVER, alpha, (50,), cases=4),
+            lambda: phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
+                                n=60, alpha=alpha, iterations=4)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^significance level must lie strictly "
+                                                 rf"in \(0, 1\), got {alpha!r}$"):
+                call()
+
 
 def _scalar_pvalues(sample, criterion):
     """The five forward p-values, one ``statistic_from_rss`` call each."""
-    comps = comparison_rss(sample.x.values, sample.y.values, sample.z.values, 2)
+    comps = comparison_rss(sample.x, sample.y, sample.z, 2)
     return {k: statistic_from_rss(criterion, c.rss_restricted, c.rss_unrestricted,
                                   c.n_obs, c.q, c.k).p_value
             for k, c in comps.items()}

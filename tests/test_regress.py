@@ -75,7 +75,7 @@ class TestOlsFit:
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=5000,
                               sigmas_or_snrs=(0.0, 0.1, 0.01), seed=11)
         s = generate(cfg)
-        z, x = s.z.values, s.x.values
+        z, x = s.z, s.x
         # row t = [z_{t-1}, z_{t-2}, x_{t-1}, x_{t-2}], response z_t, t >= 2
         matrix = np.column_stack([v[2 - k:5000 - k] for v in (z, x) for k in (1, 2)])
         fit = ols_fit(matrix, z[2:])
@@ -108,7 +108,7 @@ class TestNestedRss:
             s = generate(GeneratorConfig(topology=TopologyKind.DRIVER, length=300,
                                          noise_kind=NoiseKind.INTRINSIC_SNR,
                                          sigmas_or_snrs=(snr_db,) * 3, seed=seed))
-            z, y, x = s.z.values, s.y.values, s.x.values
+            z, y, x = s.z, s.y, s.x
             matrix = np.column_stack([v[2 - k:300 - k] for v in (z, y, x) for k in (1, 2)])
             response = z[2:]
             rss = nested_rss(matrix, response, (2, 4, 6))
