@@ -207,7 +207,7 @@ def cmd_sweep_alpha(args, argv: list[str]) -> int:
 
 def cmd_sweep_n(args, argv: list[str]) -> int:
     started = time.time()
-    sizes = tuple(int(v) for v in parse_grid(args.sizes))
+    sizes = parse_grid(args.sizes)
     criteria = parse_criteria(args.criteria)
     topology = TopologyKind(args.topology)
     result = sweep_sample_size(topology, args.alpha, sizes, criteria=criteria,
@@ -236,7 +236,7 @@ def cmd_sweep_n(args, argv: list[str]) -> int:
     write_manifest(manifest, "sweep-n", argv, args.seed, [csv_path, cmp_path],
                    started, time.time())
     final = {crit.value: result.rates[crit][-1].unidentified_rate for crit in criteria}
-    print(f"final unidentified rates at n={sizes[-1]}: {final}")
+    print(f"final unidentified rates at n={int(sizes[-1])}: {final}")
     return 0
 
 

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .core import TopologyKind
+from .seeding import generator_states, state_generator
 
 
 class NoiseKind(str, Enum):
@@ -123,14 +124,15 @@ def _ar_filter(driving: np.ndarray, coeff: float) -> np.ndarray:
     return lfilter([1.0], [1.0, -coeff], driving, axis=-1)
 
 
-def _raw_draws(seeds: Sequence[int], total: int) -> np.ndarray:
-    """(4, len(seeds), total) draws: uniforms, then the X, Y and Z normals.
+def _raw_draws(states: Sequence[np.ndarray], total: int) -> np.ndarray:
+    """(4, len(states), total) draws: uniforms, then the X, Y and Z normals.
 
-    Row r consumes one generator seeded with ``seeds[r]``, in that order.
+    Row r consumes one generator started from ``states[r]`` (a row of
+    ``generator_states``), in that order.
     """
-    draws = np.empty((4, len(seeds), total))
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    draws = np.empty((4, len(states), total))
+    for r, state in enumerate(states):
+        rng = state_generator(state)
         draws[0, r] = rng.uniform(-2.0, 2.0, total)
         for block in draws[1:, r]:
             rng.standard_normal(out=block)
@@ -149,9 +151,9 @@ def _backbone(u: np.ndarray, ex, ey, ez, coeff: float, topology: TopologyKind):
 
 
 def _generate_rows(config: GeneratorConfig, noise: NoiseConfig,
-                   seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   states: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     total = config.burn_in + config.length
-    u, nx, ny, nz = _raw_draws(seeds, total)
+    u, nx, ny, nz = _raw_draws(states, total)
     if config.noise_kind is NoiseKind.EXTRINSIC_SNR:
         x, y, z = _backbone(u, 0.0, 0.0, 0.0, config.ar_coefficient, config.topology)
         x = x + noise.alpha * nx
@@ -176,7 +178,7 @@ def _calibration_variances(topology: TopologyKind, ar_coefficient: float,
     cfg = GeneratorConfig(topology=topology, length=CALIBRATION_LENGTH,
                           ar_coefficient=ar_coefficient, burn_in=burn_in,
                           seed=CALIBRATION_SEED)
-    x, y, z = _generate_rows(cfg, NoiseConfig(0.0, 0.0, 0.0), (cfg.seed,))
+    x, y, z = _generate_rows(cfg, NoiseConfig(0.0, 0.0, 0.0), generator_states([cfg.seed]))
     return (float(np.var(x[0])), float(np.var(y[0])), float(np.var(z[0])))
 
 
@@ -192,7 +194,7 @@ def resolve_sigmas(config: GeneratorConfig) -> NoiseConfig:
 
 def generate(config: GeneratorConfig) -> TrivariateSample:
     """Generate one trivariate sample according to the config's noise mode."""
-    x, y, z = next(generate_chunks(config, (config.seed,)))
+    x, y, z = next(generate_chunks(config, generator_states([config.seed])))
     return TrivariateSample(x[0], y[0], z[0])
 
 
@@ -201,17 +203,19 @@ def chunk_rows(config: GeneratorConfig) -> int:
     return max(1, CHUNK_VALUES // (config.burn_in + config.length))
 
 
-def generate_chunks(config: GeneratorConfig, seeds: Iterable[int]
+def generate_chunks(config: GeneratorConfig, states: Iterable[np.ndarray]
                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Samples for a stream of seeds, as (rows, length) x, y, z arrays.
+    """Samples for a stream of generator states, as (rows, length) x, y, z
+    arrays.
 
     Row r of the stream equals ``generate(replace(config, seed=seed_r))``
-    bit for bit. Seeds are consumed ``chunk_rows(config)`` at a time, so
-    memory is bounded whatever the stream's length.
+    bit for bit when state r is a row of ``generator_states`` for seed_r.
+    States are consumed ``chunk_rows(config)`` at a time, so memory is
+    bounded whatever the stream's length.
     """
     noise = resolve_sigmas(config)
-    seeds = iter(seeds)
+    states = iter(states)
     rows = chunk_rows(config)
-    while chunk := tuple(islice(seeds, rows)):
+    while chunk := tuple(islice(states, rows)):
         yield _generate_rows(config, noise, chunk)
 

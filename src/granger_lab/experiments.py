@@ -4,7 +4,9 @@ SNR phase spaces.
 Determinism contract: every iteration draws its generator seed from
 (master seed, stream key..., iteration index) through a seed sequence, so
 results are bit-identical however the work is partitioned across workers.
-Rates are exact count/iterations fractions.
+Seeds and generator states are derived in bulk (``seeding``), for up to
+``RUN_ITERATIONS`` iterations of consecutive tasks at a time. Rates are
+exact count/iterations fractions.
 
 Rate counting follows the key links: with driver truth, spurious means the
 Y->Z link was accepted and unidentified means X->Z was rejected; with
@@ -24,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import combinations, islice, product
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .datagen import GeneratorConfig, NoiseKind, generate_chunks, resolve_sigmas
 from .granger import (FORWARD_KEYS, GrangerConfig, decide_edge_array, forward_pvalues,
                       require_significance)
 from .regress import RankDeficient
+from .seeding import derive_seeds, generator_states
 
 _FLAG_NAMES = ("spurious", "unidentified", "xy", "xz", "yz")
 
@@ -49,13 +52,6 @@ class DegenerateConfiguration(RuntimeError):
 
 class OffGrid(ValueError):
     """Requested plane coordinate is not a sampled grid value."""
-
-
-def derive_seed(master_seed: int, *key: int) -> int:
-    """64-bit generator seed from (master seed, stream key) via a seed sequence."""
-    ss = np.random.SeedSequence([int(master_seed)] + [int(k) for k in key])
-    state = ss.generate_state(2, np.uint32)
-    return (int(state[0]) << 32) | int(state[1])
 
 
 @dataclass(frozen=True)
@@ -139,8 +135,10 @@ def _worker_count(workers: Optional[int], jobs: int) -> int:
 def _count_block(gen_template: GeneratorConfig, lags: int,
                  criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
                  always_trivariate: bool, master_seed: int, key: tuple[int, ...],
-                 start: int, stop: int) -> tuple[np.ndarray, int]:
-    """Flag counts over one contiguous iteration range (worker unit).
+                 start: int, stop: int, states: Iterator[np.ndarray]
+                 ) -> tuple[np.ndarray, int]:
+    """Flag counts over iterations start..stop of the stream (master_seed,
+    *key), whose generator states ``states`` yields next (a task's unit).
 
     Samples come in chunks; each chunk's p-values are collected into a
     (sample, criterion, comparison) array and decided for every
@@ -151,8 +149,7 @@ def _count_block(gen_template: GeneratorConfig, lags: int,
     # Edge columns follow FORWARD_LINKS: x->y, x->z, y->z.
     spur, unid = (2, 1) if gen_template.topology is TopologyKind.DRIVER else (1, 2)
     alpha_levels = np.array(alphas)
-    seeds = (derive_seed(master_seed, *key, i) for i in range(start, stop))
-    for xs, ys, zs in generate_chunks(gen_template, seeds):
+    for xs, ys, zs in generate_chunks(gen_template, islice(states, stop - start)):
         pvalues = np.empty((len(xs), len(criteria), len(FORWARD_KEYS)))
         kept = 0
         for x, y, z in zip(xs, ys, zs):
@@ -169,9 +166,37 @@ def _count_block(gen_template: GeneratorConfig, lags: int,
     return counts, rank_deficient
 
 
+def _batched(streams: Iterable[tuple[tuple[int, ...], int, int]], size: int
+             ) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
+    """(prefix, start, stop) streams regrouped into batches of ``size``
+    iterations (the last may have fewer), split where a batch fills."""
+    batch, rows = [], 0
+    for prefix, start, stop in streams:
+        while start < stop:
+            end = min(stop, start + size - rows)
+            batch.append((prefix, start, end))
+            rows += end - start
+            start = end
+            if rows == size:
+                yield batch
+                batch, rows = [], 0
+    if batch:
+        yield batch
+
+
+def _counts(tasks: Sequence[tuple]) -> Iterator[tuple[np.ndarray, int]]:
+    """``_count_block`` of every task in order. The generator states of all
+    the tasks' iterations are derived ``RUN_ITERATIONS`` at a time."""
+    streams = (((master_seed, *key), start, stop)
+               for *_, master_seed, key, start, stop in tasks)
+    states = (state for batch in _batched(streams, RUN_ITERATIONS)
+              for state in generator_states(derive_seeds(batch)))
+    return (_count_block(*args, states) for args in tasks)
+
+
 def _count_run(tasks: Sequence[tuple]) -> list[tuple[np.ndarray, int]]:
     """Pool task: ``_count_block`` over a contiguous run of argument tuples."""
-    return [_count_block(*args) for args in tasks]
+    return list(_counts(tasks))
 
 
 def _schedule(tasks: Sequence[tuple], workers: Optional[int]
@@ -185,8 +210,7 @@ def _schedule(tasks: Sequence[tuple], workers: Optional[int]
     """
     n_workers = _worker_count(workers, len(tasks))
     if n_workers <= 1:
-        for args in tasks:
-            yield _count_block(*args)
+        yield from _counts(tasks)
         return
     # Every task of a command shares one backbone: calibrate it here, so
     # that forked workers inherit the cached variances.
@@ -284,6 +308,9 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
     pairwise criterion-difference tests at each size."""
     require_positive("cases", cases)
     alpha = require_significance(alpha)
+    for n in sizes:
+        if not float(n).is_integer():
+            raise ValueError(f"sample sizes must be integers, got {n!r}")
     sizes = tuple(int(n) for n in sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")

@@ -108,10 +108,16 @@ def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     }
 
 
+def _require_equal_lengths(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
+    if not x.shape == y.shape == z.shape:
+        raise ValueError(f"series lengths differ: {x.size}, {y.size}, {z.size}")
+
+
 def forward_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
                     criteria: Sequence[Criterion]) -> np.ndarray:
     """P-values (criterion, comparison) of the five forward comparisons, in
     the order of ``FORWARD_KEYS``, from one ``comparison_rss`` pass."""
+    _require_equal_lengths(x, y, z)
     comps = comparison_rss(x, y, z, lags)
     ordered = [comps[key] for key in FORWARD_KEYS]
     return np.array([[statistic_from_rss(crit, c.rss_restricted, c.rss_unrestricted,
@@ -142,8 +148,7 @@ def reverse_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
     """P-values (criterion, link) of the reverse links, in the order of
     ``REVERSE_KEYS``: do the cause's lags improve the effect's own-lag
     model? One ``nested_rss`` pass on [effect lags | cause lags] per link."""
-    if not x.shape == y.shape == z.shape:
-        raise ValueError(f"series lengths differ: {x.size}, {y.size}, {z.size}")
+    _require_equal_lengths(x, y, z)
     p = lags
     n_obs = x.size - p
     if n_obs < 2 * p + 1:

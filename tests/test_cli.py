@@ -11,7 +11,8 @@ from granger_lab.cli import (PHASE_HEADER, fmt, load_phase_csv, main,
 from granger_lab.core import FORWARD_LINKS, TopologyKind
 from granger_lab.criteria import Criterion
 from granger_lab.datagen import GeneratorConfig
-from granger_lab.experiments import _count_block, derive_seed
+from granger_lab.experiments import _count_run
+from granger_lab.seeding import derive_seeds
 from granger_lab.ppm import rate_to_rgb, read_ppm, render_plane, rgb_to_rate, write_ppm
 
 
@@ -155,7 +156,7 @@ class TestGenerateAnalyze:
     def test_analyze_decides_like_the_monte_carlo_loop(self, tmp_path, capsys,
                                                        topology, criterion):
         # Iteration i of a Monte Carlo run is the sample `generate --seed
-        # derive_seed(master, i)` writes; analyze must accept the same edges
+        # <seed i of derive_seeds>` writes; analyze must accept the same edges
         # as _count_block's per-link flags for it. Heavy noise on y and z
         # makes the samples reach different decisions, including ones where
         # the pairwise scan is incomplete and a conditional test disagrees
@@ -163,17 +164,17 @@ class TestGenerateAnalyze:
         master, n, params, seen, gated = 13, 40, (0.0, 3.0, 3.0), set(), False
         gen = GeneratorConfig(topology=TopologyKind(topology), length=n,
                               sigmas_or_snrs=params)
-        for i in range(4):
+        for i, seed in enumerate(derive_seeds([((master,), 0, 4)])):
             csv = tmp_path / f"{i}.csv"
             assert main(["generate", "--topology", topology, "--n", str(n),
                          "--params", ",".join(map(str, params)),
-                         f"--seed={derive_seed(master, i)}", "--out", str(csv)]) == 0
+                         f"--seed={seed}", "--out", str(csv)]) == 0
             capsys.readouterr()
             assert main(["analyze", "--input", str(csv), "--criterion", criterion,
                          "--json"]) == 0
             report = json.loads(capsys.readouterr().out)
-            counts, rank_deficient = _count_block(gen, 2, (Criterion(criterion),), (0.05,),
-                                                  False, master, (), i, i + 1)
+            [(counts, rank_deficient)] = _count_run(
+                [(gen, 2, (Criterion(criterion),), (0.05,), False, master, (), i, i + 1)])
             assert rank_deficient == 0
             flags = counts[0, 0, 2:]  # x->y, x->z, y->z, as FORWARD_LINKS
             assert sorted(report["edges"]) == sorted(
@@ -272,6 +273,16 @@ class TestSweepCommands:
         cmp_lines = (out / "sweep_n_compare.csv").read_text().splitlines()
         assert cmp_lines[0].startswith("n,criterion_a,criterion_b,")
         assert len(cmp_lines) == 3  # header + one pair x two sizes
+
+    @pytest.mark.parametrize("sizes, bad", [("25.5,60.9", "25.5"), ("50,60.5", "60.5"),
+                                            ("25:30:2.5", "27.5"), ("nan", "nan"),
+                                            ("1e400", "inf")])
+    def test_sweep_n_fractional_size_exits_2(self, tmp_path, capsys, sizes, bad):
+        out = tmp_path / "o"
+        assert main(["sweep-n", "--topology", "driver", "--alpha", "0.1", f"--sizes={sizes}",
+                     "--cases", "4", "--workers", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"sample sizes must be integers, got {bad}\n"
+        assert not out.exists()
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "m"

@@ -11,6 +11,7 @@ from granger_lab.datagen import (BASELINE_SIGMAS, GenerationError,
                                  GeneratorConfig, NoiseKind, TrivariateSample,
                                  _calibration_variances, chunk_rows, generate,
                                  generate_chunks, resolve_sigmas, snr_to_sigma)
+from granger_lab.seeding import generator_states
 
 UNIFORM_VAR = 4.0 / 3.0  # variance of U(-2, 2) = (b - a)^2 / 12
 
@@ -272,7 +273,7 @@ class TestGenerateChunks:
         cfg = GeneratorConfig(topology=topology, length=300, noise_kind=kind,
                               sigmas_or_snrs=params)
         seeds = [1_000_003 * i + 17 for i in range(chunk_rows(cfg) + 3)]
-        chunks = list(generate_chunks(cfg, iter(seeds)))
+        chunks = list(generate_chunks(cfg, iter(generator_states(np.array(seeds, np.uint64)))))
         assert [len(c[0]) for c in chunks] == [chunk_rows(cfg), 3]
         rows = [row for xs, ys, zs in chunks for row in zip(xs, ys, zs)]
         for seed, (x, y, z) in zip(seeds, rows):
@@ -281,6 +282,17 @@ class TestGenerateChunks:
             for got, single, ref in zip((x, y, z), (sample.x, sample.y, sample.z),
                                         _reference_generate(one)):
                 assert got.tobytes() == single.tobytes() == ref.tobytes()
+
+    def test_chunk_mixes_one_and_two_word_seeds(self):
+        # default_rng hashes a seed below 2**32 as one word and a larger one
+        # as two; the bulk states of one chunk must match both kinds.
+        cfg = GeneratorConfig(topology=TopologyKind.INDIRECT, length=60,
+                              noise_kind=NoiseKind.INTRINSIC_SNR, sigmas_or_snrs=(0.0, 10.0, 20.0))
+        seeds = [0, 5, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1, 77]
+        [chunk] = generate_chunks(cfg, generator_states(np.array(seeds, np.uint64)))
+        for seed, x, y, z in zip(seeds, *chunk):
+            for got, ref in zip((x, y, z), _reference_generate(replace(cfg, seed=seed))):
+                assert got.tobytes() == ref.tobytes()
 
     def test_chunk_memory_is_bounded(self):
         short = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)

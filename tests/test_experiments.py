@@ -9,11 +9,11 @@ from granger_lab import datagen, experiments
 from granger_lab.core import Link, TopologyKind
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GenerationError, GeneratorConfig, NoiseKind, generate
-from granger_lab.experiments import (DegenerateConfiguration, OffGrid,
-                                     derive_seed, estimate_rates, extract_plane,
-                                     phase_space, snr_grid, sweep_sample_size,
-                                     sweep_significance)
+from granger_lab.experiments import (DegenerateConfiguration, OffGrid, estimate_rates,
+                                     extract_plane, phase_space, snr_grid,
+                                     sweep_sample_size, sweep_significance)
 from granger_lab.granger import GrangerConfig, comparison_rss
+from granger_lab.seeding import derive_seeds, generator_states
 
 from decision_reference import decide_edges
 
@@ -22,12 +22,19 @@ def _gen(topology=TopologyKind.DRIVER, length=100, **kwargs):
     return GeneratorConfig(topology=topology, length=length, **kwargs)
 
 
+def _seed(master_seed, *key_and_index):
+    """The generator seed of one iteration: stream (master_seed, *key), index last."""
+    *key, i = key_and_index
+    [seed] = derive_seeds([((master_seed, *key), i, i + 1)])
+    return int(seed)
+
+
 class TestSeeding:
     def test_derive_seed_deterministic_and_distinct(self):
-        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
-        seeds = {derive_seed(1, k, i) for k in range(5) for i in range(50)}
-        assert len(seeds) == 250
-        assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
+        assert _seed(1, 2, 3) == _seed(1, 2, 3)
+        seeds = derive_seeds([((1, k), 0, 50) for k in range(5)])
+        assert len(set(seeds.tolist())) == 250
+        assert _seed(1, 2, 3) != _seed(1, 3, 2)
 
 
 class TestEstimateRates:
@@ -56,7 +63,7 @@ class TestEstimateRates:
         iters, seed = 25, 13
         spurious = 0
         for i in range(iters):
-            sample = generate(replace(gen, seed=derive_seed(seed, i)))
+            sample = generate(replace(gen, seed=_seed(seed, i)))
             edges = decide_edges(_scalar_pvalues(sample, cfg.criterion), cfg.significance)
             spurious += Link.YZ in edges  # driver truth: y->z is spurious
         est = estimate_rates(gen, cfg, iterations=iters, master_seed=seed)
@@ -141,7 +148,7 @@ def _loop_counts(gen, criteria, alphas, master_seed, iterations):
     """Driver-truth flag counts, one sample and one scalar decision at a time."""
     counts = np.zeros((len(criteria), len(alphas), 5), dtype=np.int64)
     for i in range(iterations):
-        s = generate(replace(gen, seed=derive_seed(master_seed, i)))
+        s = generate(replace(gen, seed=_seed(master_seed, i)))
         for ci, crit in enumerate(criteria):
             pvalues = _scalar_pvalues(s, crit)
             for ai, alpha in enumerate(alphas):
@@ -156,8 +163,8 @@ class TestCountBlock:
         gen = _gen(length=60)
         criteria, alphas = (Criterion.LR, Criterion.RAO), (0.05, 0.2, 0.5)
         monkeypatch.setattr(datagen, "CHUNK_VALUES", 7 * (60 + gen.burn_in))
-        counts, rank_deficient = experiments._count_block(
-            gen, 2, criteria, alphas, False, 4, (), 0, 30)
+        [(counts, rank_deficient)] = experiments._count_run(
+            [(gen, 2, criteria, alphas, False, 4, (), 0, 30)])
         assert rank_deficient == 0
         np.testing.assert_array_equal(counts, _loop_counts(gen, criteria, alphas, 4, 30))
 
@@ -321,6 +328,73 @@ class TestSchedule:
                             lambda gen: calls.append(len(pool.sizes)))
         _phase(workers=2)
         assert calls == [0]
+
+
+def _cell_tasks(iterations):
+    """Phase-space tasks over GRID3: one cell each, iterations 0..iterations."""
+    return [(GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
+                             noise_kind=NoiseKind.INTRINSIC_SNR, sigmas_or_snrs=snrs),
+             2, (Criterion.WALD,), (0.05,), False, 6, (cell,), 0, iterations)
+            for cell, snrs in enumerate(product(*GRID3))]
+
+
+class TestPartitionInvariance:
+    """Counts do not depend on the worker count, the runs or the seed batches."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """Rows of every bulk seed derivation, in call order."""
+        rows, derive = [], experiments.derive_seeds
+
+        def recording(streams):
+            seeds = derive(streams)
+            rows.append(len(seeds))
+            return seeds
+
+        monkeypatch.setattr(experiments, "derive_seeds", recording)
+        return rows
+
+    def test_phase_space_cells_for_any_partition(self, pool, monkeypatch, batches):
+        tasks = _cell_tasks(4)
+        reference = list(experiments._schedule(tasks, 1))
+        assert batches == [4 * len(tasks)]  # inline: one derivation for the grid
+        for run_iterations in (1000, 6, 3):
+            monkeypatch.setattr(experiments, "RUN_ITERATIONS", run_iterations)
+            for workers in (1, 2, 3):
+                batches.clear()
+                pool.submits.clear()
+                counts = list(experiments._schedule(tasks, workers))
+                assert len(counts) == len(reference)
+                for (got, got_rd), (ref, ref_rd) in zip(counts, reference):
+                    np.testing.assert_array_equal(got, ref)
+                    assert got_rd == ref_rd
+                assert sum(batches) == 4 * len(tasks) and max(batches) <= run_iterations
+                if workers > 1:
+                    runs = [run for run, in pool.submits]
+                    assert len(runs) > 1
+                    if run_iterations >= 4:  # one derivation per run
+                        assert batches == [4 * len(run) for run in runs]
+
+    def test_oversized_task_is_seeded_in_bounded_batches(self, monkeypatch, batches):
+        task = _cell_tasks(30)[0]
+        [(whole, whole_rd)] = experiments._schedule([task], 1)
+        batches.clear()
+        monkeypatch.setattr(experiments, "RUN_ITERATIONS", 7)
+        states = []
+
+        def recording(seeds):
+            states.append(len(seeds))
+            return generator_states(seeds)
+
+        monkeypatch.setattr(experiments, "generator_states", recording)
+        [(counts, rank_deficient)] = experiments._schedule([task], 1)
+        assert batches == states == [7, 7, 7, 7, 2]
+        np.testing.assert_array_equal(counts, whole)
+        assert rank_deficient == whole_rd
 
 
 class TestSweeps:

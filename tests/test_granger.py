@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from granger_lab import granger
 from granger_lab.core import Link, TopologyKind, TopologyLabel
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GeneratorConfig, NoiseKind, TrivariateSample, generate
@@ -158,6 +159,19 @@ class TestForwardPvalues:
         x = np.random.default_rng(3).normal(size=100)
         with pytest.raises(RankDeficient):
             forward_pvalues(x, x, np.roll(x, 1), 2, (Criterion.WALD,))
+
+    @pytest.mark.parametrize("lengths", [(250, 200, 200), (200, 250, 200), (200, 200, 150)],
+                             ids=["x-longer", "y-longer", "z-shorter"])
+    def test_unequal_lengths_raise_before_fitting(self, monkeypatch, lengths):
+        def no_fit(*args):
+            raise AssertionError("an RSS was computed")
+
+        monkeypatch.setattr(granger, "nested_rss", no_fit)
+        rng = np.random.default_rng(12)
+        series = [rng.normal(size=n) for n in lengths]
+        message = "^series lengths differ: {}, {}, {}$".format(*lengths)
+        with pytest.raises(ValueError, match=message):
+            forward_pvalues(*series, 2, (Criterion.WALD,))
 
 
 class TestDecideEdges:
