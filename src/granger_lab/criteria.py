@@ -10,7 +10,9 @@ and k unrestricted parameters:
 
 The Rao statistic is the finite-sample-exact F form, chosen for its small
 sample behaviour. For any nested pair with rss_r > rss_u the statistics
-order as Wald >= LR >= LM.
+order as Wald >= LR >= LM. In floating point the order is exact once
+(rss_r - rss_u) / rss_u exceeds about 1e-8; closer pairs, whose p-values
+are all near 1, are ordered by the rounding of ln(rss_r / rss_u).
 """
 
 from __future__ import annotations

@@ -15,6 +15,10 @@ All three modes consume random draws in the same order (uniforms, then one
 standard-normal block per series), so samples with different noise settings
 but the same seed share the same underlying realization. A sample is three
 equal-length 1-D float64 arrays with every value finite.
+
+The AR(1) recurrences are one LAPACK tridiagonal solve per chunk (``dgttrs``
+with the closed-form factors of a unit bidiagonal matrix), bit-identical to
+SciPy's ``lfilter``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgttrs
 
 from .core import TopologyKind
 from .seeding import generator_states, state_generator
@@ -88,7 +92,7 @@ class GeneratorConfig:
             raise ValueError("topology must be driver or indirect")
         if self.length <= 2:
             raise ValueError("length must exceed the backbone's maximum lag (2)")
-        if abs(self.ar_coefficient) >= 1.0:
+        if not abs(self.ar_coefficient) < 1.0:  # also rejects NaN
             raise ValueError("|ar_coefficient| must be < 1 for stationarity")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
@@ -119,9 +123,35 @@ def _shift(values: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _bidiagonal_factors(n: int, coeff: float) -> tuple[np.ndarray, ...]:
+    """``dgttrf``'s (dl, d, du, du2, ipiv) for the n x n unit upper bidiagonal
+    matrix with superdiagonal -coeff, in closed form (no fill-in, no row
+    swaps). Read-only, because every caller shares them."""
+    factors = (np.zeros(n - 1), np.ones(n), np.full(n - 1, -coeff), np.zeros(n - 2),
+               np.arange(1, n + 1, dtype=np.int32))
+    for array in factors:
+        array.flags.writeable = False
+    return factors
+
+
 def _ar_filter(driving: np.ndarray, coeff: float) -> np.ndarray:
-    """s_t = coeff * s_{t-1} + driving_t along the last axis, started from zero."""
-    return lfilter([1.0], [1.0, -coeff], driving, axis=-1)
+    """s_t = coeff * s_{t-1} + driving_t along the last axis, started from zero.
+
+    This is the transposed solve U^T s = driving, U unit upper bidiagonal with
+    superdiagonal -coeff. U is its own LU factorisation without pivoting, so
+    ``dgttrs`` takes the factors as given; its U^T pass computes
+    (driving_t - (-coeff) * s_{t-1} - 0 * s_{t-2}) / 1, which in IEEE
+    arithmetic is ``lfilter``'s driving_t + coeff * s_{t-1}, and its L^T pass
+    (L = I) subtracts 0 * s_{t+1}, which leaves nonzero finite values as they
+    are. The rows of a C-ordered ``driving`` are the right-hand sides of its
+    F-ordered transpose, solved in place.
+    """
+    factors = _bidiagonal_factors(driving.shape[-1], coeff)
+    solved, info = dgttrs(*factors, driving.T, trans="T", overwrite_b=True)
+    if info != 0:
+        raise GenerationError(f"AR recurrence solve failed (LAPACK info={info})")
+    return solved.T
 
 
 def _raw_draws(states: Sequence[np.ndarray], total: int) -> np.ndarray:
@@ -174,12 +204,15 @@ def _generate_rows(config: GeneratorConfig, noise: NoiseConfig,
 @lru_cache(maxsize=32)
 def _calibration_variances(topology: TopologyKind, ar_coefficient: float,
                            burn_in: int = DEFAULT_BURN_IN) -> tuple[float, float, float]:
-    """Empirical noise-free signal variances of (X, Y, Z) for one backbone."""
-    cfg = GeneratorConfig(topology=topology, length=CALIBRATION_LENGTH,
-                          ar_coefficient=ar_coefficient, burn_in=burn_in,
-                          seed=CALIBRATION_SEED)
-    x, y, z = _generate_rows(cfg, NoiseConfig(0.0, 0.0, 0.0), generator_states([cfg.seed]))
-    return (float(np.var(x[0])), float(np.var(y[0])), float(np.var(z[0])))
+    """Empirical noise-free signal variances of (X, Y, Z) for one backbone.
+
+    A noise-free run reads only the uniforms, the first block of every draw,
+    so the normal blocks are not drawn.
+    """
+    [state] = generator_states([CALIBRATION_SEED])
+    u = state_generator(state).uniform(-2.0, 2.0, burn_in + CALIBRATION_LENGTH)
+    series = _backbone(u, 0.0, 0.0, 0.0, ar_coefficient, topology)
+    return tuple(float(np.var(s[burn_in:])) for s in series)
 
 
 def resolve_sigmas(config: GeneratorConfig) -> NoiseConfig:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,14 @@ class TestGenerateAnalyze:
     def test_bad_params_exit_2(self, tmp_path):
         assert main(["generate", "--topology", "driver", "--params", "1,2",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("ar", ["nan", "-nan", "inf"])
+    def test_non_finite_ar_exits_2(self, tmp_path, capsys, ar):
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--topology", "driver", f"--ar={ar}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ar_coefficient" in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_analyze_fits_the_comparisons_once(self, tmp_path, monkeypatch):
         csv = tmp_path / "sample.csv"
@@ -595,3 +607,16 @@ class TestTopLevel:
         manifest.write_text(f"argv={stored.format(path=manifest)}\n")
         assert main(["--from-manifest", str(manifest)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+class TestImportGraph:
+    def test_cli_import_leaves_out_signal_and_stats(self):
+        # A fresh interpreter: tests may import scipy.signal themselves.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, granger_lab.cli; "
+                 "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, timeout=120, check=True)
+        assert result.stdout.split() == []

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from granger_lab.criteria import (Criterion, PRESET_CRITERIA, chi2_sf,
                                   compare_criteria, f_sf, statistic_from_rss,
@@ -101,6 +102,20 @@ class TestStatisticClosedForms:
             lm = statistic_from_rss(Criterion.LM, rss_r, rss_u, n, q, k).statistic
             assert w >= lr - 1e-9
             assert lr >= lm - 1e-9
+
+    # Wald - LR and LR - LM are about n * gap^2 / 2 for the relative gap
+    # (rss_r - rss_u) / rss_u. Below a gap of about 1e-8 that is less than the
+    # rounding of ln(rss_r / rss_u), so the exact order starts there.
+    @settings(max_examples=300, deadline=None)
+    @given(rss_u=st.floats(1e-200, 1e200), gap=st.floats(1e-7, 1e6),
+           q=st.integers(1, 10), extra=st.integers(1, 10), dof=st.integers(1, 10**6))
+    def test_ordering_property(self, rss_u, gap, q, extra, dof):
+        rss_r = rss_u * (1.0 + gap)
+        k = q + extra
+        n = k + dof
+        w, lr, lm = (statistic_from_rss(c, rss_r, rss_u, n, q, k).statistic
+                     for c in (Criterion.WALD, Criterion.LR, Criterion.LM))
+        assert w >= lr >= lm > 0.0
 
     def test_no_improvement_gives_p_one(self):
         for criterion in Criterion:

@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from granger_lab.core import TopologyKind
+from scipy.linalg.lapack import dgttrf
 from scipy.signal import lfilter
 
-from granger_lab.datagen import (BASELINE_SIGMAS, GenerationError,
-                                 GeneratorConfig, NoiseKind, TrivariateSample,
+from granger_lab.datagen import (BASELINE_SIGMAS, CALIBRATION_LENGTH, CALIBRATION_SEED,
+                                 GenerationError, GeneratorConfig, NoiseKind,
+                                 TrivariateSample, _ar_filter, _bidiagonal_factors,
                                  _calibration_variances, chunk_rows, generate,
                                  generate_chunks, resolve_sigmas, snr_to_sigma)
 from granger_lab.seeding import generator_states
@@ -112,6 +115,11 @@ class TestGenerateFixed:
             GeneratorConfig(topology=TopologyKind.DRIVER, length=50,
                             ar_coefficient=1.0)
 
+    @pytest.mark.parametrize("ar", [math.nan, -math.nan, math.inf])
+    def test_rejects_nan_and_infinite_ar(self, ar):
+        with pytest.raises(ValueError, match="ar_coefficient"):
+            GeneratorConfig(topology=TopologyKind.DRIVER, length=50, ar_coefficient=ar)
+
     def test_magnitude_bound(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=50,
                               sigmas_or_snrs=(1e15, 0, 0))
@@ -136,6 +144,73 @@ class TestSignalVariance:
         # the indirect z accumulates two AR stages, hence more variance
         assert (_calibration_variances(TopologyKind.INDIRECT, 0.3)[2]
                 > _calibration_variances(TopologyKind.DRIVER, 0.3)[2])
+
+    @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
+    @pytest.mark.parametrize("ar", [0.3, -0.5])
+    def test_uniforms_only_equal_the_full_draw(self, topology, ar):
+        # The calibration draws only the uniforms; the variances must be
+        # those of the full four-block draw through lfilter, to the last bit.
+        old = GeneratorConfig(topology=topology, length=CALIBRATION_LENGTH, ar_coefficient=ar,
+                              sigmas_or_snrs=(0.0, 0.0, 0.0), seed=CALIBRATION_SEED)
+        expected = tuple(float(np.var(v)) for v in _reference_generate(old))
+        assert repr(_calibration_variances(topology, ar)) == repr(expected)
+
+
+def _python_recurrence(driving, coeff):
+    """s_t = coeff * s_{t-1} + driving_t, one Python float operation at a time."""
+    out = np.empty_like(driving)
+    for r, row in enumerate(driving.tolist()):
+        s = 0.0
+        for t, d in enumerate(row):
+            s = d + coeff * s
+            out[r, t] = s
+    return out
+
+
+@st.composite
+def _driving(draw, max_rows=100, max_length=700):
+    """(rows, length) driving terms: magnitudes from 1e-12 to 1e8 with random
+    signs, after a leading block of zeros."""
+    rows = draw(st.integers(1, max_rows), label="rows")
+    length = draw(st.integers(3, max_length), label="length")
+    lo = draw(st.integers(-12, 8), label="lo")
+    hi = draw(st.integers(lo, 8), label="hi")
+    zeros = draw(st.integers(0, length), label="zeros")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = rng.choice([-1.0, 1.0], (rows, length)) * 10.0 ** rng.uniform(lo, hi, (rows, length))
+    values[:, :zeros] = 0.0
+    return values
+
+
+class TestArFilter:
+    COEFFS = st.one_of(st.sampled_from([0.0, 0.3, -0.3, -0.999999]),
+                       st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+
+    @settings(max_examples=60, deadline=None)
+    @given(driving=_driving(), coeff=COEFFS)
+    def test_bitwise_equal_to_lfilter_and_the_recurrence(self, driving, coeff):
+        expected = lfilter([1.0], [1.0, -coeff], driving, axis=-1)
+        got = _ar_filter(driving.copy(), coeff)
+        assert got.shape == driving.shape and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == _python_recurrence(driving, coeff).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 50])
+    @pytest.mark.parametrize("coeff", [0.3, -0.9, 0.0])
+    def test_factors_are_dgttrf_of_the_bidiagonal_matrix(self, n, coeff):
+        *expected, info = dgttrf(np.zeros(n - 1), np.ones(n), np.full(n - 1, -coeff))
+        assert info == 0
+        for got, want in zip(_bidiagonal_factors(n, coeff), expected, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("coeff", [0.3, -0.7, 0.0])
+    def test_one_calibration_length_row(self, coeff):
+        rng = np.random.default_rng(11)
+        driving = rng.uniform(-2.0, 2.0, (1, 100_100))
+        driving[0, :100] = 0.0
+        got = _ar_filter(driving.copy(), coeff)
+        assert got.tobytes() == lfilter([1.0], [1.0, -coeff], driving, axis=-1).tobytes()
+        assert got.tobytes() == _python_recurrence(driving, coeff).tobytes()
 
 
 class TestIntrinsic:

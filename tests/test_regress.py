@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from granger_lab.core import TopologyKind
 from granger_lab.datagen import GeneratorConfig, NoiseKind, generate
@@ -100,6 +101,20 @@ class TestNestedRss:
             rss = nested_rss(matrix, response, (1, 2, 3, 4, 5, 6))
             assert all(a >= b - 1e-12 for a, b in zip(rss, rss[1:]))
             assert all(v >= 0.0 for v in rss)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_params=st.integers(1, 8),
+           spare_rows=st.integers(1, 60), spread=st.integers(0, 3), noise=st.integers(-12, 2))
+    def test_prefix_rss_never_increases(self, seed, n_params, spare_rows, spread, noise):
+        # Columns scaled over 10**+-spread; the response a fit of every
+        # column plus noise of 10**noise, down to nearly exact fits.
+        rng = np.random.default_rng(seed)
+        n_obs = n_params + spare_rows
+        matrix = rng.normal(size=(n_obs, n_params)) * 10.0 ** rng.uniform(-spread, spread, n_params)
+        response = matrix @ rng.normal(size=n_params) + 10.0 ** noise * rng.normal(size=n_obs)
+        rss = nested_rss(matrix, response, range(n_params + 1))
+        assert all(a >= b for a, b in zip(rss, rss[1:]))
+        assert rss[-1] >= 0.0
 
     @pytest.mark.parametrize("snr_db", [40.0, 80.0, 120.0])
     def test_matches_lstsq_at_high_snr(self, snr_db):
