@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shlex
 import sys
@@ -24,8 +25,8 @@ from . import __version__
 from .core import FORWARD_LINKS, TopologyKind, TopologyLabel
 from .criteria import Criterion
 from .datagen import GeneratorConfig, NoiseKind, TrivariateSample, generate
-from .experiments import (PhaseGrid, extract_plane, phase_space, require_positive,
-                          sweep_sample_size, sweep_significance)
+from .experiments import (PhaseGrid, extract_plane, phase_space, require_distinct_axes,
+                          require_positive, sweep_sample_size, sweep_significance)
 from .granger import (FORWARD_KEYS, REVERSE_KEYS, GrangerConfig, decide_edge_array,
                       forward_pvalues, require_significance, reverse_pvalues)
 from .ppm import render_plane, write_ppm
@@ -33,6 +34,9 @@ from .regress import RankDeficient
 
 PHASE_HEADER = ("snr_x_db,snr_y_db,snr_z_db,topology,noise_kind,n,alpha,"
                 "criterion,iterations,spurious_rate,unidentified_rate,rate_xz,rate_yz")
+
+#: Values a 'lo:hi:step' grid spec may expand to, at most.
+MAX_GRID_VALUES = 10_000
 
 
 def fmt(value: float) -> str:
@@ -42,13 +46,16 @@ def fmt(value: float) -> str:
 
 def parse_grid(spec: str) -> tuple[float, ...]:
     """Parse a comma-separated value list, or 'lo:hi:step': lo, lo + step, ...
-    up to the last value <= hi, 1e-9 of a step allowing for round-off."""
+    up to the last value <= hi, 1e-9 of a step allowing for round-off.
+    A range must be finite and have at most ``MAX_GRID_VALUES`` values."""
     if ":" in spec:
         lo, hi, step = (float(v) for v in spec.split(":"))
-        if step <= 0 or hi < lo:
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise ValueError(f"bad grid spec {spec!r}")
-        count = int((hi - lo) / step + 1e-9) + 1
-        return tuple(round(lo + i * step, 12) for i in range(count))
+        steps = (hi - lo) / step + 1e-9
+        if not steps < MAX_GRID_VALUES:  # also an overflow to infinity
+            raise ValueError(f"grid spec {spec!r} has more than {MAX_GRID_VALUES} values")
+        return tuple(round(lo + i * step, 12) for i in range(int(steps) + 1))
     values = tuple(float(v) for v in spec.split(",") if v.strip())
     if not values:
         raise ValueError("empty grid")
@@ -295,8 +302,8 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
 
 def cmd_phase_space(args, argv: list[str]) -> int:
     started = time.time()
-    # Checked here as well as in phase_space, so that a bad count or level
-    # exits 2 before the checkpoint is read, compared or touched.
+    # Checked here as well as in phase_space, so that a bad count, level or
+    # axis exits 2 before the checkpoint is read, compared or touched.
     require_positive("iterations", args.iterations)
     require_significance(args.alpha)
     topology = TopologyKind(args.topology)
@@ -305,6 +312,7 @@ def cmd_phase_space(args, argv: list[str]) -> int:
     shared = parse_grid(args.grid)
     grids = tuple(parse_grid(g) if g else shared
                   for g in (args.grid_x, args.grid_y, args.grid_z))
+    require_distinct_axes(grids)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "phase_space.csv")
     meta = {"topology": topology.value, "noise_kind": noise.value, "n": args.n,

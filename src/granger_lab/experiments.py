@@ -4,9 +4,9 @@ SNR phase spaces.
 Determinism contract: every iteration draws its generator seed from
 (master seed, stream key..., iteration index) through a seed sequence, so
 results are bit-identical however the work is partitioned across workers.
-Seeds and generator states are derived in bulk (``seeding``), for up to
-``RUN_ITERATIONS`` iterations of consecutive tasks at a time. Rates are
-exact count/iterations fractions.
+A command's iterations are cut once into runs of consecutive iterations,
+and each run's seeds and generator states are derived in bulk
+(``seeding``). Rates are exact count/iterations fractions.
 
 Rate counting follows the key links: with driver truth, spurious means the
 Y->Z link was accepted and unidentified means X->Z was rejected; with
@@ -25,7 +25,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ _FLAG_NAMES = ("spurious", "unidentified", "xy", "xz", "yz")
 
 _PHASE_FIELDS = ("spurious_rate", "unidentified_rate", "rate_xz", "rate_yz")
 
-#: Iterations one pool task covers, at most (a task of more is sent alone).
+#: Iterations of one run (one seed derivation, one pool task), at most.
 RUN_ITERATIONS = 1000
 
 
@@ -112,6 +112,13 @@ def require_positive(name: str, given: object) -> int:
     return value
 
 
+def require_distinct_axes(grids: Sequence[Sequence[float]]) -> None:
+    """Reject an axis that repeats a value: it would alias two SNR-keyed cells."""
+    for name, grid in zip("xyz", grids):
+        if len(set(map(float, grid))) < len(grid):
+            raise ValueError(f"the {name} grid repeats a value")
+
+
 def _worker_count(workers: Optional[int], jobs: int) -> int:
     """Worker processes for ``jobs`` independent tasks.
 
@@ -134,11 +141,9 @@ def _worker_count(workers: Optional[int], jobs: int) -> int:
 
 def _count_block(gen_template: GeneratorConfig, lags: int,
                  criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
-                 always_trivariate: bool, master_seed: int, key: tuple[int, ...],
-                 start: int, stop: int, states: Iterator[np.ndarray]
-                 ) -> tuple[np.ndarray, int]:
-    """Flag counts over iterations start..stop of the stream (master_seed,
-    *key), whose generator states ``states`` yields next (a task's unit).
+                 always_trivariate: bool, states: np.ndarray) -> tuple[np.ndarray, int]:
+    """Flag counts over the iterations of one cell whose generator states
+    are the rows of ``states`` (a run's segment of the cell).
 
     Samples come in chunks; each chunk's p-values are collected into a
     (sample, criterion, comparison) array and decided for every
@@ -149,7 +154,7 @@ def _count_block(gen_template: GeneratorConfig, lags: int,
     # Edge columns follow FORWARD_LINKS: x->y, x->z, y->z.
     spur, unid = (2, 1) if gen_template.topology is TopologyKind.DRIVER else (1, 2)
     alpha_levels = np.array(alphas)
-    for xs, ys, zs in generate_chunks(gen_template, islice(states, stop - start)):
+    for xs, ys, zs in generate_chunks(gen_template, states):
         pvalues = np.empty((len(xs), len(criteria), len(FORWARD_KEYS)))
         kept = 0
         for x, y, z in zip(xs, ys, zs):
@@ -166,15 +171,15 @@ def _count_block(gen_template: GeneratorConfig, lags: int,
     return counts, rank_deficient
 
 
-def _batched(streams: Iterable[tuple[tuple[int, ...], int, int]], size: int
-             ) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
-    """(prefix, start, stop) streams regrouped into batches of ``size``
+def _batched(streams: Iterable[tuple[object, int, int]], size: int
+             ) -> Iterator[list[tuple[object, int, int]]]:
+    """(item, start, stop) streams regrouped into batches of ``size``
     iterations (the last may have fewer), split where a batch fills."""
     batch, rows = [], 0
-    for prefix, start, stop in streams:
+    for item, start, stop in streams:
         while start < stop:
             end = min(stop, start + size - rows)
-            batch.append((prefix, start, end))
+            batch.append((item, start, end))
             rows += end - start
             start = end
             if rows == size:
@@ -184,66 +189,55 @@ def _batched(streams: Iterable[tuple[tuple[int, ...], int, int]], size: int
         yield batch
 
 
-def _counts(tasks: Sequence[tuple]) -> Iterator[tuple[np.ndarray, int]]:
-    """``_count_block`` of every task in order. The generator states of all
-    the tasks' iterations are derived ``RUN_ITERATIONS`` at a time."""
-    streams = (((master_seed, *key), start, stop)
-               for *_, master_seed, key, start, stop in tasks)
-    states = (state for batch in _batched(streams, RUN_ITERATIONS)
-              for state in generator_states(derive_seeds(batch)))
-    return (_count_block(*args, states) for args in tasks)
+def _count_run(run: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
+               alphas: tuple[float, ...], always_trivariate: bool,
+               master_seed: int) -> list[tuple[np.ndarray, int]]:
+    """Pool task: ``_count_block`` of every ((generator config, stream key),
+    start, stop) segment of a run, in order, from one seed derivation."""
+    states = generator_states(derive_seeds(
+        [((master_seed, *key), start, stop) for (_, key), start, stop in run]))
+    bounds = list(accumulate((stop - start for _, start, stop in run), initial=0))
+    return [_count_block(gen, lags, criteria, alphas, always_trivariate, states[a:b])
+            for ((gen, _), _, _), a, b in zip(run, bounds, bounds[1:])]
 
 
-def _count_run(tasks: Sequence[tuple]) -> list[tuple[np.ndarray, int]]:
-    """Pool task: ``_count_block`` over a contiguous run of argument tuples."""
-    return list(_counts(tasks))
+def _cell_counts(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags: int,
+                 criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
+                 always_trivariate: bool, iterations: int, master_seed: int,
+                 workers: Optional[int] = None) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield (counts, rank_deficient) per (generator config, stream key)
+    cell, in cell order.
 
-
-def _schedule(tasks: Sequence[tuple], workers: Optional[int]
-              ) -> Iterator[tuple[np.ndarray, int]]:
-    """Yield ``_count_block(*args)`` for every task, in task order.
-
-    At most one process pool is started. It is fed contiguous runs of
-    about a quarter of a worker's share of the tasks, capped at
-    ``RUN_ITERATIONS`` iterations, one submit per run. On any failure the
-    queued runs are cancelled. With one worker the tasks run inline.
+    The cells' iterations are cut into runs once, in order; a run may split
+    a cell. A run is one seed derivation and, with a pool, one task. Inline
+    runs have ``RUN_ITERATIONS`` iterations; one pool gets about four runs a
+    worker, capped at that. On any failure the queued runs are cancelled.
     """
-    n_workers = _worker_count(workers, len(tasks))
-    if n_workers <= 1:
-        yield from _counts(tasks)
-        return
-    # Every task of a command shares one backbone: calibrate it here, so
-    # that forked workers inherit the cached variances.
-    resolve_sigmas(tasks[0][0])
-    per_task = max(1, max(stop - start for *_, start, stop in tasks))
-    size = max(1, min(math.ceil(len(tasks) / (4 * n_workers)), RUN_ITERATIONS // per_task))
-    pool = ProcessPoolExecutor(max_workers=n_workers)
+    total = len(cells) * iterations
+    n_workers = _worker_count(workers, total // 2)  # two iterations or more each
+    size = min(RUN_ITERATIONS, total if n_workers == 1 else math.ceil(total / (4 * n_workers)))
+    runs = list(_batched(((cell, 0, iterations) for cell in cells), size))
+    args = (lags, criteria, alphas, always_trivariate, master_seed)
+    results = (_count_run(run, *args) for run in runs)
+    pool = None
     try:
-        runs = [pool.submit(_count_run, tasks[i:i + size])
-                for i in range(0, len(tasks), size)]
-        for run in runs:
-            yield from run.result()
+        if n_workers > 1:
+            # Every cell shares one backbone: calibrate it before the pool
+            # forks, so that the workers inherit the cached variances.
+            resolve_sigmas(cells[0][0])
+            pool = ProcessPoolExecutor(max_workers=n_workers)
+            futures = [pool.submit(_count_run, run, *args) for run in runs]
+            results = (future.result() for future in futures)
+        counts = rank_deficient = 0
+        for run, run_results in zip(runs, results):
+            for (_, _, stop), (block, block_rd) in zip(run, run_results):
+                counts, rank_deficient = counts + block, rank_deficient + block_rd
+                if stop == iterations:
+                    yield counts, rank_deficient
+                    counts = rank_deficient = 0
     finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _accumulate(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags: int,
-                criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
-                always_trivariate: bool, iterations: int, master_seed: int,
-                workers: Optional[int] = None) -> Iterator[tuple[np.ndarray, int]]:
-    """Yield (counts, rank_deficient) per (generator config, stream key) cell.
-
-    Each cell's iterations are split into contiguous blocks, one per worker
-    (a block has at least two iterations); all blocks go through one schedule.
-    """
-    bounds = np.linspace(0, iterations, _worker_count(workers, iterations // 2) + 1,
-                         dtype=int).tolist()
-    tasks = [(gen, lags, criteria, alphas, always_trivariate, master_seed, key, a, b)
-             for gen, key in cells for a, b in zip(bounds[:-1], bounds[1:])]
-    with closing(_schedule(tasks, workers)) as results:
-        for _ in cells:
-            counts, rank_deficient = zip(*islice(results, len(bounds) - 1))
-            yield sum(counts), sum(rank_deficient)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _estimate_from_counts(row: np.ndarray, iterations: int,
@@ -262,15 +256,14 @@ def _estimate_from_counts(row: np.ndarray, iterations: int,
 
 def estimate_rates(gen_config: GeneratorConfig, granger_config: GrangerConfig,
                    iterations: int, master_seed: int,
-                   stream_key: tuple[int, ...] = (),
                    workers: Optional[int] = None) -> RateEstimate:
     """Monte Carlo spurious/unidentified rates for one configuration."""
     require_positive("iterations", iterations)
-    [(counts, rd)] = _accumulate([(gen_config, stream_key)], granger_config.lags,
-                                 (granger_config.criterion,),
-                                 (granger_config.significance,),
-                                 granger_config.always_trivariate,
-                                 iterations, master_seed, workers)
+    [(counts, rd)] = _cell_counts([(gen_config, ())], granger_config.lags,
+                                  (granger_config.criterion,),
+                                  (granger_config.significance,),
+                                  granger_config.always_trivariate,
+                                  iterations, master_seed, workers)
     return _estimate_from_counts(counts[0, 0], iterations, rd)
 
 
@@ -278,8 +271,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
                        n_points: int = 50,
                        criteria: Sequence[Criterion] = PRESET_CRITERIA,
                        iterations: int = 1000, seed: int = 0,
-                       lags: int = 2, workers: Optional[int] = None,
-                       gen_config: Optional[GeneratorConfig] = None) -> SweepResult:
+                       lags: int = 2, workers: Optional[int] = None) -> SweepResult:
     """Rates against the significance level, at a fixed sample size.
 
     Samples are shared across significance levels and criteria (seeded per
@@ -290,9 +282,9 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     alphas = tuple(require_significance(a) for a in alphas)
     if not alphas:
         raise ValueError("significance grid must be non-empty")
-    gen = gen_config or GeneratorConfig(topology=topology, length=n_points)
-    [(counts, rd)] = _accumulate([(gen, ())], lags, tuple(criteria), alphas, False,
-                                 iterations, seed, workers)
+    gen = GeneratorConfig(topology=topology, length=n_points)
+    [(counts, rd)] = _cell_counts([(gen, ())], lags, tuple(criteria), alphas, False,
+                                  iterations, seed, workers)
     rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], iterations, rd)
                          for ai in range(len(alphas)))
              for ci, crit in enumerate(criteria)}
@@ -302,8 +294,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
 def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int],
                       criteria: Sequence[Criterion] = PRESET_CRITERIA,
                       cases: int = 1000, seed: int = 0, lags: int = 2,
-                      workers: Optional[int] = None,
-                      comparison_level: float = 0.1) -> SweepResult:
+                      workers: Optional[int] = None) -> SweepResult:
     """Rates against the sample size at a fixed significance level, plus
     pairwise criterion-difference tests at each size."""
     require_positive("cases", cases)
@@ -316,13 +307,12 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
         raise ValueError("sizes must be strictly increasing")
     criteria = tuple(criteria)
     cells = [(GeneratorConfig(topology=topology, length=n), (n,)) for n in sizes]
-    with closing(_accumulate(cells, lags, criteria, (alpha,), False, cases,
-                             seed, workers)) as results:
+    with closing(_cell_counts(cells, lags, criteria, (alpha,), False, cases,
+                              seed, workers)) as results:
         per_size = [{crit: _estimate_from_counts(counts[ci, 0], cases, rd)
                      for ci, crit in enumerate(criteria)} for counts, rd in results]
     rates = {crit: tuple(row[crit] for row in per_size) for crit in criteria}
-    comparisons = {(ca, cb): tuple(compare_criteria(row[ca], row[cb], level=comparison_level)
-                                   for row in per_size)
+    comparisons = {(ca, cb): tuple(compare_criteria(row[ca], row[cb]) for row in per_size)
                    for ca, cb in combinations(criteria, 2)}
     return SweepResult(axis=tuple(float(n) for n in sizes), rates=rates,
                        comparisons=comparisons)
@@ -349,15 +339,16 @@ def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: fl
     if grids is None:
         grids = (snr_grid(), snr_grid(), snr_grid())
     axes = tuple(tuple(float(v) for v in g) for g in grids)
+    require_distinct_axes(axes)
     fields = {name: np.zeros(tuple(len(a) for a in axes)) for name in _PHASE_FIELDS}
     done = dict(done_cells or {})
     # (grid index, SNR triple) of every cell, in grid order.
     coords = [tuple(zip(*c)) for c in product(*map(enumerate, axes))]
-    tasks = [(GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind,
-                              sigmas_or_snrs=snrs),
-              lags, (criterion,), (alpha,), False, seed, (cell_index,), 0, iterations)
+    cells = [(GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind,
+                              sigmas_or_snrs=snrs), (cell_index,))
              for cell_index, (_, snrs) in enumerate(coords) if snrs not in done]
-    with closing(_schedule(tasks, workers)) as results:
+    with closing(_cell_counts(cells, lags, (criterion,), (alpha,), False, iterations,
+                              seed, workers)) as results:
         for idx, snrs in coords:
             cell = done.get(snrs)
             if cell is None:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from granger_lab import cli, granger, regress
-from granger_lab.cli import (PHASE_HEADER, fmt, load_phase_csv, main,
+from granger_lab.cli import (MAX_GRID_VALUES, PHASE_HEADER, fmt, load_phase_csv, main,
                              parse_criteria, parse_grid, read_manifest)
 from granger_lab.core import FORWARD_LINKS, TopologyKind
 from granger_lab.criteria import Criterion
@@ -56,6 +56,18 @@ class TestParsing:
             parse_grid("")
         with pytest.raises(ValueError):
             parse_grid("1:0:1")
+
+    @pytest.mark.parametrize("spec", ["0.05:inf:0.05", "-inf:0:1", "0:nan:5", "0:1:inf",
+                                      "0:1:nan"])
+    def test_parse_grid_rejects_a_non_finite_range(self, spec):
+        with pytest.raises(ValueError, match=f"^bad grid spec '{spec}'$"):
+            parse_grid(spec)
+
+    def test_parse_grid_bounds_the_range_length(self):
+        assert len(parse_grid("1:10000:1")) == MAX_GRID_VALUES == 10_000
+        for spec in ("0:10000:1", "0:1e12:1", "-1e308:1e308:1e-300"):
+            with pytest.raises(ValueError, match=f"^grid spec '{spec}' has more than "):
+                parse_grid(spec)
 
     def test_parse_criteria(self):
         assert parse_criteria("lr,wald,rao") == (Criterion.LR, Criterion.WALD,
@@ -186,7 +198,7 @@ class TestGenerateAnalyze:
                          "--json"]) == 0
             report = json.loads(capsys.readouterr().out)
             [(counts, rank_deficient)] = _count_run(
-                [(gen, 2, (Criterion(criterion),), (0.05,), False, master, (), i, i + 1)])
+                [((gen, ()), i, i + 1)], 2, (Criterion(criterion),), (0.05,), False, master)
             assert rank_deficient == 0
             flags = counts[0, 0, 2:]  # x->y, x->z, y->z, as FORWARD_LINKS
             assert sorted(report["edges"]) == sorted(
@@ -275,6 +287,20 @@ class TestSweepCommands:
         rc = main(["sweep-alpha", "--topology", "driver", "--alpha-grid", "",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["sweep-alpha", "--iterations", "4", "--alpha-grid"], "0.05:inf:0.05"),
+        (["sweep-n", "--alpha", "0.1", "--cases", "4", "--sizes"], "20:inf:10"),
+        (["sweep-n", "--alpha", "0.1", "--cases", "4", "--sizes"], "0:10000:1"),
+        (["phase-space", "--noise", "intrinsic", "--iterations", "2", "--grid"], "0:nan:5"),
+    ], ids=["sweep-alpha-inf", "sweep-n-inf", "sweep-n-too-long", "phase-space-nan"])
+    def test_bad_range_exits_2_and_names_the_spec(self, tmp_path, capsys, argv, spec):
+        out = tmp_path / "o"
+        assert main(argv + [spec, "--topology", "driver", "--workers", "1",
+                            "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"grid spec '{spec}'" in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_sweep_n_writes_comparisons(self, tmp_path):
         out = tmp_path / "n"
@@ -396,6 +422,40 @@ class TestPhaseSpaceCommand:
         assert capsys.readouterr().err == (
             f"significance level must lie strictly in (0, 1), got {float(alpha)!r}\n")
         assert csv.read_bytes() == torn
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_repeated_axis_value_leaves_the_checkpoint_alone(self, tmp_path, capsys, axis):
+        # Cells are keyed by their SNR triple on resume, so a repeat would
+        # take the second of two equal cells for done.
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        torn = csv.read_bytes()[:-5]  # a resume would cut this tail off
+        csv.write_bytes(torn)
+        capsys.readouterr()
+        assert main(self.ARGS + [f"--grid-{axis}=0,20,0.0", "--resume",
+                                 "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"the {axis} grid repeats a value\n"
+        assert csv.read_bytes() == torn
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10**9), st.data())
+    def test_checkpoint_row_round_trips_bitwise(self, tmp_path_factory, iterations, data):
+        snrs = st.floats(allow_nan=False, allow_infinity=False)
+        counts = st.integers(0, iterations)
+        cell = dict(zip(("snr_x_db", "snr_y_db", "snr_z_db"),
+                        data.draw(st.tuples(snrs, snrs, snrs))))
+        for name in ("spurious_rate", "unidentified_rate", "rate_xz", "rate_yz"):
+            cell[name] = data.draw(counts, label=name) / iterations
+        meta = {"topology": "indirect", "noise_kind": "extrinsic", "n": 300,
+                "alpha": data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                "criterion": "rao", "iterations": iterations}
+        csv = tmp_path_factory.mktemp("phase") / "phase_space.csv"
+        csv.write_text(PHASE_HEADER + "\n" + cli._phase_row(meta, cell) + "\n")
+        got_meta, [got], _ = cli._read_phase_csv(str(csv))
+        assert got_meta == meta
+        assert {k: float.hex(v) for k, v in got.items()} == {
+            k: float.hex(v) for k, v in cell.items()}
 
     def test_resume_conflict_exits_4(self, tmp_path):
         out = tmp_path / "ps"
@@ -551,6 +611,21 @@ class TestRender:
         assert path.read_bytes().startswith(b"P6\n7 5\n255\n")
         np.testing.assert_array_equal(read_ppm(str(path)), image)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.data())
+    def test_rendered_plane_reads_back_within_a_level(self, tmp_path_factory, rows, cols,
+                                                      scale, data):
+        rates = st.floats(0.0, 1.0)
+        plane = np.array(data.draw(st.lists(rates, min_size=rows * cols,
+                                            max_size=rows * cols))).reshape(rows, cols)
+        path = tmp_path_factory.mktemp("ppm") / "plane.ppm"
+        write_ppm(str(path), render_plane(plane, scale=scale))
+        image = read_ppm(str(path))
+        assert image.shape == (rows * scale, cols * scale, 3)
+        for i, j in np.ndindex(image.shape[:2]):
+            rate = rgb_to_rate(*(int(c) for c in image[i, j]))
+            assert abs(rate - plane[i // scale, j // scale]) <= 1.0 / 255.0
+
 
 class TestWorkerSetting:
     @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
@@ -571,6 +646,7 @@ class TestWorkerSetting:
          ["phase_space.csv"]),
     ], ids=["sweep-n", "phase-space"])
     def test_real_workers_do_not_change_bytes(self, tmp_path, argv, outputs):
+        # On two cores the runs (15 and 21 iterations) end inside cells.
         for workers in ("1", "2"):
             assert main(argv + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
         for name in outputs:

@@ -13,6 +13,7 @@ from granger_lab.experiments import (DegenerateConfiguration, OffGrid, estimate_
                                      extract_plane, phase_space, snr_grid,
                                      sweep_sample_size, sweep_significance)
 from granger_lab.granger import GrangerConfig, comparison_rss
+from granger_lab.regress import RankDeficient
 from granger_lab.seeding import derive_seeds, generator_states
 
 from decision_reference import decide_edges
@@ -164,7 +165,7 @@ class TestCountBlock:
         criteria, alphas = (Criterion.LR, Criterion.RAO), (0.05, 0.2, 0.5)
         monkeypatch.setattr(datagen, "CHUNK_VALUES", 7 * (60 + gen.burn_in))
         [(counts, rank_deficient)] = experiments._count_run(
-            [(gen, 2, criteria, alphas, False, 4, (), 0, 30)])
+            [((gen, ()), 0, 30)], 2, criteria, alphas, False, 4)
         assert rank_deficient == 0
         np.testing.assert_array_equal(counts, _loop_counts(gen, criteria, alphas, 4, 30))
 
@@ -251,6 +252,16 @@ class TestWorkerCount:
 GRID3 = ((-20.0, 0.0, 20.0),) * 3
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_phase_space_rejects_a_repeated_axis_value(pool, axis):
+    grids = [(0.0, 20.0)] * 3
+    grids[axis] = (0.0, 20.0, -0.0)
+    with pytest.raises(ValueError, match=f"^the {'xyz'[axis]} grid repeats a value$"):
+        phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
+                    iterations=2, grids=grids, seed=6, workers=2)
+    assert pool.submits == []
+
+
 def _phase(workers, **kwargs):
     return phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
                        iterations=2, grids=GRID3, seed=6, workers=workers, **kwargs)
@@ -260,6 +271,17 @@ def _phase_rows(workers, done_cells=None):
     rows = []
     grid = _phase(workers, on_cell=rows.append, done_cells=done_cells)
     return rows, grid
+
+
+def _runs(pool):
+    """The runs submitted to the pool: lists of ((config, key), start, stop)."""
+    return [run for run, *_ in pool.submits]
+
+
+def _submitted(pool):
+    """(stream key, iteration) of every iteration sent to the pool, in order."""
+    return [(key, i) for run in _runs(pool) for (_, key), start, stop in run
+            for i in range(start, stop)]
 
 
 class TestSchedule:
@@ -278,9 +300,8 @@ class TestSchedule:
         rows, grid = _phase_rows(workers=2)
         assert pool.sizes == [2]
         assert 1 < len(pool.submits) < 27
-        # Every cell is computed once, in grid order, across the runs.
-        cells = [args[6] for run in pool.submits for args in run[0]]
-        assert cells == [(c,) for c in range(27)]
+        # Every iteration is computed once, in grid order, across the runs.
+        assert _submitted(pool) == [((c,), i) for c in range(27) for i in range(2)]
         inline_rows, inline_grid = _phase_rows(workers=1)
         assert rows == inline_rows
         assert [(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]) for r in rows] == list(
@@ -292,27 +313,30 @@ class TestSchedule:
         done = {(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]): r for r in full_rows[:10]}
         rows, resumed = _phase_rows(workers=2, done_cells=done)
         assert rows == full_rows[10:]
-        cells = [args[6] for run in pool.submits for args in run[0]]
-        assert cells == [(c,) for c in range(10, 27)]
+        assert _submitted(pool) == [((c,), i) for c in range(10, 27) for i in range(2)]
         np.testing.assert_array_equal(resumed.spurious, full.spurious)
         np.testing.assert_array_equal(resumed.rate_yz, full.rate_yz)
 
     def test_failure_cancels_queued_runs(self, pool, monkeypatch):
-        count_block = experiments._count_block
+        count_block, bad_snrs = experiments._count_block, list(product(*GRID3))[5]
 
-        def failing(*args):
-            if args[6] == (5,):
+        def failing(gen, *args):
+            if gen.sigmas_or_snrs == bad_snrs:
                 raise GenerationError("generated values exceeded the magnitude bound")
-            return count_block(*args)
+            return count_block(gen, *args)
 
         monkeypatch.setattr(experiments, "_count_block", failing)
         rows = []
         with pytest.raises(GenerationError):
             _phase(workers=2, on_cell=rows.append)
         assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
-        # Rows of the runs before the failing one were still delivered.
-        first_run = len(pool.submits[0][0])
-        assert 0 < len(rows) <= 5 and len(rows) % first_run == 0
+        # Rows of the cells that the runs before the failing one finished
+        # were still delivered.
+        runs = _runs(pool)
+        failed = next(r for r, run in enumerate(runs)
+                      if any(key == (5,) for (_, key), _, _ in run))
+        finished = [key for run in runs[:failed] for (_, key), _, stop in run if stop == 2]
+        assert 0 < len(rows) == len(finished) < 5
 
     def test_failure_in_caller_cancels_queued_runs(self, pool):
         def on_cell(row):
@@ -330,16 +354,18 @@ class TestSchedule:
         assert calls == [0]
 
 
-def _cell_tasks(iterations):
-    """Phase-space tasks over GRID3: one cell each, iterations 0..iterations."""
-    return [(GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
-                             noise_kind=NoiseKind.INTRINSIC_SNR, sigmas_or_snrs=snrs),
-             2, (Criterion.WALD,), (0.05,), False, 6, (cell,), 0, iterations)
-            for cell, snrs in enumerate(product(*GRID3))]
+def _grid_counts(iterations, workers):
+    """``_cell_counts`` over the phase-space cells of GRID3."""
+    cells = [(GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
+                              noise_kind=NoiseKind.INTRINSIC_SNR, sigmas_or_snrs=snrs),
+              (cell,))
+             for cell, snrs in enumerate(product(*GRID3))]
+    return list(experiments._cell_counts(cells, 2, (Criterion.WALD,), (0.05,), False,
+                                         iterations, 6, workers))
 
 
 class TestPartitionInvariance:
-    """Counts do not depend on the worker count, the runs or the seed batches."""
+    """Counts do not depend on the worker count or the runs."""
 
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
@@ -359,29 +385,55 @@ class TestPartitionInvariance:
         return rows
 
     def test_phase_space_cells_for_any_partition(self, pool, monkeypatch, batches):
-        tasks = _cell_tasks(4)
-        reference = list(experiments._schedule(tasks, 1))
-        assert batches == [4 * len(tasks)]  # inline: one derivation for the grid
+        reference = _grid_counts(4, 1)
+        assert batches == [4 * 27]  # inline: one derivation for the grid
         for run_iterations in (1000, 6, 3):
             monkeypatch.setattr(experiments, "RUN_ITERATIONS", run_iterations)
             for workers in (1, 2, 3):
                 batches.clear()
                 pool.submits.clear()
-                counts = list(experiments._schedule(tasks, workers))
+                counts = _grid_counts(4, workers)
                 assert len(counts) == len(reference)
                 for (got, got_rd), (ref, ref_rd) in zip(counts, reference):
                     np.testing.assert_array_equal(got, ref)
                     assert got_rd == ref_rd
-                assert sum(batches) == 4 * len(tasks) and max(batches) <= run_iterations
-                if workers > 1:
-                    runs = [run for run, in pool.submits]
-                    assert len(runs) > 1
-                    if run_iterations >= 4:  # one derivation per run
-                        assert batches == [4 * len(run) for run in runs]
+                assert sum(batches) == 4 * 27 and max(batches) <= run_iterations
+                if workers > 1:  # one derivation per run
+                    assert len(pool.submits) > 1
+                    assert batches == [sum(b - a for _, a, b in run) for run in _runs(pool)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_cells_split_across_runs(self, pool, monkeypatch, batches, workers):
+        # Reject the samples whose first x value is negative as rank
+        # deficient, so that the split cells' rank-deficient counts are
+        # summed across runs too.
+        pvalues = experiments.forward_pvalues
+
+        def rejecting(x, *args):
+            if x[0] < 0:
+                raise RankDeficient("rejected")
+            return pvalues(x, *args)
+
+        monkeypatch.setattr(experiments, "forward_pvalues", rejecting)
+        reference = _grid_counts(4, 1)
+        assert 0 < sum(rd for _, rd in reference) < 4 * 27
+        batches.clear()
+        monkeypatch.setattr(experiments, "RUN_ITERATIONS", 3)
+        counts = _grid_counts(4, workers)
+        for (got, got_rd), (ref, ref_rd) in zip(counts, reference, strict=True):
+            np.testing.assert_array_equal(got, ref)
+            assert got_rd == ref_rd
+        assert batches == [3] * 36  # one derivation per run of three iterations
+        if workers > 1:
+            runs = _runs(pool)
+            assert len(runs) == 36
+            assert [(key, a, b) for (_, key), a, b in runs[0] + runs[1]] == [
+                ((0,), 0, 3), ((0,), 3, 4), ((1,), 0, 2)]
 
     def test_oversized_task_is_seeded_in_bounded_batches(self, monkeypatch, batches):
-        task = _cell_tasks(30)[0]
-        [(whole, whole_rd)] = experiments._schedule([task], 1)
+        cell = (_gen(length=60), ())
+        [(whole, whole_rd)] = experiments._cell_counts(
+            [cell], 2, (Criterion.WALD,), (0.05,), False, 30, 6, 1)
         batches.clear()
         monkeypatch.setattr(experiments, "RUN_ITERATIONS", 7)
         states = []
@@ -391,7 +443,8 @@ class TestPartitionInvariance:
             return generator_states(seeds)
 
         monkeypatch.setattr(experiments, "generator_states", recording)
-        [(counts, rank_deficient)] = experiments._schedule([task], 1)
+        [(counts, rank_deficient)] = experiments._cell_counts(
+            [cell], 2, (Criterion.WALD,), (0.05,), False, 30, 6, 1)
         assert batches == states == [7, 7, 7, 7, 2]
         np.testing.assert_array_equal(counts, whole)
         assert rank_deficient == whole_rd

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,3 +142,35 @@ class TestNestedRss:
         matrix = np.column_stack([col, col])
         with pytest.raises(RankDeficient):
             nested_rss(matrix, col, (1, 2))
+
+
+def _reference_rss(matrix, response, k):
+    """RSS of the least-squares fit on the first k columns, from the normal
+    equations at 50 significant digits."""
+    with mpmath.workdps(50):
+        design = mpmath.matrix(matrix[:, :k].tolist())
+        target = mpmath.matrix(response.tolist())
+        beta = mpmath.lu_solve(design.T * design, design.T * target)
+        return mpmath.fsum(r ** 2 for r in target - design * beta)
+
+
+class TestNestedRssAccuracy:
+    """Relative RSS error of the three passes a Granger comparison makes,
+    on driver samples of n=60 with intrinsic noise. Nearly exact fits at
+    high SNR lose digits, so the envelope widens with the SNR."""
+
+    @pytest.mark.parametrize("snr_db, bound", [(40.0, 1e-13), (120.0, 1e-9)])
+    def test_relative_error_envelope(self, snr_db, bound):
+        worst = 0.0
+        for seed in range(3):
+            s = generate(GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
+                                         noise_kind=NoiseKind.INTRINSIC_SNR,
+                                         sigmas_or_snrs=(snr_db,) * 3, seed=seed))
+            lagged = _lag_rows((s.z, s.y, s.x), 2)
+            passes = [(lagged.T, s.z[2:], (2, 4, 6)), (lagged[[0, 1, 4, 5]].T, s.z[2:], (4,)),
+                      (lagged[2:].T, s.y[2:], (2, 4))]
+            for matrix, response, prefixes in passes:
+                for k, rss in zip(prefixes, nested_rss(matrix, response, prefixes)):
+                    reference = _reference_rss(matrix, response, k)
+                    worst = max(worst, float(abs(rss - reference) / reference))
+        assert worst <= bound
