@@ -8,7 +8,7 @@ from .criteria import (Criterion, PRESET_CRITERIA, TestOutcome, chi2_sf,
 from .datagen import (GeneratorConfig, NoiseConfig, NoiseKind, TrivariateSample,
                       generate, snr_to_sigma)
 from .experiments import (PhaseGrid, RateEstimate, SweepResult, estimate_rates,
-                          extract_plane, phase_space, snr_grid,
+                          extract_plane, phase_rows, phase_space, snr_grid,
                           sweep_sample_size, sweep_significance)
 from .granger import GrangerConfig, forward_pvalues, reverse_pvalues
 from .regress import FitResult, InsufficientData, RankDeficient, ols_fit

@@ -17,7 +17,9 @@ import os
 import shlex
 import sys
 import time
+from contextlib import ExitStack, closing
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -25,15 +27,16 @@ from . import __version__
 from .core import FORWARD_LINKS, TopologyKind, TopologyLabel
 from .criteria import Criterion
 from .datagen import GeneratorConfig, NoiseKind, TrivariateSample, generate
-from .experiments import (PhaseGrid, extract_plane, phase_space, require_distinct_axes,
-                          require_positive, sweep_sample_size, sweep_significance)
+from .experiments import (PHASE_RATES, SNR_KEYS, PhaseGrid, SweepResult, extract_plane,
+                          phase_rows, require_distinct_axes, require_positive,
+                          sweep_sample_size, sweep_significance)
 from .granger import (FORWARD_KEYS, REVERSE_KEYS, GrangerConfig, decide_edge_array,
                       forward_pvalues, require_significance, reverse_pvalues)
 from .ppm import render_plane, write_ppm
 from .regress import RankDeficient
 
-PHASE_HEADER = ("snr_x_db,snr_y_db,snr_z_db,topology,noise_kind,n,alpha,"
-                "criterion,iterations,spurious_rate,unidentified_rate,rate_xz,rate_yz")
+PHASE_HEADER = ",".join((*SNR_KEYS, "topology", "noise_kind", "n", "alpha", "criterion",
+                         "iterations", *PHASE_RATES))
 
 #: Values a 'lo:hi:step' grid spec may expand to, at most.
 MAX_GRID_VALUES = 10_000
@@ -156,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="phase-space CSV")
     p.add_argument("--axis", choices=["x", "y", "z"], required=True)
     p.add_argument("--value", type=float, required=True, help="plane coordinate in dB")
-    p.add_argument("--field", default="unidentified_rate",
-                   choices=["spurious_rate", "unidentified_rate", "rate_xz", "rate_yz"])
+    p.add_argument("--field", default="unidentified_rate", choices=list(PHASE_RATES))
     p.add_argument("--scale", type=int, default=16)
     p.add_argument("--out", required=True, help="output PPM path")
 
@@ -186,6 +188,21 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_rate_table(path: str, axis_name: str, axis_text: Callable[[float], str],
+                      result: SweepResult, criteria: tuple[Criterion, ...]) -> None:
+    """One row per criterion and axis value: the value as ``axis_text``
+    writes it, the key-link rates and their standard errors."""
+    lines = [f"{axis_name},criterion,spurious_rate,unidentified_rate,"
+             "se_spurious,se_unidentified"]
+    for crit in criteria:
+        for value, est in zip(result.axis, result.rates[crit]):
+            lines.append(",".join([
+                axis_text(value), crit.value, fmt(est.spurious_rate),
+                fmt(est.unidentified_rate), fmt(est.standard_error(est.spurious_rate)),
+                fmt(est.standard_error(est.unidentified_rate))]))
+    _write_lines(path, lines)
+
+
 def cmd_sweep_alpha(args, argv: list[str]) -> int:
     started = time.time()
     alphas = parse_grid(args.alpha_grid)
@@ -195,15 +212,8 @@ def cmd_sweep_alpha(args, argv: list[str]) -> int:
                                 criteria=criteria, iterations=args.iterations,
                                 seed=args.seed, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
-    lines = ["alpha,criterion,spurious_rate,unidentified_rate,se_spurious,se_unidentified"]
-    for crit in criteria:
-        for alpha, est in zip(result.axis, result.rates[crit]):
-            lines.append(",".join([
-                fmt(alpha), crit.value, fmt(est.spurious_rate), fmt(est.unidentified_rate),
-                fmt(est.standard_error(est.spurious_rate)),
-                fmt(est.standard_error(est.unidentified_rate))]))
     csv_path = os.path.join(args.out, "sweep_alpha.csv")
-    _write_lines(csv_path, lines)
+    _write_rate_table(csv_path, "alpha", fmt, result, criteria)
     manifest = os.path.join(args.out, "manifest.txt")
     write_manifest(manifest, "sweep-alpha", argv, args.seed, [csv_path],
                    started, time.time())
@@ -220,15 +230,8 @@ def cmd_sweep_n(args, argv: list[str]) -> int:
     result = sweep_sample_size(topology, args.alpha, sizes, criteria=criteria,
                                cases=args.cases, seed=args.seed, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
-    lines = ["n,criterion,spurious_rate,unidentified_rate,se_spurious,se_unidentified"]
-    for crit in criteria:
-        for n, est in zip(result.axis, result.rates[crit]):
-            lines.append(",".join([
-                str(int(n)), crit.value, fmt(est.spurious_rate), fmt(est.unidentified_rate),
-                fmt(est.standard_error(est.spurious_rate)),
-                fmt(est.standard_error(est.unidentified_rate))]))
     csv_path = os.path.join(args.out, "sweep_n.csv")
-    _write_lines(csv_path, lines)
+    _write_rate_table(csv_path, "n", lambda n: str(int(n)), result, criteria)
     cmp_lines = ["n,criterion_a,criterion_b,spurious_p,spurious_different,"
                  "unidentified_p,unidentified_different"]
     for (ca, cb), comps in result.comparisons.items():
@@ -249,10 +252,10 @@ def cmd_sweep_n(args, argv: list[str]) -> int:
 
 def _phase_row(meta: dict, cell: dict) -> str:
     return ",".join([
-        fmt(cell["snr_x_db"]), fmt(cell["snr_y_db"]), fmt(cell["snr_z_db"]),
+        *(fmt(cell[key]) for key in SNR_KEYS),
         meta["topology"], meta["noise_kind"], str(meta["n"]), fmt(meta["alpha"]),
-        meta["criterion"], str(meta["iterations"]), fmt(cell["spurious_rate"]),
-        fmt(cell["unidentified_rate"]), fmt(cell["rate_xz"]), fmt(cell["rate_yz"])])
+        meta["criterion"], str(meta["iterations"]),
+        *(fmt(cell[key]) for key in PHASE_RATES)])
 
 
 def load_phase_csv(path: str) -> tuple[dict, list[dict]]:
@@ -292,17 +295,14 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
             meta = row_meta
         elif meta != row_meta:
             raise ValueError("inconsistent metadata across rows")
-        cells.append({"snr_x_db": float(parts[0]), "snr_y_db": float(parts[1]),
-                      "snr_z_db": float(parts[2]),
-                      "spurious_rate": float(parts[9]),
-                      "unidentified_rate": float(parts[10]),
-                      "rate_xz": float(parts[11]), "rate_yz": float(parts[12])})
+        cells.append(dict(zip((*SNR_KEYS, *PHASE_RATES),
+                              map(float, parts[:3] + parts[9:]))))
     return meta, cells, intact
 
 
 def cmd_phase_space(args, argv: list[str]) -> int:
     started = time.time()
-    # Checked here as well as in phase_space, so that a bad count, level or
+    # Checked here as well as in phase_rows, so that a bad count, level or
     # axis exits 2 before the checkpoint is read, compared or touched.
     require_positive("iterations", args.iterations)
     require_significance(args.alpha)
@@ -319,7 +319,7 @@ def cmd_phase_space(args, argv: list[str]) -> int:
             "alpha": args.alpha, "criterion": criterion.value,
             "iterations": args.iterations}
 
-    done_cells: dict[tuple[float, float, float], dict] = {}
+    rows: list[dict] = []
     intact = 0
     if args.resume and os.path.exists(csv_path):
         try:
@@ -332,34 +332,28 @@ def cmd_phase_space(args, argv: list[str]) -> int:
                   file=sys.stderr)
             return 4
         expected = list(product(*grids))
-        got = [(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]) for r in rows]
+        got = [tuple(r[key] for key in SNR_KEYS) for r in rows]
         if got != expected[:len(got)]:
             print("resume conflict: checkpoint cells do not match the grid",
                   file=sys.stderr)
             return 4
-        done_cells = {(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]): r for r in rows}
 
     if intact:
         os.truncate(csv_path, intact)  # drop a torn final line before appending
-    fh = None
-
-    def on_cell(cell: dict) -> None:
-        # Opened when the first row is ready, so an early failure keeps --out.
-        nonlocal fh
-        if fh is None:
-            fh = open(csv_path, "a" if intact else "w", encoding="utf-8", newline="\n")
-            if not intact:
-                fh.write(PHASE_HEADER + "\n")
-        fh.write(_phase_row(meta, cell) + "\n")
-        fh.flush()
-
-    try:
-        phase_space(noise, topology, args.n, args.alpha, criterion=criterion,
-                    iterations=args.iterations, grids=grids, seed=args.seed,
-                    workers=args.workers, on_cell=on_cell, done_cells=done_cells)
-    finally:
-        if fh is not None:
-            fh.close()
+    with ExitStack() as stack:
+        # Closing the rows on a failed write cancels the queued runs.
+        new_rows = stack.enter_context(closing(phase_rows(
+            noise, topology, args.n, args.alpha, criterion, args.iterations, grids,
+            args.seed, workers=args.workers, start=len(rows))))
+        fh = None
+        for row in new_rows:
+            if fh is None:  # opened for the first row, so an early failure keeps --out
+                fh = stack.enter_context(open(csv_path, "a" if intact else "w",
+                                              encoding="utf-8", newline="\n"))
+                if not intact:
+                    fh.write(PHASE_HEADER + "\n")
+            fh.write(_phase_row(meta, row) + "\n")
+            fh.flush()
     manifest = os.path.join(args.out, "manifest.txt")
     write_manifest(manifest, "phase-space", argv, args.seed, [csv_path],
                    started, time.time())
@@ -367,31 +361,11 @@ def cmd_phase_space(args, argv: list[str]) -> int:
     return 0
 
 
-def _grid_from_cells(cells: list[dict]) -> PhaseGrid:
-    """Rebuild a PhaseGrid from CSV rows (for rendering)."""
-    axes = tuple(tuple(sorted({c[k] for c in cells}))
-                 for k in ("snr_x_db", "snr_y_db", "snr_z_db"))
-    shape = tuple(len(a) for a in axes)
-    index = {name: {v: i for i, v in enumerate(vals)}
-             for name, vals in zip(("snr_x_db", "snr_y_db", "snr_z_db"), axes)}
-    fields = {name: np.full(shape, np.nan) for name in
-              ("spurious", "unidentified", "rate_xz", "rate_yz")}
-    col = {"spurious": "spurious_rate", "unidentified": "unidentified_rate",
-           "rate_xz": "rate_xz", "rate_yz": "rate_yz"}
-    for c in cells:
-        pos = (index["snr_x_db"][c["snr_x_db"]], index["snr_y_db"][c["snr_y_db"]],
-               index["snr_z_db"][c["snr_z_db"]])
-        for name in fields:
-            fields[name][pos] = c[col[name]]
-    return PhaseGrid(axes=axes, metadata={}, **fields)
-
-
 def cmd_render(args) -> int:
     meta, cells = _read_input(load_phase_csv, args.input)
-    grid = _grid_from_cells(cells)
-    field = {"spurious_rate": "spurious", "unidentified_rate": "unidentified",
-             "rate_xz": "rate_xz", "rate_yz": "rate_yz"}[args.field]
-    plane, _, _ = extract_plane(grid, args.axis, args.value, field)
+    axes = [sorted({cell[key] for cell in cells}) for key in SNR_KEYS]
+    grid = PhaseGrid.from_rows(axes, cells, meta)
+    plane, _, _ = extract_plane(grid, args.axis, args.value, PHASE_RATES[args.field])
     if np.any(np.isnan(plane)):
         raise ValueError("plane has missing cells (incomplete CSV)")
     write_ppm(args.out, render_plane(plane, scale=args.scale))

@@ -202,17 +202,17 @@ def _generate_rows(config: GeneratorConfig, noise: NoiseConfig,
 
 
 @lru_cache(maxsize=32)
-def _calibration_variances(topology: TopologyKind, ar_coefficient: float,
-                           burn_in: int = DEFAULT_BURN_IN) -> tuple[float, float, float]:
+def _calibration_variances(topology: TopologyKind,
+                           ar_coefficient: float) -> tuple[float, float, float]:
     """Empirical noise-free signal variances of (X, Y, Z) for one backbone.
 
     A noise-free run reads only the uniforms, the first block of every draw,
     so the normal blocks are not drawn.
     """
     [state] = generator_states([CALIBRATION_SEED])
-    u = state_generator(state).uniform(-2.0, 2.0, burn_in + CALIBRATION_LENGTH)
+    u = state_generator(state).uniform(-2.0, 2.0, DEFAULT_BURN_IN + CALIBRATION_LENGTH)
     series = _backbone(u, 0.0, 0.0, 0.0, ar_coefficient, topology)
-    return tuple(float(np.var(s[burn_in:])) for s in series)
+    return tuple(float(np.var(s[DEFAULT_BURN_IN:])) for s in series)
 
 
 def resolve_sigmas(config: GeneratorConfig) -> NoiseConfig:

@@ -14,6 +14,10 @@ indirect truth the roles of the two links swap. Each sample's edges come
 from ``granger.forward_pvalues`` and ``granger.decide_edge_array``, the
 same path ``analyze`` takes.
 
+A phase space is a stream of rows, one per cell in grid order
+(``phase_rows``); ``PhaseGrid.from_rows`` places them on the axes, and a
+checkpointed run resumes by starting the stream after the rows it has.
+
 Iteration, case and worker counts must be positive integers, and
 ``require_positive`` checks each of them before any sample is drawn.
 """
@@ -26,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, product
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +44,11 @@ from .seeding import derive_seeds, generator_states
 
 _FLAG_NAMES = ("spurious", "unidentified", "xy", "xz", "yz")
 
-_PHASE_FIELDS = ("spurious_rate", "unidentified_rate", "rate_xz", "rate_yz")
+#: Keys of a phase-space row: the cell's SNR triple, then its rates, each
+#: mapped to the ``PhaseGrid`` field that holds it.
+SNR_KEYS = ("snr_x_db", "snr_y_db", "snr_z_db")
+PHASE_RATES = {"spurious_rate": "spurious", "unidentified_rate": "unidentified",
+               "rate_xz": "rate_xz", "rate_yz": "rate_yz"}
 
 #: Iterations of one run (one seed derivation, one pool task), at most.
 RUN_ITERATIONS = 1000
@@ -95,6 +103,21 @@ class PhaseGrid:
     rate_yz: np.ndarray
     metadata: dict
 
+    @classmethod
+    def from_rows(cls, axes: Sequence[Sequence[float]], rows: Iterable[Mapping[str, float]],
+                  metadata: dict) -> PhaseGrid:
+        """The grid over ``axes`` with each row's rates at its SNR triple,
+        and NaN where no row falls."""
+        axes = tuple(tuple(axis) for axis in axes)
+        index = [{v: i for i, v in enumerate(axis)} for axis in axes]
+        fields = {name: np.full(tuple(map(len, axes)), np.nan)
+                  for name in PHASE_RATES.values()}
+        for row in rows:
+            cell = tuple(ix[row[key]] for ix, key in zip(index, SNR_KEYS))
+            for key, name in PHASE_RATES.items():
+                fields[name][cell] = row[key]
+        return cls(axes=axes, metadata=metadata, **fields)
+
 
 def snr_grid(lo: float = -40.0, hi: float = 40.0, points: int = 17) -> tuple[float, ...]:
     """Inclusive uniform grid in dB (default 5 dB spacing over [-40, 40])."""
@@ -112,11 +135,15 @@ def require_positive(name: str, given: object) -> int:
     return value
 
 
-def require_distinct_axes(grids: Sequence[Sequence[float]]) -> None:
-    """Reject an axis that repeats a value: it would alias two SNR-keyed cells."""
-    for name, grid in zip("xyz", grids):
-        if len(set(map(float, grid))) < len(grid):
+def require_distinct_axes(grids: Sequence[Sequence[float]]
+                          ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """The axes as float tuples. Reject an axis that repeats a value: it
+    would alias two SNR-keyed cells."""
+    axes = tuple(tuple(map(float, grid)) for grid in grids)
+    for name, axis in zip("xyz", axes):
+        if len(set(axis)) < len(axis):
             raise ValueError(f"the {name} grid repeats a value")
+    return axes
 
 
 def _worker_count(workers: Optional[int], jobs: int) -> int:
@@ -141,7 +168,7 @@ def _worker_count(workers: Optional[int], jobs: int) -> int:
 
 def _count_block(gen_template: GeneratorConfig, lags: int,
                  criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
-                 always_trivariate: bool, states: np.ndarray) -> tuple[np.ndarray, int]:
+                 states: np.ndarray) -> tuple[np.ndarray, int]:
     """Flag counts over the iterations of one cell whose generator states
     are the rows of ``states`` (a run's segment of the cell).
 
@@ -164,7 +191,7 @@ def _count_block(gen_template: GeneratorConfig, lags: int,
                 rank_deficient += 1
                 continue
             kept += 1
-        edges = decide_edge_array(pvalues[:kept], alpha_levels, always_trivariate)
+        edges = decide_edge_array(pvalues[:kept], alpha_levels)
         flags = np.stack([edges[..., spur], ~edges[..., unid],
                           edges[..., 0], edges[..., 1], edges[..., 2]], axis=-1)
         counts += flags.sum(axis=0)
@@ -190,21 +217,21 @@ def _batched(streams: Iterable[tuple[object, int, int]], size: int
 
 
 def _count_run(run: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
-               alphas: tuple[float, ...], always_trivariate: bool,
-               master_seed: int) -> list[tuple[np.ndarray, int]]:
+               alphas: tuple[float, ...], master_seed: int
+               ) -> list[tuple[np.ndarray, int]]:
     """Pool task: ``_count_block`` of every ((generator config, stream key),
     start, stop) segment of a run, in order, from one seed derivation."""
     states = generator_states(derive_seeds(
         [((master_seed, *key), start, stop) for (_, key), start, stop in run]))
     bounds = list(accumulate((stop - start for _, start, stop in run), initial=0))
-    return [_count_block(gen, lags, criteria, alphas, always_trivariate, states[a:b])
+    return [_count_block(gen, lags, criteria, alphas, states[a:b])
             for ((gen, _), _, _), a, b in zip(run, bounds, bounds[1:])]
 
 
 def _cell_counts(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags: int,
                  criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
-                 always_trivariate: bool, iterations: int, master_seed: int,
-                 workers: Optional[int] = None) -> Iterator[tuple[np.ndarray, int]]:
+                 iterations: int, master_seed: int, workers: Optional[int] = None
+                 ) -> Iterator[tuple[np.ndarray, int]]:
     """Yield (counts, rank_deficient) per (generator config, stream key)
     cell, in cell order.
 
@@ -217,7 +244,7 @@ def _cell_counts(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags:
     n_workers = _worker_count(workers, total // 2)  # two iterations or more each
     size = min(RUN_ITERATIONS, total if n_workers == 1 else math.ceil(total / (4 * n_workers)))
     runs = list(_batched(((cell, 0, iterations) for cell in cells), size))
-    args = (lags, criteria, alphas, always_trivariate, master_seed)
+    args = (lags, criteria, alphas, master_seed)
     results = (_count_run(run, *args) for run in runs)
     pool = None
     try:
@@ -262,7 +289,6 @@ def estimate_rates(gen_config: GeneratorConfig, granger_config: GrangerConfig,
     [(counts, rd)] = _cell_counts([(gen_config, ())], granger_config.lags,
                                   (granger_config.criterion,),
                                   (granger_config.significance,),
-                                  granger_config.always_trivariate,
                                   iterations, master_seed, workers)
     return _estimate_from_counts(counts[0, 0], iterations, rd)
 
@@ -283,8 +309,8 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     if not alphas:
         raise ValueError("significance grid must be non-empty")
     gen = GeneratorConfig(topology=topology, length=n_points)
-    [(counts, rd)] = _cell_counts([(gen, ())], lags, tuple(criteria), alphas, False,
-                                  iterations, seed, workers)
+    [(counts, rd)] = _cell_counts([(gen, ())], lags, tuple(criteria), alphas, iterations,
+                                  seed, workers)
     rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], iterations, rd)
                          for ai in range(len(alphas)))
              for ci, crit in enumerate(criteria)}
@@ -307,8 +333,8 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
         raise ValueError("sizes must be strictly increasing")
     criteria = tuple(criteria)
     cells = [(GeneratorConfig(topology=topology, length=n), (n,)) for n in sizes]
-    with closing(_cell_counts(cells, lags, criteria, (alpha,), False, cases,
-                              seed, workers)) as results:
+    with closing(_cell_counts(cells, lags, criteria, (alpha,), cases, seed,
+                              workers)) as results:
         per_size = [{crit: _estimate_from_counts(counts[ci, 0], cases, rd)
                      for ci, crit in enumerate(criteria)} for counts, rd in results]
     rates = {crit: tuple(row[crit] for row in per_size) for crit in criteria}
@@ -318,56 +344,49 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
                        comparisons=comparisons)
 
 
-def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: float,
-                criterion: Criterion = Criterion.WALD, iterations: int = 500,
-                grids: Optional[Sequence[Sequence[float]]] = None, seed: int = 0,
-                lags: int = 2, workers: Optional[int] = None,
-                on_cell: Optional[Callable[[dict], None]] = None,
-                done_cells: Optional[Mapping[tuple[float, float, float], dict]] = None
-                ) -> PhaseGrid:
-    """Rates over the 3-D SNR grid.
+def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: float,
+               criterion: Criterion = Criterion.WALD, iterations: int = 500,
+               grids: Sequence[Sequence[float]] = (snr_grid(),) * 3, seed: int = 0,
+               lags: int = 2, workers: Optional[int] = None, start: int = 0
+               ) -> Iterator[dict[str, float]]:
+    """Yield the row of every cell of the 3-D SNR grid in grid order,
+    beginning at cell ``start``, each as soon as its cell completes.
 
-    ``on_cell`` is invoked once per cell, in grid order, after the cell
-    completes (used for checkpointing). ``done_cells`` maps already-computed
-    SNR triples to their rate dicts; those cells are not recomputed.
+    A row maps ``SNR_KEYS`` to the cell's SNR triple and the keys of
+    ``PHASE_RATES`` to its rates. Cells before ``start`` are not computed,
+    so a run resumes from a grid-order prefix of its rows.
     """
     require_positive("iterations", iterations)
     require_significance(alpha)
     _worker_count(workers, 1)  # checked even when every cell is already done
     if noise_kind is NoiseKind.FIXED_SIGMA:
         raise ValueError("phase spaces require an SNR noise kind")
-    if grids is None:
-        grids = (snr_grid(), snr_grid(), snr_grid())
-    axes = tuple(tuple(float(v) for v in g) for g in grids)
-    require_distinct_axes(axes)
-    fields = {name: np.zeros(tuple(len(a) for a in axes)) for name in _PHASE_FIELDS}
-    done = dict(done_cells or {})
-    # (grid index, SNR triple) of every cell, in grid order.
-    coords = [tuple(zip(*c)) for c in product(*map(enumerate, axes))]
+    coords = list(enumerate(product(*require_distinct_axes(grids))))[start:]
     cells = [(GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind,
                               sigmas_or_snrs=snrs), (cell_index,))
-             for cell_index, (_, snrs) in enumerate(coords) if snrs not in done]
-    with closing(_cell_counts(cells, lags, (criterion,), (alpha,), False, iterations,
+             for cell_index, snrs in coords]
+    with closing(_cell_counts(cells, lags, (criterion,), (alpha,), iterations,
                               seed, workers)) as results:
-        for idx, snrs in coords:
-            cell = done.get(snrs)
-            if cell is None:
-                counts, rd = next(results)
-                est = _estimate_from_counts(counts[0, 0], iterations, rd)
-                cell = {"spurious_rate": est.spurious_rate,
-                        "unidentified_rate": est.unidentified_rate,
-                        "rate_xz": est.per_link_rates["x->z"],
-                        "rate_yz": est.per_link_rates["y->z"]}
-                if on_cell is not None:
-                    on_cell(dict(zip(("snr_x_db", "snr_y_db", "snr_z_db"), snrs), **cell))
-            for name, values in fields.items():
-                values[idx] = cell[name]
+        for (_, snrs), (counts, rd) in zip(coords, results):
+            est = _estimate_from_counts(counts[0, 0], iterations, rd)
+            yield dict(zip(SNR_KEYS, snrs), spurious_rate=est.spurious_rate,
+                       unidentified_rate=est.unidentified_rate,
+                       rate_xz=est.per_link_rates["x->z"],
+                       rate_yz=est.per_link_rates["y->z"])
+
+
+def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: float,
+                criterion: Criterion = Criterion.WALD, iterations: int = 500,
+                grids: Sequence[Sequence[float]] = (snr_grid(),) * 3, seed: int = 0,
+                lags: int = 2, workers: Optional[int] = None) -> PhaseGrid:
+    """Rates over the 3-D SNR grid: every row of ``phase_rows`` in place."""
+    axes = require_distinct_axes(grids)
     metadata = {"topology": topology.value, "noise_kind": noise_kind.value,
                 "n": n, "alpha": alpha, "criterion": criterion.value,
                 "iterations": iterations, "seed": seed, "lags": lags}
-    return PhaseGrid(axes=axes, spurious=fields["spurious_rate"],
-                     unidentified=fields["unidentified_rate"], rate_xz=fields["rate_xz"],
-                     rate_yz=fields["rate_yz"], metadata=metadata)
+    rows = phase_rows(noise_kind, topology, n, alpha, criterion, iterations, axes,
+                      seed, lags, workers)
+    return PhaseGrid.from_rows(axes, rows, metadata)
 
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -386,7 +405,7 @@ def extract_plane(grid: PhaseGrid, axis: str, value_db: float,
     matches = [i for i, v in enumerate(values) if v == float(value_db)]
     if not matches:
         raise OffGrid(f"SNR^{axis.upper()} = {value_db} dB is not on the grid")
-    if field_name not in ("spurious", "unidentified", "rate_xz", "rate_yz"):
+    if field_name not in PHASE_RATES.values():
         raise ValueError(f"unknown field {field_name!r}")
     data = getattr(grid, field_name)
     plane = np.take(data, matches[0], axis=ax)

@@ -47,7 +47,6 @@ class GrangerConfig:
     lags: int = 2
     criterion: Criterion = Criterion.WALD
     significance: float = 0.05
-    always_trivariate: bool = False
 
     def __post_init__(self) -> None:
         require_significance(self.significance)
@@ -125,19 +124,18 @@ def forward_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
                      for crit in criteria])
 
 
-def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray,
-                      always_trivariate: bool = False) -> np.ndarray:
+def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """The two-step decision rule over arrays: p-values (..., 5) in the order
     of ``FORWARD_KEYS``, significance levels (A,) -> accepted edges
     (..., A, 3) in the order of ``FORWARD_LINKS``.
 
     The three pairwise edges are accepted below the level; when all three
-    are (or ``always_trivariate`` is set), the x->z and y->z edges are
-    replaced by the verdicts of the two conditional tests.
+    are, the x->z and y->z edges are replaced by the verdicts of the two
+    conditional tests.
     """
     accepted = pvalues[..., None, :] < alphas[:, None]
     biv = accepted[..., :3]
-    trivariate = biv.all(axis=-1, keepdims=True) | always_trivariate
+    trivariate = biv.all(axis=-1, keepdims=True)
     edges = biv.copy()
     edges[..., 1:] = np.where(trivariate, accepted[..., 3:], biv[..., 1:])
     return edges

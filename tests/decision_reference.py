@@ -6,11 +6,11 @@ from granger_lab.core import FORWARD_LINKS, Link
 from granger_lab.granger import BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ
 
 
-def decide_edges(pvalues, significance, always_trivariate=False):
+def decide_edges(pvalues, significance):
     """Accepted forward links, from the five p-values keyed as in FORWARD_KEYS."""
     biv = {link for link, key in ((Link.XY, BIV_XY), (Link.XZ, BIV_XZ), (Link.YZ, BIV_YZ))
            if pvalues[key] < significance}
-    if len(biv) == 3 or always_trivariate:
+    if len(biv) == 3:
         edges = biv - {Link.XZ, Link.YZ}
         if pvalues[TRI_XZ] < significance:
             edges.add(Link.XZ)

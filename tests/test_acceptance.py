@@ -129,7 +129,7 @@ def test_criterion_8_intrinsic_polarisation(intrinsic_grids):
 
 
 def test_criterion_9_extrinsic_key_link_behavior():
-    cfg = GrangerConfig(significance=0.05, always_trivariate=False)
+    cfg = GrangerConfig(significance=0.05)
 
     def link_rate(topology, snrs, link):
         gen = GeneratorConfig(topology=topology, length=300,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from granger_lab import cli, granger, regress
+from granger_lab import cli, experiments, granger, regress
 from granger_lab.cli import (MAX_GRID_VALUES, PHASE_HEADER, fmt, load_phase_csv, main,
                              parse_criteria, parse_grid, read_manifest)
 from granger_lab.core import FORWARD_LINKS, TopologyKind
@@ -198,7 +198,7 @@ class TestGenerateAnalyze:
                          "--json"]) == 0
             report = json.loads(capsys.readouterr().out)
             [(counts, rank_deficient)] = _count_run(
-                [((gen, ()), i, i + 1)], 2, (Criterion(criterion),), (0.05,), False, master)
+                [((gen, ()), i, i + 1)], 2, (Criterion(criterion),), (0.05,), master)
             assert rank_deficient == 0
             flags = counts[0, 0, 2:]  # x->y, x->z, y->z, as FORWARD_LINKS
             assert sorted(report["edges"]) == sorted(
@@ -463,6 +463,38 @@ class TestPhaseSpaceCommand:
         conflicting = [a if a != "0.05" else "0.1" for a in self.ARGS]
         assert main(conflicting + ["--resume", "--out", str(out)]) == 4
 
+    def test_failed_checkpoint_write_exits_3_and_keeps_the_rows(self, tmp_path, monkeypatch,
+                                                               pool):
+        full, out = tmp_path / "full", tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(full)]) == 0
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        args = self.ARGS[:-1] + ["2", "--out", str(out)]  # --workers 2
+        written, phase_row = [], cli._phase_row
+
+        def failing(meta, cell):
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(cell)
+            return phase_row(meta, cell)
+
+        streams = []  # held here, a stream that is not closed stays open
+
+        def kept(*args, **kwargs):
+            streams.append(experiments.phase_rows(*args, **kwargs))
+            return streams[-1]
+
+        monkeypatch.setattr(cli, "_phase_row", failing)
+        monkeypatch.setattr(cli, "phase_rows", kept)
+        assert main(args) == 3
+        assert pool.sizes == [2]
+        assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
+        lines = (full / "phase_space.csv").read_text().splitlines()
+        assert (out / "phase_space.csv").read_text().splitlines() == lines[:3]
+        monkeypatch.setattr(cli, "_phase_row", phase_row)
+        assert main(args + ["--resume"]) == 0
+        assert ((out / "phase_space.csv").read_bytes()
+                == (full / "phase_space.csv").read_bytes())
+
     def test_workers_do_not_change_bytes(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         assert main(self.ARGS + ["--out", str(out1)]) == 0
@@ -590,6 +622,33 @@ class TestRender:
         self._phase_csv(csv, 0.5)
         assert main(["render", "--input", str(csv), "--axis", "z",
                      "--value", "7", "--out", str(tmp_path / "g.ppm")]) == 2
+
+    def test_unsorted_grid_renders_in_ascending_snr_order(self, tmp_path):
+        out = tmp_path / "ps"
+        assert main(["phase-space", "--topology", "driver", "--noise", "intrinsic",
+                     "--n", "60", "--alpha", "0.05", "--iterations", "20",
+                     "--grid=-20,20", "--grid-x=20,-40,0", "--seed", "13",
+                     "--workers", "1", "--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        _, cells = load_phase_csv(str(csv))
+        assert [c["snr_x_db"] for c in cells[::4]] == [20.0, -40.0, 0.0]  # grid order
+        scale = 4
+        for value in (20.0, -20.0):
+            ppm = tmp_path / f"plane_{value}.ppm"
+            assert main(["render", "--input", str(csv), "--axis", "z",
+                         "--value", str(value), "--scale", str(scale),
+                         "--out", str(ppm)]) == 0
+            image = read_ppm(str(ppm))
+            expected = {(c["snr_x_db"], c["snr_y_db"]): c["unidentified_rate"]
+                        for c in cells if c["snr_z_db"] == value}
+            xs, ys = (-40.0, 0.0, 20.0), (-20.0, 20.0)
+            assert image.shape == (len(xs) * scale, len(ys) * scale, 3)
+            for i, sx in enumerate(xs):
+                for j, sy in enumerate(ys):
+                    recovered = rgb_to_rate(*(int(v) for v in image[i * scale, j * scale]))
+                    assert abs(recovered - expected[(sx, sy)]) <= 1.0 / 255.0
+        # The rows differ, so a plane left in grid order would fail above.
+        assert len({expected[(sx, -20.0)] for sx in xs}) == 3
 
     def test_color_map_round_trip(self):
         for rate in np.linspace(0.0, 1.0, 101):

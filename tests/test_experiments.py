@@ -1,4 +1,4 @@
-from concurrent.futures import Future
+from contextlib import closing
 from dataclasses import replace
 from itertools import product
 
@@ -9,9 +9,9 @@ from granger_lab import datagen, experiments
 from granger_lab.core import Link, TopologyKind
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GenerationError, GeneratorConfig, NoiseKind, generate
-from granger_lab.experiments import (DegenerateConfiguration, OffGrid, estimate_rates,
-                                     extract_plane, phase_space, snr_grid,
-                                     sweep_sample_size, sweep_significance)
+from granger_lab.experiments import (SNR_KEYS, DegenerateConfiguration, OffGrid, PhaseGrid,
+                                     estimate_rates, extract_plane, phase_rows, phase_space,
+                                     snr_grid, sweep_sample_size, sweep_significance)
 from granger_lab.granger import GrangerConfig, comparison_rss
 from granger_lab.regress import RankDeficient
 from granger_lab.seeding import derive_seeds, generator_states
@@ -165,42 +165,9 @@ class TestCountBlock:
         criteria, alphas = (Criterion.LR, Criterion.RAO), (0.05, 0.2, 0.5)
         monkeypatch.setattr(datagen, "CHUNK_VALUES", 7 * (60 + gen.burn_in))
         [(counts, rank_deficient)] = experiments._count_run(
-            [((gen, ()), 0, 30)], 2, criteria, alphas, False, 4)
+            [((gen, ()), 0, 30)], 2, criteria, alphas, 4)
         assert rank_deficient == 0
         np.testing.assert_array_equal(counts, _loop_counts(gen, criteria, alphas, 4, 30))
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, its submit calls
-    and its shutdown arguments, and runs tasks inline (no process starts)."""
-
-    sizes: list[int] = []
-    submits: list[tuple] = []
-    shutdowns: list[dict] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def submit(self, fn, *args):
-        self.submits.append(args)
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        self.shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
-
-
-@pytest.fixture
-def pool(monkeypatch):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
-    for name in ("sizes", "submits", "shutdowns"):
-        monkeypatch.setattr(_InlinePool, name, [])
-    monkeypatch.delenv("GRANGER_LAB_THREADS", raising=False)
-    return _InlinePool
 
 
 class TestWorkerCount:
@@ -243,10 +210,8 @@ class TestWorkerCount:
             with pytest.raises(ValueError, match="^workers must be"):
                 _phase(workers=workers)
         assert pool.sizes == [] and pool.submits == []
-        rows, _ = _phase_rows(workers=1)
-        done = {(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]): r for r in rows}
         with pytest.raises(ValueError, match="^workers must be"):
-            _phase(workers=workers, done_cells=done)  # nothing left to schedule
+            list(_rows(workers=workers, start=27))  # nothing left to schedule
 
 
 GRID3 = ((-20.0, 0.0, 20.0),) * 3
@@ -267,10 +232,10 @@ def _phase(workers, **kwargs):
                        iterations=2, grids=GRID3, seed=6, workers=workers, **kwargs)
 
 
-def _phase_rows(workers, done_cells=None):
-    rows = []
-    grid = _phase(workers, on_cell=rows.append, done_cells=done_cells)
-    return rows, grid
+def _rows(workers, start=0):
+    """The ``phase_rows`` stream of the phase space that ``_phase`` builds."""
+    return phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
+                      iterations=2, grids=GRID3, seed=6, workers=workers, start=start)
 
 
 def _runs(pool):
@@ -297,25 +262,29 @@ class TestSchedule:
         assert parallel == sweep_sample_size(TopologyKind.INDIRECT, workers=1, **kwargs)
 
     def test_phase_space_submits_runs_of_cells(self, pool):
-        rows, grid = _phase_rows(workers=2)
+        rows = list(_rows(workers=2))
         assert pool.sizes == [2]
         assert 1 < len(pool.submits) < 27
         # Every iteration is computed once, in grid order, across the runs.
         assert _submitted(pool) == [((c,), i) for c in range(27) for i in range(2)]
-        inline_rows, inline_grid = _phase_rows(workers=1)
-        assert rows == inline_rows
-        assert [(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]) for r in rows] == list(
-            product(*GRID3))
-        np.testing.assert_array_equal(grid.unidentified, inline_grid.unidentified)
+        assert rows == list(_rows(workers=1))
+        assert [tuple(row[key] for key in SNR_KEYS) for row in rows] == list(product(*GRID3))
+        np.testing.assert_array_equal(_phase(workers=2).unidentified,
+                                      _phase(workers=1).unidentified)
 
     def test_phase_space_resume_keeps_grid_order(self, pool):
-        full_rows, full = _phase_rows(workers=1)
-        done = {(r["snr_x_db"], r["snr_y_db"], r["snr_z_db"]): r for r in full_rows[:10]}
-        rows, resumed = _phase_rows(workers=2, done_cells=done)
+        full_rows = list(_rows(workers=1))
+        rows = list(_rows(workers=2, start=10))
         assert rows == full_rows[10:]
         assert _submitted(pool) == [((c,), i) for c in range(10, 27) for i in range(2)]
+        full = _phase(workers=1)
+        resumed = PhaseGrid.from_rows(GRID3, full_rows[:10] + rows, {})
         np.testing.assert_array_equal(resumed.spurious, full.spurious)
         np.testing.assert_array_equal(resumed.rate_yz, full.rate_yz)
+
+    def test_nothing_left_starts_no_pool(self, pool):
+        assert list(_rows(workers=2, start=27)) == []
+        assert pool.sizes == [] and pool.submits == []
 
     def test_failure_cancels_queued_runs(self, pool, monkeypatch):
         count_block, bad_snrs = experiments._count_block, list(product(*GRID3))[5]
@@ -328,7 +297,8 @@ class TestSchedule:
         monkeypatch.setattr(experiments, "_count_block", failing)
         rows = []
         with pytest.raises(GenerationError):
-            _phase(workers=2, on_cell=rows.append)
+            for row in _rows(workers=2):
+                rows.append(row)
         assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
         # Rows of the cells that the runs before the failing one finished
         # were still delivered.
@@ -339,11 +309,9 @@ class TestSchedule:
         assert 0 < len(rows) == len(finished) < 5
 
     def test_failure_in_caller_cancels_queued_runs(self, pool):
-        def on_cell(row):
-            raise OSError("disk full")
-
-        with pytest.raises(OSError):
-            _phase(workers=2, on_cell=on_cell)
+        with pytest.raises(OSError), closing(_rows(workers=2)) as rows:
+            for _ in rows:
+                raise OSError("disk full")
         assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
 
     def test_calibrates_before_the_pool_starts(self, pool, monkeypatch):
@@ -360,7 +328,7 @@ def _grid_counts(iterations, workers):
                               noise_kind=NoiseKind.INTRINSIC_SNR, sigmas_or_snrs=snrs),
               (cell,))
              for cell, snrs in enumerate(product(*GRID3))]
-    return list(experiments._cell_counts(cells, 2, (Criterion.WALD,), (0.05,), False,
+    return list(experiments._cell_counts(cells, 2, (Criterion.WALD,), (0.05,),
                                          iterations, 6, workers))
 
 
@@ -433,7 +401,7 @@ class TestPartitionInvariance:
     def test_oversized_task_is_seeded_in_bounded_batches(self, monkeypatch, batches):
         cell = (_gen(length=60), ())
         [(whole, whole_rd)] = experiments._cell_counts(
-            [cell], 2, (Criterion.WALD,), (0.05,), False, 30, 6, 1)
+            [cell], 2, (Criterion.WALD,), (0.05,), 30, 6, 1)
         batches.clear()
         monkeypatch.setattr(experiments, "RUN_ITERATIONS", 7)
         states = []
@@ -444,7 +412,7 @@ class TestPartitionInvariance:
 
         monkeypatch.setattr(experiments, "generator_states", recording)
         [(counts, rank_deficient)] = experiments._cell_counts(
-            [cell], 2, (Criterion.WALD,), (0.05,), False, 30, 6, 1)
+            [cell], 2, (Criterion.WALD,), (0.05,), 30, 6, 1)
         assert batches == states == [7, 7, 7, 7, 2]
         np.testing.assert_array_equal(counts, whole)
         assert rank_deficient == whole_rd
@@ -530,23 +498,32 @@ class TestPhaseSpace:
 
     def test_resume_skips_done_cells(self):
         grids = ((0.0,), (0.0,), (-20.0, 20.0))
-        full = phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.INDIRECT,
-                           n=80, alpha=0.05, iterations=15, grids=grids,
-                           seed=4, workers=1)
-        seen = []
-        done = {(0.0, 0.0, -20.0): {
-            "spurious_rate": full.spurious[0, 0, 0],
-            "unidentified_rate": full.unidentified[0, 0, 0],
-            "rate_xz": full.rate_xz[0, 0, 0],
-            "rate_yz": full.rate_yz[0, 0, 0]}}
-        resumed = phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.INDIRECT,
-                              n=80, alpha=0.05, iterations=15, grids=grids,
-                              seed=4, workers=1, done_cells=done,
-                              on_cell=lambda c: seen.append(c))
+        kwargs = dict(n=80, alpha=0.05, iterations=15, grids=grids, seed=4, workers=1)
+        full = phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.INDIRECT, **kwargs)
+        done = {"snr_x_db": 0.0, "snr_y_db": 0.0, "snr_z_db": -20.0,
+                "spurious_rate": full.spurious[0, 0, 0],
+                "unidentified_rate": full.unidentified[0, 0, 0],
+                "rate_xz": full.rate_xz[0, 0, 0],
+                "rate_yz": full.rate_yz[0, 0, 0]}
+        seen = list(phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.INDIRECT, start=1,
+                               **kwargs))
         # only the missing cell is recomputed, and the grids agree exactly
         assert len(seen) == 1 and seen[0]["snr_z_db"] == 20.0
+        resumed = PhaseGrid.from_rows(grids, [done] + seen, full.metadata)
         np.testing.assert_array_equal(resumed.spurious, full.spurious)
         np.testing.assert_array_equal(resumed.rate_yz, full.rate_yz)
+
+    def test_from_rows_places_rows_by_snr_and_leaves_nan(self):
+        axes = ((20.0, -20.0), (0.0,), (5.0, -5.0))
+        rows = [{"snr_x_db": -20.0, "snr_y_db": 0.0, "snr_z_db": 5.0, "spurious_rate": 0.25,
+                 "unidentified_rate": 0.5, "rate_xz": 0.75, "rate_yz": 1.0}]
+        grid = PhaseGrid.from_rows(axes, rows, {"n": 3})
+        assert grid.axes == axes and grid.metadata == {"n": 3}
+        for name, value in (("spurious", 0.25), ("unidentified", 0.5), ("rate_xz", 0.75),
+                            ("rate_yz", 1.0)):
+            data = getattr(grid, name)
+            assert data.shape == (2, 1, 2) and data[1, 0, 0] == value
+            assert np.isnan(np.delete(data.ravel(), 2)).all()
 
     def test_metadata_recorded(self):
         grids = ((0.0,),) * 3

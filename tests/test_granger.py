@@ -133,10 +133,10 @@ class TestComparisonRss:
         assert comps[BIV_XY].n_obs == len(s.x) - 2
 
 
-def _decided(pvalues, significance, always_trivariate=False):
+def _decided(pvalues, significance):
     """``decide_edge_array`` on one sample's named p-values at one level."""
     row = np.array([pvalues[key] for key in FORWARD_KEYS])
-    [flags] = decide_edge_array(row, np.array([significance]), always_trivariate)
+    [flags] = decide_edge_array(row, np.array([significance]))
     return edge_set(flags)
 
 
@@ -190,12 +190,6 @@ class TestDecideEdges:
         assert _decided(self.ALL_LOW, 0.05) == frozenset(
             {Link.XY, Link.XZ, Link.YZ})
 
-    def test_always_trivariate_override(self):
-        p = dict(self.ALL_LOW, **{BIV_YZ: 0.9})
-        assert _decided(p, 0.05) == frozenset({Link.XY, Link.XZ})
-        assert _decided(p, 0.05, always_trivariate=True) == frozenset(
-            {Link.XY, Link.XZ, Link.YZ})
-
     def test_significance_monotone(self):
         # the bivariate edge set can only grow as significance grows
         rng = np.random.default_rng(5)
@@ -212,19 +206,18 @@ class TestDecideEdges:
 class TestDecideEdgeArray:
     ALPHAS = np.array([0.01, 0.05, 0.2, 0.5])
 
-    @pytest.mark.parametrize("always_trivariate", [False, True])
-    def test_matches_decide_edges_on_every_pattern(self, always_trivariate):
+    def test_matches_decide_edges_on_every_pattern(self):
         # Every accept/reject pattern of the five tests, with the accepted
         # p-values either below every level or equal to 0.05 (a tie rejects).
         patterns = [tuple(low if bits >> j & 1 else 0.7 for j in range(5))
                     for low in (0.001, 0.05) for bits in range(32)]
         pvalues = np.array(patterns)
-        edges = decide_edge_array(pvalues, self.ALPHAS, always_trivariate)
+        edges = decide_edge_array(pvalues, self.ALPHAS)
         assert edges.shape == (len(patterns), len(self.ALPHAS), 3)
         for row, pattern in zip(edges, patterns):
             named = dict(zip(FORWARD_KEYS, pattern))
             for flags, alpha in zip(row, self.ALPHAS):
-                expected = decide_edges(named, float(alpha), always_trivariate)
+                expected = decide_edges(named, float(alpha))
                 assert edge_set(flags) == expected
 
     def test_leading_axes_are_kept(self):

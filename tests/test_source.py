@@ -43,14 +43,19 @@ def imported_names(source: str) -> set[str]:
 
 
 def unread_definitions(sources: dict[str, str], exempt: set[str]) -> list[str]:
-    """Top-level functions and classes, not in ``exempt``, that no module
-    reads (as a name or an attribute) outside their own definition."""
+    """Top-level functions, classes and constants, not in ``exempt``, that
+    no module reads (as a name or an attribute) outside their own definition."""
     defined, read = {}, set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
             own = getattr(node, "name", None)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[own] = f"{module}.{own}"
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined[target.id] = f"{module}.{target.id}"
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                     name = sub.id
@@ -71,6 +76,13 @@ def test_guard_flags_an_unread_definition():
                     "class Exported:\n    pass\n",
                "b": "from .a import used\nused()\n"}
     assert unread_definitions(sources, exempt={"Exported"}) == ["a.recursive"]
+
+
+def test_guard_flags_an_unread_constant():
+    sources = {"a": "USED = 1\n_UNREAD = (1, 2)\nTYPED: int = 3\n"
+                    "def f():\n    return USED\n",
+               "b": "from . import a\na.f()\nprint(a.TYPED)\n"}
+    assert unread_definitions(sources, exempt=set()) == ["a._UNREAD"]
 
 
 def test_no_unread_definitions():
