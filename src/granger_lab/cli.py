@@ -1,11 +1,12 @@
 """Command-line interface: experiment presets, CSV emission, manifests and
 heatmap rendering.
 
-Exit codes: 0 success, 2 invalid flags or malformed input, 3 runtime
-failure, 4 resume-file conflict. ``GRANGER_LAB_THREADS`` caps the worker
-count. Every experiment writes a flat key=value manifest next to its
-outputs; ``granger-lab --from-manifest FILE`` re-runs it byte-identically
-(timestamps aside).
+Each command raises on failure, and ``main`` alone maps the failure to an
+exit code: 0 success, 2 invalid flags or malformed input, 3 runtime
+failure, 4 resume-file conflict. ``GRANGER_LAB_THREADS`` sets the worker
+count when ``--workers`` is absent. After an experiment succeeds, ``main``
+writes a flat key=value manifest next to its outputs; ``granger-lab
+--from-manifest FILE`` re-runs it byte-identically (timestamps aside).
 """
 
 from __future__ import annotations
@@ -35,8 +36,11 @@ from .granger import (FORWARD_KEYS, REVERSE_KEYS, GrangerConfig, decide_edge_arr
 from .ppm import render_plane, write_ppm
 from .regress import RankDeficient
 
-PHASE_HEADER = ",".join((*SNR_KEYS, "topology", "noise_kind", "n", "alpha", "criterion",
-                         "iterations", *PHASE_RATES))
+#: The run's settings, repeated on every phase-space row, and how each parses.
+PHASE_META = {"topology": str, "noise_kind": str, "n": int, "alpha": float,
+              "criterion": str, "iterations": int}
+PHASE_COLUMNS = (*SNR_KEYS, *PHASE_META, *PHASE_RATES)
+PHASE_HEADER = ",".join(PHASE_COLUMNS)
 
 #: Values a 'lo:hi:step' grid spec may expand to, at most.
 MAX_GRID_VALUES = 10_000
@@ -101,11 +105,11 @@ def _manifest_argv(path: str) -> list[str]:
     """The argv a manifest recorded, split back into arguments."""
     manifest = _read_input(read_manifest, path)
     if not manifest.get("argv"):
-        raise _MalformedInput(f"{path}: manifest has no argv entry")
+        raise ValueError(f"{path}: manifest has no argv entry")
     try:
         return shlex.split(manifest["argv"][0])
     except ValueError as exc:
-        raise _MalformedInput(f"{path}: unreadable argv entry ({exc})") from None
+        raise ValueError(f"{path}: unreadable argv entry ({exc})") from None
 
 
 def _read_input(read, path: str):
@@ -113,7 +117,7 @@ def _read_input(read, path: str):
     try:
         return read(path)
     except OSError as exc:
-        raise _MalformedInput(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -131,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("sweep-alpha", help="rates vs significance level")
+    p.set_defaults(run=cmd_sweep_alpha)
     _add_common(p)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--alpha-grid", default="0.05:0.5:0.05")
@@ -138,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=1000)
 
     p = sub.add_parser("sweep-n", help="rates vs sample size")
+    p.set_defaults(run=cmd_sweep_n)
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--sizes", required=True, help="lo:hi:step or comma list")
@@ -145,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=1000)
 
     p = sub.add_parser("phase-space", help="rates over the 3-D SNR grid")
+    p.set_defaults(run=cmd_phase_space)
     _add_common(p)
     p.add_argument("--noise", choices=["intrinsic", "extrinsic"], required=True)
     p.add_argument("--n", type=int, default=300)
@@ -156,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
 
     p = sub.add_parser("render", help="render a phase-space plane to PPM")
+    p.set_defaults(run=cmd_render)
     p.add_argument("--input", required=True, help="phase-space CSV")
     p.add_argument("--axis", choices=["x", "y", "z"], required=True)
     p.add_argument("--value", type=float, required=True, help="plane coordinate in dB")
@@ -164,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output PPM path")
 
     p = sub.add_parser("analyze", help="two-step trivariate test on a CSV file")
+    p.set_defaults(run=cmd_analyze)
     p.add_argument("--input", required=True, help="CSV with header t,x,y,z")
     p.add_argument("--lags", type=int, default=2)
     p.add_argument("--criterion", default="wald")
@@ -171,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("generate", help="dump one synthetic sample to CSV")
+    p.set_defaults(run=cmd_generate)
     p.add_argument("--topology", choices=["driver", "indirect"], required=True)
     p.add_argument("--n", type=int, default=300)
     p.add_argument("--noise", choices=["fixed", "intrinsic", "extrinsic"], default="fixed")
@@ -203,8 +213,7 @@ def _write_rate_table(path: str, axis_name: str, axis_text: Callable[[float], st
     _write_lines(path, lines)
 
 
-def cmd_sweep_alpha(args, argv: list[str]) -> int:
-    started = time.time()
+def cmd_sweep_alpha(args) -> list[str]:
     alphas = parse_grid(args.alpha_grid)
     criteria = parse_criteria(args.criteria)
     topology = TopologyKind(args.topology)
@@ -214,16 +223,12 @@ def cmd_sweep_alpha(args, argv: list[str]) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep_alpha.csv")
     _write_rate_table(csv_path, "alpha", fmt, result, criteria)
-    manifest = os.path.join(args.out, "manifest.txt")
-    write_manifest(manifest, "sweep-alpha", argv, args.seed, [csv_path],
-                   started, time.time())
     for crit in criteria:
         print(f"optimal alpha ({crit.value}): {fmt(result.optimal(crit))}")
-    return 0
+    return [csv_path]
 
 
-def cmd_sweep_n(args, argv: list[str]) -> int:
-    started = time.time()
+def cmd_sweep_n(args) -> list[str]:
     sizes = parse_grid(args.sizes)
     criteria = parse_criteria(args.criteria)
     topology = TopologyKind(args.topology)
@@ -242,20 +247,15 @@ def cmd_sweep_n(args, argv: list[str]) -> int:
                 str(comp.unidentified_different).lower()]))
     cmp_path = os.path.join(args.out, "sweep_n_compare.csv")
     _write_lines(cmp_path, cmp_lines)
-    manifest = os.path.join(args.out, "manifest.txt")
-    write_manifest(manifest, "sweep-n", argv, args.seed, [csv_path, cmp_path],
-                   started, time.time())
     final = {crit.value: result.rates[crit][-1].unidentified_rate for crit in criteria}
     print(f"final unidentified rates at n={int(sizes[-1])}: {final}")
-    return 0
+    return [csv_path, cmp_path]
 
 
 def _phase_row(meta: dict, cell: dict) -> str:
-    return ",".join([
-        *(fmt(cell[key]) for key in SNR_KEYS),
-        meta["topology"], meta["noise_kind"], str(meta["n"]), fmt(meta["alpha"]),
-        meta["criterion"], str(meta["iterations"]),
-        *(fmt(cell[key]) for key in PHASE_RATES)])
+    return ",".join([*(fmt(cell[key]) for key in SNR_KEYS),
+                     *(str(read(meta[key])) for key, read in PHASE_META.items()),
+                     *(fmt(cell[key]) for key in PHASE_RATES)])
 
 
 def load_phase_csv(path: str) -> tuple[dict, list[dict]]:
@@ -286,22 +286,23 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 13:
+        if len(parts) != len(PHASE_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
-        row_meta = {"topology": parts[3], "noise_kind": parts[4],
-                    "n": int(parts[5]), "alpha": float(parts[6]),
-                    "criterion": parts[7], "iterations": int(parts[8])}
+        row = dict(zip(PHASE_COLUMNS, parts))
+        row_meta = {key: read(row.pop(key)) for key, read in PHASE_META.items()}
         if not meta:
             meta = row_meta
         elif meta != row_meta:
             raise ValueError("inconsistent metadata across rows")
-        cells.append(dict(zip((*SNR_KEYS, *PHASE_RATES),
-                              map(float, parts[:3] + parts[9:]))))
+        cells.append({key: float(value) for key, value in row.items()})
     return meta, cells, intact
 
 
-def cmd_phase_space(args, argv: list[str]) -> int:
-    started = time.time()
+class _ResumeConflict(Exception):
+    """A ``--resume`` checkpoint that the requested run cannot continue."""
+
+
+def cmd_phase_space(args) -> list[str]:
     # Checked here as well as in phase_rows, so that a bad count, level or
     # axis exits 2 before the checkpoint is read, compared or touched.
     require_positive("iterations", args.iterations)
@@ -325,18 +326,13 @@ def cmd_phase_space(args, argv: list[str]) -> int:
         try:
             old_meta, rows, intact = _read_phase_csv(csv_path)
         except ValueError as exc:
-            print(f"resume conflict: {exc}", file=sys.stderr)
-            return 4
+            raise _ResumeConflict(str(exc)) from None
         if old_meta and old_meta != meta:
-            print("resume conflict: checkpoint metadata differs from flags",
-                  file=sys.stderr)
-            return 4
+            raise _ResumeConflict("checkpoint metadata differs from flags")
         expected = list(product(*grids))
         got = [tuple(r[key] for key in SNR_KEYS) for r in rows]
         if got != expected[:len(got)]:
-            print("resume conflict: checkpoint cells do not match the grid",
-                  file=sys.stderr)
-            return 4
+            raise _ResumeConflict("checkpoint cells do not match the grid")
 
     if intact:
         os.truncate(csv_path, intact)  # drop a torn final line before appending
@@ -354,14 +350,11 @@ def cmd_phase_space(args, argv: list[str]) -> int:
                     fh.write(PHASE_HEADER + "\n")
             fh.write(_phase_row(meta, row) + "\n")
             fh.flush()
-    manifest = os.path.join(args.out, "manifest.txt")
-    write_manifest(manifest, "phase-space", argv, args.seed, [csv_path],
-                   started, time.time())
     print(f"wrote {csv_path}")
-    return 0
+    return [csv_path]
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> None:
     meta, cells = _read_input(load_phase_csv, args.input)
     axes = [sorted({cell[key] for cell in cells}) for key in SNR_KEYS]
     grid = PhaseGrid.from_rows(axes, cells, meta)
@@ -370,19 +363,18 @@ def cmd_render(args) -> int:
         raise ValueError("plane has missing cells (incomplete CSV)")
     write_ppm(args.out, render_plane(plane, scale=args.scale))
     print(f"wrote {args.out}")
-    return 0
 
 
 def _read_series_csv(path: str) -> TrivariateSample:
     """The columns of a 't,x,y,z' CSV, in one pass of ``float`` per field.
-    A malformed file raises ``_MalformedInput`` naming its first faulty row."""
+    A malformed file raises a ValueError naming its first faulty row."""
     values: list[float] = []
     linenos: list[int] = []  # the file line of each row, for fault messages
     fault = None
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "t,x,y,z":
-            raise _MalformedInput(f"{path}: expected header 't,x,y,z', got {header!r}")
+            raise ValueError(f"{path}: expected header 't,x,y,z', got {header!r}")
         for lineno, line in enumerate(fh, start=2):
             try:
                 _, x, y, z = line.strip().split(",")
@@ -399,17 +391,13 @@ def _read_series_csv(path: str) -> TrivariateSample:
     if not finite.all():  # every row read comes before the fault that ended the scan
         fault = f"row {linenos[finite.argmin()]}: non-finite value"
     if fault:
-        raise _MalformedInput(f"{path}: {fault}")
+        raise ValueError(f"{path}: {fault}")
     if len(data) < 3:
-        raise _MalformedInput(f"{path}: too few rows")
+        raise ValueError(f"{path}: too few rows")
     return TrivariateSample(*data.T)
 
 
-class _MalformedInput(ValueError):
-    pass
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     sample = _read_input(_read_series_csv, args.input)
     config = GrangerConfig(lags=args.lags, criterion=Criterion(args.criterion),
                            significance=args.alpha)
@@ -417,9 +405,8 @@ def cmd_analyze(args) -> int:
         [pvalues] = forward_pvalues(*sample, config.lags, (config.criterion,))
         [reverse] = reverse_pvalues(*sample, config.lags, (config.criterion,))
     except RankDeficient:
-        print("rank-deficient design: a series is constant or duplicated; "
-              "check the input columns", file=sys.stderr)
-        return 3
+        raise RankDeficient("rank-deficient design: a series is constant or duplicated; "
+                            "check the input columns") from None
     [accepted] = decide_edge_array(pvalues, np.array([config.significance]))
     label = TopologyLabel.from_edges(
         link for link, on in zip(FORWARD_LINKS, accepted) if on)
@@ -443,10 +430,9 @@ def cmd_analyze(args) -> int:
             print(f"  p[{key}] = {fmt(p)}")
         for key, p in reverse_p.items():
             print(f"  p[{key}] (reverse) = {fmt(p)}")
-    return 0
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     params = tuple(float(v) for v in args.params.split(","))
     if len(params) != 3:
         raise ValueError("--params must be a comma-separated triple")
@@ -460,7 +446,6 @@ def cmd_generate(args) -> int:
         lines.append(",".join([str(t), fmt(x), fmt(y), fmt(z)]))
     _write_lines(args.out, lines)
     print(f"wrote {args.out}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -473,24 +458,19 @@ def main(argv: list[str] | None = None) -> int:
             argv = _manifest_argv(manifest)
             args = parser.parse_args(argv)
             if args.from_manifest:
-                raise _MalformedInput(f"{manifest}: its argv replays a manifest itself")
+                raise ValueError(f"{manifest}: its argv replays a manifest itself")
         if not args.command:
             parser.print_usage(sys.stderr)
             return 2
-        if args.command == "sweep-alpha":
-            return cmd_sweep_alpha(args, argv)
-        if args.command == "sweep-n":
-            return cmd_sweep_n(args, argv)
-        if args.command == "phase-space":
-            return cmd_phase_space(args, argv)
-        if args.command == "render":
-            return cmd_render(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "generate":
-            return cmd_generate(args)
-        parser.print_usage(sys.stderr)
-        return 2
+        started = time.time()
+        outputs = args.run(args)
+        if outputs:  # an experiment: record how to re-run it
+            write_manifest(os.path.join(args.out, "manifest.txt"), args.command, argv,
+                           args.seed, outputs, started, time.time())
+        return 0
+    except _ResumeConflict as exc:
+        print(f"resume conflict: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:  # malformed input, an off-grid plane, bad flags
         print(str(exc), file=sys.stderr)
         return 2

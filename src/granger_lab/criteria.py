@@ -102,7 +102,7 @@ def two_proportion_z(rate_a: float, n_a: int, rate_b: float, n_b: int) -> tuple[
     if var == 0.0:
         return 0.0, 1.0
     z = (rate_a - rate_b) / math.sqrt(var)
-    p = float(2.0 * (1.0 - ndtr(abs(z))))
+    p = float(2.0 * ndtr(-abs(z)))  # 1 - ndtr(|z|) cancels to 0 in the tail
     return z, p
 
 

@@ -107,13 +107,19 @@ class PhaseGrid:
     def from_rows(cls, axes: Sequence[Sequence[float]], rows: Iterable[Mapping[str, float]],
                   metadata: dict) -> PhaseGrid:
         """The grid over ``axes`` with each row's rates at its SNR triple,
-        and NaN where no row falls."""
+        and NaN where no row falls. A triple that two rows share is a
+        ValueError."""
         axes = tuple(tuple(axis) for axis in axes)
         index = [{v: i for i, v in enumerate(axis)} for axis in axes]
-        fields = {name: np.full(tuple(map(len, axes)), np.nan)
-                  for name in PHASE_RATES.values()}
+        shape = tuple(map(len, axes))
+        fields = {name: np.full(shape, np.nan) for name in PHASE_RATES.values()}
+        filled = np.zeros(shape, dtype=bool)
         for row in rows:
-            cell = tuple(ix[row[key]] for ix, key in zip(index, SNR_KEYS))
+            triple = tuple(row[key] for key in SNR_KEYS)
+            cell = tuple(ix[snr] for ix, snr in zip(index, triple))
+            if filled[cell]:
+                raise ValueError(f"more than one row for the SNR triple {triple}")
+            filled[cell] = True
             for key, name in PHASE_RATES.items():
                 fields[name][cell] = row[key]
         return cls(axes=axes, metadata=metadata, **fields)

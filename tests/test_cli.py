@@ -322,14 +322,28 @@ class TestSweepCommands:
         assert capsys.readouterr().err == f"sample sizes must be integers, got {bad}\n"
         assert not out.exists()
 
-    def test_manifest_rerun_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("argv, outputs", [
+        (["sweep-alpha", "--topology", "driver", "--n", "50", "--alpha-grid", "0.1,0.3",
+          "--criteria", "wald", "--iterations", "30", "--seed", "1"],
+         ["sweep_alpha.csv"]),
+        (["sweep-n", "--topology", "indirect", "--alpha", "0.05", "--sizes", "30,40",
+          "--criteria", "lr,wald", "--cases", "12", "--seed", "2"],
+         ["sweep_n.csv", "sweep_n_compare.csv"]),
+        (["phase-space", "--topology", "driver", "--noise", "extrinsic", "--n", "60",
+          "--iterations", "4", "--grid=-20,20", "--seed", "3"],
+         ["phase_space.csv"]),
+    ], ids=["sweep-alpha", "sweep-n", "phase-space"])
+    def test_manifest_rerun_is_byte_identical(self, tmp_path, argv, outputs):
         out = tmp_path / "m"
-        assert self._run_alpha(out) == 0
-        before = (out / "sweep_alpha.csv").read_bytes()
+        assert main(argv + ["--workers", "1", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == sorted(outputs + ["manifest.txt"])
+        before = {name: (out / name).read_bytes() for name in outputs}
         manifest = read_manifest(str(out / "manifest.txt"))
-        assert "argv" in manifest and "seed" in manifest
+        assert manifest["experiment"] == [argv[0]]
+        assert manifest["seed"] == [argv[-1]]
+        assert manifest["output"] == [str(out / name) for name in outputs]
         assert main(["--from-manifest", str(out / "manifest.txt")]) == 0
-        assert (out / "sweep_alpha.csv").read_bytes() == before
+        assert {name: (out / name).read_bytes() for name in outputs} == before
 
 
 class TestPhaseSpaceCommand:
@@ -457,11 +471,41 @@ class TestPhaseSpaceCommand:
         assert {k: float.hex(v) for k, v in got.items()} == {
             k: float.hex(v) for k, v in cell.items()}
 
-    def test_resume_conflict_exits_4(self, tmp_path):
+    @pytest.mark.parametrize("conflict, reason", [
+        ("malformed", "unexpected header in "),
+        ("metadata", "checkpoint metadata differs from flags"),
+        ("cells", "checkpoint cells do not match the grid"),
+    ], ids=["malformed", "metadata", "cells"])
+    def test_resume_conflict_exits_4(self, tmp_path, capsys, conflict, reason):
         out = tmp_path / "ps"
         assert main(self.ARGS + ["--out", str(out)]) == 0
-        conflicting = [a if a != "0.05" else "0.1" for a in self.ARGS]
-        assert main(conflicting + ["--resume", "--out", str(out)]) == 4
+        csv = out / "phase_space.csv"
+        args = list(self.ARGS)
+        if conflict == "malformed":
+            csv.write_text("not a checkpoint\n")
+        elif conflict == "metadata":
+            args[args.index("--alpha") + 1] = "0.1"
+        else:  # the second row's z is 20, where the grid now has 40
+            args[args.index("--grid-z=-20,20")] = "--grid-z=-20,40"
+        kept = csv.read_bytes()
+        capsys.readouterr()
+        assert main(args + ["--resume", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"resume conflict: {reason}") and len(err.splitlines()) == 1
+        assert csv.read_bytes() == kept
+
+    def test_failed_run_writes_no_manifest(self, tmp_path, monkeypatch):
+        stream = experiments.phase_rows
+
+        def failing(*args, **kwargs):
+            yield next(stream(*args, **kwargs))
+            raise ValueError("no second row")
+
+        monkeypatch.setattr(cli, "phase_rows", failing)
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 2
+        assert len((out / "phase_space.csv").read_text().splitlines()) == 2
+        assert sorted(os.listdir(out)) == ["phase_space.csv"]
 
     def test_failed_checkpoint_write_exits_3_and_keeps_the_rows(self, tmp_path, monkeypatch,
                                                                pool):
@@ -603,6 +647,16 @@ class TestRender:
         assert main(["render", "--input", str(csv), "--axis", "z",
                      "--value", "0", "--out", str(tmp_path / "g.ppm")]) == 2
         assert "missing cells" in capsys.readouterr().err
+
+    def test_repeated_triple_exits_2_and_names_it(self, tmp_path, capsys):
+        csv, ppm = tmp_path / "g.csv", tmp_path / "g.ppm"
+        self._phase_csv(csv, 0.0)
+        with csv.open("a") as fh:
+            fh.write("0.0,0.0,0.0,driver,intrinsic,60,0.05,wald,10,1.0,1.0,1.0,1.0\n")
+        assert main(["render", "--input", str(csv), "--axis", "z", "--value", "0",
+                     "--out", str(ppm)]) == 2
+        assert "(0.0, 0.0, 0.0)" in capsys.readouterr().err
+        assert not ppm.exists()
 
     @pytest.mark.parametrize("target", ["missing.csv", "."])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, target):

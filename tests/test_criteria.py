@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +157,17 @@ class TestRateComparison:
     def test_degenerate_pooled_rate(self):
         z, p = two_proportion_z(0.0, 100, 0.0, 100)
         assert (z, p) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("target", [3.0, 5.0, 6.0, 8.0, 9.0])
+    def test_tail_p_value_matches_mpmath(self, target):
+        # Rates 0.5 +- d on a million trials each give z = 2 d / sqrt(0.5e-6).
+        d = target * math.sqrt(0.5e-6) / 2
+        z, p = two_proportion_z(0.5 + d, 10**6, 0.5 - d, 10**6)
+        assert z == pytest.approx(target, rel=1e-9)
+        with mpmath.workdps(40):
+            exact = mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2))
+        assert p > 0
+        assert abs(p - float(exact)) <= 1e-13 * float(exact)
 
     def test_compare_criteria_verdicts(self):
         class Rates:

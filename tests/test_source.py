@@ -92,3 +92,35 @@ def test_no_unread_definitions():
               | imported_names(ACCEPTANCE.read_text(encoding="utf-8")))
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert unread_definitions(sources, exempt) == []
+
+
+def exit_code_sites(source: str) -> list[str]:
+    """Functions that return an integer constant or reference ``sys.stderr``."""
+    sites = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            returns_int = (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                           and type(node.value.value) is int)
+            stderr = (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                      and isinstance(node.value, ast.Name) and node.value.id == "sys")
+            if returns_int or stderr:
+                sites.add(func.name)
+    return sorted(sites)
+
+
+def test_guard_flags_exit_codes_outside_main():
+    source = ("import sys\n"
+              "def main():\n    print('usage', file=sys.stderr)\n    return 2\n"
+              "def cmd(args):\n    return 0\n"
+              "def warn():\n    sys.stderr.write('x')\n"
+              "def quiet(args):\n    return None\n"
+              "def ratio():\n    return 0.5\n")
+    assert exit_code_sites(source) == ["cmd", "main", "warn"]
+
+
+def test_only_main_decides_exit_codes():
+    # Commands raise; cli.main alone maps a failure to an exit code and a
+    # stderr line.
+    assert exit_code_sites((PACKAGE / "cli.py").read_text(encoding="utf-8")) == ["main"]
