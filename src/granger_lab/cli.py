@@ -4,9 +4,10 @@ heatmap rendering.
 Each command raises on failure, and ``main`` alone maps the failure to an
 exit code: 0 success, 2 invalid flags or malformed input, 3 runtime
 failure, 4 resume-file conflict. ``GRANGER_LAB_THREADS`` sets the worker
-count when ``--workers`` is absent. After an experiment succeeds, ``main``
-writes a flat key=value manifest next to its outputs; ``granger-lab
---from-manifest FILE`` re-runs it byte-identically (timestamps aside).
+count when ``--workers`` is absent. ``main`` removes an experiment's old
+manifest before it runs and writes a flat key=value manifest next to its
+outputs once it succeeds; ``granger-lab --from-manifest FILE`` re-runs it
+byte-identically (timestamps aside).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import shlex
 import sys
 import time
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, suppress
 from itertools import product
 from typing import Callable
 
@@ -121,6 +122,7 @@ def _read_input(read, path: str):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    p.set_defaults(experiment=True)  # main manages its manifest
     p.add_argument("--topology", choices=["driver", "indirect"], required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)
@@ -130,6 +132,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="granger-lab",
                                      description=__doc__.splitlines()[0])
+    parser.set_defaults(experiment=False)
     parser.add_argument("--from-manifest", metavar="FILE",
                         help="re-run the experiment recorded in a manifest")
     sub = parser.add_subparsers(dest="command")
@@ -355,9 +358,9 @@ def cmd_phase_space(args) -> list[str]:
 
 
 def cmd_render(args) -> None:
-    meta, cells = _read_input(load_phase_csv, args.input)
+    _, cells = _read_input(load_phase_csv, args.input)
     axes = [sorted({cell[key] for cell in cells}) for key in SNR_KEYS]
-    grid = PhaseGrid.from_rows(axes, cells, meta)
+    grid = PhaseGrid.from_rows(axes, cells)
     plane, _, _ = extract_plane(grid, args.axis, args.value, PHASE_RATES[args.field])
     if np.any(np.isnan(plane)):
         raise ValueError("plane has missing cells (incomplete CSV)")
@@ -463,10 +466,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return 2
         started = time.time()
+        record = os.path.join(args.out, "manifest.txt") if args.experiment else None
+        if record:  # an earlier run's manifest would claim this run's outputs
+            with suppress(FileNotFoundError, NotADirectoryError):
+                os.remove(record)
         outputs = args.run(args)
-        if outputs:  # an experiment: record how to re-run it
-            write_manifest(os.path.join(args.out, "manifest.txt"), args.command, argv,
-                           args.seed, outputs, started, time.time())
+        if record:
+            write_manifest(record, args.command, argv, args.seed, outputs, started,
+                           time.time())
         return 0
     except _ResumeConflict as exc:
         print(f"resume conflict: {exc}", file=sys.stderr)

@@ -8,11 +8,12 @@ A command's iterations are cut once into runs of consecutive iterations,
 and each run's seeds and generator states are derived in bulk
 (``seeding``). Rates are exact count/iterations fractions.
 
-Rate counting follows the key links: with driver truth, spurious means the
-Y->Z link was accepted and unidentified means X->Z was rejected; with
-indirect truth the roles of the two links swap. Each sample's edges come
-from ``granger.forward_pvalues`` and ``granger.decide_edge_array``, the
-same path ``analyze`` takes.
+Each sample's edges come from ``granger.forward_pvalues`` and
+``granger.decide_edge_array``, the same path ``analyze`` takes, and a cell
+counts how often each edge was accepted. ``_estimate_from_counts`` alone
+turns those counts into rates against the true topology: with driver
+truth, spurious means the Y->Z link was accepted and unidentified means
+X->Z was rejected; with indirect truth the roles of the two links swap.
 
 A phase space is a stream of rows, one per cell in grid order
 (``phase_rows``); ``PhaseGrid.from_rows`` places them on the axes, and a
@@ -34,15 +35,13 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import TopologyKind
+from .core import FORWARD_LINKS, Link, TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
 from .datagen import GeneratorConfig, NoiseKind, generate_chunks, resolve_sigmas
 from .granger import (FORWARD_KEYS, GrangerConfig, decide_edge_array, forward_pvalues,
                       require_significance)
 from .regress import RankDeficient
 from .seeding import derive_seeds, generator_states
-
-_FLAG_NAMES = ("spurious", "unidentified", "xy", "xz", "yz")
 
 #: Keys of a phase-space row: the cell's SNR triple, then its rates, each
 #: mapped to the ``PhaseGrid`` field that holds it.
@@ -101,11 +100,10 @@ class PhaseGrid:
     unidentified: np.ndarray
     rate_xz: np.ndarray
     rate_yz: np.ndarray
-    metadata: dict
 
     @classmethod
-    def from_rows(cls, axes: Sequence[Sequence[float]], rows: Iterable[Mapping[str, float]],
-                  metadata: dict) -> PhaseGrid:
+    def from_rows(cls, axes: Sequence[Sequence[float]], rows: Iterable[Mapping[str, float]]
+                  ) -> PhaseGrid:
         """The grid over ``axes`` with each row's rates at its SNR triple,
         and NaN where no row falls. A triple that two rows share is a
         ValueError."""
@@ -122,7 +120,7 @@ class PhaseGrid:
             filled[cell] = True
             for key, name in PHASE_RATES.items():
                 fields[name][cell] = row[key]
-        return cls(axes=axes, metadata=metadata, **fields)
+        return cls(axes=axes, **fields)
 
 
 def snr_grid(lo: float = -40.0, hi: float = 40.0, points: int = 17) -> tuple[float, ...]:
@@ -143,10 +141,12 @@ def require_positive(name: str, given: object) -> int:
 
 def require_distinct_axes(grids: Sequence[Sequence[float]]
                           ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """The axes as float tuples. Reject an axis that repeats a value: it
-    would alias two SNR-keyed cells."""
+    """The axes as float tuples. Reject an axis with a value that is not
+    finite, or that repeats a value: it would alias two SNR-keyed cells."""
     axes = tuple(tuple(map(float, grid)) for grid in grids)
     for name, axis in zip("xyz", axes):
+        if not all(map(math.isfinite, axis)):
+            raise ValueError(f"the {name} grid has a non-finite value")
         if len(set(axis)) < len(axis):
             raise ValueError(f"the {name} grid repeats a value")
     return axes
@@ -175,17 +175,16 @@ def _worker_count(workers: Optional[int], jobs: int) -> int:
 def _count_block(gen_template: GeneratorConfig, lags: int,
                  criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
                  states: np.ndarray) -> tuple[np.ndarray, int]:
-    """Flag counts over the iterations of one cell whose generator states
-    are the rows of ``states`` (a run's segment of the cell).
+    """Accepted-edge counts, (criterion, level, link) in ``FORWARD_LINKS``
+    order, over the iterations of one cell whose generator states are the
+    rows of ``states`` (a run's segment of the cell).
 
     Samples come in chunks; each chunk's p-values are collected into a
     (sample, criterion, comparison) array and decided for every
     significance level at once.
     """
-    counts = np.zeros((len(criteria), len(alphas), len(_FLAG_NAMES)), dtype=np.int64)
+    edges = np.zeros((len(criteria), len(alphas), len(FORWARD_LINKS)), dtype=np.int64)
     rank_deficient = 0
-    # Edge columns follow FORWARD_LINKS: x->y, x->z, y->z.
-    spur, unid = (2, 1) if gen_template.topology is TopologyKind.DRIVER else (1, 2)
     alpha_levels = np.array(alphas)
     for xs, ys, zs in generate_chunks(gen_template, states):
         pvalues = np.empty((len(xs), len(criteria), len(FORWARD_KEYS)))
@@ -197,29 +196,20 @@ def _count_block(gen_template: GeneratorConfig, lags: int,
                 rank_deficient += 1
                 continue
             kept += 1
-        edges = decide_edge_array(pvalues[:kept], alpha_levels)
-        flags = np.stack([edges[..., spur], ~edges[..., unid],
-                          edges[..., 0], edges[..., 1], edges[..., 2]], axis=-1)
-        counts += flags.sum(axis=0)
-    return counts, rank_deficient
+        edges += decide_edge_array(pvalues[:kept], alpha_levels).sum(axis=0)
+    return edges, rank_deficient
 
 
-def _batched(streams: Iterable[tuple[object, int, int]], size: int
-             ) -> Iterator[list[tuple[object, int, int]]]:
-    """(item, start, stop) streams regrouped into batches of ``size``
-    iterations (the last may have fewer), split where a batch fills."""
-    batch, rows = [], 0
-    for item, start, stop in streams:
-        while start < stop:
-            end = min(stop, start + size - rows)
-            batch.append((item, start, end))
-            rows += end - start
-            start = end
-            if rows == size:
-                yield batch
-                batch, rows = [], 0
-    if batch:
-        yield batch
+def _cut_runs(cells: Sequence[object], iterations: int, size: int
+              ) -> list[list[tuple[object, int, int]]]:
+    """The cells' iterations, cell after cell, cut into runs of ``size``
+    (the last may have fewer). Run k covers the global iterations
+    [k * size, (k + 1) * size), as (cell, start, stop) segments."""
+    total = len(cells) * iterations
+    bounds = [(a, min(a + size, total)) for a in range(0, total, max(size, 1))]
+    return [[(cells[c], max(a - c * iterations, 0), min(b - c * iterations, iterations))
+             for c in range(a // iterations, (b - 1) // iterations + 1)]
+            for a, b in bounds]
 
 
 def _count_run(run: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
@@ -249,7 +239,7 @@ def _cell_counts(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags:
     total = len(cells) * iterations
     n_workers = _worker_count(workers, total // 2)  # two iterations or more each
     size = min(RUN_ITERATIONS, total if n_workers == 1 else math.ceil(total / (4 * n_workers)))
-    runs = list(_batched(((cell, 0, iterations) for cell in cells), size))
+    runs = _cut_runs(cells, iterations, size)
     args = (lags, criteria, alphas, master_seed)
     results = (_count_run(run, *args) for run in runs)
     pool = None
@@ -273,17 +263,22 @@ def _cell_counts(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags:
             pool.shutdown(cancel_futures=True)
 
 
-def _estimate_from_counts(row: np.ndarray, iterations: int,
+def _estimate_from_counts(edges: np.ndarray, topology: TopologyKind, iterations: int,
                           rank_deficient: int) -> RateEstimate:
+    """A cell's rates from its accepted-edge counts (``FORWARD_LINKS``
+    order) against the true ``topology``."""
     effective = iterations - rank_deficient
     if rank_deficient > 0.01 * iterations or effective == 0:
         raise DegenerateConfiguration(
             f"{rank_deficient}/{iterations} iterations were rank deficient")
-    r = row / effective
+    accepted = dict(zip(FORWARD_LINKS, edges.tolist()))
+    absent, present = ((Link.YZ, Link.XZ) if topology is TopologyKind.DRIVER
+                       else (Link.XZ, Link.YZ))
     return RateEstimate(
-        spurious_rate=float(r[0]), unidentified_rate=float(r[1]),
+        spurious_rate=accepted[absent] / effective,
+        unidentified_rate=(effective - accepted[present]) / effective,
         iterations=effective,
-        per_link_rates={"x->y": float(r[2]), "x->z": float(r[3]), "y->z": float(r[4])},
+        per_link_rates={link.value: n / effective for link, n in accepted.items()},
         rank_deficient=rank_deficient)
 
 
@@ -296,7 +291,7 @@ def estimate_rates(gen_config: GeneratorConfig, granger_config: GrangerConfig,
                                   (granger_config.criterion,),
                                   (granger_config.significance,),
                                   iterations, master_seed, workers)
-    return _estimate_from_counts(counts[0, 0], iterations, rd)
+    return _estimate_from_counts(counts[0, 0], gen_config.topology, iterations, rd)
 
 
 def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
@@ -317,7 +312,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     gen = GeneratorConfig(topology=topology, length=n_points)
     [(counts, rd)] = _cell_counts([(gen, ())], lags, tuple(criteria), alphas, iterations,
                                   seed, workers)
-    rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], iterations, rd)
+    rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], topology, iterations, rd)
                          for ai in range(len(alphas)))
              for ci, crit in enumerate(criteria)}
     return SweepResult(axis=alphas, rates=rates)
@@ -341,7 +336,7 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
     cells = [(GeneratorConfig(topology=topology, length=n), (n,)) for n in sizes]
     with closing(_cell_counts(cells, lags, criteria, (alpha,), cases, seed,
                               workers)) as results:
-        per_size = [{crit: _estimate_from_counts(counts[ci, 0], cases, rd)
+        per_size = [{crit: _estimate_from_counts(counts[ci, 0], topology, cases, rd)
                      for ci, crit in enumerate(criteria)} for counts, rd in results]
     rates = {crit: tuple(row[crit] for row in per_size) for crit in criteria}
     comparisons = {(ca, cb): tuple(compare_criteria(row[ca], row[cb]) for row in per_size)
@@ -374,7 +369,7 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
     with closing(_cell_counts(cells, lags, (criterion,), (alpha,), iterations,
                               seed, workers)) as results:
         for (_, snrs), (counts, rd) in zip(coords, results):
-            est = _estimate_from_counts(counts[0, 0], iterations, rd)
+            est = _estimate_from_counts(counts[0, 0], topology, iterations, rd)
             yield dict(zip(SNR_KEYS, snrs), spurious_rate=est.spurious_rate,
                        unidentified_rate=est.unidentified_rate,
                        rate_xz=est.per_link_rates["x->z"],
@@ -387,12 +382,9 @@ def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: fl
                 lags: int = 2, workers: Optional[int] = None) -> PhaseGrid:
     """Rates over the 3-D SNR grid: every row of ``phase_rows`` in place."""
     axes = require_distinct_axes(grids)
-    metadata = {"topology": topology.value, "noise_kind": noise_kind.value,
-                "n": n, "alpha": alpha, "criterion": criterion.value,
-                "iterations": iterations, "seed": seed, "lags": lags}
     rows = phase_rows(noise_kind, topology, n, alpha, criterion, iterations, axes,
                       seed, lags, workers)
-    return PhaseGrid.from_rows(axes, rows, metadata)
+    return PhaseGrid.from_rows(axes, rows)
 
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}

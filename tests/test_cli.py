@@ -181,7 +181,7 @@ class TestGenerateAnalyze:
                                                        topology, criterion):
         # Iteration i of a Monte Carlo run is the sample `generate --seed
         # <seed i of derive_seeds>` writes; analyze must accept the same edges
-        # as _count_block's per-link flags for it. Heavy noise on y and z
+        # as _count_block's accepted-edge counts for it. Heavy noise on y and z
         # makes the samples reach different decisions, including ones where
         # the pairwise scan is incomplete and a conditional test disagrees
         # with its pairwise test, so that skipping or forcing step two shows.
@@ -200,9 +200,8 @@ class TestGenerateAnalyze:
             [(counts, rank_deficient)] = _count_run(
                 [((gen, ()), i, i + 1)], 2, (Criterion(criterion),), (0.05,), master)
             assert rank_deficient == 0
-            flags = counts[0, 0, 2:]  # x->y, x->z, y->z, as FORWARD_LINKS
             assert sorted(report["edges"]) == sorted(
-                link.value for link, on in zip(FORWARD_LINKS, flags) if on)
+                link.value for link, on in zip(FORWARD_LINKS, counts[0, 0]) if on)
             seen.add(tuple(report["edges"]))
             accepted = {k: p < 0.05 for k, p in report["forward_p_values"].items()}
             gated |= (not all(accepted[k] for k in ("x->y", "x->z", "y->z"))
@@ -452,6 +451,21 @@ class TestPhaseSpaceCommand:
         assert capsys.readouterr().err == f"the {axis} grid repeats a value\n"
         assert csv.read_bytes() == torn
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_non_finite_axis_value_leaves_the_checkpoint_alone(self, tmp_path, capsys,
+                                                               axis, value):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        torn = csv.read_bytes()[:-5]  # a resume would cut this tail off
+        csv.write_bytes(torn)
+        capsys.readouterr()
+        assert main(self.ARGS + [f"--grid-{axis}=0,{value}", "--resume",
+                                 "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"the {axis} grid has a non-finite value\n"
+        assert csv.read_bytes() == torn
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 10**9), st.data())
     def test_checkpoint_row_round_trips_bitwise(self, tmp_path_factory, iterations, data):
@@ -504,6 +518,25 @@ class TestPhaseSpaceCommand:
         monkeypatch.setattr(cli, "phase_rows", failing)
         out = tmp_path / "ps"
         assert main(self.ARGS + ["--out", str(out)]) == 2
+        assert len((out / "phase_space.csv").read_text().splitlines()) == 2
+        assert sorted(os.listdir(out)) == ["phase_space.csv"]
+
+    def test_failed_run_removes_the_previous_manifest(self, tmp_path, monkeypatch):
+        # A manifest left from the seed-1 run would replay seed 1 over the
+        # seed-2 rows beside it.
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        assert (out / "manifest.txt").exists()
+        stream = experiments.phase_rows
+
+        def failing(*args, **kwargs):
+            yield next(stream(*args, **kwargs))
+            raise ValueError("no second row")
+
+        monkeypatch.setattr(cli, "phase_rows", failing)
+        args = [a for a in self.ARGS]
+        args[args.index("--seed") + 1] = "2"
+        assert main(args + ["--out", str(out)]) == 2
         assert len((out / "phase_space.csv").read_text().splitlines()) == 2
         assert sorted(os.listdir(out)) == ["phase_space.csv"]
 
@@ -796,6 +829,66 @@ class TestTopLevel:
         manifest.write_text(f"argv={stored.format(path=manifest)}\n")
         assert main(["--from-manifest", str(manifest)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+#: Child-process settings that select another OpenBLAS kernel or turn off
+#: numpy's X86_V3 and X86_V4 dispatch targets; with neither set, the child
+#: runs the defaults that the other settings are compared with.
+CPU_SETTINGS = {
+    "default": {},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "no-x86-v3": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+}
+
+#: Exit status of the child below when numpy itself does not start.
+NO_NUMPY = 99
+
+_CPU_CHILD = f"""
+import sys
+try:
+    import numpy
+except Exception as exc:
+    print(f"numpy did not start: {{exc!r}}", file=sys.stderr)
+    sys.exit({NO_NUMPY})
+from granger_lab.cli import main
+out = sys.argv[1]
+sys.exit(main(["generate", "--topology", "driver", "--n", "200", "--seed", "7",
+               "--out", out + "/sample.csv"])
+         or main(["sweep-alpha", "--topology", "driver", "--n", "50",
+                  "--alpha-grid", "0.05,0.2", "--criteria", "lr,wald,rao",
+                  "--iterations", "60", "--seed", "2", "--workers", "1", "--out", out]))
+"""
+
+
+def _cpu_child_outputs(out: Path, setting: str) -> dict[str, bytes]:
+    """The bytes ``generate`` and ``sweep-alpha`` write in a child process
+    under one of ``CPU_SETTINGS``; a skip when numpy does not start there."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env.update(CPU_SETTINGS[setting], PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out.mkdir()
+    result = subprocess.run([sys.executable, "-c", _CPU_CHILD, str(out)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    if result.returncode == NO_NUMPY:
+        pytest.skip(f"{setting}: {result.stderr.strip()}")
+    assert result.returncode == 0, result.stderr
+    return {name: (out / name).read_bytes() for name in ("sample.csv", "sweep_alpha.csv")}
+
+
+class TestCpuKernels:
+    """Generated samples and sweep CSVs do not depend on the BLAS kernel or
+    the numpy dispatch target that the process picks."""
+
+    @pytest.fixture(scope="class")
+    def default(self, tmp_path_factory):
+        return _cpu_child_outputs(tmp_path_factory.mktemp("cpu") / "default", "default")
+
+    @pytest.mark.parametrize("setting", ["prescott", "haswell", "no-x86-v3"])
+    def test_outputs_match_the_default(self, tmp_path, default, setting):
+        assert _cpu_child_outputs(tmp_path / setting, setting) == default
 
 
 class TestImportGraph:

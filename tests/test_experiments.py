@@ -4,9 +4,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from granger_lab import datagen, experiments
-from granger_lab.core import Link, TopologyKind
+from granger_lab.core import FORWARD_LINKS, Link, TopologyKind
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GenerationError, GeneratorConfig, NoiseKind, generate
 from granger_lab.experiments import (SNR_KEYS, DegenerateConfiguration, OffGrid, PhaseGrid,
@@ -94,6 +95,53 @@ class TestEstimateRates:
             estimate_rates(_gen(), GrangerConfig(), iterations=0, master_seed=0)
 
 
+class TestEstimateFromCounts:
+    """Accepted-edge counts become rates against the true topology."""
+
+    @pytest.mark.parametrize("topology, spurious, unidentified", [
+        (TopologyKind.DRIVER, 0.5, 0.7), (TopologyKind.INDIRECT, 0.3, 0.5)])
+    def test_key_links_follow_the_truth(self, topology, spurious, unidentified):
+        # x->y, x->z, y->z accepted 7, 3 and 5 times in 10 iterations
+        est = experiments._estimate_from_counts(np.array([7, 3, 5]), topology, 10, 0)
+        assert (est.spurious_rate, est.unidentified_rate) == (spurious, unidentified)
+        assert est.per_link_rates == {"x->y": 0.7, "x->z": 0.3, "y->z": 0.5}
+        assert (est.iterations, est.rank_deficient) == (10, 0)
+
+    @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
+    def test_rank_deficient_iterations_leave_the_denominator(self, topology):
+        # 2 of 300 iterations were skipped: every rate is over the 298 kept
+        edges = np.array([298, 101, 37])
+        est = experiments._estimate_from_counts(edges, topology, 300, 2)
+        assert (est.iterations, est.rank_deficient) == (298, 2)
+        absent, present = (37, 101) if topology is TopologyKind.DRIVER else (101, 37)
+        assert est.spurious_rate == absent / 298
+        assert est.unidentified_rate == (298 - present) / 298
+        assert list(est.per_link_rates.values()) == (edges / 298).tolist()
+
+    @pytest.mark.parametrize("iterations, rank_deficient", [(300, 4), (1, 1)])
+    def test_too_many_rank_deficient_iterations_raise(self, iterations, rank_deficient):
+        with pytest.raises(DegenerateConfiguration,
+                           match=f"^{rank_deficient}/{iterations} iterations"):
+            experiments._estimate_from_counts(np.zeros(3, dtype=np.int64),
+                                              TopologyKind.DRIVER, iterations,
+                                              rank_deficient)
+
+
+class TestCutRuns:
+    @given(cells=st.integers(0, 6), iterations=st.integers(1, 12), size=st.integers(1, 40))
+    def test_every_iteration_once_in_runs_of_size(self, cells, iterations, size):
+        runs = experiments._cut_runs(list(range(cells)), iterations, size)
+        assert [(c, i) for run in runs for c, a, b in run for i in range(a, b)] == [
+            (c, i) for c in range(cells) for i in range(iterations)]
+        lengths = [sum(b - a for _, a, b in run) for run in runs]
+        assert all(n == size for n in lengths[:-1]) and all(0 < n <= size for n in lengths)
+        for run in runs:
+            assert len({c for c, _, _ in run}) == len(run)
+
+    def test_no_cells_no_runs(self):
+        assert experiments._cut_runs([], 5, 0) == []
+
+
 class TestCountChecks:
     """Every entry point rejects a non-positive count, or a significance level
     outside (0, 1), before it draws a sample."""
@@ -146,16 +194,15 @@ def _scalar_pvalues(sample, criterion):
 
 
 def _loop_counts(gen, criteria, alphas, master_seed, iterations):
-    """Driver-truth flag counts, one sample and one scalar decision at a time."""
-    counts = np.zeros((len(criteria), len(alphas), 5), dtype=np.int64)
+    """Accepted-edge counts, one sample and one scalar decision at a time."""
+    counts = np.zeros((len(criteria), len(alphas), len(FORWARD_LINKS)), dtype=np.int64)
     for i in range(iterations):
         s = generate(replace(gen, seed=_seed(master_seed, i)))
         for ci, crit in enumerate(criteria):
             pvalues = _scalar_pvalues(s, crit)
             for ai, alpha in enumerate(alphas):
                 edges = decide_edges(pvalues, alpha)
-                counts[ci, ai] += [Link.YZ in edges, Link.XZ not in edges,
-                                   Link.XY in edges, Link.XZ in edges, Link.YZ in edges]
+                counts[ci, ai] += [link in edges for link in FORWARD_LINKS]
     return counts
 
 
@@ -278,7 +325,7 @@ class TestSchedule:
         assert rows == full_rows[10:]
         assert _submitted(pool) == [((c,), i) for c in range(10, 27) for i in range(2)]
         full = _phase(workers=1)
-        resumed = PhaseGrid.from_rows(GRID3, full_rows[:10] + rows, {})
+        resumed = PhaseGrid.from_rows(GRID3, full_rows[:10] + rows)
         np.testing.assert_array_equal(resumed.spurious, full.spurious)
         np.testing.assert_array_equal(resumed.rate_yz, full.rate_yz)
 
@@ -509,7 +556,7 @@ class TestPhaseSpace:
                                **kwargs))
         # only the missing cell is recomputed, and the grids agree exactly
         assert len(seen) == 1 and seen[0]["snr_z_db"] == 20.0
-        resumed = PhaseGrid.from_rows(grids, [done] + seen, full.metadata)
+        resumed = PhaseGrid.from_rows(grids, [done] + seen)
         np.testing.assert_array_equal(resumed.spurious, full.spurious)
         np.testing.assert_array_equal(resumed.rate_yz, full.rate_yz)
 
@@ -517,21 +564,11 @@ class TestPhaseSpace:
         axes = ((20.0, -20.0), (0.0,), (5.0, -5.0))
         rows = [{"snr_x_db": -20.0, "snr_y_db": 0.0, "snr_z_db": 5.0, "spurious_rate": 0.25,
                  "unidentified_rate": 0.5, "rate_xz": 0.75, "rate_yz": 1.0}]
-        grid = PhaseGrid.from_rows(axes, rows, {"n": 3})
-        assert grid.axes == axes and grid.metadata == {"n": 3}
+        grid = PhaseGrid.from_rows(axes, rows)
+        assert grid.axes == axes
         for name, value in (("spurious", 0.25), ("unidentified", 0.5), ("rate_xz", 0.75),
                             ("rate_yz", 1.0)):
             data = getattr(grid, name)
             assert data.shape == (2, 1, 2) and data[1, 0, 0] == value
             assert np.isnan(np.delete(data.ravel(), 2)).all()
 
-    def test_metadata_recorded(self):
-        grids = ((0.0,),) * 3
-        result = phase_space(NoiseKind.EXTRINSIC_SNR, TopologyKind.DRIVER,
-                             n=64, alpha=0.1, criterion=Criterion.LR,
-                             iterations=3, grids=grids, seed=8, workers=1)
-        assert result.metadata["topology"] == "driver"
-        assert result.metadata["noise_kind"] == NoiseKind.EXTRINSIC_SNR.value
-        assert result.metadata["n"] == 64
-        assert result.metadata["alpha"] == 0.1
-        assert result.metadata["criterion"] == Criterion.LR.value
