@@ -55,9 +55,12 @@ def fmt(value: float) -> str:
 def parse_grid(spec: str) -> tuple[float, ...]:
     """Parse a comma-separated value list, or 'lo:hi:step': lo, lo + step, ...
     up to the last value <= hi, 1e-9 of a step allowing for round-off.
-    A range must be finite and have at most ``MAX_GRID_VALUES`` values."""
+    A range is three finite numbers giving at most ``MAX_GRID_VALUES`` values."""
     if ":" in spec:
-        lo, hi, step = (float(v) for v in spec.split(":"))
+        try:
+            lo, hi, step = map(float, spec.split(":"))
+        except ValueError:  # not three numbers: rejected below
+            lo = hi = step = math.nan
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise ValueError(f"bad grid spec {spec!r}")
         steps = (hi - lo) / step + 1e-9
@@ -71,7 +74,12 @@ def parse_grid(spec: str) -> tuple[float, ...]:
 
 
 def parse_criteria(spec: str) -> tuple[Criterion, ...]:
-    return tuple(Criterion(name.strip().lower()) for name in spec.split(","))
+    """The criteria of a comma list, each named at most once."""
+    criteria = tuple(Criterion(name.strip().lower()) for name in spec.split(","))
+    for i, crit in enumerate(criteria):
+        if crit in criteria[:i]:
+            raise ValueError(f"criterion '{crit.value}' is given twice in {spec!r}")
+    return criteria
 
 
 def write_manifest(path: str, experiment: str, argv: list[str],

@@ -9,7 +9,8 @@ and k unrestricted parameters:
     Rao  = ((rss_r - rss_u) / q) / (rss_u / (n - k))   ~ F(q, n - k)
 
 The Rao statistic is the finite-sample-exact F form, chosen for its small
-sample behaviour. For any nested pair with rss_r > rss_u the statistics
+sample behaviour. ``statistic_from_rss`` takes these five plain numbers and
+returns the statistic with its p-value. For any nested pair with rss_r > rss_u the statistics
 order as Wald >= LR >= LM. In floating point the order is exact once
 (rss_r - rss_u) / rss_u exceeds about 1e-8; closer pairs, whose p-values
 are all near 1, are ordered by the rounding of ln(rss_r / rss_u).
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple
 
 from scipy.special import chdtrc, fdtrc, ndtr
 
@@ -37,15 +38,11 @@ class Criterion(str, Enum):
 PRESET_CRITERIA = (Criterion.LR, Criterion.WALD, Criterion.RAO)
 
 
-@dataclass(frozen=True)
-class TestOutcome:
-    """A criterion statistic with its p-value and degrees of freedom."""
+class TestOutcome(NamedTuple):
+    """A criterion statistic with its p-value."""
 
     statistic: float
     p_value: float
-    dof_numerator: int
-    dof_denominator: Optional[int]
-    criterion: Criterion
 
 
 def chi2_sf(statistic: float, dof: int) -> float:
@@ -67,29 +64,25 @@ def statistic_from_rss(criterion: Criterion, rss_r: float, rss_u: float,
     """Criterion statistic and p-value straight from the two RSS values."""
     if rss_u <= 0.0:
         # Perfect unrestricted fit: limit behaviour of every statistic.
-        p = 0.0 if rss_r > rss_u else 1.0
-        dof2 = n - k if criterion is Criterion.RAO else None
-        return TestOutcome(statistic=math.inf if p == 0.0 else 0.0, p_value=p,
-                           dof_numerator=q, dof_denominator=dof2, criterion=criterion)
+        return TestOutcome(math.inf, 0.0) if rss_r > rss_u else TestOutcome(0.0, 1.0)
     # OLS guarantees rss_r >= rss_u on a common window; clamp round-off.
     delta = max(rss_r - rss_u, 0.0)
     if criterion is Criterion.LR:
         stat = n * math.log(max(rss_r, rss_u) / rss_u)
-        return TestOutcome(stat, chi2_sf(stat, q), q, None, criterion)
+        return TestOutcome(stat, chi2_sf(stat, q))
     if criterion is Criterion.WALD:
         stat = n * delta / rss_u
         # Exact finite-sample calibration: W is a monotone map of the F
         # statistic (W = n*q*F/(n-k)), so its p-value is taken from
         # F(q, n-k). This reproduces the observed indistinguishability of
         # the Wald and Rao tests at small sample sizes.
-        p = f_sf(stat * (n - k) / (n * q), q, n - k)
-        return TestOutcome(stat, p, q, n - k, criterion)
+        return TestOutcome(stat, f_sf(stat * (n - k) / (n * q), q, n - k))
     if criterion is Criterion.LM:
         stat = n * delta / rss_r
-        return TestOutcome(stat, chi2_sf(stat, q), q, None, criterion)
+        return TestOutcome(stat, chi2_sf(stat, q))
     if criterion is Criterion.RAO:
         stat = (delta / q) / (rss_u / (n - k))
-        return TestOutcome(stat, f_sf(stat, q, n - k), q, n - k, criterion)
+        return TestOutcome(stat, f_sf(stat, q, n - k))
     raise ValueError(f"unknown criterion {criterion!r}")
 
 

@@ -11,7 +11,8 @@ the five forward comparisons of one ``comparison_rss`` pass, and
 Monte Carlo loop and ``analyze`` both take it; ``reverse_pvalues`` scores
 the reverse links, which ``analyze`` reports but never classifies. Every
 test takes the RSS of its nested model pair from one ``regress.nested_rss``
-pass over ``_lag_rows`` columns and scores it with ``statistic_from_rss``.
+pass over ``_lag_rows`` columns as a plain (restricted RSS, unrestricted
+RSS, k) triple, and ``_pvalues`` scores forward and reverse triples alike.
 """
 
 from __future__ import annotations
@@ -54,17 +55,6 @@ class GrangerConfig:
             raise ValueError("lags must be >= 1")
 
 
-@dataclass(frozen=True)
-class RssComparison:
-    """One nested model pair reduced to the numbers the criteria need."""
-
-    rss_restricted: float
-    rss_unrestricted: float
-    n_obs: int
-    q: int
-    k: int
-
-
 def _lag_rows(series: tuple[np.ndarray, ...], p: int) -> np.ndarray:
     """Lags 1..p of each series on the window t = p .. n-1.
 
@@ -80,12 +70,14 @@ def _lag_rows(series: tuple[np.ndarray, ...], p: int) -> np.ndarray:
 
 
 def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                   lags: int) -> dict[str, RssComparison]:
-    """RSS of every model pair in the two-step procedure, via three QR passes.
+                   lags: int) -> list[tuple[float, float, int]]:
+    """(rss_restricted, rss_unrestricted, k) of the five forward model pairs,
+    in the order of ``FORWARD_KEYS``, via three QR passes.
 
     The full z-model [z-lags | y-lags | x-lags] yields the nested RSS of
     [z] and [z, y] as column prefixes; a second ordering [z-lags | x-lags]
-    yields [z, x]; the y-model pass yields [y] and [y, x].
+    yields [z, x]; the y-model pass yields [y] and [y, x]. Every pair lies
+    on the common window of len(z) - lags observations.
     """
     p = lags
     n_obs = z.shape[0] - p  # common window: max lag of the widest model
@@ -98,13 +90,16 @@ def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     (rss_zx,) = nested_rss(np.concatenate((lagged[:p], lagged[2 * p:])).T, bz, (2 * p,))
     rss_y, rss_yx = nested_rss(lagged[p:].T, y[p:], (p, 2 * p))
 
-    return {
-        BIV_XY: RssComparison(rss_y, rss_yx, n_obs, p, 2 * p),
-        BIV_XZ: RssComparison(rss_z, rss_zx, n_obs, p, 2 * p),
-        BIV_YZ: RssComparison(rss_z, rss_zy, n_obs, p, 2 * p),
-        TRI_XZ: RssComparison(rss_zy, rss_zyx, n_obs, p, 3 * p),
-        TRI_YZ: RssComparison(rss_zx, rss_zyx, n_obs, p, 3 * p),
-    }
+    return [(rss_y, rss_yx, 2 * p), (rss_z, rss_zx, 2 * p), (rss_z, rss_zy, 2 * p),
+            (rss_zy, rss_zyx, 3 * p), (rss_zx, rss_zyx, 3 * p)]
+
+
+def _pvalues(pairs: Sequence[tuple[float, float, int]], n_obs: int, q: int,
+             criteria: Sequence[Criterion]) -> np.ndarray:
+    """P-values (criterion, pair) of nested pairs (rss_restricted,
+    rss_unrestricted, k) on ``n_obs`` observations with ``q`` restrictions."""
+    return np.array([[statistic_from_rss(crit, rss_r, rss_u, n_obs, q, k).p_value
+                      for rss_r, rss_u, k in pairs] for crit in criteria])
 
 
 def _require_equal_lengths(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
@@ -117,11 +112,7 @@ def forward_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
     """P-values (criterion, comparison) of the five forward comparisons, in
     the order of ``FORWARD_KEYS``, from one ``comparison_rss`` pass."""
     _require_equal_lengths(x, y, z)
-    comps = comparison_rss(x, y, z, lags)
-    ordered = [comps[key] for key in FORWARD_KEYS]
-    return np.array([[statistic_from_rss(crit, c.rss_restricted, c.rss_unrestricted,
-                                         c.n_obs, c.q, c.k).p_value for c in ordered]
-                     for crit in criteria])
+    return _pvalues(comparison_rss(x, y, z, lags), z.shape[0] - lags, lags, criteria)
 
 
 def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -151,7 +142,6 @@ def reverse_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
     n_obs = x.size - p
     if n_obs < 2 * p + 1:
         raise InsufficientData(f"{n_obs} observations for {2 * p} coefficients")
-    rss = [nested_rss(_lag_rows((effect, cause), p).T, effect[p:], (p, 2 * p))
-           for effect, cause in ((x, y), (x, z), (y, z))]
-    return np.array([[statistic_from_rss(crit, rss_r, rss_u, n_obs, p, 2 * p).p_value
-                      for rss_r, rss_u in rss] for crit in criteria])
+    pairs = [(*nested_rss(_lag_rows((effect, cause), p).T, effect[p:], (p, 2 * p)), 2 * p)
+             for effect, cause in ((x, y), (x, z), (y, z))]
+    return _pvalues(pairs, n_obs, p, criteria)

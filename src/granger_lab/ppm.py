@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_MAX_PIXELS = 1 << 26  # pixels a rendered image may hold
+
 
 def rate_to_rgb(rate: float) -> tuple[int, int, int]:
     t = min(max(float(rate), 0.0), 1.0)
@@ -28,10 +30,14 @@ def rgb_to_rate(r: int, g: int, b: int) -> float:
 
 def render_plane(plane: np.ndarray, scale: int = 1) -> np.ndarray:
     """Pixel array (H, W, 3) uint8 for a 2-D rate plane; one scale x scale
-    block per cell, rows/columns in ascending axis order."""
+    block per cell, rows/columns in ascending axis order. An image of more
+    than ``_MAX_PIXELS`` pixels is refused before anything is allocated."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
     rows, cols = plane.shape
+    if rows * scale * cols * scale > _MAX_PIXELS:
+        raise ValueError(f"--scale {scale} gives a {rows * scale}x{cols * scale} image, "
+                         f"more than {_MAX_PIXELS} pixels")
     pixels = np.empty((rows, cols, 3), dtype=np.uint8)
     for i in range(rows):
         for j in range(cols):

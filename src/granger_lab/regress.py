@@ -34,12 +34,10 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FitResult:
-    """OLS output for one model: coefficients, RSS and size bookkeeping."""
+    """OLS output for one model: coefficients and RSS."""
 
     coefficients: np.ndarray
     rss: float
-    n_obs: int
-    n_params: int
 
 
 def ols_fit(matrix: np.ndarray, response: np.ndarray) -> FitResult:
@@ -55,8 +53,7 @@ def ols_fit(matrix: np.ndarray, response: np.ndarray) -> FitResult:
         raise RankDeficient("design matrix is rank deficient")
     coef = solve_triangular(r, q.T @ response, lower=False)
     resid = response - matrix @ coef
-    return FitResult(coefficients=coef, rss=float(resid @ resid),
-                     n_obs=n_obs, n_params=n_params)
+    return FitResult(coefficients=coef, rss=float(resid @ resid))
 
 
 def nested_rss(matrix: np.ndarray, response: np.ndarray,

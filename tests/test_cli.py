@@ -58,7 +58,8 @@ class TestParsing:
             parse_grid("1:0:1")
 
     @pytest.mark.parametrize("spec", ["0.05:inf:0.05", "-inf:0:1", "0:nan:5", "0:1:inf",
-                                      "0:1:nan"])
+                                      "0:1:nan", "0.05:0.5", "a:0.5:0.05",
+                                      "0.05:0.5:0.05:1", ":"])
     def test_parse_grid_rejects_a_non_finite_range(self, spec):
         with pytest.raises(ValueError, match=f"^bad grid spec '{spec}'$"):
             parse_grid(spec)
@@ -74,6 +75,11 @@ class TestParsing:
                                                  Criterion.RAO)
         with pytest.raises(ValueError):
             parse_criteria("lr,bogus")
+
+    @pytest.mark.parametrize("spec, name", [("wald,wald", "wald"), ("lr,rao,LR", "lr")])
+    def test_parse_criteria_rejects_a_repeated_name(self, spec, name):
+        with pytest.raises(ValueError, match=f"^criterion '{name}' is given twice"):
+            parse_criteria(spec)
 
     def test_fmt_round_trips(self):
         for v in (0.05, 1 / 3, 0.1 + 0.2, 115.47005383792516):
@@ -292,7 +298,10 @@ class TestSweepCommands:
         (["sweep-n", "--alpha", "0.1", "--cases", "4", "--sizes"], "20:inf:10"),
         (["sweep-n", "--alpha", "0.1", "--cases", "4", "--sizes"], "0:10000:1"),
         (["phase-space", "--noise", "intrinsic", "--iterations", "2", "--grid"], "0:nan:5"),
-    ], ids=["sweep-alpha-inf", "sweep-n-inf", "sweep-n-too-long", "phase-space-nan"])
+        (["sweep-alpha", "--iterations", "4", "--alpha-grid"], "0.05:0.5"),
+        (["sweep-n", "--alpha", "0.1", "--cases", "4", "--sizes"], "a:300:25"),
+    ], ids=["sweep-alpha-inf", "sweep-n-inf", "sweep-n-too-long", "phase-space-nan",
+            "sweep-alpha-two-fields", "sweep-n-not-a-number"])
     def test_bad_range_exits_2_and_names_the_spec(self, tmp_path, capsys, argv, spec):
         out = tmp_path / "o"
         assert main(argv + [spec, "--topology", "driver", "--workers", "1",
@@ -300,6 +309,24 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert f"grid spec '{spec}'" in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-alpha", "--iterations", "4", "--criteria", "wald,wald"],
+        ["sweep-n", "--alpha", "0.1", "--sizes", "30", "--cases", "4", "--criteria", "lr,lr"],
+    ], ids=["sweep-alpha", "sweep-n"])
+    def test_repeated_criterion_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                        argv):
+        def no_sampling(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(experiments, "generate_chunks", no_sampling)
+        out = tmp_path / "o"
+        assert main(argv + ["--topology", "driver", "--workers", "1",
+                            "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"criterion '{argv[-1].split(',')[0]}' is given twice" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()  # no CSV, no manifest
 
     def test_sweep_n_writes_comparisons(self, tmp_path):
         out = tmp_path / "n"
@@ -640,6 +667,28 @@ class TestBenchmarkHooks:
     def test_traced_name_resolves(self, module, name):
         assert callable(getattr(module, name))
 
+    @pytest.mark.parametrize("criteria", [(Criterion.WALD,), tuple(Criterion)])
+    def test_one_run_calls_the_traced_kernels_per_iteration(self, monkeypatch, criteria):
+        # The traced benchmark checks these per-iteration call counts: three
+        # QR passes and five scores per criterion for each sample.
+        calls = {"nested_rss": 0, "statistic_from_rss": 0}
+
+        def counted(name):
+            fn = getattr(granger, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(granger, name, counted(name))
+        k = 7
+        gen = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
+        [(_, rank_deficient)] = _count_run([((gen, ()), 0, k)], 2, criteria, (0.05,), 3)
+        assert rank_deficient == 0
+        assert calls == {"nested_rss": 3 * k, "statistic_from_rss": 5 * len(criteria) * k}
+
     def test_reader_result_counts_the_rows(self, tmp_path):
         csv = tmp_path / "sample.csv"
         assert main(["generate", "--topology", "driver", "--n", "37",
@@ -748,6 +797,21 @@ class TestRender:
         assert image.shape == (3, 6, 3)
         assert np.all(image[:, :3] == np.array([0, 0, 255], dtype=np.uint8))
         assert np.all(image[:, 3:] == np.array([255, 0, 0], dtype=np.uint8))
+
+    def test_oversized_image_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def no_image(*args, **kwargs):
+            raise AssertionError("the image was allocated")
+
+        monkeypatch.setattr(np, "kron", no_image)
+        csv, ppm = tmp_path / "g.csv", tmp_path / "g.ppm"
+        self._phase_csv(csv, 0.5)
+        # 2 x 2 cells at scale 2**12 is 2**26 pixels, the most allowed.
+        for scale in (2**12 + 1, 10**15):
+            assert main(["render", "--input", str(csv), "--axis", "z", "--value", "0",
+                         "--scale", str(scale), "--out", str(ppm)]) == 2
+            err = capsys.readouterr().err
+            assert f"--scale {scale}" in err and len(err.splitlines()) == 1
+        assert not ppm.exists()
 
     def test_ppm_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

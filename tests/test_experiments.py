@@ -13,7 +13,7 @@ from granger_lab.datagen import GenerationError, GeneratorConfig, NoiseKind, gen
 from granger_lab.experiments import (SNR_KEYS, DegenerateConfiguration, OffGrid, PhaseGrid,
                                      estimate_rates, extract_plane, phase_rows, phase_space,
                                      snr_grid, sweep_sample_size, sweep_significance)
-from granger_lab.granger import GrangerConfig, comparison_rss
+from granger_lab.granger import FORWARD_KEYS, GrangerConfig, comparison_rss
 from granger_lab.regress import RankDeficient
 from granger_lab.seeding import derive_seeds, generator_states
 
@@ -187,10 +187,9 @@ class TestCountChecks:
 
 def _scalar_pvalues(sample, criterion):
     """The five forward p-values, one ``statistic_from_rss`` call each."""
-    comps = comparison_rss(sample.x, sample.y, sample.z, 2)
-    return {k: statistic_from_rss(criterion, c.rss_restricted, c.rss_unrestricted,
-                                  c.n_obs, c.q, c.k).p_value
-            for k, c in comps.items()}
+    pairs = comparison_rss(sample.x, sample.y, sample.z, 2)
+    return {key: statistic_from_rss(criterion, rss_r, rss_u, len(sample.x) - 2, 2, k).p_value
+            for key, (rss_r, rss_u, k) in zip(FORWARD_KEYS, pairs, strict=True)}
 
 
 def _loop_counts(gen, criteria, alphas, master_seed, iterations):

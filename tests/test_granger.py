@@ -64,9 +64,8 @@ class TestBivariateTest:
         s = _sample(TopologyKind.INDIRECT, seed=2)
         pvalues = _pvalues(s, Criterion.LR)
         assert _pair_pvalue(s.x, s.y, s.z, Criterion.LR) == pvalues[0]
-        c = comparison_rss(*s, 2)[TRI_YZ]
-        via_tri = statistic_from_rss(Criterion.LR, c.rss_restricted, c.rss_unrestricted,
-                                     c.n_obs, c.q, c.k)
+        rss_r, rss_u, k = comparison_rss(*s, 2)[FORWARD_KEYS.index(TRI_YZ)]
+        via_tri = statistic_from_rss(Criterion.LR, rss_r, rss_u, len(s.x) - 2, 2, k)
         assert via_tri.p_value == pvalues[FORWARD_KEYS.index(TRI_YZ)]
 
     @pytest.mark.parametrize("criterion", list(Criterion))
@@ -121,16 +120,17 @@ class TestReverseLinkDecisions:
 class TestComparisonRss:
     def test_nesting_and_counts(self):
         s = _sample(TopologyKind.DRIVER, seed=3)
-        comps = comparison_rss(*s, 2)
-        assert set(comps) == {BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ}
-        for c in comps.values():
-            assert c.rss_restricted >= c.rss_unrestricted >= 0.0
-            assert c.q == 2
-        assert comps[BIV_XY].k == 4
-        assert comps[TRI_XZ].k == 6
-        # all five comparisons share the common trivariate window
-        assert len({c.n_obs for c in comps.values()}) == 1
-        assert comps[BIV_XY].n_obs == len(s.x) - 2
+        pairs = dict(zip(FORWARD_KEYS, comparison_rss(*s, 2), strict=True))
+        for rss_r, rss_u, _ in pairs.values():
+            assert rss_r >= rss_u >= 0.0
+        assert [k for _, _, k in pairs.values()] == [4, 4, 4, 6, 6]
+        # The z-models are shared: [z] restricts both pairwise z tests, [z, y]
+        # and [z, x] are the conditional tests' restricted models, and
+        # [z, y, x] is their common unrestricted model.
+        assert pairs[BIV_XZ][0] == pairs[BIV_YZ][0]
+        assert pairs[TRI_XZ][0] == pairs[BIV_YZ][1]
+        assert pairs[TRI_YZ][0] == pairs[BIV_XZ][1]
+        assert pairs[TRI_XZ][1] == pairs[TRI_YZ][1]
 
 
 def _decided(pvalues, significance):
@@ -147,13 +147,12 @@ class TestForwardPvalues:
         criteria = tuple(Criterion)
         pvalues = forward_pvalues(*s, 2, criteria)
         assert pvalues.shape == (len(criteria), len(FORWARD_KEYS))
-        comps = comparison_rss(*s, 2)
+        pairs = comparison_rss(*s, 2)
+        assert len(pairs) == len(FORWARD_KEYS)
         for row, criterion in zip(pvalues, criteria):
-            for p_value, key in zip(row, FORWARD_KEYS):
-                c = comps[key]
+            for p_value, (rss_r, rss_u, k) in zip(row, pairs):
                 assert p_value == statistic_from_rss(
-                    criterion, c.rss_restricted, c.rss_unrestricted,
-                    c.n_obs, c.q, c.k).p_value
+                    criterion, rss_r, rss_u, len(s.x) - 2, 2, k).p_value
 
     def test_rank_deficient_sample_raises(self):
         x = np.random.default_rng(3).normal(size=100)

@@ -42,7 +42,7 @@ class TestOlsFit:
         np.testing.assert_allclose(fit.coefficients, beta, rtol=1e-9)
         resid = response - matrix @ beta
         assert fit.rss == pytest.approx(float(resid @ resid), rel=1e-10)
-        assert fit.n_obs == 60 and fit.n_params == 4
+        assert fit.coefficients.shape == (4,)
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(2)
