@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .core import Link, TopologyKind, TopologyLabel
+from .core import Link, TopologyKind, topology_kind
 from .criteria import (Criterion, PRESET_CRITERIA, TestOutcome, chi2_sf,
                        compare_criteria, f_sf)
 from .datagen import (GeneratorConfig, NoiseConfig, NoiseKind, TrivariateSample,

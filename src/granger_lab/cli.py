@@ -6,8 +6,8 @@ exit code: 0 success, 2 invalid flags or malformed input, 3 runtime
 failure, 4 resume-file conflict. ``GRANGER_LAB_THREADS`` sets the worker
 count when ``--workers`` is absent. ``main`` removes an experiment's old
 manifest before it runs and writes a flat key=value manifest next to its
-outputs once it succeeds; ``granger-lab --from-manifest FILE`` re-runs it
-byte-identically (timestamps aside).
+outputs once it succeeds; ``granger-lab --from-manifest FILE`` re-runs its
+``argv=`` line byte-identically (timestamps aside).
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import sys
 import time
 from contextlib import ExitStack, closing, suppress
 from itertools import product
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .core import FORWARD_LINKS, TopologyKind, TopologyLabel
+from .core import FORWARD_LINKS, TopologyKind, topology_kind
 from .criteria import Criterion
 from .datagen import GeneratorConfig, NoiseKind, TrivariateSample, generate
 from .experiments import (PHASE_RATES, SNR_KEYS, PhaseGrid, SweepResult, extract_plane,
@@ -67,15 +68,29 @@ def parse_grid(spec: str) -> tuple[float, ...]:
         if not steps < MAX_GRID_VALUES:  # also an overflow to infinity
             raise ValueError(f"grid spec {spec!r} has more than {MAX_GRID_VALUES} values")
         return tuple(round(lo + i * step, 12) for i in range(int(steps) + 1))
-    values = tuple(float(v) for v in spec.split(",") if v.strip())
+    try:
+        values = tuple(float(v) for v in spec.split(",") if v.strip())
+    except ValueError:  # a value that is not a number
+        raise ValueError(f"bad grid spec {spec!r}") from None
     if not values:
         raise ValueError("empty grid")
     return values
 
 
+def parse_criterion(name: str, spec: str | None = None) -> Criterion:
+    """The criterion called ``name``, in any case; an error also names
+    ``spec``, the list that ``name`` came from."""
+    try:
+        return Criterion(name.strip().lower())
+    except ValueError:
+        where = f" in {spec!r}" if spec else ""
+        raise ValueError(f"bad criterion {name.strip()!r}{where}: expected lr, wald, rao or lm"
+                         ) from None
+
+
 def parse_criteria(spec: str) -> tuple[Criterion, ...]:
     """The criteria of a comma list, each named at most once."""
-    criteria = tuple(Criterion(name.strip().lower()) for name in spec.split(","))
+    criteria = tuple(parse_criterion(name, spec) for name in spec.split(","))
     for i, crit in enumerate(criteria):
         if crit in criteria[:i]:
             raise ValueError(f"criterion '{crit.value}' is given twice in {spec!r}")
@@ -94,29 +109,19 @@ def write_manifest(path: str, experiment: str, argv: list[str],
         f"finished={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(finished))}",
     ]
     lines += [f"output={p}" for p in outputs]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_manifest(path: str) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            out.setdefault(key, []).append(value)
-    return out
+    _write_lines(path, lines)
 
 
 def _manifest_argv(path: str) -> list[str]:
-    """The argv a manifest recorded, split back into arguments."""
-    manifest = _read_input(read_manifest, path)
-    if not manifest.get("argv"):
+    """The argv of a manifest's first ``argv=`` line, split back into
+    arguments. Replay reads no other line."""
+    text = _read_input(lambda p: Path(p).read_text(encoding="utf-8"), path)
+    argv = next((line[5:] for line in map(str.strip, text.split("\n"))
+                 if line.startswith("argv=")), None)
+    if argv is None:
         raise ValueError(f"{path}: manifest has no argv entry")
     try:
-        return shlex.split(manifest["argv"][0])
+        return shlex.split(argv)
     except ValueError as exc:
         raise ValueError(f"{path}: unreadable argv entry ({exc})") from None
 
@@ -314,13 +319,14 @@ class _ResumeConflict(Exception):
 
 
 def cmd_phase_space(args) -> list[str]:
-    # Checked here as well as in phase_rows, so that a bad count, level or
-    # axis exits 2 before the checkpoint is read, compared or touched.
+    # Checked here as well as in phase_rows, so that a bad count, level,
+    # length or axis exits 2 before the checkpoint is read, compared or touched.
     require_positive("iterations", args.iterations)
     require_significance(args.alpha)
     topology = TopologyKind(args.topology)
+    GeneratorConfig(topology=topology, length=args.n)
     noise = NoiseKind(args.noise)
-    criterion = Criterion(args.criterion)
+    criterion = parse_criterion(args.criterion)
     shared = parse_grid(args.grid)
     grids = tuple(parse_grid(g) if g else shared
                   for g in (args.grid_x, args.grid_y, args.grid_z))
@@ -367,6 +373,8 @@ def cmd_phase_space(args) -> list[str]:
 
 def cmd_render(args) -> None:
     _, cells = _read_input(load_phase_csv, args.input)
+    if not cells:
+        raise ValueError(f"{args.input} has no complete rows")
     axes = [sorted({cell[key] for cell in cells}) for key in SNR_KEYS]
     grid = PhaseGrid.from_rows(axes, cells)
     plane, _, _ = extract_plane(grid, args.axis, args.value, PHASE_RATES[args.field])
@@ -410,7 +418,7 @@ def _read_series_csv(path: str) -> TrivariateSample:
 
 def cmd_analyze(args) -> None:
     sample = _read_input(_read_series_csv, args.input)
-    config = GrangerConfig(lags=args.lags, criterion=Criterion(args.criterion),
+    config = GrangerConfig(lags=args.lags, criterion=parse_criterion(args.criterion),
                            significance=args.alpha)
     try:
         [pvalues] = forward_pvalues(*sample, config.lags, (config.criterion,))
@@ -419,13 +427,12 @@ def cmd_analyze(args) -> None:
         raise RankDeficient("rank-deficient design: a series is constant or duplicated; "
                             "check the input columns") from None
     [accepted] = decide_edge_array(pvalues, np.array([config.significance]))
-    label = TopologyLabel.from_edges(
-        link for link, on in zip(FORWARD_LINKS, accepted) if on)
+    edges = [link for link, on in zip(FORWARD_LINKS, accepted) if on]
     forward_p = {key: float(p) for key, p in zip(FORWARD_KEYS, pvalues)}
     reverse_p = {key: float(p) for key, p in zip(REVERSE_KEYS, reverse)}
     report = {
-        "topology": label.kind.value,
-        "edges": sorted(e.value for e in label.edges),
+        "topology": topology_kind(edges).value,
+        "edges": sorted(e.value for e in edges),
         "forward_p_values": forward_p,
         "reverse_p_values": reverse_p,
         "criterion": config.criterion.value,
@@ -444,14 +451,15 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_generate(args) -> None:
-    params = tuple(float(v) for v in args.params.split(","))
-    if len(params) != 3:
-        raise ValueError("--params must be a comma-separated triple")
+    try:
+        a, b, c = map(float, args.params.split(","))
+    except ValueError:  # not three numbers
+        raise ValueError(f"--params must be three comma-separated numbers, "
+                         f"got {args.params!r}") from None
     config = GeneratorConfig(topology=TopologyKind(args.topology), length=args.n,
                              ar_coefficient=args.ar, noise_kind=NoiseKind(args.noise),
-                             sigmas_or_snrs=params, burn_in=args.burn_in,
-                             seed=args.seed)
-    sample = generate(config)
+                             sigmas_or_snrs=(a, b, c), burn_in=args.burn_in)
+    sample = generate(config, args.seed)
     lines = ["t,x,y,z"]
     for t, (x, y, z) in enumerate(zip(*sample)):
         lines.append(",".join([str(t), fmt(x), fmt(y), fmt(z)]))

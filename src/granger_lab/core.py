@@ -1,4 +1,4 @@
-"""The causal-graph vocabulary: forward links, topology kinds and labels.
+"""The causal-graph vocabulary: forward links and topology kinds.
 
 Every other module imports from here. All types are immutable after
 construction and safe to share across worker processes.
@@ -6,7 +6,6 @@ construction and safe to share across worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -38,15 +37,6 @@ _NAMED_EDGE_SETS = {
 }
 
 
-@dataclass(frozen=True)
-class TopologyLabel:
-    """A causal topology over (X, Y, Z), identified by its forward edge-set."""
-
-    kind: TopologyKind
-    edges: frozenset[Link]
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[Link]) -> "TopologyLabel":
-        edge_set = frozenset(edges)
-        kind = _NAMED_EDGE_SETS.get(edge_set, TopologyKind.OTHER)
-        return cls(kind=kind, edges=edge_set)
+def topology_kind(edges: Iterable[Link]) -> TopologyKind:
+    """The kind of topology that a set of forward edges forms."""
+    return _NAMED_EDGE_SETS.get(frozenset(edges), TopologyKind.OTHER)

@@ -101,23 +101,19 @@ def two_proportion_z(rate_a: float, n_a: int, rate_b: float, n_b: int) -> tuple[
 
 @dataclass(frozen=True)
 class RateComparison:
-    """Two-proportion z-test verdicts for a pair of Monte Carlo rate estimates."""
+    """Two-proportion z-test p-values and verdicts for a pair of rate estimates."""
 
-    spurious_z: float
     spurious_p: float
     spurious_different: bool
-    unidentified_z: float
     unidentified_p: float
     unidentified_different: bool
-    level: float
 
 
 def compare_criteria(rates_a, rates_b, level: float = 0.1) -> RateComparison:
     """Decide whether two RateEstimates differ statistically at ``level``."""
-    sz, sp = two_proportion_z(rates_a.spurious_rate, rates_a.iterations,
-                              rates_b.spurious_rate, rates_b.iterations)
-    uz, up = two_proportion_z(rates_a.unidentified_rate, rates_a.iterations,
-                              rates_b.unidentified_rate, rates_b.iterations)
-    return RateComparison(spurious_z=sz, spurious_p=sp, spurious_different=sp < level,
-                          unidentified_z=uz, unidentified_p=up,
-                          unidentified_different=up < level, level=level)
+    _, sp = two_proportion_z(rates_a.spurious_rate, rates_a.iterations,
+                             rates_b.spurious_rate, rates_b.iterations)
+    _, up = two_proportion_z(rates_a.unidentified_rate, rates_a.iterations,
+                             rates_b.unidentified_rate, rates_b.iterations)
+    return RateComparison(spurious_p=sp, spurious_different=sp < level,
+                          unidentified_p=up, unidentified_different=up < level)

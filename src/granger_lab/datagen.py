@@ -58,6 +58,9 @@ CALIBRATION_SEED = 744_003_917
 MAGNITUDE_BOUND = 1e12
 DEFAULT_BURN_IN = 100
 
+#: Values per series of one sample, burn-in included, at most (~300 MB peak).
+MAX_SAMPLE_VALUES = 1 << 20
+
 #: Values per generated array in one chunk of ``generate_chunks``: 256 KiB
 #: of float64, 81 samples at n=300 and 218 at n=50.
 CHUNK_VALUES = 1 << 15
@@ -85,7 +88,6 @@ class GeneratorConfig:
     noise_kind: NoiseKind = NoiseKind.FIXED_SIGMA
     sigmas_or_snrs: tuple[float, float, float] = BASELINE_SIGMAS
     burn_in: int = DEFAULT_BURN_IN
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.topology not in (TopologyKind.DRIVER, TopologyKind.INDIRECT):
@@ -96,6 +98,9 @@ class GeneratorConfig:
             raise ValueError("|ar_coefficient| must be < 1 for stationarity")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        if self.length + self.burn_in > MAX_SAMPLE_VALUES:
+            raise ValueError(f"length {self.length} plus burn_in {self.burn_in} exceeds "
+                             f"{MAX_SAMPLE_VALUES} values per series")
         object.__setattr__(self, "sigmas_or_snrs", tuple(float(v) for v in self.sigmas_or_snrs))
 
 
@@ -225,9 +230,9 @@ def resolve_sigmas(config: GeneratorConfig) -> NoiseConfig:
     return NoiseConfig(*sigmas)
 
 
-def generate(config: GeneratorConfig) -> TrivariateSample:
-    """Generate one trivariate sample according to the config's noise mode."""
-    x, y, z = next(generate_chunks(config, generator_states([config.seed])))
+def generate(config: GeneratorConfig, seed: int = 0) -> TrivariateSample:
+    """One sample of the config's model, drawn from ``default_rng(seed)``."""
+    x, y, z = next(generate_chunks(config, generator_states([seed])))
     return TrivariateSample(x[0], y[0], z[0])
 
 
@@ -241,7 +246,7 @@ def generate_chunks(config: GeneratorConfig, states: Iterable[np.ndarray]
     """Samples for a stream of generator states, as (rows, length) x, y, z
     arrays.
 
-    Row r of the stream equals ``generate(replace(config, seed=seed_r))``
+    Row r of the stream equals ``generate(config, seed_r)``
     bit for bit when state r is a row of ``generator_states`` for seed_r.
     States are consumed ``chunk_rows(config)`` at a time, so memory is
     bounded whatever the stream's length.

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from granger_lab import cli, experiments, granger, regress
+from granger_lab import cli, datagen, experiments, granger, regress
 from granger_lab.cli import (MAX_GRID_VALUES, PHASE_HEADER, fmt, load_phase_csv, main,
-                             parse_criteria, parse_grid, read_manifest)
+                             parse_criteria, parse_grid)
 from granger_lab.core import FORWARD_LINKS, TopologyKind
 from granger_lab.criteria import Criterion
 from granger_lab.datagen import GeneratorConfig
@@ -137,6 +137,15 @@ class TestGenerateAnalyze:
     def test_bad_params_exit_2(self, tmp_path):
         assert main(["generate", "--topology", "driver", "--params", "1,2",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("params", ["1,2", "1,2,x", "1,,3", "1,2,3,4"])
+    def test_bad_params_exit_2_and_name_the_spec(self, tmp_path, capsys, params):
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--topology", "driver", "--params", params,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--params" in err and repr(params) in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("ar", ["nan", "-nan", "inf"])
     def test_non_finite_ar_exits_2(self, tmp_path, capsys, ar):
@@ -300,8 +309,15 @@ class TestSweepCommands:
         (["phase-space", "--noise", "intrinsic", "--iterations", "2", "--grid"], "0:nan:5"),
         (["sweep-alpha", "--iterations", "4", "--alpha-grid"], "0.05:0.5"),
         (["sweep-n", "--alpha", "0.1", "--cases", "4", "--sizes"], "a:300:25"),
+        (["sweep-alpha", "--iterations", "4", "--alpha-grid"], "0.1,abc"),
+        (["sweep-n", "--alpha", "0.1", "--cases", "4", "--sizes"], "25,abc"),
+        (["phase-space", "--noise", "intrinsic", "--iterations", "2", "--grid"], "0,abc"),
+        (["phase-space", "--noise", "intrinsic", "--iterations", "2", "--grid", "0",
+          "--grid-z"], "0,,x"),
     ], ids=["sweep-alpha-inf", "sweep-n-inf", "sweep-n-too-long", "phase-space-nan",
-            "sweep-alpha-two-fields", "sweep-n-not-a-number"])
+            "sweep-alpha-two-fields", "sweep-n-not-a-number", "sweep-alpha-list-not-a-number",
+            "sweep-n-list-not-a-number", "phase-space-list-not-a-number",
+            "phase-space-z-list-not-a-number"])
     def test_bad_range_exits_2_and_names_the_spec(self, tmp_path, capsys, argv, spec):
         out = tmp_path / "o"
         assert main(argv + [spec, "--topology", "driver", "--workers", "1",
@@ -327,6 +343,58 @@ class TestSweepCommands:
         assert f"criterion '{argv[-1].split(',')[0]}' is given twice" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()  # no CSV, no manifest
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep-alpha", "--iterations", "4", "--criteria", "lr,"], "bad criterion '' in 'lr,'"),
+        (["sweep-n", "--alpha", "0.1", "--sizes", "30", "--cases", "4", "--criteria", "lr,foo"],
+         "bad criterion 'foo' in 'lr,foo'"),
+        (["phase-space", "--noise", "intrinsic", "--iterations", "2", "--grid", "0",
+          "--criterion", "foo"], "bad criterion 'foo'"),
+    ], ids=["sweep-alpha", "sweep-n", "phase-space"])
+    def test_unknown_criterion_exits_2_and_names_the_spec(self, tmp_path, capsys, monkeypatch,
+                                                          argv, message):
+        def no_sampling(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(experiments, "generate_chunks", no_sampling)
+        out = tmp_path / "o"
+        assert main(argv + ["--topology", "driver", "--workers", "1",
+                            "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_analyze_unknown_criterion_exits_2_and_names_it(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        assert main(["generate", "--topology", "driver", "--n", "60", "--out", str(csv)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(csv), "--criterion", "foo"]) == 2
+        err = capsys.readouterr().err
+        assert "bad criterion 'foo'" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, length, burn_in", [
+        (["generate", "--n", "2000000", "--out", "{out}.csv"], 2000000, 100),
+        (["generate", "--n", "1048000", "--burn-in", "1000", "--out", "{out}.csv"],
+         1048000, 1000),
+        (["sweep-alpha", "--n", "2000000", "--iterations", "4", "--workers", "1",
+          "--out", "{out}"], 2000000, 100),
+        (["sweep-n", "--alpha", "0.1", "--sizes", "25,2000000", "--cases", "4",
+          "--workers", "1", "--out", "{out}"], 2000000, 100),
+        (["phase-space", "--noise", "intrinsic", "--n", "2000000", "--iterations", "2",
+          "--grid", "0", "--workers", "1", "--out", "{out}"], 2000000, 100),
+    ], ids=["generate", "generate-burn-in", "sweep-alpha", "sweep-n", "phase-space"])
+    def test_sample_length_is_bounded_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                      argv, length, burn_in):
+        def no_draws(*args):
+            raise AssertionError("values were drawn")
+
+        monkeypatch.setattr(datagen, "_raw_draws", no_draws)
+        out = str(tmp_path / "o")
+        assert main(argv[:1] + ["--topology", "driver"]
+                    + [a.format(out=out) for a in argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"length {length} plus burn_in {burn_in}" in err and len(err.splitlines()) == 1
+        assert not os.path.exists(out) and not os.path.exists(out + ".csv")
 
     def test_sweep_n_writes_comparisons(self, tmp_path):
         out = tmp_path / "n"
@@ -364,12 +432,21 @@ class TestSweepCommands:
         assert main(argv + ["--workers", "1", "--out", str(out)]) == 0
         assert sorted(os.listdir(out)) == sorted(outputs + ["manifest.txt"])
         before = {name: (out / name).read_bytes() for name in outputs}
-        manifest = read_manifest(str(out / "manifest.txt"))
+        manifest = _manifest_keys(out / "manifest.txt")
         assert manifest["experiment"] == [argv[0]]
         assert manifest["seed"] == [argv[-1]]
         assert manifest["output"] == [str(out / name) for name in outputs]
         assert main(["--from-manifest", str(out / "manifest.txt")]) == 0
         assert {name: (out / name).read_bytes() for name in outputs} == before
+
+
+def _manifest_keys(path: Path) -> dict[str, list[str]]:
+    """Every value of each key of a key=value manifest, in file order."""
+    keys: dict[str, list[str]] = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        key, _, value = line.partition("=")
+        keys.setdefault(key, []).append(value)
+    return keys
 
 
 class TestPhaseSpaceCommand:
@@ -740,6 +817,20 @@ class TestRender:
         assert "(0.0, 0.0, 0.0)" in capsys.readouterr().err
         assert not ppm.exists()
 
+    @pytest.mark.parametrize("content", [None, "", PHASE_HEADER + "\n", PHASE_HEADER],
+                             ids=["dev-null", "empty", "header-only", "torn-header"])
+    def test_input_without_rows_exits_2_and_names_it(self, tmp_path, capsys, content):
+        path = os.devnull
+        if content is not None:
+            path = str(tmp_path / "g.csv")
+            Path(path).write_text(content)
+        ppm = tmp_path / "g.ppm"
+        assert main(["render", "--input", path, "--axis", "z", "--value", "0",
+                     "--out", str(ppm)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} has no complete rows" in err and len(err.splitlines()) == 1
+        assert not ppm.exists()
+
     @pytest.mark.parametrize("target", ["missing.csv", "."])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, target):
         path = str(tmp_path / target)
@@ -878,6 +969,15 @@ class TestTopLevel:
         assert main(["--from-manifest", path]) == 2
         err = capsys.readouterr().err
         assert path in err and len(err.splitlines()) == 1
+
+    def test_replay_reads_only_the_first_argv_line(self, tmp_path):
+        csv = tmp_path / "s.csv"
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("note=a key replay does not know\n"
+                            f"argv=generate --topology driver --n 60 --out {csv}\n"
+                            f"argv=generate --topology driver --n 70 --out {csv}\n")
+        assert main(["--from-manifest", str(manifest)]) == 0
+        assert len(csv.read_text().splitlines()) == 61
 
     def test_manifest_with_unbalanced_quote_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "m.txt"

@@ -1,16 +1,17 @@
-from granger_lab.core import Link, TopologyKind, TopologyLabel
+from granger_lab.core import Link, TopologyKind, topology_kind
 
 ALL_LINKS = (Link.XY, Link.XZ, Link.YZ)
 
 
-class TestTopologyLabel:
+class TestTopologyKind:
     def test_named_edge_sets(self):
-        assert TopologyLabel.from_edges({Link.XY, Link.XZ}).kind is TopologyKind.DRIVER
-        assert TopologyLabel.from_edges({Link.XY, Link.YZ}).kind is TopologyKind.INDIRECT
-        assert TopologyLabel.from_edges(ALL_LINKS).kind is TopologyKind.COMPLETE
-        null = TopologyLabel.from_edges(())
-        assert null.kind is TopologyKind.NULL and null.edges == frozenset()
+        assert topology_kind({Link.XY, Link.XZ}) is TopologyKind.DRIVER
+        assert topology_kind({Link.XY, Link.YZ}) is TopologyKind.INDIRECT
+        assert topology_kind(ALL_LINKS) is TopologyKind.COMPLETE
+        assert topology_kind(()) is TopologyKind.NULL
 
     def test_unnamed_is_other(self):
-        label = TopologyLabel.from_edges({Link.YZ})
-        assert label.kind is TopologyKind.OTHER
+        assert topology_kind({Link.YZ}) is TopologyKind.OTHER
+
+    def test_order_and_repeats_do_not_matter(self):
+        assert topology_kind([Link.XZ, Link.XY, Link.XZ]) is TopologyKind.DRIVER

@@ -175,7 +175,12 @@ class TestRateComparison:
         cmp = compare_criteria(Rates(0.30, 0.05, 1000), Rates(0.20, 0.05, 1000))
         assert cmp.spurious_different
         assert not cmp.unidentified_different
-        assert cmp.level == 0.1
+        # p in (0.05, 0.1): different at the default level of 0.1, not at 0.05
+        near = compare_criteria(Rates(0.30, 0.05, 1000), Rates(0.265, 0.05, 1000))
+        assert 0.05 < near.spurious_p < 0.1
+        assert near.spurious_different
+        assert not compare_criteria(Rates(0.30, 0.05, 1000), Rates(0.265, 0.05, 1000),
+                                    level=0.05).spurious_different
         tight = compare_criteria(Rates(0.30, 0.05, 1000), Rates(0.20, 0.05, 1000),
                                  level=1e-9)
         assert not tight.spurious_different

@@ -10,10 +10,10 @@ from scipy.linalg.lapack import dgttrf
 from scipy.signal import lfilter
 
 from granger_lab.datagen import (BASELINE_SIGMAS, CALIBRATION_LENGTH, CALIBRATION_SEED,
-                                 GenerationError, GeneratorConfig, NoiseKind,
-                                 TrivariateSample, _ar_filter, _bidiagonal_factors,
-                                 _calibration_variances, chunk_rows, generate,
-                                 generate_chunks, resolve_sigmas, snr_to_sigma)
+                                 MAX_SAMPLE_VALUES, GenerationError, GeneratorConfig,
+                                 NoiseKind, TrivariateSample, _ar_filter,
+                                 _bidiagonal_factors, _calibration_variances, chunk_rows,
+                                 generate, generate_chunks, resolve_sigmas, snr_to_sigma)
 from granger_lab.seeding import generator_states
 
 UNIFORM_VAR = 4.0 / 3.0  # variance of U(-2, 2) = (b - a)^2 / 12
@@ -65,8 +65,8 @@ def _oracle_series(x, ar, topology):
 class TestGenerateFixed:
     def test_noise_free_no_ar_driver(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=200,
-                              ar_coefficient=0.0, sigmas_or_snrs=(0, 0, 0), seed=1)
-        s = generate(cfg)
+                              ar_coefficient=0.0, sigmas_or_snrs=(0, 0, 0))
+        s = generate(cfg, 1)
         # z_t = x_{t-2} exactly (t >= 2 such that both lie after burn-in)
         np.testing.assert_allclose(s.z[2:], s.x[:-2], atol=0)
 
@@ -74,8 +74,8 @@ class TestGenerateFixed:
         # burn_in=0 so the oracle sees the same zero-start transient
         for topology in (TopologyKind.DRIVER, TopologyKind.INDIRECT):
             cfg = GeneratorConfig(topology=topology, length=150, burn_in=0,
-                                  sigmas_or_snrs=(0, 0, 0), seed=9)
-            s = generate(cfg)
+                                  sigmas_or_snrs=(0, 0, 0))
+            s = generate(cfg, 9)
             y, z = _oracle_series(s.x, 0.3, topology)
             np.testing.assert_allclose(s.y, y, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(s.z, z, rtol=1e-12, atol=1e-12)
@@ -85,20 +85,19 @@ class TestGenerateFixed:
         # sum_m (m+1) * ar^m * x_{t-2-m}: the x signal passes through the
         # AR stage of y and then the AR stage of z.
         cfg = GeneratorConfig(topology=TopologyKind.INDIRECT, length=100,
-                              burn_in=0, sigmas_or_snrs=(0, 0, 0), seed=4)
-        s = generate(cfg)
+                              burn_in=0, sigmas_or_snrs=(0, 0, 0))
+        s = generate(cfg, 4)
         x = s.x
         t = 60
         expected = sum((m + 1) * 0.3**m * x[t - 2 - m] for m in range(t - 1))
         assert s.z[t] == pytest.approx(expected, rel=1e-12)
 
     def test_determinism(self):
-        cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100, seed=77)
-        a, b = generate(cfg), generate(cfg)
+        cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100)
+        a, b = generate(cfg, 77), generate(cfg, 77)
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.z, b.z)
-        c = generate(GeneratorConfig(topology=TopologyKind.DRIVER,
-                                     length=100, seed=78))
+        c = generate(cfg, 78)
         assert not np.array_equal(a.x, c.x)
 
     def test_length_and_burn_in(self):
@@ -109,6 +108,13 @@ class TestGenerateFixed:
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):
             GeneratorConfig(topology=TopologyKind.DRIVER, length=2)
+
+    def test_bounds_length_plus_burn_in(self):
+        GeneratorConfig(topology=TopologyKind.DRIVER, length=MAX_SAMPLE_VALUES - 100)
+        with pytest.raises(ValueError, match=f"length {MAX_SAMPLE_VALUES - 99} plus burn_in 100"):
+            GeneratorConfig(topology=TopologyKind.DRIVER, length=MAX_SAMPLE_VALUES - 99)
+        with pytest.raises(ValueError, match="length 300 plus burn_in"):
+            GeneratorConfig(topology=TopologyKind.DRIVER, burn_in=MAX_SAMPLE_VALUES)
 
     def test_rejects_nonstationary_ar(self):
         with pytest.raises(ValueError):
@@ -151,8 +157,8 @@ class TestSignalVariance:
         # The calibration draws only the uniforms; the variances must be
         # those of the full four-block draw through lfilter, to the last bit.
         old = GeneratorConfig(topology=topology, length=CALIBRATION_LENGTH, ar_coefficient=ar,
-                              sigmas_or_snrs=(0.0, 0.0, 0.0), seed=CALIBRATION_SEED)
-        expected = tuple(float(np.var(v)) for v in _reference_generate(old))
+                              sigmas_or_snrs=(0.0, 0.0, 0.0))
+        expected = tuple(float(np.var(v)) for v in _reference_generate(old, CALIBRATION_SEED))
         assert repr(_calibration_variances(topology, ar)) == repr(expected)
 
 
@@ -224,12 +230,11 @@ class TestIntrinsic:
     def test_matches_fixed_with_same_sigmas(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                               noise_kind=NoiseKind.INTRINSIC_SNR,
-                              sigmas_or_snrs=(10.0, 20.0, 30.0), seed=5)
+                              sigmas_or_snrs=(10.0, 20.0, 30.0))
         noise = resolve_sigmas(cfg)
         fixed = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
-                                sigmas_or_snrs=(noise.alpha, noise.beta, noise.gamma),
-                                seed=5)
-        a, b = generate(cfg), generate(fixed)
+                                sigmas_or_snrs=(noise.alpha, noise.beta, noise.gamma))
+        a, b = generate(cfg, 5), generate(fixed, 5)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.z, b.z)
 
@@ -237,24 +242,24 @@ class TestIntrinsic:
         # intrinsic noise on X must change Y; extrinsic noise on X must not
         base = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                noise_kind=NoiseKind.INTRINSIC_SNR,
-                               sigmas_or_snrs=(0.0, 40.0, 40.0), seed=6)
+                               sigmas_or_snrs=(0.0, 40.0, 40.0))
         quiet = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                 noise_kind=NoiseKind.INTRINSIC_SNR,
-                                sigmas_or_snrs=(40.0, 40.0, 40.0), seed=6)
-        assert not np.array_equal(generate(base).y, generate(quiet).y)
+                                sigmas_or_snrs=(40.0, 40.0, 40.0))
+        assert not np.array_equal(generate(base, 6).y, generate(quiet, 6).y)
         ext0 = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                noise_kind=NoiseKind.EXTRINSIC_SNR,
-                               sigmas_or_snrs=(0.0, 40.0, 40.0), seed=6)
+                               sigmas_or_snrs=(0.0, 40.0, 40.0))
         ext1 = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                                noise_kind=NoiseKind.EXTRINSIC_SNR,
-                               sigmas_or_snrs=(40.0, 40.0, 40.0), seed=6)
-        np.testing.assert_array_equal(generate(ext0).y, generate(ext1).y)
+                               sigmas_or_snrs=(40.0, 40.0, 40.0))
+        np.testing.assert_array_equal(generate(ext0, 6).y, generate(ext1, 6).y)
 
 
-def _noise_free(config):
+def _noise_free(config, seed):
     """The noise-free series underlying an extrinsic-noise sample."""
     return generate(replace(config, noise_kind=NoiseKind.FIXED_SIGMA,
-                            sigmas_or_snrs=(0.0, 0.0, 0.0)))
+                            sigmas_or_snrs=(0.0, 0.0, 0.0)), seed)
 
 
 class TestExtrinsic:
@@ -264,9 +269,9 @@ class TestExtrinsic:
         def cfg(snrs):
             return GeneratorConfig(topology=TopologyKind.INDIRECT, length=200,
                                    noise_kind=NoiseKind.EXTRINSIC_SNR,
-                                   sigmas_or_snrs=snrs, seed=12)
-        clean = _noise_free(cfg((0, 0, 0)))
-        s1, s2 = generate(cfg((10, 5, -5))), generate(cfg((0, 0, 0)))
+                                   sigmas_or_snrs=snrs)
+        clean = _noise_free(cfg((0, 0, 0)), 12)
+        s1, s2 = generate(cfg((10, 5, -5)), 12), generate(cfg((0, 0, 0)), 12)
         n1, n2 = resolve_sigmas(cfg((10, 5, -5))), resolve_sigmas(cfg((0, 0, 0)))
         # standardized residuals match between the two noise levels
         np.testing.assert_allclose(
@@ -279,10 +284,10 @@ class TestExtrinsic:
     def test_high_snr_approaches_noise_free(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                               noise_kind=NoiseKind.EXTRINSIC_SNR,
-                              sigmas_or_snrs=(200.0, 200.0, 200.0), seed=3)
+                              sigmas_or_snrs=(200.0, 200.0, 200.0))
         zeros = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
-                                sigmas_or_snrs=(0, 0, 0), seed=3)
-        a, b = generate(cfg), generate(zeros)
+                                sigmas_or_snrs=(0, 0, 0))
+        a, b = generate(cfg, 3), generate(zeros, 3)
         np.testing.assert_allclose(a.x, b.x, atol=1e-7)
         np.testing.assert_allclose(a.z, b.z, atol=1e-7)
 
@@ -290,10 +295,10 @@ class TestExtrinsic:
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
                               ar_coefficient=0.0,
                               noise_kind=NoiseKind.EXTRINSIC_SNR,
-                              sigmas_or_snrs=(-10.0, -10.0, -10.0), seed=8)
-        clean = _noise_free(cfg)
+                              sigmas_or_snrs=(-10.0, -10.0, -10.0))
+        clean = _noise_free(cfg, 8)
         np.testing.assert_allclose(clean.z[2:], clean.x[:-2])
-        noisy = generate(cfg)
+        noisy = generate(cfg, 8)
         assert not np.allclose(noisy.z[2:], noisy.x[:-2])
 
 
@@ -306,11 +311,11 @@ class TestGenerateDispatch:
         assert all(s.dtype == np.float64 and s.shape == (50,) for s in sample)
 
 
-def _reference_generate(config):
+def _reference_generate(config, seed):
     """One sample the direct way: one generator, one 1-D pass per series."""
     noise = resolve_sigmas(config)
     total = config.burn_in + config.length
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     u = rng.uniform(-2.0, 2.0, total)
     nx = rng.standard_normal(total)
     ny = rng.standard_normal(total)
@@ -352,10 +357,9 @@ class TestGenerateChunks:
         assert [len(c[0]) for c in chunks] == [chunk_rows(cfg), 3]
         rows = [row for xs, ys, zs in chunks for row in zip(xs, ys, zs)]
         for seed, (x, y, z) in zip(seeds, rows):
-            one = replace(cfg, seed=seed)
-            sample = generate(one)
+            sample = generate(cfg, seed)
             for got, single, ref in zip((x, y, z), (sample.x, sample.y, sample.z),
-                                        _reference_generate(one)):
+                                        _reference_generate(cfg, seed)):
                 assert got.tobytes() == single.tobytes() == ref.tobytes()
 
     def test_chunk_mixes_one_and_two_word_seeds(self):
@@ -366,7 +370,7 @@ class TestGenerateChunks:
         seeds = [0, 5, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1, 77]
         [chunk] = generate_chunks(cfg, generator_states(np.array(seeds, np.uint64)))
         for seed, x, y, z in zip(seeds, *chunk):
-            for got, ref in zip((x, y, z), _reference_generate(replace(cfg, seed=seed))):
+            for got, ref in zip((x, y, z), _reference_generate(cfg, seed)):
                 assert got.tobytes() == ref.tobytes()
 
     def test_chunk_memory_is_bounded(self):

@@ -1,5 +1,4 @@
 from contextlib import closing
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -65,7 +64,7 @@ class TestEstimateRates:
         iters, seed = 25, 13
         spurious = 0
         for i in range(iters):
-            sample = generate(replace(gen, seed=_seed(seed, i)))
+            sample = generate(gen, _seed(seed, i))
             edges = decide_edges(_scalar_pvalues(sample, cfg.criterion), cfg.significance)
             spurious += Link.YZ in edges  # driver truth: y->z is spurious
         est = estimate_rates(gen, cfg, iterations=iters, master_seed=seed)
@@ -196,7 +195,7 @@ def _loop_counts(gen, criteria, alphas, master_seed, iterations):
     """Accepted-edge counts, one sample and one scalar decision at a time."""
     counts = np.zeros((len(criteria), len(alphas), len(FORWARD_LINKS)), dtype=np.int64)
     for i in range(iterations):
-        s = generate(replace(gen, seed=_seed(master_seed, i)))
+        s = generate(gen, _seed(master_seed, i))
         for ci, crit in enumerate(criteria):
             pvalues = _scalar_pvalues(s, crit)
             for ai, alpha in enumerate(alphas):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from granger_lab import granger
-from granger_lab.core import Link, TopologyKind, TopologyLabel
+from granger_lab.core import Link, TopologyKind, topology_kind
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GeneratorConfig, NoiseKind, TrivariateSample, generate
 from granger_lab.granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ,
@@ -18,7 +18,7 @@ BASELINE = (0.0, 0.1, 0.5)
 
 def _sample(topology, seed, length=500, sigmas=BASELINE):
     return generate(GeneratorConfig(topology=topology, length=length,
-                                    sigmas_or_snrs=sigmas, seed=seed))
+                                    sigmas_or_snrs=sigmas), seed)
 
 
 def _pvalues(sample, criterion=Criterion.WALD):
@@ -103,7 +103,7 @@ class TestReverseLinkDecisions:
         for seed in range(3):
             s = generate(GeneratorConfig(topology=TopologyKind.INDIRECT, length=300,
                                          noise_kind=NoiseKind.INTRINSIC_SNR,
-                                         sigmas_or_snrs=(snr_db,) * 3, seed=seed))
+                                         sigmas_or_snrs=(snr_db,) * 3), seed)
             pvalues = reverse_pvalues(*s, 2, tuple(Criterion))
             assert pvalues.shape == (len(Criterion), len(REVERSE_KEYS))
             for criterion, row in zip(Criterion, pvalues):
@@ -252,7 +252,7 @@ class TestFullProcedure:
         for topology in hits:
             for i in range(n_cases):
                 s = _sample(topology, seed=2000 + i)
-                if TopologyLabel.from_edges(_edges(s)).kind is topology:
+                if topology_kind(_edges(s)) is topology:
                     hits[topology] += 1
         assert hits[TopologyKind.DRIVER] / n_cases >= 0.85
         assert hits[TopologyKind.INDIRECT] / n_cases >= 0.85
@@ -263,7 +263,7 @@ class TestFullProcedure:
         rng = np.random.default_rng(9)
         for _ in range(n_cases):
             s = TrivariateSample(*(rng.normal(size=300) for _ in range(3)))
-            if TopologyLabel.from_edges(_edges(s)).kind is TopologyKind.NULL:
+            if topology_kind(_edges(s)) is TopologyKind.NULL:
                 hits += 1
         assert hits / n_cases >= 0.7  # 1 - alpha per link, three links
 

@@ -75,8 +75,8 @@ class TestOlsFit:
     def test_recovers_generator_coefficients(self):
         # driver topology: z_t = 0.3 z_{t-1} + x_{t-2} with tiny gamma noise
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=5000,
-                              sigmas_or_snrs=(0.0, 0.1, 0.01), seed=11)
-        s = generate(cfg)
+                              sigmas_or_snrs=(0.0, 0.1, 0.01))
+        s = generate(cfg, 11)
         z, x = s.z, s.x
         # row t = [z_{t-1}, z_{t-2}, x_{t-1}, x_{t-2}], response z_t, t >= 2
         matrix = np.column_stack([v[2 - k:5000 - k] for v in (z, x) for k in (1, 2)])
@@ -123,7 +123,7 @@ class TestNestedRss:
         for seed in range(3):
             s = generate(GeneratorConfig(topology=TopologyKind.DRIVER, length=300,
                                          noise_kind=NoiseKind.INTRINSIC_SNR,
-                                         sigmas_or_snrs=(snr_db,) * 3, seed=seed))
+                                         sigmas_or_snrs=(snr_db,) * 3), seed)
             z, y, x = s.z, s.y, s.x
             matrix = np.column_stack([v[2 - k:300 - k] for v in (z, y, x) for k in (1, 2)])
             response = z[2:]
@@ -165,7 +165,7 @@ class TestNestedRssAccuracy:
         for seed in range(3):
             s = generate(GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
                                          noise_kind=NoiseKind.INTRINSIC_SNR,
-                                         sigmas_or_snrs=(snr_db,) * 3, seed=seed))
+                                         sigmas_or_snrs=(snr_db,) * 3), seed)
             lagged = _lag_rows((s.z, s.y, s.x), 2)
             passes = [(lagged.T, s.z[2:], (2, 4, 6)), (lagged[[0, 1, 4, 5]].T, s.z[2:], (4,)),
                       (lagged[2:].T, s.y[2:], (2, 4))]
