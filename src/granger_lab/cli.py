@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import FORWARD_LINKS, TopologyKind, topology_kind
@@ -105,6 +106,7 @@ def write_manifest(path: str, experiment: str, argv: list[str],
         f"argv={shlex.join(argv)}",
         f"seed={seed}",
         f"version={__version__}",
+        f"python={sys.version.split()[0]}", f"numpy={np.__version__}", f"scipy={scipy.__version__}",
         f"started={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(started))}",
         f"finished={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(finished))}",
     ]

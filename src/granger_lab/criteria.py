@@ -9,8 +9,10 @@ and k unrestricted parameters:
     Rao  = ((rss_r - rss_u) / q) / (rss_u / (n - k))   ~ F(q, n - k)
 
 The Rao statistic is the finite-sample-exact F form, chosen for its small
-sample behaviour. ``statistic_from_rss`` takes these five plain numbers and
-returns the statistic with its p-value. For any nested pair with rss_r > rss_u the statistics
+sample behaviour. Wald's p-value is the F(q, n - k) tail of W (n - k) / (n q),
+which is algebraically the Rao statistic, so Wald and Rao agree by construction.
+``statistic_from_rss`` takes these five plain numbers and returns the
+statistic with its p-value. For any nested pair with rss_r > rss_u the statistics
 order as Wald >= LR >= LM. In floating point the order is exact once
 (rss_r - rss_u) / rss_u exceeds about 1e-8; closer pairs, whose p-values
 are all near 1, are ordered by the rounding of ln(rss_r / rss_u).
@@ -49,14 +51,14 @@ def chi2_sf(statistic: float, dof: int) -> float:
     """Chi-squared survival function; for dof=2 equals exp(-x/2)."""
     if statistic < 0:
         raise ValueError("statistic must be non-negative")
-    return float(chdtrc(dof, statistic))
+    return float(chdtrc(float(dof), statistic))
 
 
 def f_sf(statistic: float, dof1: int, dof2: int) -> float:
     """F-distribution survival function (regularized incomplete beta)."""
     if statistic < 0:
         raise ValueError("statistic must be non-negative")
-    return float(fdtrc(dof1, dof2, statistic))
+    return float(fdtrc(float(dof1), float(dof2), statistic))
 
 
 def statistic_from_rss(criterion: Criterion, rss_r: float, rss_u: float,
@@ -72,10 +74,6 @@ def statistic_from_rss(criterion: Criterion, rss_r: float, rss_u: float,
         return TestOutcome(stat, chi2_sf(stat, q))
     if criterion is Criterion.WALD:
         stat = n * delta / rss_u
-        # Exact finite-sample calibration: W is a monotone map of the F
-        # statistic (W = n*q*F/(n-k)), so its p-value is taken from
-        # F(q, n-k). This reproduces the observed indistinguishability of
-        # the Wald and Rao tests at small sample sizes.
         return TestOutcome(stat, f_sf(stat * (n - k) / (n * q), q, n - k))
     if criterion is Criterion.LM:
         stat = n * delta / rss_r

@@ -16,9 +16,9 @@ standard-normal block per series), so samples with different noise settings
 but the same seed share the same underlying realization. A sample is three
 equal-length 1-D float64 arrays with every value finite.
 
-The AR(1) recurrences are one LAPACK tridiagonal solve per chunk (``dgttrs``
-with the closed-form factors of a unit bidiagonal matrix), bit-identical to
-SciPy's ``lfilter``.
+The AR(1) recurrences are one LAPACK band solve per chunk (``dtbtrs`` on the
+unit-diagonal bidiagonal band, so no division by the diagonal),
+bit-identical to SciPy's ``lfilter``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs
+from scipy.linalg.lapack import dtbtrs
 
 from .core import TopologyKind
 from .seeding import generator_states, state_generator
@@ -129,31 +129,27 @@ def _shift(values: np.ndarray, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _bidiagonal_factors(n: int, coeff: float) -> tuple[np.ndarray, ...]:
-    """``dgttrf``'s (dl, d, du, du2, ipiv) for the n x n unit upper bidiagonal
-    matrix with superdiagonal -coeff, in closed form (no fill-in, no row
-    swaps). Read-only, because every caller shares them."""
-    factors = (np.zeros(n - 1), np.ones(n), np.full(n - 1, -coeff), np.zeros(n - 2),
-               np.arange(1, n + 1, dtype=np.int32))
-    for array in factors:
-        array.flags.writeable = False
-    return factors
+def _bidiagonal_band(n: int, coeff: float) -> np.ndarray:
+    """The unit upper bidiagonal matrix with superdiagonal -coeff as a (2, n)
+    F-ordered LAPACK upper band. Read-only, because every caller shares it."""
+    band = np.ones((2, n), order="F")
+    band[0] = -coeff
+    band.flags.writeable = False
+    return band
 
 
 def _ar_filter(driving: np.ndarray, coeff: float) -> np.ndarray:
     """s_t = coeff * s_{t-1} + driving_t along the last axis, started from zero.
 
     This is the transposed solve U^T s = driving, U unit upper bidiagonal with
-    superdiagonal -coeff. U is its own LU factorisation without pivoting, so
-    ``dgttrs`` takes the factors as given; its U^T pass computes
-    (driving_t - (-coeff) * s_{t-1} - 0 * s_{t-2}) / 1, which in IEEE
-    arithmetic is ``lfilter``'s driving_t + coeff * s_{t-1}, and its L^T pass
-    (L = I) subtracts 0 * s_{t+1}, which leaves nonzero finite values as they
-    are. The rows of a C-ordered ``driving`` are the right-hand sides of its
-    F-ordered transpose, solved in place.
+    superdiagonal -coeff, by ``dtbtrs`` on U's band. Under ``diag="U"`` step t
+    computes driving_t - (-coeff) * s_{t-1} with no division by the diagonal,
+    which in IEEE arithmetic is ``lfilter``'s driving_t + coeff * s_{t-1}. The
+    rows of a C-ordered ``driving`` are the right-hand sides of its F-ordered
+    transpose, solved in place.
     """
-    factors = _bidiagonal_factors(driving.shape[-1], coeff)
-    solved, info = dgttrs(*factors, driving.T, trans="T", overwrite_b=True)
+    band = _bidiagonal_band(driving.shape[-1], coeff)
+    solved, info = dtbtrs(band, driving.T, uplo="U", trans="T", diag="U", overwrite_b=True)
     if info != 0:
         raise GenerationError(f"AR recurrence solve failed (LAPACK info={info})")
     return solved.T
@@ -163,15 +159,15 @@ def _raw_draws(states: Sequence[np.ndarray], total: int) -> np.ndarray:
     """(4, len(states), total) draws: uniforms, then the X, Y and Z normals.
 
     Row r consumes one generator started from ``states[r]`` (a row of
-    ``generator_states``), in that order.
+    ``generator_states``), in that order; one call draws its three
+    contiguous normal blocks.
     """
-    draws = np.empty((4, len(states), total))
-    for r, state in enumerate(states):
+    draws = np.empty((len(states), 4, total))
+    for row, state in zip(draws, states):
         rng = state_generator(state)
-        draws[0, r] = rng.uniform(-2.0, 2.0, total)
-        for block in draws[1:, r]:
-            rng.standard_normal(out=block)
-    return draws
+        row[0] = rng.uniform(-2.0, 2.0, total)
+        rng.standard_normal(out=row[1:])
+    return draws.transpose(1, 0, 2)
 
 
 def _backbone(u: np.ndarray, ex, ey, ez, coeff: float, topology: TopologyKind):

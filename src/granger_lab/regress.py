@@ -8,6 +8,7 @@ reference the kernel is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,9 +80,12 @@ def nested_rss(matrix: np.ndarray, response: np.ndarray,
     r, _, _, info = dgeqrf(augmented, overwrite_a=True)
     if info != 0:
         raise RegressionError(f"QR factorization failed (LAPACK info={info})")
-    col_norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
-    if np.abs(r.diagonal()[:n_params]).min() <= RANK_TOL * max(col_norms.max(), 1e-300):
+    largest_norm = math.sqrt(max(np.einsum("ij,ij->j", matrix, matrix).tolist()))
+    rows = r[:n_params + 1].tolist()
+    if min(abs(rows[i][i]) for i in range(n_params)) <= RANK_TOL * max(largest_norm, 1e-300):
         raise RankDeficient("design matrix is rank deficient")
-    tail = r[:n_params + 1, n_params]
-    rss = (tail * tail)[::-1].cumsum()[::-1]
-    return [float(rss[k]) for k in boundaries]
+    suffix, total = [], 0.0  # sums of R[i, p]^2 from i = p down, in ``cumsum`` order
+    for row in reversed(rows):
+        total += row[-1] * row[-1]
+        suffix.append(total)
+    return [suffix[n_params - k] for k in boundaries]

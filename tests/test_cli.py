@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from itertools import permutations
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 from granger_lab import cli, datagen, experiments, granger, regress
@@ -436,6 +438,9 @@ class TestSweepCommands:
         assert manifest["experiment"] == [argv[0]]
         assert manifest["seed"] == [argv[-1]]
         assert manifest["output"] == [str(out / name) for name in outputs]
+        assert manifest["python"] == [platform.python_version()]
+        assert manifest["numpy"] == [np.__version__]
+        assert manifest["scipy"] == [scipy.__version__]
         assert main(["--from-manifest", str(out / "manifest.txt")]) == 0
         assert {name: (out / name).read_bytes() for name in outputs} == before
 
@@ -675,6 +680,40 @@ class TestPhaseSpaceCommand:
         assert main(args + ["--resume"]) == 0
         assert ((out / "phase_space.csv").read_bytes()
                 == (full / "phase_space.csv").read_bytes())
+
+    # The rank check's edge in SNR. At 160 dB no iteration of an intrinsic
+    # cell is rank deficient and the cell is scored; at 200 dB most are, and
+    # the run exits 3 through DegenerateConfiguration.
+    @pytest.mark.parametrize("topology, snr, row", [
+        ("driver", "160", "160.0,160.0,160.0,driver,intrinsic,300,0.05,wald,20,0.05,0.0,1.0,0.05"),
+        ("indirect", "160", "160.0,160.0,160.0,indirect,intrinsic,300,0.05,wald,20,0.0,0.0,0.0,1.0"),
+        ("driver", "200", "error: 15/20 iterations were rank deficient"),
+        ("indirect", "200", "error: 20/20 iterations were rank deficient"),
+    ])
+    def test_rank_edge_at_high_snr(self, tmp_path, capsys, topology, snr, row):
+        out = tmp_path / "ps"
+        rc = main(["phase-space", "--topology", topology, "--noise", "intrinsic", "--n", "300",
+                   "--alpha", "0.05", "--criterion", "wald", f"--grid={snr}",
+                   "--iterations", "20", "--workers", "1", "--out", str(out)])
+        if snr == "160":
+            assert rc == 0
+            assert (out / "phase_space.csv").read_text().splitlines() == [PHASE_HEADER, row]
+        else:
+            assert rc == 3
+            assert capsys.readouterr().err.strip() == row
+            assert list(out.iterdir()) == []  # no checkpoint rows, no manifest
+
+    def test_rank_deficient_counts_jump_between_190_and_200_db(self):
+        # Rank-deficient iterations out of 40 per cell, seed 0.
+        snrs = (160.0, 190.0, 200.0)
+        for topology, counts in ((TopologyKind.DRIVER, [0, 0, 27]),
+                                 (TopologyKind.INDIRECT, [0, 0, 40])):
+            cells = [(GeneratorConfig(topology=topology, length=300,
+                                      noise_kind=datagen.NoiseKind.INTRINSIC_SNR,
+                                      sigmas_or_snrs=(snr,) * 3), (i,))
+                     for i, snr in enumerate(snrs)]
+            got = experiments._cell_counts(cells, 2, (Criterion.WALD,), (0.05,), 40, 0, 1)
+            assert [rank_deficient for _, rank_deficient in got] == counts
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"

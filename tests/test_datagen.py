@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from granger_lab.core import TopologyKind
-from scipy.linalg.lapack import dgttrf
 from scipy.signal import lfilter
 
 from granger_lab.datagen import (BASELINE_SIGMAS, CALIBRATION_LENGTH, CALIBRATION_SEED,
                                  MAX_SAMPLE_VALUES, GenerationError, GeneratorConfig,
                                  NoiseKind, TrivariateSample, _ar_filter,
-                                 _bidiagonal_factors, _calibration_variances, chunk_rows,
+                                 _bidiagonal_band, _calibration_variances, chunk_rows,
                                  generate, generate_chunks, resolve_sigmas, snr_to_sigma)
 from granger_lab.seeding import generator_states
 
@@ -203,11 +202,15 @@ class TestArFilter:
 
     @pytest.mark.parametrize("n", [3, 4, 50])
     @pytest.mark.parametrize("coeff", [0.3, -0.9, 0.0])
-    def test_factors_are_dgttrf_of_the_bidiagonal_matrix(self, n, coeff):
-        *expected, info = dgttrf(np.zeros(n - 1), np.ones(n), np.full(n - 1, -coeff))
-        assert info == 0
-        for got, want in zip(_bidiagonal_factors(n, coeff), expected, strict=True):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    def test_band_is_the_cached_read_only_bidiagonal_matrix(self, n, coeff):
+        band = _bidiagonal_band(n, coeff)
+        assert band.shape == (2, n) and band.dtype == np.float64
+        assert band.flags.f_contiguous and not band.flags.writeable
+        assert _bidiagonal_band(n, coeff) is band
+        # Upper band storage of I - coeff * (superdiagonal): row 0 from column 1.
+        matrix = np.eye(n) - coeff * np.eye(n, k=1)
+        np.testing.assert_array_equal(band[0, 1:], np.diagonal(matrix, 1))
+        np.testing.assert_array_equal(band[1], np.diagonal(matrix))
 
     @pytest.mark.parametrize("coeff", [0.3, -0.7, 0.0])
     def test_one_calibration_length_row(self, coeff):
