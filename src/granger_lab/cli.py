@@ -100,7 +100,7 @@ def parse_criteria(spec: str) -> tuple[Criterion, ...]:
 
 def write_manifest(path: str, experiment: str, argv: list[str],
                    seed: int, outputs: list[str],
-                   started: float, finished: float) -> None:
+                   started: float, finished: float, wall_s: float) -> None:
     lines = [
         f"experiment={experiment}",
         f"argv={shlex.join(argv)}",
@@ -109,6 +109,7 @@ def write_manifest(path: str, experiment: str, argv: list[str],
         f"python={sys.version.split()[0]}", f"numpy={np.__version__}", f"scipy={scipy.__version__}",
         f"started={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(started))}",
         f"finished={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(finished))}",
+        f"wall_s={wall_s:.3f}",
     ]
     lines += [f"output={p}" for p in outputs]
     _write_lines(path, lines)
@@ -470,6 +471,7 @@ def cmd_generate(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    clock = time.perf_counter()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -491,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         outputs = args.run(args)
         if record:
             write_manifest(record, args.command, argv, args.seed, outputs, started,
-                           time.time())
+                           time.time(), time.perf_counter() - clock)
         return 0
     except _ResumeConflict as exc:
         print(f"resume conflict: {exc}", file=sys.stderr)

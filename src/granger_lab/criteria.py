@@ -25,7 +25,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from scipy.special import chdtrc, fdtrc, ndtr
+from scipy.special import cython_special
+
+# The scalar C kernels behind the ``scipy.special`` ufuncs of the same names,
+# pinned to their double variants: bit for bit the ufuncs' float64 tails,
+# without the ufunc dispatch on every call.
+chdtrc = cython_special.chdtrc
+fdtrc = cython_special.fdtrc["double"]
+ndtr = cython_special.ndtr["double"]
 
 
 class Criterion(str, Enum):
@@ -51,14 +58,14 @@ def chi2_sf(statistic: float, dof: int) -> float:
     """Chi-squared survival function; for dof=2 equals exp(-x/2)."""
     if statistic < 0:
         raise ValueError("statistic must be non-negative")
-    return float(chdtrc(float(dof), statistic))
+    return chdtrc(dof, statistic)
 
 
 def f_sf(statistic: float, dof1: int, dof2: int) -> float:
     """F-distribution survival function (regularized incomplete beta)."""
     if statistic < 0:
         raise ValueError("statistic must be non-negative")
-    return float(fdtrc(float(dof1), float(dof2), statistic))
+    return fdtrc(dof1, dof2, statistic)
 
 
 def statistic_from_rss(criterion: Criterion, rss_r: float, rss_u: float,
@@ -71,16 +78,16 @@ def statistic_from_rss(criterion: Criterion, rss_r: float, rss_u: float,
     delta = max(rss_r - rss_u, 0.0)
     if criterion is Criterion.LR:
         stat = n * math.log(max(rss_r, rss_u) / rss_u)
-        return TestOutcome(stat, chi2_sf(stat, q))
+        return TestOutcome(stat, chdtrc(q, stat))
     if criterion is Criterion.WALD:
         stat = n * delta / rss_u
-        return TestOutcome(stat, f_sf(stat * (n - k) / (n * q), q, n - k))
+        return TestOutcome(stat, fdtrc(q, n - k, stat * (n - k) / (n * q)))
     if criterion is Criterion.LM:
         stat = n * delta / rss_r
-        return TestOutcome(stat, chi2_sf(stat, q))
+        return TestOutcome(stat, chdtrc(q, stat))
     if criterion is Criterion.RAO:
         stat = (delta / q) / (rss_u / (n - k))
-        return TestOutcome(stat, f_sf(stat, q, n - k))
+        return TestOutcome(stat, fdtrc(q, n - k, stat))
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
@@ -93,7 +100,7 @@ def two_proportion_z(rate_a: float, n_a: int, rate_b: float, n_b: int) -> tuple[
     if var == 0.0:
         return 0.0, 1.0
     z = (rate_a - rate_b) / math.sqrt(var)
-    p = float(2.0 * ndtr(-abs(z)))  # 1 - ndtr(|z|) cancels to 0 in the tail
+    p = 2.0 * ndtr(-abs(z))  # 1 - ndtr(|z|) cancels to 0 in the tail
     return z, p
 
 

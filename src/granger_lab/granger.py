@@ -11,8 +11,9 @@ the five forward comparisons of one ``comparison_rss`` pass, and
 Monte Carlo loop and ``analyze`` both take it; ``reverse_pvalues`` scores
 the reverse links, which ``analyze`` reports but never classifies. Every
 test takes the RSS of its nested model pair from one ``regress.nested_rss``
-pass over ``_lag_rows`` columns as a plain (restricted RSS, unrestricted
-RSS, k) triple, and ``_pvalues`` scores forward and reverse triples alike.
+pass over a ``_lag_design`` [lags | response] as a plain (restricted RSS,
+unrestricted RSS, k) triple, and ``_pvalues`` scores forward and reverse
+triples alike.
 """
 
 from __future__ import annotations
@@ -55,18 +56,20 @@ class GrangerConfig:
             raise ValueError("lags must be >= 1")
 
 
-def _lag_rows(series: tuple[np.ndarray, ...], p: int) -> np.ndarray:
-    """Lags 1..p of each series on the window t = p .. n-1.
+def _lag_design(series: tuple[np.ndarray, ...], p: int) -> np.ndarray:
+    """[lags 1..p of each series | series[0]] on the window t = p .. n-1:
+    the F-ordered [X | b] that ``nested_rss`` factors in place.
 
-    Row i*p + k-1 holds lag k of series[i]; the transpose of a run of rows
-    is the design matrix of those series' lags.
+    Column i*p + k-1 holds lag k of series[i]; the last column is the
+    response, series[0] itself.
     """
     n_obs = series[0].shape[0] - p
-    lagged = np.empty((len(series) * p, n_obs))
+    design = np.empty((n_obs, len(series) * p + 1), order="F")
     for i, values in enumerate(series):
         for k in range(1, p + 1):
-            lagged[i * p + k - 1] = values[p - k:p - k + n_obs]
-    return lagged
+            design[:, i * p + k - 1] = values[p - k:p - k + n_obs]
+    design[:, -1] = series[0][p:]
+    return design
 
 
 def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
@@ -74,21 +77,27 @@ def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     """(rss_restricted, rss_unrestricted, k) of the five forward model pairs,
     in the order of ``FORWARD_KEYS``, via three QR passes.
 
-    The full z-model [z-lags | y-lags | x-lags] yields the nested RSS of
-    [z] and [z, y] as column prefixes; a second ordering [z-lags | x-lags]
-    yields [z, x]; the y-model pass yields [y] and [y, x]. Every pair lies
-    on the common window of len(z) - lags observations.
+    The full z-model [z-lags | y-lags | x-lags | z] yields the nested RSS of
+    [z] and [z, y] as column prefixes; a second ordering [z-lags | x-lags | z]
+    yields [z, x]; the y-model pass [y-lags | x-lags | y] yields [y] and
+    [y, x]. Every pair lies on the common window of len(z) - lags
+    observations.
     """
     p = lags
     n_obs = z.shape[0] - p  # common window: max lag of the widest model
     if n_obs < 3 * p + 1:
         raise ValueError(f"series too short for lag depth {p}")
-    lagged = _lag_rows((z, y, x), p)
-    bz = z[p:]
+    full = _lag_design((z, y, x), p)
+    # The two narrower designs are column blocks of the full one, copied
+    # out before ``nested_rss`` overwrites it.
+    zx = np.empty((n_obs, 2 * p + 1), order="F")
+    zx[:, :p], zx[:, p:] = full[:, :p], full[:, 2 * p:]
+    yx = np.empty((n_obs, 2 * p + 1), order="F")
+    yx[:, :-1], yx[:, -1] = full[:, p:3 * p], y[p:]
 
-    rss_z, rss_zy, rss_zyx = nested_rss(lagged.T, bz, (p, 2 * p, 3 * p))
-    (rss_zx,) = nested_rss(np.concatenate((lagged[:p], lagged[2 * p:])).T, bz, (2 * p,))
-    rss_y, rss_yx = nested_rss(lagged[p:].T, y[p:], (p, 2 * p))
+    rss_z, rss_zy, rss_zyx = nested_rss(full, (p, 2 * p, 3 * p))
+    (rss_zx,) = nested_rss(zx, (2 * p,))
+    rss_y, rss_yx = nested_rss(yx, (p, 2 * p))
 
     return [(rss_y, rss_yx, 2 * p), (rss_z, rss_zx, 2 * p), (rss_z, rss_zy, 2 * p),
             (rss_zy, rss_zyx, 3 * p), (rss_zx, rss_zyx, 3 * p)]
@@ -136,12 +145,13 @@ def reverse_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
                     criteria: Sequence[Criterion]) -> np.ndarray:
     """P-values (criterion, link) of the reverse links, in the order of
     ``REVERSE_KEYS``: do the cause's lags improve the effect's own-lag
-    model? One ``nested_rss`` pass on [effect lags | cause lags] per link."""
+    model? One ``nested_rss`` pass on [effect lags | cause lags | effect] per
+    link."""
     _require_equal_lengths(x, y, z)
     p = lags
     n_obs = x.size - p
     if n_obs < 2 * p + 1:
         raise InsufficientData(f"{n_obs} observations for {2 * p} coefficients")
-    pairs = [(*nested_rss(_lag_rows((effect, cause), p).T, effect[p:], (p, 2 * p)), 2 * p)
+    pairs = [(*nested_rss(_lag_design((effect, cause), p), (p, 2 * p)), 2 * p)
              for effect, cause in ((x, y), (x, z), (y, z))]
     return _pvalues(pairs, n_obs, p, criteria)

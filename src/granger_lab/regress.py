@@ -1,9 +1,10 @@
 """Least-squares kernels for nested VAR model pairs.
 
 ``nested_rss`` gives the residual sum of squares of every column-prefix
-model of one design in a single R-only QR pass; every Granger test goes
-through it. ``ols_fit`` is the plain QR fit with coefficients, kept as the
-reference the kernel is checked against.
+model of one design in a single R-only QR pass, factoring the caller's
+[X | b] in place; every Granger test goes through it. ``ols_fit`` is the
+plain QR fit with coefficients, kept as the reference the kernel is checked
+against.
 """
 
 from __future__ import annotations
@@ -57,30 +58,28 @@ def ols_fit(matrix: np.ndarray, response: np.ndarray) -> FitResult:
     return FitResult(coefficients=coef, rss=float(resid @ resid))
 
 
-def nested_rss(matrix: np.ndarray, response: np.ndarray,
-               boundaries: Sequence[int]) -> list[float]:
-    """RSS of each column-prefix model in one QR pass.
+def nested_rss(augmented: np.ndarray, boundaries: Sequence[int]) -> list[float]:
+    """RSS of each column-prefix model in one QR pass, overwriting ``augmented``.
 
-    ``boundaries`` are prefix lengths (e.g. (2, 4, 6) for own-lags, +first
-    predictor, +second predictor). One R-only QR of the augmented matrix
-    [X | b] gives every prefix RSS without forming Q: with p columns in X,
-    the RSS of the model using the first ``k`` columns is
+    ``augmented`` is the F-ordered float64 [X | b]: the design's p columns
+    with the response last. ``boundaries`` are prefix lengths (e.g. (2, 4, 6)
+    for own-lags, +first predictor, +second predictor). One R-only QR of
+    [X | b], done in place, gives every prefix RSS without forming Q: the
+    RSS of the model using the first ``k`` columns is
     ``sum_{i=k}^{p} R[i, p]^2`` (Golub & Van Loan, Matrix Computations,
     section 5.3). Unlike ``||b||^2 - ||Q^T b||^2`` this sum does not cancel
     when the fit is nearly exact. Raises RankDeficient when a pivot of R
     falls below tolerance relative to the largest column norm of X.
     """
-    n_obs, n_params = matrix.shape
+    n_obs, n_params = augmented.shape[0], augmented.shape[1] - 1
     if n_obs < n_params + 1:
         raise InsufficientData(f"{n_obs} rows for {n_params} columns")
-    augmented = np.empty((n_obs, n_params + 1), order="F")
-    augmented[:, :n_params] = matrix
-    augmented[:, n_params] = response
+    design = augmented[:, :n_params]  # read before dgeqrf overwrites it
+    largest_norm = math.sqrt(max(np.einsum("ij,ij->j", design, design).tolist()))
     # R is the upper triangle of the result; Householder vectors lie below it.
     r, _, _, info = dgeqrf(augmented, overwrite_a=True)
     if info != 0:
         raise RegressionError(f"QR factorization failed (LAPACK info={info})")
-    largest_norm = math.sqrt(max(np.einsum("ij,ij->j", matrix, matrix).tolist()))
     rows = r[:n_params + 1].tolist()
     if min(abs(rows[i][i]) for i in range(n_params)) <= RANK_TOL * max(largest_norm, 1e-300):
         raise RankDeficient("design matrix is rank deficient")

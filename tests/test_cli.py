@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from itertools import permutations
@@ -445,6 +446,25 @@ class TestSweepCommands:
         assert {name: (out / name).read_bytes() for name in outputs} == before
 
 
+def test_manifest_records_wall_time_that_replay_ignores(tmp_path):
+    out = tmp_path / "m"
+    argv = ["sweep-alpha", "--topology", "driver", "--n", "40", "--alpha-grid", "0.1",
+            "--criteria", "lr", "--iterations", "20", "--workers", "1", "--out", str(out),
+            "--seed", "5"]
+    assert main(argv) == 0
+    before = (out / "sweep_alpha.csv").read_bytes()
+    text = (out / "manifest.txt").read_text(encoding="utf-8")
+    [wall] = _manifest_keys(out / "manifest.txt")["wall_s"]
+    assert re.fullmatch(r"\d+\.\d{3}", wall)
+    # A replay reads only the argv line: an unreadable wall time before it
+    # changes nothing.
+    (out / "manifest.txt").write_text("wall_s=not a number\n" + text, encoding="utf-8")
+    assert main(["--from-manifest", str(out / "manifest.txt")]) == 0
+    assert (out / "sweep_alpha.csv").read_bytes() == before
+    [wall] = _manifest_keys(out / "manifest.txt")["wall_s"]
+    assert re.fullmatch(r"\d+\.\d{3}", wall)
+
+
 def _manifest_keys(path: Path) -> dict[str, list[str]]:
     """Every value of each key of a key=value manifest, in file order."""
     keys: dict[str, list[str]] = {}
@@ -783,10 +803,10 @@ class TestBenchmarkHooks:
     def test_traced_name_resolves(self, module, name):
         assert callable(getattr(module, name))
 
-    @pytest.mark.parametrize("criteria", [(Criterion.WALD,), tuple(Criterion)])
-    def test_one_run_calls_the_traced_kernels_per_iteration(self, monkeypatch, criteria):
-        # The traced benchmark checks these per-iteration call counts: three
-        # QR passes and five scores per criterion for each sample.
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        """Calls of the two traced kernels, counted where ``granger`` looks
+        them up."""
         calls = {"nested_rss": 0, "statistic_from_rss": 0}
 
         def counted(name):
@@ -799,11 +819,28 @@ class TestBenchmarkHooks:
 
         for name in calls:
             monkeypatch.setattr(granger, name, counted(name))
+        return calls
+
+    @pytest.mark.parametrize("criteria", [(Criterion.WALD,), tuple(Criterion)])
+    def test_one_run_calls_the_traced_kernels_per_iteration(self, monkeypatch, criteria):
+        # The traced benchmark checks these per-iteration call counts: three
+        # QR passes and five scores per criterion for each sample.
+        calls = self._count_kernel_calls(monkeypatch)
         k = 7
         gen = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
         [(_, rank_deficient)] = _count_run([((gen, ()), 0, k)], 2, criteria, (0.05,), 3)
         assert rank_deficient == 0
         assert calls == {"nested_rss": 3 * k, "statistic_from_rss": 5 * len(criteria) * k}
+
+    def test_one_analyze_calls_the_traced_kernels_per_sample(self, tmp_path, monkeypatch):
+        # Three QR passes for the forward comparisons and one per reverse
+        # link; five forward and three reverse scores for the one criterion.
+        csv = tmp_path / "sample.csv"
+        assert main(["generate", "--topology", "driver", "--n", "120", "--seed", "4",
+                     "--out", str(csv)]) == 0
+        calls = self._count_kernel_calls(monkeypatch)
+        assert main(["analyze", "--input", str(csv), "--json"]) == 0
+        assert calls == {"nested_rss": 6, "statistic_from_rss": 8}
 
     def test_reader_result_counts_the_rows(self, tmp_path):
         csv = tmp_path / "sample.csv"

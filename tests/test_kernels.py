@@ -1,15 +1,19 @@
 """``regress.nested_rss`` and ``criteria.statistic_from_rss`` against their
 first array-and-int forms in ``kernel_reference``: the same RSS values,
-p-values and rank-deficiency verdicts, bit for bit."""
+p-values and rank-deficiency verdicts, bit for bit. The in-place kernel
+factors a copy of the [X | b] that the reference reads as X and b; the
+scalar tails in ``criteria`` match the ``scipy.special`` ufuncs bit for bit."""
 
 import numpy as np
+import scipy.special as ufuncs
 from hypothesis import given, settings, strategies as st
 
 import kernel_reference as reference
 from granger_lab.core import TopologyKind
-from granger_lab.criteria import Criterion, statistic_from_rss
+from granger_lab import criteria, granger
+from granger_lab.criteria import Criterion, chi2_sf, f_sf, statistic_from_rss, two_proportion_z
 from granger_lab.datagen import BASELINE_SIGMAS, GeneratorConfig, NoiseKind, generate
-from granger_lab.granger import _lag_rows
+from granger_lab.granger import _lag_design
 from granger_lab.regress import RANK_TOL, RankDeficient, nested_rss
 
 NOISE = st.one_of(
@@ -29,24 +33,55 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def _outcome(kernel, matrix, response, boundaries):
+def _augmented(matrix, response):
+    """[matrix | response] as the F-ordered array ``nested_rss`` factors in place."""
+    return np.column_stack((matrix, response)).copy(order="F")
+
+
+def _outcome(kernel, *args):
     """Prefix RSS as hex strings, or "rank deficient"."""
     try:
-        return _hex(kernel(matrix.copy(), response.copy(), boundaries))
+        return _hex(kernel(*args))
     except RankDeficient:
         return "rank deficient"
 
 
+def _outcomes(augmented, boundaries):
+    """(kernel, reference) outcomes on one [X | b]: the kernel overwrites a
+    copy, the reference reads X and b from the original."""
+    return (_outcome(nested_rss, augmented.copy(order="F"), boundaries),
+            _outcome(reference.nested_rss, augmented[:, :-1], augmented[:, -1], boundaries))
+
+
 def _designs(x, y, z, p):
-    """Every (matrix, response, boundaries) that a forward or reverse Granger
+    """Every ([X | b], boundaries) that a forward or reverse Granger
     comparison passes to ``nested_rss``."""
-    lagged = _lag_rows((z, y, x), p)
-    forward = [(lagged.T, z[p:], (p, 2 * p, 3 * p)),
-               (np.concatenate((lagged[:p], lagged[2 * p:])).T, z[p:], (2 * p,)),
-               (lagged[p:].T, y[p:], (p, 2 * p))]
-    reverse = [(_lag_rows((effect, cause), p).T, effect[p:], (p, 2 * p))
+    forward = [(_lag_design((z, y, x), p), (p, 2 * p, 3 * p)),
+               (_lag_design((z, x), p), (2 * p,)),
+               (_lag_design((y, x), p), (p, 2 * p))]
+    reverse = [(_lag_design((effect, cause), p), (p, 2 * p))
                for effect, cause in ((x, y), (x, z), (y, z))]
     return forward + reverse
+
+
+def test_designs_are_what_the_granger_passes_factor(monkeypatch):
+    # The frozen-kernel checks above run on ``_designs``; the passes must
+    # hand ``nested_rss`` the same F-ordered arrays.
+    x, y, z = generate(GeneratorConfig(topology=TopologyKind.DRIVER, length=40), 3)
+    passed = []
+
+    def recording(augmented, boundaries):
+        assert augmented.flags.f_contiguous and augmented.dtype == np.float64
+        passed.append((augmented.copy(), tuple(boundaries)))
+        return nested_rss(augmented, boundaries)
+
+    monkeypatch.setattr(granger, "nested_rss", recording)
+    granger.forward_pvalues(x, y, z, 2, (Criterion.WALD,))
+    granger.reverse_pvalues(x, y, z, 2, (Criterion.WALD,))
+    expected = _designs(x, y, z, 2)
+    assert [b for _, b in passed] == [b for _, b in expected]
+    for (got, _), (design, _) in zip(passed, expected):
+        np.testing.assert_array_equal(got, design)
 
 
 @settings(max_examples=80, deadline=None)
@@ -65,13 +100,13 @@ def test_nested_rss_and_pvalues_match_the_reference(seed, n, topology, noise, la
         x = np.zeros_like(x)
     elif collinear is not None:
         y = x + 10.0 ** collinear * np.random.default_rng(seed).standard_normal(n)
-    for matrix, response, boundaries in _designs(x, y, z, lags):
-        got = _outcome(nested_rss, matrix, response, boundaries)
-        assert got == _outcome(reference.nested_rss, matrix, response, boundaries)
+    for augmented, boundaries in _designs(x, y, z, lags):
+        got, expected = _outcomes(augmented, boundaries)
+        assert got == expected
         if got == "rank deficient":
             continue
         rss = [float.fromhex(v) for v in got]
-        n_obs = response.size
+        n_obs = augmented.shape[0]
         for crit in Criterion:
             for k_r, k_u in zip(boundaries, boundaries[1:]):
                 args = (rss[boundaries.index(k_r)], rss[boundaries.index(k_u)], n_obs, lags, k_u)
@@ -99,8 +134,8 @@ def test_rank_verdicts_match_across_the_tolerance_edge(seed, n_obs, n_params, sp
     verdicts = set()
     for step in range(-20, 21):
         matrix[:, -1] = base + delta * (1.0 + step * 1e-7) * direction
-        got = _outcome(nested_rss, matrix, response, (n_params - 1, n_params))
-        assert got == _outcome(reference.nested_rss, matrix, response, (n_params - 1, n_params))
+        got, expected = _outcomes(_augmented(matrix, response), (n_params - 1, n_params))
+        assert got == expected
         verdicts.add(got == "rank deficient")
     assert verdicts == {True, False}
 
@@ -109,8 +144,9 @@ def test_exactly_collinear_designs_are_rank_deficient_in_both():
     col = np.linspace(0.0, 1.0, 30)
     for matrix in (np.column_stack([col, col]), np.column_stack([col, np.zeros(30)]),
                    np.column_stack([col, -2.5 * col, col ** 2])):
-        assert _outcome(nested_rss, matrix, col, (1, 2)) == "rank deficient"
-        assert _outcome(reference.nested_rss, matrix, col, (1, 2)) == "rank deficient"
+        got, expected = _outcomes(_augmented(matrix, col), (1, 2))
+        assert got == "rank deficient"
+        assert expected == "rank deficient"
 
 
 @settings(max_examples=400, deadline=None)
@@ -123,3 +159,46 @@ def test_statistic_from_rss_matches_the_reference(crit, rss_u, ratio, q, extra, 
     k = q + extra
     args = (rss_r, rss_u, k + dof, q, k)
     assert _hex(statistic_from_rss(crit, *args)) == _hex(reference.statistic_from_rss(crit, *args))
+
+
+#: Statistics at the edges of the double range and of each tail's domain,
+#: with ordinary values between them.
+EDGE_STATISTICS = [0.0, -0.0, 5e-324, 1e-300, 1e300, np.inf, np.nan,
+                   *np.geomspace(1e-12, 1e4, 49).tolist(), 0.5, 1.0, 2.0, 3.0, 5.991, 9.21]
+#: ``statistic_from_rss`` calls the kernels without ``chi2_sf``'s and
+#: ``f_sf``'s sign check, so they are checked on negative statistics too.
+SIGNED_STATISTICS = [-np.inf, -1.0, *EDGE_STATISTICS]
+RESTRICTIONS = (1, 2, 3, 4, 8)
+RESIDUAL_DOF = (1, 2, 5, 17, 44, 291, 2993, 29993, 1048000)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_chi2_tails_match_the_ufunc_bit_for_bit():
+    for q in RESTRICTIONS:
+        expected = ufuncs.chdtrc(float(q), np.array(EDGE_STATISTICS))
+        assert _bits([chi2_sf(stat, q) for stat in EDGE_STATISTICS]) == _bits(expected)
+        assert (_bits([criteria.chdtrc(q, stat) for stat in SIGNED_STATISTICS])
+                == _bits(ufuncs.chdtrc(float(q), np.array(SIGNED_STATISTICS))))
+
+
+def test_f_tails_match_the_ufunc_bit_for_bit():
+    for q in RESTRICTIONS:
+        for dof in RESIDUAL_DOF:
+            expected = ufuncs.fdtrc(float(q), float(dof), np.array(EDGE_STATISTICS))
+            assert _bits([f_sf(stat, q, dof) for stat in EDGE_STATISTICS]) == _bits(expected)
+            assert (_bits([criteria.fdtrc(q, dof, stat) for stat in SIGNED_STATISTICS])
+                    == _bits(ufuncs.fdtrc(float(q), float(dof), np.array(SIGNED_STATISTICS))))
+
+
+def test_normal_tail_matches_the_ufunc_bit_for_bit():
+    points = [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf, np.nan,
+              *np.linspace(-45.0, 45.0, 181).tolist()]
+    assert _bits([criteria.ndtr(v) for v in points]) == _bits(ufuncs.ndtr(np.array(points)))
+    for n_a, n_b in ((1, 1), (7, 30), (500, 500), (10**6, 10**6), (10**15, 10**15)):
+        for rate_a in (0.0, 0.001, 0.05, 0.5, 0.999, 1.0):
+            for rate_b in (0.0, 0.01, 0.06, 0.5, 1.0):
+                z, p = two_proportion_z(rate_a, n_a, rate_b, n_b)
+                assert _bits([p]) == _bits([2.0 * float(ufuncs.ndtr(-abs(z)))])

@@ -5,23 +5,29 @@ from hypothesis import given, settings, strategies as st
 
 from granger_lab.core import TopologyKind
 from granger_lab.datagen import GeneratorConfig, NoiseKind, generate
-from granger_lab.granger import _lag_rows
+from granger_lab.granger import _lag_design
 from granger_lab.regress import InsufficientData, RankDeficient, nested_rss, ols_fit
+
+
+def _augmented(matrix, response):
+    """[matrix | response] as the F-ordered array ``nested_rss`` factors in place."""
+    return np.column_stack((matrix, response)).copy(order="F")
 
 
 class TestBuildDesign:
     def test_shapes_and_alignment(self):
         v = np.arange(10.0)
-        design = _lag_rows((v, v * 10), 2).T
-        assert design.shape == (8, 4)
-        # row t holds [y_{t-1}, y_{t-2}, x_{t-1}, x_{t-2}] for t = 2 .. 9
-        np.testing.assert_array_equal(design[0], [1.0, 0.0, 10.0, 0.0])
-        np.testing.assert_array_equal(design[-1], [8.0, 7.0, 80.0, 70.0])
+        design = _lag_design((v, v * 10), 2)
+        assert design.shape == (8, 5)
+        assert design.flags.f_contiguous
+        # row t holds [y_{t-1}, y_{t-2}, x_{t-1}, x_{t-2}, y_t] for t = 2 .. 9
+        np.testing.assert_array_equal(design[0], [1.0, 0.0, 10.0, 0.0, 2.0])
+        np.testing.assert_array_equal(design[-1], [8.0, 7.0, 80.0, 70.0, 9.0])
 
     def test_lag_columns(self):
         v = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        cols = _lag_rows((v,), 2).T
-        np.testing.assert_array_equal(cols, [[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]])
+        cols = _lag_design((v,), 2)
+        np.testing.assert_array_equal(cols, [[1.0, 0.0, 2.0], [2.0, 1.0, 3.0], [3.0, 2.0, 4.0]])
 
 
 class TestOlsFit:
@@ -89,7 +95,7 @@ class TestNestedRss:
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(80, 6))
         response = rng.normal(size=80)
-        rss = nested_rss(matrix, response, (2, 4, 6))
+        rss = nested_rss(_augmented(matrix, response), (2, 4, 6))
         for k, value in zip((2, 4, 6), rss):
             assert value == pytest.approx(ols_fit(matrix[:, :k], response).rss,
                                           rel=1e-9)
@@ -99,7 +105,7 @@ class TestNestedRss:
         for _ in range(25):
             matrix = rng.normal(size=(40, 6))
             response = rng.normal(size=40)
-            rss = nested_rss(matrix, response, (1, 2, 3, 4, 5, 6))
+            rss = nested_rss(_augmented(matrix, response), (1, 2, 3, 4, 5, 6))
             assert all(a >= b - 1e-12 for a, b in zip(rss, rss[1:]))
             assert all(v >= 0.0 for v in rss)
 
@@ -113,7 +119,7 @@ class TestNestedRss:
         n_obs = n_params + spare_rows
         matrix = rng.normal(size=(n_obs, n_params)) * 10.0 ** rng.uniform(-spread, spread, n_params)
         response = matrix @ rng.normal(size=n_params) + 10.0 ** noise * rng.normal(size=n_obs)
-        rss = nested_rss(matrix, response, range(n_params + 1))
+        rss = nested_rss(_augmented(matrix, response), range(n_params + 1))
         assert all(a >= b for a, b in zip(rss, rss[1:]))
         assert rss[-1] >= 0.0
 
@@ -127,7 +133,7 @@ class TestNestedRss:
             z, y, x = s.z, s.y, s.x
             matrix = np.column_stack([v[2 - k:300 - k] for v in (z, y, x) for k in (1, 2)])
             response = z[2:]
-            rss = nested_rss(matrix, response, (2, 4, 6))
+            rss = nested_rss(_augmented(matrix, response), (2, 4, 6))
             for k, value in zip((2, 4, 6), rss):
                 coef = np.linalg.lstsq(matrix[:, :k], response, rcond=None)[0]
                 resid = response - matrix[:, :k] @ coef
@@ -135,13 +141,13 @@ class TestNestedRss:
 
     def test_too_few_rows_raises(self):
         with pytest.raises(InsufficientData):
-            nested_rss(np.ones((3, 3)), np.ones(3), (1, 3))
+            nested_rss(_augmented(np.ones((3, 3)), np.ones(3)), (1, 3))
 
     def test_rank_deficient_raises(self):
         col = np.linspace(0, 1, 30)
         matrix = np.column_stack([col, col])
         with pytest.raises(RankDeficient):
-            nested_rss(matrix, col, (1, 2))
+            nested_rss(_augmented(matrix, col), (1, 2))
 
 
 def _reference_rss(matrix, response, k):
@@ -166,11 +172,11 @@ class TestNestedRssAccuracy:
             s = generate(GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
                                          noise_kind=NoiseKind.INTRINSIC_SNR,
                                          sigmas_or_snrs=(snr_db,) * 3), seed)
-            lagged = _lag_rows((s.z, s.y, s.x), 2)
-            passes = [(lagged.T, s.z[2:], (2, 4, 6)), (lagged[[0, 1, 4, 5]].T, s.z[2:], (4,)),
-                      (lagged[2:].T, s.y[2:], (2, 4))]
-            for matrix, response, prefixes in passes:
-                for k, rss in zip(prefixes, nested_rss(matrix, response, prefixes)):
+            passes = [(_lag_design((s.z, s.y, s.x), 2), (2, 4, 6)),
+                      (_lag_design((s.z, s.x), 2), (4,)), (_lag_design((s.y, s.x), 2), (2, 4))]
+            for augmented, prefixes in passes:
+                matrix, response = augmented[:, :-1].copy(), augmented[:, -1].copy()
+                for k, rss in zip(prefixes, nested_rss(augmented, prefixes)):
                     reference = _reference_rss(matrix, response, k)
                     worst = max(worst, float(abs(rss - reference) / reference))
         assert worst <= bound

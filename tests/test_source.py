@@ -124,3 +124,41 @@ def test_only_main_decides_exit_codes():
     # Commands raise; cli.main alone maps a failure to an exit code and a
     # stderr line.
     assert exit_code_sites((PACKAGE / "cli.py").read_text(encoding="utf-8")) == ["main"]
+
+
+#: ``scipy.special`` ufuncs whose scalar C kernels ``criteria`` calls instead.
+TAIL_UFUNCS = {"chdtrc", "fdtrc", "ndtr"}
+
+
+def ufunc_tail_uses(source: str) -> list[str]:
+    """Lines that import a tail ufunc from ``scipy.special`` or read one as
+    an attribute of anything but ``cython_special``."""
+    uses = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+            uses.update(f"{alias.name} (line {node.lineno})" for alias in node.names
+                        if alias.name in TAIL_UFUNCS)
+        elif isinstance(node, ast.Attribute) and node.attr in TAIL_UFUNCS:
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) != "cython_special":
+                uses.add(f"{node.attr} (line {node.lineno})")
+    return sorted(uses)
+
+
+def test_guard_flags_a_tail_ufunc():
+    source = ("from scipy.special import chdtrc, gammaln\n"
+              "import scipy.special as sp\n"
+              "from scipy import special\n"
+              "from scipy.special import cython_special\n"
+              "from scipy.special.cython_special import ndtr\n"
+              "a = sp.fdtrc(1.0, 2.0, 3.0)\n"
+              "b = special.ndtr(0.0)\n"
+              "c = scipy.special.cython_special.fdtrc['double']\n"
+              "d = cython_special.chdtrc\n")
+    assert ufunc_tail_uses(source) == ["chdtrc (line 1)", "fdtrc (line 6)", "ndtr (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_tails_come_from_the_scalar_kernels(path):
+    # The ufuncs give the same bits at several times the cost per scalar call.
+    assert ufunc_tail_uses(path.read_text(encoding="utf-8")) == []
