@@ -11,6 +11,11 @@ With extrinsic noise the backbone is generated noise free and the three
 noise terms are added afterwards, so they are visible to the observer but
 not to the system's own dynamics.
 
+An SNR of s dB sets a series' noise std to sqrt(var * 10^(-s/10)), var being
+its noise-free stationary variance: with v = var U(-2, 2) = 4/3, var x = v,
+var y = v/(1 - c^2), var z = v/(1 - c^2) (driver) or v(1 + c^2)/(1 - c^2)^3
+(indirect).
+
 All three modes consume random draws in the same order (uniforms, then one
 standard-normal block per series), so samples with different noise settings
 but the same seed share the same underlying realization. A sample is three
@@ -49,11 +54,6 @@ class GenerationError(Exception):
 
 #: Noise standard deviations of the criterion-comparison experiments.
 BASELINE_SIGMAS = (0.0, 0.1, 0.5)
-
-#: Post-burn-in length of the noise-free calibration run used to estimate
-#: signal variances for SNR conversion.
-CALIBRATION_LENGTH = 100_000
-CALIBRATION_SEED = 744_003_917
 
 MAGNITUDE_BOUND = 1e12
 DEFAULT_BURN_IN = 100
@@ -202,18 +202,15 @@ def _generate_rows(config: GeneratorConfig, noise: NoiseConfig,
     return x, y, z
 
 
-@lru_cache(maxsize=32)
 def _calibration_variances(topology: TopologyKind,
                            ar_coefficient: float) -> tuple[float, float, float]:
-    """Empirical noise-free signal variances of (X, Y, Z) for one backbone.
-
-    A noise-free run reads only the uniforms, the first block of every draw,
-    so the normal blocks are not drawn.
-    """
-    [state] = generator_states([CALIBRATION_SEED])
-    u = state_generator(state).uniform(-2.0, 2.0, DEFAULT_BURN_IN + CALIBRATION_LENGTH)
-    series = _backbone(u, 0.0, 0.0, 0.0, ar_coefficient, topology)
-    return tuple(float(np.var(s[DEFAULT_BURN_IN:])) for s in series)
+    """Closed-form noise-free stationary variances of (X, Y, Z) for one
+    backbone; the indirect Z's MA(inf) weights are (j + 1) c^j (Hamilton,
+    *Time Series Analysis*, 1994, section 3.4)."""
+    v, c2 = 4.0 / 3.0, ar_coefficient * ar_coefficient  # v = var U(-2, 2)
+    var_y = v / (1.0 - c2)
+    var_z = var_y if topology is TopologyKind.DRIVER else var_y * (1.0 + c2) / (1.0 - c2) ** 2
+    return v, var_y, var_z
 
 
 def resolve_sigmas(config: GeneratorConfig) -> NoiseConfig:

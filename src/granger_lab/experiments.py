@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import FORWARD_LINKS, Link, TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
-from .datagen import GeneratorConfig, NoiseKind, generate_chunks, resolve_sigmas
+from .datagen import GeneratorConfig, NoiseKind, generate_chunks
 from .granger import (FORWARD_KEYS, GrangerConfig, decide_edge_array, forward_pvalues,
                       require_significance)
 from .regress import RankDeficient
@@ -129,12 +129,13 @@ def snr_grid(lo: float = -40.0, hi: float = 40.0, points: int = 17) -> tuple[flo
 
 
 def require_positive(name: str, given: object) -> int:
-    """``given`` as a positive integer, else a ValueError that names ``name``."""
+    """``given`` (an integral number or integer text) as a positive integer,
+    else a ValueError that names ``name``."""
     try:
         value = int(given)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         value = 0
-    if value < 1:
+    if value < 1 or not (isinstance(given, str) or value == given):
         raise ValueError(f"{name} must be a positive integer, got {given!r}")
     return value
 
@@ -245,9 +246,6 @@ def _cell_counts(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags:
     pool = None
     try:
         if n_workers > 1:
-            # Every cell shares one backbone: calibrate it before the pool
-            # forks, so that the workers inherit the cached variances.
-            resolve_sigmas(cells[0][0])
             pool = ProcessPoolExecutor(max_workers=n_workers)
             futures = [pool.submit(_count_run, run, *args) for run in runs]
             results = (future.result() for future in futures)
@@ -286,7 +284,7 @@ def estimate_rates(gen_config: GeneratorConfig, granger_config: GrangerConfig,
                    iterations: int, master_seed: int,
                    workers: Optional[int] = None) -> RateEstimate:
     """Monte Carlo spurious/unidentified rates for one configuration."""
-    require_positive("iterations", iterations)
+    iterations = require_positive("iterations", iterations)
     [(counts, rd)] = _cell_counts([(gen_config, ())], granger_config.lags,
                                   (granger_config.criterion,),
                                   (granger_config.significance,),
@@ -305,7 +303,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     iteration only), which is exactly equivalent to repeated estimate_rates
     calls with the same master seed.
     """
-    require_positive("iterations", iterations)
+    iterations = require_positive("iterations", iterations)
     alphas = tuple(require_significance(a) for a in alphas)
     if not alphas:
         raise ValueError("significance grid must be non-empty")
@@ -324,7 +322,7 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
                       workers: Optional[int] = None) -> SweepResult:
     """Rates against the sample size at a fixed significance level, plus
     pairwise criterion-difference tests at each size."""
-    require_positive("cases", cases)
+    cases = require_positive("cases", cases)
     alpha = require_significance(alpha)
     for n in sizes:
         if not float(n).is_integer():
@@ -357,7 +355,7 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
     ``PHASE_RATES`` to its rates. Cells before ``start`` are not computed,
     so a run resumes from a grid-order prefix of its rows.
     """
-    require_positive("iterations", iterations)
+    iterations = require_positive("iterations", iterations)
     require_significance(alpha)
     _worker_count(workers, 1)  # checked even when every cell is already done
     if noise_kind is NoiseKind.FIXED_SIGMA:

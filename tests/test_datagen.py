@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from granger_lab.core import TopologyKind
 from scipy.signal import lfilter
 
-from granger_lab.datagen import (BASELINE_SIGMAS, CALIBRATION_LENGTH, CALIBRATION_SEED,
-                                 MAX_SAMPLE_VALUES, GenerationError, GeneratorConfig,
-                                 NoiseKind, TrivariateSample, _ar_filter,
+from granger_lab import datagen
+from granger_lab.datagen import (BASELINE_SIGMAS, MAX_SAMPLE_VALUES, GenerationError,
+                                 GeneratorConfig, NoiseKind, TrivariateSample, _ar_filter,
                                  _bidiagonal_band, _calibration_variances, chunk_rows,
                                  generate, generate_chunks, resolve_sigmas, snr_to_sigma)
 from granger_lab.seeding import generator_states
@@ -132,33 +133,94 @@ class TestGenerateFixed:
             generate(cfg)
 
 
+#: Length of the noise-free simulations that the closed-form variances are
+#: checked against.
+SIMULATION_LENGTH = 1_000_000
+BACKBONES = [(topology, c) for topology in (TopologyKind.DRIVER, TopologyKind.INDIRECT)
+             for c in (0.3, -0.5, 0.0)]
+
+
+@functools.cache
+def _simulated_variances(topology, c):
+    """Sample variances of (x, y, z) over one long noise-free sample drawn
+    the direct way (``_reference_generate``)."""
+    config = GeneratorConfig(topology=topology, length=SIMULATION_LENGTH, ar_coefficient=c,
+                             sigmas_or_snrs=(0.0, 0.0, 0.0))
+    return tuple(float(np.var(s)) for s in _reference_generate(config, 20_191))
+
+
+def _tolerances(topology, c):
+    """Five standard errors of each sample variance in ``_simulated_variances``.
+
+    Each series is sum_j psi_j u_{t-j} over the white uniforms u, with psi_j
+    = 1 at j = 0 only for x, c^j for y and the driver z, and (j + 1) c^j for
+    the indirect z. Bartlett's formula gives the variance of a sample
+    variance of n values as (2 sum_k gamma_k^2 + (eta - 3) gamma_0^2) / n,
+    gamma_k the autocovariances; the uniform's kurtosis eta = 1.8 is below
+    3, so dropping its term bounds the variance from above.
+    """
+    j = np.arange(200.0)  # |c| <= 0.5: c^200 is far below double precision
+    ar = c ** j
+    weights = ([1.0], ar, ar if topology is TopologyKind.DRIVER else (j + 1) * ar)
+    tolerances = []
+    for psi in weights:
+        gamma = UNIFORM_VAR * np.correlate(psi, psi, "full")
+        tolerances.append(5.0 * math.sqrt(2.0 * np.sum(gamma**2) / SIMULATION_LENGTH))
+    return tolerances
+
+
 class TestSignalVariance:
-    # The noise-free calibration variances of (x, y, z) that SNRs refer to.
+    # The noise-free stationary variances of (x, y, z) that SNRs refer to,
+    # in closed form, against a long noise-free simulation of each backbone.
+    def _check_simulated(self, topology, c, series):
+        got = _calibration_variances(topology, c)[series]
+        simulated = _simulated_variances(topology, c)[series]
+        assert abs(got - simulated) <= _tolerances(topology, c)[series], (topology, c)
+
     def test_x_is_uniform_variance(self):
-        var_x, _, _ = _calibration_variances(TopologyKind.DRIVER, 0.3)
-        assert var_x == pytest.approx(UNIFORM_VAR, rel=0.02)
+        for topology, c in BACKBONES:
+            var_x, _, _ = _calibration_variances(topology, c)
+            assert var_x == pytest.approx(UNIFORM_VAR, rel=0.02)
+            self._check_simulated(topology, c, 0)
 
     def test_y_matches_ar1_stationary_variance(self):
-        # y is an AR(1) driven by white x: Var = Var(x) / (1 - c^2)
-        _, var_y, var_z = _calibration_variances(TopologyKind.DRIVER, 0.3)
-        expected = UNIFORM_VAR / (1 - 0.3**2)
-        assert var_y == pytest.approx(expected, rel=0.02)
-        assert var_z == pytest.approx(expected, rel=0.02)
+        # y is an AR(1) driven by white x: Var = Var(x) / (1 - c^2); so is
+        # the driver's z
+        for topology, c in BACKBONES:
+            _, var_y, var_z = _calibration_variances(topology, c)
+            expected = UNIFORM_VAR / (1 - c**2)
+            assert var_y == pytest.approx(expected, rel=0.02)
+            self._check_simulated(topology, c, 1)
+            if topology is TopologyKind.DRIVER:
+                assert var_z == pytest.approx(expected, rel=0.02)
+                self._check_simulated(topology, c, 2)
 
     def test_indirect_z_larger_than_driver_z(self):
-        # the indirect z accumulates two AR stages, hence more variance
-        assert (_calibration_variances(TopologyKind.INDIRECT, 0.3)[2]
-                > _calibration_variances(TopologyKind.DRIVER, 0.3)[2])
+        # the indirect z accumulates two AR stages, hence more variance;
+        # with c = 0 both z are the uniforms delayed by two steps
+        for c in (0.3, -0.5, 0.0):
+            indirect = _calibration_variances(TopologyKind.INDIRECT, c)[2]
+            driver = _calibration_variances(TopologyKind.DRIVER, c)[2]
+            assert indirect > driver if c else indirect == driver
+            self._check_simulated(TopologyKind.INDIRECT, c, 2)
 
-    @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
-    @pytest.mark.parametrize("ar", [0.3, -0.5])
-    def test_uniforms_only_equal_the_full_draw(self, topology, ar):
-        # The calibration draws only the uniforms; the variances must be
-        # those of the full four-block draw through lfilter, to the last bit.
-        old = GeneratorConfig(topology=topology, length=CALIBRATION_LENGTH, ar_coefficient=ar,
-                              sigmas_or_snrs=(0.0, 0.0, 0.0))
-        expected = tuple(float(np.var(v)) for v in _reference_generate(old, CALIBRATION_SEED))
-        assert repr(_calibration_variances(topology, ar)) == repr(expected)
+    def test_resolve_sigmas_draws_nothing(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a random number was drawn")
+        monkeypatch.setattr(datagen, "generator_states", fail)
+        monkeypatch.setattr(datagen, "state_generator", fail)
+        snrs = (-10.0, 0.0, 20.0)
+        for topology, c in [(TopologyKind.DRIVER, 0.45), (TopologyKind.INDIRECT, -0.2)]:
+            var_y = UNIFORM_VAR / (1 - c**2)
+            var_z = var_y if topology is TopologyKind.DRIVER else var_y * (1 + c**2) / (1 - c**2)**2
+            for kind in (NoiseKind.INTRINSIC_SNR, NoiseKind.EXTRINSIC_SNR):
+                noise = resolve_sigmas(GeneratorConfig(topology=topology, length=50,
+                                                       ar_coefficient=c, noise_kind=kind,
+                                                       sigmas_or_snrs=snrs))
+                expected = [math.sqrt(var * 10 ** (-s / 10))
+                            for var, s in zip((UNIFORM_VAR, var_y, var_z), snrs)]
+                assert [noise.alpha, noise.beta, noise.gamma] == pytest.approx(expected,
+                                                                               rel=1e-12)
 
 
 def _python_recurrence(driving, coeff):
@@ -213,7 +275,8 @@ class TestArFilter:
         np.testing.assert_array_equal(band[1], np.diagonal(matrix))
 
     @pytest.mark.parametrize("coeff", [0.3, -0.7, 0.0])
-    def test_one_calibration_length_row(self, coeff):
+    def test_one_long_row(self, coeff):
+        # One row of about 10^5 values, well inside MAX_SAMPLE_VALUES.
         rng = np.random.default_rng(11)
         driving = rng.uniform(-2.0, 2.0, (1, 100_100))
         driving[0, :100] = 0.0

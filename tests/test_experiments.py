@@ -1,3 +1,4 @@
+import re
 from contextlib import closing
 from itertools import product
 
@@ -93,6 +94,20 @@ class TestEstimateRates:
         with pytest.raises(ValueError):
             estimate_rates(_gen(), GrangerConfig(), iterations=0, master_seed=0)
 
+    def test_integer_text_runs_as_its_integer(self):
+        # The checked count, not the argument, reaches the scheduler.
+        def run(count, workers):
+            return [estimate_rates(_gen(), GrangerConfig(), iterations=count, master_seed=2,
+                                   workers=workers),
+                    sweep_significance(TopologyKind.DRIVER, (0.05,), n_points=40,
+                                       iterations=count, seed=2, workers=workers),
+                    sweep_sample_size(TopologyKind.DRIVER, 0.05, (40,), cases=count, seed=2,
+                                      workers=workers),
+                    list(phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, 40, 0.05,
+                                    iterations=count, grids=((0.0,),) * 3, workers=workers))]
+
+        assert run("4", "1") == run(4, 1)
+
 
 class TestEstimateFromCounts:
     """Accepted-edge counts become rates against the true topology."""
@@ -151,7 +166,8 @@ class TestCountChecks:
             raise AssertionError("a sample was generated")
         monkeypatch.setattr(experiments, "generate_chunks", fail)
 
-    @pytest.mark.parametrize("count", [0, -4])
+    @pytest.mark.parametrize("count", [0, -4, 2.5, None, "three", "1e3", float("inf"),
+                                       float("nan")])
     def test_every_entry_point_names_its_count(self, count):
         calls = {
             "iterations": [
@@ -166,8 +182,8 @@ class TestCountChecks:
         }
         for name, entry_points in calls.items():
             for call in entry_points:
-                with pytest.raises(ValueError,
-                                   match=f"^{name} must be a positive integer, got {count}$"):
+                with pytest.raises(ValueError, match=f"^{name} must be a positive integer, "
+                                                     f"got {re.escape(repr(count))}$"):
                     call()
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
@@ -242,14 +258,14 @@ class TestWorkerCount:
             with pytest.raises(ValueError, match="GRANGER_LAB_THREADS"):
                 estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3)
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "two"])
     def test_nonpositive_flag_rejected_like_the_variable(self, pool, monkeypatch, workers):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 16)
         for env in (None, "4"):
             if env:
                 monkeypatch.setenv("GRANGER_LAB_THREADS", env)  # the flag still wins
-            with pytest.raises(ValueError,
-                               match=f"^workers must be a positive integer, got {workers}$"):
+            with pytest.raises(ValueError, match=f"^workers must be a positive integer, "
+                                                 f"got {re.escape(repr(workers))}$"):
                 estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3,
                                workers=workers)
             with pytest.raises(ValueError, match="^workers must be"):
@@ -358,13 +374,6 @@ class TestSchedule:
             for _ in rows:
                 raise OSError("disk full")
         assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
-
-    def test_calibrates_before_the_pool_starts(self, pool, monkeypatch):
-        calls = []
-        monkeypatch.setattr(experiments, "resolve_sigmas",
-                            lambda gen: calls.append(len(pool.sizes)))
-        _phase(workers=2)
-        assert calls == [0]
 
 
 def _grid_counts(iterations, workers):
