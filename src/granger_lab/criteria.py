@@ -70,24 +70,24 @@ def f_sf(statistic: float, dof1: int, dof2: int) -> float:
 
 def statistic_from_rss(criterion: Criterion, rss_r: float, rss_u: float,
                        n: int, q: int, k: int) -> TestOutcome:
-    """Criterion statistic and p-value straight from the two RSS values."""
+    """Statistic and p-value from the two RSS values, as a ``tuple.__new__`` TestOutcome."""
     if rss_u <= 0.0:
         # Perfect unrestricted fit: limit behaviour of every statistic.
-        return TestOutcome(math.inf, 0.0) if rss_r > rss_u else TestOutcome(0.0, 1.0)
+        return tuple.__new__(TestOutcome, (math.inf, 0.0) if rss_r > rss_u else (0.0, 1.0))
     # OLS guarantees rss_r >= rss_u on a common window; clamp round-off.
     delta = max(rss_r - rss_u, 0.0)
     if criterion is Criterion.LR:
         stat = n * math.log(max(rss_r, rss_u) / rss_u)
-        return TestOutcome(stat, chdtrc(q, stat))
+        return tuple.__new__(TestOutcome, (stat, chdtrc(q, stat)))
     if criterion is Criterion.WALD:
         stat = n * delta / rss_u
-        return TestOutcome(stat, fdtrc(q, n - k, stat * (n - k) / (n * q)))
+        return tuple.__new__(TestOutcome, (stat, fdtrc(q, n - k, stat * (n - k) / (n * q))))
     if criterion is Criterion.LM:
         stat = n * delta / rss_r
-        return TestOutcome(stat, chdtrc(q, stat))
+        return tuple.__new__(TestOutcome, (stat, chdtrc(q, stat)))
     if criterion is Criterion.RAO:
         stat = (delta / q) / (rss_u / (n - k))
-        return TestOutcome(stat, fdtrc(q, n - k, stat))
+        return tuple.__new__(TestOutcome, (stat, fdtrc(q, n - k, stat)))
     raise ValueError(f"unknown criterion {criterion!r}")
 
 

@@ -8,7 +8,7 @@ A command's iterations are cut once into runs of consecutive iterations,
 and each run's seeds and generator states are derived in bulk
 (``seeding``). Rates are exact count/iterations fractions.
 
-Each sample's edges come from ``granger.forward_pvalues`` and
+Each sample's edges come from ``granger.block_pvalues`` and
 ``granger.decide_edge_array``, the same path ``analyze`` takes, and a cell
 counts how often each edge was accepted. ``_estimate_from_counts`` alone
 turns those counts into rates against the true topology: with driver
@@ -38,9 +38,7 @@ import numpy as np
 from .core import FORWARD_LINKS, Link, TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
 from .datagen import GeneratorConfig, NoiseKind, generate_chunks
-from .granger import (FORWARD_KEYS, GrangerConfig, decide_edge_array, forward_pvalues,
-                      require_significance)
-from .regress import RankDeficient
+from .granger import GrangerConfig, block_pvalues, decide_edge_array, require_significance
 from .seeding import derive_seeds, generator_states
 
 #: Keys of a phase-space row: the cell's SNR triple, then its rates, each
@@ -178,26 +176,15 @@ def _count_block(gen_template: GeneratorConfig, lags: int,
                  states: np.ndarray) -> tuple[np.ndarray, int]:
     """Accepted-edge counts, (criterion, level, link) in ``FORWARD_LINKS``
     order, over the iterations of one cell whose generator states are the
-    rows of ``states`` (a run's segment of the cell).
-
-    Samples come in chunks; each chunk's p-values are collected into a
-    (sample, criterion, comparison) array and decided for every
-    significance level at once.
-    """
+    rows of ``states`` (a run's segment of the cell). Each generated chunk
+    is scored by ``block_pvalues`` and decided for every level at once."""
     edges = np.zeros((len(criteria), len(alphas), len(FORWARD_LINKS)), dtype=np.int64)
     rank_deficient = 0
     alpha_levels = np.array(alphas)
     for xs, ys, zs in generate_chunks(gen_template, states):
-        pvalues = np.empty((len(xs), len(criteria), len(FORWARD_KEYS)))
-        kept = 0
-        for x, y, z in zip(xs, ys, zs):
-            try:
-                pvalues[kept] = forward_pvalues(x, y, z, lags, criteria)
-            except RankDeficient:
-                rank_deficient += 1
-                continue
-            kept += 1
-        edges += decide_edge_array(pvalues[:kept], alpha_levels).sum(axis=0)
+        pvalues, skipped = block_pvalues(xs, ys, zs, lags, criteria)
+        rank_deficient += skipped
+        edges += decide_edge_array(pvalues, alpha_levels).sum(axis=0)
     return edges, rank_deficient
 
 

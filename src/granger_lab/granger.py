@@ -5,26 +5,27 @@ scan returns the complete topology does step two run the two conditional
 tests on Z (does X help beyond Y, does Y help beyond X) and replace the
 X->Z and Y->Z edges with those verdicts.
 
-Every sample reaches its edges along one path: ``forward_pvalues`` scores
-the five forward comparisons of one ``comparison_rss`` pass, and
-``decide_edge_array`` applies the two-step rule to any stack of them. The
-Monte Carlo loop and ``analyze`` both take it; ``reverse_pvalues`` scores
-the reverse links, which ``analyze`` reports but never classifies. Every
-test takes the RSS of its nested model pair from one ``regress.nested_rss``
-pass over a ``_lag_design`` [lags | response] as a plain (restricted RSS,
-unrestricted RSS, k) triple, and ``_pvalues`` scores forward and reverse
-triples alike.
+Every sample reaches its edges along one path: ``block_pvalues`` scores
+the five forward comparisons of each sample of a block (a generated chunk
+in the Monte Carlo loop, one sample in ``analyze``), and
+``decide_edge_array`` applies the two-step rule to any stack of them;
+``reverse_pvalues`` scores the reverse links, which ``analyze`` reports but
+never classifies. Each comparison's RSS pair comes from one
+``regress.nested_rss`` pass over a row of a ``_lag_stack``, whose designs
+and column norms are built once per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, product
 from typing import Sequence
 
 import numpy as np
 
 from .criteria import Criterion, statistic_from_rss
-from .regress import InsufficientData, nested_rss
+from .datagen import CHUNK_VALUES
+from .regress import InsufficientData, RankDeficient, largest_norms, nested_rss
 
 #: Keys for the five forward-model comparisons the two-step procedure uses.
 BIV_XY, BIV_XZ, BIV_YZ = "x->y", "x->z", "y->z"
@@ -56,59 +57,58 @@ class GrangerConfig:
             raise ValueError("lags must be >= 1")
 
 
-def _lag_design(series: tuple[np.ndarray, ...], p: int) -> np.ndarray:
-    """[lags 1..p of each series | series[0]] on the window t = p .. n-1:
-    the F-ordered [X | b] that ``nested_rss`` factors in place.
+def _lag_stack(layouts: Sequence[Sequence[np.ndarray]], p: int,
+               out: np.ndarray) -> tuple[list[np.ndarray], list[list[float]]]:
+    """Per layout of (rows, n) series, each row's [lags 1..p of each series |
+    first series] on t = p .. n-1 and its largest column norms, side by side
+    in the first rows of ``out``, a C-ordered (rows, columns, n - p) buffer:
+    a design's row b, transposed, is the F-ordered [X | b] ``nested_rss`` takes."""
+    rows, n = layouts[0][0].shape
+    widths = [len(series) * p + 1 for series in layouts]
+    stack = out[:rows]
+    lagged = [column for series in layouts  # (series, lag), the response as lag 0
+              for column in [*product(series, range(1, p + 1)), (series[0], 0)]]
+    for column, (values, k) in enumerate(lagged):
+        stack[:, column] = values[:, p - k:n - k]
+    return ([stack[:, a:a + w] for a, w in zip(accumulate(widths, initial=0), widths)],
+            largest_norms(stack, widths))
 
-    Column i*p + k-1 holds lag k of series[i]; the last column is the
-    response, series[0] itself.
-    """
-    n_obs = series[0].shape[0] - p
-    design = np.empty((n_obs, len(series) * p + 1), order="F")
-    for i, values in enumerate(series):
-        for k in range(1, p + 1):
-            design[:, i * p + k - 1] = values[p - k:p - k + n_obs]
-    design[:, -1] = series[0][p:]
-    return design
 
-
-def comparison_rss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                   lags: int) -> list[tuple[float, float, int]]:
-    """(rss_restricted, rss_unrestricted, k) of the five forward model pairs,
-    in the order of ``FORWARD_KEYS``, via three QR passes.
-
-    The full z-model [z-lags | y-lags | x-lags | z] yields the nested RSS of
-    [z] and [z, y] as column prefixes; a second ordering [z-lags | x-lags | z]
-    yields [z, x]; the y-model pass [y-lags | x-lags | y] yields [y] and
-    [y, x]. Every pair lies on the common window of len(z) - lags
-    observations.
-    """
-    p = lags
-    n_obs = z.shape[0] - p  # common window: max lag of the widest model
+def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
+                  criteria: Sequence[Criterion]) -> tuple[np.ndarray, int]:
+    """P-values (sample, criterion, comparison), in ``FORWARD_KEYS`` order,
+    of the rows of (rows, n) x, y and z that are not rank deficient, and
+    the count of those that are. On n - lags observations, [z-lags | y-lags
+    | x-lags | z] gives the RSS of [z], [z, y] and [z, y, x], [z-lags |
+    x-lags | z] of [z, x] and [y-lags | x-lags | y] of [y] and [y, x]. The
+    designs are built for blocks of at most ``CHUNK_VALUES`` values."""
+    p, rows, n_obs = lags, zs.shape[0], zs.shape[1] - lags
     if n_obs < 3 * p + 1:
         raise ValueError(f"series too short for lag depth {p}")
-    full = _lag_design((z, y, x), p)
-    # The two narrower designs are column blocks of the full one, copied
-    # out before ``nested_rss`` overwrites it.
-    zx = np.empty((n_obs, 2 * p + 1), order="F")
-    zx[:, :p], zx[:, p:] = full[:, :p], full[:, 2 * p:]
-    yx = np.empty((n_obs, 2 * p + 1), order="F")
-    yx[:, :-1], yx[:, -1] = full[:, p:3 * p], y[p:]
-
-    rss_z, rss_zy, rss_zyx = nested_rss(full, (p, 2 * p, 3 * p))
-    (rss_zx,) = nested_rss(zx, (2 * p,))
-    rss_y, rss_yx = nested_rss(yx, (p, 2 * p))
-
-    return [(rss_y, rss_yx, 2 * p), (rss_z, rss_zx, 2 * p), (rss_z, rss_zy, 2 * p),
-            (rss_zy, rss_zyx, 3 * p), (rss_zx, rss_zyx, 3 * p)]
-
-
-def _pvalues(pairs: Sequence[tuple[float, float, int]], n_obs: int, q: int,
-             criteria: Sequence[Criterion]) -> np.ndarray:
-    """P-values (criterion, pair) of nested pairs (rss_restricted,
-    rss_unrestricted, k) on ``n_obs`` observations with ``q`` restrictions."""
-    return np.array([[statistic_from_rss(crit, rss_r, rss_u, n_obs, q, k).p_value
-                      for rss_r, rss_u, k in pairs] for crit in criteria])
+    pvalues = np.empty((rows, len(criteria), len(FORWARD_KEYS)))
+    flat = memoryview(pvalues.reshape(-1))
+    step = max(1, CHUNK_VALUES // ((7 * p + 3) * n_obs))  # the designs' 7p + 3 columns
+    buffer = np.empty((min(step, rows), 7 * p + 3, n_obs))  # refilled block by block
+    k2, k3 = 2 * p, 3 * p
+    filled = rank_deficient = 0
+    for a in range(0, rows, step):
+        x, y, z = xs[a:a + step], ys[a:a + step], zs[a:a + step]
+        designs, norms = _lag_stack(((z, y, x), (z, x), (y, x)), p, buffer)
+        for full, zx, yx, full_norm, zx_norm, yx_norm in zip(*designs, *norms):
+            try:
+                rss_z, rss_zy, rss_zyx = nested_rss(full.T, (p, k2, k3), full_norm)
+                (rss_zx,) = nested_rss(zx.T, (k2,), zx_norm)
+                rss_y, rss_yx = nested_rss(yx.T, (p, k2), yx_norm)
+            except RankDeficient:
+                rank_deficient += 1
+                continue
+            pairs = ((rss_y, rss_yx, k2), (rss_z, rss_zx, k2), (rss_z, rss_zy, k2),
+                     (rss_zy, rss_zyx, k3), (rss_zx, rss_zyx, k3))
+            for criterion in criteria:
+                for rss_r, rss_u, k in pairs:
+                    flat[filled] = statistic_from_rss(criterion, rss_r, rss_u, n_obs, p, k)[1]
+                    filled += 1
+    return pvalues[:rows - rank_deficient], rank_deficient
 
 
 def _require_equal_lengths(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
@@ -118,10 +118,13 @@ def _require_equal_lengths(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
 
 def forward_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
                     criteria: Sequence[Criterion]) -> np.ndarray:
-    """P-values (criterion, comparison) of the five forward comparisons, in
-    the order of ``FORWARD_KEYS``, from one ``comparison_rss`` pass."""
+    """``block_pvalues`` of one sample: (criterion, comparison) p-values, in
+    ``FORWARD_KEYS`` order; a rank-deficient sample raises RankDeficient."""
     _require_equal_lengths(x, y, z)
-    return _pvalues(comparison_rss(x, y, z, lags), z.shape[0] - lags, lags, criteria)
+    pvalues, rank_deficient = block_pvalues(x[None], y[None], z[None], lags, criteria)
+    if rank_deficient:
+        raise RankDeficient("design matrix is rank deficient")
+    return pvalues[0]
 
 
 def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -146,12 +149,14 @@ def reverse_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
     """P-values (criterion, link) of the reverse links, in the order of
     ``REVERSE_KEYS``: do the cause's lags improve the effect's own-lag
     model? One ``nested_rss`` pass on [effect lags | cause lags | effect] per
-    link."""
+    link, each design built in turn into one ``_lag_stack`` buffer."""
     _require_equal_lengths(x, y, z)
-    p = lags
-    n_obs = x.size - p
+    p, n_obs = lags, x.size - lags
     if n_obs < 2 * p + 1:
         raise InsufficientData(f"{n_obs} observations for {2 * p} coefficients")
-    pairs = [(*nested_rss(_lag_design((effect, cause), p), (p, 2 * p)), 2 * p)
-             for effect, cause in ((x, y), (x, z), (y, z))]
-    return _pvalues(pairs, n_obs, p, criteria)
+    buffer, rss = np.empty((1, 2 * p + 1, n_obs)), []
+    for effect, cause in ((x, y), (x, z), (y, z)):
+        [design], [[norm]] = _lag_stack([(effect[None], cause[None])], p, buffer)
+        rss.append(nested_rss(design[0].T, (p, 2 * p), norm))
+    return np.array([[statistic_from_rss(criterion, rss_r, rss_u, n_obs, p, 2 * p)[1]
+                      for rss_r, rss_u in rss] for criterion in criteria])

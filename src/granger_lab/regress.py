@@ -2,15 +2,15 @@
 
 ``nested_rss`` gives the residual sum of squares of every column-prefix
 model of one design in a single R-only QR pass, factoring the caller's
-[X | b] in place; every Granger test goes through it. ``ols_fit`` is the
-plain QR fit with coefficients, kept as the reference the kernel is checked
-against.
+[X | b] in place, with X's largest column norm from ``largest_norms``;
+every Granger test goes through it. ``ols_fit`` is the plain QR fit with
+coefficients, kept as the reference the kernel is checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +58,17 @@ def ols_fit(matrix: np.ndarray, response: np.ndarray) -> FitResult:
     return FitResult(coefficients=coef, rss=float(resid @ resid))
 
 
-def nested_rss(augmented: np.ndarray, boundaries: Sequence[int]) -> list[float]:
+def largest_norms(stack: np.ndarray, widths: Sequence[int]) -> list[list[float]]:
+    """Per row, X's largest column norm in each [X | b] of ``widths`` columns
+    side by side in ``stack`` (rows, columns, n_obs), by one ``einsum``."""
+    squares = np.einsum("bcn,bcn->bc", stack, stack)
+    starts = accumulate(widths, initial=0)
+    return [np.sqrt(squares[:, a:a + width - 1].max(axis=1)).tolist()
+            for a, width in zip(starts, widths)]
+
+
+def nested_rss(augmented: np.ndarray, boundaries: Sequence[int],
+               largest_norm: float) -> list[float]:
     """RSS of each column-prefix model in one QR pass, overwriting ``augmented``.
 
     ``augmented`` is the F-ordered float64 [X | b]: the design's p columns
@@ -69,13 +79,11 @@ def nested_rss(augmented: np.ndarray, boundaries: Sequence[int]) -> list[float]:
     ``sum_{i=k}^{p} R[i, p]^2`` (Golub & Van Loan, Matrix Computations,
     section 5.3). Unlike ``||b||^2 - ||Q^T b||^2`` this sum does not cancel
     when the fit is nearly exact. Raises RankDeficient when a pivot of R
-    falls below tolerance relative to the largest column norm of X.
+    falls below tolerance relative to ``largest_norm`` (``largest_norms``).
     """
     n_obs, n_params = augmented.shape[0], augmented.shape[1] - 1
     if n_obs < n_params + 1:
         raise InsufficientData(f"{n_obs} rows for {n_params} columns")
-    design = augmented[:, :n_params]  # read before dgeqrf overwrites it
-    largest_norm = math.sqrt(max(np.einsum("ij,ij->j", design, design).tolist()))
     # R is the upper triangle of the result; Householder vectors lie below it.
     r, _, _, info = dgeqrf(augmented, overwrite_a=True)
     if info != 0:

@@ -1,6 +1,8 @@
 """The per-sample kernels as they were first written, with array arithmetic
 and int degrees of freedom: the reference that ``regress.nested_rss`` and
-``criteria.statistic_from_rss`` must match bit for bit."""
+``criteria.statistic_from_rss`` must match bit for bit. ``lag_design`` and
+``forward_rss`` build one sample's designs column by column, as the
+reference for the stacked designs of ``granger``."""
 
 import math
 
@@ -29,6 +31,27 @@ def nested_rss(matrix, response, boundaries):
     tail = r[:n_params + 1, n_params]
     rss = (tail * tail)[::-1].cumsum()[::-1]
     return [float(rss[k]) for k in boundaries]
+
+
+def lag_design(series, p):
+    """[lags 1..p of each series | series[0]] on t = p .. n-1: column
+    i*p + k-1 holds lag k of series[i], the last column the response."""
+    n = len(series[0])
+    return np.column_stack([values[p - k:n - k] for values in series for k in range(1, p + 1)]
+                           + [series[0][p:]])
+
+
+def forward_rss(x, y, z, p):
+    """(rss_restricted, rss_unrestricted, k) of the five forward model pairs
+    of one sample, in the order of ``FORWARD_KEYS``, from three reference
+    passes on [z-lags | y-lags | x-lags | z], [z-lags | x-lags | z] and
+    [y-lags | x-lags | y]."""
+    passes = [((z, y, x), (p, 2 * p, 3 * p)), ((z, x), (2 * p,)), ((y, x), (p, 2 * p))]
+    designs = [(lag_design(series, p), boundaries) for series, boundaries in passes]
+    (rss_z, rss_zy, rss_zyx), (rss_zx,), (rss_y, rss_yx) = [
+        nested_rss(design[:, :-1], design[:, -1], boundaries) for design, boundaries in designs]
+    return [(rss_y, rss_yx, 2 * p), (rss_z, rss_zx, 2 * p), (rss_z, rss_zy, 2 * p),
+            (rss_zy, rss_zyx, 3 * p), (rss_zx, rss_zyx, 3 * p)]
 
 
 def statistic_from_rss(criterion, rss_r, rss_u, n, q, k):

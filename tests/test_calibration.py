@@ -24,9 +24,9 @@ from scipy.special import chdtri, fdtrc
 from scipy.stats import kstest
 
 from granger_lab.core import TopologyKind
-from granger_lab.criteria import Criterion, statistic_from_rss
+from granger_lab.criteria import Criterion
 from granger_lab.datagen import GeneratorConfig, generate_chunks
-from granger_lab.granger import FORWARD_KEYS, TRI_YZ, comparison_rss
+from granger_lab.granger import FORWARD_KEYS, TRI_YZ, block_pvalues
 from granger_lab.seeding import derive_seeds, generator_states
 
 SAMPLES = 4000
@@ -43,12 +43,10 @@ def null_pvalues():
     for n in (25, 50, 300):
         states = generator_states(derive_seeds([((77, n), 0, SAMPLES)]))
         config = GeneratorConfig(topology=TopologyKind.DRIVER, length=n)
-        pairs = [comparison_rss(x, y, z, LAGS)[pair]
-                 for xs, ys, zs in generate_chunks(config, states)
-                 for x, y, z in zip(xs, ys, zs)]
-        out[n] = {crit: np.array([statistic_from_rss(crit, rss_r, rss_u, n - LAGS, LAGS, k).p_value
-                                  for rss_r, rss_u, k in pairs])
-                  for crit in Criterion}
+        pvalues = np.concatenate([block_pvalues(xs, ys, zs, LAGS, tuple(Criterion))[0]
+                                  for xs, ys, zs in generate_chunks(config, states)])
+        assert pvalues.shape == (SAMPLES, len(Criterion), len(FORWARD_KEYS))
+        out[n] = dict(zip(Criterion, pvalues[:, :, pair].T))
     return out
 
 

@@ -163,11 +163,11 @@ class TestGenerateAnalyze:
         main(["generate", "--topology", "driver", "--n", "200", "--seed", "2",
               "--out", str(csv)])
         calls = []
-        original = granger.comparison_rss
-        monkeypatch.setattr(granger, "comparison_rss",
-                            lambda *args: calls.append(1) or original(*args))
+        original = granger.block_pvalues
+        monkeypatch.setattr(granger, "block_pvalues",
+                            lambda *args: calls.append(len(args[0])) or original(*args))
         assert main(["analyze", "--input", str(csv), "--json"]) == 0
-        assert len(calls) == 1
+        assert calls == [1]  # one block of one sample
 
     def test_analyze_fits_only_through_nested_rss(self, tmp_path, monkeypatch):
         # 3 passes for the forward comparisons, 1 per reverse link

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from granger_lab import datagen, experiments
+from granger_lab import datagen, experiments, granger
 from granger_lab.core import FORWARD_LINKS, Link, TopologyKind
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GenerationError, GeneratorConfig, NoiseKind, generate
 from granger_lab.experiments import (SNR_KEYS, DegenerateConfiguration, OffGrid, PhaseGrid,
                                      estimate_rates, extract_plane, phase_rows, phase_space,
                                      snr_grid, sweep_sample_size, sweep_significance)
-from granger_lab.granger import FORWARD_KEYS, GrangerConfig, comparison_rss
+from granger_lab.granger import FORWARD_KEYS, GrangerConfig
 from granger_lab.regress import RankDeficient
 from granger_lab.seeding import derive_seeds, generator_states
 
+import kernel_reference as reference
 from decision_reference import decide_edges
 
 
@@ -201,8 +202,9 @@ class TestCountChecks:
 
 
 def _scalar_pvalues(sample, criterion):
-    """The five forward p-values, one ``statistic_from_rss`` call each."""
-    pairs = comparison_rss(sample.x, sample.y, sample.z, 2)
+    """The five forward p-values, one ``statistic_from_rss`` call each, from
+    the reference passes."""
+    pairs = reference.forward_rss(sample.x, sample.y, sample.z, 2)
     return {key: statistic_from_rss(criterion, rss_r, rss_u, len(sample.x) - 2, 2, k).p_value
             for key, (rss_r, rss_u, k) in zip(FORWARD_KEYS, pairs, strict=True)}
 
@@ -428,15 +430,16 @@ class TestPartitionInvariance:
     def test_cells_split_across_runs(self, pool, monkeypatch, batches, workers):
         # Reject the samples whose first x value is negative as rank
         # deficient, so that the split cells' rank-deficient counts are
-        # summed across runs too.
-        pvalues = experiments.forward_pvalues
+        # summed across runs too. A sample's first pass is [z-lags | y-lags
+        # | x-lags | z]; its first row holds x[0] as lag 2 of x, column 5.
+        kernel = granger.nested_rss
 
-        def rejecting(x, *args):
-            if x[0] < 0:
+        def rejecting(augmented, boundaries, largest_norm):
+            if boundaries == (2, 4, 6) and augmented[0, 5] < 0:
                 raise RankDeficient("rejected")
-            return pvalues(x, *args)
+            return kernel(augmented, boundaries, largest_norm)
 
-        monkeypatch.setattr(experiments, "forward_pvalues", rejecting)
+        monkeypatch.setattr(granger, "nested_rss", rejecting)
         reference = _grid_counts(4, 1)
         assert 0 < sum(rd for _, rd in reference) < 4 * 27
         batches.clear()

@@ -1,16 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from granger_lab import granger
 from granger_lab.core import Link, TopologyKind, topology_kind
 from granger_lab.criteria import Criterion, statistic_from_rss
-from granger_lab.datagen import GeneratorConfig, NoiseKind, TrivariateSample, generate
+from granger_lab.datagen import (CHUNK_VALUES, GeneratorConfig, NoiseKind, TrivariateSample,
+                                 chunk_rows, generate, generate_chunks)
 from granger_lab.granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ,
                                  FORWARD_KEYS, REVERSE_KEYS, GrangerConfig,
-                                 comparison_rss, decide_edge_array, forward_pvalues,
+                                 block_pvalues, decide_edge_array, forward_pvalues,
                                  reverse_pvalues)
 from granger_lab.regress import InsufficientData, RankDeficient, ols_fit
+from granger_lab.seeding import derive_seeds, generator_states
 
+import kernel_reference as reference
 from decision_reference import decide_edges, edge_set
 
 BASELINE = (0.0, 0.1, 0.5)
@@ -64,7 +69,7 @@ class TestBivariateTest:
         s = _sample(TopologyKind.INDIRECT, seed=2)
         pvalues = _pvalues(s, Criterion.LR)
         assert _pair_pvalue(s.x, s.y, s.z, Criterion.LR) == pvalues[0]
-        rss_r, rss_u, k = comparison_rss(*s, 2)[FORWARD_KEYS.index(TRI_YZ)]
+        rss_r, rss_u, k = reference.forward_rss(*s, 2)[FORWARD_KEYS.index(TRI_YZ)]
         via_tri = statistic_from_rss(Criterion.LR, rss_r, rss_u, len(s.x) - 2, 2, k)
         assert via_tri.p_value == pvalues[FORWARD_KEYS.index(TRI_YZ)]
 
@@ -118,19 +123,32 @@ class TestReverseLinkDecisions:
 
 
 class TestComparisonRss:
-    def test_nesting_and_counts(self):
+    def test_nesting_and_counts(self, monkeypatch):
+        # The RSS of one sample's three passes, as ``block_pvalues`` gets them.
         s = _sample(TopologyKind.DRIVER, seed=3)
-        pairs = dict(zip(FORWARD_KEYS, comparison_rss(*s, 2), strict=True))
-        for rss_r, rss_u, _ in pairs.values():
-            assert rss_r >= rss_u >= 0.0
-        assert [k for _, _, k in pairs.values()] == [4, 4, 4, 6, 6]
+        kernel, passes = granger.nested_rss, []
+
+        def recording(augmented, boundaries, largest_norm):
+            rss = kernel(augmented, boundaries, largest_norm)
+            passes.append((tuple(boundaries), rss))
+            return rss
+
+        monkeypatch.setattr(granger, "nested_rss", recording)
+        pvalues = forward_pvalues(*s, 2, tuple(Criterion))
+        assert [b for b, _ in passes] == [(2, 4, 6), (4,), (2, 4)]
+        (rss_z, rss_zy, rss_zyx), (rss_zx,), (rss_y, rss_yx) = [rss for _, rss in passes]
+        assert rss_z >= rss_zy >= rss_zyx >= 0.0 and rss_z >= rss_zx >= rss_zyx
+        assert rss_y >= rss_yx >= 0.0
         # The z-models are shared: [z] restricts both pairwise z tests, [z, y]
         # and [z, x] are the conditional tests' restricted models, and
         # [z, y, x] is their common unrestricted model.
-        assert pairs[BIV_XZ][0] == pairs[BIV_YZ][0]
-        assert pairs[TRI_XZ][0] == pairs[BIV_YZ][1]
-        assert pairs[TRI_YZ][0] == pairs[BIV_XZ][1]
-        assert pairs[TRI_XZ][1] == pairs[TRI_YZ][1]
+        pairs = {BIV_XY: (rss_y, rss_yx, 4), BIV_XZ: (rss_z, rss_zx, 4),
+                 BIV_YZ: (rss_z, rss_zy, 4), TRI_XZ: (rss_zy, rss_zyx, 6),
+                 TRI_YZ: (rss_zx, rss_zyx, 6)}
+        for row, criterion in zip(pvalues, Criterion, strict=True):
+            assert row.tolist() == [
+                statistic_from_rss(criterion, rss_r, rss_u, len(s.x) - 2, 2, k).p_value
+                for rss_r, rss_u, k in map(pairs.get, FORWARD_KEYS)]
 
 
 def _decided(pvalues, significance):
@@ -147,7 +165,7 @@ class TestForwardPvalues:
         criteria = tuple(Criterion)
         pvalues = forward_pvalues(*s, 2, criteria)
         assert pvalues.shape == (len(criteria), len(FORWARD_KEYS))
-        pairs = comparison_rss(*s, 2)
+        pairs = reference.forward_rss(*s, 2)
         assert len(pairs) == len(FORWARD_KEYS)
         for row, criterion in zip(pvalues, criteria):
             for p_value, (rss_r, rss_u, k) in zip(row, pairs):
@@ -171,6 +189,55 @@ class TestForwardPvalues:
         message = "^series lengths differ: {}, {}, {}$".format(*lengths)
         with pytest.raises(ValueError, match=message):
             forward_pvalues(*series, 2, (Criterion.WALD,))
+
+
+def _rows(config, rows, seed):
+    """The first ``rows`` samples of stream (seed,), as (rows, n) x, y, z."""
+    states = generator_states(derive_seeds([((seed,), 0, rows)]))
+    return next(generate_chunks(config, states))
+
+
+class TestBlockPvalues:
+    @pytest.mark.parametrize("chunk", [11, 4])
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 11])
+    def test_a_row_scores_alike_alone_and_in_any_block(self, monkeypatch, chunk, block):
+        # Row 5 (y = x) is rank deficient: skipped, counted once, and its
+        # neighbours' p-values are those they have alone, bit for bit, in
+        # chunks of ``chunk`` rows cut into design blocks of ``block``.
+        xs, ys, zs = _rows(GeneratorConfig(topology=TopologyKind.INDIRECT, length=50), 11, 5)
+        ys[5] = xs[5]
+        criteria = tuple(Criterion)
+        alone = []
+        for row in range(11):
+            if row == 5:
+                with pytest.raises(RankDeficient):
+                    forward_pvalues(xs[row], ys[row], zs[row], 2, criteria)
+                continue
+            alone.append(forward_pvalues(xs[row], ys[row], zs[row], 2, criteria))
+        monkeypatch.setattr(granger, "CHUNK_VALUES", block * (7 * 2 + 3) * 48)
+        got = [block_pvalues(xs[a:a + chunk], ys[a:a + chunk], zs[a:a + chunk], 2, criteria)
+               for a in range(0, 11, chunk)]
+        assert sum(skipped for _, skipped in got) == 1
+        pvalues = np.concatenate([p for p, _ in got])
+        assert pvalues.shape == (10, len(criteria), len(FORWARD_KEYS))
+        assert pvalues.tobytes() == np.stack(alone).tobytes()
+
+    def test_a_block_holds_at_most_chunk_values(self):
+        # An 81-row chunk at n=300 is cut into design blocks of 6 rows; the
+        # designs of all 81 rows at once would take 3.3 MB.
+        config = GeneratorConfig(topology=TopologyKind.DRIVER, length=300)
+        assert chunk_rows(config) == 81
+        xs, ys, zs = _rows(config, 81, 3)
+        tracemalloc.start()
+        try:
+            pvalues, skipped = block_pvalues(xs, ys, zs, 2, (Criterion.WALD,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pvalues.shape == (81, 1, len(FORWARD_KEYS)) and skipped == 0
+        designs = (7 * 2 + 3) * 298 * (CHUNK_VALUES // ((7 * 2 + 3) * 298))
+        assert designs <= CHUNK_VALUES
+        assert peak < 8 * designs + 32 * 1024  # the design block, plus small arrays
 
 
 class TestDecideEdges:

@@ -1,8 +1,11 @@
 """``regress.nested_rss`` and ``criteria.statistic_from_rss`` against their
 first array-and-int forms in ``kernel_reference``: the same RSS values,
 p-values and rank-deficiency verdicts, bit for bit. The in-place kernel
-factors a copy of the [X | b] that the reference reads as X and b; the
-scalar tails in ``criteria`` match the ``scipy.special`` ufuncs bit for bit."""
+factors a copy of the [X | b] that the reference reads as X and b, with
+X's largest column norm from ``regress.largest_norms``; the scalar tails in
+``criteria`` match the ``scipy.special`` ufuncs bit for bit."""
+
+import math
 
 import numpy as np
 import scipy.special as ufuncs
@@ -13,8 +16,9 @@ from granger_lab.core import TopologyKind
 from granger_lab import criteria, granger
 from granger_lab.criteria import Criterion, chi2_sf, f_sf, statistic_from_rss, two_proportion_z
 from granger_lab.datagen import BASELINE_SIGMAS, GeneratorConfig, NoiseKind, generate
-from granger_lab.granger import _lag_design
-from granger_lab.regress import RANK_TOL, RankDeficient, nested_rss
+from granger_lab.experiments import _count_run
+from granger_lab.regress import RANK_TOL, RankDeficient, largest_norms, nested_rss
+from granger_lab.seeding import derive_seeds
 
 NOISE = st.one_of(
     st.just((NoiseKind.FIXED_SIGMA, BASELINE_SIGMAS)),
@@ -46,42 +50,63 @@ def _outcome(kernel, *args):
         return "rank deficient"
 
 
+def _norm(augmented):
+    """X's largest column norm for one [X | b], as the block helper gives it."""
+    [[norm]] = largest_norms(np.ascontiguousarray(augmented.T)[None], (augmented.shape[1],))
+    return norm
+
+
 def _outcomes(augmented, boundaries):
     """(kernel, reference) outcomes on one [X | b]: the kernel overwrites a
     copy, the reference reads X and b from the original."""
-    return (_outcome(nested_rss, augmented.copy(order="F"), boundaries),
+    return (_outcome(nested_rss, augmented.copy(order="F"), boundaries, _norm(augmented)),
             _outcome(reference.nested_rss, augmented[:, :-1], augmented[:, -1], boundaries))
 
 
 def _designs(x, y, z, p):
-    """Every ([X | b], boundaries) that a forward or reverse Granger
-    comparison passes to ``nested_rss``."""
-    forward = [(_lag_design((z, y, x), p), (p, 2 * p, 3 * p)),
-               (_lag_design((z, x), p), (2 * p,)),
-               (_lag_design((y, x), p), (p, 2 * p))]
-    reverse = [(_lag_design((effect, cause), p), (p, 2 * p))
-               for effect, cause in ((x, y), (x, z), (y, z))]
-    return forward + reverse
+    """Every F-ordered ([X | b], boundaries) that a forward or reverse
+    Granger comparison passes to ``nested_rss``: the three forward passes,
+    then one per reverse link."""
+    layouts = [((z, y, x), (p, 2 * p, 3 * p)), ((z, x), (2 * p,)), ((y, x), (p, 2 * p)),
+               ((x, y), (p, 2 * p)), ((x, z), (p, 2 * p)), ((y, z), (p, 2 * p))]
+    return [(reference.lag_design(series, p).copy(order="F"), boundaries)
+            for series, boundaries in layouts]
+
+
+def _assert_passes(passed, expected):
+    """The recorded passes are the expected designs in order, each with the
+    largest column norm of its X as the kernel once computed it."""
+    assert [b for _, b, _ in passed] == [b for _, b in expected]
+    for (got, _, norm), (design, _) in zip(passed, expected, strict=True):
+        np.testing.assert_array_equal(got, design)
+        matrix = design[:, :-1]
+        assert norm == math.sqrt(max(np.einsum("ij,ij->j", matrix, matrix).tolist()))
 
 
 def test_designs_are_what_the_granger_passes_factor(monkeypatch):
-    # The frozen-kernel checks above run on ``_designs``; the passes must
-    # hand ``nested_rss`` the same F-ordered arrays.
-    x, y, z = generate(GeneratorConfig(topology=TopologyKind.DRIVER, length=40), 3)
+    # The frozen-kernel checks above run on ``_designs``; the passes of
+    # ``analyze`` and of the Monte Carlo loop must hand ``nested_rss`` the
+    # same F-ordered arrays, and each one's largest column norm.
+    gen = GeneratorConfig(topology=TopologyKind.DRIVER, length=40)
+    x, y, z = generate(gen, 3)
     passed = []
 
-    def recording(augmented, boundaries):
+    def recording(augmented, boundaries, largest_norm):
         assert augmented.flags.f_contiguous and augmented.dtype == np.float64
-        passed.append((augmented.copy(), tuple(boundaries)))
-        return nested_rss(augmented, boundaries)
+        passed.append((augmented.copy(), tuple(boundaries), largest_norm))
+        return nested_rss(augmented, boundaries, largest_norm)
 
     monkeypatch.setattr(granger, "nested_rss", recording)
     granger.forward_pvalues(x, y, z, 2, (Criterion.WALD,))
     granger.reverse_pvalues(x, y, z, 2, (Criterion.WALD,))
-    expected = _designs(x, y, z, 2)
-    assert [b for _, b in passed] == [b for _, b in expected]
-    for (got, _), (design, _) in zip(passed, expected):
-        np.testing.assert_array_equal(got, design)
+    _assert_passes(passed, _designs(x, y, z, 2))
+    # Five samples in design blocks of two rows, so the loop crosses block edges.
+    passed.clear()
+    monkeypatch.setattr(granger, "CHUNK_VALUES", 2 * 17 * 38)
+    [(_, rank_deficient)] = _count_run([((gen, ()), 0, 5)], 2, (Criterion.WALD,), (0.05,), 9)
+    assert rank_deficient == 0
+    samples = [generate(gen, int(seed)) for seed in derive_seeds([((9,), 0, 5)])]
+    _assert_passes(passed, [d for s in samples for d in _designs(*s, 2)[:3]])
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,33 +1,56 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kernel_reference as reference
 from granger_lab.core import TopologyKind
 from granger_lab.datagen import GeneratorConfig, NoiseKind, generate
-from granger_lab.granger import _lag_design
-from granger_lab.regress import InsufficientData, RankDeficient, nested_rss, ols_fit
+from granger_lab.granger import _lag_stack
+from granger_lab.regress import InsufficientData, RankDeficient, largest_norms, nested_rss, ols_fit
 
 
-def _augmented(matrix, response):
-    """[matrix | response] as the F-ordered array ``nested_rss`` factors in place."""
-    return np.column_stack((matrix, response)).copy(order="F")
+def _nested_rss(matrix, response, boundaries):
+    """``nested_rss`` on the F-ordered [matrix | response], with the largest
+    column norm of ``matrix`` from ``largest_norms``."""
+    augmented = np.column_stack((matrix, response)).copy(order="F")
+    [[norm]] = largest_norms(augmented.T[None], (augmented.shape[1],))
+    return nested_rss(augmented, boundaries, norm)
 
 
 class TestBuildDesign:
     def test_shapes_and_alignment(self):
         v = np.arange(10.0)
-        design = _lag_design((v, v * 10), 2)
-        assert design.shape == (8, 5)
-        assert design.flags.f_contiguous
+        [design], [[norm]] = _lag_stack([(v[None], v[None] * 10)], 2, np.empty((1, 5, 8)))
+        assert design.shape == (1, 5, 8)
+        augmented = design[0].T
+        assert augmented.flags.f_contiguous
         # row t holds [y_{t-1}, y_{t-2}, x_{t-1}, x_{t-2}, y_t] for t = 2 .. 9
-        np.testing.assert_array_equal(design[0], [1.0, 0.0, 10.0, 0.0, 2.0])
-        np.testing.assert_array_equal(design[-1], [8.0, 7.0, 80.0, 70.0, 9.0])
+        np.testing.assert_array_equal(augmented[0], [1.0, 0.0, 10.0, 0.0, 2.0])
+        np.testing.assert_array_equal(augmented[-1], [8.0, 7.0, 80.0, 70.0, 9.0])
+        assert norm == math.sqrt(100.0 * sum(t * t for t in range(1, 9)))  # x_{t-1}
 
     def test_lag_columns(self):
         v = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        cols = _lag_design((v,), 2)
-        np.testing.assert_array_equal(cols, [[1.0, 0.0, 2.0], [2.0, 1.0, 3.0], [3.0, 2.0, 4.0]])
+        [cols], _ = _lag_stack([(v[None],)], 2, np.empty((1, 3, 3)))
+        np.testing.assert_array_equal(cols[0].T, [[1.0, 0.0, 2.0], [2.0, 1.0, 3.0], [3.0, 2.0, 4.0]])
+
+    def test_layouts_share_one_stack_row_by_row(self):
+        # Every row of every layout is the design built column by column
+        # from that row's series, with its own largest column norm.
+        rows = np.random.default_rng(9).normal(size=(3, 4, 30)) * [[[1.0]], [[1e3]], [[1e-3]]]
+        x, y, z = rows
+        designs, norms = _lag_stack(((z, y, x), (z, x), (y, x)), 3, np.empty((5, 24, 27)))
+        assert [d.shape for d in designs] == [(4, 10, 27), (4, 7, 27), (4, 7, 27)]
+        for design, layout_norms, layout in zip(designs, norms, ("zyx", "zx", "yx")):
+            for b in range(4):
+                series = [dict(zip("xyz", rows))[name][b] for name in layout]
+                expected = reference.lag_design(series, 3)
+                np.testing.assert_array_equal(design[b].T, expected)
+                matrix = np.asfortranarray(expected[:, :-1])  # summed as the kernel once did
+                assert layout_norms[b] == np.sqrt(np.einsum("ij,ij->j", matrix, matrix)).max()
 
 
 class TestOlsFit:
@@ -95,7 +118,7 @@ class TestNestedRss:
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(80, 6))
         response = rng.normal(size=80)
-        rss = nested_rss(_augmented(matrix, response), (2, 4, 6))
+        rss = _nested_rss(matrix, response, (2, 4, 6))
         for k, value in zip((2, 4, 6), rss):
             assert value == pytest.approx(ols_fit(matrix[:, :k], response).rss,
                                           rel=1e-9)
@@ -105,7 +128,7 @@ class TestNestedRss:
         for _ in range(25):
             matrix = rng.normal(size=(40, 6))
             response = rng.normal(size=40)
-            rss = nested_rss(_augmented(matrix, response), (1, 2, 3, 4, 5, 6))
+            rss = _nested_rss(matrix, response, (1, 2, 3, 4, 5, 6))
             assert all(a >= b - 1e-12 for a, b in zip(rss, rss[1:]))
             assert all(v >= 0.0 for v in rss)
 
@@ -119,7 +142,7 @@ class TestNestedRss:
         n_obs = n_params + spare_rows
         matrix = rng.normal(size=(n_obs, n_params)) * 10.0 ** rng.uniform(-spread, spread, n_params)
         response = matrix @ rng.normal(size=n_params) + 10.0 ** noise * rng.normal(size=n_obs)
-        rss = nested_rss(_augmented(matrix, response), range(n_params + 1))
+        rss = _nested_rss(matrix, response, range(n_params + 1))
         assert all(a >= b for a, b in zip(rss, rss[1:]))
         assert rss[-1] >= 0.0
 
@@ -133,7 +156,7 @@ class TestNestedRss:
             z, y, x = s.z, s.y, s.x
             matrix = np.column_stack([v[2 - k:300 - k] for v in (z, y, x) for k in (1, 2)])
             response = z[2:]
-            rss = nested_rss(_augmented(matrix, response), (2, 4, 6))
+            rss = _nested_rss(matrix, response, (2, 4, 6))
             for k, value in zip((2, 4, 6), rss):
                 coef = np.linalg.lstsq(matrix[:, :k], response, rcond=None)[0]
                 resid = response - matrix[:, :k] @ coef
@@ -141,13 +164,13 @@ class TestNestedRss:
 
     def test_too_few_rows_raises(self):
         with pytest.raises(InsufficientData):
-            nested_rss(_augmented(np.ones((3, 3)), np.ones(3)), (1, 3))
+            _nested_rss(np.ones((3, 3)), np.ones(3), (1, 3))
 
     def test_rank_deficient_raises(self):
         col = np.linspace(0, 1, 30)
         matrix = np.column_stack([col, col])
         with pytest.raises(RankDeficient):
-            nested_rss(_augmented(matrix, col), (1, 2))
+            _nested_rss(matrix, col, (1, 2))
 
 
 def _reference_rss(matrix, response, k):
@@ -172,11 +195,12 @@ class TestNestedRssAccuracy:
             s = generate(GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
                                          noise_kind=NoiseKind.INTRINSIC_SNR,
                                          sigmas_or_snrs=(snr_db,) * 3), seed)
-            passes = [(_lag_design((s.z, s.y, s.x), 2), (2, 4, 6)),
-                      (_lag_design((s.z, s.x), 2), (4,)), (_lag_design((s.y, s.x), 2), (2, 4))]
-            for augmented, prefixes in passes:
+            x, y, z = s.x[None], s.y[None], s.z[None]
+            designs, norms = _lag_stack(((z, y, x), (z, x), (y, x)), 2, np.empty((1, 17, 58)))
+            for design, [norm], prefixes in zip(designs, norms, ((2, 4, 6), (4,), (2, 4))):
+                augmented = design[0].T
                 matrix, response = augmented[:, :-1].copy(), augmented[:, -1].copy()
-                for k, rss in zip(prefixes, nested_rss(augmented, prefixes)):
+                for k, rss in zip(prefixes, nested_rss(augmented, prefixes, norm)):
                     reference = _reference_rss(matrix, response, k)
                     worst = max(worst, float(abs(rss - reference) / reference))
         assert worst <= bound
