@@ -10,5 +10,5 @@ from .datagen import (GeneratorConfig, NoiseConfig, NoiseKind, TrivariateSample,
 from .experiments import (PhaseGrid, RateEstimate, SweepResult, estimate_rates,
                           extract_plane, phase_rows, phase_space, snr_grid,
                           sweep_sample_size, sweep_significance)
-from .granger import GrangerConfig, forward_pvalues, reverse_pvalues
+from .granger import GrangerConfig, sample_pvalues
 from .regress import FitResult, InsufficientData, RankDeficient, ols_fit

@@ -1,13 +1,15 @@
-"""Command-line interface: experiment presets, CSV emission, manifests and
-heatmap rendering.
+"""Command-line interface: experiment presets, CSV emission, manifests,
+heatmap rendering, and ``analyze``, which scores a sample's forward and
+reverse links with one ``granger.sample_pvalues`` call.
 
 Each command raises on failure, and ``main`` alone maps the failure to an
-exit code: 0 success, 2 invalid flags or malformed input, 3 runtime
-failure, 4 resume-file conflict. ``GRANGER_LAB_THREADS`` sets the worker
-count when ``--workers`` is absent. ``main`` removes an experiment's old
-manifest before it runs and writes a flat key=value manifest next to its
-outputs once it succeeds; ``granger-lab --from-manifest FILE`` re-runs its
-``argv=`` line byte-identically (timestamps aside).
+exit code: 0 success, 2 invalid flags or malformed input (a sample length
+below 4 * lags + 1 among them, refused before any sample is drawn), 3
+runtime failure, 4 resume-file conflict. ``GRANGER_LAB_THREADS`` sets the
+worker count when ``--workers`` is absent. ``main`` removes an experiment's
+old manifest before it runs and writes a flat key=value manifest next to
+its outputs once it succeeds; ``granger-lab --from-manifest FILE`` re-runs
+its ``argv=`` line byte-identically (timestamps aside).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .experiments import (PHASE_RATES, SNR_KEYS, PhaseGrid, SweepResult, extract
                           phase_rows, require_distinct_axes, require_positive,
                           sweep_sample_size, sweep_significance)
 from .granger import (FORWARD_KEYS, REVERSE_KEYS, GrangerConfig, decide_edge_array,
-                      forward_pvalues, require_significance, reverse_pvalues)
+                      require_length, require_significance, sample_pvalues)
 from .ppm import render_plane, write_ppm
 from .regress import RankDeficient
 
@@ -328,6 +330,7 @@ def cmd_phase_space(args) -> list[str]:
     require_significance(args.alpha)
     topology = TopologyKind(args.topology)
     GeneratorConfig(topology=topology, length=args.n)
+    require_length(args.n, 2)  # the lag depth phase_rows uses
     noise = NoiseKind(args.noise)
     criterion = parse_criterion(args.criterion)
     shared = parse_grid(args.grid)
@@ -424,8 +427,7 @@ def cmd_analyze(args) -> None:
     config = GrangerConfig(lags=args.lags, criterion=parse_criterion(args.criterion),
                            significance=args.alpha)
     try:
-        [pvalues] = forward_pvalues(*sample, config.lags, (config.criterion,))
-        [reverse] = reverse_pvalues(*sample, config.lags, (config.criterion,))
+        [pvalues], [reverse] = sample_pvalues(*sample, config.lags, (config.criterion,))
     except RankDeficient:
         raise RankDeficient("rank-deficient design: a series is constant or duplicated; "
                             "check the input columns") from None

@@ -20,7 +20,9 @@ A phase space is a stream of rows, one per cell in grid order
 checkpointed run resumes by starting the stream after the rows it has.
 
 Iteration, case and worker counts must be positive integers, and
-``require_positive`` checks each of them before any sample is drawn.
+``require_positive`` checks each of them before any sample is drawn;
+``_cell_counts`` checks every cell's sample length against the lag depth
+(``granger.require_length``) before it cuts runs or starts a pool.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ import numpy as np
 from .core import FORWARD_LINKS, Link, TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
 from .datagen import GeneratorConfig, NoiseKind, generate_chunks
-from .granger import GrangerConfig, block_pvalues, decide_edge_array, require_significance
+from .granger import (GrangerConfig, block_pvalues, decide_edge_array, require_length,
+                      require_significance)
 from .seeding import derive_seeds, generator_states
 
 #: Keys of a phase-space row: the cell's SNR triple, then its rates, each
@@ -224,6 +227,8 @@ def _cell_counts(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags:
     runs have ``RUN_ITERATIONS`` iterations; one pool gets about four runs a
     worker, capped at that. On any failure the queued runs are cancelled.
     """
+    for gen, _ in cells:
+        require_length(gen.length, lags)
     total = len(cells) * iterations
     n_workers = _worker_count(workers, total // 2)  # two iterations or more each
     size = min(RUN_ITERATIONS, total if n_workers == 1 else math.ceil(total / (4 * n_workers)))

@@ -7,12 +7,13 @@ X->Z and Y->Z edges with those verdicts.
 
 Every sample reaches its edges along one path: ``block_pvalues`` scores
 the five forward comparisons of each sample of a block (a generated chunk
-in the Monte Carlo loop, one sample in ``analyze``), and
-``decide_edge_array`` applies the two-step rule to any stack of them;
-``reverse_pvalues`` scores the reverse links, which ``analyze`` reports but
-never classifies. Each comparison's RSS pair comes from one
-``regress.nested_rss`` pass over a row of a ``_lag_stack``, whose designs
-and column norms are built once per block.
+in the Monte Carlo loop), and ``decide_edge_array`` applies the two-step
+rule to any stack of them. ``sample_pvalues`` scores one sample for
+``analyze`` as a block of two rows, (x, y, z) and (z, y, x): the reversed
+sample's pairwise links are the reverse links z->y, z->x and y->x, which
+``analyze`` reports but never classifies. Each comparison's RSS pair comes
+from one ``regress.nested_rss`` pass over a row of a ``_lag_stack``, whose
+designs and column norms are built once per block.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .criteria import Criterion, statistic_from_rss
 from .datagen import CHUNK_VALUES
-from .regress import InsufficientData, RankDeficient, largest_norms, nested_rss
+from .regress import RankDeficient, largest_norms, nested_rss
 
 #: Keys for the five forward-model comparisons the two-step procedure uses.
 BIV_XY, BIV_XZ, BIV_YZ = "x->y", "x->z", "y->z"
@@ -41,6 +42,15 @@ def require_significance(alpha: float) -> float:
     if not 0.0 < float(alpha) < 1.0:
         raise ValueError(f"significance level must lie strictly in (0, 1), got {alpha!r}")
     return float(alpha)
+
+
+def require_length(n: int, lags: int) -> None:
+    """A ValueError unless ``n`` values leave the full [z | y | x] design of
+    ``lags`` lags (3 * lags coefficients on n - lags observations) one
+    residual degree of freedom: n >= 4 * lags + 1."""
+    if n < 4 * lags + 1:
+        raise ValueError(f"series length {n} is too short for lag depth {lags}: "
+                         f"at least {4 * lags + 1} values are needed")
 
 
 @dataclass(frozen=True)
@@ -82,9 +92,8 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
     | x-lags | z] gives the RSS of [z], [z, y] and [z, y, x], [z-lags |
     x-lags | z] of [z, x] and [y-lags | x-lags | y] of [y] and [y, x]. The
     designs are built for blocks of at most ``CHUNK_VALUES`` values."""
+    require_length(zs.shape[1], lags)
     p, rows, n_obs = lags, zs.shape[0], zs.shape[1] - lags
-    if n_obs < 3 * p + 1:
-        raise ValueError(f"series too short for lag depth {p}")
     pvalues = np.empty((rows, len(criteria), len(FORWARD_KEYS)))
     flat = memoryview(pvalues.reshape(-1))
     step = max(1, CHUNK_VALUES // ((7 * p + 3) * n_obs))  # the designs' 7p + 3 columns
@@ -111,20 +120,20 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
     return pvalues[:rows - rank_deficient], rank_deficient
 
 
-def _require_equal_lengths(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
+def sample_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
+                   criteria: Sequence[Criterion]) -> tuple[np.ndarray, np.ndarray]:
+    """P-values (criterion, comparison) of one sample: the forward ones in
+    ``FORWARD_KEYS`` order and the reverse links in ``REVERSE_KEYS`` order.
+    ``block_pvalues`` scores (x, y, z) and (z, y, x) as one block: the
+    reversed sample's pairwise links z->y, z->x and y->x are the reverse
+    links backwards. A rank-deficient sample raises RankDeficient."""
     if not x.shape == y.shape == z.shape:
         raise ValueError(f"series lengths differ: {x.size}, {y.size}, {z.size}")
-
-
-def forward_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
-                    criteria: Sequence[Criterion]) -> np.ndarray:
-    """``block_pvalues`` of one sample: (criterion, comparison) p-values, in
-    ``FORWARD_KEYS`` order; a rank-deficient sample raises RankDeficient."""
-    _require_equal_lengths(x, y, z)
-    pvalues, rank_deficient = block_pvalues(x[None], y[None], z[None], lags, criteria)
+    pvalues, rank_deficient = block_pvalues(np.stack((x, z)), np.broadcast_to(y, (2, y.size)),
+                                             np.stack((z, x)), lags, criteria)
     if rank_deficient:
         raise RankDeficient("design matrix is rank deficient")
-    return pvalues[0]
+    return pvalues[0], pvalues[1, :, 2::-1]
 
 
 def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -142,21 +151,3 @@ def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     edges = biv.copy()
     edges[..., 1:] = np.where(trivariate, accepted[..., 3:], biv[..., 1:])
     return edges
-
-
-def reverse_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
-                    criteria: Sequence[Criterion]) -> np.ndarray:
-    """P-values (criterion, link) of the reverse links, in the order of
-    ``REVERSE_KEYS``: do the cause's lags improve the effect's own-lag
-    model? One ``nested_rss`` pass on [effect lags | cause lags | effect] per
-    link, each design built in turn into one ``_lag_stack`` buffer."""
-    _require_equal_lengths(x, y, z)
-    p, n_obs = lags, x.size - lags
-    if n_obs < 2 * p + 1:
-        raise InsufficientData(f"{n_obs} observations for {2 * p} coefficients")
-    buffer, rss = np.empty((1, 2 * p + 1, n_obs)), []
-    for effect, cause in ((x, y), (x, z), (y, z)):
-        [design], [[norm]] = _lag_stack([(effect[None], cause[None])], p, buffer)
-        rss.append(nested_rss(design[0].T, (p, 2 * p), norm))
-    return np.array([[statistic_from_rss(criterion, rss_r, rss_u, n_obs, p, 2 * p)[1]
-                      for rss_r, rss_u in rss] for criterion in criteria])

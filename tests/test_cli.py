@@ -167,10 +167,10 @@ class TestGenerateAnalyze:
         monkeypatch.setattr(granger, "block_pvalues",
                             lambda *args: calls.append(len(args[0])) or original(*args))
         assert main(["analyze", "--input", str(csv), "--json"]) == 0
-        assert calls == [1]  # one block of one sample
+        assert calls == [2]  # one block: the sample and its reverse (z, y, x)
 
     def test_analyze_fits_only_through_nested_rss(self, tmp_path, monkeypatch):
-        # 3 passes for the forward comparisons, 1 per reverse link
+        # 3 passes for the forward comparisons, 3 for those of (z, y, x)
         csv = tmp_path / "sample.csv"
         main(["generate", "--topology", "driver", "--n", "200", "--seed", "2",
               "--out", str(csv)])
@@ -792,6 +792,56 @@ class TestSeriesReader:
         assert self._analyze_err(tmp_path, capsys, text) == f"FILE: {message}\n"
 
 
+class TestShortSeries:
+    """A sample length below 4 * lags + 1 leaves the full [z | y | x] lag
+    design no residual degree of freedom. Every command refuses it with
+    exit 2 and a message naming the length, before any sample is drawn."""
+
+    @staticmethod
+    def _message(n):
+        return f"series length {n} is too short for lag depth 2: at least 9 values are needed\n"
+
+    @pytest.mark.parametrize("argv, n", [
+        (["sweep-alpha", "--topology", "driver", "--n", "8", "--iterations", "4"], 8),
+        (["sweep-n", "--topology", "driver", "--alpha", "0.1", "--sizes", "5,50",
+          "--cases", "4"], 5),
+        (["phase-space", "--topology", "driver", "--noise", "intrinsic", "--n", "6",
+          "--iterations", "2", "--grid", "0"], 6),
+    ], ids=["sweep-alpha", "sweep-n", "phase-space"])
+    def test_experiment_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, pool,
+                                                argv, n):
+        def no_sampling(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(experiments, "generate_chunks", no_sampling)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        out = tmp_path / "o"
+        assert main(argv + ["--workers", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self._message(n)
+        assert pool.sizes == [] and pool.submits == []
+        assert not (out / "manifest.txt").exists()
+
+    def test_analyze_exits_2_and_names_the_length(self, tmp_path, capsys):
+        csv = tmp_path / "short.csv"
+        assert main(["generate", "--topology", "driver", "--n", "8", "--out", str(csv)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(csv)]) == 2
+        assert capsys.readouterr() == ("", self._message(8))
+
+    def test_resume_leaves_the_checkpoint_alone(self, tmp_path, capsys):
+        args = TestPhaseSpaceCommand.ARGS
+        out = tmp_path / "ps"
+        assert main(args + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        torn = csv.read_bytes()[:-5]  # a resume would cut this tail off
+        csv.write_bytes(torn)
+        capsys.readouterr()
+        short = [*args[:args.index("--n") + 1], "6", *args[args.index("--n") + 2:]]
+        assert main(short + ["--resume", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self._message(6)
+        assert csv.read_bytes() == torn
+
+
 class TestBenchmarkHooks:
     """benchmarks/tracing.py times these names by replacing them in their
     modules, and counts ``len(result.x)`` rows per ``_read_series_csv`` call.
@@ -833,14 +883,15 @@ class TestBenchmarkHooks:
         assert calls == {"nested_rss": 3 * k, "statistic_from_rss": 5 * len(criteria) * k}
 
     def test_one_analyze_calls_the_traced_kernels_per_sample(self, tmp_path, monkeypatch):
-        # Three QR passes for the forward comparisons and one per reverse
-        # link; five forward and three reverse scores for the one criterion.
+        # Three QR passes and five scores for the one criterion, for the
+        # sample and for its reverse (z, y, x), whose pairwise scores are the
+        # reverse links; its two conditional scores are computed and dropped.
         csv = tmp_path / "sample.csv"
         assert main(["generate", "--topology", "driver", "--n", "120", "--seed", "4",
                      "--out", str(csv)]) == 0
         calls = self._count_kernel_calls(monkeypatch)
         assert main(["analyze", "--input", str(csv), "--json"]) == 0
-        assert calls == {"nested_rss": 6, "statistic_from_rss": 8}
+        assert calls == {"nested_rss": 6, "statistic_from_rss": 10}
 
     def test_reader_result_counts_the_rows(self, tmp_path):
         csv = tmp_path / "sample.csv"

@@ -10,9 +10,8 @@ from granger_lab.datagen import (CHUNK_VALUES, GeneratorConfig, NoiseKind, Triva
                                  chunk_rows, generate, generate_chunks)
 from granger_lab.granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ,
                                  FORWARD_KEYS, REVERSE_KEYS, GrangerConfig,
-                                 block_pvalues, decide_edge_array, forward_pvalues,
-                                 reverse_pvalues)
-from granger_lab.regress import InsufficientData, RankDeficient, ols_fit
+                                 block_pvalues, decide_edge_array, sample_pvalues)
+from granger_lab.regress import RankDeficient, ols_fit
 from granger_lab.seeding import derive_seeds, generator_states
 
 import kernel_reference as reference
@@ -28,13 +27,14 @@ def _sample(topology, seed, length=500, sigmas=BASELINE):
 
 def _pvalues(sample, criterion=Criterion.WALD):
     """The five forward p-values of one sample under one criterion."""
-    return forward_pvalues(*sample, 2, (criterion,))[0]
+    return sample_pvalues(*sample, 2, (criterion,))[0][0]
 
 
 def _pair_pvalue(cause, effect, third, criterion=Criterion.WALD):
-    """The pairwise test cause->effect: the y->x slot of ``reverse_pvalues``
-    with x := effect and y := cause."""
-    return reverse_pvalues(effect, cause, third, 2, (criterion,))[0, 0]
+    """The pairwise test cause->effect: the z->y slot of ``sample_pvalues``
+    with z := cause and y := effect, scored on the standalone [effect lags |
+    cause lags | effect] design."""
+    return sample_pvalues(third, effect, cause, 2, (criterion,))[1][0, 2]
 
 
 def _edges(sample, significance=0.05):
@@ -91,12 +91,14 @@ class TestBivariateTest:
         with pytest.raises(ValueError):
             _pair_pvalue(rng.normal(size=50), rng.normal(size=49), rng.normal(size=50))
 
-    @pytest.mark.parametrize("length", [1, 6])
-    def test_too_short_raises_insufficient_data(self, length):
-        # lags=2 leaves length - 2 rows for 4 coefficients; 5 are needed
+    @pytest.mark.parametrize("length", [1, 6, 8])
+    def test_too_short_raises_value_error(self, length):
+        # lags=2 leaves length - 2 rows for the full design's 6 coefficients;
+        # 7 are needed, so 9 values
         rng = np.random.default_rng(8)
-        with pytest.raises(InsufficientData):
-            _pair_pvalue(*rng.normal(size=(3, length)))
+        message = f"^series length {length} is too short for lag depth 2: at least 9 "
+        with pytest.raises(ValueError, match=message):
+            sample_pvalues(*rng.normal(size=(3, length)), 2, (Criterion.WALD,))
 
 
 class TestReverseLinkDecisions:
@@ -109,7 +111,7 @@ class TestReverseLinkDecisions:
             s = generate(GeneratorConfig(topology=TopologyKind.INDIRECT, length=300,
                                          noise_kind=NoiseKind.INTRINSIC_SNR,
                                          sigmas_or_snrs=(snr_db,) * 3), seed)
-            pvalues = reverse_pvalues(*s, 2, tuple(Criterion))
+            _, pvalues = sample_pvalues(*s, 2, tuple(Criterion))
             assert pvalues.shape == (len(Criterion), len(REVERSE_KEYS))
             for criterion, row in zip(Criterion, pvalues):
                 for link, p_value in zip(REVERSE_KEYS, row):
@@ -124,7 +126,8 @@ class TestReverseLinkDecisions:
 
 class TestComparisonRss:
     def test_nesting_and_counts(self, monkeypatch):
-        # The RSS of one sample's three passes, as ``block_pvalues`` gets them.
+        # The RSS of one sample's three passes, as ``block_pvalues`` gets them
+        # (the first three of six: the last three are the reversed sample's).
         s = _sample(TopologyKind.DRIVER, seed=3)
         kernel, passes = granger.nested_rss, []
 
@@ -134,9 +137,9 @@ class TestComparisonRss:
             return rss
 
         monkeypatch.setattr(granger, "nested_rss", recording)
-        pvalues = forward_pvalues(*s, 2, tuple(Criterion))
-        assert [b for b, _ in passes] == [(2, 4, 6), (4,), (2, 4)]
-        (rss_z, rss_zy, rss_zyx), (rss_zx,), (rss_y, rss_yx) = [rss for _, rss in passes]
+        pvalues, _ = sample_pvalues(*s, 2, tuple(Criterion))
+        assert [b for b, _ in passes] == [(2, 4, 6), (4,), (2, 4)] * 2
+        (rss_z, rss_zy, rss_zyx), (rss_zx,), (rss_y, rss_yx) = [rss for _, rss in passes[:3]]
         assert rss_z >= rss_zy >= rss_zyx >= 0.0 and rss_z >= rss_zx >= rss_zyx
         assert rss_y >= rss_yx >= 0.0
         # The z-models are shared: [z] restricts both pairwise z tests, [z, y]
@@ -163,7 +166,7 @@ class TestForwardPvalues:
     def test_rows_follow_criteria_and_columns_follow_forward_keys(self, topology):
         s = _sample(topology, seed=7, length=60)
         criteria = tuple(Criterion)
-        pvalues = forward_pvalues(*s, 2, criteria)
+        pvalues, _ = sample_pvalues(*s, 2, criteria)
         assert pvalues.shape == (len(criteria), len(FORWARD_KEYS))
         pairs = reference.forward_rss(*s, 2)
         assert len(pairs) == len(FORWARD_KEYS)
@@ -175,7 +178,7 @@ class TestForwardPvalues:
     def test_rank_deficient_sample_raises(self):
         x = np.random.default_rng(3).normal(size=100)
         with pytest.raises(RankDeficient):
-            forward_pvalues(x, x, np.roll(x, 1), 2, (Criterion.WALD,))
+            sample_pvalues(x, x, np.roll(x, 1), 2, (Criterion.WALD,))
 
     @pytest.mark.parametrize("lengths", [(250, 200, 200), (200, 250, 200), (200, 200, 150)],
                              ids=["x-longer", "y-longer", "z-shorter"])
@@ -188,7 +191,7 @@ class TestForwardPvalues:
         series = [rng.normal(size=n) for n in lengths]
         message = "^series lengths differ: {}, {}, {}$".format(*lengths)
         with pytest.raises(ValueError, match=message):
-            forward_pvalues(*series, 2, (Criterion.WALD,))
+            sample_pvalues(*series, 2, (Criterion.WALD,))
 
 
 def _rows(config, rows, seed):
@@ -211,9 +214,9 @@ class TestBlockPvalues:
         for row in range(11):
             if row == 5:
                 with pytest.raises(RankDeficient):
-                    forward_pvalues(xs[row], ys[row], zs[row], 2, criteria)
+                    sample_pvalues(xs[row], ys[row], zs[row], 2, criteria)
                 continue
-            alone.append(forward_pvalues(xs[row], ys[row], zs[row], 2, criteria))
+            alone.append(sample_pvalues(xs[row], ys[row], zs[row], 2, criteria)[0])
         monkeypatch.setattr(granger, "CHUNK_VALUES", block * (7 * 2 + 3) * 48)
         got = [block_pvalues(xs[a:a + chunk], ys[a:a + chunk], zs[a:a + chunk], 2, criteria)
                for a in range(0, 11, chunk)]
@@ -293,7 +296,7 @@ class TestDecideEdgeArray:
 
 class TestFullProcedure:
     """The two-step procedure as ``analyze`` and the Monte Carlo loop run it:
-    ``forward_pvalues`` followed by ``decide_edge_array``."""
+    ``sample_pvalues`` followed by ``decide_edge_array``."""
 
     def test_driver_scan_is_complete(self):
         # with baseline noise the pairwise scan accepts all three forward
@@ -357,7 +360,7 @@ class TestFullProcedure:
         n_cases = 30
         for i in range(n_cases):
             s = _sample(TopologyKind.DRIVER, seed=4000 + i)
-            accepted += (reverse_pvalues(*s, 2, (Criterion.WALD,)) < 0.05).sum()
+            accepted += (sample_pvalues(*s, 2, (Criterion.WALD,))[1] < 0.05).sum()
         # y->x and z->x are non-causal; z->y likewise; expect near-alpha rates
         assert accepted / (3 * n_cases) < 0.2
 

@@ -64,9 +64,9 @@ def _outcomes(augmented, boundaries):
 
 
 def _designs(x, y, z, p):
-    """Every F-ordered ([X | b], boundaries) that a forward or reverse
-    Granger comparison passes to ``nested_rss``: the three forward passes,
-    then one per reverse link."""
+    """F-ordered ([X | b], boundaries) for the kernel checks: the three
+    forward passes a sample makes, then the pairwise [effect lags | cause
+    lags | effect] of each reverse link."""
     layouts = [((z, y, x), (p, 2 * p, 3 * p)), ((z, x), (2 * p,)), ((y, x), (p, 2 * p)),
                ((x, y), (p, 2 * p)), ((x, z), (p, 2 * p)), ((y, z), (p, 2 * p))]
     return [(reference.lag_design(series, p).copy(order="F"), boundaries)
@@ -97,9 +97,9 @@ def test_designs_are_what_the_granger_passes_factor(monkeypatch):
         return nested_rss(augmented, boundaries, largest_norm)
 
     monkeypatch.setattr(granger, "nested_rss", recording)
-    granger.forward_pvalues(x, y, z, 2, (Criterion.WALD,))
-    granger.reverse_pvalues(x, y, z, 2, (Criterion.WALD,))
-    _assert_passes(passed, _designs(x, y, z, 2))
+    granger.sample_pvalues(x, y, z, 2, (Criterion.WALD,))
+    # The reverse links come from the forward passes of (z, y, x).
+    _assert_passes(passed, _designs(x, y, z, 2)[:3] + _designs(z, y, x, 2)[:3])
     # Five samples in design blocks of two rows, so the loop crosses block edges.
     passed.clear()
     monkeypatch.setattr(granger, "CHUNK_VALUES", 2 * 17 * 38)

@@ -162,3 +162,32 @@ def test_guard_flags_a_tail_ufunc():
 def test_tails_come_from_the_scalar_kernels(path):
     # The ufuncs give the same bits at several times the cost per scalar call.
     assert ufunc_tail_uses(path.read_text(encoding="utf-8")) == []
+
+
+def callers(sources: dict[str, str], name: str) -> list[str]:
+    """Functions (module.function) that call ``name``, as a name or an attribute."""
+    found = set()
+    for module, source in sources.items():
+        for func in ast.walk(ast.parse(source)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                    found.add(f"{module}.{func.name}")
+    return sorted(found)
+
+
+def test_guard_flags_every_caller():
+    sources = {"a": "def one(x):\n    return kernel(x)\n\n"
+                    "def two(x):\n    return m.kernel(x) + other(x)\n",
+               "b": "def three():\n    return kernel\n"}
+    assert callers(sources, "kernel") == ["a.one", "a.two"]
+
+
+def test_one_function_builds_designs_and_factors_them():
+    # Samples reach their RSS values along one path: a batched kernel has
+    # one loop to replace.
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert callers(sources, "nested_rss") == ["granger.block_pvalues"]
+    assert callers(sources, "_lag_stack") == ["granger.block_pvalues"]
