@@ -101,8 +101,11 @@ def parse_criteria(spec: str) -> tuple[Criterion, ...]:
 
 
 def write_manifest(path: str, experiment: str, argv: list[str],
-                   seed: int, outputs: list[str],
+                   seed: int, outputs: list[str], iterations: int,
                    started: float, finished: float, wall_s: float) -> None:
+    """The run's key=value record. ``iterations`` counts the Monte Carlo
+    iterations this invocation ran, so cells resumed from a checkpoint are
+    not in it."""
     lines = [
         f"experiment={experiment}",
         f"argv={shlex.join(argv)}",
@@ -112,6 +115,8 @@ def write_manifest(path: str, experiment: str, argv: list[str],
         f"started={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(started))}",
         f"finished={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(finished))}",
         f"wall_s={wall_s:.3f}",
+        f"iterations={iterations}",
+        f"iters_per_s={iterations / wall_s:.1f}",
     ]
     lines += [f"output={p}" for p in outputs]
     _write_lines(path, lines)
@@ -234,7 +239,7 @@ def _write_rate_table(path: str, axis_name: str, axis_text: Callable[[float], st
     _write_lines(path, lines)
 
 
-def cmd_sweep_alpha(args) -> list[str]:
+def cmd_sweep_alpha(args) -> tuple[list[str], int]:
     alphas = parse_grid(args.alpha_grid)
     criteria = parse_criteria(args.criteria)
     topology = TopologyKind(args.topology)
@@ -246,10 +251,10 @@ def cmd_sweep_alpha(args) -> list[str]:
     _write_rate_table(csv_path, "alpha", fmt, result, criteria)
     for crit in criteria:
         print(f"optimal alpha ({crit.value}): {fmt(result.optimal(crit))}")
-    return [csv_path]
+    return [csv_path], args.iterations
 
 
-def cmd_sweep_n(args) -> list[str]:
+def cmd_sweep_n(args) -> tuple[list[str], int]:
     sizes = parse_grid(args.sizes)
     criteria = parse_criteria(args.criteria)
     topology = TopologyKind(args.topology)
@@ -270,7 +275,7 @@ def cmd_sweep_n(args) -> list[str]:
     _write_lines(cmp_path, cmp_lines)
     final = {crit.value: result.rates[crit][-1].unidentified_rate for crit in criteria}
     print(f"final unidentified rates at n={int(sizes[-1])}: {final}")
-    return [csv_path, cmp_path]
+    return [csv_path, cmp_path], len(sizes) * args.cases
 
 
 def _phase_row(meta: dict, cell: dict) -> str:
@@ -323,7 +328,7 @@ class _ResumeConflict(Exception):
     """A ``--resume`` checkpoint that the requested run cannot continue."""
 
 
-def cmd_phase_space(args) -> list[str]:
+def cmd_phase_space(args) -> tuple[list[str], int]:
     # Checked here as well as in phase_rows, so that a bad count, level,
     # length or axis exits 2 before the checkpoint is read, compared or touched.
     require_positive("iterations", args.iterations)
@@ -364,8 +369,8 @@ def cmd_phase_space(args) -> list[str]:
         new_rows = stack.enter_context(closing(phase_rows(
             noise, topology, args.n, args.alpha, criterion, args.iterations, grids,
             args.seed, workers=args.workers, start=len(rows))))
-        fh = None
-        for row in new_rows:
+        fh, computed = None, 0
+        for computed, row in enumerate(new_rows, 1):
             if fh is None:  # opened for the first row, so an early failure keeps --out
                 fh = stack.enter_context(open(csv_path, "a" if intact else "w",
                                               encoding="utf-8", newline="\n"))
@@ -374,7 +379,7 @@ def cmd_phase_space(args) -> list[str]:
             fh.write(_phase_row(meta, row) + "\n")
             fh.flush()
     print(f"wrote {csv_path}")
-    return [csv_path]
+    return [csv_path], computed * args.iterations
 
 
 def cmd_render(args) -> None:
@@ -417,8 +422,6 @@ def _read_series_csv(path: str) -> TrivariateSample:
         fault = f"row {linenos[finite.argmin()]}: non-finite value"
     if fault:
         raise ValueError(f"{path}: {fault}")
-    if len(data) < 3:
-        raise ValueError(f"{path}: too few rows")
     return TrivariateSample(*data.T)
 
 
@@ -492,10 +495,11 @@ def main(argv: list[str] | None = None) -> int:
         if record:  # an earlier run's manifest would claim this run's outputs
             with suppress(FileNotFoundError, NotADirectoryError):
                 os.remove(record)
-        outputs = args.run(args)
+        result = args.run(args)
         if record:
-            write_manifest(record, args.command, argv, args.seed, outputs, started,
-                           time.time(), time.perf_counter() - clock)
+            outputs, iterations = result  # an experiment's outputs and iterations run
+            write_manifest(record, args.command, argv, args.seed, outputs, iterations,
+                           started, time.time(), time.perf_counter() - clock)
         return 0
     except _ResumeConflict as exc:
         print(f"resume conflict: {exc}", file=sys.stderr)

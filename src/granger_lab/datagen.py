@@ -19,7 +19,9 @@ var y = v/(1 - c^2), var z = v/(1 - c^2) (driver) or v(1 + c^2)/(1 - c^2)^3
 All three modes consume random draws in the same order (uniforms, then one
 standard-normal block per series), so samples with different noise settings
 but the same seed share the same underlying realization. A sample is three
-equal-length 1-D float64 arrays with every value finite.
+equal-length 1-D float64 arrays with every value finite. A chunk of
+``generate_chunks`` scales each row's normals by that row's own resolved
+noise levels, so one chunk may hold samples of several SNR triples.
 
 The AR(1) recurrences are one LAPACK band solve per chunk (``dtbtrs`` on the
 unit-diagonal bidiagonal band, so no division by the diagonal),
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -181,17 +183,22 @@ def _backbone(u: np.ndarray, ex, ey, ez, coeff: float, topology: TopologyKind):
     return x, y, z
 
 
-def _generate_rows(config: GeneratorConfig, noise: NoiseConfig,
+def _generate_rows(config: GeneratorConfig, levels: np.ndarray,
                    states: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Samples of ``config``'s shape, row r drawn from ``states[r]`` with the
+    noise standard deviations ``levels[r]``, or ``levels[0]`` for every row
+    of a one-row ``levels``. A (rows, 1) column of levels scales each row's
+    normals by the same IEEE product a scalar would."""
     total = config.burn_in + config.length
     u, nx, ny, nz = _raw_draws(states, total)
+    alpha, beta, gamma = levels.T[:, :, None]
     if config.noise_kind is NoiseKind.EXTRINSIC_SNR:
         x, y, z = _backbone(u, 0.0, 0.0, 0.0, config.ar_coefficient, config.topology)
-        x = x + noise.alpha * nx
-        y = y + noise.beta * ny
-        z = z + noise.gamma * nz
+        x = x + alpha * nx
+        y = y + beta * ny
+        z = z + gamma * nz
     else:
-        x, y, z = _backbone(u, noise.alpha * nx, noise.beta * ny, noise.gamma * nz,
+        x, y, z = _backbone(u, alpha * nx, beta * ny, gamma * nz,
                             config.ar_coefficient, config.topology)
     b = config.burn_in
     x, y, z = x[:, b:], y[:, b:], z[:, b:]
@@ -223,6 +230,13 @@ def resolve_sigmas(config: GeneratorConfig) -> NoiseConfig:
     return NoiseConfig(*sigmas)
 
 
+def noise_levels(configs: Iterable[GeneratorConfig]) -> np.ndarray:
+    """Each config's ``resolve_sigmas`` as a row (sigma_x, sigma_y, sigma_z)
+    of a (configs, 3) array: the ``levels`` rows of ``generate_chunks``."""
+    rows = [(noise.alpha, noise.beta, noise.gamma) for noise in map(resolve_sigmas, configs)]
+    return np.array(rows)
+
+
 def generate(config: GeneratorConfig, seed: int = 0) -> TrivariateSample:
     """One sample of the config's model, drawn from ``default_rng(seed)``."""
     x, y, z = next(generate_chunks(config, generator_states([seed])))
@@ -234,19 +248,27 @@ def chunk_rows(config: GeneratorConfig) -> int:
     return max(1, CHUNK_VALUES // (config.burn_in + config.length))
 
 
-def generate_chunks(config: GeneratorConfig, states: Iterable[np.ndarray]
+def generate_chunks(config: GeneratorConfig, states: Iterable[np.ndarray],
+                    levels: Optional[np.ndarray] = None
                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Samples for a stream of generator states, as (rows, length) x, y, z
     arrays.
 
-    Row r of the stream equals ``generate(config, seed_r)``
-    bit for bit when state r is a row of ``generator_states`` for seed_r.
-    States are consumed ``chunk_rows(config)`` at a time, so memory is
-    bounded whatever the stream's length.
+    ``levels`` holds resolved (sigma_x, sigma_y, sigma_z) rows
+    (``noise_levels``), one per state or one for every state: by default
+    ``config``'s own. Only the noise levels vary along a stream: row r
+    equals ``generate(config_r, seed_r)`` bit for bit when state r is a row
+    of ``generator_states`` for seed_r and its levels resolve config_r, a
+    config that differs from ``config`` in its noise levels at most. States
+    are consumed ``chunk_rows(config)`` at a time, so memory is bounded
+    whatever the stream's length.
     """
-    noise = resolve_sigmas(config)
+    if levels is None:
+        levels = noise_levels([config])
     states = iter(states)
     rows = chunk_rows(config)
+    done = 0
     while chunk := tuple(islice(states, rows)):
-        yield _generate_rows(config, noise, chunk)
-
+        chunk_levels = levels if len(levels) == 1 else levels[done:done + len(chunk)]
+        done += len(chunk)
+        yield _generate_rows(config, chunk_levels, chunk)

@@ -10,7 +10,11 @@ and each run's seeds and generator states are derived in bulk
 
 Each sample's edges come from ``granger.block_pvalues`` and
 ``granger.decide_edge_array``, the same path ``analyze`` takes, and a cell
-counts how often each edge was accepted. ``_estimate_from_counts`` alone
+counts how often each edge was accepted. A run's consecutive cells that
+differ only in their noise levels, such as a phase space's, are generated
+and scored as one block, each sample with its own cell's levels, and the
+block's edges and rank-deficient samples are summed back per cell, so a
+cell's counts do not depend on its neighbours. ``_estimate_from_counts`` alone
 turns those counts into rates against the true topology: with driver
 truth, spurious means the Y->Z link was accepted and unidentified means
 X->Z was rejected; with indirect truth the roles of the two links swap.
@@ -32,14 +36,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, product
+from itertools import combinations, groupby, product
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import FORWARD_LINKS, Link, TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
-from .datagen import GeneratorConfig, NoiseKind, generate_chunks
+from .datagen import GeneratorConfig, NoiseKind, generate_chunks, noise_levels
 from .granger import (GrangerConfig, block_pvalues, decide_edge_array, require_length,
                       require_significance)
 from .seeding import derive_seeds, generator_states
@@ -174,21 +179,37 @@ def _worker_count(workers: Optional[int], jobs: int) -> int:
     return max(1, workers)
 
 
-def _count_block(gen_template: GeneratorConfig, lags: int,
+def _count_block(gens: Sequence[GeneratorConfig], sizes: Sequence[int], lags: int,
                  criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
-                 states: np.ndarray) -> tuple[np.ndarray, int]:
-    """Accepted-edge counts, (criterion, level, link) in ``FORWARD_LINKS``
-    order, over the iterations of one cell whose generator states are the
-    rows of ``states`` (a run's segment of the cell). Each generated chunk
-    is scored by ``block_pvalues`` and decided for every level at once."""
-    edges = np.zeros((len(criteria), len(alphas), len(FORWARD_LINKS)), dtype=np.int64)
-    rank_deficient = 0
+                 states: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(accepted-edge counts, rank-deficient count) of each of ``gens``'
+    cells, which differ only in their noise levels. Cell c owns the next
+    ``sizes[c]`` rows of ``states``. Counts are (criterion, level, link) in
+    ``FORWARD_LINKS`` order. The cells' samples are generated and scored as
+    one stream of chunks, each decided for every level at once and summed
+    back per cell over the chunk's cell boundaries."""
+    cells = len(gens)
+    levels = noise_levels(gens)
+    # A row per state. A lone cell keeps its one row, which is broadcast:
+    # scaling normals by a (rows, 1) column costs about 3x one value's.
+    if cells > 1:
+        levels = np.repeat(levels, sizes, axis=0)
+    first_rows = np.cumsum(sizes) - sizes
+    edges = np.zeros((cells, len(criteria), len(alphas), len(FORWARD_LINKS)), dtype=np.int64)
+    rank_deficient = np.zeros(cells, dtype=np.int64)
     alpha_levels = np.array(alphas)
-    for xs, ys, zs in generate_chunks(gen_template, states):
-        pvalues, skipped = block_pvalues(xs, ys, zs, lags, criteria)
-        rank_deficient += skipped
-        edges += decide_edge_array(pvalues, alpha_levels).sum(axis=0)
-    return edges, rank_deficient
+    done = 0
+    for xs, ys, zs in generate_chunks(gens[0], states, levels):
+        pvalues, _ = block_pvalues(xs, ys, zs, lags, criteria)
+        # The cells of the chunk's first and last rows, and where each starts.
+        first, last = np.searchsorted(first_rows, (done, done + len(pvalues) - 1), "right") - 1
+        starts = np.maximum(first_rows[first:last + 1] - done, 0)
+        done += len(pvalues)
+        decided = decide_edge_array(pvalues, alpha_levels)
+        edges[first:last + 1] += np.add.reduceat(decided, starts, dtype=np.int64)
+        skipped = np.isnan(pvalues).all(axis=(1, 2))
+        rank_deficient[first:last + 1] += np.add.reduceat(skipped, starts, dtype=np.int64)
+    return list(zip(edges, rank_deficient.tolist()))
 
 
 def _cut_runs(cells: Sequence[object], iterations: int, size: int
@@ -203,16 +224,28 @@ def _cut_runs(cells: Sequence[object], iterations: int, size: int
             for a, b in bounds]
 
 
+#: The fields of a ``GeneratorConfig`` other than its noise levels: run
+#: segments that agree on them are generated and scored as one block.
+_shape = attrgetter("topology", "length", "ar_coefficient", "noise_kind", "burn_in")
+
+
 def _count_run(run: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
                alphas: tuple[float, ...], master_seed: int
                ) -> list[tuple[np.ndarray, int]]:
-    """Pool task: ``_count_block`` of every ((generator config, stream key),
-    start, stop) segment of a run, in order, from one seed derivation."""
+    """Pool task: (counts, rank_deficient) of every ((generator config,
+    stream key), start, stop) segment of a run, in order, from one seed
+    derivation. Consecutive segments whose configs differ only in their
+    noise levels, such as a phase space's cells, share one ``_count_block``
+    call."""
     states = generator_states(derive_seeds(
         [((master_seed, *key), start, stop) for (_, key), start, stop in run]))
-    bounds = list(accumulate((stop - start for _, start, stop in run), initial=0))
-    return [_count_block(gen, lags, criteria, alphas, states[a:b])
-            for ((gen, _), _, _), a, b in zip(run, bounds, bounds[1:])]
+    results, done = [], 0
+    for _, group in groupby(run, key=lambda segment: _shape(segment[0][0])):
+        gens, sizes = zip(*((gen, stop - start) for (gen, _), start, stop in group))
+        results += _count_block(gens, sizes, lags, criteria, alphas,
+                                states[done:done + sum(sizes)])
+        done += sum(sizes)
+    return results
 
 
 def _cell_counts(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags: int,

@@ -8,10 +8,11 @@ X->Z and Y->Z edges with those verdicts.
 Every sample reaches its edges along one path: ``block_pvalues`` scores
 the five forward comparisons of each sample of a block (a generated chunk
 in the Monte Carlo loop), and ``decide_edge_array`` applies the two-step
-rule to any stack of them. ``sample_pvalues`` scores one sample for
-``analyze`` as a block of two rows, (x, y, z) and (z, y, x): the reversed
-sample's pairwise links are the reverse links z->y, z->x and y->x, which
-``analyze`` reports but never classifies. Each comparison's RSS pair comes
+rule to any stack of them. A rank-deficient sample keeps its row with NaN
+p-values, from which the rule accepts no edge. ``sample_pvalues`` scores
+one sample for ``analyze`` as a block of two rows, (x, y, z) and (z, y,
+x): the reversed sample's pairwise links are the reverse links z->y, z->x
+and y->x, which ``analyze`` reports but never classifies. Each comparison's RSS pair comes
 from one ``regress.nested_rss`` pass over a row of a ``_lag_stack``, whose
 designs and column norms are built once per block.
 """
@@ -87,13 +88,16 @@ def _lag_stack(layouts: Sequence[Sequence[np.ndarray]], p: int,
 def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
                   criteria: Sequence[Criterion]) -> tuple[np.ndarray, int]:
     """P-values (sample, criterion, comparison), in ``FORWARD_KEYS`` order,
-    of the rows of (rows, n) x, y and z that are not rank deficient, and
-    the count of those that are. On n - lags observations, [z-lags | y-lags
-    | x-lags | z] gives the RSS of [z], [z, y] and [z, y, x], [z-lags |
-    x-lags | z] of [z, x] and [y-lags | x-lags | y] of [y] and [y, x]. The
-    designs are built for blocks of at most ``CHUNK_VALUES`` values."""
+    of the rows of (rows, n) x, y and z, and the count of rows that are
+    rank deficient; each of those has NaN for every p-value, which
+    ``decide_edge_array`` accepts no edge from. On n - lags observations,
+    [z-lags | y-lags | x-lags | z] gives the RSS of [z], [z, y] and [z, y,
+    x], [z-lags | x-lags | z] of [z, x] and [y-lags | x-lags | y] of [y]
+    and [y, x]. The designs are built for blocks of at most
+    ``CHUNK_VALUES`` values."""
     require_length(zs.shape[1], lags)
     p, rows, n_obs = lags, zs.shape[0], zs.shape[1] - lags
+    width = len(criteria) * len(FORWARD_KEYS)
     pvalues = np.empty((rows, len(criteria), len(FORWARD_KEYS)))
     flat = memoryview(pvalues.reshape(-1))
     step = max(1, CHUNK_VALUES // ((7 * p + 3) * n_obs))  # the designs' 7p + 3 columns
@@ -110,6 +114,8 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
                 rss_y, rss_yx = nested_rss(yx.T, (p, k2), yx_norm)
             except RankDeficient:
                 rank_deficient += 1
+                pvalues.flat[filled:filled + width] = np.nan
+                filled += width
                 continue
             pairs = ((rss_y, rss_yx, k2), (rss_z, rss_zx, k2), (rss_z, rss_zy, k2),
                      (rss_zy, rss_zyx, k3), (rss_zx, rss_zyx, k3))
@@ -117,7 +123,7 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
                 for rss_r, rss_u, k in pairs:
                     flat[filled] = statistic_from_rss(criterion, rss_r, rss_u, n_obs, p, k)[1]
                     filled += 1
-    return pvalues[:rows - rank_deficient], rank_deficient
+    return pvalues, rank_deficient
 
 
 def sample_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,

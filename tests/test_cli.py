@@ -465,6 +465,48 @@ def test_manifest_records_wall_time_that_replay_ignores(tmp_path):
     assert re.fullmatch(r"\d+\.\d{3}", wall)
 
 
+def test_manifest_records_iterations_that_replay_ignores(tmp_path):
+    out = tmp_path / "m"
+    argv = ["sweep-alpha", "--topology", "driver", "--n", "40", "--alpha-grid", "0.1,0.2",
+            "--criteria", "lr,wald", "--iterations", "25", "--workers", "1",
+            "--out", str(out), "--seed", "5"]
+    assert main(argv) == 0
+    before = (out / "sweep_alpha.csv").read_bytes()
+    keys = _manifest_keys(out / "manifest.txt")
+    assert keys["iterations"] == ["25"]  # samples drawn, not cells or criteria
+    _assert_rate(keys, 25)
+    text = (out / "manifest.txt").read_text(encoding="utf-8")
+    (out / "manifest.txt").write_text("iterations=-1\niters_per_s=x\n" + text,
+                                      encoding="utf-8")
+    assert main(["--from-manifest", str(out / "manifest.txt")]) == 0
+    assert (out / "sweep_alpha.csv").read_bytes() == before
+    assert _manifest_keys(out / "manifest.txt")["iterations"] == ["25"]
+
+
+def test_resumed_manifest_counts_only_the_new_cells(tmp_path):
+    out = tmp_path / "ps"
+    args = TestPhaseSpaceCommand.ARGS + ["--out", str(out)]  # 8 cells of 10 iterations
+    assert main(args) == 0
+    assert _manifest_keys(out / "manifest.txt")["iterations"] == ["80"]
+    csv = out / "phase_space.csv"
+    full = csv.read_bytes()
+    csv.write_text("\n".join(full.decode().splitlines()[:4]) + "\n")  # header + 3 cells
+    assert main(args + ["--resume"]) == 0
+    assert csv.read_bytes() == full
+    keys = _manifest_keys(out / "manifest.txt")
+    assert keys["iterations"] == ["50"]
+    _assert_rate(keys, 50)
+    assert main(args + ["--resume"]) == 0  # nothing left to run
+    assert _manifest_keys(out / "manifest.txt")["iterations"] == ["0"]
+
+
+def _assert_rate(keys: dict[str, list[str]], iterations: int) -> None:
+    """iters_per_s is iterations over the unrounded wall time, which
+    ``wall_s`` gives to the nearest millisecond."""
+    [wall], [rate] = map(float, keys["wall_s"]), map(float, keys["iters_per_s"])
+    assert abs(iterations / rate - wall) <= 0.0005 + 1e-6
+
+
 def _manifest_keys(path: Path) -> dict[str, list[str]]:
     """Every value of each key of a key=value manifest, in file order."""
     keys: dict[str, list[str]] = {}
@@ -784,12 +826,17 @@ class TestSeriesReader:
         assert self._analyze_err(tmp_path, capsys, text) == (
             f"FILE: row 3: {self.FAULTS[first][1]}\n")
 
+    SHORT = "series length {} is too short for lag depth 2: at least 9 values are needed\n"
+
     @pytest.mark.parametrize("text, message", [
-        ("t,x,y,z\n0,1,2,3\n\n1,4,5,6\n", "too few rows"),
-        ("t,x,y\n0,1,2\n1,2,3\n2,3,4\n", "expected header 't,x,y,z', got 't,x,y'"),
-    ], ids=["too-few-rows", "wrong-header"])
+        ("t,x,y,z\n0,1,2,3\n\n1,4,5,6\n", SHORT.format(2)),
+        ("t,x,y,z\n", SHORT.format(0)),
+        ("t,x,y\n0,1,2\n1,2,3\n2,3,4\n", "FILE: expected header 't,x,y,z', got 't,x,y'\n"),
+    ], ids=["too-few-rows", "header-only", "wrong-header"])
     def test_unusable_file_exits_2(self, tmp_path, capsys, text, message):
-        assert self._analyze_err(tmp_path, capsys, text) == f"FILE: {message}\n"
+        # A readable file too short for the lags fails the length check that
+        # every command shares, ``granger.require_length``.
+        assert self._analyze_err(tmp_path, capsys, text) == message
 
 
 class TestShortSeries:

@@ -13,7 +13,8 @@ from granger_lab import datagen
 from granger_lab.datagen import (BASELINE_SIGMAS, MAX_SAMPLE_VALUES, GenerationError,
                                  GeneratorConfig, NoiseKind, TrivariateSample, _ar_filter,
                                  _bidiagonal_band, _calibration_variances, chunk_rows,
-                                 generate, generate_chunks, resolve_sigmas, snr_to_sigma)
+                                 generate, generate_chunks, noise_levels, resolve_sigmas,
+                                 snr_to_sigma)
 from granger_lab.seeding import generator_states
 
 UNIFORM_VAR = 4.0 / 3.0  # variance of U(-2, 2) = (b - a)^2 / 12
@@ -427,6 +428,21 @@ class TestGenerateChunks:
             for got, single, ref in zip((x, y, z), (sample.x, sample.y, sample.z),
                                         _reference_generate(cfg, seed)):
                 assert got.tobytes() == single.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", [NoiseKind.INTRINSIC_SNR, NoiseKind.EXTRINSIC_SNR])
+    @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
+    def test_chunk_mixes_noise_levels(self, topology, kind):
+        # One chunk of seven rows under three SNR triples, one level row per state.
+        triples = [(-40.0, 10.0, 40.0)] * 2 + [(0.0, 0.0, 0.0)] * 3 + [(25.0, -5.0, 5.0)] * 2
+        configs = [GeneratorConfig(topology=topology, length=80, noise_kind=kind,
+                                   sigmas_or_snrs=snrs) for snrs in triples]
+        seeds = [31 * i + 2 for i in range(len(configs))]
+        levels = noise_levels(configs)
+        [chunk] = generate_chunks(configs[0], generator_states(np.array(seeds, np.uint64)),
+                                  levels)
+        for cfg, seed, x, y, z in zip(configs, seeds, *chunk, strict=True):
+            for got, single in zip((x, y, z), generate(cfg, seed)):
+                assert got.tobytes() == single.tobytes()
 
     def test_chunk_mixes_one_and_two_word_seeds(self):
         # default_rng hashes a seed below 2**32 as one word and a larger one

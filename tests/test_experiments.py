@@ -233,6 +233,38 @@ class TestCountBlock:
         np.testing.assert_array_equal(counts, _loop_counts(gen, criteria, alphas, 4, 30))
 
 
+    def test_a_run_scores_each_cell_as_it_would_alone(self, monkeypatch):
+        # Cells that differ only in their noise levels share one block, cut
+        # into chunks of 5 rows: the first cell ends on a chunk's edge, the
+        # next ones inside chunks. The block splits where the noise kind or
+        # the length changes.
+        monkeypatch.setattr(datagen, "CHUNK_VALUES", 5 * (60 + 100))
+        intrinsic = dict(topology=TopologyKind.INDIRECT, noise_kind=NoiseKind.INTRINSIC_SNR)
+        gens = [_gen(length=60, sigmas_or_snrs=(0.0,) * 3, **intrinsic),
+                _gen(length=60, sigmas_or_snrs=(200.0,) * 3, **intrinsic),
+                _gen(length=60, sigmas_or_snrs=(0.0,) * 3, **intrinsic),
+                _gen(length=60, topology=TopologyKind.INDIRECT,
+                     noise_kind=NoiseKind.EXTRINSIC_SNR),
+                _gen(length=80, sigmas_or_snrs=(0.0,) * 3, **intrinsic)]
+        run = [((gen, (key,)), 2 if key == 0 else 0, 12) for key, gen in enumerate(gens)]
+        criteria, alphas = (Criterion.LR, Criterion.WALD), (0.05, 0.3)
+        groups, count_block = [], experiments._count_block
+
+        def spy(block_gens, *args):
+            groups.append(list(block_gens))
+            return count_block(block_gens, *args)
+
+        monkeypatch.setattr(experiments, "_count_block", spy)
+        got = experiments._count_run(run, 2, criteria, alphas, 8)
+        assert groups == [gens[:3], gens[3:4], gens[4:]]
+        alone = [experiments._count_run([segment], 2, criteria, alphas, 8)[0]
+                 for segment in run]
+        assert [rd for _, rd in got] == [rd for _, rd in alone]
+        assert [rd for _, rd in got] == [0, 11, 0, 0, 0]  # a mixed 200 dB cell
+        for (counts, _), (single, _) in zip(got, alone):
+            np.testing.assert_array_equal(counts, single)
+
+
 class TestWorkerCount:
     def test_clamped_to_cpu_count(self, pool, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
@@ -352,10 +384,10 @@ class TestSchedule:
     def test_failure_cancels_queued_runs(self, pool, monkeypatch):
         count_block, bad_snrs = experiments._count_block, list(product(*GRID3))[5]
 
-        def failing(gen, *args):
-            if gen.sigmas_or_snrs == bad_snrs:
+        def failing(gens, *args):
+            if any(gen.sigmas_or_snrs == bad_snrs for gen in gens):
                 raise GenerationError("generated values exceeded the magnitude bound")
-            return count_block(gen, *args)
+            return count_block(gens, *args)
 
         monkeypatch.setattr(experiments, "_count_block", failing)
         rows = []

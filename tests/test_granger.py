@@ -204,7 +204,7 @@ class TestBlockPvalues:
     @pytest.mark.parametrize("chunk", [11, 4])
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 11])
     def test_a_row_scores_alike_alone_and_in_any_block(self, monkeypatch, chunk, block):
-        # Row 5 (y = x) is rank deficient: skipped, counted once, and its
+        # Row 5 (y = x) is rank deficient: all NaN, counted once, and its
         # neighbours' p-values are those they have alone, bit for bit, in
         # chunks of ``chunk`` rows cut into design blocks of ``block``.
         xs, ys, zs = _rows(GeneratorConfig(topology=TopologyKind.INDIRECT, length=50), 11, 5)
@@ -222,8 +222,9 @@ class TestBlockPvalues:
                for a in range(0, 11, chunk)]
         assert sum(skipped for _, skipped in got) == 1
         pvalues = np.concatenate([p for p, _ in got])
-        assert pvalues.shape == (10, len(criteria), len(FORWARD_KEYS))
-        assert pvalues.tobytes() == np.stack(alone).tobytes()
+        assert pvalues.shape == (11, len(criteria), len(FORWARD_KEYS))
+        assert np.isnan(pvalues[5]).all()
+        assert np.delete(pvalues, 5, axis=0).tobytes() == np.stack(alone).tobytes()
 
     def test_a_block_holds_at_most_chunk_values(self):
         # An 81-row chunk at n=300 is cut into design blocks of 6 rows; the
