@@ -32,7 +32,7 @@ import scipy
 from . import __version__
 from .core import FORWARD_LINKS, TopologyKind, topology_kind
 from .criteria import Criterion
-from .datagen import GeneratorConfig, NoiseKind, TrivariateSample, generate
+from .datagen import DEFAULT_BURN_IN, GeneratorConfig, NoiseKind, TrivariateSample, generate
 from .experiments import (PHASE_RATES, SNR_KEYS, PhaseGrid, SweepResult, extract_plane,
                           phase_rows, require_distinct_axes, require_positive,
                           sweep_sample_size, sweep_significance)
@@ -112,6 +112,7 @@ def write_manifest(path: str, experiment: str, argv: list[str],
         f"seed={seed}",
         f"version={__version__}",
         f"python={sys.version.split()[0]}", f"numpy={np.__version__}", f"scipy={scipy.__version__}",
+        f"blas={_lapack_build()}",
         f"started={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(started))}",
         f"finished={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime(finished))}",
         f"wall_s={wall_s:.3f}",
@@ -120,6 +121,14 @@ def write_manifest(path: str, experiment: str, argv: list[str],
     ]
     lines += [f"output={p}" for p in outputs]
     _write_lines(path, lines)
+
+
+def _lapack_build() -> str:
+    """Name and version of the LAPACK build behind ``dgeqrf`` and ``dtbtrs``,
+    whose rounding RSS and sample bits follow; ``?`` for what scipy's build
+    record lacks."""
+    lapack = scipy.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
+    return f"{lapack.get('name', '?')} {lapack.get('version', '?')}"
 
 
 def _manifest_argv(path: str) -> list[str]:
@@ -212,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=["fixed", "intrinsic", "extrinsic"], default="fixed")
     p.add_argument("--params", default="0,0.1,0.5",
                    help="sigma triple (fixed) or SNR dB triple (intrinsic/extrinsic)")
-    p.add_argument("--ar", type=float, default=0.3)
-    p.add_argument("--burn-in", type=int, default=100)
+    p.add_argument("--ar", type=float, default=GeneratorConfig.ar_coefficient)
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     return parser

@@ -12,7 +12,10 @@ The Rao statistic is the finite-sample-exact F form, chosen for its small
 sample behaviour. Wald's p-value is the F(q, n - k) tail of W (n - k) / (n q),
 which is algebraically the Rao statistic, so Wald and Rao agree by construction.
 ``statistic_from_rss`` takes these five plain numbers and returns the
-statistic with its p-value. For any nested pair with rss_r > rss_u the statistics
+statistic with its p-value. The Monte Carlo loop calls it for every p-value,
+so it matches the criterion by identity against module-level aliases of the
+members, LR first, and clamps with conditional expressions instead of
+``max`` calls. For any nested pair with rss_r > rss_u the statistics
 order as Wald >= LR >= LM. In floating point the order is exact once
 (rss_r - rss_u) / rss_u exceeds about 1e-8; closer pairs, whose p-values
 are all near 1, are ordered by the rounding of ln(rss_r / rss_u).
@@ -68,26 +71,32 @@ def f_sf(statistic: float, dof1: int, dof2: int) -> float:
     return fdtrc(dof1, dof2, statistic)
 
 
+_LR, _WALD, _LM, _RAO = Criterion.LR, Criterion.WALD, Criterion.LM, Criterion.RAO
+
+
 def statistic_from_rss(criterion: Criterion, rss_r: float, rss_u: float,
                        n: int, q: int, k: int) -> TestOutcome:
     """Statistic and p-value from the two RSS values, as a ``tuple.__new__`` TestOutcome."""
     if rss_u <= 0.0:
         # Perfect unrestricted fit: limit behaviour of every statistic.
         return tuple.__new__(TestOutcome, (math.inf, 0.0) if rss_r > rss_u else (0.0, 1.0))
-    # OLS guarantees rss_r >= rss_u on a common window; clamp round-off.
-    delta = max(rss_r - rss_u, 0.0)
-    if criterion is Criterion.LR:
-        stat = n * math.log(max(rss_r, rss_u) / rss_u)
+    # OLS guarantees rss_r >= rss_u on a common window; clamp round-off,
+    # picking what ``max(rss_r, rss_u)`` and ``max(delta, 0.0)`` would, NaN included.
+    if criterion is _LR:
+        stat = n * math.log((rss_u if rss_u > rss_r else rss_r) / rss_u)
         return tuple.__new__(TestOutcome, (stat, chdtrc(q, stat)))
-    if criterion is Criterion.WALD:
+    delta = rss_r - rss_u
+    if delta < 0.0:
+        delta = 0.0
+    if criterion is _WALD:
         stat = n * delta / rss_u
         return tuple.__new__(TestOutcome, (stat, fdtrc(q, n - k, stat * (n - k) / (n * q))))
-    if criterion is Criterion.LM:
-        stat = n * delta / rss_r
-        return tuple.__new__(TestOutcome, (stat, chdtrc(q, stat)))
-    if criterion is Criterion.RAO:
+    if criterion is _RAO:
         stat = (delta / q) / (rss_u / (n - k))
         return tuple.__new__(TestOutcome, (stat, fdtrc(q, n - k, stat)))
+    if criterion is _LM:
+        stat = n * delta / rss_r
+        return tuple.__new__(TestOutcome, (stat, chdtrc(q, stat)))
     raise ValueError(f"unknown criterion {criterion!r}")
 
 

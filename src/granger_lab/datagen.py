@@ -18,7 +18,9 @@ var y = v/(1 - c^2), var z = v/(1 - c^2) (driver) or v(1 + c^2)/(1 - c^2)^3
 
 All three modes consume random draws in the same order (uniforms, then one
 standard-normal block per series), so samples with different noise settings
-but the same seed share the same underlying realization. A sample is three
+but the same seed share the same underlying realization. The uniforms are
+drawn as U in [0, 1) and mapped to -2 + 4 U once per chunk: 4 U is exact, so
+these are the bits of ``Generator.uniform(-2.0, 2.0)``. A sample is three
 equal-length 1-D float64 arrays with every value finite. A chunk of
 ``generate_chunks`` scales each row's normals by that row's own resolved
 noise levels, so one chunk may hold samples of several SNR triples.
@@ -167,8 +169,11 @@ def _raw_draws(states: Sequence[np.ndarray], total: int) -> np.ndarray:
     draws = np.empty((len(states), 4, total))
     for row, state in zip(draws, states):
         rng = state_generator(state)
-        row[0] = rng.uniform(-2.0, 2.0, total)
+        rng.random(out=row[0])
         rng.standard_normal(out=row[1:])
+    uniforms = draws[:, 0]
+    uniforms *= 4.0  # -2 + 4 U, as Generator.uniform(-2.0, 2.0) computes it
+    uniforms -= 2.0
     return draws.transpose(1, 0, 2)
 
 

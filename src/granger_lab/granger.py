@@ -107,11 +107,13 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
     for a in range(0, rows, step):
         x, y, z = xs[a:a + step], ys[a:a + step], zs[a:a + step]
         designs, norms = _lag_stack(((z, y, x), (z, x), (y, x)), p, buffer)
+        # Each row of a transposed stack is the F-ordered [X | b] itself.
+        designs = [d.transpose(0, 2, 1) for d in designs]
         for full, zx, yx, full_norm, zx_norm, yx_norm in zip(*designs, *norms):
             try:
-                rss_z, rss_zy, rss_zyx = nested_rss(full.T, (p, k2, k3), full_norm)
-                (rss_zx,) = nested_rss(zx.T, (k2,), zx_norm)
-                rss_y, rss_yx = nested_rss(yx.T, (p, k2), yx_norm)
+                rss_z, rss_zy, rss_zyx = nested_rss(full, (p, k2, k3), full_norm)
+                (rss_zx,) = nested_rss(zx, (k2,), zx_norm)
+                rss_y, rss_yx = nested_rss(yx, (p, k2), yx_norm)
             except RankDeficient:
                 rank_deficient += 1
                 pvalues.flat[filled:filled + width] = np.nan

@@ -3,8 +3,10 @@
 ``nested_rss`` gives the residual sum of squares of every column-prefix
 model of one design in a single R-only QR pass, factoring the caller's
 [X | b] in place, with X's largest column norm from ``largest_norms``;
-every Granger test goes through it. ``ols_fit`` is the plain QR fit with
-coefficients, kept as the reference the kernel is checked against.
+every Granger test goes through it. It calls ``dgeqrf`` with positional
+arguments and reads back only R's diagonal and last column. ``ols_fit`` is
+the plain QR fit with coefficients, kept as the reference the kernel is
+checked against.
 """
 
 from __future__ import annotations
@@ -85,14 +87,14 @@ def nested_rss(augmented: np.ndarray, boundaries: Sequence[int],
     if n_obs < n_params + 1:
         raise InsufficientData(f"{n_obs} rows for {n_params} columns")
     # R is the upper triangle of the result; Householder vectors lie below it.
-    r, _, _, info = dgeqrf(augmented, overwrite_a=True)
+    # Positional arguments: the wrapper's default lwork of 3 (p + 1), in place.
+    r, _, _, info = dgeqrf(augmented, 3 * n_params + 3, 1)
     if info != 0:
         raise RegressionError(f"QR factorization failed (LAPACK info={info})")
-    rows = r[:n_params + 1].tolist()
-    if min(abs(rows[i][i]) for i in range(n_params)) <= RANK_TOL * max(largest_norm, 1e-300):
+    if min(map(abs, r.diagonal()[:n_params].tolist())) <= RANK_TOL * max(largest_norm, 1e-300):
         raise RankDeficient("design matrix is rank deficient")
     suffix, total = [], 0.0  # sums of R[i, p]^2 from i = p down, in ``cumsum`` order
-    for row in reversed(rows):
-        total += row[-1] * row[-1]
+    for value in r[n_params::-1, n_params].tolist():
+        total += value * value
         suffix.append(total)
     return [suffix[n_params - k] for k in boundaries]

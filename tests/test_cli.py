@@ -89,6 +89,12 @@ class TestParsing:
             assert float(fmt(v)) == v
 
 
+def test_generate_defaults_are_the_generator_configs():
+    args = cli.build_parser().parse_args(["generate", "--topology", "driver", "--out", "s.csv"])
+    config = GeneratorConfig()
+    assert (args.ar, args.burn_in) == (config.ar_coefficient, config.burn_in)
+
+
 class TestGenerateAnalyze:
     def test_round_trip_recovers_topology(self, tmp_path):
         csv = tmp_path / "sample.csv"
@@ -481,6 +487,26 @@ def test_manifest_records_iterations_that_replay_ignores(tmp_path):
     assert main(["--from-manifest", str(out / "manifest.txt")]) == 0
     assert (out / "sweep_alpha.csv").read_bytes() == before
     assert _manifest_keys(out / "manifest.txt")["iterations"] == ["25"]
+
+
+def test_manifest_records_the_lapack_build_that_replay_ignores(tmp_path):
+    out = tmp_path / "m"
+    argv = ["sweep-alpha", "--topology", "driver", "--n", "40", "--alpha-grid", "0.1",
+            "--criteria", "rao", "--iterations", "10", "--workers", "1", "--out", str(out)]
+    assert main(argv) == 0
+    before = (out / "sweep_alpha.csv").read_bytes()
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    assert _manifest_keys(out / "manifest.txt")["blas"] == [
+        f"{lapack['name']} {lapack['version']}"]
+    text = (out / "manifest.txt").read_text(encoding="utf-8")
+    (out / "manifest.txt").write_text("blas=\nblas=no such build\n" + text, encoding="utf-8")
+    assert main(["--from-manifest", str(out / "manifest.txt")]) == 0
+    assert (out / "sweep_alpha.csv").read_bytes() == before
+
+
+def test_lapack_build_marks_missing_keys(monkeypatch):
+    monkeypatch.setattr(scipy, "show_config", lambda mode: {"Build Dependencies": {}})
+    assert cli._lapack_build() == "? ?"
 
 
 def test_resumed_manifest_counts_only_the_new_cells(tmp_path):

@@ -12,9 +12,9 @@ from scipy.signal import lfilter
 from granger_lab import datagen
 from granger_lab.datagen import (BASELINE_SIGMAS, MAX_SAMPLE_VALUES, GenerationError,
                                  GeneratorConfig, NoiseKind, TrivariateSample, _ar_filter,
-                                 _bidiagonal_band, _calibration_variances, chunk_rows,
-                                 generate, generate_chunks, noise_levels, resolve_sigmas,
-                                 snr_to_sigma)
+                                 _bidiagonal_band, _calibration_variances, _raw_draws,
+                                 chunk_rows, generate, generate_chunks, noise_levels,
+                                 resolve_sigmas, snr_to_sigma)
 from granger_lab.seeding import generator_states
 
 UNIFORM_VAR = 4.0 / 3.0  # variance of U(-2, 2) = (b - a)^2 / 12
@@ -454,6 +454,18 @@ class TestGenerateChunks:
         for seed, x, y, z in zip(seeds, *chunk):
             for got, ref in zip((x, y, z), _reference_generate(cfg, seed)):
                 assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("total", [1, 2, 3, 150, 400, 30_100])
+    def test_uniform_rows_are_generator_uniform_bits(self, total):
+        # The uniforms are drawn as U in [0, 1) and mapped to -2 + 4 U once
+        # per chunk; Generator.uniform(-2.0, 2.0) computes the same sum, and
+        # 4 U is exact, so every row must equal its bits. One- and two-word
+        # seeds, in one chunk of several rows.
+        seeds = [0, 9, 2**32 - 1, 2**32, 2**63 + 11]
+        draws = _raw_draws(generator_states(np.array(seeds, np.uint64)), total)
+        assert draws.shape == (4, len(seeds), total)
+        for seed, row in zip(seeds, draws[0], strict=True):
+            assert row.tobytes() == np.random.default_rng(seed).uniform(-2.0, 2.0, total).tobytes()
 
     def test_chunk_memory_is_bounded(self):
         short = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
