@@ -5,11 +5,14 @@ reverse links with one ``granger.sample_pvalues`` call.
 Each command raises on failure, and ``main`` alone maps the failure to an
 exit code: 0 success, 2 invalid flags or malformed input (a sample length
 below 4 * lags + 1 among them, refused before any sample is drawn), 3
-runtime failure, 4 resume-file conflict. ``GRANGER_LAB_THREADS`` sets the
-worker count when ``--workers`` is absent. ``main`` removes an experiment's
-old manifest before it runs and writes a flat key=value manifest next to
-its outputs once it succeeds; ``granger-lab --from-manifest FILE`` re-runs
-its ``argv=`` line byte-identically (timestamps aside).
+runtime failure, 4 resume-file conflict. ``phase-space`` has
+``experiments.phase_rows`` check all of its flags before it compares,
+truncates or appends to a checkpoint, so a bad flag exits 2 and leaves the
+checkpoint as it was. ``GRANGER_LAB_THREADS`` sets the worker count when
+``--workers`` is absent. ``main`` removes an experiment's old manifest
+before it runs and writes a flat key=value manifest next to its outputs
+once it succeeds; ``granger-lab --from-manifest FILE`` re-runs its
+``argv=`` line byte-identically (timestamps aside).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import shlex
 import sys
 import time
 from contextlib import ExitStack, closing, suppress
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from typing import Callable
 
@@ -34,10 +37,9 @@ from .core import FORWARD_LINKS, TopologyKind, topology_kind
 from .criteria import Criterion
 from .datagen import DEFAULT_BURN_IN, GeneratorConfig, NoiseKind, TrivariateSample, generate
 from .experiments import (PHASE_RATES, SNR_KEYS, PhaseGrid, SweepResult, extract_plane,
-                          phase_rows, require_distinct_axes, require_positive,
-                          sweep_sample_size, sweep_significance)
-from .granger import (FORWARD_KEYS, REVERSE_KEYS, GrangerConfig, decide_edge_array,
-                      require_length, require_significance, sample_pvalues)
+                          phase_rows, sweep_sample_size, sweep_significance)
+from .granger import (FORWARD_KEYS, LAGS, REVERSE_KEYS, GrangerConfig, decide_edge_array,
+                      sample_pvalues)
 from .ppm import render_plane, write_ppm
 from .regress import RankDeficient
 
@@ -209,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="two-step trivariate test on a CSV file")
     p.set_defaults(run=cmd_analyze)
     p.add_argument("--input", required=True, help="CSV with header t,x,y,z")
-    p.add_argument("--lags", type=int, default=2)
+    p.add_argument("--lags", type=int, default=LAGS)
     p.add_argument("--criterion", default="wald")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--json", action="store_true")
@@ -338,46 +340,40 @@ class _ResumeConflict(Exception):
 
 
 def cmd_phase_space(args) -> tuple[list[str], int]:
-    # Checked here as well as in phase_rows, so that a bad count, level,
-    # length or axis exits 2 before the checkpoint is read, compared or touched.
-    require_positive("iterations", args.iterations)
-    require_significance(args.alpha)
     topology = TopologyKind(args.topology)
-    GeneratorConfig(topology=topology, length=args.n)
-    require_length(args.n, 2)  # the lag depth phase_rows uses
     noise = NoiseKind(args.noise)
     criterion = parse_criterion(args.criterion)
     shared = parse_grid(args.grid)
     grids = tuple(parse_grid(g) if g else shared
                   for g in (args.grid_x, args.grid_y, args.grid_z))
-    require_distinct_axes(grids)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "phase_space.csv")
-    meta = {"topology": topology.value, "noise_kind": noise.value, "n": args.n,
-            "alpha": args.alpha, "criterion": criterion.value,
-            "iterations": args.iterations}
-
-    rows: list[dict] = []
-    intact = 0
+    old_meta, rows, intact, unreadable = {}, [], 0, None
     if args.resume and os.path.exists(csv_path):
         try:
             old_meta, rows, intact = _read_phase_csv(csv_path)
-        except ValueError as exc:
-            raise _ResumeConflict(str(exc)) from None
-        if old_meta and old_meta != meta:
-            raise _ResumeConflict("checkpoint metadata differs from flags")
-        expected = list(product(*grids))
-        got = [tuple(r[key] for key in SNR_KEYS) for r in rows]
-        if got != expected[:len(got)]:
-            raise _ResumeConflict("checkpoint cells do not match the grid")
+        except ValueError as exc:  # a conflict, once every flag has passed
+            unreadable = str(exc)
+    # phase_rows checks every flag now: a bad one exits 2 before a conflict
+    # can exit 4, and before --out or the checkpoint is touched.
+    new_rows = phase_rows(noise, topology, args.n, args.alpha, criterion, args.iterations,
+                          grids, args.seed, workers=args.workers, start=len(rows))
+    if unreadable is not None:
+        raise _ResumeConflict(unreadable)
+    os.makedirs(args.out, exist_ok=True)
+    meta = {"topology": topology.value, "noise_kind": noise.value, "n": args.n,
+            "alpha": args.alpha, "criterion": criterion.value,
+            "iterations": args.iterations}
+    if old_meta and old_meta != meta:
+        raise _ResumeConflict("checkpoint metadata differs from flags")
+    got = [tuple(r[key] for key in SNR_KEYS) for r in rows]
+    if got != list(islice(product(*grids), len(got))):
+        raise _ResumeConflict("checkpoint cells do not match the grid")
 
     if intact:
         os.truncate(csv_path, intact)  # drop a torn final line before appending
     with ExitStack() as stack:
         # Closing the rows on a failed write cancels the queued runs.
-        new_rows = stack.enter_context(closing(phase_rows(
-            noise, topology, args.n, args.alpha, criterion, args.iterations, grids,
-            args.seed, workers=args.workers, start=len(rows))))
+        new_rows = stack.enter_context(closing(new_rows))
         fh, computed = None, 0
         for computed, row in enumerate(new_rows, 1):
             if fh is None:  # opened for the first row, so an early failure keeps --out
@@ -397,7 +393,7 @@ def cmd_render(args) -> None:
         raise ValueError(f"{args.input} has no complete rows")
     axes = [sorted({cell[key] for cell in cells}) for key in SNR_KEYS]
     grid = PhaseGrid.from_rows(axes, cells)
-    plane, _, _ = extract_plane(grid, args.axis, args.value, PHASE_RATES[args.field])
+    plane = extract_plane(grid, args.axis, args.value, PHASE_RATES[args.field])
     if np.any(np.isnan(plane)):
         raise ValueError("plane has missing cells (incomplete CSV)")
     write_ppm(args.out, render_plane(plane, scale=args.scale))

@@ -64,13 +64,6 @@ def chi2_sf(statistic: float, dof: int) -> float:
     return chdtrc(dof, statistic)
 
 
-def f_sf(statistic: float, dof1: int, dof2: int) -> float:
-    """F-distribution survival function (regularized incomplete beta)."""
-    if statistic < 0:
-        raise ValueError("statistic must be non-negative")
-    return fdtrc(dof1, dof2, statistic)
-
-
 _LR, _WALD, _LM, _RAO = Criterion.LR, Criterion.WALD, Criterion.LM, Criterion.RAO
 
 

@@ -71,20 +71,6 @@ CHUNK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    """Noise standard deviations for X, Y and Z."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        for v in (self.alpha, self.beta, self.gamma):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError("noise standard deviations must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class GeneratorConfig:
     topology: TopologyKind = TopologyKind.DRIVER
     length: int = 300
@@ -117,12 +103,19 @@ class TrivariateSample(NamedTuple):
 
 
 def snr_to_sigma(snr_db: float, signal_variance: float) -> float:
-    """Noise std giving the requested SNR (dB) against ``signal_variance``."""
+    """Noise std giving the requested SNR (dB) against ``signal_variance``,
+    else a ValueError naming an SNR whose std is not a finite float."""
     if not signal_variance > 0.0:
         raise ValueError("signal variance must be positive")
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite")
-    return math.sqrt(signal_variance * 10.0 ** (-snr_db / 10.0))
+    try:
+        sigma = math.sqrt(signal_variance * 10.0 ** (-snr_db / 10.0))
+    except OverflowError:  # 10 ** 309 and above
+        sigma = math.inf
+    if not math.isfinite(sigma):  # the product overflowed instead
+        raise ValueError(f"an SNR of {snr_db!r} dB needs a noise std beyond the float range")
+    return sigma
 
 
 def _shift(values: np.ndarray, k: int) -> np.ndarray:
@@ -225,21 +218,21 @@ def _calibration_variances(topology: TopologyKind,
     return v, var_y, var_z
 
 
-def resolve_sigmas(config: GeneratorConfig) -> NoiseConfig:
-    """Turn the config's sigma-or-SNR triple into noise standard deviations."""
+def resolve_sigmas(config: GeneratorConfig) -> tuple[float, float, float]:
+    """The config's noise standard deviations (sigma_x, sigma_y, sigma_z):
+    its fixed triple, which must be finite and >= 0, or its SNR triple's."""
     if config.noise_kind is NoiseKind.FIXED_SIGMA:
-        return NoiseConfig(*config.sigmas_or_snrs)
+        if not all(math.isfinite(v) and v >= 0.0 for v in config.sigmas_or_snrs):
+            raise ValueError("noise standard deviations must be finite and >= 0")
+        return config.sigmas_or_snrs
     variances = _calibration_variances(config.topology, config.ar_coefficient)
-    sigmas = tuple(snr_to_sigma(snr, var)
-                   for snr, var in zip(config.sigmas_or_snrs, variances))
-    return NoiseConfig(*sigmas)
+    return tuple(snr_to_sigma(snr, var) for snr, var in zip(config.sigmas_or_snrs, variances))
 
 
 def noise_levels(configs: Iterable[GeneratorConfig]) -> np.ndarray:
-    """Each config's ``resolve_sigmas`` as a row (sigma_x, sigma_y, sigma_z)
-    of a (configs, 3) array: the ``levels`` rows of ``generate_chunks``."""
-    rows = [(noise.alpha, noise.beta, noise.gamma) for noise in map(resolve_sigmas, configs)]
-    return np.array(rows)
+    """Each config's ``resolve_sigmas`` as a row of a (configs, 3) array:
+    the ``levels`` rows of ``generate_chunks``."""
+    return np.array([resolve_sigmas(config) for config in configs])
 
 
 def generate(config: GeneratorConfig, seed: int = 0) -> TrivariateSample:

@@ -26,7 +26,8 @@ checkpointed run resumes by starting the stream after the rows it has.
 Iteration, case and worker counts must be positive integers, and
 ``require_positive`` checks each of them before any sample is drawn;
 ``_cell_counts`` checks every cell's sample length against the lag depth
-(``granger.require_length``) before it cuts runs or starts a pool.
+(``granger.require_length``) before it cuts runs or starts a pool. The
+sweeps and phase spaces use ``granger.LAGS`` lags.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, groupby, product
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -45,7 +46,7 @@ import numpy as np
 from .core import FORWARD_LINKS, Link, TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
 from .datagen import GeneratorConfig, NoiseKind, generate_chunks, noise_levels
-from .granger import (GrangerConfig, block_pvalues, decide_edge_array, require_length,
+from .granger import (LAGS, GrangerConfig, block_pvalues, decide_edge_array, require_length,
                       require_significance)
 from .seeding import derive_seeds, generator_states
 
@@ -321,7 +322,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
                        n_points: int = 50,
                        criteria: Sequence[Criterion] = PRESET_CRITERIA,
                        iterations: int = 1000, seed: int = 0,
-                       lags: int = 2, workers: Optional[int] = None) -> SweepResult:
+                       workers: Optional[int] = None) -> SweepResult:
     """Rates against the significance level, at a fixed sample size.
 
     Samples are shared across significance levels and criteria (seeded per
@@ -333,7 +334,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     if not alphas:
         raise ValueError("significance grid must be non-empty")
     gen = GeneratorConfig(topology=topology, length=n_points)
-    [(counts, rd)] = _cell_counts([(gen, ())], lags, tuple(criteria), alphas, iterations,
+    [(counts, rd)] = _cell_counts([(gen, ())], LAGS, tuple(criteria), alphas, iterations,
                                   seed, workers)
     rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], topology, iterations, rd)
                          for ai in range(len(alphas)))
@@ -343,7 +344,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
 
 def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int],
                       criteria: Sequence[Criterion] = PRESET_CRITERIA,
-                      cases: int = 1000, seed: int = 0, lags: int = 2,
+                      cases: int = 1000, seed: int = 0,
                       workers: Optional[int] = None) -> SweepResult:
     """Rates against the sample size at a fixed significance level, plus
     pairwise criterion-difference tests at each size."""
@@ -357,7 +358,7 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
         raise ValueError("sizes must be strictly increasing")
     criteria = tuple(criteria)
     cells = [(GeneratorConfig(topology=topology, length=n), (n,)) for n in sizes]
-    with closing(_cell_counts(cells, lags, criteria, (alpha,), cases, seed,
+    with closing(_cell_counts(cells, LAGS, criteria, (alpha,), cases, seed,
                               workers)) as results:
         per_size = [{crit: _estimate_from_counts(counts[ci, 0], topology, cases, rd)
                      for ci, crit in enumerate(criteria)} for counts, rd in results]
@@ -371,29 +372,40 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
 def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: float,
                criterion: Criterion = Criterion.WALD, iterations: int = 500,
                grids: Sequence[Sequence[float]] = (snr_grid(),) * 3, seed: int = 0,
-               lags: int = 2, workers: Optional[int] = None, start: int = 0
-               ) -> Iterator[dict[str, float]]:
-    """Yield the row of every cell of the 3-D SNR grid in grid order,
-    beginning at cell ``start``, each as soon as its cell completes.
+               workers: Optional[int] = None, start: int = 0) -> Iterator[dict[str, float]]:
+    """The rows of the 3-D SNR grid's cells in grid order, beginning at cell
+    ``start``, each yielded as soon as its cell completes.
 
     A row maps ``SNR_KEYS`` to the cell's SNR triple and the keys of
     ``PHASE_RATES`` to its rates. Cells before ``start`` are not computed,
-    so a run resumes from a grid-order prefix of its rows.
+    so a run resumes from a grid-order prefix of its rows. Every argument
+    is checked here, when the stream is made, even if no cell is left to
+    compute; nothing is drawn and no pool starts until the first row is
+    read.
     """
     iterations = require_positive("iterations", iterations)
     require_significance(alpha)
-    _worker_count(workers, 1)  # checked even when every cell is already done
+    _worker_count(workers, 1)
     if noise_kind is NoiseKind.FIXED_SIGMA:
         raise ValueError("phase spaces require an SNR noise kind")
-    coords = list(enumerate(product(*require_distinct_axes(grids))))[start:]
-    cells = [(GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind,
-                              sigmas_or_snrs=snrs), (cell_index,))
-             for cell_index, snrs in coords]
-    with closing(_cell_counts(cells, lags, (criterion,), (alpha,), iterations,
+    axes = require_distinct_axes(grids)
+    shape = GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind)
+    require_length(n, LAGS)
+    cells = [(replace(shape, sigmas_or_snrs=snrs), (index,))
+             for index, snrs in list(enumerate(product(*axes)))[start:]]
+    return _phase_stream(cells, topology, criterion, alpha, iterations, seed, workers)
+
+
+def _phase_stream(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]],
+                  topology: TopologyKind, criterion: Criterion, alpha: float,
+                  iterations: int, seed: int, workers: Optional[int]
+                  ) -> Iterator[dict[str, float]]:
+    """The rows of ``phase_rows``' checked cells, one per completed cell."""
+    with closing(_cell_counts(cells, LAGS, (criterion,), (alpha,), iterations,
                               seed, workers)) as results:
-        for (_, snrs), (counts, rd) in zip(coords, results):
+        for (gen, _), (counts, rd) in zip(cells, results):
             est = _estimate_from_counts(counts[0, 0], topology, iterations, rd)
-            yield dict(zip(SNR_KEYS, snrs), spurious_rate=est.spurious_rate,
+            yield dict(zip(SNR_KEYS, gen.sigmas_or_snrs), spurious_rate=est.spurious_rate,
                        unidentified_rate=est.unidentified_rate,
                        rate_xz=est.per_link_rates["x->z"],
                        rate_yz=est.per_link_rates["y->z"])
@@ -402,11 +414,11 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
 def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: float,
                 criterion: Criterion = Criterion.WALD, iterations: int = 500,
                 grids: Sequence[Sequence[float]] = (snr_grid(),) * 3, seed: int = 0,
-                lags: int = 2, workers: Optional[int] = None) -> PhaseGrid:
+                workers: Optional[int] = None) -> PhaseGrid:
     """Rates over the 3-D SNR grid: every row of ``phase_rows`` in place."""
     axes = require_distinct_axes(grids)
     rows = phase_rows(noise_kind, topology, n, alpha, criterion, iterations, axes,
-                      seed, lags, workers)
+                      seed, workers)
     return PhaseGrid.from_rows(axes, rows)
 
 
@@ -414,13 +426,9 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
 def extract_plane(grid: PhaseGrid, axis: str, value_db: float,
-                  field_name: str = "unidentified"
-                  ) -> tuple[np.ndarray, tuple[str, tuple[float, ...]], tuple[str, tuple[float, ...]]]:
-    """2-D slice of one rate field at a fixed SNR coordinate.
-
-    Returns (plane, (row axis name, row values), (column axis name, column
-    values)); rows vary along the first remaining axis.
-    """
+                  field_name: str = "unidentified") -> np.ndarray:
+    """2-D slice of one rate field at a fixed SNR coordinate; its rows vary
+    along the first remaining axis."""
     ax = _AXIS_INDEX[axis.lower()]
     values = grid.axes[ax]
     matches = [i for i, v in enumerate(values) if v == float(value_db)]
@@ -428,8 +436,4 @@ def extract_plane(grid: PhaseGrid, axis: str, value_db: float,
         raise OffGrid(f"SNR^{axis.upper()} = {value_db} dB is not on the grid")
     if field_name not in PHASE_RATES.values():
         raise ValueError(f"unknown field {field_name!r}")
-    data = getattr(grid, field_name)
-    plane = np.take(data, matches[0], axis=ax)
-    names = [n for n in ("x", "y", "z") if n != axis.lower()]
-    remaining = [grid.axes[_AXIS_INDEX[n]] for n in names]
-    return plane, (names[0], remaining[0]), (names[1], remaining[1])
+    return np.take(getattr(grid, field_name), matches[0], axis=ax)

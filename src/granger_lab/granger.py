@@ -37,6 +37,10 @@ FORWARD_KEYS = (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ)
 #: Keys for the three reverse links, each a pairwise test on its own.
 REVERSE_KEYS = ("y->x", "z->x", "z->y")
 
+#: Lag depth of every test unless one is given: the Monte Carlo experiments
+#: always use it.
+LAGS = 2
+
 
 def require_significance(alpha: float) -> float:
     """``alpha`` as a float strictly between 0 and 1, else a ValueError."""
@@ -58,7 +62,7 @@ def require_length(n: int, lags: int) -> None:
 class GrangerConfig:
     """Look-back depth, test criterion and significance level for all tests."""
 
-    lags: int = 2
+    lags: int = LAGS
     criterion: Criterion = Criterion.WALD
     significance: float = 0.05
 

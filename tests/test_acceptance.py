@@ -125,8 +125,8 @@ def test_criterion_7_intrinsic_spurious_flatness(intrinsic_grids):
 
 def test_criterion_8_intrinsic_polarisation(intrinsic_grids):
     grid = intrinsic_grids[TopologyKind.DRIVER]
-    plane_hi, _, _ = extract_plane(grid, "z", 40.0, "unidentified")
-    plane_lo, _, _ = extract_plane(grid, "z", -40.0, "unidentified")
+    plane_hi = extract_plane(grid, "z", 40.0, "unidentified")
+    plane_lo = extract_plane(grid, "z", -40.0, "unidentified")
     assert plane_hi.mean() <= 0.05, f"mean unidentified {plane_hi.mean()} at +40 dB"
     assert plane_lo.mean() >= 0.80, f"mean unidentified {plane_lo.mean()} at -40 dB"
 

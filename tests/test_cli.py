@@ -156,6 +156,17 @@ class TestGenerateAnalyze:
         assert "--params" in err and repr(params) in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    # 10 ** 309 overflows in the power; at 308.1 the power is finite and
+    # its product with Z's variance overflows.
+    @pytest.mark.parametrize("snr", ["-3090", "-3081"])
+    def test_overflowing_snr_exits_2_and_names_it(self, tmp_path, capsys, snr):
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--topology", "indirect", "--noise", "intrinsic",
+                     f"--params=0,0,{snr}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{float(snr)!r} dB" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("ar", ["nan", "-nan", "inf"])
     def test_non_finite_ar_exits_2(self, tmp_path, capsys, ar):
         out = tmp_path / "x.csv"
@@ -611,6 +622,43 @@ class TestPhaseSpaceCommand:
         args[args.index("--iterations") + 1] = count
         assert main(args + ["--resume", "--out", str(out)]) == 2
         assert csv.read_bytes() == torn
+
+    @pytest.mark.parametrize("workers, env", [("0", None), ("-1", None), (None, "0")],
+                             ids=["workers-0", "workers-negative", "thread-variable-0"])
+    def test_bad_worker_setting_leaves_the_checkpoint_alone(self, tmp_path, capsys,
+                                                            monkeypatch, workers, env):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        torn = csv.read_bytes()[:-5]  # a resume would cut this tail off
+        csv.write_bytes(torn)
+        args = self.ARGS[:-2] + (["--workers", workers] if workers else [])
+        if env:
+            monkeypatch.setenv("GRANGER_LAB_THREADS", env)
+        capsys.readouterr()
+        assert main(args + ["--resume", "--out", str(out)]) == 2
+        assert ("GRANGER_LAB_THREADS" if env else "workers") in capsys.readouterr().err
+        assert csv.read_bytes() == torn
+
+    def test_bad_flag_exits_2_before_an_unreadable_checkpoint_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "ps"
+        out.mkdir()
+        csv = out / "phase_space.csv"
+        csv.write_text("not a checkpoint\n")
+        args = list(self.ARGS)
+        args[args.index("--iterations") + 1] = "0"
+        assert main(args + ["--resume", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "iterations must be a positive integer, got 0\n"
+        assert csv.read_text() == "not a checkpoint\n"
+
+    def test_overflowing_snr_exits_2_and_names_it(self, tmp_path, capsys):
+        out = tmp_path / "ps"
+        assert main(["phase-space", "--topology", "driver", "--noise", "intrinsic",
+                     "--iterations", "4", "--grid=-4000", "--workers", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "-4000.0 dB" in err and len(err.splitlines()) == 1
+        assert not (out / "phase_space.csv").exists()
 
     def test_failed_run_keeps_the_previous_csv(self, tmp_path):
         out = tmp_path / "ps"

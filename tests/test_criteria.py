@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from granger_lab.criteria import (Criterion, PRESET_CRITERIA, chi2_sf,
-                                  compare_criteria, f_sf, statistic_from_rss,
+                                  compare_criteria, fdtrc, statistic_from_rss,
                                   two_proportion_z)
 
 
@@ -42,12 +42,12 @@ class TestReferenceDistributions:
 
     def test_f_sf_against_integration_oracle(self):
         for x, d1, d2 in ((1.0, 2, 40), (3.2, 2, 44), (4.4, 2, 44), (0.5, 3, 10)):
-            assert f_sf(x, d1, d2) == pytest.approx(_f_sf_oracle(x, d1, d2), abs=1e-7)
+            assert fdtrc(d1, d2, x) == pytest.approx(_f_sf_oracle(x, d1, d2), abs=1e-7)
 
     def test_f_equals_chi2_in_large_sample_limit(self):
         # q * F(q, m) converges to chi-squared(q) as m grows
-        assert f_sf(5.991 / 2, 2, 2_000_000) == pytest.approx(chi2_sf(5.991, 2),
-                                                              abs=1e-4)
+        assert fdtrc(2, 2_000_000, 5.991 / 2) == pytest.approx(chi2_sf(5.991, 2),
+                                                               abs=1e-4)
 
 
 class TestStatisticClosedForms:
@@ -65,7 +65,7 @@ class TestStatisticClosedForms:
                                  self.N, self.Q, self.K)
         assert out.statistic == pytest.approx(10.0, rel=1e-12)
         # p-value uses the exact F map: F = W (n-k) / (n q)
-        assert out.p_value == pytest.approx(f_sf(10.0 * 44 / 100, 2, 44), rel=1e-12)
+        assert out.p_value == pytest.approx(fdtrc(2, 44, 10.0 * 44 / 100), rel=1e-12)
 
     def test_lm(self):
         out = statistic_from_rss(Criterion.LM, self.RSS_R, self.RSS_U,
@@ -78,7 +78,7 @@ class TestStatisticClosedForms:
                                  self.N, self.Q, self.K)
         assert out.statistic == pytest.approx((0.2 / 2) / (1.0 / 44), rel=1e-12)
         assert out.statistic == pytest.approx(4.4, rel=1e-12)
-        assert out.p_value == pytest.approx(f_sf(4.4, 2, 44), rel=1e-12)
+        assert out.p_value == pytest.approx(fdtrc(2, 44, 4.4), rel=1e-12)
 
     def test_wald_and_rao_make_identical_decisions(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,13 @@ class TestSnrToSigma:
             sigma = snr_to_sigma(snr, var)
             back = 10.0 * math.log10(var / sigma**2)
             assert back == pytest.approx(snr, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("snr", [-3090.0, -3081.0, -1e300])
+    def test_overflowing_level_is_a_value_error_naming_the_snr(self, snr):
+        # Below about -3083 dB the power 10 ** (-snr / 10) overflows; just
+        # above it, the product with the variance does.
+        with pytest.raises(ValueError, match=f"^an SNR of {re.escape(repr(snr))} dB "):
+            snr_to_sigma(snr, 2.0)
 
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):
@@ -220,8 +228,7 @@ class TestSignalVariance:
                                                        sigmas_or_snrs=snrs))
                 expected = [math.sqrt(var * 10 ** (-s / 10))
                             for var, s in zip((UNIFORM_VAR, var_y, var_z), snrs)]
-                assert [noise.alpha, noise.beta, noise.gamma] == pytest.approx(expected,
-                                                                               rel=1e-12)
+                assert list(noise) == pytest.approx(expected, rel=1e-12)
 
 
 def _python_recurrence(driving, coeff):
@@ -292,7 +299,7 @@ class TestIntrinsic:
                               noise_kind=NoiseKind.INTRINSIC_SNR,
                               sigmas_or_snrs=(0.0, 40.0, 40.0))
         noise = resolve_sigmas(cfg)
-        assert noise.alpha == pytest.approx(math.sqrt(UNIFORM_VAR), rel=0.02)
+        assert noise[0] == pytest.approx(math.sqrt(UNIFORM_VAR), rel=0.02)
 
     def test_matches_fixed_with_same_sigmas(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
@@ -300,7 +307,7 @@ class TestIntrinsic:
                               sigmas_or_snrs=(10.0, 20.0, 30.0))
         noise = resolve_sigmas(cfg)
         fixed = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
-                                sigmas_or_snrs=(noise.alpha, noise.beta, noise.gamma))
+                                sigmas_or_snrs=noise)
         a, b = generate(cfg, 5), generate(fixed, 5)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.z, b.z)
@@ -342,11 +349,11 @@ class TestExtrinsic:
         n1, n2 = resolve_sigmas(cfg((10, 5, -5))), resolve_sigmas(cfg((0, 0, 0)))
         # standardized residuals match between the two noise levels
         np.testing.assert_allclose(
-            (s1.x - clean.x) / n1.alpha,
-            (s2.x - clean.x) / n2.alpha, rtol=1e-10)
+            (s1.x - clean.x) / n1[0],
+            (s2.x - clean.x) / n2[0], rtol=1e-10)
         np.testing.assert_allclose(
-            (s1.z - clean.z) / n1.gamma,
-            (s2.z - clean.z) / n2.gamma, rtol=1e-10)
+            (s1.z - clean.z) / n1[2],
+            (s2.z - clean.z) / n2[2], rtol=1e-10)
 
     def test_high_snr_approaches_noise_free(self):
         cfg = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
@@ -380,7 +387,7 @@ class TestGenerateDispatch:
 
 def _reference_generate(config, seed):
     """One sample the direct way: one generator, one 1-D pass per series."""
-    noise = resolve_sigmas(config)
+    alpha, beta, gamma = resolve_sigmas(config)
     total = config.burn_in + config.length
     rng = np.random.default_rng(seed)
     u = rng.uniform(-2.0, 2.0, total)
@@ -398,12 +405,12 @@ def _reference_generate(config, seed):
 
     extrinsic = config.noise_kind is NoiseKind.EXTRINSIC_SNR
     ex, ey, ez = ((0.0, 0.0, 0.0) if extrinsic
-                  else (noise.alpha * nx, noise.beta * ny, noise.gamma * nz))
+                  else (alpha * nx, beta * ny, gamma * nz))
     x = u + ex
     y = ar(shift(x, 1) + ey)
     z = ar(shift(x, 2) + ez) if config.topology is TopologyKind.DRIVER else ar(shift(y, 1) + ez)
     if extrinsic:
-        x, y, z = x + noise.alpha * nx, y + noise.beta * ny, z + noise.gamma * nz
+        x, y, z = x + alpha * nx, y + beta * ny, z + gamma * nz
     b = config.burn_in
     return x[b:], y[b:], z[b:]
 
