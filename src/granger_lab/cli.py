@@ -136,7 +136,7 @@ def _lapack_build() -> str:
 def _manifest_argv(path: str) -> list[str]:
     """The argv of a manifest's first ``argv=`` line, split back into
     arguments. Replay reads no other line."""
-    text = _read_input(lambda p: Path(p).read_text(encoding="utf-8"), path)
+    text = _read_input(lambda p: _decode(p, Path(p).read_bytes()), path)
     argv = next((line[5:] for line in map(str.strip, text.split("\n"))
                  if line.startswith("argv=")), None)
     if argv is None:
@@ -163,32 +163,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="granger-lab",
-                                     description=__doc__.splitlines()[0])
-    parser.set_defaults(experiment=False)
-    parser.add_argument("--from-manifest", metavar="FILE",
-                        help="re-run the experiment recorded in a manifest")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("sweep-alpha", help="rates vs significance level")
-    p.set_defaults(run=cmd_sweep_alpha)
+def _sweep_alpha_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--alpha-grid", default="0.05:0.5:0.05")
     p.add_argument("--criteria", default="lr,wald,rao")
     p.add_argument("--iterations", type=int, default=1000)
 
-    p = sub.add_parser("sweep-n", help="rates vs sample size")
-    p.set_defaults(run=cmd_sweep_n)
+
+def _sweep_n_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--sizes", required=True, help="lo:hi:step or comma list")
     p.add_argument("--criteria", default="lr,wald,rao")
     p.add_argument("--cases", type=int, default=1000)
 
-    p = sub.add_parser("phase-space", help="rates over the 3-D SNR grid")
-    p.set_defaults(run=cmd_phase_space)
+
+def _phase_space_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--noise", choices=["intrinsic", "extrinsic"], required=True)
     p.add_argument("--n", type=int, default=300)
@@ -199,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-x"), p.add_argument("--grid-y"), p.add_argument("--grid-z")
     p.add_argument("--resume", action="store_true")
 
-    p = sub.add_parser("render", help="render a phase-space plane to PPM")
-    p.set_defaults(run=cmd_render)
+
+def _render_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="phase-space CSV")
     p.add_argument("--axis", choices=["x", "y", "z"], required=True)
     p.add_argument("--value", type=float, required=True, help="plane coordinate in dB")
@@ -208,16 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=16)
     p.add_argument("--out", required=True, help="output PPM path")
 
-    p = sub.add_parser("analyze", help="two-step trivariate test on a CSV file")
-    p.set_defaults(run=cmd_analyze)
+
+def _analyze_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="CSV with header t,x,y,z")
     p.add_argument("--lags", type=int, default=LAGS)
     p.add_argument("--criterion", default="wald")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("generate", help="dump one synthetic sample to CSV")
-    p.set_defaults(run=cmd_generate)
+
+def _generate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", choices=["driver", "indirect"], required=True)
     p.add_argument("--n", type=int, default=300)
     p.add_argument("--noise", choices=["fixed", "intrinsic", "extrinsic"], default="fixed")
@@ -227,6 +218,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every command of ``COMMANDS`` or, given one of
+    them, with only that command's subparser. The one-command parser names
+    every command in its usage line, so for that command's arguments both
+    print the same usage, help and errors; building one subparser instead
+    of six is what ``main`` saves on every run."""
+    parser = argparse.ArgumentParser(prog="granger-lab",
+                                     description=__doc__.splitlines()[0])
+    parser.set_defaults(experiment=False)
+    parser.add_argument("--from-manifest", metavar="FILE",
+                        help="re-run the experiment recorded in a manifest")
+    every = "{" + ",".join(COMMANDS) + "}"  # argparse's own rendering of the choices
+    sub = parser.add_subparsers(dest="command", metavar=every if command else None)
+    for name, (text, run, add_flags) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            p.set_defaults(run=run)
+            add_flags(p)
     return parser
 
 
@@ -313,7 +324,7 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
     intact = data.rfind(b"\n") + 1
     if intact == 0 and PHASE_HEADER.encode("utf-8").startswith(data):
         return {}, [], 0  # not even the header was completed
-    lines = data[:intact].decode("utf-8").split("\n")
+    lines = _decode(path, data[:intact]).split("\n")
     if lines[0].strip() != PHASE_HEADER:
         raise ValueError(f"unexpected header in {path}")
     meta: dict = {}
@@ -401,26 +412,53 @@ def cmd_render(args) -> None:
 
 
 def _read_series_csv(path: str) -> TrivariateSample:
-    """The columns of a 't,x,y,z' CSV, in one pass of ``float`` per field.
-    A malformed file raises a ValueError naming its first faulty row."""
+    """The columns of a 't,x,y,z' CSV. numpy's C reader parses the body,
+    and its table is taken when it has four columns and finite x, y and z;
+    in any other case ``_scan_series`` alone decides what the file holds
+    or which faulty row it names in a ValueError. A file that is not UTF-8
+    text raises one naming the row of its first bad byte instead."""
+    import warnings  # only analyze needs it; the interpreter has loaded it already
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != "t,x,y,z":
+                raise ValueError(f"{path}: expected header 't,x,y,z', got {header!r}")
+            body = fh.tell()
+            try:
+                with warnings.catch_warnings():  # an empty body is left to the scan
+                    warnings.simplefilter("ignore")
+                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:  # the scan finds the fault, or parses what float accepts
+                table = None
+            if table is not None and table.shape[1] == 4 and np.isfinite(table[:, 1:]).all():
+                return TrivariateSample(*table[:, 1:].T)
+            fh.seek(body)
+            return _scan_series(path, fh)
+    except ValueError:  # a bad byte anywhere outranks the fault found
+        with open(path, "rb") as fh:
+            _decode(path, fh.read())
+        raise
+
+
+def _scan_series(path: str, lines) -> TrivariateSample:
+    """The columns of the body ``lines`` of a 't,x,y,z' CSV (its file line
+    2 onwards), in one pass of ``float`` per x, y and z field; the t field
+    is not parsed. Blank lines are skipped. A malformed body raises a
+    ValueError naming its first faulty row."""
     values: list[float] = []
     linenos: list[int] = []  # the file line of each row, for fault messages
     fault = None
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "t,x,y,z":
-            raise ValueError(f"{path}: expected header 't,x,y,z', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                _, x, y, z = line.strip().split(",")
-                values += (float(x), float(y), float(z))
-            except ValueError:
-                if not line.strip():
-                    continue
-                problem = "non-numeric value" if line.count(",") == 3 else "expected 4 fields"
-                fault = f"row {lineno}: {problem}"
-                break
-            linenos.append(lineno)
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            _, x, y, z = line.strip().split(",")
+            values += (float(x), float(y), float(z))
+        except ValueError:
+            if not line.strip():
+                continue
+            problem = "non-numeric value" if line.count(",") == 3 else "expected 4 fields"
+            fault = f"row {lineno}: {problem}"
+            break
+        linenos.append(lineno)
     data = np.array(values).reshape(-1, 3)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():  # every row read comes before the fault that ended the scan
@@ -428,6 +466,18 @@ def _read_series_csv(path: str) -> TrivariateSample:
     if fault:
         raise ValueError(f"{path}: {fault}")
     return TrivariateSample(*data.T)
+
+
+def _decode(path: str, data: bytes) -> str:
+    """``data``, the bytes of the file at ``path``, as UTF-8 text; a byte
+    that does not decode raises a ValueError naming its row, counted the
+    way text mode splits lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise ValueError(f"{path}: row {row}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+                         ) from None
 
 
 def cmd_analyze(args) -> None:
@@ -480,10 +530,24 @@ def cmd_generate(args) -> None:
     print(f"wrote {args.out}")
 
 
+#: Every command: its help line, the function that runs it, and the
+#: function that registers its flags, in the order ``--help`` lists them.
+COMMANDS = {
+    "sweep-alpha": ("rates vs significance level", cmd_sweep_alpha, _sweep_alpha_flags),
+    "sweep-n": ("rates vs sample size", cmd_sweep_n, _sweep_n_flags),
+    "phase-space": ("rates over the 3-D SNR grid", cmd_phase_space, _phase_space_flags),
+    "render": ("render a phase-space plane to PPM", cmd_render, _render_flags),
+    "analyze": ("two-step trivariate test on a CSV file", cmd_analyze, _analyze_flags),
+    "generate": ("dump one synthetic sample to CSV", cmd_generate, _generate_flags),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     clock = time.perf_counter()
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # Only a named command gets the one-command parser; --help, a missing or
+    # unknown command and --from-manifest get every command.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if args.from_manifest:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import platform
@@ -732,16 +733,22 @@ class TestPhaseSpaceCommand:
 
     @pytest.mark.parametrize("conflict, reason", [
         ("malformed", "unexpected header in "),
+        ("not-utf8", "{csv}: row 3: not UTF-8 text (byte 0xfe)"),
         ("metadata", "checkpoint metadata differs from flags"),
         ("cells", "checkpoint cells do not match the grid"),
-    ], ids=["malformed", "metadata", "cells"])
+    ], ids=["malformed", "not-utf8", "metadata", "cells"])
     def test_resume_conflict_exits_4(self, tmp_path, capsys, conflict, reason):
         out = tmp_path / "ps"
         assert main(self.ARGS + ["--out", str(out)]) == 0
         csv = out / "phase_space.csv"
+        reason = reason.format(csv=csv)
         args = list(self.ARGS)
         if conflict == "malformed":
             csv.write_text("not a checkpoint\n")
+        elif conflict == "not-utf8":
+            lines = csv.read_bytes().split(b"\n")
+            lines[2] = b"\xfe" + lines[2]
+            csv.write_bytes(b"\n".join(lines))
         elif conflict == "metadata":
             args[args.index("--alpha") + 1] = "0.1"
         else:  # the second row's z is 20, where the grid now has 40
@@ -912,6 +919,97 @@ class TestSeriesReader:
         # every command shares, ``granger.require_length``.
         assert self._analyze_err(tmp_path, capsys, text) == message
 
+    @staticmethod
+    def _scan(path):
+        """What the line scan alone makes of a file: its columns or its message."""
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            try:
+                return cli._scan_series(path, fh)
+            except ValueError as exc:
+                return str(exc)
+
+    def _assert_reader_agrees(self, csv, body):
+        """The reader returns the scan's columns bit for bit, or raises its message."""
+        csv.write_bytes(("t,x,y,z\n" + body).encode("utf-8"))
+        want = self._scan(str(csv))
+        try:
+            got = cli._read_series_csv(str(csv))
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert [column.tobytes() for column in got] == [column.tobytes() for column in want]
+
+    ROWS = "".join(f"{t},{t + 0.5},{-2.0 * t},{t * t}\n" for t in range(12))
+
+    @pytest.mark.parametrize("body", [
+        "0,1,2,3\n\n1,4,5,6\n\n\n2,7,8,9\n" + ROWS,
+        "0,1,2,3\n   \n1,4,5,6\n\t\n" + ROWS,
+        ROWS.replace("\n", "\r\n"),
+        ROWS + "12,1#,2,3\n",
+        ROWS + "12,1_5,2,3\n",
+        ROWS + "12,\u0661\u0662,2,3\n",
+        ROWS + "noon,1,2,3\n",
+        ROWS.replace("\n", ",0\n"),
+        "",
+        ROWS + "12,nan,2,3\n",
+        ROWS + "12,1,-inf,3\n",
+        ROWS + "12,1,2,NaN\n",
+        ROWS + "inf,1,2,3\n",
+        ROWS + "12, +1.5e-3 ,-0,  7\n",
+    ], ids=["blank-lines", "whitespace-lines", "crlf", "hash-in-field", "underscore",
+            "arabic-indic", "non-numeric-t", "five-fields", "header-only", "nan-x", "inf-y",
+            "nan-z", "inf-t", "signs-and-spaces"])
+    def test_reader_agrees_with_the_scan(self, tmp_path, body):
+        self._assert_reader_agrees(tmp_path / "in.csv", body)
+
+    FIELDS = ["0", "-2.5", "+4e-2", "1e999", "-inf", "nan", "1_5", "\u0661", " ", "", "x", "#",
+              "0x10", ".5"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=2)
+                                       .map("".join), max_size=5).map(",".join),
+                              st.sampled_from(["\n", "\r\n", "\r"])).map("".join),
+                    max_size=8).map("".join))
+    def test_reader_agrees_with_the_scan_on_any_body(self, tmp_path_factory, body):
+        self._assert_reader_agrees(tmp_path_factory.mktemp("series") / "in.csv", body)
+
+    @pytest.mark.parametrize("field, value", [("1_5", 15.0), ("\u0661\u0662", 12.0)],
+                             ids=["underscore", "arabic-indic"])
+    def test_fields_float_accepts_are_read(self, tmp_path, field, value):
+        # numpy's reader refuses these; the scan parses them with float.
+        csv = tmp_path / "in.csv"
+        csv.write_text("t,x,y,z\n" + self.ROWS + f"12,{field},2,3\n", encoding="utf-8")
+        assert cli._read_series_csv(str(csv)).x[-1] == value
+
+    def test_generated_sample_skips_the_scan(self, tmp_path, monkeypatch):
+        csv = tmp_path / "sample.csv"
+        assert main(["generate", "--topology", "indirect", "--n", "200", "--noise", "intrinsic",
+                     "--params", "10,20,30", "--out", str(csv)]) == 0
+        want = self._scan(str(csv))
+
+        def no_scan(*args):
+            raise AssertionError("the line scan ran")
+
+        monkeypatch.setattr(cli, "_scan_series", no_scan)
+        got = cli._read_series_csv(str(csv))
+        assert [column.tobytes() for column in got] == [column.tobytes() for column in want]
+
+    @pytest.mark.parametrize("text, message", [
+        (b"t,x,y,z\n0,1,2,3\n1,\xff,2,3\n", "row 3: not UTF-8 text (byte 0xff)"),
+        (b"t,x,y,z\r\n0,1,2,3\r\n1,1,2,3\r\n2,1,2,\xe9\r\n",
+         "row 4: not UTF-8 text (byte 0xe9)"),
+        (b"t,x,y,z\n0,1,x,3\n" + b"1,1,2,3\n" * 5000 + b"2,1,2,3\xc3\n",
+         "row 5003: not UTF-8 text (byte 0xc3)"),
+        (b"t,x,\x80,z\n0,1,2,3\n", "row 1: not UTF-8 text (byte 0x80)"),
+    ], ids=["lf", "crlf", "after-a-fault", "header"])
+    def test_non_utf8_file_exits_2_and_names_the_row(self, tmp_path, capsys, text, message):
+        # A bad byte outranks any other fault, wherever it is in the file.
+        csv = tmp_path / "in.csv"
+        csv.write_bytes(text)
+        assert main(["analyze", "--input", str(csv)]) == 2
+        assert capsys.readouterr().err == f"{csv}: {message}\n"
+
 
 class TestShortSeries:
     """A sample length below 4 * lags + 1 leaves the full [z | y | x] lag
@@ -1079,6 +1177,15 @@ class TestRender:
         assert f"{path} has no complete rows" in err and len(err.splitlines()) == 1
         assert not ppm.exists()
 
+    def test_non_utf8_input_exits_2_and_names_it(self, tmp_path, capsys):
+        csv, ppm = tmp_path / "g.csv", tmp_path / "g.ppm"
+        self._phase_csv(csv, 0.5)
+        csv.write_bytes(csv.read_bytes().replace(b"driver", b"dr\xefver", 1))
+        assert main(["render", "--input", str(csv), "--axis", "z", "--value", "0",
+                     "--out", str(ppm)]) == 2
+        assert capsys.readouterr().err == f"{csv}: row 2: not UTF-8 text (byte 0xef)\n"
+        assert not ppm.exists()
+
     @pytest.mark.parametrize("target", ["missing.csv", "."])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, target):
         path = str(tmp_path / target)
@@ -1203,6 +1310,72 @@ class TestWorkerSetting:
                     == (tmp_path / "2" / name).read_bytes())
 
 
+class TestCommandParsers:
+    """``main`` builds only the named command's subparser; what it prints
+    for that command's arguments is what the parser of every command prints."""
+
+    COMMANDS = ["sweep-alpha", "sweep-n", "phase-space", "render", "analyze", "generate"]
+    #: A flag of each command given a value of the wrong type.
+    BAD_FLAG = {"sweep-alpha": "--iterations", "sweep-n": "--cases", "phase-space": "--n",
+                "render": "--scale", "analyze": "--lags", "generate": "--n"}
+    #: The flags each command requires.
+    REQUIRED = {"sweep-alpha": ["--topology", "driver", "--out", "o"],
+                "sweep-n": ["--topology", "driver", "--alpha", "0.1", "--sizes", "30",
+                            "--out", "o"],
+                "phase-space": ["--topology", "driver", "--noise", "intrinsic", "--out", "o"],
+                "render": ["--input", "i.csv", "--axis", "z", "--value", "0", "--out", "o"],
+                "analyze": ["--input", "i.csv"],
+                "generate": ["--topology", "driver", "--out", "o"]}
+
+    @staticmethod
+    def _exit(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, err = self._exit(capsys, main, ["--help"])
+        assert (code, err) == (0, "")
+        assert "{" + ",".join(self.COMMANDS) + "}" in out
+        for command in self.COMMANDS:
+            assert re.search(rf"^    {command} +\S", out, re.MULTILINE), command
+
+    def test_unknown_command_exits_2_and_names_every_command(self, capsys):
+        code, out, err = self._exit(capsys, main, ["analyse", "--input", "x.csv"])
+        choices = ", ".join(f"'{command}'" for command in self.COMMANDS)
+        assert (code, out) == (2, "")
+        assert err.endswith("granger-lab: error: argument command: invalid choice: "
+                            f"'analyse' (choose from {choices})\n")
+
+    def test_one_command_parser_registers_one_command(self):
+        [sub] = [action for action in cli.build_parser("render")._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["render"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("tail", ["help", "bad-value", "unknown-flag", "missing-flags"])
+    def test_output_matches_the_full_parser(self, capsys, command, tail):
+        argv = [command, *{"help": ["--help"], "bad-value": [self.BAD_FLAG[command], "x"],
+                           "unknown-flag": [*self.REQUIRED[command], "--no-such-flag"],
+                           "missing-flags": []}[tail]]
+        got = self._exit(capsys, main, argv)
+        assert got == self._exit(capsys, cli.build_parser().parse_args, argv)
+        code, _, err = got
+        if tail == "bad-value":  # printed with that command's usage line
+            assert code == 2 and err.startswith(f"usage: granger-lab {command} [-h]")
+            assert f"granger-lab {command}: error: argument {self.BAD_FLAG[command]}: " in err
+        elif tail == "unknown-flag":  # printed with the usage line of every command
+            assert code == 2 and err.startswith("usage: granger-lab [-h]")
+            assert "{" + ",".join(self.COMMANDS) + "}" in err
+            assert err.endswith("error: unrecognized arguments: --no-such-flag\n")
+
+    def test_replay_parses_with_every_command(self, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("argv=analyse --input x.csv\n")
+        code, _, err = self._exit(capsys, main, ["--from-manifest", str(manifest)])
+        assert code == 2 and "invalid choice: 'analyse'" in err
+
+
 class TestTopLevel:
     def test_no_command_exits_2(self):
         assert main([]) == 2
@@ -1226,6 +1399,12 @@ class TestTopLevel:
                             f"argv=generate --topology driver --n 70 --out {csv}\n")
         assert main(["--from-manifest", str(manifest)]) == 0
         assert len(csv.read_text().splitlines()) == 61
+
+    def test_non_utf8_manifest_exits_2_and_names_it(self, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(b"seed=1\nargv=generate --out \xff.csv\n")
+        assert main(["--from-manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == f"{manifest}: row 2: not UTF-8 text (byte 0xff)\n"
 
     def test_manifest_with_unbalanced_quote_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "m.txt"
