@@ -6,9 +6,10 @@ Each command raises on failure, and ``main`` alone maps the failure to an
 exit code: 0 success, 2 invalid flags or malformed input (a sample length
 below 4 * lags + 1 among them, refused before any sample is drawn), 3
 runtime failure, 4 resume-file conflict. ``phase-space`` has
-``experiments.phase_rows`` check all of its flags before it compares,
-truncates or appends to a checkpoint, so a bad flag exits 2 and leaves the
-checkpoint as it was. ``GRANGER_LAB_THREADS`` sets the worker count when
+``experiments.phase_rows`` check all of its flags, and every SNR on its
+axes, before it compares, truncates or appends to a checkpoint, so a bad
+flag or an SNR whose noise std overflows exits 2 and leaves the checkpoint
+as it was. ``GRANGER_LAB_THREADS`` sets the worker count when
 ``--workers`` is absent. ``main`` removes an experiment's old manifest
 before it runs and writes a flat key=value manifest next to its outputs
 once it succeeds; ``granger-lab --from-manifest FILE`` re-runs its
@@ -523,10 +524,8 @@ def cmd_generate(args) -> None:
                              ar_coefficient=args.ar, noise_kind=NoiseKind(args.noise),
                              sigmas_or_snrs=(a, b, c), burn_in=args.burn_in)
     sample = generate(config, args.seed)
-    lines = ["t,x,y,z"]
-    for t, (x, y, z) in enumerate(zip(*sample)):
-        lines.append(",".join([str(t), fmt(x), fmt(y), fmt(z)]))
-    _write_lines(args.out, lines)
+    rows = enumerate(zip(*(series.tolist() for series in sample)))
+    _write_lines(args.out, ["t,x,y,z", *(f"{t},{x!r},{y!r},{z!r}" for t, (x, y, z) in rows)])
     print(f"wrote {args.out}")
 
 

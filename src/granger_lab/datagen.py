@@ -225,14 +225,14 @@ def resolve_sigmas(config: GeneratorConfig) -> tuple[float, float, float]:
         if not all(math.isfinite(v) and v >= 0.0 for v in config.sigmas_or_snrs):
             raise ValueError("noise standard deviations must be finite and >= 0")
         return config.sigmas_or_snrs
+    return tuple(sigma for [sigma] in axis_sigmas(config, [[snr] for snr in config.sigmas_or_snrs]))
+
+
+def axis_sigmas(config: GeneratorConfig, axes: Sequence[Sequence[float]]) -> list[list[float]]:
+    """The X, Y and Z SNR ``axes`` as noise stds of ``config``'s backbone, one
+    per value: their product is ``resolve_sigmas`` of the axes' product, in order."""
     variances = _calibration_variances(config.topology, config.ar_coefficient)
-    return tuple(snr_to_sigma(snr, var) for snr, var in zip(config.sigmas_or_snrs, variances))
-
-
-def noise_levels(configs: Iterable[GeneratorConfig]) -> np.ndarray:
-    """Each config's ``resolve_sigmas`` as a row of a (configs, 3) array:
-    the ``levels`` rows of ``generate_chunks``."""
-    return np.array([resolve_sigmas(config) for config in configs])
+    return [[snr_to_sigma(snr, var) for snr in axis] for axis, var in zip(axes, variances)]
 
 
 def generate(config: GeneratorConfig, seed: int = 0) -> TrivariateSample:
@@ -253,7 +253,7 @@ def generate_chunks(config: GeneratorConfig, states: Iterable[np.ndarray],
     arrays.
 
     ``levels`` holds resolved (sigma_x, sigma_y, sigma_z) rows
-    (``noise_levels``), one per state or one for every state: by default
+    (``resolve_sigmas``), one per state or one for every state: by default
     ``config``'s own. Only the noise levels vary along a stream: row r
     equals ``generate(config_r, seed_r)`` bit for bit when state r is a row
     of ``generator_states`` for seed_r and its levels resolve config_r, a
@@ -262,7 +262,7 @@ def generate_chunks(config: GeneratorConfig, states: Iterable[np.ndarray],
     whatever the stream's length.
     """
     if levels is None:
-        levels = noise_levels([config])
+        levels = np.array([resolve_sigmas(config)])
     states = iter(states)
     rows = chunk_rows(config)
     done = 0

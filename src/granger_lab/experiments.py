@@ -4,48 +4,51 @@ SNR phase spaces.
 Determinism contract: every iteration draws its generator seed from
 (master seed, stream key..., iteration index) through a seed sequence, so
 results are bit-identical however the work is partitioned across workers.
-A command's iterations are cut once into runs of consecutive iterations,
-and each run's seeds and generator states are derived in bulk
-(``seeding``). Rates are exact count/iterations fractions.
+A command's iterations are cut into runs of consecutive iterations, and
+each run's seeds and generator states are derived in bulk (``seeding``).
+Rates are exact count/iterations fractions.
 
-Each sample's edges come from ``granger.block_pvalues`` and
+A cell is one (shape config, noise levels, stream key) record. Each
+sample's edges come from ``granger.block_pvalues`` and
 ``granger.decide_edge_array``, the same path ``analyze`` takes, and a cell
 counts how often each edge was accepted. A run's consecutive cells that
-differ only in their noise levels, such as a phase space's, are generated
-and scored as one block, each sample with its own cell's levels, and the
-block's edges and rank-deficient samples are summed back per cell, so a
-cell's counts do not depend on its neighbours. ``_estimate_from_counts`` alone
-turns those counts into rates against the true topology: with driver
-truth, spurious means the Y->Z link was accepted and unidentified means
-X->Z was rejected; with indirect truth the roles of the two links swap.
+share a shape config, such as a phase space's, are generated and scored as
+one block, each sample with its own cell's levels, and the block's edges
+and rank-deficient samples are summed back per cell, so a cell's counts do
+not depend on its neighbours. ``_estimate_from_counts`` alone turns those
+counts into rates against the true topology: with driver truth, spurious
+means the Y->Z link was accepted and unidentified means X->Z was rejected;
+with indirect truth the roles of the two links swap.
 
 A phase space is a stream of rows, one per cell in grid order
 (``phase_rows``); ``PhaseGrid.from_rows`` places them on the axes, and a
 checkpointed run resumes by starting the stream after the rows it has.
 
-Iteration, case and worker counts must be positive integers, and
-``require_positive`` checks each of them before any sample is drawn;
-``_cell_counts`` checks every cell's sample length against the lag depth
-(``granger.require_length``) before it cuts runs or starts a pool. The
-sweeps and phase spaces use ``granger.LAGS`` lags.
+Before any sample is drawn, ``require_positive`` checks that iteration,
+case and worker counts are positive integers, and every entry point
+resolves its cells' noise levels once (a phase space each axis value's
+SNR, ``datagen.axis_sigmas``), so an SNR whose noise std overflows is
+refused. ``_cell_counts`` checks every cell's sample length against the lag
+depth (``granger.require_length``) before it cuts runs or starts a pool.
+The sweeps and phase spaces use ``granger.LAGS`` lags.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field, replace
-from itertools import combinations, groupby, product
-from operator import attrgetter
+from dataclasses import dataclass, field
+from itertools import combinations, groupby, islice, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import FORWARD_LINKS, Link, TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
-from .datagen import GeneratorConfig, NoiseKind, generate_chunks, noise_levels
+from .datagen import GeneratorConfig, NoiseKind, axis_sigmas, generate_chunks, resolve_sigmas
 from .granger import (LAGS, GrangerConfig, block_pvalues, decide_edge_array, require_length,
                       require_significance)
 from .seeding import derive_seeds, generator_states
@@ -58,7 +61,6 @@ PHASE_RATES = {"spurious_rate": "spurious", "unidentified_rate": "unidentified",
 
 #: Iterations of one run (one seed derivation, one pool task), at most.
 RUN_ITERATIONS = 1000
-
 
 class DegenerateConfiguration(RuntimeError):
     """More than 1% of iterations hit rank-deficient designs."""
@@ -180,27 +182,25 @@ def _worker_count(workers: Optional[int], jobs: int) -> int:
     return max(1, workers)
 
 
-def _count_block(gens: Sequence[GeneratorConfig], sizes: Sequence[int], lags: int,
-                 criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
+def _count_block(gen: GeneratorConfig, levels: Sequence[Sequence[float]], sizes: Sequence[int],
+                 lags: int, criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
                  states: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """(accepted-edge counts, rank-deficient count) of each of ``gens``'
-    cells, which differ only in their noise levels. Cell c owns the next
-    ``sizes[c]`` rows of ``states``. Counts are (criterion, level, link) in
+    """(accepted-edge counts, rank-deficient count) of each cell of shape
+    ``gen``: cell c has the noise levels ``levels[c]`` and owns the next
+    ``sizes[c]`` rows of ``states``. Counts are (criterion, alpha, link), in
     ``FORWARD_LINKS`` order. The cells' samples are generated and scored as
-    one stream of chunks, each decided for every level at once and summed
+    one stream of chunks, each decided for every alpha at once and summed
     back per cell over the chunk's cell boundaries."""
-    cells = len(gens)
-    levels = noise_levels(gens)
+    cells = len(sizes)
     # A row per state. A lone cell keeps its one row, which is broadcast:
     # scaling normals by a (rows, 1) column costs about 3x one value's.
-    if cells > 1:
-        levels = np.repeat(levels, sizes, axis=0)
+    levels = np.repeat(levels, sizes, axis=0) if cells > 1 else np.array(levels)
     first_rows = np.cumsum(sizes) - sizes
     edges = np.zeros((cells, len(criteria), len(alphas), len(FORWARD_LINKS)), dtype=np.int64)
     rank_deficient = np.zeros(cells, dtype=np.int64)
     alpha_levels = np.array(alphas)
     done = 0
-    for xs, ys, zs in generate_chunks(gens[0], states, levels):
+    for xs, ys, zs in generate_chunks(gen, states, levels):
         pvalues, _ = block_pvalues(xs, ys, zs, lags, criteria)
         # The cells of the chunk's first and last rows, and where each starts.
         first, last = np.searchsorted(first_rows, (done, done + len(pvalues) - 1), "right") - 1
@@ -214,69 +214,70 @@ def _count_block(gens: Sequence[GeneratorConfig], sizes: Sequence[int], lags: in
 
 
 def _cut_runs(cells: Sequence[object], iterations: int, size: int
-              ) -> list[list[tuple[object, int, int]]]:
+              ) -> Iterator[list[tuple[object, int, int]]]:
     """The cells' iterations, cell after cell, cut into runs of ``size``
-    (the last may have fewer). Run k covers the global iterations
-    [k * size, (k + 1) * size), as (cell, start, stop) segments."""
+    (the last may have fewer), one at a time. Run k covers the global
+    iterations [k * size, (k + 1) * size), as (cell, start, stop) segments."""
     total = len(cells) * iterations
-    bounds = [(a, min(a + size, total)) for a in range(0, total, max(size, 1))]
-    return [[(cells[c], max(a - c * iterations, 0), min(b - c * iterations, iterations))
-             for c in range(a // iterations, (b - 1) // iterations + 1)]
-            for a, b in bounds]
-
-
-#: The fields of a ``GeneratorConfig`` other than its noise levels: run
-#: segments that agree on them are generated and scored as one block.
-_shape = attrgetter("topology", "length", "ar_coefficient", "noise_kind", "burn_in")
+    for a in range(0, total, max(size, 1)):
+        b = min(a + size, total)
+        yield [(cells[c], max(a - c * iterations, 0), min(b - c * iterations, iterations))
+               for c in range(a // iterations, (b - 1) // iterations + 1)]
 
 
 def _count_run(run: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
                alphas: tuple[float, ...], master_seed: int
                ) -> list[tuple[np.ndarray, int]]:
-    """Pool task: (counts, rank_deficient) of every ((generator config,
-    stream key), start, stop) segment of a run, in order, from one seed
-    derivation. Consecutive segments whose configs differ only in their
-    noise levels, such as a phase space's cells, share one ``_count_block``
-    call."""
+    """Pool task: (counts, rank_deficient) of every (cell, start, stop)
+    segment of a run, in order, from one seed derivation. Consecutive cells
+    with the same shape config share one ``_count_block`` call."""
     states = generator_states(derive_seeds(
-        [((master_seed, *key), start, stop) for (_, key), start, stop in run]))
+        [((master_seed, *key), start, stop) for (_, _, key), start, stop in run]))
     results, done = [], 0
-    for _, group in groupby(run, key=lambda segment: _shape(segment[0][0])):
-        gens, sizes = zip(*((gen, stop - start) for (gen, _), start, stop in group))
-        results += _count_block(gens, sizes, lags, criteria, alphas,
+    for gen, group in groupby(run, key=lambda segment: segment[0][0]):
+        levels, sizes = zip(*((row, stop - start) for (_, row, _), start, stop in group))
+        results += _count_block(gen, levels, sizes, lags, criteria, alphas,
                                 states[done:done + sum(sizes)])
         done += sum(sizes)
     return results
 
 
-def _cell_counts(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]], lags: int,
-                 criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
-                 iterations: int, master_seed: int, workers: Optional[int] = None
-                 ) -> Iterator[tuple[np.ndarray, int]]:
-    """Yield (counts, rank_deficient) per (generator config, stream key)
-    cell, in cell order.
+def _ahead(items: Iterator, ahead: int) -> Iterator:
+    """``items`` in order, each yielded once ``ahead`` more have been taken."""
+    queue = deque(islice(items, ahead))
+    for item in items:
+        queue.append(item)
+        yield queue.popleft()
+    yield from queue
 
-    The cells' iterations are cut into runs once, in order; a run may split
-    a cell. A run is one seed derivation and, with a pool, one task. Inline
-    runs have ``RUN_ITERATIONS`` iterations; one pool gets about four runs a
-    worker, capped at that. On any failure the queued runs are cancelled.
+
+def _cell_counts(cells: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
+                 alphas: tuple[float, ...], iterations: int, master_seed: int,
+                 workers: Optional[int] = None) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield (counts, rank_deficient) per cell, in cell order.
+
+    The cells' iterations are cut into runs as they are read, in order; a
+    run may split a cell. A run is one seed derivation and, with a pool, one
+    task. Inline runs have ``RUN_ITERATIONS`` iterations; one pool gets about
+    four runs a worker, capped at that, and at most two runs a worker beyond
+    the one being read. On any failure the queued runs are cancelled.
     """
-    for gen, _ in cells:
+    for gen, _, _ in cells:
         require_length(gen.length, lags)
     total = len(cells) * iterations
     n_workers = _worker_count(workers, total // 2)  # two iterations or more each
     size = min(RUN_ITERATIONS, total if n_workers == 1 else math.ceil(total / (4 * n_workers)))
     runs = _cut_runs(cells, iterations, size)
     args = (lags, criteria, alphas, master_seed)
-    results = (_count_run(run, *args) for run in runs)
+    results = ((run, _count_run(run, *args)) for run in runs)
     pool = None
     try:
         if n_workers > 1:
             pool = ProcessPoolExecutor(max_workers=n_workers)
-            futures = [pool.submit(_count_run, run, *args) for run in runs]
-            results = (future.result() for future in futures)
+            futures = ((run, pool.submit(_count_run, run, *args)) for run in runs)
+            results = ((run, future.result()) for run, future in _ahead(futures, 2 * n_workers))
         counts = rank_deficient = 0
-        for run, run_results in zip(runs, results):
+        for run, run_results in results:
             for (_, _, stop), (block, block_rd) in zip(run, run_results):
                 counts, rank_deficient = counts + block, rank_deficient + block_rd
                 if stop == iterations:
@@ -311,10 +312,9 @@ def estimate_rates(gen_config: GeneratorConfig, granger_config: GrangerConfig,
                    workers: Optional[int] = None) -> RateEstimate:
     """Monte Carlo spurious/unidentified rates for one configuration."""
     iterations = require_positive("iterations", iterations)
-    [(counts, rd)] = _cell_counts([(gen_config, ())], granger_config.lags,
-                                  (granger_config.criterion,),
-                                  (granger_config.significance,),
-                                  iterations, master_seed, workers)
+    cell = (gen_config, resolve_sigmas(gen_config), ())
+    [(counts, rd)] = _cell_counts([cell], granger_config.lags, (granger_config.criterion,),
+                                  (granger_config.significance,), iterations, master_seed, workers)
     return _estimate_from_counts(counts[0, 0], gen_config.topology, iterations, rd)
 
 
@@ -334,8 +334,8 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     if not alphas:
         raise ValueError("significance grid must be non-empty")
     gen = GeneratorConfig(topology=topology, length=n_points)
-    [(counts, rd)] = _cell_counts([(gen, ())], LAGS, tuple(criteria), alphas, iterations,
-                                  seed, workers)
+    [(counts, rd)] = _cell_counts([(gen, resolve_sigmas(gen), ())], LAGS, tuple(criteria),
+                                  alphas, iterations, seed, workers)
     rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], topology, iterations, rd)
                          for ai in range(len(alphas)))
              for ci, crit in enumerate(criteria)}
@@ -357,7 +357,8 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
     criteria = tuple(criteria)
-    cells = [(GeneratorConfig(topology=topology, length=n), (n,)) for n in sizes]
+    gens = [GeneratorConfig(topology=topology, length=n) for n in sizes]
+    cells = [(gen, resolve_sigmas(gen), (gen.length,)) for gen in gens]
     with closing(_cell_counts(cells, LAGS, criteria, (alpha,), cases, seed,
                               workers)) as results:
         per_size = [{crit: _estimate_from_counts(counts[ci, 0], topology, cases, rd)
@@ -380,8 +381,8 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
     ``PHASE_RATES`` to its rates. Cells before ``start`` are not computed,
     so a run resumes from a grid-order prefix of its rows. Every argument
     is checked here, when the stream is made, even if no cell is left to
-    compute; nothing is drawn and no pool starts until the first row is
-    read.
+    compute, and so is every SNR on the axes. Nothing is drawn and no pool
+    starts until the first row is read.
     """
     iterations = require_positive("iterations", iterations)
     require_significance(alpha)
@@ -391,21 +392,20 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
     axes = require_distinct_axes(grids)
     shape = GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind)
     require_length(n, LAGS)
-    cells = [(replace(shape, sigmas_or_snrs=snrs), (index,))
-             for index, snrs in list(enumerate(product(*axes)))[start:]]
-    return _phase_stream(cells, topology, criterion, alpha, iterations, seed, workers)
+    cells = [(shape, row, (i,)) for i, row in enumerate(product(*axis_sigmas(shape, axes)))]
+    return _phase_stream(cells[start:], islice(product(*axes), start, None), criterion, alpha,
+                         iterations, seed, workers)
 
 
-def _phase_stream(cells: Sequence[tuple[GeneratorConfig, tuple[int, ...]]],
-                  topology: TopologyKind, criterion: Criterion, alpha: float,
-                  iterations: int, seed: int, workers: Optional[int]
-                  ) -> Iterator[dict[str, float]]:
-    """The rows of ``phase_rows``' checked cells, one per completed cell."""
+def _phase_stream(cells: Sequence[tuple], triples: Iterable[tuple[float, ...]],
+                  criterion: Criterion, alpha: float, iterations: int, seed: int,
+                  workers: Optional[int]) -> Iterator[dict[str, float]]:
+    """The rows of ``phase_rows``' checked cells with SNR ``triples``, one a completed cell."""
     with closing(_cell_counts(cells, LAGS, (criterion,), (alpha,), iterations,
                               seed, workers)) as results:
-        for (gen, _), (counts, rd) in zip(cells, results):
-            est = _estimate_from_counts(counts[0, 0], topology, iterations, rd)
-            yield dict(zip(SNR_KEYS, gen.sigmas_or_snrs), spurious_rate=est.spurious_rate,
+        for (gen, _, _), snrs, (counts, rd) in zip(cells, triples, results):
+            est = _estimate_from_counts(counts[0, 0], gen.topology, iterations, rd)
+            yield dict(zip(SNR_KEYS, snrs), spurious_rate=est.spurious_rate,
                        unidentified_rate=est.unidentified_rate,
                        rate_xz=est.per_link_rates["x->z"],
                        rate_yz=est.per_link_rates["y->z"])

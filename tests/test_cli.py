@@ -18,7 +18,7 @@ from granger_lab.cli import (MAX_GRID_VALUES, PHASE_HEADER, fmt, load_phase_csv,
                              parse_criteria, parse_grid)
 from granger_lab.core import FORWARD_LINKS, TopologyKind
 from granger_lab.criteria import Criterion
-from granger_lab.datagen import GeneratorConfig
+from granger_lab.datagen import GeneratorConfig, resolve_sigmas
 from granger_lab.experiments import _count_run
 from granger_lab.seeding import derive_seeds
 from granger_lab.ppm import rate_to_rgb, read_ppm, render_plane, rgb_to_rate, write_ppm
@@ -234,7 +234,8 @@ class TestGenerateAnalyze:
                          "--json"]) == 0
             report = json.loads(capsys.readouterr().out)
             [(counts, rank_deficient)] = _count_run(
-                [((gen, ()), i, i + 1)], 2, (Criterion(criterion),), (0.05,), master)
+                [((gen, resolve_sigmas(gen), ()), i, i + 1)], 2, (Criterion(criterion),),
+                (0.05,), master)
             assert rank_deficient == 0
             assert sorted(report["edges"]) == sorted(
                 link.value for link, on in zip(FORWARD_LINKS, counts[0, 0]) if on)
@@ -661,6 +662,37 @@ class TestPhaseSpaceCommand:
         assert "-4000.0 dB" in err and len(err.splitlines()) == 1
         assert not (out / "phase_space.csv").exists()
 
+    OVERFLOW = ["phase-space", "--topology", "driver", "--noise", "intrinsic", "--n", "50",
+                "--iterations", "4", "--grid=0"]
+
+    def test_overflowing_snr_on_resume_leaves_the_checkpoint_alone(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # A run per cell: had (0, 0, -4000)'s level been resolved only when
+        # its cell is generated, the row of (0, 0, 10) would be appended
+        # first.
+        monkeypatch.setattr(experiments, "RUN_ITERATIONS", 4)
+        out = tmp_path / "ps"
+        assert main(self.OVERFLOW + ["--workers", "1", "--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        one_row = csv.read_bytes()
+        capsys.readouterr()
+        assert main(self.OVERFLOW + ["--grid-z=0,10,-4000", "--workers", "1", "--resume",
+                                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("an SNR of -4000.0 dB needs a noise std beyond "
+                                           "the float range\n")
+        assert csv.read_bytes() == one_row
+
+    def test_overflowing_snr_later_in_the_grid_starts_no_pool(self, tmp_path, capsys,
+                                                               monkeypatch, pool):
+        monkeypatch.setattr(experiments, "RUN_ITERATIONS", 4)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        out = tmp_path / "ps"
+        assert main(self.OVERFLOW + ["--grid-z=0,10,-4000", "--workers", "2",
+                                     "--out", str(out)]) == 2
+        assert "-4000.0 dB" in capsys.readouterr().err
+        assert pool.sizes == [] and pool.submits == []
+        assert not (out / "phase_space.csv").exists()
+
     def test_failed_run_keeps_the_previous_csv(self, tmp_path):
         out = tmp_path / "ps"
         assert main(self.ARGS + ["--out", str(out)]) == 0
@@ -851,10 +883,10 @@ class TestPhaseSpaceCommand:
         snrs = (160.0, 190.0, 200.0)
         for topology, counts in ((TopologyKind.DRIVER, [0, 0, 27]),
                                  (TopologyKind.INDIRECT, [0, 0, 40])):
-            cells = [(GeneratorConfig(topology=topology, length=300,
-                                      noise_kind=datagen.NoiseKind.INTRINSIC_SNR,
-                                      sigmas_or_snrs=(snr,) * 3), (i,))
-                     for i, snr in enumerate(snrs)]
+            gens = [GeneratorConfig(topology=topology, length=300,
+                                    noise_kind=datagen.NoiseKind.INTRINSIC_SNR,
+                                    sigmas_or_snrs=(snr,) * 3) for snr in snrs]
+            cells = [(gen, resolve_sigmas(gen), (i,)) for i, gen in enumerate(gens)]
             got = experiments._cell_counts(cells, 2, (Criterion.WALD,), (0.05,), 40, 0, 1)
             assert [rank_deficient for _, rank_deficient in got] == counts
 
@@ -1097,7 +1129,8 @@ class TestBenchmarkHooks:
         calls = self._count_kernel_calls(monkeypatch)
         k = 7
         gen = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
-        [(_, rank_deficient)] = _count_run([((gen, ()), 0, k)], 2, criteria, (0.05,), 3)
+        [(_, rank_deficient)] = _count_run([((gen, resolve_sigmas(gen), ()), 0, k)], 2,
+                                           criteria, (0.05,), 3)
         assert rank_deficient == 0
         assert calls == {"nested_rss": 3 * k, "statistic_from_rss": 5 * len(criteria) * k}
 

@@ -2,6 +2,7 @@ import functools
 import math
 import re
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from granger_lab import datagen
 from granger_lab.datagen import (BASELINE_SIGMAS, MAX_SAMPLE_VALUES, GenerationError,
                                  GeneratorConfig, NoiseKind, TrivariateSample, _ar_filter,
                                  _bidiagonal_band, _calibration_variances, _raw_draws,
-                                 chunk_rows, generate, generate_chunks, noise_levels,
+                                 axis_sigmas, chunk_rows, generate, generate_chunks,
                                  resolve_sigmas, snr_to_sigma)
 from granger_lab.seeding import generator_states
 
@@ -312,6 +313,20 @@ class TestIntrinsic:
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.z, b.z)
 
+    @pytest.mark.parametrize("kind", [NoiseKind.INTRINSIC_SNR, NoiseKind.EXTRINSIC_SNR])
+    @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
+    def test_axis_sigmas_resolve_every_triple_of_the_grid(self, topology, kind):
+        shape = GeneratorConfig(topology=topology, length=60, noise_kind=kind, ar_coefficient=0.4)
+        axes = ((-40.0, 0.0, 12.5), (3.0, -7.0), (40.0, 0.0, -20.0, 5.0))
+        levels = list(product(*axis_sigmas(shape, axes)))
+        assert levels == [resolve_sigmas(replace(shape, sigmas_or_snrs=snrs))
+                          for snrs in product(*axes)]
+
+    def test_axis_sigmas_name_an_overflowing_snr_anywhere_on_an_axis(self):
+        shape = GeneratorConfig(noise_kind=NoiseKind.INTRINSIC_SNR)
+        with pytest.raises(ValueError, match=r"^an SNR of -4000\.0 dB "):
+            axis_sigmas(shape, ((0.0,), (0.0,), (0.0, 10.0, -4000.0)))
+
     def test_noise_propagates_downstream(self):
         # intrinsic noise on X must change Y; extrinsic noise on X must not
         base = GeneratorConfig(topology=TopologyKind.DRIVER, length=100,
@@ -444,7 +459,7 @@ class TestGenerateChunks:
         configs = [GeneratorConfig(topology=topology, length=80, noise_kind=kind,
                                    sigmas_or_snrs=snrs) for snrs in triples]
         seeds = [31 * i + 2 for i in range(len(configs))]
-        levels = noise_levels(configs)
+        levels = np.array([resolve_sigmas(cfg) for cfg in configs])
         [chunk] = generate_chunks(configs[0], generator_states(np.array(seeds, np.uint64)),
                                   levels)
         for cfg, seed, x, y, z in zip(configs, seeds, *chunk, strict=True):

@@ -1,5 +1,6 @@
 import re
 from contextlib import closing
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, strategies as st
 from granger_lab import datagen, experiments, granger
 from granger_lab.core import FORWARD_LINKS, Link, TopologyKind
 from granger_lab.criteria import Criterion, statistic_from_rss
-from granger_lab.datagen import GenerationError, GeneratorConfig, NoiseKind, generate
+from granger_lab.datagen import (GenerationError, GeneratorConfig, NoiseKind, axis_sigmas,
+                                 generate, resolve_sigmas)
 from granger_lab.experiments import (SNR_KEYS, DegenerateConfiguration, OffGrid, PhaseGrid,
                                      estimate_rates, extract_plane, phase_rows, phase_space,
                                      snr_grid, sweep_sample_size, sweep_significance)
@@ -145,7 +147,7 @@ class TestEstimateFromCounts:
 class TestCutRuns:
     @given(cells=st.integers(0, 6), iterations=st.integers(1, 12), size=st.integers(1, 40))
     def test_every_iteration_once_in_runs_of_size(self, cells, iterations, size):
-        runs = experiments._cut_runs(list(range(cells)), iterations, size)
+        runs = list(experiments._cut_runs(list(range(cells)), iterations, size))
         assert [(c, i) for run in runs for c, a, b in run for i in range(a, b)] == [
             (c, i) for c in range(cells) for i in range(iterations)]
         lengths = [sum(b - a for _, a, b in run) for run in runs]
@@ -154,7 +156,13 @@ class TestCutRuns:
             assert len({c for c, _, _ in run}) == len(run)
 
     def test_no_cells_no_runs(self):
-        assert experiments._cut_runs([], 5, 0) == []
+        assert list(experiments._cut_runs([], 5, 0)) == []
+
+    def test_runs_are_cut_as_they_are_read(self):
+        # 2 * 10**9 runs in all: the first one comes without the others.
+        runs = experiments._cut_runs(["a", "b"], 10**12, 1000)
+        assert next(runs) == [("a", 0, 1000)]
+        assert next(runs) == [("a", 1000, 2000)]
 
 
 class TestCountChecks:
@@ -228,35 +236,37 @@ class TestCountBlock:
         criteria, alphas = (Criterion.LR, Criterion.RAO), (0.05, 0.2, 0.5)
         monkeypatch.setattr(datagen, "CHUNK_VALUES", 7 * (60 + gen.burn_in))
         [(counts, rank_deficient)] = experiments._count_run(
-            [((gen, ()), 0, 30)], 2, criteria, alphas, 4)
+            [((gen, resolve_sigmas(gen), ()), 0, 30)], 2, criteria, alphas, 4)
         assert rank_deficient == 0
         np.testing.assert_array_equal(counts, _loop_counts(gen, criteria, alphas, 4, 30))
 
 
     def test_a_run_scores_each_cell_as_it_would_alone(self, monkeypatch):
-        # Cells that differ only in their noise levels share one block, cut
-        # into chunks of 5 rows: the first cell ends on a chunk's edge, the
-        # next ones inside chunks. The block splits where the noise kind or
-        # the length changes.
+        # Cells that share one shape config share one block, cut into
+        # chunks of 5 rows: the first cell ends on a chunk's edge, the next
+        # ones inside chunks. The block splits where the noise kind or the
+        # length changes.
         monkeypatch.setattr(datagen, "CHUNK_VALUES", 5 * (60 + 100))
-        intrinsic = dict(topology=TopologyKind.INDIRECT, noise_kind=NoiseKind.INTRINSIC_SNR)
-        gens = [_gen(length=60, sigmas_or_snrs=(0.0,) * 3, **intrinsic),
-                _gen(length=60, sigmas_or_snrs=(200.0,) * 3, **intrinsic),
-                _gen(length=60, sigmas_or_snrs=(0.0,) * 3, **intrinsic),
-                _gen(length=60, topology=TopologyKind.INDIRECT,
-                     noise_kind=NoiseKind.EXTRINSIC_SNR),
-                _gen(length=80, sigmas_or_snrs=(0.0,) * 3, **intrinsic)]
-        run = [((gen, (key,)), 2 if key == 0 else 0, 12) for key, gen in enumerate(gens)]
+        shape = _gen(length=60, topology=TopologyKind.INDIRECT,
+                     noise_kind=NoiseKind.INTRINSIC_SNR)
+        gens = [replace(shape, sigmas_or_snrs=(0.0,) * 3),
+                replace(shape, sigmas_or_snrs=(200.0,) * 3),
+                replace(shape, sigmas_or_snrs=(0.0,) * 3),
+                replace(shape, noise_kind=NoiseKind.EXTRINSIC_SNR),
+                replace(shape, length=80, sigmas_or_snrs=(0.0,) * 3)]
+        shapes, levels = [shape] * 3 + gens[3:], [resolve_sigmas(gen) for gen in gens]
+        run = [((shapes[key], levels[key], (key,)), 2 if key == 0 else 0, 12)
+               for key in range(len(gens))]
         criteria, alphas = (Criterion.LR, Criterion.WALD), (0.05, 0.3)
         groups, count_block = [], experiments._count_block
 
-        def spy(block_gens, *args):
-            groups.append(list(block_gens))
-            return count_block(block_gens, *args)
+        def spy(gen, block_levels, *args):
+            groups.append((gen, list(block_levels)))
+            return count_block(gen, block_levels, *args)
 
         monkeypatch.setattr(experiments, "_count_block", spy)
         got = experiments._count_run(run, 2, criteria, alphas, 8)
-        assert groups == [gens[:3], gens[3:4], gens[4:]]
+        assert groups == [(shape, levels[:3]), (gens[3], levels[3:4]), (gens[4], levels[4:])]
         alone = [experiments._count_run([segment], 2, criteria, alphas, 8)[0]
                  for segment in run]
         assert [rd for _, rd in got] == [rd for _, rd in alone]
@@ -310,6 +320,9 @@ class TestWorkerCount:
 
 
 GRID3 = ((-20.0, 0.0, 20.0),) * 3
+#: The shape config that ``phase_rows`` gives every cell of ``_phase``.
+_GRID3_SHAPE = GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
+                               noise_kind=NoiseKind.INTRINSIC_SNR)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -334,13 +347,14 @@ def _rows(workers, start=0):
 
 
 def _runs(pool):
-    """The runs submitted to the pool: lists of ((config, key), start, stop)."""
+    """The runs submitted to the pool: lists of ((shape config, levels,
+    key), start, stop)."""
     return [run for run, *_ in pool.submits]
 
 
 def _submitted(pool):
     """(stream key, iteration) of every iteration sent to the pool, in order."""
-    return [(key, i) for run in _runs(pool) for (_, key), start, stop in run
+    return [(key, i) for run in _runs(pool) for (_, _, key), start, stop in run
             for i in range(start, stop)]
 
 
@@ -377,17 +391,26 @@ class TestSchedule:
         np.testing.assert_array_equal(resumed.spurious, full.spurious)
         np.testing.assert_array_equal(resumed.rate_yz, full.rate_yz)
 
+    def test_pool_has_at_most_two_runs_a_worker_ahead(self, pool, monkeypatch):
+        # A run per cell: when the row of run k is read, runs k + 1 to k + 4
+        # have been submitted and no further ones.
+        monkeypatch.setattr(experiments, "RUN_ITERATIONS", 2)
+        submitted = [len(pool.submits) for _ in _rows(workers=2)]
+        assert pool.sizes == [2]
+        assert submitted == [min(k + 4, 27) for k in range(1, 28)]
+
     def test_nothing_left_starts_no_pool(self, pool):
         assert list(_rows(workers=2, start=27)) == []
         assert pool.sizes == [] and pool.submits == []
 
     def test_failure_cancels_queued_runs(self, pool, monkeypatch):
-        count_block, bad_snrs = experiments._count_block, list(product(*GRID3))[5]
+        count_block = experiments._count_block
+        bad_levels = list(product(*axis_sigmas(_GRID3_SHAPE, GRID3)))[5]
 
-        def failing(gens, *args):
-            if any(gen.sigmas_or_snrs == bad_snrs for gen in gens):
+        def failing(gen, levels, *args):
+            if bad_levels in levels:
                 raise GenerationError("generated values exceeded the magnitude bound")
-            return count_block(gens, *args)
+            return count_block(gen, levels, *args)
 
         monkeypatch.setattr(experiments, "_count_block", failing)
         rows = []
@@ -399,8 +422,8 @@ class TestSchedule:
         # were still delivered.
         runs = _runs(pool)
         failed = next(r for r, run in enumerate(runs)
-                      if any(key == (5,) for (_, key), _, _ in run))
-        finished = [key for run in runs[:failed] for (_, key), _, stop in run if stop == 2]
+                      if any(key == (5,) for (_, _, key), _, _ in run))
+        finished = [key for run in runs[:failed] for (_, _, key), _, stop in run if stop == 2]
         assert 0 < len(rows) == len(finished) < 5
 
     def test_failure_in_caller_cancels_queued_runs(self, pool):
@@ -412,10 +435,8 @@ class TestSchedule:
 
 def _grid_counts(iterations, workers):
     """``_cell_counts`` over the phase-space cells of GRID3."""
-    cells = [(GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
-                              noise_kind=NoiseKind.INTRINSIC_SNR, sigmas_or_snrs=snrs),
-              (cell,))
-             for cell, snrs in enumerate(product(*GRID3))]
+    cells = [(_GRID3_SHAPE, levels, (cell,))
+             for cell, levels in enumerate(product(*axis_sigmas(_GRID3_SHAPE, GRID3)))]
     return list(experiments._cell_counts(cells, 2, (Criterion.WALD,), (0.05,),
                                          iterations, 6, workers))
 
@@ -484,11 +505,12 @@ class TestPartitionInvariance:
         if workers > 1:
             runs = _runs(pool)
             assert len(runs) == 36
-            assert [(key, a, b) for (_, key), a, b in runs[0] + runs[1]] == [
+            assert [(key, a, b) for (_, _, key), a, b in runs[0] + runs[1]] == [
                 ((0,), 0, 3), ((0,), 3, 4), ((1,), 0, 2)]
 
     def test_oversized_task_is_seeded_in_bounded_batches(self, monkeypatch, batches):
-        cell = (_gen(length=60), ())
+        gen = _gen(length=60)
+        cell = (gen, resolve_sigmas(gen), ())
         [(whole, whole_rd)] = experiments._cell_counts(
             [cell], 2, (Criterion.WALD,), (0.05,), 30, 6, 1)
         batches.clear()

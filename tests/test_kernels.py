@@ -15,7 +15,8 @@ import kernel_reference as reference
 from granger_lab.core import TopologyKind
 from granger_lab import criteria, granger
 from granger_lab.criteria import Criterion, chi2_sf, statistic_from_rss, two_proportion_z
-from granger_lab.datagen import BASELINE_SIGMAS, GeneratorConfig, NoiseKind, generate
+from granger_lab.datagen import (BASELINE_SIGMAS, GeneratorConfig, NoiseKind, generate,
+                                 resolve_sigmas)
 from granger_lab.experiments import _count_run
 from granger_lab.regress import RANK_TOL, RankDeficient, largest_norms, nested_rss
 from granger_lab.seeding import derive_seeds
@@ -103,7 +104,8 @@ def test_designs_are_what_the_granger_passes_factor(monkeypatch):
     # Five samples in design blocks of two rows, so the loop crosses block edges.
     passed.clear()
     monkeypatch.setattr(granger, "CHUNK_VALUES", 2 * 17 * 38)
-    [(_, rank_deficient)] = _count_run([((gen, ()), 0, 5)], 2, (Criterion.WALD,), (0.05,), 9)
+    [(_, rank_deficient)] = _count_run([((gen, resolve_sigmas(gen), ()), 0, 5)], 2,
+                                       (Criterion.WALD,), (0.05,), 9)
     assert rank_deficient == 0
     samples = [generate(gen, int(seed)) for seed in derive_seeds([((9,), 0, 5)])]
     _assert_passes(passed, [d for s in samples for d in _designs(*s, 2)[:3]])

@@ -185,6 +185,28 @@ def test_guard_flags_every_caller():
     assert callers(sources, "kernel") == ["a.one", "a.two"]
 
 
+def attribute_reads(source: str, attr: str) -> list[int]:
+    """Lines that read ``attr`` as an attribute of anything."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == attr})
+
+
+def test_guard_flags_an_attribute_read():
+    source = ("cfg = Config(sigmas_or_snrs=(1, 2, 3))\n"
+              "a = cfg.sigmas_or_snrs\n"
+              "b = configs[0].sigmas_or_snrs[1]\n")
+    assert attribute_reads(source, "sigmas_or_snrs") == [2, 3]
+
+
+def test_noise_reaches_the_monte_carlo_path_as_level_rows():
+    # Only datagen reads a config's sigma or SNR triple; everything else
+    # passes the levels it resolved, so an SNR that overflows is refused
+    # where its levels are resolved, not where a cell is generated.
+    readers = [p.stem for p in MODULES
+               if attribute_reads(p.read_text(encoding="utf-8"), "sigmas_or_snrs")]
+    assert readers == ["datagen"]
+
+
 def test_one_function_builds_designs_and_factors_them():
     # Samples reach their RSS values along one path: a batched kernel has
     # one loop to replace.
