@@ -118,11 +118,12 @@ def snr_to_sigma(snr_db: float, signal_variance: float) -> float:
     return sigma
 
 
-def _shift(values: np.ndarray, k: int) -> np.ndarray:
-    """values_{t-k} along the last axis, with zeros for t < k."""
-    out = np.zeros_like(values)
-    out[..., k:] = values[..., :-k]
-    return out
+def _add_lagged(out: np.ndarray, values: np.ndarray, k: int) -> None:
+    """out_t += values_{t-k} along the last axis, in place, with 0.0 for
+    t < k: those entries get + 0.0, so a -0.0 there becomes 0.0 as it
+    would in 0.0 + out_t."""
+    out[..., k:] += values[..., :-k]
+    out[..., :k] += 0.0
 
 
 @lru_cache(maxsize=16)
@@ -170,15 +171,18 @@ def _raw_draws(states: Sequence[np.ndarray], total: int) -> np.ndarray:
     return draws.transpose(1, 0, 2)
 
 
-def _backbone(u: np.ndarray, ex, ey, ez, coeff: float, topology: TopologyKind):
-    """Run the recurrences with the given additive innovation terms."""
-    x = u + ex
-    y = _ar_filter(_shift(x, 1) + ey, coeff)
+def _backbone(u: np.ndarray, ex: np.ndarray, ey: np.ndarray, ez: np.ndarray, coeff: float,
+              topology: TopologyKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the recurrences with the given additive innovation terms, which
+    are overwritten: x is built in ``ex``."""
+    ex += u
+    _add_lagged(ey, ex, 1)
+    y = _ar_filter(ey, coeff)
     if topology is TopologyKind.DRIVER:
-        z = _ar_filter(_shift(x, 2) + ez, coeff)
+        _add_lagged(ez, ex, 2)
     else:
-        z = _ar_filter(_shift(y, 1) + ez, coeff)
-    return x, y, z
+        _add_lagged(ez, y, 1)
+    return ex, y, _ar_filter(ez, coeff)
 
 
 def _generate_rows(config: GeneratorConfig, levels: np.ndarray,
@@ -186,18 +190,19 @@ def _generate_rows(config: GeneratorConfig, levels: np.ndarray,
     """Samples of ``config``'s shape, row r drawn from ``states[r]`` with the
     noise standard deviations ``levels[r]``, or ``levels[0]`` for every row
     of a one-row ``levels``. A (rows, 1) column of levels scales each row's
-    normals by the same IEEE product a scalar would."""
+    normals by the same IEEE product a scalar would. The normals are scaled
+    and summed in the draw buffer, with the bits of the out-of-place sums."""
     total = config.burn_in + config.length
     u, nx, ny, nz = _raw_draws(states, total)
-    alpha, beta, gamma = levels.T[:, :, None]
+    for noise, level in zip((nx, ny, nz), levels.T[:, :, None]):
+        noise *= level
     if config.noise_kind is NoiseKind.EXTRINSIC_SNR:
-        x, y, z = _backbone(u, 0.0, 0.0, 0.0, config.ar_coefficient, config.topology)
-        x = x + alpha * nx
-        y = y + beta * ny
-        z = z + gamma * nz
+        x, y, z = _backbone(u, *np.zeros((3, *u.shape)), config.ar_coefficient, config.topology)
+        x += nx
+        y += ny
+        z += nz
     else:
-        x, y, z = _backbone(u, alpha * nx, beta * ny, gamma * nz,
-                            config.ar_coefficient, config.topology)
+        x, y, z = _backbone(u, nx, ny, nz, config.ar_coefficient, config.topology)
     b = config.burn_in
     x, y, z = x[:, b:], y[:, b:], z[:, b:]
     for arr in (x, y, z):

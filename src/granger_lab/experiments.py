@@ -28,8 +28,9 @@ Before any sample is drawn, ``require_positive`` checks that iteration,
 case and worker counts are positive integers, and every entry point
 resolves its cells' noise levels once (a phase space each axis value's
 SNR, ``datagen.axis_sigmas``), so an SNR whose noise std overflows is
-refused. ``_cell_counts`` checks every cell's sample length against the lag
-depth (``granger.require_length``) before it cuts runs or starts a pool.
+refused, and checks its sample lengths against the lag depth
+(``granger.require_length``). A phase space's cells are indexed from its
+three axes as they are read, so its memory does not grow with the grid.
 The sweeps and phase spaces use ``granger.LAGS`` lags.
 """
 
@@ -38,11 +39,12 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, islice, product
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import combinations, groupby, islice
+from typing import Optional
 
 import numpy as np
 
@@ -162,6 +164,31 @@ def require_distinct_axes(grids: Sequence[Sequence[float]]
     return axes
 
 
+def _grid_point(axes: Sequence[Sequence[float]], index: int) -> tuple[float, float, float]:
+    """The ``index``-th triple of the three axes' product, in ``product`` order."""
+    rest, k = divmod(index, len(axes[2]))
+    i, j = divmod(rest, len(axes[1]))
+    return axes[0][i], axes[1][j], axes[2][k]
+
+
+class _GridCells(Sequence):
+    """A phase space's cells from ``start`` on, in grid order, each made when
+    it is read: (shape config, noise levels from the three sigma axes, (grid
+    index,))."""
+
+    def __init__(self, shape: GeneratorConfig, sigmas: Sequence[Sequence[float]], start: int):
+        self.shape, self.sigmas, self.start = shape, sigmas, start
+        self.size = max(math.prod(map(len, sigmas)) - start, 0)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, c: int) -> tuple:
+        if not 0 <= c < self.size:
+            raise IndexError(c)
+        return self.shape, _grid_point(self.sigmas, self.start + c), (self.start + c,)
+
+
 def _worker_count(workers: Optional[int], jobs: int) -> int:
     """Worker processes for ``jobs`` independent tasks.
 
@@ -262,8 +289,6 @@ def _cell_counts(cells: Sequence[tuple], lags: int, criteria: tuple[Criterion, .
     four runs a worker, capped at that, and at most two runs a worker beyond
     the one being read. On any failure the queued runs are cancelled.
     """
-    for gen, _, _ in cells:
-        require_length(gen.length, lags)
     total = len(cells) * iterations
     n_workers = _worker_count(workers, total // 2)  # two iterations or more each
     size = min(RUN_ITERATIONS, total if n_workers == 1 else math.ceil(total / (4 * n_workers)))
@@ -312,6 +337,7 @@ def estimate_rates(gen_config: GeneratorConfig, granger_config: GrangerConfig,
                    workers: Optional[int] = None) -> RateEstimate:
     """Monte Carlo spurious/unidentified rates for one configuration."""
     iterations = require_positive("iterations", iterations)
+    require_length(gen_config.length, granger_config.lags)
     cell = (gen_config, resolve_sigmas(gen_config), ())
     [(counts, rd)] = _cell_counts([cell], granger_config.lags, (granger_config.criterion,),
                                   (granger_config.significance,), iterations, master_seed, workers)
@@ -334,6 +360,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     if not alphas:
         raise ValueError("significance grid must be non-empty")
     gen = GeneratorConfig(topology=topology, length=n_points)
+    require_length(n_points, LAGS)
     [(counts, rd)] = _cell_counts([(gen, resolve_sigmas(gen), ())], LAGS, tuple(criteria),
                                   alphas, iterations, seed, workers)
     rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], topology, iterations, rd)
@@ -358,6 +385,8 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
         raise ValueError("sizes must be strictly increasing")
     criteria = tuple(criteria)
     gens = [GeneratorConfig(topology=topology, length=n) for n in sizes]
+    for n in sizes:
+        require_length(n, LAGS)
     cells = [(gen, resolve_sigmas(gen), (gen.length,)) for gen in gens]
     with closing(_cell_counts(cells, LAGS, criteria, (alpha,), cases, seed,
                               workers)) as results:
@@ -382,7 +411,8 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
     so a run resumes from a grid-order prefix of its rows. Every argument
     is checked here, when the stream is made, even if no cell is left to
     compute, and so is every SNR on the axes. Nothing is drawn and no pool
-    starts until the first row is read.
+    starts until the first row is read, and no cell exists before it is
+    read.
     """
     iterations = require_positive("iterations", iterations)
     require_significance(alpha)
@@ -392,20 +422,21 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
     axes = require_distinct_axes(grids)
     shape = GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind)
     require_length(n, LAGS)
-    cells = [(shape, row, (i,)) for i, row in enumerate(product(*axis_sigmas(shape, axes)))]
-    return _phase_stream(cells[start:], islice(product(*axes), start, None), criterion, alpha,
-                         iterations, seed, workers)
+    if start < 0:
+        raise ValueError(f"start must be a cell index >= 0, got {start!r}")
+    cells = _GridCells(shape, axis_sigmas(shape, axes), start)
+    return _phase_stream(cells, axes, criterion, alpha, iterations, seed, workers)
 
 
-def _phase_stream(cells: Sequence[tuple], triples: Iterable[tuple[float, ...]],
-                  criterion: Criterion, alpha: float, iterations: int, seed: int,
+def _phase_stream(cells: _GridCells, axes: Sequence[Sequence[float]], criterion: Criterion,
+                  alpha: float, iterations: int, seed: int,
                   workers: Optional[int]) -> Iterator[dict[str, float]]:
-    """The rows of ``phase_rows``' checked cells with SNR ``triples``, one a completed cell."""
+    """The rows of ``phase_rows``' checked cells on SNR ``axes``, one a completed cell."""
     with closing(_cell_counts(cells, LAGS, (criterion,), (alpha,), iterations,
                               seed, workers)) as results:
-        for (gen, _, _), snrs, (counts, rd) in zip(cells, triples, results):
+        for (gen, _, (index,)), (counts, rd) in zip(cells, results):
             est = _estimate_from_counts(counts[0, 0], gen.topology, iterations, rd)
-            yield dict(zip(SNR_KEYS, snrs), spurious_rate=est.spurious_rate,
+            yield dict(zip(SNR_KEYS, _grid_point(axes, index)), spurious_rate=est.spurious_rate,
                        unidentified_rate=est.unidentified_rate,
                        rate_xz=est.per_link_rates["x->z"],
                        rate_yz=est.per_link_rates["y->z"])

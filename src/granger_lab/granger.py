@@ -12,22 +12,30 @@ rule to any stack of them. A rank-deficient sample keeps its row with NaN
 p-values, from which the rule accepts no edge. ``sample_pvalues`` scores
 one sample for ``analyze`` as a block of two rows, (x, y, z) and (z, y,
 x): the reversed sample's pairwise links are the reverse links z->y, z->x
-and y->x, which ``analyze`` reports but never classifies. Each comparison's RSS pair comes
-from one ``regress.nested_rss`` pass over a row of a ``_lag_stack``, whose
-designs and column norms are built once per block.
+and y->x, which ``analyze`` reports but never classifies.
+
+Each sample is factored once. Its lag stack [z-lags | y-lags | x-lags |
+y | z] on the common window gives the RSS of [z], [z, y] and [z, y, x]
+from one ``regress.nested_rss`` pass, which leaves R in place. Since A[:,
+S] = Q R[:, S], a column subset of R has the R factor of the same subset
+of A, so [z, x] and [y], [y, x] come from two more passes on the upper
+triangle of R's [z-lags | x-lags | z] and [y-lags | x-lags | y] columns,
+at most 3 * lags + 2 rows each, whatever the sample's length (Golub & Van
+Loan, Matrix Computations, section 5.3). The stacks and their column norms
+are built once per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .criteria import Criterion, statistic_from_rss
 from .datagen import CHUNK_VALUES
-from .regress import RankDeficient, largest_norms, nested_rss
+from .regress import RankDeficient, nested_rss
 
 #: Keys for the five forward-model comparisons the two-step procedure uses.
 BIV_XY, BIV_XZ, BIV_YZ = "x->y", "x->z", "y->z"
@@ -72,21 +80,22 @@ class GrangerConfig:
             raise ValueError("lags must be >= 1")
 
 
-def _lag_stack(layouts: Sequence[Sequence[np.ndarray]], p: int,
-               out: np.ndarray) -> tuple[list[np.ndarray], list[list[float]]]:
-    """Per layout of (rows, n) series, each row's [lags 1..p of each series |
-    first series] on t = p .. n-1 and its largest column norms, side by side
-    in the first rows of ``out``, a C-ordered (rows, columns, n - p) buffer:
-    a design's row b, transposed, is the F-ordered [X | b] ``nested_rss`` takes."""
-    rows, n = layouts[0][0].shape
-    widths = [len(series) * p + 1 for series in layouts]
+def _lag_stack(x: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
+               out: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
+    """Each row's [z lags 1..p | y lags | x lags | y | z] on t = p .. n-1 in
+    the first rows of ``out``, a C-ordered (rows, 3p + 2, n - p) buffer, and
+    the largest column norms of its [z, y, x], [z, x] and [y, x] lags. A
+    row of the stack, transposed, is the F-ordered [X | b] ``nested_rss``
+    takes."""
+    rows, n = z.shape
     stack = out[:rows]
-    lagged = [column for series in layouts  # (series, lag), the response as lag 0
-              for column in [*product(series, range(1, p + 1)), (series[0], 0)]]
+    lagged = [*product((z, y, x), range(1, p + 1)), (y, 0), (z, 0)]
     for column, (values, k) in enumerate(lagged):
         stack[:, column] = values[:, p - k:n - k]
-    return ([stack[:, a:a + w] for a, w in zip(accumulate(widths, initial=0), widths)],
-            largest_norms(stack, widths))
+    squares = np.einsum("bcn,bcn->bc", stack[:, :3 * p], stack[:, :3 * p])
+    z_y_x = squares.reshape(rows, 3, p).max(axis=2)  # each series' largest squared lag norm
+    norms = [z_y_x.max(axis=1), z_y_x[:, ::2].max(axis=1), z_y_x[:, 1:].max(axis=1)]
+    return stack, np.sqrt(norms).T.tolist()
 
 
 def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
@@ -95,27 +104,45 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
     of the rows of (rows, n) x, y and z, and the count of rows that are
     rank deficient; each of those has NaN for every p-value, which
     ``decide_edge_array`` accepts no edge from. On n - lags observations,
-    [z-lags | y-lags | x-lags | z] gives the RSS of [z], [z, y] and [z, y,
-    x], [z-lags | x-lags | z] of [z, x] and [y-lags | x-lags | y] of [y]
-    and [y, x]. The designs are built for blocks of at most
-    ``CHUNK_VALUES`` values."""
+    the stack [z-lags | y-lags | x-lags | y | z] gives the RSS of [z], [z,
+    y] and [z, y, x]; the upper triangle of its R factor's [z-lags |
+    x-lags | z] columns that of [z, x], and of its [y-lags | x-lags | y]
+    columns those of [y] and [y, x]. The stacks are built for blocks of at
+    most ``CHUNK_VALUES`` values."""
     require_length(zs.shape[1], lags)
     p, rows, n_obs = lags, zs.shape[0], zs.shape[1] - lags
     width = len(criteria) * len(FORWARD_KEYS)
     pvalues = np.empty((rows, len(criteria), len(FORWARD_KEYS)))
     flat = memoryview(pvalues.reshape(-1))
-    step = max(1, CHUNK_VALUES // ((7 * p + 3) * n_obs))  # the designs' 7p + 3 columns
-    buffer = np.empty((min(step, rows), 7 * p + 3, n_obs))  # refilled block by block
+    step = max(1, CHUNK_VALUES // ((3 * p + 2) * n_obs))  # the stack's 3p + 2 columns
+    buffer = np.empty((min(step, rows), 3 * p + 2, n_obs))  # refilled block by block
     k2, k3 = 2 * p, 3 * p
+    # The stack's [z-lags | x-lags | z] and [y-lags | x-lags | y] columns, on
+    # R's min(n - p, 3p + 2) rows, and which of those lie below R's diagonal.
+    subset = [*range(p), *range(k2, k3), k3 + 1, *range(p, k3), k3]
+    m = min(n_obs, k3 + 2)
+    below = np.arange(m) > np.array(subset)[:, None]
+    reduced = np.empty((len(buffer), len(subset), m))
     filled = rank_deficient = 0
     for a in range(0, rows, step):
-        x, y, z = xs[a:a + step], ys[a:a + step], zs[a:a + step]
-        designs, norms = _lag_stack(((z, y, x), (z, x), (y, x)), p, buffer)
-        # Each row of a transposed stack is the F-ordered [X | b] itself.
-        designs = [d.transpose(0, 2, 1) for d in designs]
-        for full, zx, yx, full_norm, zx_norm, yx_norm in zip(*designs, *norms):
+        stack, norms = _lag_stack(xs[a:a + step], ys[a:a + step], zs[a:a + step], p, buffer)
+        # Each row of the transposed stack is the F-ordered [X | b] itself.
+        full = []
+        for design, (norm, _, _) in zip(stack.transpose(0, 2, 1), norms):
             try:
-                rss_z, rss_zy, rss_zyx = nested_rss(full, (p, k2, k3), full_norm)
+                full.append(nested_rss(design, (p, k2, k3), norm))
+            except RankDeficient:
+                full.append(None)
+        # R's subsets, upper triangle only; each row is F-ordered once transposed.
+        subsets = np.take(stack[:, :, :m], subset, axis=1, out=reduced[:len(stack)], mode="clip")
+        np.copyto(subsets, 0.0, where=below)
+        subsets = subsets.transpose(0, 2, 1)
+        for rss, zx, yx, (_, zx_norm, yx_norm) in zip(
+                full, subsets[:, :, :k2 + 1], subsets[:, :, k2 + 1:], norms):
+            try:
+                if rss is None:
+                    raise RankDeficient("design matrix is rank deficient")
+                rss_z, rss_zy, rss_zyx = rss
                 (rss_zx,) = nested_rss(zx, (k2,), zx_norm)
                 rss_y, rss_yx = nested_rss(yx, (p, k2), yx_norm)
             except RankDeficient:

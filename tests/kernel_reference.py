@@ -1,8 +1,11 @@
 """The per-sample kernels as they were first written, with array arithmetic
 and int degrees of freedom: the reference that ``regress.nested_rss`` and
-``criteria.statistic_from_rss`` must match bit for bit. ``lag_design`` and
-``forward_rss`` build one sample's designs column by column, as the
-reference for the stacked designs of ``granger``."""
+``criteria.statistic_from_rss`` must match bit for bit. ``lag_design``,
+``lag_stack`` and ``forward_rss`` build one sample's designs column by
+column and factor them as ``granger.block_pvalues`` does: one QR of the
+stack [z-lags | y-lags | x-lags | y | z], then two QRs of column subsets
+of its R factor. ``forward_rss_three_pass`` is the form before that, one
+full-length QR for each of [z | y | x], [z | x] and [y | x]."""
 
 import math
 
@@ -14,21 +17,25 @@ from granger_lab.criteria import Criterion
 from granger_lab.regress import RANK_TOL, InsufficientData, RankDeficient
 
 
-def nested_rss(matrix, response, boundaries):
-    """Prefix RSS from one R-only QR: pivots and column norms as arrays, the
-    tail's suffix sums by ``cumsum``."""
+def nested_rss(matrix, response, boundaries, norm_columns=None):
+    """Prefix RSS from one R-only QR: pivots of the largest prefix and its
+    column norms as arrays (or those of ``norm_columns``, the columns the
+    prefix was reduced from), the tail's suffix sums by ``cumsum`` over the
+    rows of R that exist."""
     n_obs, n_params = matrix.shape
-    if n_obs < n_params + 1:
-        raise InsufficientData(f"{n_obs} rows for {n_params} columns")
+    k_max = boundaries[-1]
+    if n_obs < k_max + 1:
+        raise InsufficientData(f"{n_obs} rows for {k_max} columns")
     augmented = np.empty((n_obs, n_params + 1), order="F")
     augmented[:, :n_params] = matrix
     augmented[:, n_params] = response
     r, _, _, info = dgeqrf(augmented, overwrite_a=True)
     assert info == 0
-    col_norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
-    if np.abs(r.diagonal()[:n_params]).min() <= RANK_TOL * max(col_norms.max(), 1e-300):
+    columns = matrix[:, :k_max] if norm_columns is None else norm_columns
+    col_norms = np.sqrt(np.einsum("ij,ij->j", columns, columns))
+    if np.abs(r.diagonal()[:k_max]).min() <= RANK_TOL * max(col_norms.max(), 1e-300):
         raise RankDeficient("design matrix is rank deficient")
-    tail = r[:n_params + 1, n_params]
+    tail = r[:min(n_params + 1, n_obs), n_params]
     rss = (tail * tail)[::-1].cumsum()[::-1]
     return [float(rss[k]) for k in boundaries]
 
@@ -41,11 +48,43 @@ def lag_design(series, p):
                            + [series[0][p:]])
 
 
+def lag_stack(x, y, z, p):
+    """[z-lags | y-lags | x-lags | y | z] on t = p .. n-1, column by column."""
+    return np.column_stack([lag_design((z, y, x), p)[:, :-1], y[p:], z[p:]])
+
+
+def subset_columns(p):
+    """The stack's columns of [z-lags | x-lags | z] and [y-lags | x-lags | y]."""
+    return ([*range(p), *range(2 * p, 3 * p), 3 * p + 1], [*range(p, 3 * p), 3 * p])
+
+
+def r_factor(design):
+    """The upper triangle of an F-ordered copy of ``design`` factored by
+    ``dgeqrf``, on its first min(rows, columns) rows."""
+    r, _, _, info = dgeqrf(np.asfortranarray(design.copy()), overwrite_a=True)
+    assert info == 0
+    return np.triu(r[:min(design.shape)])
+
+
 def forward_rss(x, y, z, p):
     """(rss_restricted, rss_unrestricted, k) of the five forward model pairs
-    of one sample, in the order of ``FORWARD_KEYS``, from three reference
-    passes on [z-lags | y-lags | x-lags | z], [z-lags | x-lags | z] and
-    [y-lags | x-lags | y]."""
+    of one sample, in the order of ``FORWARD_KEYS``: [z], [z, y] and [z, y,
+    x] from one pass on the stack, [z, x] from the R factor's [z-lags |
+    x-lags | z] columns and [y], [y, x] from its [y-lags | x-lags | y]
+    columns, each with the norms of the stack columns it was reduced from."""
+    stack = lag_stack(x, y, z, p)
+    rss_z, rss_zy, rss_zyx = nested_rss(stack[:, :-1], stack[:, -1], (p, 2 * p, 3 * p))
+    r = r_factor(stack)
+    (rss_zx,), (rss_y, rss_yx) = [
+        nested_rss(r[:, columns[:-1]], r[:, columns[-1]], boundaries, stack[:, columns[:-1]])
+        for columns, boundaries in zip(subset_columns(p), ((2 * p,), (p, 2 * p)))]
+    return [(rss_y, rss_yx, 2 * p), (rss_z, rss_zx, 2 * p), (rss_z, rss_zy, 2 * p),
+            (rss_zy, rss_zyx, 3 * p), (rss_zx, rss_zyx, 3 * p)]
+
+
+def forward_rss_three_pass(x, y, z, p):
+    """``forward_rss`` from three full-length passes on [z-lags | y-lags |
+    x-lags | z], [z-lags | x-lags | z] and [y-lags | x-lags | y]."""
     passes = [((z, y, x), (p, 2 * p, 3 * p)), ((z, x), (2 * p,)), ((y, x), (p, 2 * p))]
     designs = [(lag_design(series, p), boundaries) for series, boundaries in passes]
     (rss_z, rss_zy, rss_zyx), (rss_zx,), (rss_y, rss_yx) = [

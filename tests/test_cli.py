@@ -17,11 +17,14 @@ from granger_lab import cli, datagen, experiments, granger, regress
 from granger_lab.cli import (MAX_GRID_VALUES, PHASE_HEADER, fmt, load_phase_csv, main,
                              parse_criteria, parse_grid)
 from granger_lab.core import FORWARD_LINKS, TopologyKind
-from granger_lab.criteria import Criterion
+from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GeneratorConfig, resolve_sigmas
 from granger_lab.experiments import _count_run
+from granger_lab.granger import FORWARD_KEYS, REVERSE_KEYS
 from granger_lab.seeding import derive_seeds
 from granger_lab.ppm import rate_to_rgb, read_ppm, render_plane, rgb_to_rate, write_ppm
+
+import kernel_reference
 
 
 class TestParsing:
@@ -1079,6 +1082,25 @@ class TestShortSeries:
         assert main(["analyze", "--input", str(csv)]) == 2
         assert capsys.readouterr() == ("", self._message(8))
 
+    def test_shortest_sample_is_analyzed(self, tmp_path, capsys):
+        # 9 values at lags 2: the p-values of the three full-length passes
+        # each sample had before, to 1e-12.
+        csv = tmp_path / "shortest.csv"
+        assert main(["generate", "--topology", "indirect", "--n", "9", "--seed", "6",
+                     "--out", str(csv)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(csv), "--json", "--criterion", "lr"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        x, y, z = cli._read_series_csv(str(csv))
+        # The reversed sample's pairwise links are the reverse links backwards.
+        for got, sample, keys in ((report["forward_p_values"], (x, y, z), FORWARD_KEYS),
+                                  (report["reverse_p_values"], (z, y, x), REVERSE_KEYS[::-1])):
+            assert sorted(got) == sorted(keys)
+            pairs = kernel_reference.forward_rss_three_pass(*sample, 2)
+            for key, (rss_r, rss_u, k) in zip(keys, pairs):
+                expected = statistic_from_rss(Criterion.LR, rss_r, rss_u, 7, 2, k).p_value
+                assert got[key] == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_resume_leaves_the_checkpoint_alone(self, tmp_path, capsys):
         args = TestPhaseSpaceCommand.ARGS
         out = tmp_path / "ps"
@@ -1133,6 +1155,21 @@ class TestBenchmarkHooks:
                                            criteria, (0.05,), 3)
         assert rank_deficient == 0
         assert calls == {"nested_rss": 3 * k, "statistic_from_rss": 5 * len(criteria) * k}
+
+    def test_a_phase_space_run_calls_the_traced_kernels_per_iteration(self, monkeypatch):
+        # The phase_space workload's shape: intrinsic cells at n=300 scored
+        # as one block. 3 cells of 40 iterations cross the 81-row chunk's
+        # cell edges, and its 13-row stack blocks cross both.
+        calls = self._count_kernel_calls(monkeypatch)
+        shape = GeneratorConfig(topology=TopologyKind.DRIVER, length=300,
+                                noise_kind=datagen.NoiseKind.INTRINSIC_SNR)
+        assert datagen.chunk_rows(shape) == 81
+        snrs = [(-40.0, 0.0, 40.0), (40.0, 40.0, 40.0), (0.0, -40.0, -40.0)]
+        run = [((shape, levels, (i,)), 0, 40)
+               for i, levels in enumerate(zip(*datagen.axis_sigmas(shape, zip(*snrs))))]
+        results = _count_run(run, 2, (Criterion.WALD,), (0.05,), 5)
+        assert [rank_deficient for _, rank_deficient in results] == [0, 0, 0]
+        assert calls == {"nested_rss": 3 * 120, "statistic_from_rss": 5 * 120}
 
     def test_one_analyze_calls_the_traced_kernels_per_sample(self, tmp_path, monkeypatch):
         # Three QR passes and five scores for the one criterion, for the

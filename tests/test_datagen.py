@@ -489,6 +489,41 @@ class TestGenerateChunks:
         for seed, row in zip(seeds, draws[0], strict=True):
             assert row.tobytes() == np.random.default_rng(seed).uniform(-2.0, 2.0, total).tobytes()
 
+    @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
+    @pytest.mark.parametrize("kind, params", [
+        (NoiseKind.FIXED_SIGMA, (0.0, 0.0, 0.0)), (NoiseKind.FIXED_SIGMA, BASELINE_SIGMAS),
+        (NoiseKind.INTRINSIC_SNR, (-10.0, 0.0, 20.0)), (NoiseKind.EXTRINSIC_SNR, (20.0, -5.0, 0.0))])
+    def test_sums_in_the_draw_buffer_have_the_out_of_place_bits(self, topology, kind, params):
+        # The recurrences written out of place, on the same draws. burn_in=0
+        # keeps t < lag in the sample, where a zero-level normal is -0.0 half
+        # the time and 0.0 + -0.0 must give 0.0.
+        config = GeneratorConfig(topology=topology, length=40, burn_in=0, noise_kind=kind,
+                                 sigmas_or_snrs=params)
+        states = generator_states(np.arange(6, dtype=np.uint64))
+        u, nx, ny, nz = _raw_draws(states, 40)
+        alpha, beta, gamma = np.array([resolve_sigmas(config)]).T[:, :, None]
+
+        def shift(values, k):
+            out = np.zeros_like(values)
+            out[:, k:] = values[:, :-k]
+            return out
+
+        def backbone(ex, ey, ez):
+            x = u + ex
+            y = _ar_filter(shift(x, 1) + ey, 0.3)
+            lagged = shift(x, 2) if topology is TopologyKind.DRIVER else shift(y, 1)
+            return x, y, _ar_filter(lagged + ez, 0.3)
+
+        if kind is NoiseKind.EXTRINSIC_SNR:
+            x, y, z = backbone(0.0, 0.0, 0.0)
+            expected = (x + alpha * nx, y + beta * ny, z + gamma * nz)
+        else:
+            expected = backbone(alpha * nx, beta * ny, gamma * nz)
+        got = next(generate_chunks(config, states))
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+        if params == (0.0, 0.0, 0.0):
+            assert np.signbit(beta * ny[:, 0]).any() and not np.signbit(got[1][:, 0]).any()
+
     def test_chunk_memory_is_bounded(self):
         short = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
         long = GeneratorConfig(topology=TopologyKind.DRIVER, length=1_000_000)

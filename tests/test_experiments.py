@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from contextlib import closing
 from dataclasses import replace
 from itertools import product
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from granger_lab import datagen, experiments, granger
+from granger_lab import cli, datagen, experiments, granger
 from granger_lab.core import FORWARD_LINKS, Link, TopologyKind
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import (GenerationError, GeneratorConfig, NoiseKind, axis_sigmas,
@@ -579,6 +580,38 @@ class TestPhaseSpace:
         assert len(grid) == 17
         assert grid[0] == -40.0 and grid[-1] == 40.0
         assert grid[1] - grid[0] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("start", [0, 1, 5, 23, 24, 30])
+    def test_grid_cells_are_the_axes_product_from_start(self, start):
+        sigmas = ((0.5, 1.5), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0))
+        cells = experiments._GridCells(_GRID3_SHAPE, sigmas, start)
+        expected = [(_GRID3_SHAPE, row, (i,)) for i, row in enumerate(product(*sigmas))]
+        assert len(cells) == len(expected[start:]) and list(cells) == expected[start:]
+        with pytest.raises(IndexError):
+            cells[len(cells)]
+
+    def test_negative_start_raises(self):
+        with pytest.raises(ValueError, match=r"^start must be a cell index >= 0, got -1$"):
+            _rows(workers=1, start=-1)
+
+    def test_last_cell_of_an_801_cubed_grid_streams_in_bounded_memory(self):
+        # 5.1e8 cells: a record for each, made before the first draw, would
+        # take about 110 GB. Each is indexed from the axes when it is read.
+        # The 41-value grid first, where such records would take 15 MB, so
+        # that a grid built up front fails there.
+        for spec, values in (("-40:40:2", 41), ("-40:40:0.1", 801)):
+            axis = cli.parse_grid(spec)
+            assert len(axis) == values
+            tracemalloc.start()
+            try:
+                rows = list(phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60,
+                                       alpha=0.05, iterations=1, grids=(axis,) * 3, seed=3,
+                                       workers=1, start=values ** 3 - 1))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert [tuple(row[key] for key in SNR_KEYS) for row in rows] == [(40.0,) * 3]
+            assert peak < 1 << 20
 
     def test_grid_shapes_and_plane_consistency(self):
         grids = ((-20.0, 20.0), (-20.0, 20.0), (-20.0, 0.0, 20.0))

@@ -101,6 +101,43 @@ class TestBivariateTest:
             sample_pvalues(*rng.normal(size=(3, length)), 2, (Criterion.WALD,))
 
 
+def _reference_pvalues(forward_rss, x, y, z, lags):
+    """(criterion, comparison) p-values of ``forward_rss``'s model pairs."""
+    pairs = forward_rss(x, y, z, lags)
+    return np.array([[statistic_from_rss(criterion, rss_r, rss_u, len(x) - lags, lags, k).p_value
+                      for rss_r, rss_u, k in pairs] for criterion in Criterion])
+
+
+class TestShortestSample:
+    """n = 4 * lags + 1 leaves the stack 3 * lags + 1 rows for its 3 * lags
+    + 2 columns, so its R factor lacks the last row of the response's column."""
+
+    @pytest.mark.parametrize("lags", [1, 2, 3])
+    @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
+    def test_p_values_match_both_references(self, lags, topology):
+        n = 4 * lags + 1
+        for seed in range(10):
+            x, y, z = _sample(topology, seed, length=n)
+            forward, reverse = sample_pvalues(x, y, z, lags, tuple(Criterion))
+            assert forward.tobytes() == _reference_pvalues(
+                reference.forward_rss, x, y, z, lags).tobytes()
+            backward = _reference_pvalues(reference.forward_rss, z, y, x, lags)[:, 2::-1]
+            assert reverse.tobytes() == backward.tobytes()
+            # The three full-length passes each sample had before.
+            for got, sample in ((forward, (x, y, z)), (reverse[:, ::-1], (z, y, x))):
+                expected = _reference_pvalues(reference.forward_rss_three_pass, *sample, lags)
+                np.testing.assert_allclose(got, expected[:, :got.shape[1]], rtol=1e-12, atol=0)
+
+    def test_a_monte_carlo_block_runs(self):
+        # A chunk of 40 samples of 9 values, scored as one block, row by row
+        # as each sample alone.
+        xs, ys, zs = _rows(GeneratorConfig(topology=TopologyKind.DRIVER, length=9), 40, 8)
+        pvalues, rank_deficient = block_pvalues(xs, ys, zs, 2, tuple(Criterion))
+        assert rank_deficient == 0 and pvalues.shape == (40, len(Criterion), 5)
+        for row, sample in zip(pvalues, zip(xs, ys, zs)):
+            assert row.tobytes() == sample_pvalues(*sample, 2, tuple(Criterion))[0].tobytes()
+
+
 class TestReverseLinkDecisions:
     @pytest.mark.parametrize("snr_db", [40.0, 80.0, 120.0])
     def test_p_values_match_ols_reference(self, snr_db):
@@ -126,8 +163,9 @@ class TestReverseLinkDecisions:
 
 class TestComparisonRss:
     def test_nesting_and_counts(self, monkeypatch):
-        # The RSS of one sample's three passes, as ``block_pvalues`` gets them
-        # (the first three of six: the last three are the reversed sample's).
+        # The RSS of one sample's three passes, as ``block_pvalues`` gets them:
+        # the block's two stacks (the sample's, then the reversed sample's),
+        # then each sample's two passes on its R factor.
         s = _sample(TopologyKind.DRIVER, seed=3)
         kernel, passes = granger.nested_rss, []
 
@@ -138,8 +176,8 @@ class TestComparisonRss:
 
         monkeypatch.setattr(granger, "nested_rss", recording)
         pvalues, _ = sample_pvalues(*s, 2, tuple(Criterion))
-        assert [b for b, _ in passes] == [(2, 4, 6), (4,), (2, 4)] * 2
-        (rss_z, rss_zy, rss_zyx), (rss_zx,), (rss_y, rss_yx) = [rss for _, rss in passes[:3]]
+        assert [b for b, _ in passes] == [(2, 4, 6)] * 2 + [(4,), (2, 4)] * 2
+        (rss_z, rss_zy, rss_zyx), (rss_zx,), (rss_y, rss_yx) = [passes[i][1] for i in (0, 2, 3)]
         assert rss_z >= rss_zy >= rss_zyx >= 0.0 and rss_z >= rss_zx >= rss_zyx
         assert rss_y >= rss_yx >= 0.0
         # The z-models are shared: [z] restricts both pairwise z tests, [z, y]
@@ -227,8 +265,10 @@ class TestBlockPvalues:
         assert np.delete(pvalues, 5, axis=0).tobytes() == np.stack(alone).tobytes()
 
     def test_a_block_holds_at_most_chunk_values(self):
-        # An 81-row chunk at n=300 is cut into design blocks of 6 rows; the
-        # designs of all 81 rows at once would take 3.3 MB.
+        # An 81-row chunk at n=300 is cut into stack blocks of 13 rows of 8
+        # columns; the stacks of all 81 rows at once would take 1.5 MB. The
+        # bound, 6 rows of 17 such columns plus 32 KiB, leaves 28,000 bytes
+        # beside the block.
         config = GeneratorConfig(topology=TopologyKind.DRIVER, length=300)
         assert chunk_rows(config) == 81
         xs, ys, zs = _rows(config, 81, 3)

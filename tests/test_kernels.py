@@ -2,8 +2,9 @@
 first array-and-int forms in ``kernel_reference``: the same RSS values,
 p-values and rank-deficiency verdicts, bit for bit. The in-place kernel
 factors a copy of the [X | b] that the reference reads as X and b, with
-X's largest column norm from ``regress.largest_norms``; the scalar tails in
-``criteria`` match the ``scipy.special`` ufuncs bit for bit."""
+the largest column norm of the columns its largest prefix was built from;
+the scalar tails in ``criteria`` match the ``scipy.special`` ufuncs bit
+for bit. The one-QR reference agrees with the three-pass one to rounding."""
 
 import math
 
@@ -18,7 +19,7 @@ from granger_lab.criteria import Criterion, chi2_sf, statistic_from_rss, two_pro
 from granger_lab.datagen import (BASELINE_SIGMAS, GeneratorConfig, NoiseKind, generate,
                                  resolve_sigmas)
 from granger_lab.experiments import _count_run
-from granger_lab.regress import RANK_TOL, RankDeficient, largest_norms, nested_rss
+from granger_lab.regress import RANK_TOL, RankDeficient, nested_rss
 from granger_lab.seeding import derive_seeds
 
 NOISE = st.one_of(
@@ -51,41 +52,60 @@ def _outcome(kernel, *args):
         return "rank deficient"
 
 
-def _norm(augmented):
-    """X's largest column norm for one [X | b], as the block helper gives it."""
-    [[norm]] = largest_norms(np.ascontiguousarray(augmented.T)[None], (augmented.shape[1],))
-    return norm
+def _norm(columns):
+    """The largest column norm of ``columns``, as the block's stack gives it."""
+    columns = np.asfortranarray(columns)
+    return math.sqrt(max(np.einsum("ij,ij->j", columns, columns).tolist()))
 
 
-def _outcomes(augmented, boundaries):
+def _outcomes(augmented, boundaries, norm_columns=None):
     """(kernel, reference) outcomes on one [X | b]: the kernel overwrites a
-    copy, the reference reads X and b from the original."""
-    return (_outcome(nested_rss, augmented.copy(order="F"), boundaries, _norm(augmented)),
-            _outcome(reference.nested_rss, augmented[:, :-1], augmented[:, -1], boundaries))
+    copy, the reference reads X and b from the original. The rank check's
+    norm is that of X's largest prefix, or of ``norm_columns``."""
+    if norm_columns is None:
+        norm_columns = augmented[:, :boundaries[-1]]
+    return (_outcome(nested_rss, augmented.copy(order="F"), boundaries, _norm(norm_columns)),
+            _outcome(reference.nested_rss, augmented[:, :-1], augmented[:, -1], boundaries,
+                     norm_columns))
 
 
 def _designs(x, y, z, p):
-    """F-ordered ([X | b], boundaries) for the kernel checks: the three
-    forward passes a sample makes, then the pairwise [effect lags | cause
-    lags | effect] of each reverse link."""
-    layouts = [((z, y, x), (p, 2 * p, 3 * p)), ((z, x), (2 * p,)), ((y, x), (p, 2 * p)),
-               ((x, y), (p, 2 * p)), ((x, z), (p, 2 * p)), ((y, z), (p, 2 * p))]
-    return [(reference.lag_design(series, p).copy(order="F"), boundaries)
-            for series, boundaries in layouts]
+    """F-ordered ([X | b], boundaries, norm columns) for the kernel checks:
+    the three passes a sample makes (its stack, then the upper triangle of
+    its R factor's [z-lags | x-lags | z] and [y-lags | x-lags | y]
+    columns, which take their norms from the stack), then the pairwise
+    [effect lags | cause lags | effect] of each reverse link."""
+    stack = reference.lag_stack(x, y, z, p)
+    r = reference.r_factor(stack)
+    passes = [(stack.copy(order="F"), (p, 2 * p, 3 * p), stack[:, :3 * p])]
+    passes += [(r[:, columns].copy(order="F"), boundaries, stack[:, columns[:-1]])
+               for columns, boundaries in zip(reference.subset_columns(p), ((2 * p,), (p, 2 * p)))]
+    pairs = [(x, y), (x, z), (y, z)]
+    return passes + [(design.copy(order="F"), (p, 2 * p), design[:, :-1])
+                     for design in (reference.lag_design(pair, p) for pair in pairs)]
+
+
+def _block_order(samples, rows):
+    """The passes of ``samples`` in the order ``block_pvalues`` makes them
+    on blocks of ``rows``: each sample's stack, then each one's two R passes."""
+    order = []
+    for a in range(0, len(samples), rows):
+        designs = [_designs(*sample, 2)[:3] for sample in samples[a:a + rows]]
+        order += [d[0] for d in designs] + [pass_ for d in designs for pass_ in d[1:]]
+    return order
 
 
 def _assert_passes(passed, expected):
     """The recorded passes are the expected designs in order, each with the
-    largest column norm of its X as the kernel once computed it."""
-    assert [b for _, b, _ in passed] == [b for _, b in expected]
-    for (got, _, norm), (design, _) in zip(passed, expected, strict=True):
+    largest column norm of the columns it was built from."""
+    assert [b for _, b, _ in passed] == [b for _, b, _ in expected]
+    for (got, _, norm), (design, _, norm_columns) in zip(passed, expected, strict=True):
         np.testing.assert_array_equal(got, design)
-        matrix = design[:, :-1]
-        assert norm == math.sqrt(max(np.einsum("ij,ij->j", matrix, matrix).tolist()))
+        assert norm == _norm(norm_columns)
 
 
 def test_designs_are_what_the_granger_passes_factor(monkeypatch):
-    # The frozen-kernel checks above run on ``_designs``; the passes of
+    # The frozen-kernel checks below run on ``_designs``; the passes of
     # ``analyze`` and of the Monte Carlo loop must hand ``nested_rss`` the
     # same F-ordered arrays, and each one's largest column norm.
     gen = GeneratorConfig(topology=TopologyKind.DRIVER, length=40)
@@ -99,16 +119,41 @@ def test_designs_are_what_the_granger_passes_factor(monkeypatch):
 
     monkeypatch.setattr(granger, "nested_rss", recording)
     granger.sample_pvalues(x, y, z, 2, (Criterion.WALD,))
-    # The reverse links come from the forward passes of (z, y, x).
-    _assert_passes(passed, _designs(x, y, z, 2)[:3] + _designs(z, y, x, 2)[:3])
-    # Five samples in design blocks of two rows, so the loop crosses block edges.
+    # The reverse links come from the passes of (z, y, x), in the same block.
+    _assert_passes(passed, _block_order([(x, y, z), (z, y, x)], 2))
+    # Five samples in stack blocks of two rows, so the loop crosses block edges.
     passed.clear()
-    monkeypatch.setattr(granger, "CHUNK_VALUES", 2 * 17 * 38)
+    monkeypatch.setattr(granger, "CHUNK_VALUES", 2 * 8 * 38)
     [(_, rank_deficient)] = _count_run([((gen, resolve_sigmas(gen), ()), 0, 5)], 2,
                                        (Criterion.WALD,), (0.05,), 9)
     assert rank_deficient == 0
     samples = [generate(gen, int(seed)) for seed in derive_seeds([((9,), 0, 5)])]
-    _assert_passes(passed, [d for s in samples for d in _designs(*s, 2)[:3]])
+    _assert_passes(passed, _block_order(samples, 2))
+
+
+def _assert_references_agree(x, y, z, lags):
+    """The one-QR reference and the three-pass one give the same verdict
+    and RSS values that differ by at most 1e-13 * kappa(X) * ||b|| * ||r||,
+    the scale of the rounding a least-squares residual carries (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 20.1).
+    On a well conditioned fit that is not nearly exact, kappa and ||b|| /
+    ||r|| are a few units, so the bound is about 1e-12 of the RSS; near-exact
+    fits at high SNR and nearly collinear lags widen it."""
+    outcomes = []
+    for forward_rss in (reference.forward_rss, reference.forward_rss_three_pass):
+        try:
+            outcomes.append(forward_rss(x, y, z, lags))
+        except RankDeficient:
+            outcomes.append(None)
+    one_qr, three_pass = outcomes
+    assert (one_qr is None) == (three_pass is None)
+    if one_qr is None:
+        return
+    kappa = np.linalg.cond(reference.lag_stack(x, y, z, lags)[:, :3 * lags])
+    responses = [math.sqrt(float(v[lags:] @ v[lags:])) for v in (y, z, z, z, z)]
+    for a, b, norm in zip(one_qr, three_pass, responses, strict=True):
+        for rss_a, rss_b in zip(a[:2], b[:2]):
+            assert abs(rss_a - rss_b) <= 1e-13 * kappa * norm * math.sqrt(rss_b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -127,18 +172,19 @@ def test_nested_rss_and_pvalues_match_the_reference(seed, n, topology, noise, la
         x = np.zeros_like(x)
     elif collinear is not None:
         y = x + 10.0 ** collinear * np.random.default_rng(seed).standard_normal(n)
-    for augmented, boundaries in _designs(x, y, z, lags):
-        got, expected = _outcomes(augmented, boundaries)
+    n_obs = n - lags
+    for augmented, boundaries, norm_columns in _designs(x, y, z, lags):
+        got, expected = _outcomes(augmented, boundaries, norm_columns)
         assert got == expected
         if got == "rank deficient":
             continue
         rss = [float.fromhex(v) for v in got]
-        n_obs = augmented.shape[0]
         for crit in Criterion:
             for k_r, k_u in zip(boundaries, boundaries[1:]):
                 args = (rss[boundaries.index(k_r)], rss[boundaries.index(k_u)], n_obs, lags, k_u)
                 assert (_hex(statistic_from_rss(crit, *args))
                         == _hex(reference.statistic_from_rss(crit, *args)))
+    _assert_references_agree(x, y, z, lags)
 
 
 @settings(max_examples=40, deadline=None)

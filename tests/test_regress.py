@@ -6,51 +6,60 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_reference as reference
+from granger_lab import granger
 from granger_lab.core import TopologyKind
+from granger_lab.criteria import Criterion
 from granger_lab.datagen import GeneratorConfig, NoiseKind, generate
-from granger_lab.granger import _lag_stack
-from granger_lab.regress import InsufficientData, RankDeficient, largest_norms, nested_rss, ols_fit
+from granger_lab.granger import _lag_stack, block_pvalues
+from granger_lab.regress import InsufficientData, RankDeficient, nested_rss, ols_fit
 
 
 def _nested_rss(matrix, response, boundaries):
     """``nested_rss`` on the F-ordered [matrix | response], with the largest
-    column norm of ``matrix`` from ``largest_norms``."""
+    column norm of ``matrix``."""
     augmented = np.column_stack((matrix, response)).copy(order="F")
-    [[norm]] = largest_norms(augmented.T[None], (augmented.shape[1],))
+    norm = math.sqrt(max(np.einsum("ij,ij->j", matrix, matrix).tolist()))
     return nested_rss(augmented, boundaries, norm)
 
 
 class TestBuildDesign:
     def test_shapes_and_alignment(self):
         v = np.arange(10.0)
-        [design], [[norm]] = _lag_stack([(v[None], v[None] * 10)], 2, np.empty((1, 5, 8)))
-        assert design.shape == (1, 5, 8)
-        augmented = design[0].T
+        stack, [[full, zx, yx]] = _lag_stack(v[None] * 10, v[None] * 100, v[None], 2,
+                                             np.empty((1, 8, 8)))
+        assert stack.shape == (1, 8, 8)
+        augmented = stack[0].T
         assert augmented.flags.f_contiguous
-        # row t holds [y_{t-1}, y_{t-2}, x_{t-1}, x_{t-2}, y_t] for t = 2 .. 9
-        np.testing.assert_array_equal(augmented[0], [1.0, 0.0, 10.0, 0.0, 2.0])
-        np.testing.assert_array_equal(augmented[-1], [8.0, 7.0, 80.0, 70.0, 9.0])
-        assert norm == math.sqrt(100.0 * sum(t * t for t in range(1, 9)))  # x_{t-1}
+        # row t holds [z_{t-1}, z_{t-2}, y_{t-1}, y_{t-2}, x_{t-1}, x_{t-2}, y_t, z_t]
+        # for t = 2 .. 9
+        np.testing.assert_array_equal(augmented[0], [1.0, 0.0, 100.0, 0.0, 10.0, 0.0, 200.0, 2.0])
+        np.testing.assert_array_equal(augmented[-1], [8.0, 7.0, 800.0, 700.0, 80.0, 70.0,
+                                                      900.0, 9.0])
+        squares = sum(t * t for t in range(1, 9))  # of lag 1 of v
+        assert (full, zx, yx) == (math.sqrt(1e4 * squares), math.sqrt(100.0 * squares),
+                                  math.sqrt(1e4 * squares))
 
     def test_lag_columns(self):
         v = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        [cols], _ = _lag_stack([(v[None],)], 2, np.empty((1, 3, 3)))
-        np.testing.assert_array_equal(cols[0].T, [[1.0, 0.0, 2.0], [2.0, 1.0, 3.0], [3.0, 2.0, 4.0]])
+        stack, _ = _lag_stack(v[None], v[None], v[None], 2, np.empty((1, 8, 3)))
+        np.testing.assert_array_equal(stack[0].T, [[1.0, 0.0] * 3 + [2.0] * 2,
+                                                   [2.0, 1.0] * 3 + [3.0] * 2,
+                                                   [3.0, 2.0] * 3 + [4.0] * 2])
 
     def test_layouts_share_one_stack_row_by_row(self):
-        # Every row of every layout is the design built column by column
-        # from that row's series, with its own largest column norm.
+        # Every row of the stack is the one built column by column from that
+        # row's series, with the largest column norms of its [z, y, x],
+        # [z, x] and [y, x] lags.
         rows = np.random.default_rng(9).normal(size=(3, 4, 30)) * [[[1.0]], [[1e3]], [[1e-3]]]
         x, y, z = rows
-        designs, norms = _lag_stack(((z, y, x), (z, x), (y, x)), 3, np.empty((5, 24, 27)))
-        assert [d.shape for d in designs] == [(4, 10, 27), (4, 7, 27), (4, 7, 27)]
-        for design, layout_norms, layout in zip(designs, norms, ("zyx", "zx", "yx")):
-            for b in range(4):
-                series = [dict(zip("xyz", rows))[name][b] for name in layout]
-                expected = reference.lag_design(series, 3)
-                np.testing.assert_array_equal(design[b].T, expected)
-                matrix = np.asfortranarray(expected[:, :-1])  # summed as the kernel once did
-                assert layout_norms[b] == np.sqrt(np.einsum("ij,ij->j", matrix, matrix)).max()
+        stack, norms = _lag_stack(x, y, z, 3, np.empty((5, 11, 27)))
+        assert stack.shape == (4, 11, 27)
+        for b in range(4):
+            expected = reference.lag_stack(x[b], y[b], z[b], 3)
+            np.testing.assert_array_equal(stack[b].T, expected)
+            for norm, columns in zip(norms[b], ([*range(9)], [0, 1, 2, 6, 7, 8], [*range(3, 9)])):
+                matrix = np.asfortranarray(expected[:, columns])  # summed as the kernel once did
+                assert norm == np.sqrt(np.einsum("ij,ij->j", matrix, matrix)).max()
 
 
 class TestOlsFit:
@@ -189,18 +198,25 @@ class TestNestedRssAccuracy:
     high SNR lose digits, so the envelope widens with the SNR."""
 
     @pytest.mark.parametrize("snr_db, bound", [(40.0, 1e-13), (120.0, 1e-9)])
-    def test_relative_error_envelope(self, snr_db, bound):
+    def test_relative_error_envelope(self, snr_db, bound, monkeypatch):
+        # The RSS values of a sample's passes, as ``block_pvalues`` makes
+        # them, against the designs each pass stands for.
+        returned = []
+        monkeypatch.setattr(granger, "nested_rss",
+                            lambda *args: returned.append(nested_rss(*args)) or returned[-1])
         worst = 0.0
         for seed in range(3):
             s = generate(GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
                                          noise_kind=NoiseKind.INTRINSIC_SNR,
                                          sigmas_or_snrs=(snr_db,) * 3), seed)
-            x, y, z = s.x[None], s.y[None], s.z[None]
-            designs, norms = _lag_stack(((z, y, x), (z, x), (y, x)), 2, np.empty((1, 17, 58)))
-            for design, [norm], prefixes in zip(designs, norms, ((2, 4, 6), (4,), (2, 4))):
-                augmented = design[0].T
-                matrix, response = augmented[:, :-1].copy(), augmented[:, -1].copy()
-                for k, rss in zip(prefixes, nested_rss(augmented, prefixes, norm)):
-                    reference = _reference_rss(matrix, response, k)
-                    worst = max(worst, float(abs(rss - reference) / reference))
+            x, y, z = s.x, s.y, s.z
+            returned.clear()
+            block_pvalues(x[None], y[None], z[None], 2, (Criterion.WALD,))
+            for series, prefixes, values in zip(((z, y, x), (z, x), (y, x)),
+                                                ((2, 4, 6), (4,), (2, 4)), returned, strict=True):
+                design = reference.lag_design(series, 2)
+                matrix, response = design[:, :-1], design[:, -1]
+                for k, rss in zip(prefixes, values, strict=True):
+                    reference_rss = _reference_rss(matrix, response, k)
+                    worst = max(worst, float(abs(rss - reference_rss) / reference_rss))
         assert worst <= bound
