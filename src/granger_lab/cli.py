@@ -318,7 +318,8 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
 
     Only newline-terminated lines count. An unterminated final line was torn
     by an interrupted write: it is ignored, and the intact length ends
-    before it.
+    before it. A row with a non-finite SNR or a rate outside [0, 1] is
+    refused by its row number.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -330,7 +331,7 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
         raise ValueError(f"unexpected header in {path}")
     meta: dict = {}
     cells = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], 2):
         line = line.strip()
         if not line:
             continue
@@ -343,7 +344,12 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
             meta = row_meta
         elif meta != row_meta:
             raise ValueError("inconsistent metadata across rows")
-        cells.append({key: float(value) for key, value in row.items()})
+        cell = {key: float(value) for key, value in row.items()}
+        if not all(math.isfinite(cell[key]) for key in SNR_KEYS):
+            raise ValueError(f"{path}: row {number}: an SNR is not finite")
+        if not all(0.0 <= cell[key] <= 1.0 for key in PHASE_RATES):
+            raise ValueError(f"{path}: row {number}: a rate is outside [0, 1]")
+        cells.append(cell)
     return meta, cells, intact
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from scipy.special import cython_special
 
@@ -50,46 +49,32 @@ class Criterion(str, Enum):
 PRESET_CRITERIA = (Criterion.LR, Criterion.WALD, Criterion.RAO)
 
 
-class TestOutcome(NamedTuple):
-    """A criterion statistic with its p-value."""
-
-    statistic: float
-    p_value: float
-
-
-def chi2_sf(statistic: float, dof: int) -> float:
-    """Chi-squared survival function; for dof=2 equals exp(-x/2)."""
-    if statistic < 0:
-        raise ValueError("statistic must be non-negative")
-    return chdtrc(dof, statistic)
-
-
 _LR, _WALD, _LM, _RAO = Criterion.LR, Criterion.WALD, Criterion.LM, Criterion.RAO
 
 
 def statistic_from_rss(criterion: Criterion, rss_r: float, rss_u: float,
-                       n: int, q: int, k: int) -> TestOutcome:
-    """Statistic and p-value from the two RSS values, as a ``tuple.__new__`` TestOutcome."""
+                       n: int, q: int, k: int) -> tuple[float, float]:
+    """(statistic, p-value) from the two RSS values."""
     if rss_u <= 0.0:
         # Perfect unrestricted fit: limit behaviour of every statistic.
-        return tuple.__new__(TestOutcome, (math.inf, 0.0) if rss_r > rss_u else (0.0, 1.0))
+        return (math.inf, 0.0) if rss_r > rss_u else (0.0, 1.0)
     # OLS guarantees rss_r >= rss_u on a common window; clamp round-off,
     # picking what ``max(rss_r, rss_u)`` and ``max(delta, 0.0)`` would, NaN included.
     if criterion is _LR:
         stat = n * math.log((rss_u if rss_u > rss_r else rss_r) / rss_u)
-        return tuple.__new__(TestOutcome, (stat, chdtrc(q, stat)))
+        return stat, chdtrc(q, stat)
     delta = rss_r - rss_u
     if delta < 0.0:
         delta = 0.0
     if criterion is _WALD:
         stat = n * delta / rss_u
-        return tuple.__new__(TestOutcome, (stat, fdtrc(q, n - k, stat * (n - k) / (n * q))))
+        return stat, fdtrc(q, n - k, stat * (n - k) / (n * q))
     if criterion is _RAO:
         stat = (delta / q) / (rss_u / (n - k))
-        return tuple.__new__(TestOutcome, (stat, fdtrc(q, n - k, stat)))
+        return stat, fdtrc(q, n - k, stat)
     if criterion is _LM:
         stat = n * delta / rss_r
-        return tuple.__new__(TestOutcome, (stat, chdtrc(q, stat)))
+        return stat, chdtrc(q, stat)
     raise ValueError(f"unknown criterion {criterion!r}")
 
 

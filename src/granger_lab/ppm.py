@@ -1,8 +1,9 @@
-"""Binary PPM (P6) heatmap rendering for phase-space planes.
+"""Binary PPM (P6) heatmap rendering for phase-space planes: the rate ->
+color map and the P6 writer.
 
 Color map: rate 0 -> blue (0,0,255), 0.5 -> white, 1 -> red (255,0,0),
-linear in between. The map is invertible to within 1/255, which the render
-round-trip tests rely on.
+linear in between. The map is invertible to within 1/255; the tests hold
+its inverse and a P6 reader (``tests/kernel_reference.py``) to check renders.
 """
 
 from __future__ import annotations
@@ -19,13 +20,6 @@ def rate_to_rgb(rate: float) -> tuple[int, int, int]:
         return (c, c, 255)
     c = round(510 * (1.0 - t))
     return (255, c, c)
-
-
-def rgb_to_rate(r: int, g: int, b: int) -> float:
-    """Invert the color map (exact inverse of rate_to_rgb up to rounding)."""
-    if b == 255 and r < 255:
-        return r / 510.0
-    return 1.0 - g / 510.0
 
 
 def render_plane(plane: np.ndarray, scale: int = 1) -> np.ndarray:
@@ -51,16 +45,3 @@ def write_ppm(path: str, pixels: np.ndarray) -> None:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(pixels, dtype=np.uint8).tobytes())
 
-
-def read_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header, rest = data.split(b"\n", 1)
-    if header != b"P6":
-        raise ValueError("not a binary PPM file")
-    dims, rest = rest.split(b"\n", 1)
-    maxval, raster = rest.split(b"\n", 1)
-    w, h = (int(v) for v in dims.split())
-    if maxval != b"255":
-        raise ValueError("unsupported max value")
-    return np.frombuffer(raster[: w * h * 3], dtype=np.uint8).reshape(h, w, 3)

@@ -6,17 +6,14 @@ model of one design in a single R-only QR pass, factoring the caller's
 prefix; every Granger test goes through it. It calls ``dgeqrf`` with
 positional arguments and reads back only R's diagonal and last column, so
 the caller may keep R in the upper triangle of its array and factor
-column subsets of it again. ``ols_fit`` is the plain QR fit with
-coefficients, kept as the reference the kernel is checked against.
+column subsets of it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgeqrf
 
 
@@ -34,30 +31,6 @@ class RankDeficient(RegressionError):
 
 # Relative singular-value cutoff for declaring rank deficiency.
 RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """OLS output for one model: coefficients and RSS."""
-
-    coefficients: np.ndarray
-    rss: float
-
-
-def ols_fit(matrix: np.ndarray, response: np.ndarray) -> FitResult:
-    """Least-squares fit via QR; raises RankDeficient on degenerate designs."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    response = np.asarray(response, dtype=np.float64)
-    n_obs, n_params = matrix.shape
-    if n_obs < n_params + 1:
-        raise InsufficientData(f"{n_obs} rows for {n_params} columns")
-    q, r = np.linalg.qr(matrix)
-    col_norms = np.linalg.norm(matrix, axis=0)
-    if np.any(np.abs(np.diag(r)) <= RANK_TOL * max(col_norms.max(), 1e-300)):
-        raise RankDeficient("design matrix is rank deficient")
-    coef = solve_triangular(r, q.T @ response, lower=False)
-    resid = response - matrix @ coef
-    return FitResult(coefficients=coef, rss=float(resid @ resid))
 
 
 def nested_rss(augmented: np.ndarray, boundaries: Sequence[int],

@@ -5,16 +5,77 @@ and int degrees of freedom: the reference that ``regress.nested_rss`` and
 column and factor them as ``granger.block_pvalues`` does: one QR of the
 stack [z-lags | y-lags | x-lags | y | z], then two QRs of column subsets
 of its R factor. ``forward_rss_three_pass`` is the form before that, one
-full-length QR for each of [z | y | x], [z | x] and [y | x]."""
+full-length QR for each of [z | y | x], [z | x] and [y | x].
+
+It also holds the readers that only tests need: ``ols_fit``, a plain QR
+least-squares fit with coefficients and its own rank rule; ``chi2_sf``,
+the sign-checked chi-squared tail over the product's ``chdtrc`` kernel;
+and ``read_ppm`` and ``rgb_to_rate``, which decode a rendered P6 image and
+invert its color map."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgeqrf
 from scipy.special import chdtrc, fdtrc
 
+from granger_lab import criteria
 from granger_lab.criteria import Criterion
 from granger_lab.regress import RANK_TOL, InsufficientData, RankDeficient
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """OLS output for one model: coefficients and RSS."""
+
+    coefficients: np.ndarray
+    rss: float
+
+
+def ols_fit(matrix: np.ndarray, response: np.ndarray) -> FitResult:
+    """Least-squares fit via QR; raises RankDeficient on degenerate designs."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    response = np.asarray(response, dtype=np.float64)
+    n_obs, n_params = matrix.shape
+    if n_obs < n_params + 1:
+        raise InsufficientData(f"{n_obs} rows for {n_params} columns")
+    q, r = np.linalg.qr(matrix)
+    col_norms = np.linalg.norm(matrix, axis=0)
+    if np.any(np.abs(np.diag(r)) <= RANK_TOL * max(col_norms.max(), 1e-300)):
+        raise RankDeficient("design matrix is rank deficient")
+    coef = solve_triangular(r, q.T @ response, lower=False)
+    resid = response - matrix @ coef
+    return FitResult(coefficients=coef, rss=float(resid @ resid))
+
+
+def chi2_sf(statistic: float, dof: int) -> float:
+    """Chi-squared survival function; for dof=2 equals exp(-x/2)."""
+    if statistic < 0:
+        raise ValueError("statistic must be non-negative")
+    return criteria.chdtrc(dof, statistic)
+
+
+def rgb_to_rate(r: int, g: int, b: int) -> float:
+    """Invert the color map (exact inverse of rate_to_rgb up to rounding)."""
+    if b == 255 and r < 255:
+        return r / 510.0
+    return 1.0 - g / 510.0
+
+
+def read_ppm(path: str) -> np.ndarray:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, rest = data.split(b"\n", 1)
+    if header != b"P6":
+        raise ValueError("not a binary PPM file")
+    dims, rest = rest.split(b"\n", 1)
+    maxval, raster = rest.split(b"\n", 1)
+    w, h = (int(v) for v in dims.split())
+    if maxval != b"255":
+        raise ValueError("unsupported max value")
+    return np.frombuffer(raster[: w * h * 3], dtype=np.uint8).reshape(h, w, 3)
 
 
 def nested_rss(matrix, response, boundaries, norm_columns=None):

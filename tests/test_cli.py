@@ -14,17 +14,18 @@ import scipy
 from hypothesis import given, settings, strategies as st
 
 from granger_lab import cli, datagen, experiments, granger, regress
-from granger_lab.cli import (MAX_GRID_VALUES, PHASE_HEADER, fmt, load_phase_csv, main,
-                             parse_criteria, parse_grid)
+from granger_lab.cli import (MAX_GRID_VALUES, PHASE_COLUMNS, PHASE_HEADER, fmt, load_phase_csv,
+                             main, parse_criteria, parse_grid)
 from granger_lab.core import FORWARD_LINKS, TopologyKind
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GeneratorConfig, resolve_sigmas
 from granger_lab.experiments import _count_run
 from granger_lab.granger import FORWARD_KEYS, REVERSE_KEYS
 from granger_lab.seeding import derive_seeds
-from granger_lab.ppm import rate_to_rgb, read_ppm, render_plane, rgb_to_rate, write_ppm
+from granger_lab.ppm import rate_to_rgb, render_plane, write_ppm
 
 import kernel_reference
+from kernel_reference import read_ppm, rgb_to_rate
 
 
 class TestParsing:
@@ -201,9 +202,6 @@ class TestGenerateAnalyze:
             return lambda *args: calls.append(name) or fn(*args)
 
         monkeypatch.setattr(granger, "nested_rss", counted("nested_rss", regress.nested_rss))
-        for module in (cli, granger, regress):
-            monkeypatch.setattr(module, "ols_fit", counted("ols_fit", regress.ols_fit),
-                                raising=False)
         assert main(["analyze", "--input", str(csv), "--json"]) == 0
         assert calls == ["nested_rss"] * 6
 
@@ -558,6 +556,13 @@ def _manifest_keys(path: Path) -> dict[str, list[str]]:
     return keys
 
 
+def _with_field(line: str, column: str, value: str) -> str:
+    """A phase-space CSV row with ``column`` set to ``value``."""
+    fields = line.split(",")
+    fields[PHASE_COLUMNS.index(column)] = value
+    return ",".join(fields)
+
+
 class TestPhaseSpaceCommand:
     ARGS = ["phase-space", "--topology", "driver", "--noise", "intrinsic",
             "--n", "60", "--alpha", "0.05", "--iterations", "10",
@@ -615,6 +620,22 @@ class TestPhaseSpaceCommand:
         assert main(self.ARGS + ["--resume", "--out", str(out)]) == 4
         csv.write_text("not a checkpoint")
         assert main(self.ARGS + ["--resume", "--out", str(out)]) == 4
+
+    @pytest.mark.parametrize("column, value", [("unidentified_rate", "-3.0"),
+                                               ("spurious_rate", "7.5"), ("snr_z_db", "nan")])
+    def test_resume_refuses_a_row_out_of_range(self, tmp_path, capsys, column, value):
+        # A checkpoint that phase-space could not have written conflicts
+        # with the run it would resume, which leaves it as it is.
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        lines = csv.read_text().splitlines()
+        csv.write_text("\n".join(lines[:2] + [_with_field(lines[2], column, value)]) + "\n")
+        kept = csv.read_bytes()
+        capsys.readouterr()
+        assert main(self.ARGS + ["--resume", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(f"resume conflict: {csv}: row 3: ")
+        assert csv.read_bytes() == kept
 
     @pytest.mark.parametrize("count", ["0", "-4"])
     def test_nonpositive_iterations_leave_the_checkpoint_alone(self, tmp_path, count):
@@ -1098,7 +1119,7 @@ class TestShortSeries:
             assert sorted(got) == sorted(keys)
             pairs = kernel_reference.forward_rss_three_pass(*sample, 2)
             for key, (rss_r, rss_u, k) in zip(keys, pairs):
-                expected = statistic_from_rss(Criterion.LR, rss_r, rss_u, 7, 2, k).p_value
+                expected = statistic_from_rss(Criterion.LR, rss_r, rss_u, 7, 2, k)[1]
                 assert got[key] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_resume_leaves_the_checkpoint_alone(self, tmp_path, capsys):
@@ -1245,6 +1266,26 @@ class TestRender:
                      "--out", str(ppm)]) == 2
         err = capsys.readouterr().err
         assert f"{path} has no complete rows" in err and len(err.splitlines()) == 1
+        assert not ppm.exists()
+
+    @pytest.mark.parametrize("column, value, problem", [
+        ("unidentified_rate", "-3.0", "a rate is outside [0, 1]"),
+        ("unidentified_rate", "7.5", "a rate is outside [0, 1]"),
+        ("rate_yz", "nan", "a rate is outside [0, 1]"),
+        ("snr_y_db", "nan", "an SNR is not finite"),
+        ("snr_x_db", "-inf", "an SNR is not finite"),
+    ])
+    def test_value_out_of_range_exits_2_and_names_its_row(self, tmp_path, capsys,
+                                                          column, value, problem):
+        # rate_to_rgb would clamp a bad rate into a wrong picture.
+        csv, ppm = tmp_path / "g.csv", tmp_path / "g.ppm"
+        self._phase_csv(csv, 0.5)
+        lines = csv.read_text().splitlines()
+        lines[2] = _with_field(lines[2], column, value)
+        csv.write_text("\n".join(lines) + "\n")
+        assert main(["render", "--input", str(csv), "--axis", "z", "--value", "0",
+                     "--out", str(ppm)]) == 2
+        assert capsys.readouterr().err == f"{csv}: row 3: {problem}\n"
         assert not ppm.exists()
 
     def test_non_utf8_input_exits_2_and_names_it(self, tmp_path, capsys):

@@ -214,7 +214,7 @@ def _scalar_pvalues(sample, criterion):
     """The five forward p-values, one ``statistic_from_rss`` call each, from
     the reference passes."""
     pairs = reference.forward_rss(sample.x, sample.y, sample.z, 2)
-    return {key: statistic_from_rss(criterion, rss_r, rss_u, len(sample.x) - 2, 2, k).p_value
+    return {key: statistic_from_rss(criterion, rss_r, rss_u, len(sample.x) - 2, 2, k)[1]
             for key, (rss_r, rss_u, k) in zip(FORWARD_KEYS, pairs, strict=True)}
 
 

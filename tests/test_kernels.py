@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import kernel_reference as reference
 from granger_lab.core import TopologyKind
 from granger_lab import criteria, granger
-from granger_lab.criteria import Criterion, chi2_sf, statistic_from_rss, two_proportion_z
+from granger_lab.criteria import Criterion, statistic_from_rss, two_proportion_z
 from granger_lab.datagen import (BASELINE_SIGMAS, GeneratorConfig, NoiseKind, generate,
                                  resolve_sigmas)
 from granger_lab.experiments import _count_run
@@ -238,8 +238,8 @@ def test_statistic_from_rss_matches_the_reference(crit, rss_u, ratio, q, extra, 
 #: with ordinary values between them.
 EDGE_STATISTICS = [0.0, -0.0, 5e-324, 1e-300, 1e300, np.inf, np.nan,
                    *np.geomspace(1e-12, 1e4, 49).tolist(), 0.5, 1.0, 2.0, 3.0, 5.991, 9.21]
-#: ``statistic_from_rss`` calls the kernels without ``chi2_sf``'s sign
-#: check, so they are checked on negative statistics too.
+#: ``statistic_from_rss`` calls the kernels without ``reference.chi2_sf``'s
+#: sign check, so they are checked on negative statistics too.
 SIGNED_STATISTICS = [-np.inf, -1.0, *EDGE_STATISTICS]
 RESTRICTIONS = (1, 2, 3, 4, 8)
 RESIDUAL_DOF = (1, 2, 5, 17, 44, 291, 2993, 29993, 1048000)
@@ -252,7 +252,7 @@ def _bits(values):
 def test_chi2_tails_match_the_ufunc_bit_for_bit():
     for q in RESTRICTIONS:
         expected = ufuncs.chdtrc(float(q), np.array(EDGE_STATISTICS))
-        assert _bits([chi2_sf(stat, q) for stat in EDGE_STATISTICS]) == _bits(expected)
+        assert _bits([reference.chi2_sf(stat, q) for stat in EDGE_STATISTICS]) == _bits(expected)
         assert (_bits([criteria.chdtrc(q, stat) for stat in SIGNED_STATISTICS])
                 == _bits(ufuncs.chdtrc(float(q), np.array(SIGNED_STATISTICS))))
 

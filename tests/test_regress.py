@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_reference as reference
+from kernel_reference import ols_fit
 from granger_lab import granger
 from granger_lab.core import TopologyKind
 from granger_lab.criteria import Criterion
 from granger_lab.datagen import GeneratorConfig, NoiseKind, generate
 from granger_lab.granger import _lag_stack, block_pvalues
-from granger_lab.regress import InsufficientData, RankDeficient, nested_rss, ols_fit
+from granger_lab.regress import InsufficientData, RankDeficient, nested_rss
 
 
 def _nested_rss(matrix, response, boundaries):
