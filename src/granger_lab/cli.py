@@ -42,7 +42,6 @@ from .experiments import (PHASE_RATES, SNR_KEYS, PhaseGrid, SweepResult, extract
 from .granger import (FORWARD_KEYS, LAGS, REVERSE_KEYS, GrangerConfig, decide_edge_array,
                       sample_pvalues)
 from .ppm import render_plane, write_ppm
-from .regress import RankDeficient
 
 #: The run's settings, repeated on every phase-space row, and how each parses.
 PHASE_META = {"topology": str, "noise_kind": str, "n": int, "alpha": float,
@@ -397,6 +396,8 @@ def cmd_phase_space(args) -> tuple[list[str], int]:
             if fh is None:  # opened for the first row, so an early failure keeps --out
                 fh = stack.enter_context(open(csv_path, "a" if intact else "w",
                                               encoding="utf-8", newline="\n"))
+                # The flushed rows reach the disk once, when the stream ends or fails.
+                stack.callback(os.fsync, fh.fileno())
                 if not intact:
                     fh.write(PHASE_HEADER + "\n")
             fh.write(_phase_row(meta, row) + "\n")
@@ -491,11 +492,7 @@ def cmd_analyze(args) -> None:
     sample = _read_input(_read_series_csv, args.input)
     config = GrangerConfig(lags=args.lags, criterion=parse_criterion(args.criterion),
                            significance=args.alpha)
-    try:
-        [pvalues], [reverse] = sample_pvalues(*sample, config.lags, (config.criterion,))
-    except RankDeficient:
-        raise RankDeficient("rank-deficient design: a series is constant or duplicated; "
-                            "check the input columns") from None
+    [pvalues], [reverse] = sample_pvalues(*sample, config.lags, (config.criterion,))
     [accepted] = decide_edge_array(pvalues, np.array([config.significance]))
     edges = [link for link, on in zip(FORWARD_LINKS, accepted) if on]
     forward_p = {key: float(p) for key, p in zip(FORWARD_KEYS, pvalues)}

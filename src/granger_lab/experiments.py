@@ -228,15 +228,14 @@ def _count_block(gen: GeneratorConfig, levels: Sequence[Sequence[float]], sizes:
     alpha_levels = np.array(alphas)
     done = 0
     for xs, ys, zs in generate_chunks(gen, states, levels):
-        pvalues, _ = block_pvalues(xs, ys, zs, lags, criteria)
+        pvalues, deficient = block_pvalues(xs, ys, zs, lags, criteria)
         # The cells of the chunk's first and last rows, and where each starts.
         first, last = np.searchsorted(first_rows, (done, done + len(pvalues) - 1), "right") - 1
         starts = np.maximum(first_rows[first:last + 1] - done, 0)
         done += len(pvalues)
         decided = decide_edge_array(pvalues, alpha_levels)
         edges[first:last + 1] += np.add.reduceat(decided, starts, dtype=np.int64)
-        skipped = np.isnan(pvalues).all(axis=(1, 2))
-        rank_deficient[first:last + 1] += np.add.reduceat(skipped, starts, dtype=np.int64)
+        rank_deficient[first:last + 1] += np.add.reduceat(deficient, starts, dtype=np.int64)
     return list(zip(edges, rank_deficient.tolist()))
 
 

@@ -22,7 +22,9 @@ of A, so [z, x] and [y], [y, x] come from two more passes on the upper
 triangle of R's [z-lags | x-lags | z] and [y-lags | x-lags | y] columns,
 at most 3 * lags + 2 rows each, whatever the sample's length (Golub & Van
 Loan, Matrix Computations, section 5.3). The stacks and their column norms
-are built once per block.
+are built once per block. Every sample makes the three passes, and one
+``regress.rank_deficient`` call a block marks from their pivots the rows
+not to score.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .criteria import Criterion, statistic_from_rss
 from .datagen import CHUNK_VALUES
-from .regress import RankDeficient, nested_rss
+from .regress import RankDeficient, nested_rss, rank_deficient
 
 #: Keys for the five forward-model comparisons the two-step procedure uses.
 BIV_XY, BIV_XZ, BIV_YZ = "x->y", "x->z", "y->z"
@@ -81,12 +83,12 @@ class GrangerConfig:
 
 
 def _lag_stack(x: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
-               out: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
+               out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's [z lags 1..p | y lags | x lags | y | z] on t = p .. n-1 in
     the first rows of ``out``, a C-ordered (rows, 3p + 2, n - p) buffer, and
-    the largest column norms of its [z, y, x], [z, x] and [y, x] lags. A
-    row of the stack, transposed, is the F-ordered [X | b] ``nested_rss``
-    takes."""
+    the (rows, 3) largest column norms of its [z, y, x], [z, x] and [y, x]
+    lags. A row of the stack, transposed, is the F-ordered [X | b]
+    ``nested_rss`` takes."""
     rows, n = z.shape
     stack = out[:rows]
     lagged = [*product((z, y, x), range(1, p + 1)), (y, 0), (z, 0)]
@@ -95,24 +97,26 @@ def _lag_stack(x: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
     squares = np.einsum("bcn,bcn->bc", stack[:, :3 * p], stack[:, :3 * p])
     z_y_x = squares.reshape(rows, 3, p).max(axis=2)  # each series' largest squared lag norm
     norms = [z_y_x.max(axis=1), z_y_x[:, ::2].max(axis=1), z_y_x[:, 1:].max(axis=1)]
-    return stack, np.sqrt(norms).T.tolist()
+    return stack, np.sqrt(norms).T
 
 
 def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
-                  criteria: Sequence[Criterion]) -> tuple[np.ndarray, int]:
+                  criteria: Sequence[Criterion]) -> tuple[np.ndarray, np.ndarray]:
     """P-values (sample, criterion, comparison), in ``FORWARD_KEYS`` order,
-    of the rows of (rows, n) x, y and z, and the count of rows that are
-    rank deficient; each of those has NaN for every p-value, which
+    of the rows of (rows, n) x, y and z, and the (rows,) mask of the rows
+    that are rank deficient; each of those has NaN for every p-value, which
     ``decide_edge_array`` accepts no edge from. On n - lags observations,
     the stack [z-lags | y-lags | x-lags | y | z] gives the RSS of [z], [z,
     y] and [z, y, x]; the upper triangle of its R factor's [z-lags |
     x-lags | z] columns that of [z, x], and of its [y-lags | x-lags | y]
-    columns those of [y] and [y, x]. The stacks are built for blocks of at
-    most ``CHUNK_VALUES`` values."""
+    columns those of [y] and [y, x]. The three R factors stay in the
+    block's buffers, where ``rank_deficient`` reads their pivots. The
+    stacks are built for blocks of at most ``CHUNK_VALUES`` values."""
     require_length(zs.shape[1], lags)
     p, rows, n_obs = lags, zs.shape[0], zs.shape[1] - lags
     width = len(criteria) * len(FORWARD_KEYS)
     pvalues = np.empty((rows, len(criteria), len(FORWARD_KEYS)))
+    deficient = np.empty(rows, dtype=bool)
     flat = memoryview(pvalues.reshape(-1))
     step = max(1, CHUNK_VALUES // ((3 * p + 2) * n_obs))  # the stack's 3p + 2 columns
     buffer = np.empty((min(step, rows), 3 * p + 2, n_obs))  # refilled block by block
@@ -123,30 +127,25 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
     m = min(n_obs, k3 + 2)
     below = np.arange(m) > np.array(subset)[:, None]
     reduced = np.empty((len(buffer), len(subset), m))
-    filled = rank_deficient = 0
+    filled = 0
     for a in range(0, rows, step):
         stack, norms = _lag_stack(xs[a:a + step], ys[a:a + step], zs[a:a + step], p, buffer)
         # Each row of the transposed stack is the F-ordered [X | b] itself.
-        full = []
-        for design, (norm, _, _) in zip(stack.transpose(0, 2, 1), norms):
-            try:
-                full.append(nested_rss(design, (p, k2, k3), norm))
-            except RankDeficient:
-                full.append(None)
+        full = [nested_rss(design, (p, k2, k3)) for design in stack.transpose(0, 2, 1)]
         # R's subsets, upper triangle only; each row is F-ordered once transposed.
         subsets = np.take(stack[:, :, :m], subset, axis=1, out=reduced[:len(stack)], mode="clip")
         np.copyto(subsets, 0.0, where=below)
-        subsets = subsets.transpose(0, 2, 1)
-        for rss, zx, yx, (_, zx_norm, yx_norm) in zip(
-                full, subsets[:, :, :k2 + 1], subsets[:, :, k2 + 1:], norms):
-            try:
-                if rss is None:
-                    raise RankDeficient("design matrix is rank deficient")
-                rss_z, rss_zy, rss_zyx = rss
-                (rss_zx,) = nested_rss(zx, (k2,), zx_norm)
-                rss_y, rss_yx = nested_rss(yx, (p, k2), yx_norm)
-            except RankDeficient:
-                rank_deficient += 1
+        passes = [(*nested_rss(zx, (k2,)), *nested_rss(yx, (p, k2))) for zx, yx in zip(
+            subsets[:, :k2 + 1].transpose(0, 2, 1), subsets[:, k2 + 1:].transpose(0, 2, 1))]
+        # The pivots of the three factors, each against the largest column
+        # norm of the stack columns it was reduced from.
+        pivots = np.concatenate((stack.diagonal(0, 1, 2)[:, :k3], subsets.diagonal(0, 1, 2)[:, :k2],
+                                 subsets.diagonal(-k2 - 1, 1, 2)[:, :k2]), axis=1)
+        skipped = deficient[a:a + len(stack)] = rank_deficient(
+            pivots, np.repeat(norms, (k3, k2, k2), axis=1))
+        for (rss_z, rss_zy, rss_zyx), (rss_zx, rss_y, rss_yx), skip in zip(
+                full, passes, skipped.tolist()):
+            if skip:
                 pvalues.flat[filled:filled + width] = np.nan
                 filled += width
                 continue
@@ -156,7 +155,7 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
                 for rss_r, rss_u, k in pairs:
                     flat[filled] = statistic_from_rss(criterion, rss_r, rss_u, n_obs, p, k)[1]
                     filled += 1
-    return pvalues, rank_deficient
+    return pvalues, deficient
 
 
 def sample_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
@@ -168,10 +167,11 @@ def sample_pvalues(x: np.ndarray, y: np.ndarray, z: np.ndarray, lags: int,
     links backwards. A rank-deficient sample raises RankDeficient."""
     if not x.shape == y.shape == z.shape:
         raise ValueError(f"series lengths differ: {x.size}, {y.size}, {z.size}")
-    pvalues, rank_deficient = block_pvalues(np.stack((x, z)), np.broadcast_to(y, (2, y.size)),
-                                             np.stack((z, x)), lags, criteria)
-    if rank_deficient:
-        raise RankDeficient("design matrix is rank deficient")
+    pvalues, deficient = block_pvalues(np.stack((x, z)), np.broadcast_to(y, (2, y.size)),
+                                       np.stack((z, x)), lags, criteria)
+    if deficient.any():
+        raise RankDeficient("rank-deficient design: a series is constant or duplicated; "
+                            "check the input columns")
     return pvalues[0], pvalues[1, :, 2::-1]
 
 

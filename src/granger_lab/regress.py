@@ -2,11 +2,11 @@
 
 ``nested_rss`` gives the residual sum of squares of every column-prefix
 model of one design in a single R-only QR pass, factoring the caller's
-[X | b] in place, with the largest column norm of X's largest requested
-prefix; every Granger test goes through it. It calls ``dgeqrf`` with
-positional arguments and reads back only R's diagonal and last column, so
-the caller may keep R in the upper triangle of its array and factor
-column subsets of it again.
+[X | b] in place; every Granger test goes through it. It calls ``dgeqrf``
+with positional arguments, reads back only R's last column and checks no
+rank, so the caller keeps R in the upper triangle of its array, factors
+column subsets of it again, and has ``rank_deficient``, the one rank rule,
+judge the pivots of a whole block of R factors at once.
 """
 
 from __future__ import annotations
@@ -33,8 +33,15 @@ class RankDeficient(RegressionError):
 RANK_TOL = 1e-10
 
 
-def nested_rss(augmented: np.ndarray, boundaries: Sequence[int],
-               largest_norm: float) -> list[float]:
+def rank_deficient(pivots: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Which rows of ``pivots`` (rows, k), R factors' diagonals, are rank
+    deficient: those with a pivot at or below ``RANK_TOL`` times its entry
+    of ``norms`` (rows, k), the largest column norm of the columns its
+    factor was built from."""
+    return (np.abs(pivots) <= RANK_TOL * np.maximum(norms, 1e-300)).any(axis=1)
+
+
+def nested_rss(augmented: np.ndarray, boundaries: Sequence[int]) -> list[float]:
     """RSS of each column-prefix model in one QR pass, overwriting ``augmented``.
 
     ``augmented`` is the F-ordered float64 [X | b]: the design's p columns
@@ -46,9 +53,7 @@ def nested_rss(augmented: np.ndarray, boundaries: Sequence[int],
     ``sum_{i=k}^{p} R[i, p]^2`` over the rows of R that exist (Golub & Van
     Loan, Matrix Computations, section 5.3). Unlike ``||b||^2 - ||Q^T b||^2``
     this sum does not cancel when the fit is nearly exact. Afterwards R is
-    the upper triangle of ``augmented``. Raises RankDeficient when a pivot
-    of the largest prefix falls below tolerance relative to
-    ``largest_norm``, that prefix's largest column norm.
+    the upper triangle of ``augmented``, pivots included.
     """
     n_obs, n_params, k_max = augmented.shape[0], augmented.shape[1] - 1, boundaries[-1]
     if n_obs < k_max + 1:
@@ -58,8 +63,6 @@ def nested_rss(augmented: np.ndarray, boundaries: Sequence[int],
     r, _, _, info = dgeqrf(augmented, 3 * n_params + 3, 1)
     if info != 0:
         raise RegressionError(f"QR factorization failed (LAPACK info={info})")
-    if min(map(abs, r.diagonal()[:k_max].tolist())) <= RANK_TOL * max(largest_norm, 1e-300):
-        raise RankDeficient("design matrix is rank deficient")
     last = min(n_params, n_obs - 1)  # R's last row in the response's column
     suffix, total = [], 0.0  # sums of R[i, p]^2 from i = last down, in ``cumsum`` order
     for value in r[last::-1, n_params].tolist():

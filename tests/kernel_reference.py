@@ -1,8 +1,10 @@
 """The per-sample kernels as they were first written, with array arithmetic
 and int degrees of freedom: the reference that ``regress.nested_rss`` and
-``criteria.statistic_from_rss`` must match bit for bit. ``lag_design``,
-``lag_stack`` and ``forward_rss`` build one sample's designs column by
-column and factor them as ``granger.block_pvalues`` does: one QR of the
+``criteria.statistic_from_rss`` must match bit for bit. Its ``nested_rss``
+keeps the rank check that the product moved to ``regress.rank_deficient``,
+so the two verdicts are compared too. ``lag_design``, ``lag_stack`` and
+``forward_rss`` build one sample's designs column by column and factor
+them as ``granger.block_pvalues`` does: one QR of the
 stack [z-lags | y-lags | x-lags | y | z], then two QRs of column subsets
 of its R factor. ``forward_rss_three_pass`` is the form before that, one
 full-length QR for each of [z | y | x], [z | x] and [y | x].

@@ -146,7 +146,9 @@ class TestGenerateAnalyze:
         csv.write_text("\n".join(rows) + "\n")
         rc = main(["analyze", "--input", str(csv)])
         assert rc == 3
-        assert "rank-deficient" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: rank-deficient design: a series is constant or duplicated; "
+            "check the input columns\n")
 
     def test_bad_params_exit_2(self, tmp_path):
         assert main(["generate", "--topology", "driver", "--params", "1,2",
@@ -815,6 +817,44 @@ class TestPhaseSpaceCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"resume conflict: {reason}") and len(err.splitlines()) == 1
         assert csv.read_bytes() == kept
+
+    @pytest.fixture
+    def synced(self, monkeypatch):
+        """The descriptors ``os.fsync`` is called on, in call order."""
+        descriptors = []
+        monkeypatch.setattr(os, "fsync", descriptors.append)
+        return descriptors
+
+    def test_checkpoint_is_synced_once_after_a_full_run(self, tmp_path, synced):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        assert len(synced) == 1
+
+    def test_checkpoint_is_synced_once_after_a_failed_stream(self, tmp_path, monkeypatch,
+                                                           synced):
+        stream = experiments.phase_rows
+        rows = []
+
+        def failing(*args, **kwargs):
+            for row in stream(*args, **kwargs):
+                yield row
+                rows.append(row)
+                assert synced == []  # not per row
+                if len(rows) == 3:
+                    raise RuntimeError("worker lost")
+
+        monkeypatch.setattr(cli, "phase_rows", failing)
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 3
+        assert len(synced) == 1
+        assert len((out / "phase_space.csv").read_text().splitlines()) == 4
+
+    def test_a_bad_flag_syncs_nothing(self, tmp_path, synced):
+        out = tmp_path / "ps"
+        args = list(self.ARGS)
+        args[args.index("--alpha") + 1] = "1.5"
+        assert main(args + ["--out", str(out)]) == 2
+        assert synced == [] and not out.exists()
 
     def test_failed_run_writes_no_manifest(self, tmp_path, monkeypatch):
         stream = experiments.phase_rows

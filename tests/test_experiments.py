@@ -17,7 +17,6 @@ from granger_lab.experiments import (SNR_KEYS, DegenerateConfiguration, OffGrid,
                                      estimate_rates, extract_plane, phase_rows, phase_space,
                                      snr_grid, sweep_sample_size, sweep_significance)
 from granger_lab.granger import FORWARD_KEYS, GrangerConfig
-from granger_lab.regress import RankDeficient
 from granger_lab.seeding import derive_seeds, generator_states
 
 import kernel_reference as reference
@@ -482,18 +481,21 @@ class TestPartitionInvariance:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_cells_split_across_runs(self, pool, monkeypatch, batches, workers):
-        # Reject the samples whose first x value is negative as rank
-        # deficient, so that the split cells' rank-deficient counts are
-        # summed across runs too. A sample's first pass is [z-lags | y-lags
-        # | x-lags | z]; its first row holds x[0] as lag 2 of x, column 5.
-        kernel = granger.nested_rss
+        # Have the rank rule reject the samples whose first x value is
+        # negative, so that the split cells' rank-deficient counts are
+        # summed across runs too. A block's stack is [z-lags | y-lags |
+        # x-lags | y | z]; its first observation holds x[0] as lag 2 of x,
+        # column 5, until the stack is factored.
+        lag_stack, rule, first_x = granger._lag_stack, granger.rank_deficient, []
 
-        def rejecting(augmented, boundaries, largest_norm):
-            if boundaries == (2, 4, 6) and augmented[0, 5] < 0:
-                raise RankDeficient("rejected")
-            return kernel(augmented, boundaries, largest_norm)
+        def recording(*args):
+            stack, norms = lag_stack(*args)
+            first_x.append(stack[:, 5, 0] < 0)
+            return stack, norms
 
-        monkeypatch.setattr(granger, "nested_rss", rejecting)
+        monkeypatch.setattr(granger, "_lag_stack", recording)
+        monkeypatch.setattr(granger, "rank_deficient",
+                            lambda pivots, norms: rule(pivots, norms) | first_x.pop())
         reference = _grid_counts(4, 1)
         assert 0 < sum(rd for _, rd in reference) < 4 * 27
         batches.clear()

@@ -132,8 +132,8 @@ class TestShortestSample:
         # A chunk of 40 samples of 9 values, scored as one block, row by row
         # as each sample alone.
         xs, ys, zs = _rows(GeneratorConfig(topology=TopologyKind.DRIVER, length=9), 40, 8)
-        pvalues, rank_deficient = block_pvalues(xs, ys, zs, 2, tuple(Criterion))
-        assert rank_deficient == 0 and pvalues.shape == (40, len(Criterion), 5)
+        pvalues, deficient = block_pvalues(xs, ys, zs, 2, tuple(Criterion))
+        assert deficient.sum() == 0 and pvalues.shape == (40, len(Criterion), 5)
         for row, sample in zip(pvalues, zip(xs, ys, zs)):
             assert row.tobytes() == sample_pvalues(*sample, 2, tuple(Criterion))[0].tobytes()
 
@@ -169,8 +169,8 @@ class TestComparisonRss:
         s = _sample(TopologyKind.DRIVER, seed=3)
         kernel, passes = granger.nested_rss, []
 
-        def recording(augmented, boundaries, largest_norm):
-            rss = kernel(augmented, boundaries, largest_norm)
+        def recording(augmented, boundaries):
+            rss = kernel(augmented, boundaries)
             passes.append((tuple(boundaries), rss))
             return rss
 
@@ -258,11 +258,45 @@ class TestBlockPvalues:
         monkeypatch.setattr(granger, "CHUNK_VALUES", block * (3 * 2 + 2) * 48)  # 3p + 2 columns
         got = [block_pvalues(xs[a:a + chunk], ys[a:a + chunk], zs[a:a + chunk], 2, criteria)
                for a in range(0, 11, chunk)]
-        assert sum(skipped for _, skipped in got) == 1
+        assert sum(deficient.sum() for _, deficient in got) == 1
         pvalues = np.concatenate([p for p, _ in got])
         assert pvalues.shape == (11, len(criteria), len(FORWARD_KEYS))
         assert np.isnan(pvalues[5]).all()
         assert np.delete(pvalues, 5, axis=0).tobytes() == np.stack(alone).tobytes()
+
+    def test_a_rank_deficient_row_makes_three_passes_and_is_not_scored(self, monkeypatch):
+        # Row 1 (y = x) of a three-row block goes through the same three
+        # ``nested_rss`` passes as its neighbours but is never scored; each
+        # neighbour makes the calls, and gets the p-values, it has alone.
+        xs, ys, zs = _rows(GeneratorConfig(topology=TopologyKind.DRIVER, length=50), 3, 6)
+        ys[1] = xs[1]
+        criteria = tuple(Criterion)
+        calls = {}
+
+        def counting(name, kernel):
+            def counted(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return counted
+
+        for name in ("nested_rss", "statistic_from_rss"):
+            monkeypatch.setattr(granger, name, counting(name, getattr(granger, name)))
+
+        def scored(rows):
+            calls.update(nested_rss=0, statistic_from_rss=0)
+            got = block_pvalues(xs[rows], ys[rows], zs[rows], 2, criteria)
+            return got, dict(calls)
+
+        (pvalues, deficient), block = scored([0, 1, 2])
+        assert deficient.tolist() == [False, True, False] and np.isnan(pvalues[1]).all()
+        (_, alone_deficient), alone = scored([1])
+        assert alone_deficient.tolist() == [True]
+        assert alone == {"nested_rss": 3, "statistic_from_rss": 0}
+        for row in (0, 2):
+            (neighbour, _), own = scored([row])
+            assert own == {"nested_rss": 3, "statistic_from_rss": 5 * len(criteria)}
+            assert neighbour[0].tobytes() == pvalues[row].tobytes()
+        assert block == {"nested_rss": 9, "statistic_from_rss": 10 * len(criteria)}
 
     def test_a_block_holds_at_most_chunk_values(self):
         # An 81-row chunk at n=300 is cut into stack blocks of 13 rows of 8
@@ -274,11 +308,11 @@ class TestBlockPvalues:
         xs, ys, zs = _rows(config, 81, 3)
         tracemalloc.start()
         try:
-            pvalues, skipped = block_pvalues(xs, ys, zs, 2, (Criterion.WALD,))
+            pvalues, deficient = block_pvalues(xs, ys, zs, 2, (Criterion.WALD,))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert pvalues.shape == (81, 1, len(FORWARD_KEYS)) and skipped == 0
+        assert pvalues.shape == (81, 1, len(FORWARD_KEYS)) and deficient.sum() == 0
         designs = (7 * 2 + 3) * 298 * (CHUNK_VALUES // ((7 * 2 + 3) * 298))
         assert designs <= CHUNK_VALUES
         assert peak < 8 * designs + 32 * 1024  # the design block, plus small arrays

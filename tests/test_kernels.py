@@ -1,9 +1,10 @@
 """``regress.nested_rss`` and ``criteria.statistic_from_rss`` against their
 first array-and-int forms in ``kernel_reference``: the same RSS values,
 p-values and rank-deficiency verdicts, bit for bit. The in-place kernel
-factors a copy of the [X | b] that the reference reads as X and b, with
-the largest column norm of the columns its largest prefix was built from;
-the scalar tails in ``criteria`` match the ``scipy.special`` ufuncs bit
+factors a copy of the [X | b] that the reference reads as X and b, and
+``regress.rank_deficient`` judges the pivots it leaves against the largest
+column norm of the columns its largest prefix was built from; the scalar
+tails in ``criteria`` match the ``scipy.special`` ufuncs bit
 for bit. The one-QR reference agrees with the three-pass one to rounding."""
 
 import math
@@ -19,7 +20,7 @@ from granger_lab.criteria import Criterion, statistic_from_rss, two_proportion_z
 from granger_lab.datagen import (BASELINE_SIGMAS, GeneratorConfig, NoiseKind, generate,
                                  resolve_sigmas)
 from granger_lab.experiments import _count_run
-from granger_lab.regress import RANK_TOL, RankDeficient, nested_rss
+from granger_lab.regress import RANK_TOL, RankDeficient, nested_rss, rank_deficient
 from granger_lab.seeding import derive_seeds
 
 NOISE = st.one_of(
@@ -52,6 +53,16 @@ def _outcome(kernel, *args):
         return "rank deficient"
 
 
+def _kernel_outcome(augmented, boundaries, norm):
+    """``_outcome`` of the product's path on an F-ordered [X | b], which it
+    overwrites: ``nested_rss``, then the rank rule on the pivots of the
+    largest prefix, each against ``norm``."""
+    rss, k_max = nested_rss(augmented, boundaries), boundaries[-1]
+    if rank_deficient(augmented.diagonal()[None, :k_max], np.full((1, k_max), norm))[0]:
+        return "rank deficient"
+    return _hex(rss)
+
+
 def _norm(columns):
     """The largest column norm of ``columns``, as the block's stack gives it."""
     columns = np.asfortranarray(columns)
@@ -64,7 +75,7 @@ def _outcomes(augmented, boundaries, norm_columns=None):
     norm is that of X's largest prefix, or of ``norm_columns``."""
     if norm_columns is None:
         norm_columns = augmented[:, :boundaries[-1]]
-    return (_outcome(nested_rss, augmented.copy(order="F"), boundaries, _norm(norm_columns)),
+    return (_kernel_outcome(augmented.copy(order="F"), boundaries, _norm(norm_columns)),
             _outcome(reference.nested_rss, augmented[:, :-1], augmented[:, -1], boundaries,
                      norm_columns))
 
@@ -95,40 +106,62 @@ def _block_order(samples, rows):
     return order
 
 
-def _assert_passes(passed, expected):
-    """The recorded passes are the expected designs in order, each with the
-    largest column norm of the columns it was built from."""
+def _assert_passes(passed, judged, expected):
+    """The recorded passes are the expected designs in order, and each
+    block's rank rule saw, for each of its samples, the pivots of the
+    largest prefix its three passes left (the stack, then R's two subsets),
+    each against the largest column norm of the columns that pass was built
+    from."""
     assert [b for _, b, _ in passed] == [b for _, b, _ in expected]
-    for (got, _, norm), (design, _, norm_columns) in zip(passed, expected, strict=True):
+    for (got, _, _), (design, _, _) in zip(passed, expected, strict=True):
         np.testing.assert_array_equal(got, design)
-        assert norm == _norm(norm_columns)
+    done = 0
+    for pivots, norms in judged:
+        rows = len(pivots)
+        for row in range(rows):
+            own = [done + row, done + rows + 2 * row, done + rows + 2 * row + 1]
+            np.testing.assert_array_equal(pivots[row],
+                                          np.concatenate([passed[i][2] for i in own]))
+            assert norms[row].tolist() == [_norm(expected[i][2])
+                                           for i in own for _ in range(expected[i][1][-1])]
+        done += 3 * rows
+    assert done == len(passed)
 
 
 def test_designs_are_what_the_granger_passes_factor(monkeypatch):
     # The frozen-kernel checks below run on ``_designs``; the passes of
     # ``analyze`` and of the Monte Carlo loop must hand ``nested_rss`` the
-    # same F-ordered arrays, and each one's largest column norm.
+    # same F-ordered arrays, and the rank rule the pivots each leaves with
+    # its largest column norm.
     gen = GeneratorConfig(topology=TopologyKind.DRIVER, length=40)
     x, y, z = generate(gen, 3)
-    passed = []
+    passed, judged = [], []
 
-    def recording(augmented, boundaries, largest_norm):
+    def recording(augmented, boundaries):
         assert augmented.flags.f_contiguous and augmented.dtype == np.float64
-        passed.append((augmented.copy(), tuple(boundaries), largest_norm))
-        return nested_rss(augmented, boundaries, largest_norm)
+        design = augmented.copy()
+        rss = nested_rss(augmented, boundaries)
+        passed.append((design, tuple(boundaries), augmented.diagonal()[:boundaries[-1]].copy()))
+        return rss
+
+    def judging(pivots, norms):
+        judged.append((pivots.copy(), norms.copy()))
+        return rank_deficient(pivots, norms)
 
     monkeypatch.setattr(granger, "nested_rss", recording)
+    monkeypatch.setattr(granger, "rank_deficient", judging)
     granger.sample_pvalues(x, y, z, 2, (Criterion.WALD,))
     # The reverse links come from the passes of (z, y, x), in the same block.
-    _assert_passes(passed, _block_order([(x, y, z), (z, y, x)], 2))
+    _assert_passes(passed, judged, _block_order([(x, y, z), (z, y, x)], 2))
     # Five samples in stack blocks of two rows, so the loop crosses block edges.
     passed.clear()
+    judged.clear()
     monkeypatch.setattr(granger, "CHUNK_VALUES", 2 * 8 * 38)
-    [(_, rank_deficient)] = _count_run([((gen, resolve_sigmas(gen), ()), 0, 5)], 2,
-                                       (Criterion.WALD,), (0.05,), 9)
-    assert rank_deficient == 0
+    [(_, deficient)] = _count_run([((gen, resolve_sigmas(gen), ()), 0, 5)], 2,
+                                  (Criterion.WALD,), (0.05,), 9)
+    assert deficient == 0
     samples = [generate(gen, int(seed)) for seed in derive_seeds([((9,), 0, 5)])]
-    _assert_passes(passed, _block_order(samples, 2))
+    _assert_passes(passed, judged, _block_order(samples, 2))
 
 
 def _assert_references_agree(x, y, z, lags):

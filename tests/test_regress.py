@@ -12,15 +12,13 @@ from granger_lab.core import TopologyKind
 from granger_lab.criteria import Criterion
 from granger_lab.datagen import GeneratorConfig, NoiseKind, generate
 from granger_lab.granger import _lag_stack, block_pvalues
-from granger_lab.regress import InsufficientData, RankDeficient, nested_rss
+from granger_lab.regress import (RANK_TOL, InsufficientData, RankDeficient, nested_rss,
+                                 rank_deficient)
 
 
 def _nested_rss(matrix, response, boundaries):
-    """``nested_rss`` on the F-ordered [matrix | response], with the largest
-    column norm of ``matrix``."""
-    augmented = np.column_stack((matrix, response)).copy(order="F")
-    norm = math.sqrt(max(np.einsum("ij,ij->j", matrix, matrix).tolist()))
-    return nested_rss(augmented, boundaries, norm)
+    """``nested_rss`` on the F-ordered [matrix | response]."""
+    return nested_rss(np.column_stack((matrix, response)).copy(order="F"), boundaries)
 
 
 class TestBuildDesign:
@@ -176,11 +174,36 @@ class TestNestedRss:
         with pytest.raises(InsufficientData):
             _nested_rss(np.ones((3, 3)), np.ones(3), (1, 3))
 
-    def test_rank_deficient_raises(self):
+
+class TestRankRule:
+    def test_collinear_columns_are_rank_deficient(self):
+        # The kernel checks no rank: the factored [col, col | col] gives its
+        # prefix RSS and leaves its pivots, which the rule judges against
+        # the largest column norm of [col, col].
         col = np.linspace(0, 1, 30)
-        matrix = np.column_stack([col, col])
-        with pytest.raises(RankDeficient):
-            _nested_rss(matrix, col, (1, 2))
+        augmented = np.column_stack([col, col, col]).copy(order="F")
+        assert nested_rss(augmented, (1, 2)) == pytest.approx([0.0, 0.0], abs=1e-25)
+        norm = math.sqrt(col @ col)
+        assert rank_deficient(augmented.diagonal()[None, :2], np.full((1, 2), norm)).tolist() == [
+            True]
+
+    def test_a_row_is_deficient_when_any_pivot_is_at_or_below_the_tolerance(self):
+        norms = np.array([[2.0, 2.0, 4.0]] * 5)
+        edge = RANK_TOL * 2.0
+        pivots = np.array([[1.0, 1.0, 1.0],
+                           [1.0, edge, 1.0],  # at the edge: deficient
+                           [1.0, -edge, 1.0],  # the pivot's sign does not count
+                           [1.0, np.nextafter(edge, 1.0), 1.0],
+                           [1.0, 1.0, RANK_TOL * 4.0]])  # each pivot against its own norm
+        assert rank_deficient(pivots, norms).tolist() == [False, True, True, False, True]
+
+    def test_a_zero_norm_is_floored(self):
+        # A design of zero columns has only zero pivots, which the floor of
+        # 1e-300 on its norm still flags: the tolerance is then 1e-310.
+        zero = np.zeros((3, 2))
+        pivots = np.array([[0.0, 0.0], [1e-311, 1.0], [1e-309, 1.0]])
+        assert rank_deficient(pivots, zero).tolist() == [True, True, False]
+        assert rank_deficient(pivots, np.full((3, 2), 1e-320)).tolist() == [True, True, False]
 
 
 def _reference_rss(matrix, response, k):

@@ -213,9 +213,48 @@ def test_noise_reaches_the_monte_carlo_path_as_level_rows():
     assert readers == ["datagen"]
 
 
+def name_reads(source: str, name: str) -> list[int]:
+    """Lines that read ``name``, as a name or as an attribute of anything."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if (isinstance(node, ast.Name) and node.id == name
+                       and isinstance(node.ctx, ast.Load))
+                   or (isinstance(node, ast.Attribute) and node.attr == name)})
+
+
+def test_guard_flags_a_name_read():
+    source = ("TOL = 1e-10\n"
+              "def rule(x):\n    return x <= TOL\n"
+              "limit = regress.TOL * 2\n")
+    assert name_reads(source, "TOL") == [3, 4]
+
+
+def caught(source: str, name: str) -> list[int]:
+    """Lines of the ``except`` clauses that catch ``name``, alone or in a tuple."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(name in (getattr(t, "id", None), getattr(t, "attr", None)) for t in types):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_flags_every_except_clause():
+    source = ("try:\n    f()\nexcept Error:\n    pass\n"
+              "try:\n    f()\nexcept (KeyError, m.Error) as exc:\n    pass\n"
+              "try:\n    f()\nexcept OtherError:\n    raise Error()\n")
+    assert caught(source, "Error") == [3, 7]
+
+
 def test_one_function_builds_designs_and_factors_them():
     # Samples reach their RSS values along one path: a batched kernel has
-    # one loop to replace.
+    # one loop to replace. Every sample takes the same three passes; one
+    # rule, read once a block, decides which are rank deficient, and
+    # nothing catches a rank-deficient pass.
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert callers(sources, "nested_rss") == ["granger.block_pvalues"]
     assert callers(sources, "_lag_stack") == ["granger.block_pvalues"]
+    assert callers(sources, "rank_deficient") == ["granger.block_pvalues"]
+    assert [m for m, source in sources.items() if name_reads(source, "RANK_TOL")] == ["regress"]
+    assert {m: caught(source, "RankDeficient") for m, source in sources.items()
+            if caught(source, "RankDeficient")} == {}
