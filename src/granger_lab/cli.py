@@ -317,8 +317,8 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
 
     Only newline-terminated lines count. An unterminated final line was torn
     by an interrupted write: it is ignored, and the intact length ends
-    before it. A row with a non-finite SNR or a rate outside [0, 1] is
-    refused by its row number.
+    before it. A row whose metadata differs from the first row's, or with a
+    non-finite SNR or a rate outside [0, 1], is refused by its row number.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -342,7 +342,7 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
         if not meta:
             meta = row_meta
         elif meta != row_meta:
-            raise ValueError("inconsistent metadata across rows")
+            raise ValueError(f"{path}: row {number}: inconsistent metadata across rows")
         cell = {key: float(value) for key, value in row.items()}
         if not all(math.isfinite(cell[key]) for key in SNR_KEYS):
             raise ValueError(f"{path}: row {number}: an SNR is not finite")

@@ -21,9 +21,10 @@ standard-normal block per series), so samples with different noise settings
 but the same seed share the same underlying realization. The uniforms are
 drawn as U in [0, 1) and mapped to -2 + 4 U once per chunk: 4 U is exact, so
 these are the bits of ``Generator.uniform(-2.0, 2.0)``. A sample is three
-equal-length 1-D float64 arrays with every value finite. A chunk of
-``generate_chunks`` scales each row's normals by that row's own resolved
-noise levels, so one chunk may hold samples of several SNR triples.
+equal-length 1-D float64 arrays with every value finite. ``generate_rows``,
+the one sample generator, scales each row's normals by that row's own
+resolved noise levels, or every row's by one broadcast row, so one chunk may
+hold samples of several SNR triples.
 
 The AR(1) recurrences are one LAPACK band solve per chunk (``dtbtrs`` on the
 unit-diagonal bidiagonal band, so no division by the diagonal),
@@ -36,8 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -65,8 +65,8 @@ DEFAULT_BURN_IN = 100
 #: Values per series of one sample, burn-in included, at most (~300 MB peak).
 MAX_SAMPLE_VALUES = 1 << 20
 
-#: Values per generated array in one chunk of ``generate_chunks``: 256 KiB
-#: of float64, 81 samples at n=300 and 218 at n=50.
+#: Values per generated array in one chunk (``chunk_rows``): 256 KiB of
+#: float64, 81 samples at n=300 and 218 at n=50.
 CHUNK_VALUES = 1 << 15
 
 
@@ -185,13 +185,20 @@ def _backbone(u: np.ndarray, ex: np.ndarray, ey: np.ndarray, ez: np.ndarray, coe
     return ex, y, _ar_filter(ez, coeff)
 
 
-def _generate_rows(config: GeneratorConfig, levels: np.ndarray,
-                   states: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Samples of ``config``'s shape, row r drawn from ``states[r]`` with the
-    noise standard deviations ``levels[r]``, or ``levels[0]`` for every row
-    of a one-row ``levels``. A (rows, 1) column of levels scales each row's
-    normals by the same IEEE product a scalar would. The normals are scaled
-    and summed in the draw buffer, with the bits of the out-of-place sums."""
+def generate_rows(config: GeneratorConfig, levels: np.ndarray,
+                  states: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Samples of ``config``'s shape as (rows, length) x, y, z arrays, row r
+    drawn from ``states[r]`` with the resolved noise levels ``levels[r]``,
+    or ``levels[0]`` for every row of a one-row ``levels``.
+
+    Row r equals ``generate(config_r, seed_r)`` bit for bit when
+    ``states[r]`` is seed_r's row of ``generator_states`` and ``levels[r]``
+    resolves config_r, which may differ from ``config`` in its noise levels
+    only. A (rows, 1) column of levels scales each row's normals by the same
+    IEEE product a scalar would. The normals are scaled and summed in the
+    draw buffer, with the bits of the out-of-place sums. Memory grows with
+    the rows, so a stream passes ``chunk_rows(config)`` states at a time.
+    """
     total = config.burn_in + config.length
     u, nx, ny, nz = _raw_draws(states, total)
     for noise, level in zip((nx, ny, nz), levels.T[:, :, None]):
@@ -242,36 +249,10 @@ def axis_sigmas(config: GeneratorConfig, axes: Sequence[Sequence[float]]) -> lis
 
 def generate(config: GeneratorConfig, seed: int = 0) -> TrivariateSample:
     """One sample of the config's model, drawn from ``default_rng(seed)``."""
-    x, y, z = next(generate_chunks(config, generator_states([seed])))
+    x, y, z = generate_rows(config, np.array([resolve_sigmas(config)]), generator_states([seed]))
     return TrivariateSample(x[0], y[0], z[0])
 
 
 def chunk_rows(config: GeneratorConfig) -> int:
-    """Samples per chunk of ``generate_chunks`` for this config's length."""
+    """Samples per ``generate_rows`` call of a stream, for this config's length."""
     return max(1, CHUNK_VALUES // (config.burn_in + config.length))
-
-
-def generate_chunks(config: GeneratorConfig, states: Iterable[np.ndarray],
-                    levels: Optional[np.ndarray] = None
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Samples for a stream of generator states, as (rows, length) x, y, z
-    arrays.
-
-    ``levels`` holds resolved (sigma_x, sigma_y, sigma_z) rows
-    (``resolve_sigmas``), one per state or one for every state: by default
-    ``config``'s own. Only the noise levels vary along a stream: row r
-    equals ``generate(config_r, seed_r)`` bit for bit when state r is a row
-    of ``generator_states`` for seed_r and its levels resolve config_r, a
-    config that differs from ``config`` in its noise levels at most. States
-    are consumed ``chunk_rows(config)`` at a time, so memory is bounded
-    whatever the stream's length.
-    """
-    if levels is None:
-        levels = np.array([resolve_sigmas(config)])
-    states = iter(states)
-    rows = chunk_rows(config)
-    done = 0
-    while chunk := tuple(islice(states, rows)):
-        chunk_levels = levels if len(levels) == 1 else levels[done:done + len(chunk)]
-        done += len(chunk)
-        yield _generate_rows(config, chunk_levels, chunk)

@@ -12,20 +12,23 @@ A cell is one (shape config, noise levels, stream key) record. Each
 sample's edges come from ``granger.block_pvalues`` and
 ``granger.decide_edge_array``, the same path ``analyze`` takes, and a cell
 counts how often each edge was accepted. A run's consecutive cells that
-share a shape config, such as a phase space's, are generated and scored as
-one block, each sample with its own cell's levels, and the block's edges
-and rank-deficient samples are summed back per cell, so a cell's counts do
-not depend on its neighbours. ``_estimate_from_counts`` alone turns those
-counts into rates against the true topology: with driver truth, spurious
-means the Y->Z link was accepted and unidentified means X->Z was rejected;
-with indirect truth the roles of the two links swap.
+share a shape config, such as a phase space's, are one block, which
+``_count_block`` cuts into chunks. It finds each chunk's cells once: they
+give each sample its own cell's levels (one broadcast row for a chunk
+inside one cell), and the chunk's edges and rank-deficient samples are
+summed back per cell, so a cell's counts do not depend on its neighbours.
+``_estimate_from_counts`` alone turns those counts into rates against the
+true topology: with driver truth, spurious means the Y->Z link was
+accepted and unidentified means X->Z was rejected; with indirect truth the
+roles of the two links swap.
 
 A phase space is a stream of rows, one per cell in grid order
 (``phase_rows``); ``PhaseGrid.from_rows`` places them on the axes, and a
 checkpointed run resumes by starting the stream after the rows it has.
 
 Before any sample is drawn, ``require_positive`` checks that iteration,
-case and worker counts are positive integers, and every entry point
+case and worker counts are positive integers, ``seeding.require_seed``
+that the master seed is a non-negative integer, and every entry point
 resolves its cells' noise levels once (a phase space each axis value's
 SNR, ``datagen.axis_sigmas``), so an SNR whose noise std overflows is
 refused, and checks its sample lengths against the lag depth
@@ -50,10 +53,11 @@ import numpy as np
 
 from .core import FORWARD_LINKS, Link, TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
-from .datagen import GeneratorConfig, NoiseKind, axis_sigmas, generate_chunks, resolve_sigmas
+from .datagen import (GeneratorConfig, NoiseKind, axis_sigmas, chunk_rows, generate_rows,
+                      resolve_sigmas)
 from .granger import (LAGS, GrangerConfig, block_pvalues, decide_edge_array, require_length,
                       require_significance)
-from .seeding import derive_seeds, generator_states
+from .seeding import derive_seeds, generator_states, require_seed
 
 #: Keys of a phase-space row: the cell's SNR triple, then its rates, each
 #: mapped to the ``PhaseGrid`` field that holds it.
@@ -215,24 +219,27 @@ def _count_block(gen: GeneratorConfig, levels: Sequence[Sequence[float]], sizes:
     """(accepted-edge counts, rank-deficient count) of each cell of shape
     ``gen``: cell c has the noise levels ``levels[c]`` and owns the next
     ``sizes[c]`` rows of ``states``. Counts are (criterion, alpha, link), in
-    ``FORWARD_LINKS`` order. The cells' samples are generated and scored as
-    one stream of chunks, each decided for every alpha at once and summed
-    back per cell over the chunk's cell boundaries."""
-    cells = len(sizes)
-    # A row per state. A lone cell keeps its one row, which is broadcast:
-    # scaling normals by a (rows, 1) column costs about 3x one value's.
-    levels = np.repeat(levels, sizes, axis=0) if cells > 1 else np.array(levels)
-    first_rows = np.cumsum(sizes) - sizes
+    ``FORWARD_LINKS`` order. The cells' samples are generated and scored in
+    chunks of ``chunk_rows(gen)`` states; a chunk's cells are found once,
+    to give each sample its cell's levels and to sum the chunk's edges,
+    decided for every alpha at once, back per cell."""
+    cells, first_rows = len(sizes), np.cumsum(sizes) - sizes
     edges = np.zeros((cells, len(criteria), len(alphas), len(FORWARD_LINKS)), dtype=np.int64)
     rank_deficient = np.zeros(cells, dtype=np.int64)
-    alpha_levels = np.array(alphas)
-    done = 0
-    for xs, ys, zs in generate_chunks(gen, states, levels):
-        pvalues, deficient = block_pvalues(xs, ys, zs, lags, criteria)
+    levels, alpha_levels, rows = np.array(levels), np.array(alphas), chunk_rows(gen)
+    for done in range(0, len(states), rows):
+        chunk = states[done:done + rows]
         # The cells of the chunk's first and last rows, and where each starts.
-        first, last = np.searchsorted(first_rows, (done, done + len(pvalues) - 1), "right") - 1
+        first, last = np.searchsorted(first_rows, (done, done + len(chunk) - 1), "right") - 1
         starts = np.maximum(first_rows[first:last + 1] - done, 0)
-        done += len(pvalues)
+        # A chunk inside one cell passes its one row of levels, which is
+        # broadcast: scaling normals by a (rows, 1) column costs about 3x
+        # one value's. A chunk across cells passes a row per sample.
+        chunk_levels = levels[first:last + 1]
+        if last > first:
+            chunk_levels = np.repeat(chunk_levels, np.diff(starts, append=len(chunk)), axis=0)
+        pvalues, deficient = block_pvalues(*generate_rows(gen, chunk_levels, chunk), lags,
+                                           criteria)
         decided = decide_edge_array(pvalues, alpha_levels)
         edges[first:last + 1] += np.add.reduceat(decided, starts, dtype=np.int64)
         rank_deficient[first:last + 1] += np.add.reduceat(deficient, starts, dtype=np.int64)
@@ -336,6 +343,7 @@ def estimate_rates(gen_config: GeneratorConfig, granger_config: GrangerConfig,
                    workers: Optional[int] = None) -> RateEstimate:
     """Monte Carlo spurious/unidentified rates for one configuration."""
     iterations = require_positive("iterations", iterations)
+    require_seed(master_seed)
     require_length(gen_config.length, granger_config.lags)
     cell = (gen_config, resolve_sigmas(gen_config), ())
     [(counts, rd)] = _cell_counts([cell], granger_config.lags, (granger_config.criterion,),
@@ -355,6 +363,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     calls with the same master seed.
     """
     iterations = require_positive("iterations", iterations)
+    require_seed(seed)
     alphas = tuple(require_significance(a) for a in alphas)
     if not alphas:
         raise ValueError("significance grid must be non-empty")
@@ -375,6 +384,7 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
     """Rates against the sample size at a fixed significance level, plus
     pairwise criterion-difference tests at each size."""
     cases = require_positive("cases", cases)
+    require_seed(seed)
     alpha = require_significance(alpha)
     for n in sizes:
         if not float(n).is_integer():
@@ -414,6 +424,7 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
     read.
     """
     iterations = require_positive("iterations", iterations)
+    require_seed(seed)
     require_significance(alpha)
     _worker_count(workers, 1)
     if noise_kind is NoiseKind.FIXED_SIGMA:

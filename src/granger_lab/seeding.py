@@ -31,11 +31,17 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 
 
-def _words(value: int) -> list[int]:
-    """The uint32 words of a non-negative integer, least significant first."""
+def require_seed(value: int) -> int:
+    """``value`` as a seed, a non-negative integer, else a ValueError."""
     value = int(value)
     if value < 0:
         raise ValueError(f"seeds must be non-negative integers, got {value}")
+    return value
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 words of a non-negative integer, least significant first."""
+    value = require_seed(value)
     words = [value & _MASK32]
     while value := value >> 32:
         words.append(value & _MASK32)

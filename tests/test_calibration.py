@@ -25,7 +25,7 @@ from scipy.stats import kstest
 
 from granger_lab.core import TopologyKind
 from granger_lab.criteria import Criterion
-from granger_lab.datagen import GeneratorConfig, generate_chunks
+from granger_lab.datagen import GeneratorConfig, chunk_rows, generate_rows, resolve_sigmas
 from granger_lab.granger import FORWARD_KEYS, TRI_YZ, block_pvalues
 from granger_lab.seeding import derive_seeds, generator_states
 
@@ -43,8 +43,10 @@ def null_pvalues():
     for n in (25, 50, 300):
         states = generator_states(derive_seeds([((77, n), 0, SAMPLES)]))
         config = GeneratorConfig(topology=TopologyKind.DRIVER, length=n)
-        pvalues = np.concatenate([block_pvalues(xs, ys, zs, LAGS, tuple(Criterion))[0]
-                                  for xs, ys, zs in generate_chunks(config, states)])
+        levels, rows = np.array([resolve_sigmas(config)]), chunk_rows(config)
+        pvalues = np.concatenate([
+            block_pvalues(*generate_rows(config, levels, states[a:a + rows]), LAGS,
+                          tuple(Criterion))[0] for a in range(0, SAMPLES, rows)])
         assert pvalues.shape == (SAMPLES, len(Criterion), len(FORWARD_KEYS))
         out[n] = dict(zip(Criterion, pvalues[:, :, pair].T))
     return out

@@ -250,6 +250,20 @@ class TestGenerateAnalyze:
 
 
 class TestSweepCommands:
+    @pytest.mark.parametrize("argv", [
+        ["sweep-alpha", "--n", "50", "--alpha-grid", "0.1", "--iterations", "4"],
+        ["sweep-n", "--alpha", "0.1", "--sizes", "30,40", "--cases", "4"],
+    ], ids=["sweep-alpha", "sweep-n"])
+    def test_negative_seed_exits_2_before_a_pool_starts(self, tmp_path, capsys, monkeypatch,
+                                                        pool, argv):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        out = tmp_path / "o"
+        assert main(argv + ["--topology", "driver", "--workers", "2", "--seed=-1",
+                            "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "seeds must be non-negative integers, got -1\n"
+        assert pool.sizes == [] and pool.submits == []
+        assert not out.exists()
+
     def _run_alpha(self, out):
         return main(["sweep-alpha", "--topology", "driver", "--n", "50",
                      "--alpha-grid", "0.1,0.3", "--criteria", "wald",
@@ -360,7 +374,7 @@ class TestSweepCommands:
         def no_sampling(*args):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(experiments, "generate_chunks", no_sampling)
+        monkeypatch.setattr(experiments, "generate_rows", no_sampling)
         out = tmp_path / "o"
         assert main(argv + ["--topology", "driver", "--workers", "1",
                             "--out", str(out)]) == 2
@@ -381,7 +395,7 @@ class TestSweepCommands:
         def no_sampling(*args):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(experiments, "generate_chunks", no_sampling)
+        monkeypatch.setattr(experiments, "generate_rows", no_sampling)
         out = tmp_path / "o"
         assert main(argv + ["--topology", "driver", "--workers", "1",
                             "--out", str(out)]) == 2
@@ -639,6 +653,20 @@ class TestPhaseSpaceCommand:
         assert capsys.readouterr().err.startswith(f"resume conflict: {csv}: row 3: ")
         assert csv.read_bytes() == kept
 
+    def test_resume_refuses_inconsistent_metadata_and_names_its_row(self, tmp_path, capsys):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        lines = csv.read_text().splitlines()
+        lines[3] = _with_field(lines[3], "alpha", "0.1")
+        csv.write_text("\n".join(lines[:5]) + "\n")
+        kept = csv.read_bytes()
+        capsys.readouterr()
+        assert main(self.ARGS + ["--resume", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"resume conflict: {csv}: row 4: inconsistent metadata across rows\n")
+        assert csv.read_bytes() == kept
+
     @pytest.mark.parametrize("count", ["0", "-4"])
     def test_nonpositive_iterations_leave_the_checkpoint_alone(self, tmp_path, count):
         out = tmp_path / "ps"
@@ -739,6 +767,40 @@ class TestPhaseSpaceCommand:
         assert capsys.readouterr().err == (
             f"significance level must lie strictly in (0, 1), got {float(alpha)!r}\n")
         assert csv.read_bytes() == torn
+
+    SEED_MESSAGE = "seeds must be non-negative integers, got -1\n"
+
+    def test_negative_seed_leaves_the_checkpoint_alone(self, tmp_path, capsys):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        torn = csv.read_bytes()[:-5]  # a resume would cut this tail off
+        csv.write_bytes(torn)
+        capsys.readouterr()
+        assert main(self.ARGS + ["--seed=-1", "--resume", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self.SEED_MESSAGE
+        assert csv.read_bytes() == torn
+
+    def test_negative_seed_exits_2_before_a_conflicting_checkpoint_exits_4(self, tmp_path,
+                                                                           capsys):
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        kept = csv.read_bytes()
+        other_cells = ["--grid-z=-10,20", "--resume", "--out", str(out)]
+        capsys.readouterr()
+        assert main(self.ARGS + other_cells) == 4
+        assert capsys.readouterr().err == (
+            "resume conflict: checkpoint cells do not match the grid\n")
+        assert main(self.ARGS + ["--seed=-1"] + other_cells) == 2
+        assert capsys.readouterr().err == self.SEED_MESSAGE
+        assert csv.read_bytes() == kept
+
+    def test_negative_seed_creates_no_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "new"
+        assert main(self.ARGS + ["--seed=-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self.SEED_MESSAGE
+        assert not out.exists()
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_repeated_axis_value_leaves_the_checkpoint_alone(self, tmp_path, capsys, axis):
@@ -1128,7 +1190,7 @@ class TestShortSeries:
         def no_sampling(*args):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(experiments, "generate_chunks", no_sampling)
+        monkeypatch.setattr(experiments, "generate_rows", no_sampling)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         out = tmp_path / "o"
         assert main(argv + ["--workers", "2", "--out", str(out)]) == 2
@@ -1326,6 +1388,19 @@ class TestRender:
         assert main(["render", "--input", str(csv), "--axis", "z", "--value", "0",
                      "--out", str(ppm)]) == 2
         assert capsys.readouterr().err == f"{csv}: row 3: {problem}\n"
+        assert not ppm.exists()
+
+    @pytest.mark.parametrize("column, value", [("criterion", "lr"), ("iterations", "11")])
+    def test_inconsistent_metadata_exits_2_and_names_its_row(self, tmp_path, capsys,
+                                                            column, value):
+        csv, ppm = tmp_path / "g.csv", tmp_path / "g.ppm"
+        self._phase_csv(csv, 0.5)
+        lines = csv.read_text().splitlines()
+        lines[3] = _with_field(lines[3], column, value)
+        csv.write_text("\n".join(lines) + "\n")
+        assert main(["render", "--input", str(csv), "--axis", "z", "--value", "0",
+                     "--out", str(ppm)]) == 2
+        assert capsys.readouterr().err == f"{csv}: row 4: inconsistent metadata across rows\n"
         assert not ppm.exists()
 
     def test_non_utf8_input_exits_2_and_names_it(self, tmp_path, capsys):

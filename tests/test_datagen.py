@@ -15,7 +15,7 @@ from granger_lab import datagen
 from granger_lab.datagen import (BASELINE_SIGMAS, MAX_SAMPLE_VALUES, GenerationError,
                                  GeneratorConfig, NoiseKind, TrivariateSample, _ar_filter,
                                  _bidiagonal_band, _calibration_variances, _raw_draws,
-                                 axis_sigmas, chunk_rows, generate, generate_chunks,
+                                 axis_sigmas, chunk_rows, generate, generate_rows,
                                  resolve_sigmas, snr_to_sigma)
 from granger_lab.seeding import generator_states
 
@@ -430,7 +430,15 @@ def _reference_generate(config, seed):
     return x[b:], y[b:], z[b:]
 
 
+def _own_rows(config, states):
+    """``generate_rows`` of ``states`` at ``config``'s own levels, one broadcast row."""
+    return generate_rows(config, np.array([resolve_sigmas(config)]), states)
+
+
 class TestGenerateChunks:
+    """``generate_rows`` on chunks of states, with one row of levels per
+    sample or one broadcast row for all."""
+
     CASES = [(topology, kind, params)
              for topology in (TopologyKind.DRIVER, TopologyKind.INDIRECT)
              for kind, params in ((NoiseKind.FIXED_SIGMA, (0.0, 0.1, 0.5)),
@@ -442,10 +450,8 @@ class TestGenerateChunks:
         cfg = GeneratorConfig(topology=topology, length=300, noise_kind=kind,
                               sigmas_or_snrs=params)
         seeds = [1_000_003 * i + 17 for i in range(chunk_rows(cfg) + 3)]
-        chunks = list(generate_chunks(cfg, iter(generator_states(np.array(seeds, np.uint64)))))
-        assert [len(c[0]) for c in chunks] == [chunk_rows(cfg), 3]
-        rows = [row for xs, ys, zs in chunks for row in zip(xs, ys, zs)]
-        for seed, (x, y, z) in zip(seeds, rows):
+        rows = _own_rows(cfg, generator_states(np.array(seeds, np.uint64)))
+        for seed, x, y, z in zip(seeds, *rows, strict=True):
             sample = generate(cfg, seed)
             for got, single, ref in zip((x, y, z), (sample.x, sample.y, sample.z),
                                         _reference_generate(cfg, seed)):
@@ -460,8 +466,7 @@ class TestGenerateChunks:
                                    sigmas_or_snrs=snrs) for snrs in triples]
         seeds = [31 * i + 2 for i in range(len(configs))]
         levels = np.array([resolve_sigmas(cfg) for cfg in configs])
-        [chunk] = generate_chunks(configs[0], generator_states(np.array(seeds, np.uint64)),
-                                  levels)
+        chunk = generate_rows(configs[0], levels, generator_states(np.array(seeds, np.uint64)))
         for cfg, seed, x, y, z in zip(configs, seeds, *chunk, strict=True):
             for got, single in zip((x, y, z), generate(cfg, seed)):
                 assert got.tobytes() == single.tobytes()
@@ -472,7 +477,7 @@ class TestGenerateChunks:
         cfg = GeneratorConfig(topology=TopologyKind.INDIRECT, length=60,
                               noise_kind=NoiseKind.INTRINSIC_SNR, sigmas_or_snrs=(0.0, 10.0, 20.0))
         seeds = [0, 5, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1, 77]
-        [chunk] = generate_chunks(cfg, generator_states(np.array(seeds, np.uint64)))
+        chunk = _own_rows(cfg, generator_states(np.array(seeds, np.uint64)))
         for seed, x, y, z in zip(seeds, *chunk):
             for got, ref in zip((x, y, z), _reference_generate(cfg, seed)):
                 assert got.tobytes() == ref.tobytes()
@@ -519,7 +524,7 @@ class TestGenerateChunks:
             expected = (x + alpha * nx, y + beta * ny, z + gamma * nz)
         else:
             expected = backbone(alpha * nx, beta * ny, gamma * nz)
-        got = next(generate_chunks(config, states))
+        got = _own_rows(config, states)
         assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
         if params == (0.0, 0.0, 0.0):
             assert np.signbit(beta * ny[:, 0]).any() and not np.signbit(got[1][:, 0]).any()

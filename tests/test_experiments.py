@@ -173,7 +173,7 @@ class TestCountChecks:
     def no_samples(self, monkeypatch):
         def fail(*args):
             raise AssertionError("a sample was generated")
-        monkeypatch.setattr(experiments, "generate_chunks", fail)
+        monkeypatch.setattr(experiments, "generate_rows", fail)
 
     @pytest.mark.parametrize("count", [0, -4, 2.5, None, "three", "1e3", float("inf"),
                                        float("nan")])
@@ -208,6 +208,18 @@ class TestCountChecks:
                                                  rf"in \(0, 1\), got {alpha!r}$"):
                 call()
 
+    def test_every_entry_point_rejects_a_negative_seed(self):
+        # A phase space's stream is refused when it is made, before a row is read.
+        calls = [
+            lambda: estimate_rates(_gen(), GrangerConfig(), iterations=4, master_seed=-1),
+            lambda: sweep_significance(TopologyKind.DRIVER, (0.05,), iterations=4, seed=-1),
+            lambda: sweep_sample_size(TopologyKind.DRIVER, 0.05, (50,), cases=4, seed=-1),
+            lambda: phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
+                               iterations=4, seed=-1)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^seeds must be non-negative integers, got -1$"):
+                call()
+
 
 def _scalar_pvalues(sample, criterion):
     """The five forward p-values, one ``statistic_from_rss`` call each, from
@@ -230,7 +242,56 @@ def _loop_counts(gen, criteria, alphas, master_seed, iterations):
     return counts
 
 
+def _record_generate_rows(monkeypatch):
+    """The (levels, states, samples) of every ``generate_rows`` call that
+    ``experiments`` makes, in order."""
+    calls, generate_rows = [], experiments.generate_rows
+
+    def spy(gen, levels, states):
+        samples = generate_rows(gen, levels, states)
+        calls.append((levels, states, samples))
+        return samples
+
+    monkeypatch.setattr(experiments, "generate_rows", spy)
+    return calls
+
+
 class TestCountBlock:
+    def test_a_block_is_generated_in_chunks_of_chunk_rows(self, monkeypatch):
+        # chunk_rows(gen) states a call, then the remainder, in order.
+        gen = _gen(length=60)
+        rows = datagen.chunk_rows(gen)
+        states = generator_states(derive_seeds([((9,), 0, rows + 3)]))
+        calls = _record_generate_rows(monkeypatch)
+        experiments._count_block(gen, [resolve_sigmas(gen)], [rows + 3], 2, (Criterion.WALD,),
+                                 (0.05,), states)
+        assert [len(chunk) for _, chunk, _ in calls] == [rows, 3]
+        assert np.concatenate([chunk for _, chunk, _ in calls]).tobytes() == states.tobytes()
+
+    def test_a_chunk_passes_one_level_row_per_sample_only_across_cells(self, monkeypatch):
+        # Chunks of 4 states over cells of 6, 3 and 6 samples: the first and
+        # the last chunk lie inside one cell and pass its one row of levels,
+        # which is broadcast; the two between span cells and pass a row per
+        # sample. Either way each sample has the bits ``generate`` gives it
+        # alone, at its own cell's SNRs.
+        shape = _gen(length=60, noise_kind=NoiseKind.INTRINSIC_SNR)
+        monkeypatch.setattr(datagen, "CHUNK_VALUES", 4 * (60 + shape.burn_in))
+        gens = [replace(shape, sigmas_or_snrs=snrs)
+                for snrs in ((0.0, 0.0, 0.0), (-10.0, 20.0, 5.0), (30.0, -5.0, 0.0))]
+        levels, sizes = [list(resolve_sigmas(gen)) for gen in gens], [6, 3, 6]
+        seeds = [7 * i + 1 for i in range(sum(sizes))]
+        calls = _record_generate_rows(monkeypatch)
+        experiments._count_block(shape, levels, sizes, 2, (Criterion.WALD,), (0.05,),
+                                 generator_states(np.array(seeds, np.uint64)))
+        a, b, c = levels
+        assert [chunk_levels.tolist() for chunk_levels, _, _ in calls] == [
+            [a], [a, a, b, b], [b, c, c, c], [c]]
+        samples = [row for _, _, chunk in calls for row in zip(*chunk)]
+        cells = [gen for gen, size in zip(gens, sizes) for _ in range(size)]
+        for gen, seed, sample in zip(cells, seeds, samples, strict=True):
+            for got, alone in zip(sample, generate(gen, seed)):
+                assert got.tobytes() == alone.tobytes()
+
     def test_chunked_block_matches_per_sample_loop(self, monkeypatch):
         gen = _gen(length=60)
         criteria, alphas = (Criterion.LR, Criterion.RAO), (0.05, 0.2, 0.5)

@@ -7,7 +7,7 @@ from granger_lab import granger
 from granger_lab.core import Link, TopologyKind, topology_kind
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import (CHUNK_VALUES, GeneratorConfig, NoiseKind, TrivariateSample,
-                                 chunk_rows, generate, generate_chunks)
+                                 chunk_rows, generate, generate_rows, resolve_sigmas)
 from granger_lab.granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ,
                                  FORWARD_KEYS, REVERSE_KEYS, GrangerConfig,
                                  block_pvalues, decide_edge_array, sample_pvalues)
@@ -235,7 +235,7 @@ class TestForwardPvalues:
 def _rows(config, rows, seed):
     """The first ``rows`` samples of stream (seed,), as (rows, n) x, y, z."""
     states = generator_states(derive_seeds([((seed,), 0, rows)]))
-    return next(generate_chunks(config, states))
+    return generate_rows(config, np.array([resolve_sigmas(config)]), states)
 
 
 class TestBlockPvalues:
@@ -300,9 +300,8 @@ class TestBlockPvalues:
 
     def test_a_block_holds_at_most_chunk_values(self):
         # An 81-row chunk at n=300 is cut into stack blocks of 13 rows of 8
-        # columns; the stacks of all 81 rows at once would take 1.5 MB. The
-        # bound, 6 rows of 17 such columns plus 32 KiB, leaves 28,000 bytes
-        # beside the block.
+        # columns of 298 values; the stacks of all 81 rows at once would take
+        # 1.5 MB. The bound is one such block plus 28,000 bytes beside it.
         config = GeneratorConfig(topology=TopologyKind.DRIVER, length=300)
         assert chunk_rows(config) == 81
         xs, ys, zs = _rows(config, 81, 3)
@@ -313,9 +312,10 @@ class TestBlockPvalues:
         finally:
             tracemalloc.stop()
         assert pvalues.shape == (81, 1, len(FORWARD_KEYS)) and deficient.sum() == 0
-        designs = (7 * 2 + 3) * 298 * (CHUNK_VALUES // ((7 * 2 + 3) * 298))
-        assert designs <= CHUNK_VALUES
-        assert peak < 8 * designs + 32 * 1024  # the design block, plus small arrays
+        stack = 298 * (3 * 2 + 2)  # one row's stack: n - p values of 3p + 2 columns
+        block = stack * (CHUNK_VALUES // stack)
+        assert block == 13 * stack <= CHUNK_VALUES
+        assert peak < 8 * block + 28_000  # the stack block, plus small arrays
 
 
 class TestDecideEdges:

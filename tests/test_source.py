@@ -8,7 +8,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "granger_lab"
 # __init__.py imports names to re-export them, not to use them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+# The acceptance suite: its tests and the Monte Carlo criteria they run.
+ACCEPTANCE = [Path(__file__).resolve().parent / name
+              for name in ("test_acceptance.py", "acceptance_criteria.py")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -95,7 +97,8 @@ def test_no_unread_definitions():
     # A public name stays if the acceptance suite imports it; anything else
     # that nothing in src/ reads is dead code. A re-export from __init__.py
     # exempts nothing, since exporting a name does not read it.
-    exempt = imported_names(ACCEPTANCE.read_text(encoding="utf-8"))
+    exempt = set().union(*(imported_names(p.read_text(encoding="utf-8"))
+                           for p in ACCEPTANCE))
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert unread_definitions(sources, exempt) == []
 
@@ -258,3 +261,11 @@ def test_one_function_builds_designs_and_factors_them():
     assert [m for m, source in sources.items() if name_reads(source, "RANK_TOL")] == ["regress"]
     assert {m: caught(source, "RankDeficient") for m, source in sources.items()
             if caught(source, "RankDeficient")} == {}
+
+
+def test_one_function_generates_samples():
+    # Every sample is drawn by one generator: ``generate`` for one seed, and
+    # ``_count_block`` for the chunks of a Monte Carlo block, each with the
+    # levels of the cells it finds once per chunk.
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert callers(sources, "generate_rows") == ["datagen.generate", "experiments._count_block"]
