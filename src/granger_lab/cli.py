@@ -1,6 +1,7 @@
 """Command-line interface: experiment presets, CSV emission, manifests,
-heatmap rendering, and ``analyze``, which scores a sample's forward and
-reverse links with one ``granger.sample_pvalues`` call.
+heatmap rendering of one ``experiments.extract_plane`` plane of a CSV's
+rows, and ``analyze``, which scores a sample's forward and reverse links
+with one ``granger.sample_pvalues`` call.
 
 Each command raises on failure, and ``main`` alone maps the failure to an
 exit code: 0 success, 2 invalid flags or malformed input (a sample length
@@ -37,8 +38,8 @@ from . import __version__
 from .core import FORWARD_LINKS, TopologyKind, topology_kind
 from .criteria import Criterion
 from .datagen import DEFAULT_BURN_IN, GeneratorConfig, NoiseKind, TrivariateSample, generate
-from .experiments import (PHASE_RATES, SNR_KEYS, PhaseGrid, SweepResult, extract_plane,
-                          phase_rows, sweep_sample_size, sweep_significance)
+from .experiments import (PHASE_RATES, SNR_KEYS, SweepResult, extract_plane, phase_rows,
+                          sweep_sample_size, sweep_significance)
 from .granger import (FORWARD_KEYS, LAGS, REVERSE_KEYS, GrangerConfig, decide_edge_array,
                       sample_pvalues)
 from .ppm import render_plane, write_ppm
@@ -317,8 +318,9 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
 
     Only newline-terminated lines count. An unterminated final line was torn
     by an interrupted write: it is ignored, and the intact length ends
-    before it. A row whose metadata differs from the first row's, or with a
-    non-finite SNR or a rate outside [0, 1], is refused by its row number.
+    before it. A row with a field that does not parse as its number, with
+    metadata that differs from the first row's, or with a non-finite SNR or
+    a rate outside [0, 1], is refused by its row number.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -338,12 +340,15 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
         if len(parts) != len(PHASE_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
         row = dict(zip(PHASE_COLUMNS, parts))
-        row_meta = {key: read(row.pop(key)) for key, read in PHASE_META.items()}
+        try:
+            row_meta = {key: read(row.pop(key)) for key, read in PHASE_META.items()}
+            cell = {key: float(value) for key, value in row.items()}
+        except ValueError:
+            raise ValueError(f"{path}: row {number}: non-numeric value") from None
         if not meta:
             meta = row_meta
         elif meta != row_meta:
             raise ValueError(f"{path}: row {number}: inconsistent metadata across rows")
-        cell = {key: float(value) for key, value in row.items()}
         if not all(math.isfinite(cell[key]) for key in SNR_KEYS):
             raise ValueError(f"{path}: row {number}: an SNR is not finite")
         if not all(0.0 <= cell[key] <= 1.0 for key in PHASE_RATES):
@@ -410,9 +415,7 @@ def cmd_render(args) -> None:
     _, cells = _read_input(load_phase_csv, args.input)
     if not cells:
         raise ValueError(f"{args.input} has no complete rows")
-    axes = [sorted({cell[key] for cell in cells}) for key in SNR_KEYS]
-    grid = PhaseGrid.from_rows(axes, cells)
-    plane = extract_plane(grid, args.axis, args.value, PHASE_RATES[args.field])
+    plane = extract_plane(cells, args.axis, args.value, args.field)
     if np.any(np.isnan(plane)):
         raise ValueError("plane has missing cells (incomplete CSV)")
     write_ppm(args.out, render_plane(plane, scale=args.scale))

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -126,13 +125,11 @@ def _add_lagged(out: np.ndarray, values: np.ndarray, k: int) -> None:
     out[..., :k] += 0.0
 
 
-@lru_cache(maxsize=16)
 def _bidiagonal_band(n: int, coeff: float) -> np.ndarray:
     """The unit upper bidiagonal matrix with superdiagonal -coeff as a (2, n)
-    F-ordered LAPACK upper band. Read-only, because every caller shares it."""
+    F-ordered LAPACK upper band."""
     band = np.ones((2, n), order="F")
     band[0] = -coeff
-    band.flags.writeable = False
     return band
 
 

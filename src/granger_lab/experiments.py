@@ -23,8 +23,10 @@ accepted and unidentified means X->Z was rejected; with indirect truth the
 roles of the two links swap.
 
 A phase space is a stream of rows, one per cell in grid order
-(``phase_rows``); ``PhaseGrid.from_rows`` places them on the axes, and a
-checkpointed run resumes by starting the stream after the rows it has.
+(``phase_rows``), and nothing else: its cells are indexed from its three
+axes as they are read, a checkpointed run resumes by starting the stream
+after the rows it has, and ``extract_plane`` builds one plane of any rows
+in one pass, with no array the size of the grid.
 
 Before any sample is drawn, ``require_positive`` checks that iteration,
 case and worker counts are positive integers, ``seeding.require_seed``
@@ -32,9 +34,8 @@ that the master seed is a non-negative integer, and every entry point
 resolves its cells' noise levels once (a phase space each axis value's
 SNR, ``datagen.axis_sigmas``), so an SNR whose noise std overflows is
 refused, and checks its sample lengths against the lag depth
-(``granger.require_length``). A phase space's cells are indexed from its
-three axes as they are read, so its memory does not grow with the grid.
-The sweeps and phase spaces use ``granger.LAGS`` lags.
+(``granger.require_length``) before it builds a config of them. The
+sweeps and phase spaces use ``granger.LAGS`` lags.
 """
 
 from __future__ import annotations
@@ -59,21 +60,15 @@ from .granger import (LAGS, GrangerConfig, block_pvalues, decide_edge_array, req
                       require_significance)
 from .seeding import derive_seeds, generator_states, require_seed
 
-#: Keys of a phase-space row: the cell's SNR triple, then its rates, each
-#: mapped to the ``PhaseGrid`` field that holds it.
+#: Keys of a phase-space row: the cell's SNR triple, then its rates.
 SNR_KEYS = ("snr_x_db", "snr_y_db", "snr_z_db")
-PHASE_RATES = {"spurious_rate": "spurious", "unidentified_rate": "unidentified",
-               "rate_xz": "rate_xz", "rate_yz": "rate_yz"}
+PHASE_RATES = ("spurious_rate", "unidentified_rate", "rate_xz", "rate_yz")
 
 #: Iterations of one run (one seed derivation, one pool task), at most.
 RUN_ITERATIONS = 1000
 
 class DegenerateConfiguration(RuntimeError):
     """More than 1% of iterations hit rank-deficient designs."""
-
-
-class OffGrid(ValueError):
-    """Requested plane coordinate is not a sampled grid value."""
 
 
 @dataclass(frozen=True)
@@ -104,38 +99,6 @@ class SweepResult:
         estimates = self.rates[criterion]
         dist = [np.hypot(e.unidentified_rate, e.spurious_rate) for e in estimates]
         return self.axis[int(np.argmin(dist))]
-
-
-@dataclass(frozen=True)
-class PhaseGrid:
-    """Rates over the full (SNR_X, SNR_Y, SNR_Z) grid."""
-
-    axes: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
-    spurious: np.ndarray
-    unidentified: np.ndarray
-    rate_xz: np.ndarray
-    rate_yz: np.ndarray
-
-    @classmethod
-    def from_rows(cls, axes: Sequence[Sequence[float]], rows: Iterable[Mapping[str, float]]
-                  ) -> PhaseGrid:
-        """The grid over ``axes`` with each row's rates at its SNR triple,
-        and NaN where no row falls. A triple that two rows share is a
-        ValueError."""
-        axes = tuple(tuple(axis) for axis in axes)
-        index = [{v: i for i, v in enumerate(axis)} for axis in axes]
-        shape = tuple(map(len, axes))
-        fields = {name: np.full(shape, np.nan) for name in PHASE_RATES.values()}
-        filled = np.zeros(shape, dtype=bool)
-        for row in rows:
-            triple = tuple(row[key] for key in SNR_KEYS)
-            cell = tuple(ix[snr] for ix, snr in zip(index, triple))
-            if filled[cell]:
-                raise ValueError(f"more than one row for the SNR triple {triple}")
-            filled[cell] = True
-            for key, name in PHASE_RATES.items():
-                fields[name][cell] = row[key]
-        return cls(axes=axes, **fields)
 
 
 def snr_grid(lo: float = -40.0, hi: float = 40.0, points: int = 17) -> tuple[float, ...]:
@@ -367,8 +330,8 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     alphas = tuple(require_significance(a) for a in alphas)
     if not alphas:
         raise ValueError("significance grid must be non-empty")
-    gen = GeneratorConfig(topology=topology, length=n_points)
     require_length(n_points, LAGS)
+    gen = GeneratorConfig(topology=topology, length=n_points)
     [(counts, rd)] = _cell_counts([(gen, resolve_sigmas(gen), ())], LAGS, tuple(criteria),
                                   alphas, iterations, seed, workers)
     rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], topology, iterations, rd)
@@ -393,9 +356,9 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
     criteria = tuple(criteria)
-    gens = [GeneratorConfig(topology=topology, length=n) for n in sizes]
     for n in sizes:
         require_length(n, LAGS)
+    gens = [GeneratorConfig(topology=topology, length=n) for n in sizes]
     cells = [(gen, resolve_sigmas(gen), (gen.length,)) for gen in gens]
     with closing(_cell_counts(cells, LAGS, criteria, (alpha,), cases, seed,
                               workers)) as results:
@@ -415,7 +378,7 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
     """The rows of the 3-D SNR grid's cells in grid order, beginning at cell
     ``start``, each yielded as soon as its cell completes.
 
-    A row maps ``SNR_KEYS`` to the cell's SNR triple and the keys of
+    A row maps ``SNR_KEYS`` to the cell's SNR triple and the names in
     ``PHASE_RATES`` to its rates. Cells before ``start`` are not computed,
     so a run resumes from a grid-order prefix of its rows. Every argument
     is checked here, when the stream is made, even if no cell is left to
@@ -430,8 +393,8 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
     if noise_kind is NoiseKind.FIXED_SIGMA:
         raise ValueError("phase spaces require an SNR noise kind")
     axes = require_distinct_axes(grids)
-    shape = GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind)
     require_length(n, LAGS)
+    shape = GeneratorConfig(topology=topology, length=n, noise_kind=noise_kind)
     if start < 0:
         raise ValueError(f"start must be a cell index >= 0, got {start!r}")
     cells = _GridCells(shape, axis_sigmas(shape, axes), start)
@@ -452,29 +415,32 @@ def _phase_stream(cells: _GridCells, axes: Sequence[Sequence[float]], criterion:
                        rate_yz=est.per_link_rates["y->z"])
 
 
-def phase_space(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: float,
-                criterion: Criterion = Criterion.WALD, iterations: int = 500,
-                grids: Sequence[Sequence[float]] = (snr_grid(),) * 3, seed: int = 0,
-                workers: Optional[int] = None) -> PhaseGrid:
-    """Rates over the 3-D SNR grid: every row of ``phase_rows`` in place."""
-    axes = require_distinct_axes(grids)
-    rows = phase_rows(noise_kind, topology, n, alpha, criterion, iterations, axes,
-                      seed, workers)
-    return PhaseGrid.from_rows(axes, rows)
-
-
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-
-
-def extract_plane(grid: PhaseGrid, axis: str, value_db: float,
-                  field_name: str = "unidentified") -> np.ndarray:
-    """2-D slice of one rate field at a fixed SNR coordinate; its rows vary
-    along the first remaining axis."""
-    ax = _AXIS_INDEX[axis.lower()]
-    values = grid.axes[ax]
-    matches = [i for i, v in enumerate(values) if v == float(value_db)]
-    if not matches:
-        raise OffGrid(f"SNR^{axis.upper()} = {value_db} dB is not on the grid")
-    if field_name not in PHASE_RATES.values():
+def extract_plane(rows: Iterable[Mapping[str, float]], axis: str, value_db: float,
+                  field_name: str = "unidentified_rate") -> np.ndarray:
+    """One rate field of phase-space ``rows`` on the plane SNR ``axis`` =
+    ``value_db``, built in one pass over the rows. The plane's rows follow
+    the first remaining axis and its columns the second, each holding the
+    values that the rows hold on that axis, in ascending order; NaN marks
+    a cell with no row. An unknown axis or field, a coordinate that no row
+    holds, or an SNR triple that two rows share is a ValueError."""
+    fixed = f"snr_{axis.lower()}_db"
+    if fixed not in SNR_KEYS:
+        raise ValueError(f"unknown axis {axis!r}")
+    if field_name not in PHASE_RATES:
         raise ValueError(f"unknown field {field_name!r}")
-    return np.take(getattr(grid, field_name), matches[0], axis=ax)
+    rest = [i for i, key in enumerate(SNR_KEYS) if key != fixed]
+    triples, cells = set(), {}
+    for row in rows:
+        triple = tuple(row[key] for key in SNR_KEYS)
+        if triple in triples:
+            raise ValueError(f"more than one row for the SNR triple {triple}")
+        triples.add(triple)
+        if row[fixed] == value_db:
+            cells[tuple(triple[i] for i in rest)] = row[field_name]
+    if not cells:
+        raise ValueError(f"SNR^{axis.upper()} = {value_db} dB is not on the grid")
+    index = [{v: j for j, v in enumerate(sorted({t[i] for t in triples}))} for i in rest]
+    plane = np.full(tuple(map(len, index)), np.nan)
+    for (a, b), rate in cells.items():
+        plane[index[0][a], index[1][b]] = rate
+    return plane

@@ -13,7 +13,7 @@ from functools import lru_cache
 from granger_lab.core import TopologyKind
 from granger_lab.criteria import Criterion
 from granger_lab.datagen import GeneratorConfig, NoiseKind
-from granger_lab.experiments import (estimate_rates, extract_plane, phase_space,
+from granger_lab.experiments import (estimate_rates, extract_plane, phase_rows,
                                      snr_grid, sweep_sample_size,
                                      sweep_significance)
 from granger_lab.granger import GrangerConfig
@@ -78,20 +78,22 @@ def criterion_6(seed, workers):
 
 @lru_cache(maxsize=1)
 def intrinsic_grids(seed, workers):
-    """Criteria 7 and 8's intrinsic phase spaces, one per topology."""
+    """Criteria 7 and 8's intrinsic phase spaces, one list of rows per
+    topology."""
     grid5 = snr_grid(points=5)  # (-40, -20, 0, 20, 40) dB
-    return {topology: phase_space(NoiseKind.INTRINSIC_SNR, topology, n=300,
-                                  alpha=0.05, iterations=500,
-                                  grids=(grid5, grid5, grid5), seed=seed,
-                                  workers=workers)
+    return {topology: list(phase_rows(NoiseKind.INTRINSIC_SNR, topology, n=300,
+                                      alpha=0.05, iterations=500,
+                                      grids=(grid5, grid5, grid5), seed=seed,
+                                      workers=workers))
             for topology in (TopologyKind.DRIVER, TopologyKind.INDIRECT)}
 
 
 def criterion_7(seed, workers):
     """Intrinsic spurious rate within [0.02, 0.10] on every cell."""
     faults = []
-    for topology, grid in intrinsic_grids(seed, workers).items():
-        low, high = grid.spurious.min(), grid.spurious.max()
+    for topology, rows in intrinsic_grids(seed, workers).items():
+        spurious = [row["spurious_rate"] for row in rows]
+        low, high = min(spurious), max(spurious)
         if not (0.02 <= low and high <= 0.10):
             faults.append(f"{topology.value}: spurious range [{low}, {high}]")
     return faults
@@ -99,9 +101,9 @@ def criterion_7(seed, workers):
 
 def criterion_8(seed, workers):
     """Driver mean unidentified rate <= 0.05 at SNR_Z +40 dB, >= 0.80 at -40 dB."""
-    grid = intrinsic_grids(seed, workers)[TopologyKind.DRIVER]
-    high = extract_plane(grid, "z", 40.0, "unidentified").mean()
-    low = extract_plane(grid, "z", -40.0, "unidentified").mean()
+    rows = intrinsic_grids(seed, workers)[TopologyKind.DRIVER]
+    high = extract_plane(rows, "z", 40.0, "unidentified_rate").mean()
+    low = extract_plane(rows, "z", -40.0, "unidentified_rate").mean()
     faults = [] if high <= 0.05 else [f"mean unidentified {high} at +40 dB"]
     faults += [] if low >= 0.80 else [f"mean unidentified {low} at -40 dB"]
     return faults

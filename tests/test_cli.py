@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -638,7 +639,8 @@ class TestPhaseSpaceCommand:
         assert main(self.ARGS + ["--resume", "--out", str(out)]) == 4
 
     @pytest.mark.parametrize("column, value", [("unidentified_rate", "-3.0"),
-                                               ("spurious_rate", "7.5"), ("snr_z_db", "nan")])
+                                               ("spurious_rate", "7.5"), ("snr_z_db", "nan"),
+                                               ("n", "abc"), ("rate_xz", "xyz")])
     def test_resume_refuses_a_row_out_of_range(self, tmp_path, capsys, column, value):
         # A checkpoint that phase-space could not have written conflicts
         # with the run it would resume, which leaves it as it is.
@@ -1184,7 +1186,14 @@ class TestShortSeries:
           "--cases", "4"], 5),
         (["phase-space", "--topology", "driver", "--noise", "intrinsic", "--n", "6",
           "--iterations", "2", "--grid", "0"], 6),
-    ], ids=["sweep-alpha", "sweep-n", "phase-space"])
+        # Too short for the backbone's lags too: the lag-depth rule is reported.
+        (["sweep-alpha", "--topology", "driver", "--n", "2", "--iterations", "4"], 2),
+        (["sweep-n", "--topology", "driver", "--alpha", "0.1", "--sizes", "2,50",
+          "--cases", "4"], 2),
+        (["phase-space", "--topology", "driver", "--noise", "intrinsic", "--n", "2",
+          "--iterations", "2", "--grid", "0"], 2),
+    ], ids=["sweep-alpha", "sweep-n", "phase-space", "sweep-alpha-2", "sweep-n-2",
+            "phase-space-2"])
     def test_experiment_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, pool,
                                                 argv, n):
         def no_sampling(*args):
@@ -1376,6 +1385,9 @@ class TestRender:
         ("rate_yz", "nan", "a rate is outside [0, 1]"),
         ("snr_y_db", "nan", "an SNR is not finite"),
         ("snr_x_db", "-inf", "an SNR is not finite"),
+        ("n", "abc", "non-numeric value"),
+        ("unidentified_rate", "xyz", "non-numeric value"),
+        ("snr_z_db", "", "non-numeric value"),
     ])
     def test_value_out_of_range_exits_2_and_names_its_row(self, tmp_path, capsys,
                                                           column, value, problem):
@@ -1388,6 +1400,26 @@ class TestRender:
         assert main(["render", "--input", str(csv), "--axis", "z", "--value", "0",
                      "--out", str(ppm)]) == 2
         assert capsys.readouterr().err == f"{csv}: row 3: {problem}\n"
+        assert not ppm.exists()
+
+    def test_plane_of_a_diagonal_needs_no_grid_sized_memory(self, tmp_path, capsys):
+        # 100 rows on the diagonal span 100 values on each axis: four rate
+        # arrays over that 100^3 grid would take 32 MB. The one 100 x 100
+        # plane has one row in it, so the render exits 2.
+        csv, ppm = tmp_path / "d.csv", tmp_path / "d.ppm"
+        meta = "driver,intrinsic,60,0.05,wald,10"
+        csv.write_text("\n".join([PHASE_HEADER] + [f"{v},{v},{v},{meta},0.5,0.5,0.5,0.5"
+                                                   for v in map(float, range(100))]) + "\n")
+        tracemalloc.start()
+        try:
+            code = main(["render", "--input", str(csv), "--axis", "z", "--value", "7",
+                         "--out", str(ppm)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == "plane has missing cells (incomplete CSV)\n"
+        assert peak < 1 << 20
         assert not ppm.exists()
 
     @pytest.mark.parametrize("column, value", [("criterion", "lr"), ("iterations", "11")])

@@ -13,9 +13,9 @@ from granger_lab.core import FORWARD_LINKS, Link, TopologyKind
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import (GenerationError, GeneratorConfig, NoiseKind, axis_sigmas,
                                  generate, resolve_sigmas)
-from granger_lab.experiments import (SNR_KEYS, DegenerateConfiguration, OffGrid, PhaseGrid,
-                                     estimate_rates, extract_plane, phase_rows, phase_space,
-                                     snr_grid, sweep_sample_size, sweep_significance)
+from granger_lab.experiments import (PHASE_RATES, SNR_KEYS, DegenerateConfiguration,
+                                     estimate_rates, extract_plane, phase_rows, snr_grid,
+                                     sweep_sample_size, sweep_significance)
 from granger_lab.granger import FORWARD_KEYS, GrangerConfig
 from granger_lab.seeding import derive_seeds, generator_states
 
@@ -184,8 +184,8 @@ class TestCountChecks:
                                        master_seed=0),
                 lambda: sweep_significance(TopologyKind.DRIVER, (0.05,),
                                            iterations=count),
-                lambda: phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
-                                    n=60, alpha=0.05, iterations=count)],
+                lambda: phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
+                                   n=60, alpha=0.05, iterations=count)],
             "cases": [
                 lambda: sweep_sample_size(TopologyKind.DRIVER, 0.05, (50,), cases=count)],
         }
@@ -201,8 +201,8 @@ class TestCountChecks:
             lambda: GrangerConfig(significance=alpha),
             lambda: sweep_significance(TopologyKind.DRIVER, (0.05, alpha), iterations=4),
             lambda: sweep_sample_size(TopologyKind.DRIVER, alpha, (50,), cases=4),
-            lambda: phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
-                                n=60, alpha=alpha, iterations=4)]
+            lambda: phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
+                               n=60, alpha=alpha, iterations=4)]
         for call in calls:
             with pytest.raises(ValueError, match=r"^significance level must lie strictly "
                                                  rf"in \(0, 1\), got {alpha!r}$"):
@@ -349,8 +349,8 @@ class TestWorkerCount:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 16)
         estimate_rates(_gen(), GrangerConfig(), iterations=6, master_seed=3, workers=8)
         grids = ((0.0,), (0.0,), (-20.0, 20.0))
-        phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
-                    iterations=2, grids=grids, seed=1, workers=8)
+        list(phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
+                        iterations=2, grids=grids, seed=1, workers=8))
         assert pool.sizes == [3, 2]
 
     def test_environment_variable(self, pool, monkeypatch):
@@ -374,14 +374,14 @@ class TestWorkerCount:
                 estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3,
                                workers=workers)
             with pytest.raises(ValueError, match="^workers must be"):
-                _phase(workers=workers)
+                _rows(workers=workers)
         assert pool.sizes == [] and pool.submits == []
         with pytest.raises(ValueError, match="^workers must be"):
             list(_rows(workers=workers, start=27))  # nothing left to schedule
 
 
 GRID3 = ((-20.0, 0.0, 20.0),) * 3
-#: The shape config that ``phase_rows`` gives every cell of ``_phase``.
+#: The shape config that ``phase_rows`` gives every cell of ``_rows``.
 _GRID3_SHAPE = GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
                                noise_kind=NoiseKind.INTRINSIC_SNR)
 
@@ -391,18 +391,13 @@ def test_phase_space_rejects_a_repeated_axis_value(pool, axis):
     grids = [(0.0, 20.0)] * 3
     grids[axis] = (0.0, 20.0, -0.0)
     with pytest.raises(ValueError, match=f"^the {'xyz'[axis]} grid repeats a value$"):
-        phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
-                    iterations=2, grids=grids, seed=6, workers=2)
+        phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
+                   iterations=2, grids=grids, seed=6, workers=2)
     assert pool.submits == []
 
 
-def _phase(workers, **kwargs):
-    return phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
-                       iterations=2, grids=GRID3, seed=6, workers=workers, **kwargs)
-
-
 def _rows(workers, start=0):
-    """The ``phase_rows`` stream of the phase space that ``_phase`` builds."""
+    """The ``phase_rows`` stream of a 3 x 3 x 3 phase space on ``GRID3``."""
     return phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
                       iterations=2, grids=GRID3, seed=6, workers=workers, start=start)
 
@@ -439,18 +434,12 @@ class TestSchedule:
         assert _submitted(pool) == [((c,), i) for c in range(27) for i in range(2)]
         assert rows == list(_rows(workers=1))
         assert [tuple(row[key] for key in SNR_KEYS) for row in rows] == list(product(*GRID3))
-        np.testing.assert_array_equal(_phase(workers=2).unidentified,
-                                      _phase(workers=1).unidentified)
 
     def test_phase_space_resume_keeps_grid_order(self, pool):
         full_rows = list(_rows(workers=1))
         rows = list(_rows(workers=2, start=10))
         assert rows == full_rows[10:]
         assert _submitted(pool) == [((c,), i) for c in range(10, 27) for i in range(2)]
-        full = _phase(workers=1)
-        resumed = PhaseGrid.from_rows(GRID3, full_rows[:10] + rows)
-        np.testing.assert_array_equal(resumed.spurious, full.spurious)
-        np.testing.assert_array_equal(resumed.rate_yz, full.rate_yz)
 
     def test_pool_has_at_most_two_runs_a_worker_ahead(self, pool, monkeypatch):
         # A run per cell: when the row of run k is read, runs k + 1 to k + 4
@@ -678,54 +667,85 @@ class TestPhaseSpace:
 
     def test_grid_shapes_and_plane_consistency(self):
         grids = ((-20.0, 20.0), (-20.0, 20.0), (-20.0, 0.0, 20.0))
-        result = phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
-                             n=80, alpha=0.05, iterations=20, grids=grids,
-                             seed=2, workers=1)
-        assert result.spurious.shape == (2, 2, 3)
-        plane = extract_plane(result, "z", 0.0, "spurious")
-        np.testing.assert_array_equal(plane, result.spurious[:, :, 1])
+        rows = list(phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
+                               n=80, alpha=0.05, iterations=20, grids=grids,
+                               seed=2, workers=1))
+        # Grid order: z varies fastest, so the rows are the (2, 2, 3) grid.
+        spurious = np.array([row["spurious_rate"] for row in rows]).reshape(2, 2, 3)
+        plane = extract_plane(rows, "z", 0.0, "spurious_rate")
+        assert plane.shape == (2, 2)
+        np.testing.assert_array_equal(plane, spurious[:, :, 1])
+        np.testing.assert_array_equal(extract_plane(rows, "x", 20.0, "spurious_rate"),
+                                      spurious[1])
+        np.testing.assert_array_equal(extract_plane(iter(rows), "Y", -20.0, "spurious_rate"),
+                                      spurious[:, 0, :])
 
     def test_off_grid_raises(self):
         grids = ((-20.0, 20.0),) * 3
-        result = phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
-                             n=80, alpha=0.05, iterations=5, grids=grids,
-                             seed=2, workers=1)
-        with pytest.raises(OffGrid):
-            extract_plane(result, "z", 5.0)
-        with pytest.raises(ValueError):
-            extract_plane(result, "z", 20.0, "not_a_field")
+        rows = list(phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
+                               n=80, alpha=0.05, iterations=5, grids=grids,
+                               seed=2, workers=1))
+        with pytest.raises(ValueError, match=r"^SNR\^Z = 5\.0 dB is not on the grid$"):
+            extract_plane(rows, "z", 5.0)
+        with pytest.raises(ValueError, match="^unknown field 'not_a_field'$"):
+            extract_plane(rows, "z", 20.0, "not_a_field")
+
+    @pytest.mark.parametrize("axis", ["xy", "w", "", "snr_x_db"])
+    def test_extract_plane_refuses_an_unknown_axis(self, axis):
+        with pytest.raises(ValueError, match=f"^unknown axis {re.escape(repr(axis))}$"):
+            extract_plane([_plane_row(0.0, 0.0, 0.0, 0.5)], axis, 0.0)
+
+    def test_extract_plane_refuses_a_triple_two_rows_share(self):
+        # Checked over every row, also those off the requested plane.
+        rows = [_plane_row(0.0, 0.0, 5.0, 0.5), _plane_row(0.0, 0.0, -5.0, 0.5),
+                _plane_row(0.0, 0.0, -5.0, 0.25)]
+        with pytest.raises(ValueError, match=r"^more than one row for the SNR triple "
+                                             r"\(0\.0, 0\.0, -5\.0\)$"):
+            extract_plane(rows, "z", 5.0)
 
     def test_fixed_sigma_rejected(self):
         with pytest.raises(ValueError):
-            phase_space(NoiseKind.FIXED_SIGMA, TopologyKind.DRIVER,
-                        n=80, alpha=0.05)
+            phase_rows(NoiseKind.FIXED_SIGMA, TopologyKind.DRIVER,
+                       n=80, alpha=0.05)
 
     def test_resume_skips_done_cells(self):
         grids = ((0.0,), (0.0,), (-20.0, 20.0))
         kwargs = dict(n=80, alpha=0.05, iterations=15, grids=grids, seed=4, workers=1)
-        full = phase_space(NoiseKind.INTRINSIC_SNR, TopologyKind.INDIRECT, **kwargs)
-        done = {"snr_x_db": 0.0, "snr_y_db": 0.0, "snr_z_db": -20.0,
-                "spurious_rate": full.spurious[0, 0, 0],
-                "unidentified_rate": full.unidentified[0, 0, 0],
-                "rate_xz": full.rate_xz[0, 0, 0],
-                "rate_yz": full.rate_yz[0, 0, 0]}
+        full = list(phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.INDIRECT, **kwargs))
         seen = list(phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.INDIRECT, start=1,
                                **kwargs))
-        # only the missing cell is recomputed, and the grids agree exactly
+        # only the missing cell is recomputed, and the rows agree exactly
         assert len(seen) == 1 and seen[0]["snr_z_db"] == 20.0
-        resumed = PhaseGrid.from_rows(grids, [done] + seen)
-        np.testing.assert_array_equal(resumed.spurious, full.spurious)
-        np.testing.assert_array_equal(resumed.rate_yz, full.rate_yz)
+        assert full[:1] + seen == full
 
-    def test_from_rows_places_rows_by_snr_and_leaves_nan(self):
-        axes = ((20.0, -20.0), (0.0,), (5.0, -5.0))
-        rows = [{"snr_x_db": -20.0, "snr_y_db": 0.0, "snr_z_db": 5.0, "spurious_rate": 0.25,
-                 "unidentified_rate": 0.5, "rate_xz": 0.75, "rate_yz": 1.0}]
-        grid = PhaseGrid.from_rows(axes, rows)
-        assert grid.axes == axes
-        for name, value in (("spurious", 0.25), ("unidentified", 0.5), ("rate_xz", 0.75),
-                            ("rate_yz", 1.0)):
-            data = getattr(grid, name)
-            assert data.shape == (2, 1, 2) and data[1, 0, 0] == value
-            assert np.isnan(np.delete(data.ravel(), 2)).all()
+    def test_extract_plane_places_rows_by_snr_and_leaves_nan(self):
+        rates = (0.25, 0.5, 0.75, 1.0)
+        rows = [_plane_row(20.0, 0.0, -5.0, 0.0), _plane_row(-20.0, 0.0, 5.0, *rates)]
+        for name, value in zip(PHASE_RATES, rates):
+            # Each axis holds the rows' values in ascending order: x (-20, 20), y (0,).
+            plane = extract_plane(rows, "z", 5.0, name)
+            assert plane.shape == (2, 1) and plane[0, 0] == value and np.isnan(plane[1, 0])
+            plane = extract_plane(rows, "x", -20.0, name)  # y down, z (-5, 5) across
+            assert plane.shape == (1, 2) and plane[0, 1] == value and np.isnan(plane[0, 0])
+
+    def test_extract_plane_of_a_diagonal_holds_no_grid(self):
+        # 100 rows on the diagonal span a 100^3 grid, whose four rate arrays
+        # would take 32 MB; the plane takes 80 kB.
+        rows = [_plane_row(v, v, v, 0.5) for v in map(float, range(100))]
+        tracemalloc.start()
+        try:
+            plane = extract_plane(rows, "y", 42.0, "rate_xz")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert plane.shape == (100, 100) and plane[42, 42] == 0.5
+        assert np.isnan(plane).sum() == 100 * 100 - 1
+
+
+def _plane_row(x, y, z, *rates):
+    """A phase-space row at SNR (x, y, z) with the four ``rates``, or one
+    rate for all four."""
+    rates = rates if len(rates) == 4 else rates * 4
+    return dict(zip(SNR_KEYS, (x, y, z)), **dict(zip(PHASE_RATES, rates)))
 

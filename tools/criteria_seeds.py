@@ -28,9 +28,12 @@ from acceptance_criteria import CRITERIA  # noqa: E402
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """``a-b`` (inclusive) or a comma list of non-negative integers."""
+    """``a-b`` (inclusive) or a comma list of non-negative integers; a range
+    with no seed in it is refused."""
     if "-" in spec:
         first, last = map(int, spec.split("-"))
+        if last < first:
+            raise argparse.ArgumentTypeError(f"empty seed range {spec!r}")
         return list(range(first, last + 1))
     return [int(seed) for seed in spec.split(",")]
 
