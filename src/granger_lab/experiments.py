@@ -8,6 +8,16 @@ A command's iterations are cut into runs of consecutive iterations, and
 each run's seeds and generator states are derived in bulk (``seeding``).
 Rates are exact count/iterations fractions.
 
+With n workers, the calling process is one of them: it forks n - 1
+children before the first run, and the runs are dealt round-robin, run k
+to process k % n. Each child gets its cells through the fork and sends
+each run's counts back, pickled, through its own pipe, so a child runs
+ahead of the reader only as far as its pipe buffer holds and memory does
+not grow with the iteration count. The parent computes its own runs
+inline and reads the children's in run order. A failure in any process,
+an exception in the consumer, an early close or Ctrl-C kills and reaps
+every child. Where ``os.fork`` is missing, one process computes every run.
+
 A cell is one (shape config, noise levels, stream key) record. Each
 sample's edges come from ``granger.block_pvalues`` and
 ``granger.decide_edge_array``, the same path ``analyze`` takes, and a cell
@@ -42,13 +52,13 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
+import pickle
+import signal
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import combinations, groupby, islice
-from typing import Optional
+from typing import BinaryIO, Optional
 
 import numpy as np
 
@@ -64,7 +74,7 @@ from .seeding import derive_seeds, generator_states, require_seed
 SNR_KEYS = ("snr_x_db", "snr_y_db", "snr_z_db")
 PHASE_RATES = ("spurious_rate", "unidentified_rate", "rate_xz", "rate_yz")
 
-#: Iterations of one run (one seed derivation, one pool task), at most.
+#: Iterations of one run (one seed derivation, computed by one process), at most.
 RUN_ITERATIONS = 1000
 
 class DegenerateConfiguration(RuntimeError):
@@ -157,11 +167,12 @@ class _GridCells(Sequence):
 
 
 def _worker_count(workers: Optional[int], jobs: int) -> int:
-    """Worker processes for ``jobs`` independent tasks.
+    """Worker processes, this one included, for ``jobs`` independent tasks.
 
     The request (else ``GRANGER_LAB_THREADS``, else the CPU count) must be
     a positive integer. It is clamped to the CPU count and to ``jobs``, so
-    no flag can start more processes than there are cores or tasks.
+    no flag can start more processes than there are cores or tasks. Where
+    ``os.fork`` is missing, every task runs in this process.
     """
     env = os.environ.get("GRANGER_LAB_THREADS")
     if workers is not None:
@@ -170,6 +181,8 @@ def _worker_count(workers: Optional[int], jobs: int) -> int:
         workers = require_positive("GRANGER_LAB_THREADS", env)
     else:
         workers = os.cpu_count() or 1
+    if not hasattr(os, "fork"):
+        return 1
     workers = min(workers, jobs)
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
@@ -224,9 +237,9 @@ def _cut_runs(cells: Sequence[object], iterations: int, size: int
 def _count_run(run: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
                alphas: tuple[float, ...], master_seed: int
                ) -> list[tuple[np.ndarray, int]]:
-    """Pool task: (counts, rank_deficient) of every (cell, start, stop)
-    segment of a run, in order, from one seed derivation. Consecutive cells
-    with the same shape config share one ``_count_block`` call."""
+    """(counts, rank_deficient) of every (cell, start, stop) segment of a
+    run, in order, from one seed derivation. Consecutive cells with the
+    same shape config share one ``_count_block`` call."""
     states = generator_states(derive_seeds(
         [((master_seed, *key), start, stop) for (_, _, key), start, stop in run]))
     results, done = [], 0
@@ -238,13 +251,41 @@ def _count_run(run: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
     return results
 
 
-def _ahead(items: Iterator, ahead: int) -> Iterator:
-    """``items`` in order, each yielded once ``ahead`` more have been taken."""
-    queue = deque(islice(items, ahead))
-    for item in items:
-        queue.append(item)
-        yield queue.popleft()
-    yield from queue
+def _child(runs: Iterator[list], args: tuple, fd: int, inherited: list[int]) -> None:
+    """A forked worker's whole life: close the ``inherited`` descriptors,
+    compute ``runs`` in order, pickle (True, results) of each to the pipe
+    ``fd``, or (False, exception) for the first that fails, and leave
+    through ``os._exit``, so nothing the parent holds is flushed or
+    finalised twice. It ignores SIGINT (the parent's Ctrl-C kills it), and
+    a write to a parent that has died fails with EPIPE and ends it."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for inherited_fd in inherited:
+            os.close(inherited_fd)
+        with open(fd, "wb") as pipe:
+            for run in runs:
+                try:
+                    ok, value = True, _count_run(run, *args)
+                except Exception as exc:
+                    ok, value = False, exc
+                pipe.write(pickle.dumps((ok, value)))
+                pipe.flush()
+                if not ok:
+                    break
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe: BinaryIO) -> list[tuple[np.ndarray, int]]:
+    """The next run's results from a child's pipe; the child's exception
+    is raised again here, and a pipe that ends first is a RuntimeError."""
+    try:
+        ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError("a worker process ended before it sent its results") from None
+    if not ok:
+        raise value
+    return value
 
 
 def _cell_counts(cells: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
@@ -253,43 +294,60 @@ def _cell_counts(cells: Sequence[tuple], lags: int, criteria: tuple[Criterion, .
     """Yield (counts, rank_deficient) per cell, in cell order.
 
     The cells' iterations are cut into runs as they are read, in order; a
-    run may split a cell. A run is one seed derivation and, with a pool, one
-    task. Inline runs have ``RUN_ITERATIONS`` iterations; one pool gets about
-    four runs a worker, capped at that, and at most two runs a worker beyond
-    the one being read. On any failure the queued runs are cancelled.
+    run may split a cell and is one seed derivation. One worker computes
+    runs of ``RUN_ITERATIONS`` iterations here. n workers get about four
+    runs each, capped at that size, dealt round-robin to this process and
+    to n - 1 children forked before the first run, as the module docstring
+    describes.
     """
     total = len(cells) * iterations
     n_workers = _worker_count(workers, total // 2)  # two iterations or more each
     size = min(RUN_ITERATIONS, total if n_workers == 1 else math.ceil(total / (4 * n_workers)))
-    runs = _cut_runs(cells, iterations, size)
     args = (lags, criteria, alphas, master_seed)
-    results = ((run, _count_run(run, *args)) for run in runs)
-    pool = None
+    children, pipes = [], [None]  # pipes[i]: process i's results, None for this one
     try:
-        if n_workers > 1:
-            pool = ProcessPoolExecutor(max_workers=n_workers)
-            futures = ((run, pool.submit(_count_run, run, *args)) for run in runs)
-            results = ((run, future.result()) for run, future in _ahead(futures, 2 * n_workers))
+        for index in range(1, n_workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(islice(_cut_runs(cells, iterations, size), index, None, n_workers),
+                       args, write_fd, [read_fd] + [pipe.fileno() for pipe in pipes[1:]])
+            children.append(pid)
+            os.close(write_fd)
+            pipes.append(open(read_fd, "rb"))
         counts = rank_deficient = 0
-        for run, run_results in results:
+        for k, run in enumerate(_cut_runs(cells, iterations, size)):
+            pipe = pipes[k % n_workers]
+            run_results = _count_run(run, *args) if pipe is None else _receive(pipe)
             for (_, _, stop), (block, block_rd) in zip(run, run_results):
                 counts, rank_deficient = counts + block, rank_deficient + block_rd
                 if stop == iterations:
                     yield counts, rank_deficient
                     counts = rank_deficient = 0
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        for pipe in pipes[1:]:
+            pipe.close()
+        for pid in children:
+            os.waitpid(pid, 0)
 
 
 def _estimate_from_counts(edges: np.ndarray, topology: TopologyKind, iterations: int,
-                          rank_deficient: int) -> RateEstimate:
+                          rank_deficient: int, cell: str = "") -> RateEstimate:
     """A cell's rates from its accepted-edge counts (``FORWARD_LINKS``
-    order) against the true ``topology``."""
+    order) against the true ``topology``. A ``DegenerateConfiguration``
+    names the ``cell`` when one is given."""
     effective = iterations - rank_deficient
     if rank_deficient > 0.01 * iterations or effective == 0:
         raise DegenerateConfiguration(
-            f"{rank_deficient}/{iterations} iterations were rank deficient")
+            f"{rank_deficient}/{iterations} iterations were rank deficient"
+            + (f" at {cell}" if cell else ""))
     accepted = dict(zip(FORWARD_LINKS, edges.tolist()))
     absent, present = ((Link.YZ, Link.XZ) if topology is TopologyKind.DRIVER
                        else (Link.XZ, Link.YZ))
@@ -362,8 +420,9 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
     cells = [(gen, resolve_sigmas(gen), (gen.length,)) for gen in gens]
     with closing(_cell_counts(cells, LAGS, criteria, (alpha,), cases, seed,
                               workers)) as results:
-        per_size = [{crit: _estimate_from_counts(counts[ci, 0], topology, cases, rd)
-                     for ci, crit in enumerate(criteria)} for counts, rd in results]
+        per_size = [{crit: _estimate_from_counts(counts[ci, 0], topology, cases, rd, f"n={n}")
+                     for ci, crit in enumerate(criteria)}
+                    for n, (counts, rd) in zip(sizes, results)]
     rates = {crit: tuple(row[crit] for row in per_size) for crit in criteria}
     comparisons = {(ca, cb): tuple(compare_criteria(row[ca], row[cb]) for row in per_size)
                    for ca, cb in combinations(criteria, 2)}
@@ -382,9 +441,9 @@ def phase_rows(noise_kind: NoiseKind, topology: TopologyKind, n: int, alpha: flo
     ``PHASE_RATES`` to its rates. Cells before ``start`` are not computed,
     so a run resumes from a grid-order prefix of its rows. Every argument
     is checked here, when the stream is made, even if no cell is left to
-    compute, and so is every SNR on the axes. Nothing is drawn and no pool
-    starts until the first row is read, and no cell exists before it is
-    read.
+    compute, and so is every SNR on the axes. Nothing is drawn and no
+    worker is forked until the first row is read, and no cell exists
+    before it is read.
     """
     iterations = require_positive("iterations", iterations)
     require_seed(seed)
@@ -408,8 +467,10 @@ def _phase_stream(cells: _GridCells, axes: Sequence[Sequence[float]], criterion:
     with closing(_cell_counts(cells, LAGS, (criterion,), (alpha,), iterations,
                               seed, workers)) as results:
         for (gen, _, (index,)), (counts, rd) in zip(cells, results):
-            est = _estimate_from_counts(counts[0, 0], gen.topology, iterations, rd)
-            yield dict(zip(SNR_KEYS, _grid_point(axes, index)), spurious_rate=est.spurious_rate,
+            snrs = _grid_point(axes, index)
+            est = _estimate_from_counts(counts[0, 0], gen.topology, iterations, rd,
+                                        f"SNR (x, y, z) = {snrs} dB")
+            yield dict(zip(SNR_KEYS, snrs), spurious_rate=est.spurious_rate,
                        unidentified_rate=est.unidentified_rate,
                        rate_xz=est.per_link_rates["x->z"],
                        rate_yz=est.per_link_rates["y->z"])

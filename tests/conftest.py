@@ -1,5 +1,5 @@
+import os
 import re
-from concurrent.futures import Future
 
 import pytest
 
@@ -26,34 +26,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"{name}: {_results[name]}")
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, its submit calls
-    and its shutdown arguments, and runs tasks inline (no process starts)."""
-
-    sizes: list[int] = []
-    submits: list[tuple] = []
-    shutdowns: list[dict] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def submit(self, fn, *args):
-        self.submits.append(args)
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        self.shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
-
-
 @pytest.fixture
-def pool(monkeypatch):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
-    for name in ("sizes", "submits", "shutdowns"):
-        monkeypatch.setattr(_InlinePool, name, [])
+def forks(monkeypatch):
+    """The pids of the processes forked during the test. Forks are real:
+    ``os.fork`` is wrapped to record each child it starts."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments.os, "fork", recording)
     monkeypatch.delenv("GRANGER_LAB_THREADS", raising=False)
-    return _InlinePool
+    return pids
+

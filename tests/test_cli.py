@@ -256,13 +256,13 @@ class TestSweepCommands:
         ["sweep-n", "--alpha", "0.1", "--sizes", "30,40", "--cases", "4"],
     ], ids=["sweep-alpha", "sweep-n"])
     def test_negative_seed_exits_2_before_a_pool_starts(self, tmp_path, capsys, monkeypatch,
-                                                        pool, argv):
+                                                        forks, argv):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         out = tmp_path / "o"
         assert main(argv + ["--topology", "driver", "--workers", "2", "--seed=-1",
                             "--out", str(out)]) == 2
         assert capsys.readouterr().err == "seeds must be non-negative integers, got -1\n"
-        assert pool.sizes == [] and pool.submits == []
+        assert forks == []
         assert not out.exists()
 
     def _run_alpha(self, out):
@@ -739,14 +739,14 @@ class TestPhaseSpaceCommand:
         assert csv.read_bytes() == one_row
 
     def test_overflowing_snr_later_in_the_grid_starts_no_pool(self, tmp_path, capsys,
-                                                               monkeypatch, pool):
+                                                               monkeypatch, forks):
         monkeypatch.setattr(experiments, "RUN_ITERATIONS", 4)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         out = tmp_path / "ps"
         assert main(self.OVERFLOW + ["--grid-z=0,10,-4000", "--workers", "2",
                                      "--out", str(out)]) == 2
         assert "-4000.0 dB" in capsys.readouterr().err
-        assert pool.sizes == [] and pool.submits == []
+        assert forks == []
         assert not (out / "phase_space.csv").exists()
 
     def test_failed_run_keeps_the_previous_csv(self, tmp_path):
@@ -953,7 +953,7 @@ class TestPhaseSpaceCommand:
         assert sorted(os.listdir(out)) == ["phase_space.csv"]
 
     def test_failed_checkpoint_write_exits_3_and_keeps_the_rows(self, tmp_path, monkeypatch,
-                                                               pool):
+                                                               forks):
         full, out = tmp_path / "full", tmp_path / "ps"
         assert main(self.ARGS + ["--out", str(full)]) == 0
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
@@ -975,8 +975,9 @@ class TestPhaseSpaceCommand:
         monkeypatch.setattr(cli, "_phase_row", failing)
         monkeypatch.setattr(cli, "phase_rows", kept)
         assert main(args) == 3
-        assert pool.sizes == [2]
-        assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):  # the child was killed and reaped
+            os.waitpid(-1, os.WNOHANG)
         lines = (full / "phase_space.csv").read_text().splitlines()
         assert (out / "phase_space.csv").read_text().splitlines() == lines[:3]
         monkeypatch.setattr(cli, "_phase_row", phase_row)
@@ -990,8 +991,10 @@ class TestPhaseSpaceCommand:
     @pytest.mark.parametrize("topology, snr, row", [
         ("driver", "160", "160.0,160.0,160.0,driver,intrinsic,300,0.05,wald,20,0.05,0.0,1.0,0.05"),
         ("indirect", "160", "160.0,160.0,160.0,indirect,intrinsic,300,0.05,wald,20,0.0,0.0,0.0,1.0"),
-        ("driver", "200", "error: 15/20 iterations were rank deficient"),
-        ("indirect", "200", "error: 20/20 iterations were rank deficient"),
+        ("driver", "200", "error: 15/20 iterations were rank deficient at "
+                          "SNR (x, y, z) = (200.0, 200.0, 200.0) dB"),
+        ("indirect", "200", "error: 20/20 iterations were rank deficient at "
+                            "SNR (x, y, z) = (200.0, 200.0, 200.0) dB"),
     ])
     def test_rank_edge_at_high_snr(self, tmp_path, capsys, topology, snr, row):
         out = tmp_path / "ps"
@@ -1005,6 +1008,27 @@ class TestPhaseSpaceCommand:
             assert rc == 3
             assert capsys.readouterr().err.strip() == row
             assert list(out.iterdir()) == []  # no checkpoint rows, no manifest
+
+    def test_a_cell_past_the_rank_edge_is_named_and_stops_its_resume_too(self, tmp_path,
+                                                                         capsys):
+        # The fourth cell of this grid is the first with more than 1% of
+        # its iterations rank deficient: the run keeps the three rows
+        # before it, and a resume starts at that cell and stops there too.
+        out = tmp_path / "ps"
+        argv = ["phase-space", "--topology", "driver", "--noise", "intrinsic",
+                "--grid", "180:220:20", "--n", "60", "--iterations", "40", "--workers", "2",
+                "--out", str(out)]
+        error = ("error: 26/40 iterations were rank deficient at "
+                 "SNR (x, y, z) = (180.0, 200.0, 180.0) dB\n")
+        for resume in ([], ["--resume"]):
+            assert main(argv + resume) == 3
+            assert capsys.readouterr().err == error
+            lines = (out / "phase_space.csv").read_text().splitlines()
+            assert lines[0] == PHASE_HEADER
+            assert [line.split(",")[:3] for line in lines[1:]] == [
+                ["180.0", "180.0", "180.0"], ["180.0", "180.0", "200.0"],
+                ["180.0", "180.0", "220.0"]]
+            assert sorted(os.listdir(out)) == ["phase_space.csv"]
 
     def test_rank_deficient_counts_jump_between_190_and_200_db(self):
         # Rank-deficient iterations out of 40 per cell, seed 0.
@@ -1194,7 +1218,7 @@ class TestShortSeries:
           "--iterations", "2", "--grid", "0"], 2),
     ], ids=["sweep-alpha", "sweep-n", "phase-space", "sweep-alpha-2", "sweep-n-2",
             "phase-space-2"])
-    def test_experiment_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, pool,
+    def test_experiment_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, forks,
                                                 argv, n):
         def no_sampling(*args):
             raise AssertionError("a sample was drawn")
@@ -1204,7 +1228,7 @@ class TestShortSeries:
         out = tmp_path / "o"
         assert main(argv + ["--workers", "2", "--out", str(out)]) == 2
         assert capsys.readouterr().err == self._message(n)
-        assert pool.sizes == [] and pool.submits == []
+        assert forks == []
         assert not (out / "manifest.txt").exists()
 
     def test_analyze_exits_2_and_names_the_length(self, tmp_path, capsys):

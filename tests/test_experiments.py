@@ -1,4 +1,10 @@
+import fcntl
+import json
+import os
+import pickle
 import re
+import signal
+import time
 import tracemalloc
 from contextlib import closing
 from dataclasses import replace
@@ -336,37 +342,54 @@ class TestCountBlock:
             np.testing.assert_array_equal(counts, single)
 
 
+def _no_child_left():
+    """Whether every child of this process has been reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 class TestWorkerCount:
-    def test_clamped_to_cpu_count(self, pool, monkeypatch):
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    """The clamped worker count is the number of processes: this one and
+    the children it forks."""
+
+    def test_clamped_to_cpu_count(self, forks):
         est = estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3,
                              workers=64)
-        assert pool.sizes == [2]
+        assert len(forks) == min(os.cpu_count() or 1, 15) - 1
+        assert _no_child_left()
         assert est == estimate_rates(_gen(), GrangerConfig(), iterations=30,
                                      master_seed=3, workers=1)
 
-    def test_clamped_to_jobs(self, pool, monkeypatch):
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 16)
-        estimate_rates(_gen(), GrangerConfig(), iterations=6, master_seed=3, workers=8)
+    def test_clamped_to_jobs(self, forks, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        estimate_rates(_gen(), GrangerConfig(), iterations=3, master_seed=3, workers=8)
+        assert forks == []  # one job: two iterations or more a process
+        estimate_rates(_gen(), GrangerConfig(), iterations=4, master_seed=3, workers=8)
         grids = ((0.0,), (0.0,), (-20.0, 20.0))
         list(phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
                         iterations=2, grids=grids, seed=1, workers=8))
-        assert pool.sizes == [3, 2]
+        assert len(forks) == 2  # two processes each time
+        assert _no_child_left()
 
-    def test_environment_variable(self, pool, monkeypatch):
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 16)
-        monkeypatch.setenv("GRANGER_LAB_THREADS", "4")
-        estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3)
-        assert pool.sizes == [4]
+    def test_environment_variable(self, forks, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        for env, processes in (("1", 1), ("2", 2)):
+            monkeypatch.setenv("GRANGER_LAB_THREADS", env)
+            forks.clear()
+            estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3)
+            assert len(forks) == processes - 1
         for bad in ("four", "0", "-1"):
             monkeypatch.setenv("GRANGER_LAB_THREADS", bad)
             with pytest.raises(ValueError, match="GRANGER_LAB_THREADS"):
                 estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3)
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, "two"])
-    def test_nonpositive_flag_rejected_like_the_variable(self, pool, monkeypatch, workers):
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 16)
-        for env in (None, "4"):
+    def test_nonpositive_flag_rejected_like_the_variable(self, forks, monkeypatch, workers):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        for env in (None, "2"):
             if env:
                 monkeypatch.setenv("GRANGER_LAB_THREADS", env)  # the flag still wins
             with pytest.raises(ValueError, match=f"^workers must be a positive integer, "
@@ -375,9 +398,17 @@ class TestWorkerCount:
                                workers=workers)
             with pytest.raises(ValueError, match="^workers must be"):
                 _rows(workers=workers)
-        assert pool.sizes == [] and pool.submits == []
+        assert forks == []
         with pytest.raises(ValueError, match="^workers must be"):
             list(_rows(workers=workers, start=27))  # nothing left to schedule
+
+    def test_one_process_where_fork_is_missing(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(experiments.os, "fork")
+        assert experiments._worker_count(2, 100) == 1
+        with pytest.raises(ValueError, match="^workers must be"):
+            experiments._worker_count(0, 100)
+        assert list(_rows(workers=2)) == list(_rows(workers=1))
 
 
 GRID3 = ((-20.0, 0.0, 20.0),) * 3
@@ -387,13 +418,13 @@ _GRID3_SHAPE = GeneratorConfig(topology=TopologyKind.DRIVER, length=60,
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
-def test_phase_space_rejects_a_repeated_axis_value(pool, axis):
+def test_phase_space_rejects_a_repeated_axis_value(forks, axis):
     grids = [(0.0, 20.0)] * 3
     grids[axis] = (0.0, 20.0, -0.0)
     with pytest.raises(ValueError, match=f"^the {'xyz'[axis]} grid repeats a value$"):
         phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
                    iterations=2, grids=grids, seed=6, workers=2)
-    assert pool.submits == []
+    assert forks == []
 
 
 def _rows(workers, start=0):
@@ -402,16 +433,54 @@ def _rows(workers, start=0):
                       iterations=2, grids=GRID3, seed=6, workers=workers, start=start)
 
 
-def _runs(pool):
-    """The runs submitted to the pool: lists of ((shape config, levels,
-    key), start, stop)."""
-    return [run for run, *_ in pool.submits]
+class _RunLog:
+    """The runs that each process computed, forked children included, read
+    back from the file that every ``_count_run`` call appends a line to."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def by_process(self):
+        """{pid: [[(stream key, start, stop), ...] of each run, in the order
+        the process computed them]}."""
+        runs = {}
+        if self.path.exists():
+            for line in self.path.read_text(encoding="utf-8").splitlines():
+                pid, run = json.loads(line)
+                runs.setdefault(pid, []).append([(tuple(key), a, b) for key, a, b in run])
+        return runs
+
+    def in_run_order(self, children):
+        """The runs of this process and of ``children`` (in fork order),
+        merged on the rule that run k went to process k % n, this one
+        first: a process that computed other runs breaks the merge."""
+        by_process = self.by_process()
+        shares = [by_process.get(pid, []) for pid in [os.getpid(), *children]]
+        return [shares[k % len(shares)][k // len(shares)]
+                for k in range(sum(map(len, shares)))]
+
+    def clear(self):
+        self.path.unlink(missing_ok=True)
 
 
-def _submitted(pool):
-    """(stream key, iteration) of every iteration sent to the pool, in order."""
-    return [(key, i) for run in _runs(pool) for (_, _, key), start, stop in run
-            for i in range(start, stop)]
+@pytest.fixture
+def run_log(monkeypatch, tmp_path):
+    log, count_run = _RunLog(tmp_path / "runs.jsonl"), experiments._count_run
+
+    def logged(run, *args):
+        results = count_run(run, *args)
+        with open(log.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), [[key, a, b] for (_, _, key), a, b in run]])
+                     + "\n")
+        return results
+
+    monkeypatch.setattr(experiments, "_count_run", logged)
+    return log
+
+
+def _iterations(runs):
+    """(stream key, iteration) of every iteration of ``runs``, in order."""
+    return [(key, i) for run in runs for key, a, b in run for i in range(a, b)]
 
 
 class TestSchedule:
@@ -419,41 +488,67 @@ class TestSchedule:
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
 
-    def test_sweep_sample_size_starts_one_pool(self, pool):
+    def test_sweep_sample_size_forks_its_workers_once(self, forks):
         kwargs = dict(alpha=0.05, sizes=(40, 60, 80), cases=12, seed=3)
         parallel = sweep_sample_size(TopologyKind.INDIRECT, workers=2, **kwargs)
-        assert pool.sizes == [2]
-        assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
+        assert len(forks) == 1 and _no_child_left()
         assert parallel == sweep_sample_size(TopologyKind.INDIRECT, workers=1, **kwargs)
 
-    def test_phase_space_submits_runs_of_cells(self, pool):
+    def test_phase_space_deals_runs_round_robin(self, forks, run_log):
         rows = list(_rows(workers=2))
-        assert pool.sizes == [2]
-        assert 1 < len(pool.submits) < 27
+        assert len(forks) == 1
+        runs = run_log.in_run_order(forks)
+        assert 1 < len(runs) < 27
         # Every iteration is computed once, in grid order, across the runs.
-        assert _submitted(pool) == [((c,), i) for c in range(27) for i in range(2)]
+        assert _iterations(runs) == [((c,), i) for c in range(27) for i in range(2)]
         assert rows == list(_rows(workers=1))
         assert [tuple(row[key] for key in SNR_KEYS) for row in rows] == list(product(*GRID3))
 
-    def test_phase_space_resume_keeps_grid_order(self, pool):
+    def test_phase_space_resume_keeps_grid_order(self, forks, run_log):
         full_rows = list(_rows(workers=1))
+        run_log.clear()
         rows = list(_rows(workers=2, start=10))
         assert rows == full_rows[10:]
-        assert _submitted(pool) == [((c,), i) for c in range(10, 27) for i in range(2)]
+        assert len(forks) == 1
+        assert _iterations(run_log.in_run_order(forks)) == [
+            ((c,), i) for c in range(10, 27) for i in range(2)]
 
-    def test_pool_has_at_most_two_runs_a_worker_ahead(self, pool, monkeypatch):
-        # A run per cell: when the row of run k is read, runs k + 1 to k + 4
-        # have been submitted and no further ones.
+    def test_a_child_runs_ahead_only_as_far_as_its_pipe_holds(self, forks, run_log,
+                                                              monkeypatch):
+        # A run per cell, each sending back counts for 3 criteria x 40
+        # alphas; the child is dealt twice the runs that its pipe can hold.
         monkeypatch.setattr(experiments, "RUN_ITERATIONS", 2)
-        submitted = [len(pool.submits) for _ in _rows(workers=2)]
-        assert pool.sizes == [2]
-        assert submitted == [min(k + 4, 27) for k in range(1, 28)]
+        criteria, alphas = (Criterion.LR, Criterion.WALD, Criterion.RAO), tuple(
+            np.linspace(0.01, 0.4, 40))
+        read_fd, write_fd = os.pipe()
+        pipe_bytes = fcntl.fcntl(read_fd, fcntl.F_GETPIPE_SZ)
+        os.close(read_fd)
+        os.close(write_fd)
+        run_bytes = len(pickle.dumps((True, [(np.zeros((3, 40, 3), np.int64), 0)])))
+        held = pipe_bytes // run_bytes + 2  # what the pipe holds, and the run writing
+        gen = _gen(length=60)
+        cells = [(gen, resolve_sigmas(gen), (c,)) for c in range(4 * held)]
+        with closing(experiments._cell_counts(cells, 2, criteria, alphas, 2, 6, 2)) as stream:
+            counts = [next(stream)]  # the parent's first run
+            computed, steady, deadline = -1, time.monotonic(), time.monotonic() + 30
+            while time.monotonic() < deadline and time.monotonic() - steady < 1:
+                now = len(run_log.by_process().get(forks[0], []))
+                if now != computed:
+                    computed, steady = now, time.monotonic()
+                time.sleep(0.05)
+            assert 0 < computed <= held  # of the 2 * held runs dealt to the child
+            counts += stream
+        reference = experiments._cell_counts(cells, 2, criteria, alphas, 2, 6, 1)
+        for (got, got_rd), (ref, ref_rd) in zip(counts, reference, strict=True):
+            np.testing.assert_array_equal(got, ref)
+            assert got_rd == ref_rd
+        assert len(forks) == 1 and _no_child_left()
 
-    def test_nothing_left_starts_no_pool(self, pool):
+    def test_nothing_left_starts_no_pool(self, forks):
         assert list(_rows(workers=2, start=27)) == []
-        assert pool.sizes == [] and pool.submits == []
+        assert forks == []
 
-    def test_failure_cancels_queued_runs(self, pool, monkeypatch):
+    def test_failure_cancels_queued_runs(self, forks, monkeypatch):
         count_block = experiments._count_block
         bad_levels = list(product(*axis_sigmas(_GRID3_SHAPE, GRID3)))[5]
 
@@ -464,23 +559,70 @@ class TestSchedule:
 
         monkeypatch.setattr(experiments, "_count_block", failing)
         rows = []
-        with pytest.raises(GenerationError):
+        with pytest.raises(GenerationError,
+                           match="^generated values exceeded the magnitude bound$"):
             for row in _rows(workers=2):
                 rows.append(row)
-        assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
-        # Rows of the cells that the runs before the failing one finished
-        # were still delivered.
-        runs = _runs(pool)
-        failed = next(r for r, run in enumerate(runs)
-                      if any(key == (5,) for (_, _, key), _, _ in run))
-        finished = [key for run in runs[:failed] for (_, _, key), _, stop in run if stop == 2]
-        assert 0 < len(rows) == len(finished) < 5
+        assert len(forks) == 1 and _no_child_left()
+        # Runs of seven iterations: run 1, the child's first, holds cell 5.
+        # The rows of the cells that run 0 finished were still delivered.
+        runs = list(experiments._cut_runs(range(27), 2, 7))
+        failed = next(k for k, run in enumerate(runs) if any(c == 5 for c, _, _ in run))
+        finished = [c for run in runs[:failed] for c, _, stop in run if stop == 2]
+        assert failed % 2 == 1
+        assert [tuple(row[key] for key in SNR_KEYS) for row in rows] == list(
+            product(*GRID3))[:len(finished)]
+        assert len(rows) == 3
 
-    def test_failure_in_caller_cancels_queued_runs(self, pool):
+    def test_failure_in_caller_cancels_queued_runs(self, forks):
         with pytest.raises(OSError), closing(_rows(workers=2)) as rows:
             for _ in rows:
                 raise OSError("disk full")
-        assert pool.shutdowns == [{"wait": True, "cancel_futures": True}]
+        assert len(forks) == 1 and _no_child_left()
+
+    def test_interrupt_or_early_close_leaves_no_child(self, forks):
+        with pytest.raises(KeyboardInterrupt), closing(_rows(workers=2)) as rows:
+            next(rows)
+            raise KeyboardInterrupt
+        rows = _rows(workers=2)
+        next(rows)
+        rows.close()
+        assert len(forks) == 2 and _no_child_left()
+
+    def test_children_ignore_sigint(self, forks, run_log):
+        rows = _rows(workers=2)
+        first = next(rows)
+        deadline = time.monotonic() + 30
+        while forks[0] not in run_log.by_process() and time.monotonic() < deadline:
+            time.sleep(0.01)  # the child is past its setup once it has computed a run
+        os.kill(forks[0], signal.SIGINT)
+        assert [first, *rows] == list(_rows(workers=1))
+        assert _no_child_left()
+
+    def test_a_killed_child_is_an_error_not_a_hang(self, forks, monkeypatch):
+        parent, count_run = os.getpid(), experiments._count_run
+
+        def dying(run, *args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return count_run(run, *args)
+
+        def hung(signum, frame):
+            raise TimeoutError("the parent waited 60 s on a killed child")
+
+        monkeypatch.setattr(experiments, "_count_run", dying)
+        rows, previous = [], signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError,
+                               match="^a worker process ended before it sent its results$"):
+                for row in _rows(workers=2):
+                    rows.append(row)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(rows) == 3  # the cells that run 0, the parent's, finished
+        assert len(forks) == 1 and _no_child_left()
 
 
 def _grid_counts(iterations, workers):
@@ -495,12 +637,12 @@ class TestPartitionInvariance:
     """Counts do not depend on the worker count or the runs."""
 
     @pytest.fixture(autouse=True)
-    def four_cpus(self, monkeypatch):
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        """Rows of every bulk seed derivation, in call order."""
+        """Rows of every bulk seed derivation in this process, in call order."""
         rows, derive = [], experiments.derive_seeds
 
         def recording(streams):
@@ -511,31 +653,35 @@ class TestPartitionInvariance:
         monkeypatch.setattr(experiments, "derive_seeds", recording)
         return rows
 
-    def test_phase_space_cells_for_any_partition(self, pool, monkeypatch, batches):
+    def test_phase_space_cells_for_any_partition(self, forks, run_log, monkeypatch, batches):
         reference = _grid_counts(4, 1)
         assert batches == [4 * 27]  # inline: one derivation for the grid
         for run_iterations in (1000, 6, 3):
             monkeypatch.setattr(experiments, "RUN_ITERATIONS", run_iterations)
             for workers in (1, 2, 3):
                 batches.clear()
-                pool.submits.clear()
+                forks.clear()
+                run_log.clear()
                 counts = _grid_counts(4, workers)
                 assert len(counts) == len(reference)
                 for (got, got_rd), (ref, ref_rd) in zip(counts, reference):
                     np.testing.assert_array_equal(got, ref)
                     assert got_rd == ref_rd
-                assert sum(batches) == 4 * 27 and max(batches) <= run_iterations
-                if workers > 1:  # one derivation per run
-                    assert len(pool.submits) > 1
-                    assert batches == [sum(b - a for _, a, b in run) for run in _runs(pool)]
+                assert len(forks) == workers - 1 and _no_child_left()
+                sizes = [sum(b - a for _, a, b in run) for run in run_log.in_run_order(forks)]
+                assert sum(sizes) == 4 * 27 and max(sizes) <= run_iterations
+                assert batches == sizes[::workers]  # one derivation per run of this process
+                if workers > 1:
+                    assert len(sizes) > 1
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_cells_split_across_runs(self, pool, monkeypatch, batches, workers):
+    def test_cells_split_across_runs(self, forks, run_log, monkeypatch, batches, workers):
         # Have the rank rule reject the samples whose first x value is
         # negative, so that the split cells' rank-deficient counts are
         # summed across runs too. A block's stack is [z-lags | y-lags |
         # x-lags | y | z]; its first observation holds x[0] as lag 2 of x,
-        # column 5, until the stack is factored.
+        # column 5, until the stack is factored. Forked children inherit
+        # the patches and each keeps its own queue.
         lag_stack, rule, first_x = granger._lag_stack, granger.rank_deficient, []
 
         def recording(*args):
@@ -549,17 +695,17 @@ class TestPartitionInvariance:
         reference = _grid_counts(4, 1)
         assert 0 < sum(rd for _, rd in reference) < 4 * 27
         batches.clear()
+        run_log.clear()
         monkeypatch.setattr(experiments, "RUN_ITERATIONS", 3)
         counts = _grid_counts(4, workers)
         for (got, got_rd), (ref, ref_rd) in zip(counts, reference, strict=True):
             np.testing.assert_array_equal(got, ref)
             assert got_rd == ref_rd
-        assert batches == [3] * 36  # one derivation per run of three iterations
-        if workers > 1:
-            runs = _runs(pool)
-            assert len(runs) == 36
-            assert [(key, a, b) for (_, _, key), a, b in runs[0] + runs[1]] == [
-                ((0,), 0, 3), ((0,), 3, 4), ((1,), 0, 2)]
+        assert len(forks) == workers - 1
+        runs = run_log.in_run_order(forks)
+        assert [sum(b - a for _, a, b in run) for run in runs] == [3] * 36
+        assert batches == [3] * len(runs[::workers])  # one derivation per run
+        assert runs[0] + runs[1] == [((0,), 0, 3), ((0,), 3, 4), ((1,), 0, 2)]
 
     def test_oversized_task_is_seeded_in_bounded_batches(self, monkeypatch, batches):
         gen = _gen(length=60)
@@ -583,6 +729,19 @@ class TestPartitionInvariance:
 
 
 class TestSweeps:
+    def test_sample_size_sweep_names_its_degenerate_size(self, monkeypatch):
+        count_block = experiments._count_block
+
+        def degenerate_at_60(gen, levels, sizes, *args):
+            return [(counts, size if gen.length == 60 else rd) for (counts, rd), size
+                    in zip(count_block(gen, levels, sizes, *args), sizes)]
+
+        monkeypatch.setattr(experiments, "_count_block", degenerate_at_60)
+        with pytest.raises(DegenerateConfiguration,
+                           match="^12/12 iterations were rank deficient at n=60$"):
+            sweep_sample_size(TopologyKind.INDIRECT, 0.05, (40, 60, 80), cases=12, seed=3,
+                              workers=1)
+
     def test_sweep_significance_matches_estimate_rates(self):
         alphas = (0.05, 0.2)
         sweep = sweep_significance(TopologyKind.DRIVER, alphas, n_points=60,

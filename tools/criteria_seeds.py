@@ -38,11 +38,19 @@ def parse_seeds(spec: str) -> list[int]:
     return [int(seed) for seed in spec.split(",")]
 
 
+def positive_int(text: str) -> int:
+    """A worker count: an integer of 1 or more."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=parse_seeds, required=True,
                         help="seeds to run: FIRST-LAST (inclusive) or a comma list")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=positive_int, default=1)
     args = parser.parse_args(argv)
     failed = {number: [] for number in CRITERIA}
     for seed in args.seeds:
