@@ -1,11 +1,14 @@
 """Command-line interface: experiment presets, CSV emission, manifests,
-heatmap rendering of one ``experiments.extract_plane`` plane of a CSV's
-rows, and ``analyze``, which scores a sample's forward and reverse links
-with one ``granger.sample_pvalues`` call.
+heatmap rendering of one ``experiments.extract_plane`` plane of a
+phase-space CSV, and ``analyze``, which scores a sample's forward and
+reverse links with one ``granger.sample_pvalues`` call. ``render`` and
+``phase-space --resume`` read a phase-space CSV one row at a time, through
+``_phase_csv_rows``, and neither holds the file's rows.
 
 Each command raises on failure, and ``main`` alone maps the failure to an
-exit code: 0 success, 2 invalid flags or malformed input (a sample length
-below 4 * lags + 1 among them, refused before any sample is drawn), 3
+exit code: 0 success, 2 invalid flags or malformed input (among them a
+sample length below 4 * lags + 1, or a lag depth whose lag stack outgrows
+the longest sample's, refused before any sample is drawn or stacked), 3
 runtime failure, 4 resume-file conflict. ``phase-space`` has
 ``experiments.phase_rows`` check all of its flags, and every SNR on its
 axes, before it compares, truncates or appends to a checkpoint, so a bad
@@ -27,9 +30,9 @@ import shlex
 import sys
 import time
 from contextlib import ExitStack, closing, suppress
-from itertools import islice, product
+from itertools import chain, product
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy
@@ -242,9 +245,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _write_rate_table(path: str, axis_name: str, axis_text: Callable[[float], str],
@@ -307,33 +310,27 @@ def _phase_row(meta: dict, cell: dict) -> str:
                      *(fmt(cell[key]) for key in PHASE_RATES)])
 
 
-def load_phase_csv(path: str) -> tuple[dict, list[dict]]:
-    """Parse a phase-space CSV into (metadata, cell rows)."""
-    meta, cells, _ = _read_phase_csv(path)
-    return meta, cells
-
-
-def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
-    """(metadata, cell rows, intact length in bytes) of a phase-space CSV.
-
-    Only newline-terminated lines count. An unterminated final line was torn
-    by an interrupted write: it is ignored, and the intact length ends
-    before it. A row with a field that does not parse as its number, with
-    metadata that differs from the first row's, or with a non-finite SNR or
-    a rate outside [0, 1], is refused by its row number.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    intact = data.rfind(b"\n") + 1
-    if intact == 0 and PHASE_HEADER.encode("utf-8").startswith(data):
-        return {}, [], 0  # not even the header was completed
-    lines = _decode(path, data[:intact]).split("\n")
-    if lines[0].strip() != PHASE_HEADER:
+def _phase_csv_rows(path: str, fh) -> Iterator[tuple[dict, dict]]:
+    """(metadata, cell) of each row of the phase-space CSV ``fh``, the file
+    at ``path`` opened in binary mode, read one line at a time. An
+    unterminated final line was torn by an interrupted write: it is not
+    read, ``fh`` is left at its start, and a torn header reads as no rows.
+    The first fault raises a ValueError: a header other than
+    ``PHASE_HEADER`` or, named by its row, a byte that is not UTF-8, a
+    wrong field count, a field that is not its number, metadata unlike the
+    first row's, a non-finite SNR or a rate outside [0, 1]."""
+    header = fh.readline()
+    if PHASE_HEADER.encode("utf-8").startswith(header):  # a torn or missing header
+        fh.seek(0)
+        return
+    if not header.endswith(b"\n") or _decode(path, header).strip() != PHASE_HEADER:
         raise ValueError(f"unexpected header in {path}")
-    meta: dict = {}
-    cells = []
-    for number, line in enumerate(lines[1:], 2):
-        line = line.strip()
+    meta = None
+    for number, line in enumerate(fh, 2):
+        if not line.endswith(b"\n"):
+            fh.seek(-len(line), os.SEEK_CUR)
+            return
+        line = _decode(path, line, number).strip()
         if not line:
             continue
         parts = line.split(",")
@@ -345,7 +342,7 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
             cell = {key: float(value) for key, value in row.items()}
         except ValueError:
             raise ValueError(f"{path}: row {number}: non-numeric value") from None
-        if not meta:
+        if meta is None:
             meta = row_meta
         elif meta != row_meta:
             raise ValueError(f"{path}: row {number}: inconsistent metadata across rows")
@@ -353,8 +350,7 @@ def _read_phase_csv(path: str) -> tuple[dict, list[dict], int]:
             raise ValueError(f"{path}: row {number}: an SNR is not finite")
         if not all(0.0 <= cell[key] <= 1.0 for key in PHASE_RATES):
             raise ValueError(f"{path}: row {number}: a rate is outside [0, 1]")
-        cells.append(cell)
-    return meta, cells, intact
+        yield meta, cell
 
 
 class _ResumeConflict(Exception):
@@ -369,28 +365,26 @@ def cmd_phase_space(args) -> tuple[list[str], int]:
     grids = tuple(parse_grid(g) if g else shared
                   for g in (args.grid_x, args.grid_y, args.grid_z))
     csv_path = os.path.join(args.out, "phase_space.csv")
-    old_meta, rows, intact, unreadable = {}, [], 0, None
-    if args.resume and os.path.exists(csv_path):
-        try:
-            old_meta, rows, intact = _read_phase_csv(csv_path)
-        except ValueError as exc:  # a conflict, once every flag has passed
-            unreadable = str(exc)
-    # phase_rows checks every flag now: a bad one exits 2 before a conflict
-    # can exit 4, and before --out or the checkpoint is touched.
-    new_rows = phase_rows(noise, topology, args.n, args.alpha, criterion, args.iterations,
-                          grids, args.seed, workers=args.workers, start=len(rows))
-    if unreadable is not None:
-        raise _ResumeConflict(unreadable)
-    os.makedirs(args.out, exist_ok=True)
     meta = {"topology": topology.value, "noise_kind": noise.value, "n": args.n,
-            "alpha": args.alpha, "criterion": criterion.value,
-            "iterations": args.iterations}
-    if old_meta and old_meta != meta:
-        raise _ResumeConflict("checkpoint metadata differs from flags")
-    got = [tuple(r[key] for key in SNR_KEYS) for r in rows]
-    if got != list(islice(product(*grids), len(got))):
-        raise _ResumeConflict("checkpoint cells do not match the grid")
-
+            "alpha": args.alpha, "criterion": criterion.value, "iterations": args.iterations}
+    done, intact, conflict = 0, 0, None  # a conflict is raised once every flag has passed
+    if args.resume and os.path.exists(csv_path):
+        expected, misplaced = product(*grids), False
+        try:
+            with open(csv_path, "rb") as fh:
+                for done, (old_meta, cell) in enumerate(_phase_csv_rows(csv_path, fh), 1):
+                    misplaced |= tuple(cell[key] for key in SNR_KEYS) != next(expected, None)
+                intact = fh.tell()
+            conflict = ("checkpoint metadata differs from flags" if done and old_meta != meta
+                        else "checkpoint cells do not match the grid" if misplaced else None)
+        except ValueError as exc:
+            conflict = str(exc)
+    # phase_rows checks every flag first: a bad one exits 2, not 4, and touches no file.
+    new_rows = phase_rows(noise, topology, args.n, args.alpha, criterion, args.iterations,
+                          grids, args.seed, workers=args.workers, start=done)
+    if conflict is not None:
+        raise _ResumeConflict(conflict)
+    os.makedirs(args.out, exist_ok=True)
     if intact:
         os.truncate(csv_path, intact)  # drop a torn final line before appending
     with ExitStack() as stack:
@@ -412,10 +406,12 @@ def cmd_phase_space(args) -> tuple[list[str], int]:
 
 
 def cmd_render(args) -> None:
-    _, cells = _read_input(load_phase_csv, args.input)
-    if not cells:
-        raise ValueError(f"{args.input} has no complete rows")
-    plane = extract_plane(cells, args.axis, args.value, args.field)
+    with _read_input(lambda p: open(p, "rb"), args.input) as fh:
+        cells = (cell for _, cell in _phase_csv_rows(args.input, fh))
+        first = next(cells, None)
+        if first is None:
+            raise ValueError(f"{args.input} has no complete rows")
+        plane = extract_plane(chain([first], cells), args.axis, args.value, args.field)
     if np.any(np.isnan(plane)):
         raise ValueError("plane has missing cells (incomplete CSV)")
     write_ppm(args.out, render_plane(plane, scale=args.scale))
@@ -446,8 +442,7 @@ def _read_series_csv(path: str) -> TrivariateSample:
             fh.seek(body)
             return _scan_series(path, fh)
     except ValueError:  # a bad byte anywhere outranks the fault found
-        with open(path, "rb") as fh:
-            _decode(path, fh.read())
+        _decode(path, Path(path).read_bytes())
         raise
 
 
@@ -479,14 +474,14 @@ def _scan_series(path: str, lines) -> TrivariateSample:
     return TrivariateSample(*data.T)
 
 
-def _decode(path: str, data: bytes) -> str:
-    """``data``, the bytes of the file at ``path``, as UTF-8 text; a byte
-    that does not decode raises a ValueError naming its row, counted the
-    way text mode splits lines."""
+def _decode(path: str, data: bytes, row: int = 1) -> str:
+    """``data``, the bytes of the file at ``path`` from its row ``row`` on,
+    as UTF-8 text; a byte that does not decode raises a ValueError naming
+    its row, counted the way text mode splits lines."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        row = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        row += data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n")
         raise ValueError(f"{path}: row {row}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
                          ) from None
 
@@ -531,7 +526,8 @@ def cmd_generate(args) -> None:
                              sigmas_or_snrs=(a, b, c), burn_in=args.burn_in)
     sample = generate(config, args.seed)
     rows = enumerate(zip(*(series.tolist() for series in sample)))
-    _write_lines(args.out, ["t,x,y,z", *(f"{t},{x!r},{y!r},{z!r}" for t, (x, y, z) in rows)])
+    lines = (f"{t},{x!r},{y!r},{z!r}" for t, (x, y, z) in rows)
+    _write_lines(args.out, chain(["t,x,y,z"], lines))
     print(f"wrote {args.out}")
 
 

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .criteria import Criterion, statistic_from_rss
-from .datagen import CHUNK_VALUES
+from .datagen import CHUNK_VALUES, MAX_SAMPLE_VALUES
 from .regress import RankDeficient, nested_rss, rank_deficient
 
 #: Keys for the five forward-model comparisons the two-step procedure uses.
@@ -110,10 +110,14 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
     y] and [z, y, x]; the upper triangle of its R factor's [z-lags |
     x-lags | z] columns that of [z, x], and of its [y-lags | x-lags | y]
     columns those of [y] and [y, x]. The three R factors stay in the
-    block's buffers, where ``rank_deficient`` reads their pivots. The
-    stacks are built for blocks of at most ``CHUNK_VALUES`` values."""
+    block's buffers, where ``rank_deficient`` reads their pivots. Stacks
+    are built for blocks of at most ``CHUNK_VALUES`` values, and none may
+    outgrow the longest generated sample's at depth ``LAGS``."""
     require_length(zs.shape[1], lags)
     p, rows, n_obs = lags, zs.shape[0], zs.shape[1] - lags
+    if (3 * p + 2) * n_obs > (3 * LAGS + 2) * MAX_SAMPLE_VALUES:
+        raise ValueError(f"lag depth {lags} is too deep for series length {zs.shape[1]}: its "
+                         f"lag stack exceeds {(3 * LAGS + 2) * MAX_SAMPLE_VALUES} values")
     width = len(criteria) * len(FORWARD_KEYS)
     pvalues = np.empty((rows, len(criteria), len(FORWARD_KEYS)))
     deficient = np.empty(rows, dtype=bool)

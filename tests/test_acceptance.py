@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from granger_lab.cli import load_phase_csv, main
+from granger_lab.cli import _phase_csv_rows, main
 from granger_lab.criteria import Criterion, statistic_from_rss
 
 from acceptance_criteria import (criterion_4, criterion_5, criterion_6,
@@ -105,7 +105,8 @@ def test_criterion_11_render_round_trip(tmp_path):
                "--grid=-20,0,20", "--seed", "13", "--workers", "1",
                "--out", str(out)])
     assert rc == 0
-    meta, cells = load_phase_csv(str(out / "phase_space.csv"))
+    with open(out / "phase_space.csv", "rb") as fh:
+        cells = [cell for _, cell in _phase_csv_rows(str(out / "phase_space.csv"), fh)]
     scale = 8
     for value in (-20.0, 0.0, 20.0):
         ppm = tmp_path / f"plane_{value}.ppm"

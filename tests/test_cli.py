@@ -15,8 +15,8 @@ import scipy
 from hypothesis import given, settings, strategies as st
 
 from granger_lab import cli, datagen, experiments, granger, regress
-from granger_lab.cli import (MAX_GRID_VALUES, PHASE_COLUMNS, PHASE_HEADER, fmt, load_phase_csv,
-                             main, parse_criteria, parse_grid)
+from granger_lab.cli import (MAX_GRID_VALUES, PHASE_COLUMNS, PHASE_HEADER, fmt, main,
+                             parse_criteria, parse_grid)
 from granger_lab.core import FORWARD_LINKS, TopologyKind
 from granger_lab.criteria import Criterion, statistic_from_rss
 from granger_lab.datagen import GeneratorConfig, resolve_sigmas
@@ -133,6 +133,22 @@ class TestGenerateAnalyze:
         rc = main(["analyze", "--input", str(csv)])
         assert rc == 2
         assert "row 3" in capsys.readouterr().err
+
+    def test_lag_stack_past_the_longest_samples_exits_2_unbuilt(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # 3,865 values leave lags 963 residual degrees of freedom, but their
+        # stack of 2,891 x 2,902 values outgrows the 8 x 2^20 of the longest
+        # sample generate writes, at lags 2. Lags 962 would fit.
+        def no_stack(*args):
+            raise AssertionError("a lag stack was built")
+
+        csv = tmp_path / "deep.csv"
+        assert main(["generate", "--topology", "driver", "--n", "3865", "--out", str(csv)]) == 0
+        monkeypatch.setattr(granger, "_lag_stack", no_stack)
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(csv), "--lags", "963"]) == 2
+        assert capsys.readouterr() == ("", "lag depth 963 is too deep for series length 3865: "
+                                           "its lag stack exceeds 8388608 values\n")
 
     def test_wrong_header_exits_2(self, tmp_path):
         csv = tmp_path / "bad.csv"
@@ -573,6 +589,38 @@ def _manifest_keys(path: Path) -> dict[str, list[str]]:
     return keys
 
 
+def _phase_cells(path) -> tuple[dict, list[dict]]:
+    """The metadata and the cells of the phase-space CSV at ``path``."""
+    with open(path, "rb") as fh:
+        rows = list(cli._phase_csv_rows(str(path), fh))
+    return rows[0][0], [cell for _, cell in rows]
+
+
+def _cube_phase_csv(path: Path, size: int) -> list[str]:
+    """Write the complete phase-space CSV of the SNR grid ``0:size-1:1`` on
+    every axis, and return the ``phase-space`` flags (``--out`` aside) of the
+    run that it checkpoints."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    axis = [float(v) for v in range(size)]
+    with open(path, "w") as fh:
+        fh.write(PHASE_HEADER + "\n")
+        fh.writelines(f"{x},{y},{z},driver,intrinsic,60,0.05,wald,10,0.5,0.25,0.5,0.5\n"
+                      for x in axis for y in axis for z in axis)
+    return ["phase-space", "--topology", "driver", "--noise", "intrinsic", "--n", "60",
+            "--alpha", "0.05", "--iterations", "10", "--grid", f"0:{size - 1}:1",
+            "--workers", "1"]
+
+
+def _peak_memory(argv: list[str]) -> tuple[int, int]:
+    """``main(argv)``'s exit code, and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _with_field(line: str, column: str, value: str) -> str:
     """A phase-space CSV row with ``column`` set to ``value``."""
     fields = line.split(",")
@@ -589,11 +637,20 @@ class TestPhaseSpaceCommand:
     def test_writes_all_cells(self, tmp_path):
         out = tmp_path / "ps"
         assert main(self.ARGS + ["--out", str(out)]) == 0
-        meta, cells = load_phase_csv(str(out / "phase_space.csv"))
+        meta, cells = _phase_cells(out / "phase_space.csv")
         assert meta["topology"] == "driver" and meta["n"] == 60
         assert len(cells) == 2 * 2 * 2
         text = (out / "phase_space.csv").read_text().splitlines()
         assert text[0] == PHASE_HEADER
+
+    def test_resume_of_a_complete_checkpoint_holds_no_rows(self, tmp_path):
+        # 30^3 = 27,000 rows, which took 16.5 MiB when the reader returned
+        # them all; read one at a time they take a few kB.
+        csv = tmp_path / "ps" / "phase_space.csv"
+        flags = _cube_phase_csv(csv, 30)
+        kept = csv.read_bytes()
+        assert _peak_memory(flags + ["--resume", "--out", str(csv.parent)])[1] < 1 << 20
+        assert csv.read_bytes() == kept
 
     def test_resume_completes_truncated_run(self, tmp_path):
         out = tmp_path / "ps"
@@ -848,7 +905,8 @@ class TestPhaseSpaceCommand:
                 "criterion": "rao", "iterations": iterations}
         csv = tmp_path_factory.mktemp("phase") / "phase_space.csv"
         csv.write_text(PHASE_HEADER + "\n" + cli._phase_row(meta, cell) + "\n")
-        got_meta, [got], _ = cli._read_phase_csv(str(csv))
+        with open(csv, "rb") as fh:
+            [(got_meta, got)] = cli._phase_csv_rows(str(csv), fh)
         assert got_meta == meta
         assert {k: float.hex(v) for k, v in got.items()} == {
             k: float.hex(v) for k, v in cell.items()}
@@ -1426,6 +1484,16 @@ class TestRender:
         assert capsys.readouterr().err == f"{csv}: row 3: {problem}\n"
         assert not ppm.exists()
 
+    def test_render_holds_no_rows(self, tmp_path):
+        # 27,000 rows took 16.5 MiB when the reader returned them all; now
+        # only extract_plane's set of SNR triples grows, by about 5.6 MiB.
+        csv, ppm = tmp_path / "cube.csv", tmp_path / "cube.ppm"
+        _cube_phase_csv(csv, 30)
+        code, peak = _peak_memory(["render", "--input", str(csv), "--axis", "z", "--value", "0",
+                                   "--out", str(ppm)])
+        assert code == 0 and peak < 8 << 20
+        assert read_ppm(str(ppm)).shape == (30 * 16, 30 * 16, 3)
+
     def test_plane_of_a_diagonal_needs_no_grid_sized_memory(self, tmp_path, capsys):
         # 100 rows on the diagonal span 100 values on each axis: four rate
         # arrays over that 100^3 grid would take 32 MB. The one 100 x 100
@@ -1494,7 +1562,7 @@ class TestRender:
                      "--grid=-20,20", "--grid-x=20,-40,0", "--seed", "13",
                      "--workers", "1", "--out", str(out)]) == 0
         csv = out / "phase_space.csv"
-        _, cells = load_phase_csv(str(csv))
+        _, cells = _phase_cells(csv)
         assert [c["snr_x_db"] for c in cells[::4]] == [20.0, -40.0, 0.0]  # grid order
         scale = 4
         for value in (20.0, -20.0):

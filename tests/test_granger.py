@@ -6,8 +6,9 @@ import pytest
 from granger_lab import granger
 from granger_lab.core import Link, TopologyKind, topology_kind
 from granger_lab.criteria import Criterion, statistic_from_rss
-from granger_lab.datagen import (CHUNK_VALUES, GeneratorConfig, NoiseKind, TrivariateSample,
-                                 chunk_rows, generate, generate_rows, resolve_sigmas)
+from granger_lab.datagen import (CHUNK_VALUES, MAX_SAMPLE_VALUES, GeneratorConfig, NoiseKind,
+                                 TrivariateSample, chunk_rows, generate, generate_rows,
+                                 resolve_sigmas)
 from granger_lab.granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ,
                                  FORWARD_KEYS, REVERSE_KEYS, GrangerConfig,
                                  block_pvalues, decide_edge_array, sample_pvalues)
@@ -99,6 +100,26 @@ class TestBivariateTest:
         message = f"^series length {length} is too short for lag depth 2: at least 9 "
         with pytest.raises(ValueError, match=message):
             sample_pvalues(*rng.normal(size=(3, length)), 2, (Criterion.WALD,))
+
+    @pytest.mark.parametrize("lags, length, kept", [
+        (2, MAX_SAMPLE_VALUES + 2, True), (2, MAX_SAMPLE_VALUES + 3, False),
+        (962, 3865, True), (963, 3865, False)])
+    def test_a_lag_stack_past_the_longest_samples_is_refused_unbuilt(self, monkeypatch, lags,
+                                                                    length, kept):
+        # (3 * lags + 2) * (length - lags) values against the 8 * 2^20 of the
+        # longest generated sample at lags 2; a kept stack gets to be built.
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(granger, "_lag_stack", built)
+        row = np.broadcast_to(0.0, (1, length))  # one value, viewed length times
+        refusal = (f"^lag depth {lags} is too deep for series length {length}: "
+                   f"its lag stack exceeds {8 * MAX_SAMPLE_VALUES} values$")
+        with pytest.raises(Built) if kept else pytest.raises(ValueError, match=refusal):
+            block_pvalues(row, row, row, lags, (Criterion.WALD,))
 
 
 def _reference_pvalues(forward_rss, x, y, z, lags):
