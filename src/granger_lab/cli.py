@@ -269,10 +269,9 @@ def cmd_sweep_alpha(args) -> tuple[list[str], int]:
     alphas = parse_grid(args.alpha_grid)
     criteria = parse_criteria(args.criteria)
     topology = TopologyKind(args.topology)
-    result = sweep_significance(topology, alphas, n_points=args.n,
-                                criteria=criteria, iterations=args.iterations,
-                                seed=args.seed, workers=args.workers)
-    os.makedirs(args.out, exist_ok=True)
+    result = sweep_significance(topology, alphas, n_points=args.n, criteria=criteria,
+                                iterations=args.iterations, seed=args.seed, workers=args.workers,
+                                ready=lambda: os.makedirs(args.out, exist_ok=True))
     csv_path = os.path.join(args.out, "sweep_alpha.csv")
     _write_rate_table(csv_path, "alpha", fmt, result, criteria)
     for crit in criteria:
@@ -285,8 +284,8 @@ def cmd_sweep_n(args) -> tuple[list[str], int]:
     criteria = parse_criteria(args.criteria)
     topology = TopologyKind(args.topology)
     result = sweep_sample_size(topology, args.alpha, sizes, criteria=criteria,
-                               cases=args.cases, seed=args.seed, workers=args.workers)
-    os.makedirs(args.out, exist_ok=True)
+                               cases=args.cases, seed=args.seed, workers=args.workers,
+                               ready=lambda: os.makedirs(args.out, exist_ok=True))
     csv_path = os.path.join(args.out, "sweep_n.csv")
     _write_rate_table(csv_path, "n", lambda n: str(int(n)), result, criteria)
     cmp_lines = ["n,criterion_a,criterion_b,spurious_p,spurious_different,"

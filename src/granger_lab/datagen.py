@@ -28,7 +28,7 @@ hold samples of several SNR triples.
 
 The AR(1) recurrences are one LAPACK band solve per chunk (``dtbtrs`` on the
 unit-diagonal bidiagonal band, so no division by the diagonal),
-bit-identical to SciPy's ``lfilter``.
+bit-identical to SciPy's ``lfilter``, in place on contiguous rows.
 """
 
 from __future__ import annotations
@@ -192,26 +192,27 @@ def generate_rows(config: GeneratorConfig, levels: np.ndarray,
     ``states[r]`` is seed_r's row of ``generator_states`` and ``levels[r]``
     resolves config_r, which may differ from ``config`` in its noise levels
     only. A (rows, 1) column of levels scales each row's normals by the same
-    IEEE product a scalar would. The normals are scaled and summed in the
-    draw buffer, with the bits of the out-of-place sums. Memory grows with
-    the rows, so a stream passes ``chunk_rows(config)`` states at a time.
+    IEEE product a scalar would. The normals are scaled out of the draw
+    buffer into one C-ordered (3, rows, total) array, where the recurrences
+    are summed, with the bits of the out-of-place sums, and solved in place.
+    Memory grows with the rows, so a stream passes ``chunk_rows(config)``
+    states at a time.
     """
-    total = config.burn_in + config.length
-    u, nx, ny, nz = _raw_draws(states, total)
-    for noise, level in zip((nx, ny, nz), levels.T[:, :, None]):
-        noise *= level
+    draws = _raw_draws(states, config.burn_in + config.length)
+    u, noise = draws[0], np.empty(draws[1:].shape)  # (3, rows, total), C-ordered
+    np.multiply(draws[1:], levels.T[:, :, None], out=noise)
     if config.noise_kind is NoiseKind.EXTRINSIC_SNR:
-        x, y, z = _backbone(u, *np.zeros((3, *u.shape)), config.ar_coefficient, config.topology)
-        x += nx
-        y += ny
-        z += nz
+        x, y, z = _backbone(u, *np.zeros(noise.shape), config.ar_coefficient, config.topology)
+        x += noise[0]
+        y += noise[1]
+        z += noise[2]
     else:
-        x, y, z = _backbone(u, nx, ny, nz, config.ar_coefficient, config.topology)
+        x, y, z = _backbone(u, *noise, config.ar_coefficient, config.topology)
     b = config.burn_in
     x, y, z = x[:, b:], y[:, b:], z[:, b:]
     for arr in (x, y, z):
-        # Also false for NaN and infinities.
-        if not (np.abs(arr) <= MAGNITUDE_BOUND).all():
+        # NaN propagates through min and max, so it fails the check as well.
+        if not (-MAGNITUDE_BOUND <= arr.min() and arr.max() <= MAGNITUDE_BOUND):
             raise GenerationError("generated values exceeded the magnitude bound")
     return x, y, z
 

@@ -54,7 +54,7 @@ import math
 import os
 import pickle
 import signal
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import combinations, groupby, islice
@@ -376,12 +376,14 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
                        n_points: int = 50,
                        criteria: Sequence[Criterion] = PRESET_CRITERIA,
                        iterations: int = 1000, seed: int = 0,
-                       workers: Optional[int] = None) -> SweepResult:
+                       workers: Optional[int] = None,
+                       ready: Callable[[], object] = lambda: None) -> SweepResult:
     """Rates against the significance level, at a fixed sample size.
 
     Samples are shared across significance levels and criteria (seeded per
     iteration only), which is exactly equivalent to repeated estimate_rates
-    calls with the same master seed.
+    calls with the same master seed. ``ready`` is called once every
+    argument has passed its checks, before the first sample is drawn.
     """
     iterations = require_positive("iterations", iterations)
     require_seed(seed)
@@ -389,7 +391,9 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     if not alphas:
         raise ValueError("significance grid must be non-empty")
     require_length(n_points, LAGS)
+    _worker_count(workers, 1)
     gen = GeneratorConfig(topology=topology, length=n_points)
+    ready()
     [(counts, rd)] = _cell_counts([(gen, resolve_sigmas(gen), ())], LAGS, tuple(criteria),
                                   alphas, iterations, seed, workers)
     rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], topology, iterations, rd)
@@ -401,9 +405,11 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
 def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int],
                       criteria: Sequence[Criterion] = PRESET_CRITERIA,
                       cases: int = 1000, seed: int = 0,
-                      workers: Optional[int] = None) -> SweepResult:
+                      workers: Optional[int] = None,
+                      ready: Callable[[], object] = lambda: None) -> SweepResult:
     """Rates against the sample size at a fixed significance level, plus
-    pairwise criterion-difference tests at each size."""
+    pairwise criterion-difference tests at each size. ``ready`` is called
+    once every argument has passed its checks, before the first sample."""
     cases = require_positive("cases", cases)
     require_seed(seed)
     alpha = require_significance(alpha)
@@ -416,8 +422,10 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
     criteria = tuple(criteria)
     for n in sizes:
         require_length(n, LAGS)
+    _worker_count(workers, 1)
     gens = [GeneratorConfig(topology=topology, length=n) for n in sizes]
     cells = [(gen, resolve_sigmas(gen), (gen.length,)) for gen in gens]
+    ready()
     with closing(_cell_counts(cells, LAGS, criteria, (alpha,), cases, seed,
                               workers)) as results:
         per_size = [{crit: _estimate_from_counts(counts[ci, 0], topology, cases, rd, f"n={n}")

@@ -24,7 +24,7 @@ at most 3 * lags + 2 rows each, whatever the sample's length (Golub & Van
 Loan, Matrix Computations, section 5.3). The stacks and their column norms
 are built once per block. Every sample makes the three passes, and one
 ``regress.rank_deficient`` call a block marks from their pivots the rows
-not to score.
+not to score. The rows kept are scored one comparison at a time.
 """
 
 from __future__ import annotations
@@ -110,18 +110,18 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
     y] and [z, y, x]; the upper triangle of its R factor's [z-lags |
     x-lags | z] columns that of [z, x], and of its [y-lags | x-lags | y]
     columns those of [y] and [y, x]. The three R factors stay in the
-    block's buffers, where ``rank_deficient`` reads their pivots. Stacks
-    are built for blocks of at most ``CHUNK_VALUES`` values, and none may
-    outgrow the longest generated sample's at depth ``LAGS``."""
+    block's buffers, where ``rank_deficient`` reads their pivots; then each
+    criterion scores each comparison over the block's kept rows, one list
+    a column of ``pvalues``. Stacks are built for blocks of at most
+    ``CHUNK_VALUES`` values, and none may outgrow the longest generated
+    sample's at depth ``LAGS``."""
     require_length(zs.shape[1], lags)
     p, rows, n_obs = lags, zs.shape[0], zs.shape[1] - lags
     if (3 * p + 2) * n_obs > (3 * LAGS + 2) * MAX_SAMPLE_VALUES:
         raise ValueError(f"lag depth {lags} is too deep for series length {zs.shape[1]}: its "
                          f"lag stack exceeds {(3 * LAGS + 2) * MAX_SAMPLE_VALUES} values")
-    width = len(criteria) * len(FORWARD_KEYS)
     pvalues = np.empty((rows, len(criteria), len(FORWARD_KEYS)))
     deficient = np.empty(rows, dtype=bool)
-    flat = memoryview(pvalues.reshape(-1))
     step = max(1, CHUNK_VALUES // ((3 * p + 2) * n_obs))  # the stack's 3p + 2 columns
     buffer = np.empty((min(step, rows), 3 * p + 2, n_obs))  # refilled block by block
     k2, k3 = 2 * p, 3 * p
@@ -131,34 +131,35 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
     m = min(n_obs, k3 + 2)
     below = np.arange(m) > np.array(subset)[:, None]
     reduced = np.empty((len(buffer), len(subset), m))
-    filled = 0
     for a in range(0, rows, step):
         stack, norms = _lag_stack(xs[a:a + step], ys[a:a + step], zs[a:a + step], p, buffer)
         # Each row of the transposed stack is the F-ordered [X | b] itself.
-        full = [nested_rss(design, (p, k2, k3)) for design in stack.transpose(0, 2, 1)]
+        rss_z, rss_zy, rss_zyx = zip(*[nested_rss(design, (p, k2, k3))
+                                       for design in stack.transpose(0, 2, 1)])
         # R's subsets, upper triangle only; each row is F-ordered once transposed.
         subsets = np.take(stack[:, :, :m], subset, axis=1, out=reduced[:len(stack)], mode="clip")
         np.copyto(subsets, 0.0, where=below)
-        passes = [(*nested_rss(zx, (k2,)), *nested_rss(yx, (p, k2))) for zx, yx in zip(
-            subsets[:, :k2 + 1].transpose(0, 2, 1), subsets[:, k2 + 1:].transpose(0, 2, 1))]
+        rss_zx, rss_y, rss_yx = zip(*[(*nested_rss(zx, (k2,)), *nested_rss(yx, (p, k2)))
+                                      for zx, yx in zip(subsets[:, :k2 + 1].transpose(0, 2, 1),
+                                                        subsets[:, k2 + 1:].transpose(0, 2, 1))])
         # The pivots of the three factors, each against the largest column
         # norm of the stack columns it was reduced from.
         pivots = np.concatenate((stack.diagonal(0, 1, 2)[:, :k3], subsets.diagonal(0, 1, 2)[:, :k2],
                                  subsets.diagonal(-k2 - 1, 1, 2)[:, :k2]), axis=1)
         skipped = deficient[a:a + len(stack)] = rank_deficient(
             pivots, np.repeat(norms, (k3, k2, k2), axis=1))
-        for (rss_z, rss_zy, rss_zyx), (rss_zx, rss_y, rss_yx), skip in zip(
-                full, passes, skipped.tolist()):
-            if skip:
-                pvalues.flat[filled:filled + width] = np.nan
-                filled += width
-                continue
-            pairs = ((rss_y, rss_yx, k2), (rss_z, rss_zx, k2), (rss_z, rss_zy, k2),
-                     (rss_zy, rss_zyx, k3), (rss_zx, rss_zyx, k3))
-            for criterion in criteria:
-                for rss_r, rss_u, k in pairs:
-                    flat[filled] = statistic_from_rss(criterion, rss_r, rss_u, n_obs, p, k)[1]
-                    filled += 1
+        comparisons = ((rss_y, rss_yx, k2), (rss_z, rss_zx, k2), (rss_z, rss_zy, k2),
+                       (rss_zy, rss_zyx, k3), (rss_zx, rss_zyx, k3))
+        block, kept = pvalues[a:a + len(stack)], slice(None)
+        if skipped.any():  # NaN p-values, and no scores, for the rank-deficient rows
+            block[skipped], kept = np.nan, np.flatnonzero(~skipped)
+            comparisons = [([restricted[i] for i in kept], [unrestricted[i] for i in kept], k)
+                           for restricted, unrestricted, k in comparisons]
+        # One comparison of every kept row at a time, in FORWARD_KEYS order.
+        for c, criterion in enumerate(criteria):
+            for j, (restricted, unrestricted, k) in enumerate(comparisons):
+                block[kept, c, j] = [statistic_from_rss(criterion, rss_r, rss_u, n_obs, p, k)[1]
+                                     for rss_r, rss_u in zip(restricted, unrestricted)]
     return pvalues, deficient
 
 
@@ -189,8 +190,7 @@ def decide_edge_array(pvalues: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     conditional tests.
     """
     accepted = pvalues[..., None, :] < alphas[:, None]
-    biv = accepted[..., :3]
-    trivariate = biv.all(axis=-1, keepdims=True)
-    edges = biv.copy()
-    edges[..., 1:] = np.where(trivariate, accepted[..., 3:], biv[..., 1:])
+    edges = accepted[..., :3].copy()
+    trivariate = accepted[..., 0] & accepted[..., 1] & accepted[..., 2]
+    np.copyto(edges[..., 1:], accepted[..., 3:], where=trivariate[..., None])
     return edges

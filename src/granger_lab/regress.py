@@ -3,10 +3,11 @@
 ``nested_rss`` gives the residual sum of squares of every column-prefix
 model of one design in a single R-only QR pass, factoring the caller's
 [X | b] in place; every Granger test goes through it. It calls ``dgeqrf``
-with positional arguments, reads back only R's last column and checks no
-rank, so the caller keeps R in the upper triangle of its array, factors
-column subsets of it again, and has ``rank_deficient``, the one rank rule,
-judge the pivots of a whole block of R factors at once.
+with positional arguments, reads R's last column once, into a list, sums
+its squares from the bottom up to each boundary, and checks no rank. So
+the caller keeps R in the upper triangle of its array, factors column
+subsets of it again, and has ``rank_deficient``, the one rank rule, judge
+the pivots of a whole block of R factors at once.
 """
 
 from __future__ import annotations
@@ -55,17 +56,21 @@ def nested_rss(augmented: np.ndarray, boundaries: Sequence[int]) -> list[float]:
     this sum does not cancel when the fit is nearly exact. Afterwards R is
     the upper triangle of ``augmented``, pivots included.
     """
-    n_obs, n_params, k_max = augmented.shape[0], augmented.shape[1] - 1, boundaries[-1]
+    n_obs, k_max = augmented.shape[0], boundaries[-1]
     if n_obs < k_max + 1:
         raise InsufficientData(f"{n_obs} rows for {k_max} columns")
     # R is the upper triangle of the result; Householder vectors lie below it.
     # Positional arguments: the wrapper's default lwork of 3 (p + 1), in place.
-    r, _, _, info = dgeqrf(augmented, 3 * n_params + 3, 1)
+    r, _, _, info = dgeqrf(augmented, 3 * augmented.shape[1], 1)
     if info != 0:
         raise RegressionError(f"QR factorization failed (LAPACK info={info})")
-    last = min(n_params, n_obs - 1)  # R's last row in the response's column
-    suffix, total = [], 0.0  # sums of R[i, p]^2 from i = last down, in ``cumsum`` order
-    for value in r[last::-1, n_params].tolist():
-        total += value * value
-        suffix.append(total)
-    return [suffix[last - k] for k in boundaries]
+    column = r[:min(augmented.shape), -1].tolist()  # R's rows in the response's column
+    # Sums of R[i, p]^2 from R's last row up, read at each boundary on the way.
+    rss, total, i = [], 0.0, len(column)
+    for k in reversed(boundaries):
+        while i > k:
+            i -= 1
+            total += column[i] * column[i]
+        rss.append(total)
+    rss.reverse()
+    return rss

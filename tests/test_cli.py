@@ -400,6 +400,28 @@ class TestSweepCommands:
         assert len(err.splitlines()) == 1
         assert not out.exists()  # no CSV, no manifest
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-alpha", "--iterations", "4"],
+        ["sweep-n", "--alpha", "0.1", "--sizes", "30,40", "--cases", "4"],
+    ], ids=["sweep-alpha", "sweep-n"])
+    def test_out_that_is_a_file_exits_3_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                        argv):
+        # --out is made once the flags have passed and before the first
+        # sample: a file there fails the run at once, and a bad flag still
+        # exits 2 first.
+        def no_sampling(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(experiments, "generate_rows", no_sampling)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        argv = argv + ["--topology", "driver", "--out", str(out)]
+        assert main(argv + ["--workers", "1"]) == 3
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert main(argv + ["--workers", "0"]) == 2
+        assert capsys.readouterr().err == "workers must be a positive integer, got 0\n"
+        assert out.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["sweep-alpha", "--iterations", "4", "--criteria", "lr,"], "bad criterion '' in 'lr,'"),
         (["sweep-n", "--alpha", "0.1", "--sizes", "30", "--cases", "4", "--criteria", "lr,foo"],
@@ -1384,6 +1406,33 @@ class TestBenchmarkHooks:
         results = _count_run(run, 2, (Criterion.WALD,), (0.05,), 5)
         assert [rank_deficient for _, rank_deficient in results] == [0, 0, 0]
         assert calls == {"nested_rss": 3 * 120, "statistic_from_rss": 5 * 120}
+
+    def test_rank_deficient_rows_make_their_passes_and_no_scores(self, monkeypatch):
+        # Stack blocks of five rows: the first holds rank-deficient rows at
+        # its start, middle and end (a constant x, y duplicating x, z
+        # duplicating y), the second holds nothing else, and the third none.
+        # Every row makes its three QR passes; only the kept rows are
+        # scored, each as it scores alone, and the others read NaN.
+        gen = GeneratorConfig(topology=TopologyKind.DRIVER, length=40)
+        rows, criteria = 13, tuple(Criterion)
+        xs, ys, zs = (np.array(series) for series in zip(
+            *(datagen.generate(gen, seed) for seed in range(rows))))
+        xs[0] = 1.0
+        for row in range(5, 10):
+            ys[row] = xs[row]
+        ys[2], zs[4] = xs[2], ys[4]
+        deficient = np.isin(np.arange(rows), [0, 2, 4, *range(5, 10)])
+        alone = [granger.block_pvalues(xs[i:i + 1], ys[i:i + 1], zs[i:i + 1], 2, criteria)
+                 for i in range(rows)]
+        monkeypatch.setattr(granger, "CHUNK_VALUES", 5 * (3 * 2 + 2) * (40 - 2))
+        calls = self._count_kernel_calls(monkeypatch)
+        pvalues, got = granger.block_pvalues(xs, ys, zs, 2, criteria)
+        kept = rows - deficient.sum()
+        assert calls == {"nested_rss": 3 * rows, "statistic_from_rss": 5 * len(criteria) * kept}
+        assert got.tolist() == deficient.tolist()
+        assert np.isnan(pvalues[deficient]).all() and not np.isnan(pvalues[~deficient]).any()
+        for row in np.flatnonzero(~deficient):
+            assert pvalues[row].tobytes() == alone[row][0][0].tobytes()
 
     def test_one_analyze_calls_the_traced_kernels_per_sample(self, tmp_path, monkeypatch):
         # Three QR passes and five scores for the one criterion, for the

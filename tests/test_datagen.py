@@ -528,6 +528,53 @@ class TestGenerateChunks:
         if params == (0.0, 0.0, 0.0):
             assert np.signbit(beta * ny[:, 0]).any() and not np.signbit(got[1][:, 0]).any()
 
+    @pytest.mark.parametrize("kind, params", [
+        (NoiseKind.FIXED_SIGMA, BASELINE_SIGMAS), (NoiseKind.INTRINSIC_SNR, (0.0, 10.0, 20.0)),
+        (NoiseKind.EXTRINSIC_SNR, (20.0, -5.0, 0.0))])
+    @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
+    def test_recurrences_are_solved_in_place(self, monkeypatch, topology, kind, params):
+        # x, y and z are rows of one C-ordered (3, rows, total) buffer, the
+        # scaled normals (or, with extrinsic noise, the backbone's zeros),
+        # and every dtbtrs solve writes its contiguous rows in place.
+        solves, dtbtrs = [], datagen.dtbtrs
+
+        def recording(band, b, **kwargs):
+            solved, info = dtbtrs(band, b, **kwargs)
+            solves.append(np.shares_memory(solved, b))
+            return solved, info
+
+        monkeypatch.setattr(datagen, "dtbtrs", recording)
+        config = GeneratorConfig(topology=topology, length=60, noise_kind=kind,
+                                 sigmas_or_snrs=params)
+        x, y, z = _own_rows(config, generator_states(np.arange(5, dtype=np.uint64)))
+        buffer = x.base
+        assert buffer.shape == (3, 5, 160) and buffer.flags.c_contiguous
+        assert np.shares_memory(y, buffer) and np.shares_memory(z, buffer)
+        assert solves == [True, True]
+
+    @pytest.mark.parametrize("series", [0, 1, 2], ids=["x", "y", "z"])
+    @pytest.mark.parametrize("value, accepted", [
+        (np.nan, False), (np.inf, False), (-np.inf, False),
+        (np.nextafter(1e12, np.inf), False), (np.nextafter(-1e12, -np.inf), False),
+        (1e12, True), (-1e12, True)])
+    def test_magnitude_check_on_each_series(self, monkeypatch, series, value, accepted):
+        # One value planted after the burn-in of one row of one series.
+        backbone = datagen._backbone
+
+        def planted(*args):
+            out = backbone(*args)
+            out[series][1, -1] = value
+            return out
+
+        monkeypatch.setattr(datagen, "_backbone", planted)
+        config = GeneratorConfig(topology=TopologyKind.DRIVER, length=30)
+        states = generator_states(np.arange(3, dtype=np.uint64))
+        if accepted:
+            assert _own_rows(config, states)[series][1, -1] == value
+        else:
+            with pytest.raises(GenerationError, match="magnitude bound"):
+                _own_rows(config, states)
+
     def test_chunk_memory_is_bounded(self):
         short = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
         long = GeneratorConfig(topology=TopologyKind.DRIVER, length=1_000_000)
