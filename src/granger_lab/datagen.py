@@ -151,21 +151,25 @@ def _ar_filter(driving: np.ndarray, coeff: float) -> np.ndarray:
 
 
 def _raw_draws(states: Sequence[np.ndarray], total: int) -> np.ndarray:
-    """(4, len(states), total) draws: uniforms, then the X, Y and Z normals.
+    """C-ordered (4, len(states), total) draws: uniforms, then the X, Y and Z
+    normals.
 
     Row r consumes one generator started from ``states[r]`` (a row of
-    ``generator_states``), in that order; one call draws its three
-    contiguous normal blocks.
+    ``generator_states``), in that order, one call a block. The generator
+    keeps no state between calls, so these are the bits of one call drawing
+    the three normal blocks end to end.
     """
-    draws = np.empty((len(states), 4, total))
-    for row, state in zip(draws, states):
+    draws = np.empty((4, len(states), total))
+    uniforms, nx, ny, nz = draws
+    for r, state in enumerate(states):
         rng = state_generator(state)
-        rng.random(out=row[0])
-        rng.standard_normal(out=row[1:])
-    uniforms = draws[:, 0]
+        rng.random(out=uniforms[r])
+        rng.standard_normal(out=nx[r])
+        rng.standard_normal(out=ny[r])
+        rng.standard_normal(out=nz[r])
     uniforms *= 4.0  # -2 + 4 U, as Generator.uniform(-2.0, 2.0) computes it
     uniforms -= 2.0
-    return draws.transpose(1, 0, 2)
+    return draws
 
 
 def _backbone(u: np.ndarray, ex: np.ndarray, ey: np.ndarray, ez: np.ndarray, coeff: float,
@@ -192,15 +196,14 @@ def generate_rows(config: GeneratorConfig, levels: np.ndarray,
     ``states[r]`` is seed_r's row of ``generator_states`` and ``levels[r]``
     resolves config_r, which may differ from ``config`` in its noise levels
     only. A (rows, 1) column of levels scales each row's normals by the same
-    IEEE product a scalar would. The normals are scaled out of the draw
-    buffer into one C-ordered (3, rows, total) array, where the recurrences
-    are summed, with the bits of the out-of-place sums, and solved in place.
-    Memory grows with the rows, so a stream passes ``chunk_rows(config)``
-    states at a time.
+    IEEE product a scalar would. The normals are scaled, summed, with the
+    bits of the out-of-place sums, and solved in the C-ordered draw buffer,
+    whose rows are contiguous. Memory grows with the rows, so a stream passes
+    ``chunk_rows(config)`` states at a time.
     """
     draws = _raw_draws(states, config.burn_in + config.length)
-    u, noise = draws[0], np.empty(draws[1:].shape)  # (3, rows, total), C-ordered
-    np.multiply(draws[1:], levels.T[:, :, None], out=noise)
+    u, noise = draws[0], draws[1:]
+    noise *= levels.T[:, :, None]
     if config.noise_kind is NoiseKind.EXTRINSIC_SNR:
         x, y, z = _backbone(u, *np.zeros(noise.shape), config.ar_coefficient, config.topology)
         x += noise[0]

@@ -493,6 +493,19 @@ class TestGenerateChunks:
         for seed, row in zip(seeds, draws[0], strict=True):
             assert row.tobytes() == np.random.default_rng(seed).uniform(-2.0, 2.0, total).tobytes()
 
+    @pytest.mark.parametrize("total", [1, 2, 150, 30_100])
+    def test_normal_rows_are_one_call_of_three_blocks(self, total):
+        # Each series' block is its own standard_normal call; the generator
+        # keeps no state between calls, so the three blocks are the bits of
+        # one call for all of them, after the uniforms.
+        seeds = [0, 9, 2**63 + 11]
+        draws = _raw_draws(generator_states(np.array(seeds, np.uint64)), total)
+        assert draws.flags.c_contiguous
+        for seed, normals in zip(seeds, draws[1:].transpose(1, 0, 2), strict=True):
+            rng = np.random.default_rng(seed)
+            rng.random(total)
+            assert normals.tobytes() == rng.standard_normal(3 * total).tobytes()
+
     @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
     @pytest.mark.parametrize("kind, params", [
         (NoiseKind.FIXED_SIGMA, (0.0, 0.0, 0.0)), (NoiseKind.FIXED_SIGMA, BASELINE_SIGMAS),
@@ -533,9 +546,10 @@ class TestGenerateChunks:
         (NoiseKind.EXTRINSIC_SNR, (20.0, -5.0, 0.0))])
     @pytest.mark.parametrize("topology", [TopologyKind.DRIVER, TopologyKind.INDIRECT])
     def test_recurrences_are_solved_in_place(self, monkeypatch, topology, kind, params):
-        # x, y and z are rows of one C-ordered (3, rows, total) buffer, the
-        # scaled normals (or, with extrinsic noise, the backbone's zeros),
-        # and every dtbtrs solve writes its contiguous rows in place.
+        # x, y and z are rows of one C-ordered buffer: the draws, whose
+        # normals are scaled in place (or, with extrinsic noise, the
+        # backbone's zeros), and every dtbtrs solve writes its contiguous
+        # rows in place.
         solves, dtbtrs = [], datagen.dtbtrs
 
         def recording(band, b, **kwargs):
@@ -548,7 +562,8 @@ class TestGenerateChunks:
                                  sigmas_or_snrs=params)
         x, y, z = _own_rows(config, generator_states(np.arange(5, dtype=np.uint64)))
         buffer = x.base
-        assert buffer.shape == (3, 5, 160) and buffer.flags.c_contiguous
+        extrinsic = kind is NoiseKind.EXTRINSIC_SNR
+        assert buffer.shape == ((3 if extrinsic else 4), 5, 160) and buffer.flags.c_contiguous
         assert np.shares_memory(y, buffer) and np.shares_memory(z, buffer)
         assert solves == [True, True]
 

@@ -24,15 +24,13 @@ Run it from the root of a checkout, with a second tree, such as a
 Each tree is a directory holding ``src/granger_lab``; ``--after`` is
 this checkout unless given. Children import
 their tree's package after the fork; numpy and scipy are imported once,
-here, with one BLAS thread. ``--json FILE`` also writes every pair's
-numbers.
+here, with one BLAS thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import pickle
 import statistics
@@ -165,9 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--iterations", type=positive_int, default=2000,
                         help="samples per run")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--json", metavar="FILE", help="also write every pair's numbers here")
     args = parser.parse_args(argv)
-    record, identical = {}, True
+    identical = True
     for shape in SHAPES:
         pairs = []
         for k in range(args.pairs):
@@ -192,12 +189,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"{wins:>7}/{len(pairs)}")
         print(f"  results: {'identical' if len(hashes) == 1 else 'DIFFER'} "
               f"(sha256 {', '.join(sorted(h[:16] for h in hashes))})")
-        record[shape] = pairs
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"before": args.before, "after": args.after,
-                       "iterations": args.iterations, "seed": args.seed, "shapes": record},
-                      fh, indent=1)
     if not identical:
         print("the two trees' results differ", file=sys.stderr)
         return 1
