@@ -43,7 +43,7 @@ from .criteria import Criterion
 from .datagen import DEFAULT_BURN_IN, GeneratorConfig, NoiseKind, TrivariateSample, generate
 from .experiments import (PHASE_RATES, SNR_KEYS, SweepResult, extract_plane, phase_rows,
                           sweep_sample_size, sweep_significance)
-from .granger import (FORWARD_KEYS, LAGS, REVERSE_KEYS, GrangerConfig, decide_edge_array,
+from .granger import (FORWARD_KEYS, LAGS, REVERSE_KEYS, decide_edge_array, require_significance,
                       sample_pvalues)
 from .ppm import render_plane, write_ppm
 
@@ -361,7 +361,7 @@ def cmd_phase_space(args) -> tuple[list[str], int]:
     noise = NoiseKind(args.noise)
     criterion = parse_criterion(args.criterion)
     shared = parse_grid(args.grid)
-    grids = tuple(parse_grid(g) if g else shared
+    grids = tuple(parse_grid(g) if g is not None else shared
                   for g in (args.grid_x, args.grid_y, args.grid_z))
     csv_path = os.path.join(args.out, "phase_space.csv")
     meta = {"topology": topology.value, "noise_kind": noise.value, "n": args.n,
@@ -451,26 +451,19 @@ def _scan_series(path: str, lines) -> TrivariateSample:
     is not parsed. Blank lines are skipped. A malformed body raises a
     ValueError naming its first faulty row."""
     values: list[float] = []
-    linenos: list[int] = []  # the file line of each row, for fault messages
-    fault = None
     for lineno, line in enumerate(lines, start=2):
         try:
             _, x, y, z = line.strip().split(",")
-            values += (float(x), float(y), float(z))
+            row = (float(x), float(y), float(z))
         except ValueError:
             if not line.strip():
                 continue
             problem = "non-numeric value" if line.count(",") == 3 else "expected 4 fields"
-            fault = f"row {lineno}: {problem}"
-            break
-        linenos.append(lineno)
-    data = np.array(values).reshape(-1, 3)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():  # every row read comes before the fault that ended the scan
-        fault = f"row {linenos[finite.argmin()]}: non-finite value"
-    if fault:
-        raise ValueError(f"{path}: {fault}")
-    return TrivariateSample(*data.T)
+            raise ValueError(f"{path}: row {lineno}: {problem}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: row {lineno}: non-finite value")
+        values += row
+    return TrivariateSample(*np.array(values).reshape(-1, 3).T)
 
 
 def _decode(path: str, data: bytes, row: int = 1) -> str:
@@ -486,11 +479,13 @@ def _decode(path: str, data: bytes, row: int = 1) -> str:
 
 
 def cmd_analyze(args) -> None:
+    """Score the ``--input`` sample. Faults are checked in this order: the
+    file, the criterion, the level, then the lag depth (by ``sample_pvalues``)."""
     sample = _read_input(_read_series_csv, args.input)
-    config = GrangerConfig(lags=args.lags, criterion=parse_criterion(args.criterion),
-                           significance=args.alpha)
-    [pvalues], [reverse] = sample_pvalues(*sample, config.lags, (config.criterion,))
-    [accepted] = decide_edge_array(pvalues, np.array([config.significance]))
+    criterion = parse_criterion(args.criterion)
+    alpha = require_significance(args.alpha)
+    [pvalues], [reverse] = sample_pvalues(*sample, args.lags, (criterion,))
+    [accepted] = decide_edge_array(pvalues, np.array([alpha]))
     edges = [link for link, on in zip(FORWARD_LINKS, accepted) if on]
     forward_p = {key: float(p) for key, p in zip(FORWARD_KEYS, pvalues)}
     reverse_p = {key: float(p) for key, p in zip(REVERSE_KEYS, reverse)}
@@ -499,9 +494,9 @@ def cmd_analyze(args) -> None:
         "edges": sorted(e.value for e in edges),
         "forward_p_values": forward_p,
         "reverse_p_values": reverse_p,
-        "criterion": config.criterion.value,
-        "alpha": config.significance,
-        "lags": config.lags,
+        "criterion": criterion.value,
+        "alpha": alpha,
+        "lags": args.lags,
     }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -44,8 +44,8 @@ that the master seed is a non-negative integer, and every entry point
 resolves its cells' noise levels once (a phase space each axis value's
 SNR, ``datagen.axis_sigmas``), so an SNR whose noise std overflows is
 refused, and checks its sample lengths against the lag depth
-(``granger.require_length``) before it builds a config of them. The
-sweeps and phase spaces use ``granger.LAGS`` lags.
+(``granger.require_length``) before it builds a config of them. Every
+experiment uses ``granger.LAGS`` lags.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ from .core import FORWARD_LINKS, Link, TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
 from .datagen import (GeneratorConfig, NoiseKind, axis_sigmas, chunk_rows, generate_rows,
                       resolve_sigmas)
-from .granger import (LAGS, GrangerConfig, block_pvalues, decide_edge_array, require_length,
-                      require_significance)
+from .granger import LAGS, block_pvalues, decide_edge_array, require_length, require_significance
 from .seeding import derive_seeds, generator_states, require_seed
 
 #: Keys of a phase-space row: the cell's SNR triple, then its rates.
@@ -190,7 +189,7 @@ def _worker_count(workers: Optional[int], jobs: int) -> int:
 
 
 def _count_block(gen: GeneratorConfig, levels: Sequence[Sequence[float]], sizes: Sequence[int],
-                 lags: int, criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
+                 criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
                  states: np.ndarray) -> list[tuple[np.ndarray, int]]:
     """(accepted-edge counts, rank-deficient count) of each cell of shape
     ``gen``: cell c has the noise levels ``levels[c]`` and owns the next
@@ -214,7 +213,7 @@ def _count_block(gen: GeneratorConfig, levels: Sequence[Sequence[float]], sizes:
         chunk_levels = levels[first:last + 1]
         if last > first:
             chunk_levels = np.repeat(chunk_levels, np.diff(starts, append=len(chunk)), axis=0)
-        pvalues, deficient = block_pvalues(*generate_rows(gen, chunk_levels, chunk), lags,
+        pvalues, deficient = block_pvalues(*generate_rows(gen, chunk_levels, chunk), LAGS,
                                            criteria)
         decided = decide_edge_array(pvalues, alpha_levels)
         edges[first:last + 1] += np.add.reduceat(decided, starts, dtype=np.int64)
@@ -234,9 +233,8 @@ def _cut_runs(cells: Sequence[object], iterations: int, size: int
                for c in range(a // iterations, (b - 1) // iterations + 1)]
 
 
-def _count_run(run: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
-               alphas: tuple[float, ...], master_seed: int
-               ) -> list[tuple[np.ndarray, int]]:
+def _count_run(run: Sequence[tuple], criteria: tuple[Criterion, ...],
+               alphas: tuple[float, ...], master_seed: int) -> list[tuple[np.ndarray, int]]:
     """(counts, rank_deficient) of every (cell, start, stop) segment of a
     run, in order, from one seed derivation. Consecutive cells with the
     same shape config share one ``_count_block`` call."""
@@ -245,7 +243,7 @@ def _count_run(run: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
     results, done = [], 0
     for gen, group in groupby(run, key=lambda segment: segment[0][0]):
         levels, sizes = zip(*((row, stop - start) for (_, row, _), start, stop in group))
-        results += _count_block(gen, levels, sizes, lags, criteria, alphas,
+        results += _count_block(gen, levels, sizes, criteria, alphas,
                                 states[done:done + sum(sizes)])
         done += sum(sizes)
     return results
@@ -288,7 +286,7 @@ def _receive(pipe: BinaryIO) -> list[tuple[np.ndarray, int]]:
     return value
 
 
-def _cell_counts(cells: Sequence[tuple], lags: int, criteria: tuple[Criterion, ...],
+def _cell_counts(cells: Sequence[tuple], criteria: tuple[Criterion, ...],
                  alphas: tuple[float, ...], iterations: int, master_seed: int,
                  workers: Optional[int] = None) -> Iterator[tuple[np.ndarray, int]]:
     """Yield (counts, rank_deficient) per cell, in cell order.
@@ -303,7 +301,7 @@ def _cell_counts(cells: Sequence[tuple], lags: int, criteria: tuple[Criterion, .
     total = len(cells) * iterations
     n_workers = _worker_count(workers, total // 2)  # two iterations or more each
     size = min(RUN_ITERATIONS, total if n_workers == 1 else math.ceil(total / (4 * n_workers)))
-    args = (lags, criteria, alphas, master_seed)
+    args = (criteria, alphas, master_seed)
     children, pipes = [], [None]  # pipes[i]: process i's results, None for this one
     try:
         for index in range(1, n_workers):
@@ -359,16 +357,18 @@ def _estimate_from_counts(edges: np.ndarray, topology: TopologyKind, iterations:
         rank_deficient=rank_deficient)
 
 
-def estimate_rates(gen_config: GeneratorConfig, granger_config: GrangerConfig,
-                   iterations: int, master_seed: int,
+def estimate_rates(gen_config: GeneratorConfig, criterion: Criterion = Criterion.WALD,
+                   alpha: float = 0.05, *, iterations: int, master_seed: int,
                    workers: Optional[int] = None) -> RateEstimate:
-    """Monte Carlo spurious/unidentified rates for one configuration."""
+    """Monte Carlo spurious/unidentified rates for one configuration, scored
+    by ``criterion`` at the significance level ``alpha``."""
+    alpha = require_significance(alpha)
     iterations = require_positive("iterations", iterations)
     require_seed(master_seed)
-    require_length(gen_config.length, granger_config.lags)
+    require_length(gen_config.length, LAGS)
     cell = (gen_config, resolve_sigmas(gen_config), ())
-    [(counts, rd)] = _cell_counts([cell], granger_config.lags, (granger_config.criterion,),
-                                  (granger_config.significance,), iterations, master_seed, workers)
+    [(counts, rd)] = _cell_counts([cell], (criterion,), (alpha,), iterations, master_seed,
+                                  workers)
     return _estimate_from_counts(counts[0, 0], gen_config.topology, iterations, rd)
 
 
@@ -394,7 +394,7 @@ def sweep_significance(topology: TopologyKind, alphas: Sequence[float],
     _worker_count(workers, 1)
     gen = GeneratorConfig(topology=topology, length=n_points)
     ready()
-    [(counts, rd)] = _cell_counts([(gen, resolve_sigmas(gen), ())], LAGS, tuple(criteria),
+    [(counts, rd)] = _cell_counts([(gen, resolve_sigmas(gen), ())], tuple(criteria),
                                   alphas, iterations, seed, workers)
     rates = {crit: tuple(_estimate_from_counts(counts[ci, ai], topology, iterations, rd)
                          for ai in range(len(alphas)))
@@ -426,8 +426,7 @@ def sweep_sample_size(topology: TopologyKind, alpha: float, sizes: Sequence[int]
     gens = [GeneratorConfig(topology=topology, length=n) for n in sizes]
     cells = [(gen, resolve_sigmas(gen), (gen.length,)) for gen in gens]
     ready()
-    with closing(_cell_counts(cells, LAGS, criteria, (alpha,), cases, seed,
-                              workers)) as results:
+    with closing(_cell_counts(cells, criteria, (alpha,), cases, seed, workers)) as results:
         per_size = [{crit: _estimate_from_counts(counts[ci, 0], topology, cases, rd, f"n={n}")
                      for ci, crit in enumerate(criteria)}
                     for n, (counts, rd) in zip(sizes, results)]
@@ -472,8 +471,8 @@ def _phase_stream(cells: _GridCells, axes: Sequence[Sequence[float]], criterion:
                   alpha: float, iterations: int, seed: int,
                   workers: Optional[int]) -> Iterator[dict[str, float]]:
     """The rows of ``phase_rows``' checked cells on SNR ``axes``, one a completed cell."""
-    with closing(_cell_counts(cells, LAGS, (criterion,), (alpha,), iterations,
-                              seed, workers)) as results:
+    with closing(_cell_counts(cells, (criterion,), (alpha,), iterations, seed,
+                              workers)) as results:
         for (gen, _, (index,)), (counts, rd) in zip(cells, results):
             snrs = _grid_point(axes, index)
             est = _estimate_from_counts(counts[0, 0], gen.topology, iterations, rd,

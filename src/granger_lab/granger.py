@@ -29,7 +29,6 @@ not to score. The rows kept are scored one comparison at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -47,8 +46,8 @@ FORWARD_KEYS = (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ)
 #: Keys for the three reverse links, each a pairwise test on its own.
 REVERSE_KEYS = ("y->x", "z->x", "z->y")
 
-#: Lag depth of every test unless one is given: the Monte Carlo experiments
-#: always use it.
+#: Lag depth of every Monte Carlo experiment, and of ``analyze`` unless
+#: ``--lags`` is given.
 LAGS = 2
 
 
@@ -60,26 +59,14 @@ def require_significance(alpha: float) -> float:
 
 
 def require_length(n: int, lags: int) -> None:
-    """A ValueError unless ``n`` values leave the full [z | y | x] design of
-    ``lags`` lags (3 * lags coefficients on n - lags observations) one
-    residual degree of freedom: n >= 4 * lags + 1."""
+    """A ValueError unless ``lags`` is at least 1 and ``n`` values leave the
+    full [z | y | x] design of ``lags`` lags (3 * lags coefficients on n -
+    lags observations) one residual degree of freedom: n >= 4 * lags + 1."""
+    if lags < 1:
+        raise ValueError("lags must be >= 1")
     if n < 4 * lags + 1:
         raise ValueError(f"series length {n} is too short for lag depth {lags}: "
                          f"at least {4 * lags + 1} values are needed")
-
-
-@dataclass(frozen=True)
-class GrangerConfig:
-    """Look-back depth, test criterion and significance level for all tests."""
-
-    lags: int = LAGS
-    criterion: Criterion = Criterion.WALD
-    significance: float = 0.05
-
-    def __post_init__(self) -> None:
-        require_significance(self.significance)
-        if self.lags < 1:
-            raise ValueError("lags must be >= 1")
 
 
 def _lag_stack(x: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,

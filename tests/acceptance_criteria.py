@@ -16,7 +16,6 @@ from granger_lab.datagen import GeneratorConfig, NoiseKind
 from granger_lab.experiments import (estimate_rates, extract_plane, phase_rows,
                                      snr_grid, sweep_sample_size,
                                      sweep_significance)
-from granger_lab.granger import GrangerConfig
 
 
 def _se(rate: float, cases: int) -> float:
@@ -44,15 +43,14 @@ def criterion_5(seed, workers):
     settings = ((TopologyKind.INDIRECT, 0.2, 175), (TopologyKind.DRIVER, 0.3, 300))
     faults = []
     for topology, alpha, n_zero in settings:
-        cfg = GrangerConfig(significance=alpha)
         at_zero = estimate_rates(GeneratorConfig(topology=topology, length=n_zero),
-                                 cfg, iterations=cases, master_seed=seed,
+                                 alpha=alpha, iterations=cases, master_seed=seed,
                                  workers=workers)
         rate = at_zero.unidentified_rate
         if not rate <= 0.01 + 3 * _se(max(rate, 0.01), cases):
             faults.append(f"{topology.value}: unidentified {rate} at n={n_zero}")
         small = estimate_rates(GeneratorConfig(topology=topology, length=50),
-                               cfg, iterations=cases, master_seed=seed,
+                               alpha=alpha, iterations=cases, master_seed=seed,
                                workers=workers)
         if not small.unidentified_rate > 0.05:
             faults.append(f"{topology.value}: unidentified "
@@ -111,13 +109,11 @@ def criterion_8(seed, workers):
 
 def criterion_9(seed, workers):
     """Extrinsic key links: x->z kept or lost with SNR_Z, y->z kept."""
-    cfg = GrangerConfig(significance=0.05)
-
     def link_rate(topology, snrs, link):
         gen = GeneratorConfig(topology=topology, length=300,
                               noise_kind=NoiseKind.EXTRINSIC_SNR,
                               sigmas_or_snrs=snrs)
-        est = estimate_rates(gen, cfg, iterations=500, master_seed=seed,
+        est = estimate_rates(gen, alpha=0.05, iterations=500, master_seed=seed,
                              workers=workers)
         return est.per_link_rates[link]
 

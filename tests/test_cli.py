@@ -126,6 +126,7 @@ class TestGenerateAnalyze:
         assert set(report["reverse_p_values"]) == {"y->x", "z->x", "z->y"}
         assert all(0.0 <= p <= 1.0 for p in report["reverse_p_values"].values())
         assert report["criterion"] == "wald" and report["alpha"] == 0.05
+        assert report["lags"] == 2
 
     def test_malformed_row_exits_2_and_names_row(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
@@ -149,6 +150,27 @@ class TestGenerateAnalyze:
         assert main(["analyze", "--input", str(csv), "--lags", "963"]) == 2
         assert capsys.readouterr() == ("", "lag depth 963 is too deep for series length 3865: "
                                            "its lag stack exceeds 8388608 values\n")
+
+    @pytest.mark.parametrize("lags", ["0", "-1"])
+    def test_lag_depth_below_one_exits_2(self, tmp_path, capsys, lags):
+        csv = tmp_path / "sample.csv"
+        assert main(["generate", "--topology", "driver", "--n", "60", "--out", str(csv)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(csv), f"--lags={lags}"]) == 2
+        assert capsys.readouterr() == ("", "lags must be >= 1\n")
+
+    def test_faults_are_reported_file_criterion_alpha_then_lags(self, tmp_path, capsys):
+        csv = tmp_path / "sample.csv"
+        assert main(["generate", "--topology", "driver", "--n", "60", "--out", str(csv)]) == 0
+        capsys.readouterr()
+        bad = ["--criterion", "f", "--alpha", "0", "--lags", "0"]
+        for given, message in [
+                (["--input", str(tmp_path / "missing.csv"), *bad], "cannot read"),
+                (["--input", str(csv), *bad], "bad criterion 'f'"),
+                (["--input", str(csv), *bad[2:]], "significance level must lie"),
+                (["--input", str(csv), *bad[4:]], "lags must be >= 1")]:
+            assert main(["analyze", *given]) == 2
+            assert capsys.readouterr().err.startswith(message)
 
     def test_wrong_header_exits_2(self, tmp_path):
         csv = tmp_path / "bad.csv"
@@ -254,7 +276,7 @@ class TestGenerateAnalyze:
                          "--json"]) == 0
             report = json.loads(capsys.readouterr().out)
             [(counts, rank_deficient)] = _count_run(
-                [((gen, resolve_sigmas(gen), ()), i, i + 1)], 2, (Criterion(criterion),),
+                [((gen, resolve_sigmas(gen), ()), i, i + 1)], (Criterion(criterion),),
                 (0.05,), master)
             assert rank_deficient == 0
             assert sorted(report["edges"]) == sorted(
@@ -338,17 +360,22 @@ class TestSweepCommands:
     @pytest.mark.parametrize("alpha", ["0", "1.5", "nan"])
     @pytest.mark.parametrize("argv", [
         ["sweep-alpha", "--topology", "driver", "--n", "50", "--iterations", "4",
-         "--alpha-grid={alpha}"],
+         "--alpha-grid={alpha}", "--workers", "1", "--out", "{out}"],
         ["sweep-n", "--topology", "driver", "--sizes", "50", "--cases", "4",
-         "--alpha={alpha}"],
+         "--alpha={alpha}", "--workers", "1", "--out", "{out}"],
         ["phase-space", "--topology", "driver", "--noise", "intrinsic", "--n", "60",
-         "--iterations", "2", "--grid", "0", "--alpha={alpha}"],
-    ], ids=["sweep-alpha", "sweep-n", "phase-space"])
+         "--iterations", "2", "--grid", "0", "--alpha={alpha}", "--workers", "1",
+         "--out", "{out}"],
+        ["analyze", "--input", "{sample}", "--alpha={alpha}"],
+    ], ids=["sweep-alpha", "sweep-n", "phase-space", "analyze"])
     def test_significance_outside_unit_interval_exits_2(self, tmp_path, capsys, argv,
                                                         alpha):
-        out = tmp_path / "o"
-        argv = [a.format(alpha=alpha) for a in argv]
-        assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
+        out, sample = tmp_path / "o", tmp_path / "sample.csv"
+        rows = np.random.default_rng(3).normal(size=(60, 3)).tolist()
+        sample.write_text("t,x,y,z\n" + "".join(f"{t},{x!r},{y!r},{z!r}\n"
+                                                for t, (x, y, z) in enumerate(rows)))
+        argv = [a.format(alpha=alpha, out=out, sample=sample) for a in argv]
+        assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"significance level must lie strictly in (0, 1), got {float(alpha)!r}\n")
         assert not out.exists()
@@ -357,6 +384,16 @@ class TestSweepCommands:
         rc = main(["sweep-alpha", "--topology", "driver", "--alpha-grid", "",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_empty_axis_grid_exits_2(self, tmp_path, capsys, axis):
+        # An empty per-axis grid is refused, not replaced by --grid.
+        out = tmp_path / "o"
+        assert main(["phase-space", "--topology", "driver", "--noise", "intrinsic",
+                     "--n", "60", "--iterations", "2", "--grid", "0", f"--grid-{axis}=",
+                     "--workers", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "empty grid\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, spec", [
         (["sweep-alpha", "--iterations", "4", "--alpha-grid"], "0.05:inf:0.05"),
@@ -1119,7 +1156,7 @@ class TestPhaseSpaceCommand:
                                     noise_kind=datagen.NoiseKind.INTRINSIC_SNR,
                                     sigmas_or_snrs=(snr,) * 3) for snr in snrs]
             cells = [(gen, resolve_sigmas(gen), (i,)) for i, gen in enumerate(gens)]
-            got = experiments._cell_counts(cells, 2, (Criterion.WALD,), (0.05,), 40, 0, 1)
+            got = experiments._cell_counts(cells, (Criterion.WALD,), (0.05,), 40, 0, 1)
             assert [rank_deficient for _, rank_deficient in got] == counts
 
     def test_workers_do_not_change_bytes(self, tmp_path):
@@ -1387,7 +1424,7 @@ class TestBenchmarkHooks:
         calls = self._count_kernel_calls(monkeypatch)
         k = 7
         gen = GeneratorConfig(topology=TopologyKind.DRIVER, length=50)
-        [(_, rank_deficient)] = _count_run([((gen, resolve_sigmas(gen), ()), 0, k)], 2,
+        [(_, rank_deficient)] = _count_run([((gen, resolve_sigmas(gen), ()), 0, k)],
                                            criteria, (0.05,), 3)
         assert rank_deficient == 0
         assert calls == {"nested_rss": 3 * k, "statistic_from_rss": 5 * len(criteria) * k}
@@ -1403,7 +1440,7 @@ class TestBenchmarkHooks:
         snrs = [(-40.0, 0.0, 40.0), (40.0, 40.0, 40.0), (0.0, -40.0, -40.0)]
         run = [((shape, levels, (i,)), 0, 40)
                for i, levels in enumerate(zip(*datagen.axis_sigmas(shape, zip(*snrs))))]
-        results = _count_run(run, 2, (Criterion.WALD,), (0.05,), 5)
+        results = _count_run(run, (Criterion.WALD,), (0.05,), 5)
         assert [rank_deficient for _, rank_deficient in results] == [0, 0, 0]
         assert calls == {"nested_rss": 3 * 120, "statistic_from_rss": 5 * 120}
 

@@ -22,7 +22,7 @@ from granger_lab.datagen import (GenerationError, GeneratorConfig, NoiseKind, ax
 from granger_lab.experiments import (PHASE_RATES, SNR_KEYS, DegenerateConfiguration,
                                      estimate_rates, extract_plane, phase_rows, snr_grid,
                                      sweep_sample_size, sweep_significance)
-from granger_lab.granger import FORWARD_KEYS, GrangerConfig
+from granger_lab.granger import FORWARD_KEYS
 from granger_lab.seeding import derive_seeds, generator_states
 
 import kernel_reference as reference
@@ -50,13 +50,13 @@ class TestSeeding:
 
 class TestEstimateRates:
     def test_single_iteration_rates_are_binary(self):
-        est = estimate_rates(_gen(), GrangerConfig(), iterations=1, master_seed=0)
+        est = estimate_rates(_gen(), iterations=1, master_seed=0)
         assert est.spurious_rate in (0.0, 1.0)
         assert est.unidentified_rate in (0.0, 1.0)
         assert est.iterations == 1
 
     def test_rates_are_counts_over_iterations(self):
-        est = estimate_rates(_gen(), GrangerConfig(), iterations=40, master_seed=7)
+        est = estimate_rates(_gen(), iterations=40, master_seed=7)
         for rate in (est.spurious_rate, est.unidentified_rate,
                      *est.per_link_rates.values()):
             assert 0.0 <= rate <= 1.0
@@ -65,19 +65,19 @@ class TestEstimateRates:
 
     def test_worker_partition_independence(self):
         kwargs = dict(iterations=30, master_seed=11)
-        a = estimate_rates(_gen(), GrangerConfig(), workers=1, **kwargs)
-        b = estimate_rates(_gen(), GrangerConfig(), workers=3, **kwargs)
+        a = estimate_rates(_gen(), workers=1, **kwargs)
+        b = estimate_rates(_gen(), workers=3, **kwargs)
         assert a == b
 
     def test_matches_manual_per_iteration_count(self):
-        gen, cfg = _gen(length=80), GrangerConfig()
+        gen = _gen(length=80)
         iters, seed = 25, 13
         spurious = 0
         for i in range(iters):
             sample = generate(gen, _seed(seed, i))
-            edges = decide_edges(_scalar_pvalues(sample, cfg.criterion), cfg.significance)
+            edges = decide_edges(_scalar_pvalues(sample, Criterion.WALD), 0.05)
             spurious += Link.YZ in edges  # driver truth: y->z is spurious
-        est = estimate_rates(gen, cfg, iterations=iters, master_seed=seed)
+        est = estimate_rates(gen, iterations=iters, master_seed=seed)  # Wald at 0.05 by default
         assert est.spurious_rate == pytest.approx(spurious / iters)
 
     def test_null_snr_floor_calibration(self):
@@ -86,8 +86,7 @@ class TestEstimateRates:
         # rates sit near the significance level
         gen = _gen(length=300, noise_kind=NoiseKind.EXTRINSIC_SNR,
                    sigmas_or_snrs=(-40.0, -40.0, -40.0))
-        est = estimate_rates(gen, GrangerConfig(significance=0.05),
-                             iterations=400, master_seed=21)
+        est = estimate_rates(gen, alpha=0.05, iterations=400, master_seed=21)
         se = est.standard_error(0.05)
         for rate in est.per_link_rates.values():
             assert abs(rate - 0.05) < 3 * se + 1e-9
@@ -97,16 +96,16 @@ class TestEstimateRates:
         # copy of lagged x, so the trivariate design is always collinear
         gen = _gen(length=100, ar_coefficient=0.0, sigmas_or_snrs=(0.0, 0.0, 0.0))
         with pytest.raises(DegenerateConfiguration):
-            estimate_rates(gen, GrangerConfig(), iterations=10, master_seed=1)
+            estimate_rates(gen, iterations=10, master_seed=1)
 
     def test_rejects_nonpositive_iterations(self):
         with pytest.raises(ValueError):
-            estimate_rates(_gen(), GrangerConfig(), iterations=0, master_seed=0)
+            estimate_rates(_gen(), iterations=0, master_seed=0)
 
     def test_integer_text_runs_as_its_integer(self):
         # The checked count, not the argument, reaches the scheduler.
         def run(count, workers):
-            return [estimate_rates(_gen(), GrangerConfig(), iterations=count, master_seed=2,
+            return [estimate_rates(_gen(), iterations=count, master_seed=2,
                                    workers=workers),
                     sweep_significance(TopologyKind.DRIVER, (0.05,), n_points=40,
                                        iterations=count, seed=2, workers=workers),
@@ -186,7 +185,7 @@ class TestCountChecks:
     def test_every_entry_point_names_its_count(self, count):
         calls = {
             "iterations": [
-                lambda: estimate_rates(_gen(), GrangerConfig(), iterations=count,
+                lambda: estimate_rates(_gen(), iterations=count,
                                        master_seed=0),
                 lambda: sweep_significance(TopologyKind.DRIVER, (0.05,),
                                            iterations=count),
@@ -204,7 +203,7 @@ class TestCountChecks:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
     def test_every_entry_point_rejects_the_significance_level(self, alpha):
         calls = [
-            lambda: GrangerConfig(significance=alpha),
+            lambda: estimate_rates(_gen(), alpha=alpha, iterations=4, master_seed=0),
             lambda: sweep_significance(TopologyKind.DRIVER, (0.05, alpha), iterations=4),
             lambda: sweep_sample_size(TopologyKind.DRIVER, alpha, (50,), cases=4),
             lambda: phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER,
@@ -217,7 +216,7 @@ class TestCountChecks:
     def test_every_entry_point_rejects_a_negative_seed(self):
         # A phase space's stream is refused when it is made, before a row is read.
         calls = [
-            lambda: estimate_rates(_gen(), GrangerConfig(), iterations=4, master_seed=-1),
+            lambda: estimate_rates(_gen(), iterations=4, master_seed=-1),
             lambda: sweep_significance(TopologyKind.DRIVER, (0.05,), iterations=4, seed=-1),
             lambda: sweep_sample_size(TopologyKind.DRIVER, 0.05, (50,), cases=4, seed=-1),
             lambda: phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
@@ -269,7 +268,7 @@ class TestCountBlock:
         rows = datagen.chunk_rows(gen)
         states = generator_states(derive_seeds([((9,), 0, rows + 3)]))
         calls = _record_generate_rows(monkeypatch)
-        experiments._count_block(gen, [resolve_sigmas(gen)], [rows + 3], 2, (Criterion.WALD,),
+        experiments._count_block(gen, [resolve_sigmas(gen)], [rows + 3], (Criterion.WALD,),
                                  (0.05,), states)
         assert [len(chunk) for _, chunk, _ in calls] == [rows, 3]
         assert np.concatenate([chunk for _, chunk, _ in calls]).tobytes() == states.tobytes()
@@ -287,7 +286,7 @@ class TestCountBlock:
         levels, sizes = [list(resolve_sigmas(gen)) for gen in gens], [6, 3, 6]
         seeds = [7 * i + 1 for i in range(sum(sizes))]
         calls = _record_generate_rows(monkeypatch)
-        experiments._count_block(shape, levels, sizes, 2, (Criterion.WALD,), (0.05,),
+        experiments._count_block(shape, levels, sizes, (Criterion.WALD,), (0.05,),
                                  generator_states(np.array(seeds, np.uint64)))
         a, b, c = levels
         assert [chunk_levels.tolist() for chunk_levels, _, _ in calls] == [
@@ -303,7 +302,7 @@ class TestCountBlock:
         criteria, alphas = (Criterion.LR, Criterion.RAO), (0.05, 0.2, 0.5)
         monkeypatch.setattr(datagen, "CHUNK_VALUES", 7 * (60 + gen.burn_in))
         [(counts, rank_deficient)] = experiments._count_run(
-            [((gen, resolve_sigmas(gen), ()), 0, 30)], 2, criteria, alphas, 4)
+            [((gen, resolve_sigmas(gen), ()), 0, 30)], criteria, alphas, 4)
         assert rank_deficient == 0
         np.testing.assert_array_equal(counts, _loop_counts(gen, criteria, alphas, 4, 30))
 
@@ -332,9 +331,9 @@ class TestCountBlock:
             return count_block(gen, block_levels, *args)
 
         monkeypatch.setattr(experiments, "_count_block", spy)
-        got = experiments._count_run(run, 2, criteria, alphas, 8)
+        got = experiments._count_run(run, criteria, alphas, 8)
         assert groups == [(shape, levels[:3]), (gens[3], levels[3:4]), (gens[4], levels[4:])]
-        alone = [experiments._count_run([segment], 2, criteria, alphas, 8)[0]
+        alone = [experiments._count_run([segment], criteria, alphas, 8)[0]
                  for segment in run]
         assert [rd for _, rd in got] == [rd for _, rd in alone]
         assert [rd for _, rd in got] == [0, 11, 0, 0, 0]  # a mixed 200 dB cell
@@ -356,18 +355,18 @@ class TestWorkerCount:
     the children it forks."""
 
     def test_clamped_to_cpu_count(self, forks):
-        est = estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3,
+        est = estimate_rates(_gen(), iterations=30, master_seed=3,
                              workers=64)
         assert len(forks) == min(os.cpu_count() or 1, 15) - 1
         assert _no_child_left()
-        assert est == estimate_rates(_gen(), GrangerConfig(), iterations=30,
+        assert est == estimate_rates(_gen(), iterations=30,
                                      master_seed=3, workers=1)
 
     def test_clamped_to_jobs(self, forks, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-        estimate_rates(_gen(), GrangerConfig(), iterations=3, master_seed=3, workers=8)
+        estimate_rates(_gen(), iterations=3, master_seed=3, workers=8)
         assert forks == []  # one job: two iterations or more a process
-        estimate_rates(_gen(), GrangerConfig(), iterations=4, master_seed=3, workers=8)
+        estimate_rates(_gen(), iterations=4, master_seed=3, workers=8)
         grids = ((0.0,), (0.0,), (-20.0, 20.0))
         list(phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
                         iterations=2, grids=grids, seed=1, workers=8))
@@ -379,12 +378,12 @@ class TestWorkerCount:
         for env, processes in (("1", 1), ("2", 2)):
             monkeypatch.setenv("GRANGER_LAB_THREADS", env)
             forks.clear()
-            estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3)
+            estimate_rates(_gen(), iterations=30, master_seed=3)
             assert len(forks) == processes - 1
         for bad in ("four", "0", "-1"):
             monkeypatch.setenv("GRANGER_LAB_THREADS", bad)
             with pytest.raises(ValueError, match="GRANGER_LAB_THREADS"):
-                estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3)
+                estimate_rates(_gen(), iterations=30, master_seed=3)
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, "two"])
     def test_nonpositive_flag_rejected_like_the_variable(self, forks, monkeypatch, workers):
@@ -394,7 +393,7 @@ class TestWorkerCount:
                 monkeypatch.setenv("GRANGER_LAB_THREADS", env)  # the flag still wins
             with pytest.raises(ValueError, match=f"^workers must be a positive integer, "
                                                  f"got {re.escape(repr(workers))}$"):
-                estimate_rates(_gen(), GrangerConfig(), iterations=30, master_seed=3,
+                estimate_rates(_gen(), iterations=30, master_seed=3,
                                workers=workers)
             with pytest.raises(ValueError, match="^workers must be"):
                 _rows(workers=workers)
@@ -528,7 +527,7 @@ class TestSchedule:
         held = pipe_bytes // run_bytes + 2  # what the pipe holds, and the run writing
         gen = _gen(length=60)
         cells = [(gen, resolve_sigmas(gen), (c,)) for c in range(4 * held)]
-        with closing(experiments._cell_counts(cells, 2, criteria, alphas, 2, 6, 2)) as stream:
+        with closing(experiments._cell_counts(cells, criteria, alphas, 2, 6, 2)) as stream:
             counts = [next(stream)]  # the parent's first run
             computed, steady, deadline = -1, time.monotonic(), time.monotonic() + 30
             while time.monotonic() < deadline and time.monotonic() - steady < 1:
@@ -538,7 +537,7 @@ class TestSchedule:
                 time.sleep(0.05)
             assert 0 < computed <= held  # of the 2 * held runs dealt to the child
             counts += stream
-        reference = experiments._cell_counts(cells, 2, criteria, alphas, 2, 6, 1)
+        reference = experiments._cell_counts(cells, criteria, alphas, 2, 6, 1)
         for (got, got_rd), (ref, ref_rd) in zip(counts, reference, strict=True):
             np.testing.assert_array_equal(got, ref)
             assert got_rd == ref_rd
@@ -629,7 +628,7 @@ def _grid_counts(iterations, workers):
     """``_cell_counts`` over the phase-space cells of GRID3."""
     cells = [(_GRID3_SHAPE, levels, (cell,))
              for cell, levels in enumerate(product(*axis_sigmas(_GRID3_SHAPE, GRID3)))]
-    return list(experiments._cell_counts(cells, 2, (Criterion.WALD,), (0.05,),
+    return list(experiments._cell_counts(cells, (Criterion.WALD,), (0.05,),
                                          iterations, 6, workers))
 
 
@@ -711,7 +710,7 @@ class TestPartitionInvariance:
         gen = _gen(length=60)
         cell = (gen, resolve_sigmas(gen), ())
         [(whole, whole_rd)] = experiments._cell_counts(
-            [cell], 2, (Criterion.WALD,), (0.05,), 30, 6, 1)
+            [cell], (Criterion.WALD,), (0.05,), 30, 6, 1)
         batches.clear()
         monkeypatch.setattr(experiments, "RUN_ITERATIONS", 7)
         states = []
@@ -722,7 +721,7 @@ class TestPartitionInvariance:
 
         monkeypatch.setattr(experiments, "generator_states", recording)
         [(counts, rank_deficient)] = experiments._cell_counts(
-            [cell], 2, (Criterion.WALD,), (0.05,), 30, 6, 1)
+            [cell], (Criterion.WALD,), (0.05,), 30, 6, 1)
         assert batches == states == [7, 7, 7, 7, 2]
         np.testing.assert_array_equal(counts, whole)
         assert rank_deficient == whole_rd
@@ -749,10 +748,8 @@ class TestSweeps:
                                    seed=5, workers=1)
         assert sweep.axis == alphas
         for ai, alpha in enumerate(alphas):
-            direct = estimate_rates(
-                _gen(length=60),
-                GrangerConfig(criterion=Criterion.WALD, significance=alpha),
-                iterations=50, master_seed=5, workers=1)
+            direct = estimate_rates(_gen(length=60), Criterion.WALD, alpha,
+                                    iterations=50, master_seed=5, workers=1)
             assert sweep.rates[Criterion.WALD][ai] == direct
 
     def test_sweep_significance_validates_grid(self):

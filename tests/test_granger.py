@@ -10,7 +10,7 @@ from granger_lab.datagen import (CHUNK_VALUES, MAX_SAMPLE_VALUES, GeneratorConfi
                                  TrivariateSample, chunk_rows, generate, generate_rows,
                                  resolve_sigmas)
 from granger_lab.granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ,
-                                 FORWARD_KEYS, REVERSE_KEYS, GrangerConfig,
+                                 FORWARD_KEYS, REVERSE_KEYS,
                                  block_pvalues, decide_edge_array, sample_pvalues)
 from granger_lab.regress import RankDeficient
 from granger_lab.seeding import derive_seeds, generator_states
@@ -100,6 +100,16 @@ class TestBivariateTest:
         message = f"^series length {length} is too short for lag depth 2: at least 9 "
         with pytest.raises(ValueError, match=message):
             sample_pvalues(*rng.normal(size=(3, length)), 2, (Criterion.WALD,))
+
+    @pytest.mark.parametrize("lags", [0, -1])
+    def test_a_lag_depth_below_one_raises_value_error(self, lags):
+        # Refused before any stack is shaped, by the length check both share.
+        rng = np.random.default_rng(8)
+        x, y, z = rng.normal(size=(3, 50))
+        with pytest.raises(ValueError, match="^lags must be >= 1$"):
+            sample_pvalues(x, y, z, lags, (Criterion.WALD,))
+        with pytest.raises(ValueError, match="^lags must be >= 1$"):
+            block_pvalues(x[None], y[None], z[None], lags, (Criterion.WALD,))
 
     @pytest.mark.parametrize("lags, length, kept", [
         (2, MAX_SAMPLE_VALUES + 2, True), (2, MAX_SAMPLE_VALUES + 3, False),
@@ -460,18 +470,3 @@ class TestFullProcedure:
         # y->x and z->x are non-causal; z->y likewise; expect near-alpha rates
         assert accepted / (3 * n_cases) < 0.2
 
-
-class TestGrangerConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GrangerConfig(lags=0)
-        with pytest.raises(ValueError):
-            GrangerConfig(significance=0.0)
-        with pytest.raises(ValueError):
-            GrangerConfig(significance=1.0)
-
-    def test_defaults(self):
-        cfg = GrangerConfig()
-        assert cfg.lags == 2
-        assert cfg.criterion is Criterion.WALD
-        assert cfg.significance == 0.05

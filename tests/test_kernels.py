@@ -157,7 +157,7 @@ def test_designs_are_what_the_granger_passes_factor(monkeypatch):
     passed.clear()
     judged.clear()
     monkeypatch.setattr(granger, "CHUNK_VALUES", 2 * 8 * 38)
-    [(_, deficient)] = _count_run([((gen, resolve_sigmas(gen), ()), 0, 5)], 2,
+    [(_, deficient)] = _count_run([((gen, resolve_sigmas(gen), ()), 0, 5)],
                                   (Criterion.WALD,), (0.05,), 9)
     assert deficient == 0
     samples = [generate(gen, int(seed)) for seed in derive_seeds([((9,), 0, 5)])]

@@ -269,3 +269,14 @@ def test_one_function_generates_samples():
     # levels of the cells it finds once per chunk.
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert callers(sources, "generate_rows") == ["datagen.generate", "experiments._count_block"]
+
+
+def test_every_experiment_runs_at_one_lag_depth():
+    # The Monte Carlo loop reads no lag depth but ``LAGS``: no experiment
+    # function takes one, and no config object carries one to it.
+    experiments = (PACKAGE / "experiments.py").read_text(encoding="utf-8")
+    assert name_reads(experiments, "lags") == []
+    definers = [p.stem for p in PACKAGE.glob("*.py")
+                if any(getattr(node, "name", None) == "GrangerConfig"
+                       for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))]
+    assert definers == []
