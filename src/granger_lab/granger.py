@@ -16,15 +16,20 @@ and y->x, which ``analyze`` reports but never classifies.
 
 Each sample is factored once. Its lag stack [z-lags | y-lags | x-lags |
 y | z] on the common window gives the RSS of [z], [z, y] and [z, y, x]
-from one ``regress.nested_rss`` pass, which leaves R in place. Since A[:,
-S] = Q R[:, S], a column subset of R has the R factor of the same subset
-of A, so [z, x] and [y], [y, x] come from two more passes on the upper
-triangle of R's [z-lags | x-lags | z] and [y-lags | x-lags | y] columns,
-at most 3 * lags + 2 rows each, whatever the sample's length (Golub & Van
-Loan, Matrix Computations, section 5.3). The stacks and their column norms
-are built once per block. Every sample makes the three passes, and one
-``regress.rank_deficient`` call a block marks from their pivots the rows
-not to score. The rows kept are scored one comparison at a time.
+from one ``nested_rss`` pass, which factors it in place with ``dgeqrf``
+and checks no rank, so R stays in the upper triangle of the block's
+buffer, pivots included. Since A[:, S] = Q R[:, S], a column subset of R
+has the R factor of the same subset of A, so [z, x] and [y], [y, x] come
+from two more passes on the upper triangle of R's [z-lags | x-lags | z]
+and [y-lags | x-lags | y] columns, at most 3 * lags + 2 rows each,
+whatever the sample's length (Golub & Van Loan, Matrix Computations,
+section 5.3). No pass runs short of rows: ``require_length``'s n >= 4 *
+lags + 1 leaves the first 3 * lags + 1 rows for 3 * lags columns, and
+the others min(n - lags, 3 * lags + 2) >= 2 * lags + 1 rows for at most
+2 * lags. The stacks and their column norms are built once per block.
+Every sample makes the three passes, and one ``rank_deficient`` call a
+block, the one rank rule, marks from their pivots the rows not to score.
+The rows kept are scored one comparison at a time.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
 
 from .criteria import Criterion, statistic_from_rss
 from .datagen import CHUNK_VALUES, MAX_SAMPLE_VALUES
-from .regress import RankDeficient, nested_rss, rank_deficient
 
 #: Keys for the five forward-model comparisons the two-step procedure uses.
 BIV_XY, BIV_XZ, BIV_YZ = "x->y", "x->z", "y->z"
@@ -49,6 +54,51 @@ REVERSE_KEYS = ("y->x", "z->x", "z->y")
 #: Lag depth of every Monte Carlo experiment, and of ``analyze`` unless
 #: ``--lags`` is given.
 LAGS = 2
+
+
+class RankDeficient(RuntimeError):
+    """The design matrix is numerically rank deficient (degenerate input)."""
+
+
+# Relative singular-value cutoff for declaring rank deficiency.
+RANK_TOL = 1e-10
+
+
+def rank_deficient(pivots: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Which rows of ``pivots`` (rows, k), R factors' diagonals, are rank
+    deficient: those with a pivot at or below ``RANK_TOL`` times its entry
+    of ``norms`` (rows, k), the largest column norm of the columns its
+    factor was built from."""
+    return (np.abs(pivots) <= RANK_TOL * np.maximum(norms, 1e-300)).any(axis=1)
+
+
+def nested_rss(augmented: np.ndarray, boundaries: Sequence[int]) -> list[float]:
+    """RSS of each column-prefix model in one QR pass, overwriting ``augmented``.
+
+    ``augmented`` is the F-ordered float64 [X | b]: the design's p columns
+    with the response last. ``boundaries`` are increasing prefix lengths
+    (e.g. (2, 4, 6) for own-lags, +first predictor, +second predictor); X
+    may hold columns beyond the largest, which no model uses. One R-only
+    QR of [X | b] gives every prefix RSS without forming Q: the RSS of the
+    model using the first ``k`` columns is ``sum_{i=k}^{p} R[i, p]^2`` over
+    the rows of R that exist. Unlike ``||b||^2 - ||Q^T b||^2`` this sum
+    does not cancel when the fit is nearly exact.
+    """
+    # R is the upper triangle of the result; Householder vectors lie below it.
+    # Positional arguments: the wrapper's default lwork of 3 (p + 1), in place.
+    r, _, _, info = dgeqrf(augmented, 3 * augmented.shape[1], 1)
+    if info != 0:
+        raise RuntimeError(f"QR factorization failed (LAPACK info={info})")
+    column = r[:min(augmented.shape), -1].tolist()  # R's rows in the response's column
+    # Sums of R[i, p]^2 from R's last row up, read at each boundary on the way.
+    rss, total, i = [], 0.0, len(column)
+    for k in reversed(boundaries):
+        while i > k:
+            i -= 1
+            total += column[i] * column[i]
+        rss.append(total)
+    rss.reverse()
+    return rss
 
 
 def require_significance(alpha: float) -> float:

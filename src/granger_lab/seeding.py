@@ -32,11 +32,14 @@ _XSHIFT = np.uint32(16)
 
 
 def require_seed(value: int) -> int:
-    """``value`` as a seed, a non-negative integer, else a ValueError."""
-    value = int(value)
-    if value < 0:
+    """``value`` as a seed, a non-negative integral number, else a ValueError."""
+    try:
+        seed = int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, infinity, not a number
+        seed = -1
+    if seed < 0 or seed != value:
         raise ValueError(f"seeds must be non-negative integers, got {value}")
-    return value
+    return seed
 
 
 def _words(value: int) -> list[int]:

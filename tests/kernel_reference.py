@@ -1,7 +1,7 @@
 """The per-sample kernels as they were first written, with array arithmetic
-and int degrees of freedom: the reference that ``regress.nested_rss`` and
+and int degrees of freedom: the reference that ``granger.nested_rss`` and
 ``criteria.statistic_from_rss`` must match bit for bit. Its ``nested_rss``
-keeps the rank check that the product moved to ``regress.rank_deficient``,
+keeps the rank check that the product moved to ``granger.rank_deficient``,
 so the two verdicts are compared too. ``lag_design``, ``lag_stack`` and
 ``forward_rss`` build one sample's designs column by column and factor
 them as ``granger.block_pvalues`` does: one QR of the
@@ -25,7 +25,11 @@ from scipy.special import chdtrc, fdtrc
 
 from granger_lab import criteria
 from granger_lab.criteria import Criterion
-from granger_lab.regress import RANK_TOL, InsufficientData, RankDeficient
+from granger_lab.granger import RANK_TOL, RankDeficient
+
+
+class InsufficientData(Exception):
+    """Too few observations for the requested number of coefficients."""
 
 
 @dataclass(frozen=True)

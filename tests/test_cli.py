@@ -14,7 +14,7 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
-from granger_lab import cli, datagen, experiments, granger, regress
+from granger_lab import cli, datagen, experiments, granger
 from granger_lab.cli import (MAX_GRID_VALUES, PHASE_COLUMNS, PHASE_HEADER, fmt, main,
                              parse_criteria, parse_grid)
 from granger_lab.core import FORWARD_LINKS, TopologyKind
@@ -221,6 +221,17 @@ class TestGenerateAnalyze:
         assert "ar_coefficient" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--burn-in", "-1"], "burn_in must be >= 0"),
+        (["--params", "0,0,-1"], "noise standard deviations must be finite and >= 0"),
+        (["--params", "0,0,nan"], "noise standard deviations must be finite and >= 0"),
+    ], ids=["burn-in", "negative-sigma", "nan-sigma"])
+    def test_invalid_generator_setting_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--topology", "driver", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
     def test_analyze_fits_the_comparisons_once(self, tmp_path, monkeypatch):
         csv = tmp_path / "sample.csv"
         main(["generate", "--topology", "driver", "--n", "200", "--seed", "2",
@@ -242,7 +253,7 @@ class TestGenerateAnalyze:
         def counted(name, fn):
             return lambda *args: calls.append(name) or fn(*args)
 
-        monkeypatch.setattr(granger, "nested_rss", counted("nested_rss", regress.nested_rss))
+        monkeypatch.setattr(granger, "nested_rss", counted("nested_rss", granger.nested_rss))
         assert main(["analyze", "--input", str(csv), "--json"]) == 0
         assert calls == ["nested_rss"] * 6
 
@@ -734,6 +745,20 @@ class TestPhaseSpaceCommand:
         csv.write_bytes(full[:keep])
         assert main(self.ARGS + ["--resume", "--out", str(out)]) == 0
         assert csv.read_bytes() == full
+
+    def test_a_blank_line_between_rows_is_skipped(self, tmp_path):
+        # ``render`` draws the same image, and ``--resume`` appends after it.
+        out = tmp_path / "ps"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        csv = out / "phase_space.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        render = ["render", "--axis", "z", "--value", "20", "--scale", "2", "--out"]
+        assert main(render + [str(tmp_path / "full.ppm"), "--input", str(csv)]) == 0
+        csv.write_text("".join(lines[:3] + ["\n"]))
+        assert main(self.ARGS + ["--resume", "--out", str(out)]) == 0
+        assert csv.read_text() == "".join(lines[:3] + ["\n"] + lines[3:])
+        assert main(render + [str(tmp_path / "blank.ppm"), "--input", str(csv)]) == 0
+        assert (tmp_path / "blank.ppm").read_bytes() == (tmp_path / "full.ppm").read_bytes()
 
     def test_resume_after_torn_header_rewrites(self, tmp_path):
         out = tmp_path / "ps"
@@ -1679,6 +1704,15 @@ class TestRender:
         assert image.shape == (3, 6, 3)
         assert np.all(image[:, :3] == np.array([0, 0, 255], dtype=np.uint8))
         assert np.all(image[:, 3:] == np.array([255, 0, 0], dtype=np.uint8))
+
+    @pytest.mark.parametrize("scale", ["0", "-2"])
+    def test_scale_below_one_exits_2(self, tmp_path, capsys, scale):
+        csv, ppm = tmp_path / "g.csv", tmp_path / "g.ppm"
+        self._phase_csv(csv, 0.5)
+        assert main(["render", "--input", str(csv), "--axis", "z", "--value", "0",
+                     f"--scale={scale}", "--out", str(ppm)]) == 2
+        assert capsys.readouterr().err == "scale must be >= 1\n"
+        assert not ppm.exists()
 
     def test_oversized_image_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
         def no_image(*args, **kwargs):

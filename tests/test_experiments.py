@@ -214,16 +214,18 @@ class TestCountChecks:
                 call()
 
     def test_every_entry_point_rejects_a_negative_seed(self):
-        # A phase space's stream is refused when it is made, before a row is read.
+        # A phase space's stream is refused when it is made, before a row is
+        # read; a seed that is not integral is refused, not truncated.
         calls = [
-            lambda: estimate_rates(_gen(), iterations=4, master_seed=-1),
-            lambda: sweep_significance(TopologyKind.DRIVER, (0.05,), iterations=4, seed=-1),
-            lambda: sweep_sample_size(TopologyKind.DRIVER, 0.05, (50,), cases=4, seed=-1),
-            lambda: phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60, alpha=0.05,
-                               iterations=4, seed=-1)]
-        for call in calls:
-            with pytest.raises(ValueError, match="^seeds must be non-negative integers, got -1$"):
-                call()
+            lambda seed: estimate_rates(_gen(), iterations=4, master_seed=seed),
+            lambda seed: sweep_significance(TopologyKind.DRIVER, (0.05,), iterations=4, seed=seed),
+            lambda seed: sweep_sample_size(TopologyKind.DRIVER, 0.05, (50,), cases=4, seed=seed),
+            lambda seed: phase_rows(NoiseKind.INTRINSIC_SNR, TopologyKind.DRIVER, n=60,
+                                    alpha=0.05, iterations=4, seed=seed)]
+        for call, seed in product(calls, (-1, 1.5)):
+            with pytest.raises(ValueError,
+                               match=rf"^seeds must be non-negative integers, got {seed}$"):
+                call(seed)
 
 
 def _scalar_pvalues(sample, criterion):

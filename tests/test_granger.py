@@ -10,9 +10,8 @@ from granger_lab.datagen import (CHUNK_VALUES, MAX_SAMPLE_VALUES, GeneratorConfi
                                  TrivariateSample, chunk_rows, generate, generate_rows,
                                  resolve_sigmas)
 from granger_lab.granger import (BIV_XY, BIV_XZ, BIV_YZ, TRI_XZ, TRI_YZ,
-                                 FORWARD_KEYS, REVERSE_KEYS,
+                                 FORWARD_KEYS, REVERSE_KEYS, RankDeficient,
                                  block_pvalues, decide_edge_array, sample_pvalues)
-from granger_lab.regress import RankDeficient
 from granger_lab.seeding import derive_seeds, generator_states
 
 import kernel_reference as reference

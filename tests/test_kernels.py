@@ -1,8 +1,8 @@
-"""``regress.nested_rss`` and ``criteria.statistic_from_rss`` against their
+"""``granger.nested_rss`` and ``criteria.statistic_from_rss`` against their
 first array-and-int forms in ``kernel_reference``: the same RSS values,
 p-values and rank-deficiency verdicts, bit for bit. The in-place kernel
 factors a copy of the [X | b] that the reference reads as X and b, and
-``regress.rank_deficient`` judges the pivots it leaves against the largest
+``granger.rank_deficient`` judges the pivots it leaves against the largest
 column norm of the columns its largest prefix was built from; the scalar
 tails in ``criteria`` match the ``scipy.special`` ufuncs bit
 for bit. The one-QR reference agrees with the three-pass one to rounding."""
@@ -20,7 +20,7 @@ from granger_lab.criteria import Criterion, statistic_from_rss, two_proportion_z
 from granger_lab.datagen import (BASELINE_SIGMAS, GeneratorConfig, NoiseKind, generate,
                                  resolve_sigmas)
 from granger_lab.experiments import _count_run
-from granger_lab.regress import RANK_TOL, RankDeficient, nested_rss, rank_deficient
+from granger_lab.granger import RANK_TOL, RankDeficient, nested_rss, rank_deficient
 from granger_lab.seeding import derive_seeds
 
 NOISE = st.one_of(

@@ -49,6 +49,15 @@ class TestDeriveSeeds:
         with pytest.raises(ValueError, match="non-negative"):
             generator_states([-1])
 
+    def test_a_seed_that_is_not_integral_is_rejected_not_truncated(self):
+        # 1.5 would otherwise run seed 1's stream, 3.7 seed 3's.
+        for value in (1.5, 3.7, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^seeds must be non-negative integers, got "):
+                derive_seeds([((value,), 0, 1)])
+            with pytest.raises(ValueError, match="^seeds must be non-negative integers, got "):
+                generator_states([value])
+        assert derive_seeds([((3.0,), 0, 2)]).tolist() == derive_seeds([((3,), 0, 2)]).tolist()
+
 
 class TestGeneratorStates:
     @settings(max_examples=60, deadline=None)

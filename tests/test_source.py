@@ -258,9 +258,19 @@ def test_one_function_builds_designs_and_factors_them():
     assert callers(sources, "nested_rss") == ["granger.block_pvalues"]
     assert callers(sources, "_lag_stack") == ["granger.block_pvalues"]
     assert callers(sources, "rank_deficient") == ["granger.block_pvalues"]
-    assert [m for m, source in sources.items() if name_reads(source, "RANK_TOL")] == ["regress"]
+    assert [m for m, source in sources.items() if name_reads(source, "RANK_TOL")] == ["granger"]
     assert {m: caught(source, "RankDeficient") for m, source in sources.items()
             if caught(source, "RankDeficient")} == {}
+
+
+def test_the_module_that_factors_the_stacks_owns_the_qr_kernel():
+    # ``granger`` lays out R in its own buffers and re-factors column subsets
+    # of it, so the kernel that leaves R there lives beside it: no second
+    # module shares that layout or calls LAPACK's QR.
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert "regress" not in sources
+    assert [m for m, source in sources.items() if name_reads(source, "dgeqrf")] == ["granger"]
+    assert callers(sources, "dgeqrf") == ["granger.nested_rss"]
 
 
 def test_one_function_generates_samples():
