@@ -29,6 +29,13 @@ hold samples of several SNR triples.
 The AR(1) recurrences are one LAPACK band solve per chunk (``dtbtrs`` on the
 unit-diagonal bidiagonal band, so no division by the diagonal),
 bit-identical to SciPy's ``lfilter``, in place on contiguous rows.
+
+A Monte Carlo process passes its one ``Workspace`` to every chunk, and a
+chunk's draws, and an extrinsic chunk's backbone innovations, are written
+into its buffers, which grow to at most 4 and 3 blocks of ``CHUNK_VALUES``
+values (more only for a sample longer than that), instead of into new
+arrays: the samples are views that the next chunk overwrites. ``generate``
+passes none, so the sample it returns owns its arrays.
 """
 
 from __future__ import annotations
@@ -150,16 +157,49 @@ def _ar_filter(driving: np.ndarray, coeff: float) -> np.ndarray:
     return solved.T
 
 
-def _raw_draws(states: Sequence[np.ndarray], total: int) -> np.ndarray:
+class Workspace:
+    """The buffers that one Monte Carlo process reuses for every chunk it
+    generates and scores, made once per command and passed down to
+    ``generate_rows`` and ``granger.block_pvalues``.
+
+    A buffer is made the size of the first array taken from it, so a
+    command of a few iterations holds no more than it uses. When a later
+    chunk needs more, as one of a longer cell does, the buffer is made again
+    with room for the capacity its caller names, a chunk of ``CHUNK_VALUES``
+    values a block, or for that chunk if it needs still more, as a sample
+    longer than ``CHUNK_VALUES`` does. An array taken from a buffer is
+    overwritten by the next one taken from it, so what a caller keeps, it
+    copies.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def empty(self, name: str, shape: tuple[int, ...], capacity: int) -> np.ndarray:
+        """An uninitialised C-ordered float64 array of ``shape`` on the first
+        values of the buffer ``name``, which is made, or made again with room
+        for at least ``capacity`` values, when it is missing or too small."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size if buffer is None
+                                                    else max(size, capacity))
+        return buffer[:size].reshape(shape)
+
+
+def _raw_draws(states: Sequence[np.ndarray], total: int,
+               workspace: Workspace | None = None) -> np.ndarray:
     """C-ordered (4, len(states), total) draws: uniforms, then the X, Y and Z
-    normals.
+    normals, in a new array or in ``workspace``'s draw buffer.
 
     Row r consumes one generator started from ``states[r]`` (a row of
     ``generator_states``), in that order, one call a block. The generator
     keeps no state between calls, so these are the bits of one call drawing
     the three normal blocks end to end.
     """
-    draws = np.empty((4, len(states), total))
+    shape = (4, len(states), total)
+    draws = (np.empty(shape) if workspace is None
+             else workspace.empty("draws", shape, 4 * CHUNK_VALUES))
     uniforms, nx, ny, nz = draws
     for r, state in enumerate(states):
         rng = state_generator(state)
@@ -186,8 +226,9 @@ def _backbone(u: np.ndarray, ex: np.ndarray, ey: np.ndarray, ez: np.ndarray, coe
     return ex, y, _ar_filter(ez, coeff)
 
 
-def generate_rows(config: GeneratorConfig, levels: np.ndarray,
-                  states: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def generate_rows(config: GeneratorConfig, levels: np.ndarray, states: Sequence[np.ndarray],
+                  workspace: Workspace | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Samples of ``config``'s shape as (rows, length) x, y, z arrays, row r
     drawn from ``states[r]`` with the resolved noise levels ``levels[r]``,
     or ``levels[0]`` for every row of a one-row ``levels``.
@@ -199,13 +240,19 @@ def generate_rows(config: GeneratorConfig, levels: np.ndarray,
     IEEE product a scalar would. The normals are scaled, summed, with the
     bits of the out-of-place sums, and solved in the C-ordered draw buffer,
     whose rows are contiguous. Memory grows with the rows, so a stream passes
-    ``chunk_rows(config)`` states at a time.
+    ``chunk_rows(config)`` states at a time. With a ``workspace`` the draws,
+    and so the samples, lie in its buffers until its next chunk.
     """
-    draws = _raw_draws(states, config.burn_in + config.length)
+    draws = _raw_draws(states, config.burn_in + config.length, workspace)
     u, noise = draws[0], draws[1:]
     noise *= levels.T[:, :, None]
     if config.noise_kind is NoiseKind.EXTRINSIC_SNR:
-        x, y, z = _backbone(u, *np.zeros(noise.shape), config.ar_coefficient, config.topology)
+        if workspace is None:
+            innovations = np.zeros(noise.shape)
+        else:
+            innovations = workspace.empty("innovations", noise.shape, 3 * CHUNK_VALUES)
+            innovations.fill(0.0)
+        x, y, z = _backbone(u, *innovations, config.ar_coefficient, config.topology)
         x += noise[0]
         y += noise[1]
         z += noise[2]

@@ -27,6 +27,10 @@ share a shape config, such as a phase space's, are one block, which
 give each sample its own cell's levels (one broadcast row for a chunk
 inside one cell), and the chunk's edges and rank-deficient samples are
 summed back per cell, so a cell's counts do not depend on its neighbours.
+Each process draws, stacks and reduces every chunk of a command in the
+buffers of its one ``datagen.Workspace``, made once per command, which grow
+to hold a chunk of ``CHUNK_VALUES`` values a block, and more only for a
+longer sample.
 ``_estimate_from_counts`` alone turns those counts into rates against the
 true topology: with driver truth, spurious means the Y->Z link was
 accepted and unidentified means X->Z was rejected; with indirect truth the
@@ -64,8 +68,8 @@ import numpy as np
 
 from .core import FORWARD_LINKS, Link, TopologyKind
 from .criteria import PRESET_CRITERIA, Criterion, RateComparison, compare_criteria
-from .datagen import (GeneratorConfig, NoiseKind, axis_sigmas, chunk_rows, generate_rows,
-                      resolve_sigmas)
+from .datagen import (GeneratorConfig, NoiseKind, Workspace, axis_sigmas, chunk_rows,
+                      generate_rows, resolve_sigmas)
 from .granger import LAGS, block_pvalues, decide_edge_array, require_length, require_significance
 from .seeding import derive_seeds, generator_states, require_seed
 
@@ -189,15 +193,16 @@ def _worker_count(workers: Optional[int], jobs: int) -> int:
 
 
 def _count_block(gen: GeneratorConfig, levels: Sequence[Sequence[float]], sizes: Sequence[int],
-                 criteria: tuple[Criterion, ...], alphas: tuple[float, ...],
-                 states: np.ndarray) -> list[tuple[np.ndarray, int]]:
+                 criteria: tuple[Criterion, ...], alphas: tuple[float, ...], states: np.ndarray,
+                 workspace: Optional[Workspace] = None) -> list[tuple[np.ndarray, int]]:
     """(accepted-edge counts, rank-deficient count) of each cell of shape
     ``gen``: cell c has the noise levels ``levels[c]`` and owns the next
     ``sizes[c]`` rows of ``states``. Counts are (criterion, alpha, link), in
     ``FORWARD_LINKS`` order. The cells' samples are generated and scored in
     chunks of ``chunk_rows(gen)`` states; a chunk's cells are found once,
     to give each sample its cell's levels and to sum the chunk's edges,
-    decided for every alpha at once, back per cell."""
+    decided for every alpha at once, back per cell. Every chunk is drawn,
+    stacked and reduced in ``workspace``'s buffers, or in new ones without it."""
     cells, first_rows = len(sizes), np.cumsum(sizes) - sizes
     edges = np.zeros((cells, len(criteria), len(alphas), len(FORWARD_LINKS)), dtype=np.int64)
     rank_deficient = np.zeros(cells, dtype=np.int64)
@@ -213,8 +218,8 @@ def _count_block(gen: GeneratorConfig, levels: Sequence[Sequence[float]], sizes:
         chunk_levels = levels[first:last + 1]
         if last > first:
             chunk_levels = np.repeat(chunk_levels, np.diff(starts, append=len(chunk)), axis=0)
-        pvalues, deficient = block_pvalues(*generate_rows(gen, chunk_levels, chunk), LAGS,
-                                           criteria)
+        pvalues, deficient = block_pvalues(*generate_rows(gen, chunk_levels, chunk, workspace),
+                                           LAGS, criteria, workspace)
         decided = decide_edge_array(pvalues, alpha_levels)
         edges[first:last + 1] += np.add.reduceat(decided, starts, dtype=np.int64)
         rank_deficient[first:last + 1] += np.add.reduceat(deficient, starts, dtype=np.int64)
@@ -234,17 +239,18 @@ def _cut_runs(cells: Sequence[object], iterations: int, size: int
 
 
 def _count_run(run: Sequence[tuple], criteria: tuple[Criterion, ...],
-               alphas: tuple[float, ...], master_seed: int) -> list[tuple[np.ndarray, int]]:
+               alphas: tuple[float, ...], master_seed: int,
+               workspace: Optional[Workspace] = None) -> list[tuple[np.ndarray, int]]:
     """(counts, rank_deficient) of every (cell, start, stop) segment of a
     run, in order, from one seed derivation. Consecutive cells with the
-    same shape config share one ``_count_block`` call."""
+    same shape config share one ``_count_block`` call, in ``workspace``."""
     states = generator_states(derive_seeds(
         [((master_seed, *key), start, stop) for (_, _, key), start, stop in run]))
     results, done = [], 0
     for gen, group in groupby(run, key=lambda segment: segment[0][0]):
         levels, sizes = zip(*((row, stop - start) for (_, row, _), start, stop in group))
         results += _count_block(gen, levels, sizes, criteria, alphas,
-                                states[done:done + sum(sizes)])
+                                states[done:done + sum(sizes)], workspace)
         done += sum(sizes)
     return results
 
@@ -296,12 +302,13 @@ def _cell_counts(cells: Sequence[tuple], criteria: tuple[Criterion, ...],
     runs of ``RUN_ITERATIONS`` iterations here. n workers get about four
     runs each, capped at that size, dealt round-robin to this process and
     to n - 1 children forked before the first run, as the module docstring
-    describes.
+    describes. The one ``Workspace`` is made before the forks, with no
+    buffer yet, so each process makes its own on its first chunk.
     """
     total = len(cells) * iterations
     n_workers = _worker_count(workers, total // 2)  # two iterations or more each
     size = min(RUN_ITERATIONS, total if n_workers == 1 else math.ceil(total / (4 * n_workers)))
-    args = (criteria, alphas, master_seed)
+    args = (criteria, alphas, master_seed, Workspace())
     children, pipes = [], [None]  # pipes[i]: process i's results, None for this one
     try:
         for index in range(1, n_workers):

@@ -29,7 +29,10 @@ the others min(n - lags, 3 * lags + 2) >= 2 * lags + 1 rows for at most
 2 * lags. The stacks and their column norms are built once per block.
 Every sample makes the three passes, and one ``rank_deficient`` call a
 block, the one rank rule, marks from their pivots the rows not to score.
-The rows kept are scored one comparison at a time.
+The rows kept are scored one comparison at a time. The Monte Carlo loop
+passes its process's ``datagen.Workspace``, whose stack buffer holds one
+block of ``CHUNK_VALUES`` values and whose reduced buffer the R subsets,
+so no chunk makes either anew; ``analyze`` passes none.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from scipy.linalg.lapack import dgeqrf
 
 from .criteria import Criterion, statistic_from_rss
-from .datagen import CHUNK_VALUES, MAX_SAMPLE_VALUES
+from .datagen import CHUNK_VALUES, MAX_SAMPLE_VALUES, Workspace
 
 #: Keys for the five forward-model comparisons the two-step procedure uses.
 BIV_XY, BIV_XZ, BIV_YZ = "x->y", "x->z", "y->z"
@@ -138,7 +141,8 @@ def _lag_stack(x: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
 
 
 def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
-                  criteria: Sequence[Criterion]) -> tuple[np.ndarray, np.ndarray]:
+                  criteria: Sequence[Criterion], workspace: Workspace | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """P-values (sample, criterion, comparison), in ``FORWARD_KEYS`` order,
     of the rows of (rows, n) x, y and z, and the (rows,) mask of the rows
     that are rank deficient; each of those has NaN for every p-value, which
@@ -150,8 +154,8 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
     block's buffers, where ``rank_deficient`` reads their pivots; then each
     criterion scores each comparison over the block's kept rows, one list
     a column of ``pvalues``. Stacks are built for blocks of at most
-    ``CHUNK_VALUES`` values, and none may outgrow the longest generated
-    sample's at depth ``LAGS``."""
+    ``CHUNK_VALUES`` values, in new buffers or in ``workspace``'s, and none
+    may outgrow the longest generated sample's at depth ``LAGS``."""
     require_length(zs.shape[1], lags)
     p, rows, n_obs = lags, zs.shape[0], zs.shape[1] - lags
     if (3 * p + 2) * n_obs > (3 * LAGS + 2) * MAX_SAMPLE_VALUES:
@@ -160,14 +164,20 @@ def block_pvalues(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, lags: int,
     pvalues = np.empty((rows, len(criteria), len(FORWARD_KEYS)))
     deficient = np.empty(rows, dtype=bool)
     step = max(1, CHUNK_VALUES // ((3 * p + 2) * n_obs))  # the stack's 3p + 2 columns
-    buffer = np.empty((min(step, rows), 3 * p + 2, n_obs))  # refilled block by block
     k2, k3 = 2 * p, 3 * p
     # The stack's [z-lags | x-lags | z] and [y-lags | x-lags | y] columns, on
     # R's min(n - p, 3p + 2) rows, and which of those lie below R's diagonal.
     subset = [*range(p), *range(k2, k3), k3 + 1, *range(p, k3), k3]
     m = min(n_obs, k3 + 2)
     below = np.arange(m) > np.array(subset)[:, None]
-    reduced = np.empty((len(buffer), len(subset), m))
+    # The stack block and the R subsets, refilled block by block.
+    blocks = min(step, rows)
+    stack_shape, reduced_shape = (blocks, 3 * p + 2, n_obs), (blocks, len(subset), m)
+    if workspace is None:
+        buffer, reduced = np.empty(stack_shape), np.empty(reduced_shape)
+    else:
+        buffer = workspace.empty("stack", stack_shape, CHUNK_VALUES)
+        reduced = workspace.empty("reduced", reduced_shape, CHUNK_VALUES)
     for a in range(0, rows, step):
         stack, norms = _lag_stack(xs[a:a + step], ys[a:a + step], zs[a:a + step], p, buffer)
         # Each row of the transposed stack is the F-ordered [X | b] itself.

@@ -251,12 +251,13 @@ def _loop_counts(gen, criteria, alphas, master_seed, iterations):
 
 def _record_generate_rows(monkeypatch):
     """The (levels, states, samples) of every ``generate_rows`` call that
-    ``experiments`` makes, in order."""
+    ``experiments`` makes, in order; the samples are copied, since a
+    workspace's next chunk overwrites them."""
     calls, generate_rows = [], experiments.generate_rows
 
-    def spy(gen, levels, states):
-        samples = generate_rows(gen, levels, states)
-        calls.append((levels, states, samples))
+    def spy(gen, levels, states, workspace=None):
+        samples = generate_rows(gen, levels, states, workspace)
+        calls.append((levels, states, tuple(sample.copy() for sample in samples)))
         return samples
 
     monkeypatch.setattr(experiments, "generate_rows", spy)
@@ -341,6 +342,89 @@ class TestCountBlock:
         assert [rd for _, rd in got] == [0, 11, 0, 0, 0]  # a mixed 200 dB cell
         for (counts, _), (single, _) in zip(got, alone):
             np.testing.assert_array_equal(counts, single)
+
+
+def _record_block_pvalues(monkeypatch):
+    """Copies of the (p-values, rank mask) of every ``block_pvalues`` call
+    that ``experiments`` makes, in order."""
+    calls, block_pvalues = [], experiments.block_pvalues
+
+    def spy(*args):
+        pvalues, deficient = block_pvalues(*args)
+        calls.append((pvalues.copy(), deficient.copy()))
+        return pvalues, deficient
+
+    monkeypatch.setattr(experiments, "block_pvalues", spy)
+    return calls
+
+
+class TestWorkspace:
+    def test_generate_between_chunks_leaves_every_earlier_sample(self):
+        # Chunks drawn into one workspace, with ``generate`` called between
+        # them: a returned sample owns its arrays, so no later chunk or
+        # sample writes over it.
+        shape = _gen(length=60, noise_kind=NoiseKind.EXTRINSIC_SNR)
+        workspace, kept = datagen.Workspace(), []
+        for k in range(4):
+            sample = generate(shape, k)
+            kept.append((k, sample, [series.tobytes() for series in sample]))
+            states = generator_states(derive_seeds([((k,), 0, datagen.chunk_rows(shape) + 5)]))
+            experiments._count_block(shape, [resolve_sigmas(shape)], [len(states)],
+                                     (Criterion.WALD,), (0.05,), states, workspace)
+        for k, sample, bits in kept:
+            assert [series.tobytes() for series in sample] == bits
+            assert [series.tobytes() for series in generate(shape, k)] == bits
+
+    def test_one_workspace_through_cells_of_several_lengths(self, monkeypatch):
+        # Cells of 25 values, of one sample longer than a chunk's values,
+        # which outgrows the buffers, of 300 and of 25 again, in the grown
+        # buffers, and an extrinsic cell, which also fills the backbone's:
+        # the same p-values, bit for bit, and the same counts as each cell
+        # scored alone in new buffers.
+        long = datagen.CHUNK_VALUES + 100
+        gens = [_gen(length=25), _gen(length=long), _gen(length=300), _gen(length=25),
+                _gen(length=300, noise_kind=NoiseKind.EXTRINSIC_SNR)]
+        run = [((gen, resolve_sigmas(gen), (k,)), 0, 2 if gen.length == long else 90)
+               for k, gen in enumerate(gens)]
+        criteria, alphas = (Criterion.LR, Criterion.WALD), (0.05, 0.3)
+        calls = _record_block_pvalues(monkeypatch)
+        got = experiments._count_run(run, criteria, alphas, 6, datagen.Workspace())
+        shared, calls[:] = calls[:], []
+        alone = [experiments._count_run([segment], criteria, alphas, 6)[0] for segment in run]
+        # A long sample is a chunk of its own, and 90 samples of 300 values two chunks.
+        assert len(shared) == len(calls) == 8
+        for (pvalues, deficient), (single, single_deficient) in zip(shared, calls):
+            assert pvalues.tobytes() == single.tobytes()
+            assert deficient.tobytes() == single_deficient.tobytes()
+        assert [rd for _, rd in got] == [rd for _, rd in alone]
+        for (counts, _), (single, _) in zip(got, alone, strict=True):
+            np.testing.assert_array_equal(counts, single)
+
+    def test_a_command_makes_one_workspace(self, monkeypatch):
+        # Runs of 7 iterations over cells of three lengths: one workspace for
+        # the command, whose buffers are made for the first chunk and at most
+        # once more, not per run or per chunk.
+        made, buffers = [], {}
+
+        class Recorded(datagen.Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+            def empty(self, name, shape, capacity):
+                array = super().empty(name, shape, capacity)
+                buffers.setdefault(name, []).append(array.base)
+                return array
+
+        monkeypatch.setattr(experiments, "Workspace", Recorded)
+        monkeypatch.setattr(experiments, "RUN_ITERATIONS", 7)
+        sweep_sample_size(TopologyKind.DRIVER, 0.05, (25, 60, 300), (Criterion.WALD,),
+                          cases=20, seed=4, workers=1)
+        assert len(made) == 1
+        assert sorted(buffers) == ["draws", "reduced", "stack"]
+        assert len(buffers["draws"]) >= 9  # a chunk, at least, for each of the nine runs
+        for taken in buffers.values():
+            assert len({id(buffer) for buffer in taken}) <= 2
 
 
 def _no_child_left():
